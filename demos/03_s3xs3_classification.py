@@ -10,7 +10,7 @@ complement of the solution family with exact rational triples.
 from fractions import Fraction
 
 from nk6 import s3xs3
-from nk6.hitchin import nk_check
+from nk6.hitchin import build_su3, nk_check
 
 # the co-frame axiom d e_i = e_{i+1} ^ e_{i+2}, asserted on construction
 space = s3xs3.cyclic_space()
@@ -32,6 +32,6 @@ for lams in [(1, 1, 1), (1, 1, 2), (2, 3, 4)]:
     print("residual", lams, "=", s3xs3.nk_residual(lams))
 
 # full verification at lambda = 2: exact zero residuals in Q(sqrt 3)
-nk = nk_check(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
-    (Fraction(2),) * 3)), s3xs3.differential)
+s = build_su3(s3xs3.candidate(s3xs3.DiagonalInvariantForm((Fraction(2),) * 3)))
+nk = nk_check(s, s3xs3.differential)
 print("lambda = 2: verdict", nk.verdict, " mu =", nk.mu)

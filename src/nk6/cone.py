@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from . import smallmat
 from .exterior import KForm, hodge_star, metric_volume, wedge
-from .hitchin import SU3Candidate, build_su3, form_dot, mu_volume_fit
+from .hitchin import form_dot, mu_volume_fit, omega3_sign
 from .scalars import EPS, exact_div, simplify
 
 
@@ -151,9 +151,7 @@ def complex_orientation(s):
     The link star is taken in this orientation, which is what makes
     *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega.
     """
-    o3 = wedge(wedge(s.omega, s.omega), s.omega)
-    v = o3.c[0]
-    return 1 if float(v) > 0 else -1
+    return omega3_sign(s.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -170,35 +168,31 @@ class ConeReport:
 def cone_check(s, link_d, tol=EPS):
     """Closed-and-coclosed test for the cone 3-form of an SU(3)-structure.
 
-    The structure is first rescaled to unit metric normalization (the
-    least-squares constant of d phi = -2 c omega^2 becomes 1), the scale a
-    cone can absorb into the radius; then rho is built and d rho, d *rho
-    are evaluated with the link differential and the term-wise cone star.
+    The structure is first rescaled, in closed form, to unit metric
+    normalization (the least-squares constant of d phi = -2 c omega^2
+    becomes 1), the scale a cone can absorb into the radius; then rho is
+    built and d rho, d *rho are evaluated with the link differential and
+    the term-wise cone star.
     Also reports the fitted coefficient of the r^4 omega^omega term of
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
     term against -phi.
     """
     c, _ = mu_volume_fit(s, link_d)
-    scale = None
+    scale = 1
     if (not isinstance(c, float) and c > 0) or (isinstance(c, float) and float(c) > tol):
         scale = c
-        omega = s.omega.scale(scale)
-        psi = s.psi.scale(scale)
-        rebuilt = build_su3(SU3Candidate(omega, psi, s.vol), tol=tol)
-    else:
-        scale = 1
-        rebuilt = s
+        s = s.scaled(c)
 
-    rho = cone_rho(rebuilt.omega, rebuilt.psi)
+    rho = cone_rho(s.omega, s.psi)
     d_rho = cone_differential(rho, link_d)
-    vol_g = metric_volume(rebuilt.g, orientation=complex_orientation(rebuilt))
-    star_rho = cone_hodge(rho, rebuilt.g, vol_g)
+    vol_g = metric_volume(s.g, orientation=complex_orientation(s))
+    star_rho = cone_hodge(rho, s.g, vol_g)
     d_star_rho = cone_differential(star_rho, link_d)
 
     r1 = d_rho.max_abs()
     r2 = d_star_rho.max_abs()
 
-    o2 = wedge(rebuilt.omega, rebuilt.omega)
+    o2 = wedge(s.omega, s.omega)
     quartic_term = star_rho.term(4, False, 4)
     if quartic_term is None:
         coeff = 0
@@ -206,9 +200,9 @@ def cone_check(s, link_d, tol=EPS):
         coeff = simplify(exact_div(form_dot(quartic_term, o2), form_dot(o2, o2)))
     phi_term = star_rho.term(3, True, 3)
     if phi_term is None:
-        phi_resid = rebuilt.phi.max_abs()
+        phi_resid = s.phi.max_abs()
     else:
-        phi_resid = (phi_term + rebuilt.phi).max_abs()
+        phi_resid = (phi_term + s.phi).max_abs()
 
     return ConeReport(
         d_rho_residual=r1,

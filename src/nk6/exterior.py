@@ -13,7 +13,6 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import smallmat
 from .scalars import EPS, exact_div, is_exact, sqrt_scalar
@@ -232,13 +231,6 @@ def wedge(a, b):
                 continue
             p = pos[t]
             out.c[p] = out.c[p] + sign * (va * vb)
-    return out
-
-
-def wedge_all(forms):
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
     return out
 
 

@@ -87,6 +87,20 @@ class SU3Structure:
     tau0: object
     vol: KForm
 
+    def scaled(self, c):
+        """The structure of the pair (c omega, c psi), c > 0, in closed form.
+
+        K is quadratic in psi, so tau0 scales by c^4 and kappa by c^2; J =
+        K / kappa and the reference volume stay, and g = omega(., J .) and
+        phi = -psi(J ., ., .) scale by c like omega and psi.
+        """
+        return SU3Structure(
+            omega=self.omega.scale(c), psi=self.psi.scale(c),
+            phi=self.phi.scale(c), J=self.J,
+            g=[[simplify(c * x) for x in row] for row in self.g],
+            kappa=simplify(c * c * self.kappa),
+            tau0=simplify(c ** 4 * self.tau0), vol=self.vol)
+
 
 @dataclass
 class NKReport:
@@ -176,6 +190,18 @@ def _is_zero_scalar(x):
     if is_exact(x):
         return x == 0
     return x == 0.0
+
+
+def omega3_sign(omega):
+    """Sign (1 or -1) of the e012345 coefficient of omega ^ omega ^ omega.
+
+    omega^3 carries the orientation the almost complex structure induces.
+    K is normalized against a reference volume form, and the induced
+    metric omega(., J .) is positive only when that volume form and omega^3
+    have opposite signs.
+    """
+    o3 = wedge(wedge(omega, omega), omega)
+    return 1 if float(o3.c[0]) > 0 else -1
 
 
 def build_su3(cand, tol=EPS):
@@ -270,14 +296,14 @@ def form_dot(a, b):
     return total
 
 
-def nk_check(cand, differential, tol=EPS):
-    """Decide the nearly Kahler system for a candidate pair.
+def nk_check(s, differential, tol=EPS):
+    """Decide the nearly Kahler system for a built SU(3)-structure.
 
     ``differential`` maps k-forms on the space to (k+1)-forms (for a
     homogeneous space, the invariant-form differential).  mu is fitted by
     least squares over the degree-4 coefficients, so a dphi that is not
     proportional to omega^omega shows up as a residual instead of being
-    divided away.  Build errors propagate.
+    divided away.
 
     The constant is quoted at the scale of d(omega): with both structure
     equations written  d omega = 3 psi  and  d(3 phi) = -2 mu omega^omega,
@@ -285,7 +311,6 @@ def nk_check(cand, differential, tol=EPS):
     classical value.  (The fit itself runs on d phi; only the quoted mu
     and residual carry the factor 3.)
     """
-    s = build_su3(cand, tol=tol)
     domega = differential(s.omega)
     r1_form = domega - s.psi.scale(3)
     r1 = r1_form.max_abs()

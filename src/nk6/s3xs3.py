@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import smallmat
-from .exterior import KForm, wedge
+from .exterior import KForm
 from .hitchin import SU3Candidate, build_su3, nk_check
 from .lie import LieAlgebraData, ReductiveSpace, ce_differential
 from .scalars import EPS, QSqrt3, exact_div
@@ -426,8 +426,8 @@ def solve_nk(samples=10000, seed=0, tol=EPS, threads=1):
     survivors, certificates = sign_pattern_analysis()
     verified = []
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        rep = nk_check(candidate(DiagonalInvariantForm((lam,) * 3)),
-                       differential, tol=tol)
+        s = build_su3(candidate(DiagonalInvariantForm((lam,) * 3)), tol=tol)
+        rep = nk_check(s, differential, tol=tol)
         mu_expected = mu_of(lam)
         verified.append(rep.verdict
                         and abs(float(rep.mu) - float(mu_expected)) <= tol)

@@ -184,15 +184,6 @@ def is_exact(x):
     return isinstance(x, _EXACT) or isinstance(x, QSqrt3)
 
 
-def to_float(x):
-    return float(x)
-
-
-def scalar_abs(x):
-    """Absolute value in the same scalar realization."""
-    return abs(x)
-
-
 def simplify(x):
     """Collapse a QSqrt3 with zero irrational part back to Fraction."""
     if isinstance(x, QSqrt3) and x.b == 0:

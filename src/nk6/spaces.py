@@ -14,7 +14,13 @@ from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm
-from .hitchin import SU3Candidate, StructureError, build_su3, nk_check
+from .hitchin import (
+    SU3Candidate,
+    StructureError,
+    build_su3,
+    nk_check,
+    omega3_sign,
+)
 from .lie import (
     LieAlgebraData,
     ReductiveSpace,
@@ -454,32 +460,25 @@ def flag_verify(grid=4, tol=EPS):
 
 
 def build_either_orientation(omega, psi, tol=EPS):
-    """Try both orientations; positivity of the metric picks exactly one.
+    """Build once, against the reference volume -sign(omega^3) e012345.
 
-    Returns (structure, orientation) or raises the last structure error.
+    Flipping the orientation flips J and g, and only this one can give a
+    positive metric (see ``omega3_sign``).  Returns (structure,
+    orientation) or raises the structure error.
     """
-    last = None
-    for orient in (1, -1):
-        vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
-        try:
-            return build_su3(SU3Candidate(omega, psi, vol), tol=tol), orient
-        except StructureError as ex:
-            last = ex
-    raise last
+    orient = -omega3_sign(omega)
+    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
+    return build_su3(SU3Candidate(omega, psi, vol), tol=tol), orient
 
 
 def _flag_nk_verdict(model, r, s, t, tol=EPS):
+    d = lambda a: ce_differential(model.space, a)
     om = model.omega(r, s, t)
-    dom = ce_differential(model.space, om)
-    psi = dom / 3
     try:
-        _, orient = build_either_orientation(om, psi, tol=tol)
+        structure, _ = build_either_orientation(om, d(om) / 3, tol=tol)
     except StructureError:
         return False
-    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
-    rep = nk_check(SU3Candidate(om, psi, vol),
-                   lambda a: ce_differential(model.space, a), tol=tol)
-    return rep.verdict
+    return nk_check(structure, d, tol=tol).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -604,21 +603,13 @@ class CP3Report:
 
 
 def _cp3_nk_residual(model, t, fiber_sign, tol):
+    d = lambda a: ce_differential(model.space, a, check_invariance=False)
     om = model.omega(t, fiber_sign)
-    dom = ce_differential(model.space, om, check_invariance=False)
-    psi = dom / 3
     try:
-        s, orient = build_either_orientation(om, psi, tol=tol)
+        s, _ = build_either_orientation(om, d(om) / 3, tol=tol)
     except StructureError:
         return float("inf")
-    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
-    try:
-        rep = nk_check(SU3Candidate(om, psi, vol),
-                       lambda a: ce_differential(model.space, a,
-                                                 check_invariance=False),
-                       tol=tol)
-    except StructureError:
-        return float("inf")
+    rep = nk_check(s, d, tol=tol)
     return max(rep.residual_r1, rep.residual_r2)
 
 

@@ -33,8 +33,8 @@ def test_criterion_1_s3xs3_uniqueness_and_mu():
     assert rep.sweep.accepted >= 10000
     assert rep.sweep.counterexamples == 0
     assert rep.family.startswith("(lambda, lambda, lambda)")
-    nk = nk_check(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
-        (Fraction(1),) * 3)), s3xs3.differential)
+    nk = nk_check(build_su3(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
+        (Fraction(1),) * 3))), s3xs3.differential)
     assert nk.verdict
     assert abs(float(nk.mu) - 1 / (2 * 3 ** 0.5)) <= 1e-10
     assert elapsed < 30
@@ -203,14 +203,13 @@ def test_criterion_7_cross_oracle_consistency():
     bracket-presented catalog structure, with eta totally skew and parallel."""
     for name, space, omega, diff in _catalog_nk_structures():
         psi = diff(omega) / 3
-        s, orient = spaces.build_either_orientation(omega, psi)
+        s, _ = spaces.build_either_orientation(omega, psi)
         ok, res = nearly_kahler_residual(space, s.g, s.J)
         assert ok and res < 1e-10, name
         eta = intrinsic_eta(space, s.g, s.J)
         assert eta_total_skew_residual(s.g, eta) < 1e-10, name
         assert eta_parallel_residual(space, s.g, s.J) < 1e-10, name
-        rep = nk_check(SU3Candidate(omega, psi, KForm.basis(
-            6, (0, 1, 2, 3, 4, 5), Fraction(orient))), diff)
+        rep = nk_check(s, diff)
         assert rep.verdict == ok, name
     # and a negative control: off the locus both oracles say no
     fm = spaces.flag_model()

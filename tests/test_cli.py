@@ -149,3 +149,50 @@ def test_check_with_named_psi_and_float_mode(tmp_path, capsys):
     assert code2 == 0
     rep2 = Report.from_json(out2)
     assert rep2.scalars["mu"] == pytest.approx(1 / (2 * 3 ** 0.5), abs=1e-10)
+
+
+def test_check_cone_builds_the_structure_once(monkeypatch, capsys):
+    import sys
+    from nk6 import hitchin
+
+    calls = []
+    original = hitchin.build_su3
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nk6") and getattr(module, "build_su3", None) is original:
+            monkeypatch.setattr(module, "build_su3", counting)
+    code, _ = run(capsys, "check", os.path.join(FIX, "s3xs3.json"), "--cone")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_check_marks_float_fallback(tmp_path, capsys):
+    with open(os.path.join(FIX, "s3xs3.json")) as fh:
+        doc = json.load(fh)
+    for term, coeff in zip(doc["forms"]["omega"], ("1", "2", "2")):
+        term[1] = coeff
+    path = tmp_path / "s3xs3_122.json"
+    path.write_text(json.dumps(doc))
+    fallback = "float arithmetic: kappa not in Q(sqrt 3)"
+
+    _, out = run(capsys, "--json", "check", str(path), "--cone")
+    build = Report.from_json(out).verdicts[0]
+    assert build.status == "pass" and build.detail == fallback
+    # float inputs and an exact build in Q(sqrt 3) are not fallbacks
+    _, out = run(capsys, "--json", "--scalar", "float", "check", str(path))
+    assert Report.from_json(out).verdicts[0].detail == ""
+    _, out = run(capsys, "--json", "check", os.path.join(FIX, "s3xs3.json"))
+    assert Report.from_json(out).verdicts[0].detail == ""
+
+
+def test_verify_s3xs3_reports_the_swept_sample_count(capsys):
+    code, out = run(capsys, "--json", "verify", "s3xs3", "--samples", "10")
+    assert code == 0
+    rep = Report.from_json(out)
+    assert rep.inputs["samples"] == 1000
+    sweep = next(v for v in rep.verdicts if v.name.startswith("uniqueness sweep"))
+    assert sweep.detail == "1000 triples"

@@ -136,14 +136,13 @@ def test_cone_check_agrees_with_nk_check():
         count += 1
         cand = s3xs3.candidate(s3xs3.DiagonalInvariantForm(lams))
         s = build_su3(cand)
-        nk = nk_check(cand, s3xs3.differential)
+        nk = nk_check(s, s3xs3.differential)
         crep = cone.cone_check(s, s3xs3.differential)
         assert crep.verdict == nk.verdict
 
 
 def test_cone_check_agrees_on_all_catalog_structures():
     from nk6 import spaces
-    from nk6.hitchin import SU3Candidate
     from nk6.lie import ce_differential
 
     fm = spaces.flag_model()
@@ -157,9 +156,8 @@ def test_cone_check_agrees_on_all_catalog_structures():
     for space, omega, expect in cases:
         diff = lambda a: ce_differential(space, a, check_invariance=False)
         psi = diff(omega) / 3
-        s, orient = spaces.build_either_orientation(omega, psi)
-        vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
-        nk = nk_check(SU3Candidate(omega, psi, vol), diff)
+        s, _ = spaces.build_either_orientation(omega, psi)
+        nk = nk_check(s, diff)
         crep = cone.cone_check(s, diff)
         assert nk.verdict == expect
         assert crep.verdict == expect
@@ -198,3 +196,38 @@ def test_cone_form_merging_and_scaling():
     assert c2.term(1, True, 2) == f.scale(Fraction(3))
     with pytest.raises(ValueError):
         cone.ConeForm.monomial(-1, False, f)
+
+
+def _rescale_cases():
+    from nk6 import spaces
+    from nk6.lie import ce_differential
+
+    for lam in (1, 2, Fraction(1, 2)):
+        yield diagonal_structure((lam,) * 3), s3xs3.differential
+    fm = spaces.flag_model()
+    flag_d = lambda a: ce_differential(fm.space, a)
+    for rst in ((1, 1, 1), (1, 2, 3)):
+        omega = fm.omega(*rst)
+        yield spaces.build_either_orientation(omega, flag_d(omega) / 3)[0], flag_d
+    cm = spaces.cp3_model()
+    cp3_d = lambda a: ce_differential(cm.space, a, check_invariance=False)
+    omega = cm.omega(Fraction(1, 2), -1)
+    yield spaces.build_either_orientation(omega, cp3_d(omega) / 3)[0], cp3_d
+    x = [Fraction(0)] * 7
+    x[0] = Fraction(1)
+    s6, _, _ = oc.s6_structure_at(x)
+    yield s6, cone.s6_link_differential(s6)
+
+
+def test_closed_form_rescale_equals_rebuild():
+    from nk6.hitchin import mu_volume_fit
+
+    for s, d in _rescale_cases():
+        c, _ = mu_volume_fit(s, d)
+        assert c > 0
+        scaled = s.scaled(c)
+        rebuilt = build_su3(SU3Candidate(s.omega.scale(c), s.psi.scale(c), s.vol))
+        assert scaled.omega == rebuilt.omega and scaled.psi == rebuilt.psi
+        assert scaled.phi == rebuilt.phi and scaled.vol == rebuilt.vol
+        assert scaled.J == rebuilt.J and scaled.g == rebuilt.g
+        assert scaled.kappa == rebuilt.kappa and scaled.tau0 == rebuilt.tau0

@@ -181,8 +181,8 @@ def test_phi_slot_inconsistency_detected():
 def test_nk_check_diagonal_family():
     for lam, expect_mu in ((Fraction(1), s3xs3.mu_of(1)),
                            (Fraction(2), s3xs3.mu_of(2))):
-        rep = nk_check(s3xs3.candidate(s3xs3.DiagonalInvariantForm((lam,) * 3)),
-                       s3xs3.differential)
+        rep = nk_check(build_su3(s3xs3.candidate(
+            s3xs3.DiagonalInvariantForm((lam,) * 3))), s3xs3.differential)
         assert rep.verdict
         assert rep.residual_r1 == 0 and rep.residual_r2 == 0
         assert rep.mu == expect_mu
@@ -190,14 +190,14 @@ def test_nk_check_diagonal_family():
 
 def test_nk_check_boundary_triple_raises_not_stable():
     with pytest.raises(NotStable):
-        nk_check(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
-            (Fraction(1), Fraction(1), Fraction(2)))), s3xs3.differential)
+        nk_check(build_su3(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
+            (Fraction(1), Fraction(1), Fraction(2))))), s3xs3.differential)
 
 
 def test_nk_check_admissible_non_solution_fails():
     lams = (Fraction(1), Fraction(1), Fraction(3, 2))
     assert s3xs3.su3_admissible(lams)
-    rep = nk_check(s3xs3.candidate(s3xs3.DiagonalInvariantForm(lams)),
+    rep = nk_check(build_su3(s3xs3.candidate(s3xs3.DiagonalInvariantForm(lams))),
                    s3xs3.differential)
     assert not rep.verdict
     assert rep.residual_r2 > 0
@@ -223,8 +223,8 @@ def test_structure_wedge_normalizations():
 def test_mu_scaling_family():
     base = None
     for lam in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)):
-        rep = nk_check(s3xs3.candidate(s3xs3.DiagonalInvariantForm((lam,) * 3)),
-                       s3xs3.differential)
+        rep = nk_check(build_su3(s3xs3.candidate(
+            s3xs3.DiagonalInvariantForm((lam,) * 3))), s3xs3.differential)
         prod = float(rep.mu) * float(lam)
         if base is None:
             base = prod

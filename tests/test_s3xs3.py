@@ -206,6 +206,6 @@ def test_residual_zero_iff_nk_verdict():
         if any(l == 0 for l in lams) or not s3xs3.su3_admissible(lams):
             continue
         checked += 1
-        rep = nk_check(s3xs3.candidate(s3xs3.DiagonalInvariantForm(lams)),
-                       s3xs3.differential)
+        rep = nk_check(build_su3(s3xs3.candidate(
+            s3xs3.DiagonalInvariantForm(lams))), s3xs3.differential)
         assert rep.verdict == (s3xs3.nk_residual(lams) == 0)

@@ -161,3 +161,69 @@ def test_algebra_dimension_parser():
     assert spaces.algebra_dimension("2u(1)") == 2
     assert spaces.algebra_dimension("u(1)+su(2)+su(2)+su(2)") == 10
     assert spaces.algebra_dimension("g2") == 14
+
+
+def _two_orientation_build(omega, psi):
+    """Reference: try the orientation +1, then -1; raise the last error."""
+    from nk6.exterior import KForm
+    from nk6.hitchin import SU3Candidate, StructureError, build_su3
+
+    last = None
+    for orient in (1, -1):
+        vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
+        try:
+            return build_su3(SU3Candidate(omega, psi, vol)), orient
+        except StructureError as ex:
+            last = ex
+    raise last
+
+
+def _orientation_candidates():
+    import random
+
+    from nk6 import s3xs3
+    from nk6.lie import ce_differential
+
+    out = [(s3xs3.omega_diagonal(*lams), s3xs3.differential)
+           for lams in ((1, 1, 1), (-2, -2, -2), (1, -1, -1))]
+    rng = random.Random(7)
+    while len(out) < 12:
+        lams = tuple(s3xs3.random_rational(rng, 3) for _ in range(3))
+        if all(l != 0 for l in lams):
+            out.append((s3xs3.omega_diagonal(*lams), s3xs3.differential))
+    fm = spaces.flag_model()
+    flag_d = lambda a: ce_differential(fm.space, a)
+    for rst, signs in (((1, 1, 1), (1, 1, 1)), ((1, 2, 3), (1, 1, 1)),
+                       ((1, 1, 1), (-1, -1, -1)), ((2, 1, 1), (1, -1, 1))):
+        out.append((fm.omega(*rst, signs=signs), flag_d))
+    cm = spaces.cp3_model()
+    cp3_d = lambda a: ce_differential(cm.space, a, check_invariance=False)
+    for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+        for fiber in (1, -1):
+            out.append((cm.omega(t, fiber), cp3_d))
+    exact = [(omega, d(omega) / 3) for omega, d in out]
+    floats = [(omega.to_float(), psi.to_float()) for omega, psi in exact[::2]]
+    return exact + floats
+
+
+def test_one_build_orientation_matches_two_orientation_loop():
+    from nk6.hitchin import StructureError
+
+    outcomes = set()
+    for omega, psi in _orientation_candidates():
+        try:
+            want, want_orient = _two_orientation_build(omega, psi)
+        except StructureError as ex:
+            with pytest.raises(StructureError) as got:
+                spaces.build_either_orientation(omega, psi)
+            assert got.value.label == ex.label
+            outcomes.add(ex.label)
+            continue
+        s, orient = spaces.build_either_orientation(omega, psi)
+        assert orient == want_orient
+        assert s.kappa == want.kappa and s.tau0 == want.tau0
+        assert s.g == want.g and s.J == want.J
+        assert s.phi == want.phi and s.vol == want.vol
+        outcomes.add(orient)
+    # both orientations and at least one structure error were exercised
+    assert {1, -1} <= outcomes and len(outcomes) > 2
