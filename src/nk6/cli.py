@@ -35,7 +35,8 @@ def _parser():
     p.add_argument("--tolerance", type=float, default=1e-10,
                    help="float comparison tolerance (default 1e-10)")
     p.add_argument("--scalar", choices=["exact", "float"], default="exact",
-                   help="keep exact scalars where possible, or force floats")
+                   help="keep exact scalars where possible, or force floats "
+                        "(check only)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     p.add_argument("--seed", type=int, default=0, help="seed for sweeps/scans")
     p.add_argument("--threads", type=int, default=1,
@@ -71,7 +72,10 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 2
-    started = time.time()
+    if args.scalar == "float" and args.command != "check":
+        print("error: --scalar float applies only to check", file=sys.stderr)
+        return 2
+    started = time.perf_counter()
     try:
         if args.command == "verify":
             rep = _cmd_verify(args)
@@ -84,7 +88,7 @@ def main(argv=None):
     except SpaceFormatError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    rep.timing_s = time.time() - started
+    rep.timing_s = time.perf_counter() - started
     print(rep.to_json() if args.json else rep.render())
     return 0 if rep.all_pass else 1
 

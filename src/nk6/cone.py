@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import smallmat
 from .exterior import KForm, hodge_star, metric_volume, wedge
 from .hitchin import form_dot, mu_volume_fit, omega3_sign
-from .scalars import EPS, exact_div, simplify
+from .scalars import EPS, all_zero, exact_div, is_positive, simplify
 
 
 class ConeForm:
@@ -62,10 +62,8 @@ class ConeForm:
     def max_abs(self):
         return max((f.max_abs() for f in self.terms.values()), default=0.0)
 
-    def is_zero(self, tol=None):
-        if tol is None:
-            return all(f.is_zero() for f in self.terms.values())
-        return self.max_abs() <= tol
+    def is_zero(self, tol=0.0):
+        return all_zero([f.c for f in self.terms.values()], tol)
 
     def term(self, exponent, with_dr, degree):
         return self.terms.get((exponent, with_dr, degree))
@@ -179,7 +177,7 @@ def cone_check(s, link_d, tol=EPS):
     """
     c, _ = mu_volume_fit(s, link_d)
     scale = 1
-    if (not isinstance(c, float) and c > 0) or (isinstance(c, float) and float(c) > tol):
+    if is_positive(c, tol):
         scale = c
         s = s.scaled(c)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from . import smallmat
-from .scalars import EPS, exact_div, is_exact, sqrt_scalar
+from .scalars import EPS, all_zero, exact_div, is_positive, is_zero, sqrt_scalar
 
 
 class NotPositiveDefinite(ValueError):
@@ -128,7 +128,7 @@ class KForm:
     def terms(self):
         tuples, _ = index_tuples(self.n, self.k)
         for t, v in zip(tuples, self.c):
-            if not _zero(v):
+            if v != 0:
                 yield t, v
 
     # -- linear structure --------------------------------------------------
@@ -165,10 +165,8 @@ class KForm:
                 f"form mismatch: ({self.n},{self.k}) vs ({other.n},{other.k})")
 
     # -- predicates --------------------------------------------------------
-    def is_zero(self, tol=None):
-        if tol is None:
-            return all(_zero(v) for v in self.c)
-        return all(abs(float(v)) <= tol for v in self.c)
+    def is_zero(self, tol=0.0):
+        return all_zero(self.c, tol)
 
     def max_abs(self):
         return max((abs(float(v)) for v in self.c), default=0.0)
@@ -207,12 +205,6 @@ class KForm:
         return f"<{self.k}-form {body}>"
 
 
-def _zero(v):
-    if is_exact(v):
-        return v == 0
-    return v == 0.0
-
-
 # ---------------------------------------------------------------------------
 def wedge(a, b):
     """Exterior product; graded-commutative, associative."""
@@ -245,7 +237,7 @@ def interior(v, a):
     for idx, val in a.terms():
         for slot, i in enumerate(idx):
             vi = v[i]
-            if _zero(vi):
+            if vi == 0:
                 continue
             rest = idx[:slot] + idx[slot + 1:]
             sgn = -1 if slot % 2 else 1
@@ -272,10 +264,7 @@ def metric_volume(gram, orientation=1, n=None):
     """
     n = len(gram) if n is None else n
     d = smallmat.det(gram)
-    if is_exact(d):
-        if d <= 0:
-            raise NotPositiveDefinite("Gram determinant not positive")
-    elif float(d) <= 0:
+    if not is_positive(d):
         raise NotPositiveDefinite("Gram determinant not positive")
     s = sqrt_scalar(d)
     return KForm.basis(n, tuple(range(n)), orientation * s)
@@ -295,13 +284,10 @@ def hodge_star(a, gram, vol=None, tol=EPS):
     if vol.n != n or vol.k != n:
         raise ValueError("volume form has wrong degree")
     v = vol.c[0]
-    if _zero(v):
+    if v == 0:
         raise ValueError("volume form vanishes")
     norm2 = v * v * smallmat.det(gram_inv)
-    if is_exact(norm2):
-        if norm2 != 1:
-            raise ValueError("volume form is not unit-norm for this metric")
-    elif abs(float(norm2) - 1.0) > 1e-6:
+    if not is_zero(norm2 - 1, 1e-6):
         raise ValueError("volume form is not unit-norm for this metric")
 
     k = a.k
@@ -311,7 +297,7 @@ def hodge_star(a, gram, vol=None, tol=EPS):
     for idx in tuples_k:
         basis_i = KForm.basis(n, idx)
         inner = form_inner(basis_i, a, gram_inv)
-        if _zero(inner):
+        if inner == 0:
             continue
         comp, sign = complement(n, idx)
         p = pos_out[comp]
@@ -327,7 +313,7 @@ def lambda5_to_vector(sigma, vol):
     """
     if sigma.n != 6 or sigma.k != 5:
         raise ValueError("expected a 5-form in dimension 6")
-    if vol.n != 6 or vol.k != 6 or _zero(vol.c[0]):
+    if vol.n != 6 or vol.k != 6 or vol.c[0] == 0:
         raise ValueError("expected a nonzero top form in dimension 6")
     v = vol.c[0]
     tuples5, pos5 = index_tuples(6, 5)

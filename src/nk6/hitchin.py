@@ -10,11 +10,11 @@ order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, index_tuples, interior, lambda5_to_vector, wedge
-from .scalars import EPS, exact_div, is_exact, simplify, sqrt_scalar
+from .scalars import (
+    EPS, all_zero, exact_div, is_positive, scalar_like, simplify, sqrt_scalar)
 
 
 class StructureError(ValueError):
@@ -131,18 +131,11 @@ def hitchin_K(psi, vol, tol=EPS):
     K = smallmat.transpose(cols)
     K2 = smallmat.mat_mul(K, K)
     tau0 = exact_div(smallmat.trace(K2), 6)
-    dev = smallmat.mat_sub(K2, smallmat.mat_scale(tau0, smallmat.identity(n, _one(K2))))
-    if smallmat.is_float_data(K2):
-        scale = max(smallmat.mat_max_abs(K2), 1.0)
-        if smallmat.mat_max_abs(dev) > 1e-8 * scale:
-            raise ArithmeticError("K^2 is not a multiple of the identity")
-    elif any(x != 0 for row in dev for x in row):
+    dev = smallmat.mat_sub(
+        K2, smallmat.mat_scale(tau0, smallmat.identity(n, scalar_like(K2))))
+    if not all_zero(dev, 1e-8 * max(smallmat.mat_max_abs(K2), 1.0)):
         raise ArithmeticError("K^2 is not a multiple of the identity")
     return K, simplify(tau0)
-
-
-def _one(mat):
-    return 1.0 if smallmat.is_float_data(mat) else Fraction(1)
 
 
 def tau(psi, vol):
@@ -167,29 +160,18 @@ def phi_from(psi, J, tol=EPS):
             total = 0
             for s in range(n):
                 js = J[s][t[slot]]
-                if _is_zero_scalar(js):
+                if js == 0:
                     continue
                 replaced = t[:slot] + (s,) + t[slot + 1:]
                 val = psi.coeff(replaced)
-                if not _is_zero_scalar(val):
+                if val != 0:
                     total = total + js * val
             coeffs.append(-total)
         phis.append(KForm(n, 3, coeffs))
-    exact = not (smallmat.is_float_data(J) or any(isinstance(c, float) for c in psi.c))
-    for other in phis[1:]:
-        d = phis[0] - other
-        if exact:
-            if not d.is_zero():
-                raise SlotInconsistent()
-        elif d.max_abs() > max(tol, 1e-8 * max(phis[0].max_abs(), 1.0)):
-            raise SlotInconsistent()
+    slot_tol = max(tol, 1e-8 * max(phis[0].max_abs(), 1.0))
+    if not all((phis[0] - other).is_zero(slot_tol) for other in phis[1:]):
+        raise SlotInconsistent()
     return phis[0]
-
-
-def _is_zero_scalar(x):
-    if is_exact(x):
-        return x == 0
-    return x == 0.0
 
 
 def omega3_sign(omega):
@@ -217,21 +199,14 @@ def build_su3(cand, tol=EPS):
                     for c in (*omega.c, *psi.c, *vol.c))
 
     K, tau0 = hitchin_K(psi, vol, tol=tol)
-    if exact:
-        stable = tau0 < 0
-    else:
-        stable = float(tau0) < 0
-    if not stable:
+    if not is_positive(-tau0):
         raise NotStable(f"tau0 = {tau0} is not negative")
 
     op = wedge(omega, psi)
-    op_zero = op.is_zero() if exact else op.max_abs() <= tol
-    if not op_zero:
+    if not op.is_zero(tol):
         raise NotType11(f"omega ^ psi has size {op.max_abs()}")
 
-    o3 = wedge(wedge(omega, omega), omega)
-    o3_zero = o3.is_zero() if exact else o3.max_abs() <= tol
-    if o3_zero:
+    if wedge(wedge(omega, omega), omega).is_zero(tol):
         raise DegenerateOmega()
 
     kappa = sqrt_scalar(-tau0)
@@ -241,14 +216,10 @@ def build_su3(cand, tol=EPS):
         omega = omega.to_float()
         psi = psi.to_float()
         vol = vol.to_float()
-        exact = False
     J = [[exact_div(x, kappa) for x in row] for row in K]
 
-    j2 = smallmat.mat_add(smallmat.mat_mul(J, J), smallmat.identity(n, _one(J)))
-    if smallmat.is_float_data(J):
-        if smallmat.mat_max_abs(j2) > 1e-8:
-            raise ArithmeticError("J^2 differs from -Id")
-    elif any(x != 0 for row in j2 for x in row):
+    j2 = smallmat.mat_add(smallmat.mat_mul(J, J), smallmat.identity(n, scalar_like(J)))
+    if not all_zero(j2, 1e-8):
         raise ArithmeticError("J^2 differs from -Id")
 
     # g(X, Y) = omega(X, JY)
@@ -258,7 +229,7 @@ def build_su3(cand, tol=EPS):
             jy = [J[r][j] for r in range(n)]
             val = 0
             for r in range(n):
-                if not _is_zero_scalar(jy[r]):
+                if jy[r] != 0:
                     val = val + omega.coeff((i, r)) * jy[r]
             g[i][j] = simplify(val)
     if not smallmat.is_symmetric(g, tol=1e-8):
@@ -266,21 +237,17 @@ def build_su3(cand, tol=EPS):
     if not smallmat.is_positive_definite(g):
         raise NotPositive()
     jgj = smallmat.mat_mul(smallmat.transpose(J), smallmat.mat_mul(g, J))
-    dev = smallmat.mat_sub(jgj, g)
-    if smallmat.mat_max_abs(dev) > (0 if exact else 1e-8):
+    if not all_zero(smallmat.mat_sub(jgj, g), 1e-8):
         raise ArithmeticError("J is not orthogonal for the induced metric")
 
     phi = phi_from(psi, J, tol=tol)
     # interior(X, psi) = interior(JX, phi) on the basis
+    contraction_tol = 1e-8 * max(psi.max_abs(), 1.0)
     for i in range(n):
         e = [0] * n
         e[i] = 1
         je = [J[r][i] for r in range(n)]
-        d = interior(e, psi) - interior(je, phi)
-        if exact:
-            if not d.is_zero():
-                raise ArithmeticError("contraction identity for phi fails")
-        elif d.max_abs() > 1e-8 * max(psi.max_abs(), 1.0):
+        if not (interior(e, psi) - interior(je, phi)).is_zero(contraction_tol):
             raise ArithmeticError("contraction identity for phi fails")
 
     return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, index_tuples
-from .scalars import EPS, QSqrt3, exact_div, is_exact
+from .scalars import EPS, all_zero, exact_div, is_zero, scalar_like, sqrt_scalar
 
 
 class NotInvariant(ValueError):
@@ -52,64 +52,56 @@ class LieAlgebraData:
         return cls(c, labels=labels, check=check, tol=tol)
 
     def _check_antisymmetry(self, tol):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    d = self.c[i][j][k] + self.c[j][i][k]
-                    if is_exact(d):
-                        ok = d == 0
-                    else:
-                        ok = abs(float(d)) <= tol
-                    if not ok:
-                        raise ValueError("structure constants are not antisymmetric")
+        c, r = self.c, range(self.dim)
+        if not all_zero([c[i][j][k] + c[j][i][k] for i in r for j in r for k in r],
+                        tol):
+            raise ValueError("structure constants are not antisymmetric")
 
-    def bracket(self, x, y):
-        """Bracket of two coefficient vectors."""
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if _z(xi):
+
+def bilinear_apply(table, x, y):
+    """sum_ij x_i y_j table[i][j]: the bilinear map of a table of vectors.
+
+    ``table[i][j]`` is the image of the basis pair (i, j): structure
+    constants, a bracket projection, a Nomizu operator or the torsion eta.
+    Zero coefficients of x, y and the table are skipped.
+    """
+    out = [0] * (len(table[0][0]) if table else 0)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if yj == 0:
                 continue
-            for j, yj in enumerate(y):
-                if _z(yj):
-                    continue
-                cij = self.c[i][j]
-                coef = xi * yj
-                for k in range(self.dim):
-                    if not _z(cij[k]):
-                        out[k] = out[k] + coef * cij[k]
-        return out
-
-    def basis_vector(self, i, one=1):
-        v = [0] * self.dim
-        v[i] = one
-        return v
+            coef = xi * yj
+            for k, w in enumerate(row[j]):
+                if w != 0:
+                    out[k] = out[k] + coef * w
+    return out
 
 
-def _z(x):
-    if is_exact(x):
-        return x == 0
-    return x == 0.0
+def _mvec(n, i):
+    """The i-th standard basis vector of length n."""
+    v = [0] * n
+    v[i] = 1
+    return v
 
 
 def check_jacobi(L, tol=EPS):
     """True iff [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 on all basis triples."""
-    d = L.dim
+    d, c = L.dim, L.c
+    e = [_mvec(d, i) for i in range(d)]
     for i in range(d):
-        ei = L.basis_vector(i)
         for j in range(i + 1, d):
-            ej = L.basis_vector(j)
-            bij = L.bracket(ei, ej)
+            bij = bilinear_apply(c, e[i], e[j])
             for k in range(j + 1, d):
-                ek = L.basis_vector(k)
-                total = L.bracket(bij, ek)
-                total = smallmat.vec_add(total, L.bracket(L.bracket(ej, ek), ei))
-                total = smallmat.vec_add(total, L.bracket(L.bracket(ek, ei), ej))
-                for t in total:
-                    if is_exact(t):
-                        if t != 0:
-                            return False
-                    elif abs(float(t)) > tol:
-                        return False
+                total = bilinear_apply(c, bij, e[k])
+                total = smallmat.vec_add(
+                    total, bilinear_apply(c, bilinear_apply(c, e[j], e[k]), e[i]))
+                total = smallmat.vec_add(
+                    total, bilinear_apply(c, bilinear_apply(c, e[k], e[i]), e[j]))
+                if not all_zero(total, tol):
+                    return False
     return True
 
 
@@ -129,14 +121,14 @@ class ReductiveSpace:
             self._check_reductive()
 
     def _tables(self):
-        L = self.algebra
+        c, d = self.algebra.c, self.algebra.dim
         m, h = self.m_idx, self.h_idx
         # m x m brackets split into m- and h-components
         self.bm = [[None] * self.dim_m for _ in range(self.dim_m)]
         self.bh = [[None] * self.dim_m for _ in range(self.dim_m)]
         for a, ia in enumerate(m):
             for b, ib in enumerate(m):
-                w = L.bracket(L.basis_vector(ia), L.basis_vector(ib))
+                w = bilinear_apply(c, _mvec(d, ia), _mvec(d, ib))
                 self.bm[a][b] = [w[i] for i in m]
                 self.bh[a][b] = [w[i] for i in h]
         # ad of h-basis acting on m
@@ -146,7 +138,7 @@ class ReductiveSpace:
             rows_m = []
             rows_h = []
             for ia in m:
-                w = L.bracket(L.basis_vector(ih), L.basis_vector(ia))
+                w = bilinear_apply(c, _mvec(d, ih), _mvec(d, ia))
                 rows_m.append([w[i] for i in m])
                 rows_h.append([w[i] for i in h])
             # column-action matrix: ad(h) X_a = sum_b M[b][a] X_b
@@ -154,61 +146,27 @@ class ReductiveSpace:
             self.ad_h_h.append(rows_h)
 
     def _check_reductive(self):
-        L = self.algebra
+        c = self.algebra.c
         for ih in self.h_idx:
             for jh in self.h_idx:
-                w = L.bracket(L.basis_vector(ih), L.basis_vector(jh))
-                if any(not _z(w[i]) for i in self.m_idx):
+                if any(c[ih][jh][i] != 0 for i in self.m_idx):
                     raise ValueError("[h,h] is not contained in h")
         for rows in self.ad_h_h:
             for row in rows:
-                if any(not _z(x) for x in row):
+                if any(x != 0 for x in row):
                     raise ValueError("[h,m] is not contained in m")
-
-    # -- m-level operations -------------------------------------------------
-    def bracket_m(self, x, y):
-        """m-projection of the bracket of two m-vectors."""
-        out = [0] * self.dim_m
-        for a, xa in enumerate(x):
-            if _z(xa):
-                continue
-            for b, yb in enumerate(y):
-                if _z(yb):
-                    continue
-                w = self.bm[a][b]
-                coef = xa * yb
-                for k in range(self.dim_m):
-                    if not _z(w[k]):
-                        out[k] = out[k] + coef * w[k]
-        return out
-
-    def bracket_h(self, x, y):
-        """h-projection of the bracket of two m-vectors."""
-        out = [0] * self.dim_h
-        for a, xa in enumerate(x):
-            if _z(xa):
-                continue
-            for b, yb in enumerate(y):
-                if _z(yb):
-                    continue
-                w = self.bh[a][b]
-                coef = xa * yb
-                for k in range(self.dim_h):
-                    if not _z(w[k]):
-                        out[k] = out[k] + coef * w[k]
-        return out
 
     def ad_h_action(self, h_coeffs):
         """Matrix of ad(sum h_i H_i) acting on m."""
         n = self.dim_m
         out = [[0] * n for _ in range(n)]
         for coef, mat in zip(h_coeffs, self.ad_h):
-            if _z(coef):
+            if coef == 0:
                 continue
             for r in range(n):
                 row = mat[r]
                 for s in range(n):
-                    if not _z(row[s]):
+                    if row[s] != 0:
                         out[r][s] = out[r][s] + coef * row[s]
         return out
 
@@ -226,14 +184,11 @@ def is_invariant(space, alpha, tol=EPS):
             for slot in range(len(idx)):
                 for s in range(n):
                     coef = mat[s][idx[slot]]
-                    if _z(coef):
+                    if coef == 0:
                         continue
                     replaced = idx[:slot] + (s,) + idx[slot + 1:]
                     total = total + coef * alpha.coeff(replaced)
-            if is_exact(total):
-                if total != 0:
-                    return False
-            elif abs(float(total)) > tol:
+            if not is_zero(total, tol):
                 return False
     return True
 
@@ -242,10 +197,7 @@ def is_invariant_endo(space, J, tol=EPS):
     """True iff the endomorphism of m commutes with every ad(h)."""
     for mat in space.ad_h:
         d = smallmat.mat_sub(smallmat.mat_mul(mat, J), smallmat.mat_mul(J, mat))
-        if smallmat.is_float_data(d):
-            if smallmat.mat_max_abs(d) > tol:
-                return False
-        elif any(x != 0 for row in d for x in row):
+        if not all_zero(d, tol):
             return False
     return True
 
@@ -256,10 +208,7 @@ def is_invariant_metric(space, g, tol=EPS):
         d = smallmat.mat_add(
             smallmat.mat_mul(smallmat.transpose(mat), g),
             smallmat.mat_mul(g, mat))
-        if smallmat.is_float_data(d):
-            if smallmat.mat_max_abs(d) > tol:
-                return False
-        elif any(x != 0 for row in d for x in row):
+        if not all_zero(d, tol):
             return False
     return True
 
@@ -287,10 +236,10 @@ def ce_differential(space, alpha, tol=EPS, check_invariance=True):
                 rest = t_out[:a] + t_out[a + 1:b] + t_out[b + 1:]
                 sgn = -1 if (a + b) % 2 else 1
                 for s in range(n):
-                    if _z(w[s]):
+                    if w[s] == 0:
                         continue
                     val = alpha.coeff((s,) + rest)
-                    if not _z(val):
+                    if val != 0:
                         total = total + sgn * (w[s] * val)
         out.c[pos[t_out]] = total
     return out
@@ -308,7 +257,7 @@ def nomizu_levi_civita(space, g, tol=EPS):
     if not is_invariant_metric(space, g, tol=tol):
         raise ValueError("metric is not h-invariant")
     n = space.dim_m
-    half = Fraction(1, 2) if not smallmat.is_float_data(g) else 0.5
+    half = scalar_like(g, Fraction(1, 2))
     gamma = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -322,36 +271,12 @@ def nomizu_levi_civita(space, g, tol=EPS):
     return gamma
 
 
-def _mvec(n, i, one=1):
-    v = [0] * n
-    v[i] = one
-    return v
-
-
-def connection_applies(gamma, x, y):
-    """Gamma(x, y) for coefficient vectors x, y (bilinear extension)."""
-    n = len(gamma)
-    out = [0] * n
-    for i, xi in enumerate(x):
-        if _z(xi):
-            continue
-        for j, yj in enumerate(y):
-            if _z(yj):
-                continue
-            w = gamma[i][j]
-            coef = xi * yj
-            for k in range(n):
-                if not _z(w[k]):
-                    out[k] = out[k] + coef * w[k]
-    return out
-
-
 def _nomizu_matrix(gamma, x):
     """Matrix of Y -> Gamma(x, Y)."""
     n = len(gamma)
     cols = []
     for j in range(n):
-        cols.append(connection_applies(gamma, x, _mvec(n, j)))
+        cols.append(bilinear_apply(gamma, x, _mvec(n, j)))
     return smallmat.transpose(cols)
 
 
@@ -374,11 +299,10 @@ def nearly_kahler_residual(space, g, J, tol=EPS, samples=25, seed=7):
     """
     n = space.dim_m
     j2 = smallmat.mat_mul(J, J)
-    d = smallmat.mat_add(j2, smallmat.identity(n, _one_like(J)))
-    if smallmat.mat_max_abs(d) > tol:
+    if not all_zero(smallmat.mat_add(j2, smallmat.identity(n, scalar_like(J))), tol):
         raise ValueError("J^2 differs from -Id")
     jgj = smallmat.mat_mul(smallmat.transpose(J), smallmat.mat_mul(g, J))
-    if smallmat.mat_max_abs(smallmat.mat_sub(jgj, g)) > tol:
+    if not all_zero(smallmat.mat_sub(jgj, g), tol):
         raise ValueError("J is not orthogonal for g")
     if not is_invariant_endo(space, J, tol=tol):
         raise ValueError("J is not an invariant tensor")
@@ -391,20 +315,10 @@ def nearly_kahler_residual(space, g, J, tol=EPS, samples=25, seed=7):
     for x in vectors:
         jx = smallmat.mat_vec(J, x)
         resid = smallmat.vec_sub(
-            connection_applies(gamma, x, jx),
-            smallmat.mat_vec(J, connection_applies(gamma, x, x)))
+            bilinear_apply(gamma, x, jx),
+            smallmat.mat_vec(J, bilinear_apply(gamma, x, x)))
         worst = max(worst, max(abs(float(r)) for r in resid))
     return worst <= tol, worst
-
-
-def _one_like(mat):
-    for row in mat:
-        for x in row:
-            if isinstance(x, float):
-                return 1.0
-            if isinstance(x, QSqrt3):
-                return Fraction(1)
-    return Fraction(1)
 
 
 def intrinsic_eta(space, g, J, tol=EPS):
@@ -414,15 +328,15 @@ def intrinsic_eta(space, g, J, tol=EPS):
     """
     gamma = nomizu_levi_civita(space, g, tol=tol)
     n = space.dim_m
-    half = Fraction(1, 2) if not smallmat.is_float_data(g) else 0.5
+    half = scalar_like(g, Fraction(1, 2))
     eta = [[None] * n for _ in range(n)]
     for i in range(n):
         x = _mvec(n, i)
         for j in range(n):
             y = _mvec(n, j)
             nj = smallmat.vec_sub(
-                connection_applies(gamma, x, smallmat.mat_vec(J, y)),
-                smallmat.mat_vec(J, connection_applies(gamma, x, y)))
+                bilinear_apply(gamma, x, smallmat.mat_vec(J, y)),
+                smallmat.mat_vec(J, bilinear_apply(gamma, x, y)))
             eta[i][j] = [half * c for c in smallmat.mat_vec(J, nj)]
     return eta
 
@@ -461,28 +375,11 @@ def eta_parallel_residual(space, g, J, tol=EPS):
                 term = smallmat.mat_vec(lam, eta[i][j])
                 lx = smallmat.mat_vec(lam, _mvec(n, i))
                 ly = smallmat.mat_vec(lam, _mvec(n, j))
-                e_lx = _eta_applied(eta, lx, _mvec(n, j))
-                e_ly = _eta_applied(eta, _mvec(n, i), ly)
+                e_lx = bilinear_apply(eta, lx, _mvec(n, j))
+                e_ly = bilinear_apply(eta, _mvec(n, i), ly)
                 resid = smallmat.vec_sub(smallmat.vec_sub(term, e_lx), e_ly)
                 worst = max(worst, max(abs(float(r)) for r in resid))
     return worst
-
-
-def _eta_applied(eta, x, y):
-    n = len(eta)
-    out = [0] * n
-    for i, xi in enumerate(x):
-        if _z(xi):
-            continue
-        for j, yj in enumerate(y):
-            if _z(yj):
-                continue
-            w = eta[i][j]
-            coef = xi * yj
-            for k in range(n):
-                if not _z(w[k]):
-                    out[k] = out[k] + coef * w[k]
-    return out
 
 
 def normal_torsion_curvature(space):
@@ -505,11 +402,7 @@ def is_naturally_reductive(space, g, tol=EPS):
             for k in range(n):
                 lhs = gij[k]
                 rhs = smallmat.vec_dot(smallmat.mat_vec(g, space.bm[i][k]), _mvec(n, j))
-                d = lhs + rhs
-                if is_exact(d):
-                    if d != 0:
-                        return False
-                elif abs(float(d)) > tol:
+                if not is_zero(lhs + rhs, tol):
                     return False
     return True
 
@@ -520,10 +413,11 @@ def _cplx_pair_bracket(space, u, v, s, t):
 
     Returns ((re_m, im_m), (re_h, im_h)).
     """
-    re_m = smallmat.vec_sub(space.bracket_m(u, s), space.bracket_m(v, t))
-    im_m = smallmat.vec_add(space.bracket_m(u, t), space.bracket_m(v, s))
-    re_h = smallmat.vec_sub(space.bracket_h(u, s), space.bracket_h(v, t))
-    im_h = smallmat.vec_add(space.bracket_h(u, t), space.bracket_h(v, s))
+    bm, bh = space.bm, space.bh
+    re_m = smallmat.vec_sub(bilinear_apply(bm, u, s), bilinear_apply(bm, v, t))
+    im_m = smallmat.vec_add(bilinear_apply(bm, u, t), bilinear_apply(bm, v, s))
+    re_h = smallmat.vec_sub(bilinear_apply(bh, u, s), bilinear_apply(bh, v, t))
+    im_h = smallmat.vec_add(bilinear_apply(bh, u, t), bilinear_apply(bh, v, s))
     return (re_m, im_m), (re_h, im_h)
 
 
@@ -540,8 +434,7 @@ def check_3symmetric(space, J, tol=EPS):
     """
     n = space.dim_m
     j2 = smallmat.mat_mul(J, J)
-    dd = smallmat.mat_add(j2, smallmat.identity(n, _one_like(J)))
-    if smallmat.mat_max_abs(dd) > tol:
+    if not all_zero(smallmat.mat_add(j2, smallmat.identity(n, scalar_like(J))), tol):
         raise ValueError("J^2 differs from -Id")
     worst = 0.0
     for i in range(n):
@@ -596,26 +489,17 @@ def acs_from_automorphism(S, tol=1e-12):
     J^2 = -Id (exactly over Q(sqrt 3) for exact S).
     """
     n = len(S)
-    exact = not smallmat.is_float_data(S)
-    one = Fraction(1) if exact else 1.0
+    eye = smallmat.identity(n, scalar_like(S))
     s3 = smallmat.mat_mul(S, smallmat.mat_mul(S, S))
-    d = smallmat.mat_sub(s3, smallmat.identity(n, one))
-    if smallmat.mat_max_abs(d) > (0 if exact else tol):
+    if not all_zero(smallmat.mat_sub(s3, eye), tol):
         raise ValueError("S^3 differs from the identity")
-    dsi = smallmat.mat_sub(S, smallmat.identity(n, one))
-    dets = smallmat.det(dsi)
-    if (exact and dets == 0) or (not exact and abs(float(dets)) <= tol):
+    if is_zero(smallmat.det(smallmat.mat_sub(S, eye)), tol):
         raise HasFixedVector("1 is an eigenvalue of S")
-    if exact:
-        coef = QSqrt3(0, Fraction(2, 3))  # 2/sqrt(3)
-        half = Fraction(1, 2)
-    else:
-        coef = 2.0 / (3.0 ** 0.5)
-        half = 0.5
+    coef = 2 / sqrt_scalar(scalar_like(S, 3))
+    half = scalar_like(S, Fraction(1, 2))
     J = [[coef * (S[i][j] + (half if i == j else 0)) for j in range(n)]
          for i in range(n)]
-    j2 = smallmat.mat_add(smallmat.mat_mul(J, J), smallmat.identity(n, one))
-    if smallmat.mat_max_abs(j2) > (0 if exact else tol):
+    if not all_zero(smallmat.mat_add(smallmat.mat_mul(J, J), eye), tol):
         raise ValueError("derived J does not square to -Id")
     return J
 

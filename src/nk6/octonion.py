@@ -16,7 +16,7 @@ import numpy as np
 from . import smallmat
 from .exterior import KForm, index_tuples
 from .hitchin import SU3Candidate, build_su3
-from .scalars import EPS
+from .scalars import EPS, scalar_like
 
 
 def quat_mul(a, b):
@@ -172,14 +172,8 @@ def s6_candidate(x, basis=None):
     psi = KForm.from_terms(6, 3, [
         ((a, b, c), phi0(cols[a], cols[b], cols[c]))
         for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)])
-    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), _coerce_orientation(x))
+    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), scalar_like(x, S6_ORIENTATION))
     return SU3Candidate(omega, psi, vol), basis
-
-
-def _coerce_orientation(x):
-    if all(not isinstance(v, float) for v in x):
-        return Fraction(S6_ORIENTATION)
-    return float(S6_ORIENTATION)
 
 
 def s6_structure_at(x, basis=None, tol=EPS):

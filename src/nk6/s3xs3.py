@@ -23,7 +23,7 @@ from . import smallmat
 from .exterior import KForm
 from .hitchin import SU3Candidate, build_su3, nk_check
 from .lie import LieAlgebraData, ReductiveSpace, ce_differential
-from .scalars import EPS, QSqrt3, exact_div
+from .scalars import EPS, QSqrt3, all_zero, exact_div, is_zero, scalar_like
 
 
 class TypeConditionFails(ValueError):
@@ -151,22 +151,13 @@ def reduce_to_diagonal(w, tol=1e-12):
     """
     atc = smallmat.mat_vec(smallmat.transpose(w.C), w.A)
     cb = smallmat.mat_vec(w.C, w.B)
-    exact = not (smallmat.is_float_data(w.C)
-                 or any(isinstance(x, float) for x in (*w.A, *w.B)))
-    bad = (any(x != 0 for x in atc + cb) if exact
-           else max(abs(float(x)) for x in atc + cb) > tol)
-    if bad:
+    if not all_zero(atc + cb, tol):
         raise TypeConditionFails("A^t C or C B is nonzero")
-    detc = smallmat.det(w.C)
-    if (detc == 0) if exact else abs(float(detc)) <= tol:
+    if is_zero(smallmat.det(w.C), tol):
         raise Degenerate("det C = 0 after forcing A = B = 0")
 
-    off = [w.C[i][j] for i in range(3) for j in range(3) if i != j]
-    is_diag = (all(x == 0 for x in off) if exact
-               else max((abs(float(x)) for x in off), default=0.0) <= tol)
-    if is_diag:
-        one = Fraction(1) if exact else 1.0
-        eye = smallmat.identity(3, one)
+    if all_zero([w.C[i][j] for i in range(3) for j in range(3) if i != j], tol):
+        eye = smallmat.identity(3, scalar_like((w.A, w.B, w.C)))
         return DiagonalInvariantForm(tuple(w.C[i][i] for i in range(3))), eye, eye
 
     c = np.array([[float(x) for x in row] for row in w.C])

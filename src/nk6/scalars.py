@@ -7,6 +7,10 @@ of a 3-symmetric space) the quadratic extension Q(sqrt 3) is available as
 :class:`QSqrt3`.  Anything past an irrational square root that does not
 live in Q(sqrt 3) falls back to floats, compared against a tolerance
 (default ``EPS``).
+
+The zero policy lives here (:func:`all_zero`): a collection of scalars is
+compared with 0 exactly when every entry is exact, and otherwise by its
+largest ``abs(float(x))`` against a tolerance.
 """
 
 from __future__ import annotations
@@ -182,6 +186,51 @@ SQRT3 = QSqrt3(0, 1)
 def is_exact(x):
     """True for scalars whose arithmetic and equality are exact."""
     return isinstance(x, _EXACT) or isinstance(x, QSqrt3)
+
+
+def _entries(values):
+    """Scalars of a vector, a matrix or any nesting of lists and tuples."""
+    for x in values:
+        if isinstance(x, (list, tuple)):
+            yield from _entries(x)
+        else:
+            yield x
+
+
+def all_zero(values, tol=0.0):
+    """The zero policy: is every entry of ``values`` zero?
+
+    ``values`` is a vector, a matrix or any nesting of lists.  When every
+    entry is exact the comparison is exact, a proof; otherwise the largest
+    ``abs(float(x))`` is compared with ``tol``.  NaN is never zero.
+    """
+    vals = list(_entries(values))
+    if all(map(is_exact, vals)):
+        return all(x == 0 for x in vals)
+    return all(abs(float(x)) <= tol for x in vals)
+
+
+def is_zero(x, tol=0.0):
+    """The zero policy for one scalar: the one-entry case of :func:`all_zero`."""
+    if is_exact(x):
+        return x == 0
+    return abs(float(x)) <= tol
+
+
+def is_positive(x, tol=0.0):
+    """x > 0 and not zero under the zero policy."""
+    return x > 0 and not is_zero(x, tol)
+
+
+def scalar_like(values, q=1):
+    """The rational ``q`` in the arithmetic of ``values``.
+
+    A Fraction when every entry of ``values`` (nested as in
+    :func:`all_zero`) is exact, a float otherwise.
+    """
+    if all(map(is_exact, _entries(values))):
+        return Fraction(q)
+    return float(q)
 
 
 def simplify(x):

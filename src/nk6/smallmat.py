@@ -2,15 +2,16 @@
 
 Matrices are lists of row lists, vectors plain lists.  The same Gaussian
 elimination serves exact scalars (pivot on any nonzero entry, arithmetic
-stays exact) and floats (partial pivoting, zero test against a tolerance).
-Dimensions never exceed a few dozen here, so nothing clever is needed.
+stays exact) and floats (partial pivoting).  Zero tests follow the zero
+policy of :mod:`nk6.scalars`: scalars that are all exact are compared with
+0 exactly, otherwise by ``abs(float(x))`` against a tolerance.  Dimensions
+never exceed a few dozen here, so nothing clever is needed.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import EPS, exact_div, is_exact
+from .scalars import (
+    EPS, all_zero, exact_div, is_exact, is_positive, is_zero, scalar_like)
 
 
 class SingularMatrix(ValueError):
@@ -91,12 +92,6 @@ def is_float_data(a):
     return False
 
 
-def _is_zero(x, float_mode, tol):
-    if float_mode:
-        return abs(float(x)) <= tol
-    return x == 0
-
-
 def _forward_eliminate(m, ncols, float_mode, tol):
     """Row-reduce in place; returns list of pivot column indices."""
     pivots = []
@@ -109,7 +104,7 @@ def _forward_eliminate(m, ncols, float_mode, tol):
         best = None
         if float_mode:
             cand = max(range(row, nrows), key=lambda r: abs(float(m[r][col])))
-            if not _is_zero(m[cand][col], True, tol):
+            if not is_zero(m[cand][col], tol):
                 best = cand
         else:
             for r in range(row, nrows):
@@ -122,9 +117,10 @@ def _forward_eliminate(m, ncols, float_mode, tol):
         piv = m[row][col]
         m[row] = [exact_div(x, piv) for x in m[row]]
         for r in range(nrows):
-            if r != row and not _is_zero(m[r][col], float_mode, tol):
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+            f = m[r][col]
+            if r == row or f == 0 or float_mode and is_zero(f, tol):
+                continue
+            m[r] = [x - f * y for x, y in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
     return pivots
@@ -148,9 +144,7 @@ def solve(a, b, tol=EPS):
 
 
 def inv(a):
-    n = len(a)
-    one = Fraction(1) if not is_float_data(a) else 1.0
-    return solve(a, identity(n, one))
+    return solve(a, identity(len(a), scalar_like(a)))
 
 
 def det(a):
@@ -200,9 +194,9 @@ def solve_in_span(columns, target, tol=EPS):
     coords = [0] * ncols
     for row, col in enumerate(pivots):
         coords[col] = m[row][ncols]
-    for row in range(len(pivots), nrows):
-        if not _is_zero(m[row][ncols], float_mode, max(tol, 1e-8)):
-            raise SingularMatrix("target not in span")
+    if not all_zero([m[row][ncols] for row in range(len(pivots), nrows)],
+                    max(tol, 1e-8)):
+        raise SingularMatrix("target not in span")
     return coords
 
 
@@ -217,7 +211,7 @@ def nullspace(a, tol=EPS):
     pivots = _forward_eliminate(m, ncols, float_mode, tol)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    one = 1.0 if float_mode else Fraction(1)
+    one = scalar_like(a)
     for f in free:
         v = [0] * ncols
         v[f] = one
@@ -233,23 +227,10 @@ def leading_principal_minors(a):
 
 def is_positive_definite(a, tol=0.0):
     """Sylvester criterion on the leading principal minors."""
-    for mk in leading_principal_minors(a):
-        if is_exact(mk):
-            if mk <= 0:
-                return False
-        elif float(mk) <= tol:
-            return False
-    return True
+    return all(is_positive(mk, tol) for mk in leading_principal_minors(a))
 
 
 def is_symmetric(a, tol=EPS):
     n = len(a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = a[i][j] - a[j][i]
-            if is_exact(d):
-                if d != 0:
-                    return False
-            elif abs(float(d)) > tol:
-                return False
-    return True
+    return all_zero([a[i][j] - a[j][i] for i in range(n) for j in range(i + 1, n)],
+                    tol)

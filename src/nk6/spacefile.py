@@ -11,6 +11,7 @@ entries and the Jacobi identity is validated on load.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,7 +34,21 @@ def _value(v, where):
         raise SpaceFormatError(f"{where}: expected number or 'p/q' string")
     if isinstance(v, int):
         return Fraction(v)
+    if not math.isfinite(v):
+        raise SpaceFormatError(f"{where}: non-finite number {v!r}")
     return float(v)
+
+
+def _is_index(i, dim):
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < dim
+
+
+def _index_list(v, dim, where):
+    if not isinstance(v, list) or not all(_is_index(i, dim) for i in v):
+        raise SpaceFormatError(f"{where}: expected a list of indices in [0, {dim})")
+    if len(set(v)) != len(v):
+        raise SpaceFormatError(f"{where}: repeated index")
+    return list(v)
 
 
 @dataclass
@@ -60,10 +75,13 @@ def parse_space(data):
     except (KeyError, TypeError, ValueError):
         raise SpaceFormatError("$.dimension: missing or not an integer")
     labels = data.get("basis", [f"X{i+1}" for i in range(dim)])
-    if len(labels) != dim:
-        raise SpaceFormatError("$.basis: wrong number of labels")
+    if (not isinstance(labels, list) or len(labels) != dim
+            or not all(isinstance(x, str) for x in labels)):
+        raise SpaceFormatError(f"$.basis: expected a list of {dim} labels")
 
     triples = data.get("structure_constants", [])
+    if not isinstance(triples, list):
+        raise SpaceFormatError("$.structure_constants: expected a list")
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for pos, entry in enumerate(triples):
@@ -72,7 +90,7 @@ def parse_space(data):
             raise SpaceFormatError(f"{where}: expected [i, j, k, value]")
         i, j, k, v = entry
         for name, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_index(idx, dim):
                 raise SpaceFormatError(f"{where}.{name}: index out of range")
         if i >= j:
             raise SpaceFormatError(f"{where}: give entries for i < j only")
@@ -83,17 +101,21 @@ def parse_space(data):
         c[i][j][k] = val
         c[j][i][k] = -val
 
-    h_idx = data.get("h_indices", [])
+    h_idx = _index_list(data.get("h_indices", []), dim, "$.h_indices")
     m_idx = data.get("m_indices")
     if m_idx is None:
         m_idx = [i for i in range(dim) if i not in h_idx]
-    if sorted(list(h_idx) + list(m_idx)) != list(range(dim)):
+    m_idx = _index_list(m_idx, dim, "$.m_indices")
+    if sorted(h_idx + m_idx) != list(range(dim)):
         raise SpaceFormatError("$.h_indices/m_indices: must partition the basis")
-    m_pos = {int(g): p for p, g in enumerate(m_idx)}
+    m_pos = {g: p for p, g in enumerate(m_idx)}
     nm = len(m_idx)
 
+    raw_forms = data.get("forms") or {}
+    if not isinstance(raw_forms, dict):
+        raise SpaceFormatError("$.forms: expected an object of named forms")
     forms = {}
-    for name, entries in (data.get("forms") or {}).items():
+    for name, entries in raw_forms.items():
         where = f"$.forms.{name}"
         if not isinstance(entries, list):
             raise SpaceFormatError(f"{where}: expected a list of [indices, value]")
@@ -111,17 +133,21 @@ def parse_space(data):
                 raise SpaceFormatError(f"{where}[{pos}]: mixed degrees")
             mapped = []
             for g in idx:
-                if g not in m_pos:
+                if not _is_index(g, dim) or g not in m_pos:
                     raise SpaceFormatError(
-                        f"{where}[{pos}]: index {g} is not an m-index")
+                        f"{where}[{pos}]: index {g!r} is not an m-index")
                 mapped.append(m_pos[g])
             terms.append((tuple(mapped), _value(v, f"{where}[{pos}]")))
-        forms[name] = KForm.from_terms(nm, degree or 0, terms)
+        try:
+            forms[name] = KForm.from_terms(nm, degree or 0, terms)
+        except ValueError as ex:
+            raise SpaceFormatError(f"{where}: {ex}")
 
     metric = None
-    if data.get("metric") is not None:
-        rows = data["metric"]
-        if len(rows) != nm or any(len(r) != nm for r in rows):
+    rows = data.get("metric")
+    if rows is not None:
+        if (not isinstance(rows, list) or len(rows) != nm
+                or any(not isinstance(r, list) or len(r) != nm for r in rows)):
             raise SpaceFormatError("$.metric: expected a square m x m matrix")
         metric = [[_value(v, f"$.metric[{i}][{j}]") for j, v in enumerate(row)]
                   for i, row in enumerate(rows)]
@@ -131,7 +157,7 @@ def parse_space(data):
                     raise SpaceFormatError("$.metric: not symmetric")
 
     doc = SpaceDocument(dimension=dim, labels=list(labels), constants=c,
-                        h_indices=list(h_idx), m_indices=list(m_idx),
+                        h_indices=h_idx, m_indices=m_idx,
                         forms=forms, metric=metric)
     try:
         doc.reductive_space()

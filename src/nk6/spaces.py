@@ -30,7 +30,7 @@ from .lie import (
     is_naturally_reductive,
 )
 from .octonion import quat_conj, quat_mul
-from .scalars import EPS
+from .scalars import EPS, all_zero
 
 
 # ---------------------------------------------------------------------------
@@ -742,38 +742,29 @@ def _has_complex_generator(block_endos, size, idx):
     return True
 
 
-def _count_acs_candidates(model, comm, tol=1e-10):
+def _count_acs_candidates(model, comm):
     """Enumerate invariant J with J^2 = -Id from the commutant.
 
     Within each summand the commutant is spanned by the identity and one
     complex generator; scaling the generator to a square root of -Id (when
     the scale admits one) gives two units per summand.  Every candidate is
-    verified against J^2 = -Id and membership in the commutant span.
+    verified exactly against J^2 = -Id and membership in the commutant
+    span, and counted once.
     """
-    import numpy as np
-
-    flat = [np.array([[float(x) for x in row] for row in m]) for m in comm]
-    if not flat:
-        return 0
-    count = 0
-    # solve J = sum c_i E_i with J^2 = -Id numerically over sign choices
-    n = 6
+    columns = [[x for row in m for x in row] for m in comm]
     seen = []
     for signs in itertools.product((1, -1), repeat=2):
         j = model.acs(fiber_sign=signs[1], global_sign=signs[0])
-        jf = np.array([[float(x) for x in row] for row in j])
-        if np.abs(jf @ jf + np.eye(n)).max() > tol:
+        if not all_zero(smallmat.mat_add(smallmat.mat_mul(j, j),
+                                         smallmat.identity(len(j)))):
             continue
-        # must lie in the commutant span
-        a = np.stack([m.ravel() for m in flat], axis=1)
-        coef, res, _, _ = np.linalg.lstsq(a, jf.ravel(), rcond=None)
-        recon = (a @ coef).reshape(n, n)
-        if np.abs(recon - jf).max() > tol:
+        try:
+            smallmat.solve_in_span(columns, [x for row in j for x in row])
+        except smallmat.SingularMatrix:
             continue
-        if not any(np.abs(jf - s).max() < tol for s in seen):
-            seen.append(jf)
-            count += 1
-    return count
+        if j not in seen:
+            seen.append(j)
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -196,3 +196,55 @@ def test_verify_s3xs3_reports_the_swept_sample_count(capsys):
     assert rep.inputs["samples"] == 1000
     sweep = next(v for v in rep.verdicts if v.name.startswith("uniqueness sweep"))
     assert sweep.detail == "1000 triples"
+
+
+def _s3xs3_copy(tmp_path, edit):
+    with open(os.path.join(FIX, "s3xs3.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_coefficient(value):
+    return lambda doc: doc["forms"]["omega"][0].__setitem__(1, value)
+
+
+@pytest.mark.parametrize("edit,path", [
+    (_set("basis", 5), "$.basis"),
+    (_set("basis", ["e1", "e2"]), "$.basis"),
+    (_set("h_indices", ["a"]), "$.h_indices"),
+    (_set("m_indices", [0, 1, 2, 3, 4, 4]), "$.m_indices"),
+    (_set("m_indices", [0, 1, 2, 3, 4, 9]), "$.m_indices"),
+    (_set("structure_constants", 5), "$.structure_constants"),
+    (_set("forms", [1]), "$.forms"),
+    (_set("forms", {"omega": [[[[0]], "1"]]}), "$.forms.omega[0]"),
+    (_set("metric", 5), "$.metric"),
+    (_set("metric", [1, 2, 3, 4, 5, 6]), "$.metric"),
+    (_set_coefficient(float("nan")), "$.forms.omega[0]"),
+    (_set_coefficient(float("inf")), "$.forms.omega[0]"),
+    (_set_coefficient(float("-inf")), "$.forms.omega[0]"),
+], ids=["basis-int", "basis-short", "h-str", "m-repeated", "m-range",
+        "constants-int", "forms-list", "form-index-list", "metric-int",
+        "metric-flat", "nan", "inf", "-inf"])
+def test_malformed_space_document_is_exit_two(tmp_path, capsys, edit, path):
+    code = main(["check", _s3xs3_copy(tmp_path, edit)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table"], ["verify", "flag", "--grid", "1"], ["solve-s3xs3", "--samples", "1"]])
+def test_scalar_float_outside_check_is_usage_error(capsys, argv):
+    code = main(["--scalar", "float"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --scalar float applies only to check\n"
+    assert captured.out == ""

@@ -10,10 +10,10 @@ from nk6.lie import (
     NotInvariant,
     ReductiveSpace,
     acs_from_automorphism,
+    bilinear_apply,
     ce_differential,
     check_3symmetric,
     check_jacobi,
-    connection_applies,
     eta_parallel_residual,
     eta_total_skew_residual,
     intrinsic_eta,
@@ -383,3 +383,34 @@ def test_ricci_einstein_on_solution_exact():
     assert einstein and rel == 0
     assert float(scal) > 0
     assert scal == QSqrt3(0, Fraction(5, 3))  # 5/sqrt(3), exactly
+
+
+def _double_sum(table, x, y):
+    width = len(table[0][0])
+    return [sum((x[i] * y[j] * table[i][j][k]
+                 for i in range(len(x)) for j in range(len(y))), 0)
+            for k in range(width)]
+
+
+def _bilinear_tables():
+    flag, cp3 = spaces.flag_model().space, spaces.cp3_model().space
+    return [("su(3)", flag.algebra.c), ("flag bm", flag.bm), ("flag bh", flag.bh),
+            ("sp(2)", cp3.algebra.c), ("cp3 bm", cp3.bm), ("cp3 bh", cp3.bh)]
+
+
+@pytest.mark.parametrize("name,table", _bilinear_tables(),
+                         ids=[n for n, _ in _bilinear_tables()])
+def test_bilinear_apply_matches_double_sum(name, table):
+    rng = random.Random(17)
+    n = len(table)
+    for _ in range(6):
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        y = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+        assert bilinear_apply(table, x, y) == _double_sum(table, x, y)
+
+
+def test_bilinear_apply_on_an_empty_h_table():
+    space = s3xs3.cyclic_space()
+    assert space.dim_h == 0
+    x = [Fraction(k + 1, 2) for k in range(6)]
+    assert bilinear_apply(space.bh, x, x[::-1]) == []

@@ -126,6 +126,14 @@ def test_cp3_isotropy_commutant():
     assert sum(1 for b in blocks if b[1] and not b[0]) == 2
 
 
+def test_cp3_acs_count_is_exact():
+    cm = spaces.cp3_model()
+    comm = spaces.isotropy_commutant(cm.space)
+    assert spaces._count_acs_candidates(cm, comm) == 4
+    # outside the span of the identity alone: no candidate survives
+    assert spaces._count_acs_candidates(cm, [smallmat.identity(6)]) == 0
+
+
 def test_cp3_verify():
     rep = spaces.cp3_verify()
     assert rep.ok
