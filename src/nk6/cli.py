@@ -13,6 +13,8 @@ parse error.  ``--json`` switches the report to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import math
+import random
 import sys
 import time
 from fractions import Fraction
@@ -144,14 +146,20 @@ def _verify_s3xs3(args):
     rep.check("Einstein with positive scalar curvature",
               einstein_ok and float(scal) > 0, label="einstein", residual=rel)
     rep.scalar("scal", float(scal))
-    crep = cone_mod.cone_check(s, s3xs3.differential, tol=tol)
+    _cone_verdicts(rep, s, s3xs3.differential, tol)
+    rep.scalar("kappa", float(s.kappa))
+    rep.scalar("tau0", float(s.tau0))
+    return rep
+
+
+def _cone_verdicts(rep, structure, link_d, tol):
+    """Run the cone check on a built structure and report its two verdicts."""
+    crep = cone_mod.cone_check(structure, link_d, tol=tol)
     rep.check("cone form closed", crep.d_rho_residual <= tol,
               label="cone-closed", residual=crep.d_rho_residual)
     rep.check("cone form coclosed", crep.d_star_rho_residual <= tol,
               label="cone-coclosed", residual=crep.d_star_rho_residual)
-    rep.scalar("kappa", float(s.kappa))
-    rep.scalar("tau0", float(s.tau0))
-    return rep
+    return crep
 
 
 def _verify_flag(args):
@@ -206,16 +214,14 @@ def _verify_cp3(args):
 def _verify_s6(args):
     rep = _base_report(args, "verify s6", samples=args.samples)
     tol = args.tolerance
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     worst = 0.0
     failures = 0
     for _ in range(args.samples):
-        v = rng.normal(size=7)
-        v /= np.linalg.norm(v)
+        v = [rng.gauss(0.0, 1.0) for _ in range(7)]
+        norm = math.hypot(*v)
         try:
-            _, _, dev = octonion.s6_structure_at([float(t) for t in v], tol=tol)
+            _, _, dev = octonion.s6_structure_at([t / norm for t in v], tol=tol)
             worst = max(worst, dev)
         except StructureError:
             failures += 1
@@ -224,16 +230,10 @@ def _verify_s6(args):
     rep.check("stable-form J equals octonion J (up to global sign)",
               worst <= max(tol, 1e-9), label="octonion-J", residual=worst)
 
-    x = [Fraction(0)] * 7
-    x[0] = Fraction(1)
-    s6, _, dev0 = octonion.s6_structure_at(x)
+    s6, _, dev0 = octonion.s6_structure_at([Fraction(1)] + [Fraction(0)] * 6)
     rep.check("exact agreement at a basis point", dev0 == 0,
               label="octonion-J", residual=float(dev0))
-    crep = cone_mod.cone_check(s6, cone_mod.s6_link_differential(s6), tol=tol)
-    rep.check("cone form closed", crep.d_rho_residual <= tol,
-              label="cone-closed", residual=crep.d_rho_residual)
-    rep.check("cone form coclosed", crep.d_star_rho_residual <= tol,
-              label="cone-coclosed", residual=crep.d_star_rho_residual)
+    _cone_verdicts(rep, s6, cone_mod.s6_link_differential(s6), tol)
     rho7 = cone_mod.u_basis_expansion(cone_mod.cone_rho(s6.omega, s6.psi))
     c, devg2 = cone_mod.g2_metric_identity(rho7)
     rep.check("constant metric identity of the cone 3-form", devg2 <= 1e-9,
@@ -262,31 +262,29 @@ def _cmd_solve(args):
     return rep
 
 
+def _named_form(doc, name, degree, scalar):
+    """The document's form ``name``, of the given degree, in --scalar arithmetic."""
+    if name not in doc.forms:
+        raise SpaceFormatError(f"$.forms: no {degree}-form named {name!r}")
+    form = doc.forms[name]
+    if form.k != degree:
+        raise SpaceFormatError(f"$.forms.{name}: degree must be {degree}")
+    return form.to_float() if scalar == "float" else form
+
+
 def _cmd_check(args):
     rep = _base_report(args, f"check {args.file}", file=args.file,
                        omega=args.omega, psi=args.psi or "(d omega)/3")
     tol = args.tolerance
     doc = load_space(args.file)
     space = doc.reductive_space()
-    if args.omega not in doc.forms:
-        raise SpaceFormatError(f"$.forms: no 2-form named {args.omega!r}")
-    omega = doc.forms[args.omega]
-    if args.scalar == "float":
-        omega = omega.to_float()
-    if omega.k != 2:
-        raise SpaceFormatError(f"$.forms.{args.omega}: degree must be 2")
+    omega = _named_form(doc, args.omega, 2, args.scalar)
     if space.dim_m != 6:
         raise SpaceFormatError("$: m must be 6-dimensional for this check")
 
     d = lambda a: ce_differential(space, a)
-    if args.psi is not None:
-        if args.psi not in doc.forms:
-            raise SpaceFormatError(f"$.forms: no 3-form named {args.psi!r}")
-        psi = doc.forms[args.psi]
-        if args.scalar == "float":
-            psi = psi.to_float()
-    else:
-        psi = d(omega) / 3
+    psi = (d(omega) / 3 if args.psi is None
+           else _named_form(doc, args.psi, 3, args.scalar))
 
     try:
         structure, orient = spaces.build_either_orientation(omega, psi, tol=tol)
@@ -338,11 +336,7 @@ def _cmd_check(args):
                       label="nabla-J", detail=str(ex))
 
     if args.cone:
-        crep = cone_mod.cone_check(structure, d, tol=tol)
-        rep.check("cone form closed", crep.d_rho_residual <= tol,
-                  label="cone-closed", residual=crep.d_rho_residual)
-        rep.check("cone form coclosed", crep.d_star_rho_residual <= tol,
-                  label="cone-coclosed", residual=crep.d_star_rho_residual)
+        crep = _cone_verdicts(rep, structure, d, tol)
         rep.scalar("cone_omega2_coefficient", float(crep.omega2_coefficient))
     return rep
 

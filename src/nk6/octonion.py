@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import smallmat
 from .exterior import KForm, index_tuples
 from .hitchin import SU3Candidate, build_su3
-from .scalars import EPS, scalar_like
+from .scalars import EPS, exact_div, scalar_like
 
 
 def quat_mul(a, b):
@@ -117,55 +115,41 @@ def euler_radial_derivative(alpha):
     return out
 
 
-def tangent_basis(x, exact=None):
+def tangent_basis(x):
     """Orthonormal basis of the orthogonal complement of a unit 7-vector.
 
-    Returns a 7x6 column matrix B with det([x | B]) = +1.  For a signed
-    standard basis vector the complement basis is exact.
+    Returns a 7x6 column matrix B with det([x | B]) = +1: the columns j != k
+    of the Householder reflection H = I - 2 w w^T / (w.w), where
+    k = argmax |x_k| and w = x + sign(x_k) e_k.  H e_k = -sign(x_k) x, so
+    these columns span the complement of x.  The entries are rational in x:
+    the frame is exact at every rational unit point.
     """
-    if exact is None:
-        exact = all(not isinstance(v, float) for v in x)
-    hits = [i for i, v in enumerate(x) if v != 0]
-    if exact and len(hits) == 1 and abs(x[hits[0]]) == 1:
-        i0 = hits[0]
-        sign = 1 if x[i0] > 0 else -1
-        cols = []
-        for j in range(7):
-            if j == i0:
-                continue
-            e = [Fraction(0)] * 7
-            e[j] = Fraction(1)
-            cols.append(e)
-        b = smallmat.transpose(cols)
-        full = [[x[r]] + [b[r][c] for c in range(6)] for r in range(7)]
-        if smallmat.det(full) < 0:
-            for r in range(7):
-                b[r][5] = -b[r][5]
-        return b
-    xv = np.array([float(v) for v in x])
-    q, _ = np.linalg.qr(np.column_stack([xv, np.eye(7)]))
-    if np.dot(q[:, 0], xv) < 0:
-        q[:, 0] *= -1.0
-    b = q[:, 1:7].copy()
-    if np.linalg.det(np.column_stack([xv, b])) < 0:
-        b[:, 5] *= -1.0
-    return [[float(b[r][c]) for c in range(6)] for r in range(7)]
+    k = max(range(7), key=lambda i: abs(x[i]))
+    sign = 1 if x[k] > 0 else -1
+    w = [v + (sign if i == k else 0) for i, v in enumerate(x)]
+    f = exact_div(2, smallmat.vec_dot(w, w))
+    b = [[(r == c) - f * w[r] * w[c] for c in range(7) if c != k]
+         for r in range(7)]
+    # det([x | B]) = -sign det(H) (-1)^k = sign (-1)^k, as det(H) = -1
+    if sign * (-1) ** k < 0:
+        for row in b:
+            row[5] = -row[5]
+    return b
 
 
 S6_ORIENTATION = 1
 
 
-def s6_candidate(x, basis=None):
+def s6_candidate(x):
     """Pointwise SU(3) candidate on the tangent space of the unit sphere.
 
     omega is the contraction of the cross-product 3-form with the point,
-    psi its tangential restriction, both expressed in an oriented
-    orthonormal basis of the complement of x.  Returns (candidate, basis).
+    psi its tangential restriction, both expressed in the oriented
+    orthonormal frame ``tangent_basis(x)``.  Returns (candidate, basis).
     """
     phi0 = g2_three_form()
-    if basis is None:
-        basis = tangent_basis(x)
-    cols = [[basis[r][c] for r in range(7)] for c in range(6)]
+    basis = tangent_basis(x)
+    cols = smallmat.transpose(basis)
     omega = KForm.from_terms(6, 2, [
         ((a, b), phi0(list(x), cols[a], cols[b]))
         for a in range(6) for b in range(a + 1, 6)])
@@ -176,7 +160,7 @@ def s6_candidate(x, basis=None):
     return SU3Candidate(omega, psi, vol), basis
 
 
-def s6_structure_at(x, basis=None, tol=EPS):
+def s6_structure_at(x, tol=EPS):
     """Build the SU(3)-structure at a unit point and compare J with x.(-).
 
     Returns (structure, basis, deviation) where deviation is the smallest
@@ -187,7 +171,7 @@ def s6_structure_at(x, basis=None, tol=EPS):
     nrm = sum(float(v) ** 2 for v in x)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("point must lie on the unit sphere")
-    cand, basis = s6_candidate(x, basis=basis)
+    cand, basis = s6_candidate(x)
     s = build_su3(cand, tol=tol)
     px = cross_matrix(x)
     bt = smallmat.transpose(basis)

@@ -13,11 +13,10 @@ yields the one-parameter solution family (lambda, lambda, lambda).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import smallmat
 from .exterior import KForm
@@ -160,22 +159,54 @@ def reduce_to_diagonal(w, tol=1e-12):
         eye = smallmat.identity(3, scalar_like((w.A, w.B, w.C)))
         return DiagonalInvariantForm(tuple(w.C[i][i] for i in range(3))), eye, eye
 
-    c = np.array([[float(x) for x in row] for row in w.C])
-    u, s, vt = np.linalg.svd(c)
-    lams = list(s)
-    if np.linalg.det(u) < 0:
-        u[:, 2] *= -1.0
+    u, lams, v = _jacobi_svd(w.C)
+    # u and v hold columns; det is the same for a matrix and its transpose
+    if smallmat.det(u) < 0:
+        u[2] = [-x for x in u[2]]
         lams[2] = -lams[2]
-    if np.linalg.det(vt) < 0:
-        vt[2, :] *= -1.0
+    if smallmat.det(v) < 0:
+        v[2] = [-x for x in v[2]]
         lams[2] = -lams[2]
-    m = [[float(x) for x in row] for row in u]
-    n = [[float(x) for x in row] for row in vt.T]
-    d = DiagonalInvariantForm(tuple(lams))
-    recon = u @ np.diag(lams) @ vt
-    if float(np.abs(recon - c).max()) > 1e-9 * max(1.0, float(np.abs(c).max())):
+    recon = [[sum(lams[i] * u[i][r] * v[i][col] for i in range(3))
+              for col in range(3)] for r in range(3)]
+    scale = max(1.0, smallmat.mat_max_abs(w.C))
+    if smallmat.mat_max_abs(smallmat.mat_sub(recon, w.C)) > 1e-9 * scale:
         raise ArithmeticError("signed SVD reconstruction failed")
-    return d, m, n
+    return (DiagonalInvariantForm(tuple(lams)),
+            smallmat.transpose(u), smallmat.transpose(v))
+
+
+def _jacobi_svd(c):
+    """C = U diag(s) V^T by one-sided (Hestenes) Jacobi on the columns of C.
+
+    Plane rotations collected in V make the columns of C V orthogonal;
+    their norms are the singular values s, sorted decreasing, and
+    U = C V diag(s)^-1.  Returns (columns of U, s, columns of V).
+    """
+    a = [[float(c[r][i]) for r in range(3)] for i in range(3)]
+    v = [[float(r == i) for r in range(3)] for i in range(3)]
+    for _ in range(32):  # converges quadratically; a sweep cap guards NaN
+        rotated = False
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            alpha, beta = (math.fsum(x * x for x in a[i]) for i in (p, q))
+            gamma = math.fsum(x * y for x, y in zip(a[p], a[q]))
+            if abs(gamma) <= math.ulp(1.0) * math.sqrt(alpha * beta):
+                continue
+            rotated = True
+            zeta = (beta - alpha) / (2 * gamma)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            cs = 1.0 / math.hypot(1.0, t)
+            sn = cs * t
+            for cols in (a, v):
+                cols[p], cols[q] = (
+                    [cs * x - sn * y for x, y in zip(cols[p], cols[q])],
+                    [sn * x + cs * y for x, y in zip(cols[p], cols[q])])
+        if not rotated:
+            break
+    s = [math.sqrt(math.fsum(x * x for x in col)) for col in a]
+    order = sorted(range(3), key=lambda i: -s[i])
+    return ([[x / s[i] for x in a[i]] for i in order],
+            [s[i] for i in order], [v[i] for i in order])
 
 
 def quartic_invariant(lams):

@@ -20,6 +20,12 @@ from .lie import LieAlgebraData, ReductiveSpace
 from .scalars import parse_rational
 
 
+# g2, the largest algebra of the isotropy table, has dimension 14; the
+# dense structure-constant table and the Jacobi check grow as dim^3 and
+# faster, so a larger document would stall the load
+MAX_DIMENSION = 14
+
+
 class SpaceFormatError(ValueError):
     """Invalid space document; message carries a JSON-path-style location."""
 
@@ -70,10 +76,11 @@ def parse_space(data):
     """Validate a parsed JSON object into a SpaceDocument."""
     if not isinstance(data, dict):
         raise SpaceFormatError("$: top level must be an object")
-    try:
-        dim = int(data["dimension"])
-    except (KeyError, TypeError, ValueError):
-        raise SpaceFormatError("$.dimension: missing or not an integer")
+    dim = data.get("dimension")
+    if (not isinstance(dim, int) or isinstance(dim, bool)
+            or not 1 <= dim <= MAX_DIMENSION):
+        raise SpaceFormatError(
+            f"$.dimension: expected an integer in [1, {MAX_DIMENSION}]")
     labels = data.get("basis", [f"X{i+1}" for i in range(dim)])
     if (not isinstance(labels, list) or len(labels) != dim
             or not all(isinstance(x, str) for x in labels)):
@@ -137,6 +144,8 @@ def parse_space(data):
                     raise SpaceFormatError(
                         f"{where}[{pos}]: index {g!r} is not an m-index")
                 mapped.append(m_pos[g])
+            if len(set(mapped)) != len(mapped):
+                raise SpaceFormatError(f"{where}[{pos}]: repeated index")
             terms.append((tuple(mapped), _value(v, f"{where}[{pos}]")))
         try:
             forms[name] = KForm.from_terms(nm, degree or 0, terms)

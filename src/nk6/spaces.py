@@ -219,14 +219,8 @@ def ledger_obata_su2():
     s_lt = s_matrix_for(basis_lt[3:], cols_lt)
 
     def restricted_metric(basis_m):
-        g = []
-        for a in basis_m:
-            row = []
-            for b in basis_m:
-                row.append(sum(x * y for ca, cb in zip(a, b)
-                               for x, y in zip(ca, cb)))
-            g.append(row)
-        return g
+        return [[sum(x * y for ca, cb in zip(a, b) for x, y in zip(ca, cb))
+                 for b in basis_m] for a in basis_m]
 
     return LedgerObata(
         space=space_can,
@@ -258,6 +252,14 @@ def _flag_torus(r, s, t):
                 [[r, 0, 0], [0, s, 0], [0, 0, t]])
 
 
+def kahler_form(g, j):
+    """The 2-form omega(X, Y) = g(JX, Y) of a metric g and a structure J."""
+    n = len(g)
+    return KForm.from_terms(n, 2, [
+        ((a, b), sum(g[r][b] * j[r][a] for r in range(n)))
+        for a in range(n) for b in range(a + 1, n)])
+
+
 @dataclass
 class FlagModel:
     space: ReductiveSpace
@@ -280,15 +282,8 @@ class FlagModel:
         return out
 
     def omega(self, r, s, t, signs=(1, 1, 1)):
-        """Kahler form of (metric(r,s,t), acs(signs)):  omega(X,Y) = g(JX,Y)."""
-        g = self.metric(r, s, t)
-        j = self.acs(signs)
-        terms = []
-        for a in range(6):
-            for b in range(a + 1, 6):
-                val = sum(g[r_][b] * j[r_][a] for r_ in range(6))
-                terms.append(((a, b), val))
-        return KForm.from_terms(6, 2, terms)
+        """Kahler form of (metric(r,s,t), acs(signs))."""
+        return kahler_form(self.metric(r, s, t), self.acs(signs))
 
 
 def flag_model():
@@ -519,14 +514,8 @@ class CP3Model:
         return out
 
     def omega(self, t, fiber_sign=1):
-        g = self.metric(t)
-        j = self.acs(fiber_sign)
-        terms = []
-        for a in range(6):
-            for b in range(a + 1, 6):
-                val = sum(g[r_][b] * j[r_][a] for r_ in range(6))
-                terms.append(((a, b), val))
-        return KForm.from_terms(6, 2, terms)
+        """Kahler form of (metric(t), acs(fiber_sign))."""
+        return kahler_form(self.metric(t), self.acs(fiber_sign))
 
 
 def cp3_model():
@@ -562,20 +551,14 @@ def isotropy_commutant(space):
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in kernel]
 
 
-def _block_support(mat, tol=0):
-    """Index blocks {0..3} x {4,5} the endomorphism touches."""
-    p, v = set(), set()
-    cross = False
-    for i in range(6):
-        for j in range(6):
-            if mat[i][j] != 0:
-                if i < 4 and j < 4:
-                    p.add((i, j))
-                elif i >= 4 and j >= 4:
-                    v.add((i, j))
-                else:
-                    cross = True
-    return bool(p), bool(v), cross
+def _block_support(mat):
+    """Whether the endomorphism touches p x p, v x v and a cross block.
+
+    p = {0..3} and v = {4, 5} index the two summands of m.
+    """
+    hit = {(i < 4, j < 4) for i in range(6) for j in range(6) if mat[i][j] != 0}
+    return ((True, True) in hit, (False, False) in hit,
+            (True, False) in hit or (False, True) in hit)
 
 
 @dataclass
@@ -668,14 +651,9 @@ def cp3_verify(tol=EPS, t_max=4.0, coarse=80):
         resid = (u + w.scale(t_star)).max_abs()
         results[sv] = (t_star, resid)
 
-    kahler_sign = None
-    t_k = None
-    for sv, (t_star, resid) in results.items():
-        if t_star > 0 and resid <= 1e-9:
-            kahler_sign = sv
-            t_k = t_star
-    kahler_unique = kahler_sign is not None and sum(
-        1 for sv, (ts, r) in results.items() if ts > 0 and r <= 1e-9) == 1
+    kahler = [(sv, ts) for sv, (ts, r) in results.items() if ts > 0 and r <= 1e-9]
+    kahler_sign, t_k = kahler[-1] if kahler else (None, None)
+    kahler_unique = len(kahler) == 1
 
     # nearly Kahler scaling: scan then refine
     nk_sign = None

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +100,13 @@ def test_check_missing_form_is_exit_two(capsys):
     code = main(["check", os.path.join(FIX, "s3xs3.json"),
                  "--omega", "nonexistent"])
     assert code == 2
+
+
+def test_check_psi_of_wrong_degree_is_exit_two(capsys):
+    code = main(["check", os.path.join(FIX, "s3xs3.json"), "--psi", "omega"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: $.forms.omega: degree must be 3\n"
 
 
 def test_reports_deterministic(capsys):
@@ -229,9 +238,13 @@ def _set_coefficient(value):
     (_set_coefficient(float("nan")), "$.forms.omega[0]"),
     (_set_coefficient(float("inf")), "$.forms.omega[0]"),
     (_set_coefficient(float("-inf")), "$.forms.omega[0]"),
+    (lambda doc: doc["forms"]["omega"].append([[0, 0], "5"]),
+     "$.forms.omega[3]"),
+    (_set("dimension", 120), "$.dimension"),
 ], ids=["basis-int", "basis-short", "h-str", "m-repeated", "m-range",
         "constants-int", "forms-list", "form-index-list", "metric-int",
-        "metric-flat", "nan", "inf", "-inf"])
+        "metric-flat", "nan", "inf", "-inf", "form-index-repeated",
+        "dimension-large"])
 def test_malformed_space_document_is_exit_two(tmp_path, capsys, edit, path):
     code = main(["check", _s3xs3_copy(tmp_path, edit)])
     err = capsys.readouterr().err
@@ -248,3 +261,14 @@ def test_scalar_float_outside_check_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.err == "error: --scalar float applies only to check\n"
     assert captured.out == ""
+
+
+def test_import_leaves_numpy_out():
+    src = os.path.abspath(os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nk6.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -145,6 +145,21 @@ def test_s6_structure_exact_at_basis_point():
     assert s.kappa == 2
 
 
+@pytest.mark.parametrize("head", [
+    (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)),
+])
+def test_s6_structure_exact_at_rational_points(head):
+    x = list(head) + [Fraction(0)] * (7 - len(head))
+    s, basis, dev = oc.s6_structure_at(x)
+    assert isinstance(s.kappa, Fraction)
+    assert dev == 0
+    frame = smallmat.transpose([x] + smallmat.transpose(basis))
+    assert smallmat.mat_mul(smallmat.transpose(frame), frame) == \
+        smallmat.identity(7, Fraction(1))
+    assert smallmat.det(frame) == 1
+
+
 def test_s6_structure_random_points():
     rng = np.random.default_rng(42)
     worst = 0.0

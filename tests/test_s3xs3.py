@@ -46,23 +46,36 @@ def test_reduce_diagonal_fast_path():
     assert n == smallmat.identity(3, Fraction(1))
 
 
+def _rotation(axis, th):
+    i, j = [k for k in range(3) if k != axis]
+    r = np.eye(3)
+    r[i, i] = r[j, j] = np.cos(th)
+    r[i, j], r[j, i] = -np.sin(th), np.sin(th)
+    return r
+
+
 def test_reduce_svd_path_recovers_values():
-    th = 0.9
-    rot = np.array([[np.cos(th), -np.sin(th), 0.0],
-                    [np.sin(th), np.cos(th), 0.0],
-                    [0.0, 0.0, 1.0]])
-    c = (rot @ np.diag([1.0, 1.0, 2.0])).tolist()
+    # one rotation with det C > 0, then two-sided rotations with det C < 0
+    # (between them they flip U and V into SO(3))
+    cases = [
+        (_rotation(2, 0.9), [1.0, 1.0, 2.0], np.eye(3)),
+        (_rotation(2, 0.9), [1.0, -2.0, 3.0], _rotation(0, 0.4)),
+        (_rotation(1, 0.7), [3.0, -2.0, 1.0], _rotation(2, 0.4)),
+    ]
     zero = [0.0] * 3
-    d, m, n = s3xs3.reduce_to_diagonal(s3xs3.ABCForm(zero, zero, c))
-    vals = sorted(abs(x) for x in d.lams)
-    assert vals == pytest.approx([1.0, 1.0, 2.0], abs=1e-9)
-    prod = d.lams[0] * d.lams[1] * d.lams[2]
-    assert prod == pytest.approx(float(np.linalg.det(np.array(c))), abs=1e-9)
-    # reconstruction M D N^t = C
-    recon = np.array(m) @ np.diag(d.lams) @ np.array(n).T
-    assert np.abs(recon - np.array(c)).max() < 1e-12
-    assert np.linalg.det(np.array(m)) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.det(np.array(n)) == pytest.approx(1.0, abs=1e-12)
+    for left, diag, right in cases:
+        c = (left @ np.diag(diag) @ right.T).tolist()
+        d, m, n = s3xs3.reduce_to_diagonal(s3xs3.ABCForm(zero, zero, c))
+        vals = sorted(abs(x) for x in d.lams)
+        assert vals == pytest.approx(sorted(abs(x) for x in diag), abs=1e-9)
+        prod = d.lams[0] * d.lams[1] * d.lams[2]
+        assert prod == pytest.approx(float(np.linalg.det(np.array(c))),
+                                     abs=1e-9)
+        # reconstruction M D N^t = C
+        recon = np.array(m) @ np.diag(d.lams) @ np.array(n).T
+        assert np.abs(recon - np.array(c)).max() < 1e-12
+        assert np.linalg.det(np.array(m)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.det(np.array(n)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reduce_rejects_type_failures():

@@ -63,6 +63,13 @@ def test_bad_jacobi_rejected():
         })
 
 
+def test_dimension_is_bounded():
+    assert parse_space({"dimension": 14, "structure_constants": []}).dimension == 14
+    for dim in (0, 15, 120, 6.5, "6", True, None):
+        with pytest.raises(SpaceFormatError, match=r"\$\.dimension"):
+            parse_space({"dimension": dim, "structure_constants": []})
+
+
 def test_error_paths():
     with pytest.raises(SpaceFormatError, match=r"\$\.dimension"):
         parse_space({})
