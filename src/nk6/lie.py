@@ -11,7 +11,6 @@ curvature/Ricci.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from . import smallmat
@@ -258,17 +257,23 @@ def nomizu_levi_civita(space, g, tol=EPS):
         raise ValueError("metric is not h-invariant")
     n = space.dim_m
     half = scalar_like(g, Fraction(1, 2))
+    ginv = smallmat.inv(g)
+    # gb[z][i][j] = g([X_z, X_i]_m, X_j), so g(X_i, [X_z, X_j]_m) = gb[z][j][i]
+    gb = _g_brackets(space, g)
     gamma = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            rhs = []
-            for z in range(n):
-                t1 = smallmat.vec_dot(smallmat.mat_vec(g, space.bm[z][i]), _mvec(n, j))
-                t2 = smallmat.vec_dot(list(g[i]), space.bm[z][j])
-                rhs.append(half * (t1 + t2))
-            u = smallmat.solve(g, rhs)
+            rhs = [half * (gb[z][i][j] + gb[z][j][i]) for z in range(n)]
+            u = smallmat.mat_vec(ginv, rhs)
             gamma[i][j] = [half * space.bm[i][j][r] + u[r] for r in range(n)]
     return gamma
+
+
+def _g_brackets(space, g):
+    """The table g [X_i, X_j]_m of lowered bracket projections."""
+    n = space.dim_m
+    return [[smallmat.mat_vec(g, space.bm[i][j]) for j in range(n)]
+            for i in range(n)]
 
 
 def _nomizu_matrix(gamma, x):
@@ -280,22 +285,26 @@ def _nomizu_matrix(gamma, x):
     return smallmat.transpose(cols)
 
 
-def _random_vectors(n, count, exact, rng):
+def _nabla_j(gamma, J):
+    """The matrices nabla_i J = [L_i, J], L_i the Nomizu matrix of X_i."""
     out = []
-    for _ in range(count):
-        if exact:
-            out.append([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
-        else:
-            out.append([rng.uniform(-1, 1) for _ in range(n)])
+    for gi in gamma:
+        li = smallmat.transpose(gi)
+        out.append(smallmat.mat_sub(smallmat.mat_mul(li, J),
+                                    smallmat.mat_mul(J, li)))
     return out
 
 
-def nearly_kahler_residual(space, g, J, tol=EPS, samples=25, seed=7):
-    """Max residual of (nabla_X J) X over basis and random X.
+def nearly_kahler_residual(space, g, J, tol=EPS):
+    """The defining identity (nabla_X J) X = 0, proved by polarisation.
 
     Checks the preconditions (J^2 = -Id, orthogonality, invariance) and
-    reports them distinctly, then evaluates the defining identity through
-    the Nomizu operator.  Returns (ok, residual).
+    reports them distinctly.  X -> (nabla_X J) X is quadratic, so it
+    vanishes iff its polarisation does on the basis pairs i <= j:
+    (nabla_i J) X_j + (nabla_j J) X_i = 0, with nabla_i J = [L_i, J] from
+    the Nomizu operator.  On exact data the verdict is an exact zero test,
+    on floats a comparison with ``tol``.  Returns (ok, residual), the
+    residual being the largest coefficient of those vectors.
     """
     n = space.dim_m
     j2 = smallmat.mat_mul(J, J)
@@ -306,19 +315,10 @@ def nearly_kahler_residual(space, g, J, tol=EPS, samples=25, seed=7):
         raise ValueError("J is not orthogonal for g")
     if not is_invariant_endo(space, J, tol=tol):
         raise ValueError("J is not an invariant tensor")
-    gamma = nomizu_levi_civita(space, g, tol=tol)
-    exact = not (smallmat.is_float_data(g) or smallmat.is_float_data(J))
-    rng = random.Random(seed)
-    vectors = [_mvec(n, i) for i in range(n)]
-    vectors += _random_vectors(n, samples, exact, rng)
-    worst = 0.0
-    for x in vectors:
-        jx = smallmat.mat_vec(J, x)
-        resid = smallmat.vec_sub(
-            bilinear_apply(gamma, x, jx),
-            smallmat.mat_vec(J, bilinear_apply(gamma, x, x)))
-        worst = max(worst, max(abs(float(r)) for r in resid))
-    return worst <= tol, worst
+    nj = _nabla_j(nomizu_levi_civita(space, g, tol=tol), J)
+    polar = [[nj[i][r][j] + nj[j][r][i] for r in range(n)]
+             for i in range(n) for j in range(i, n)]
+    return all_zero(polar, tol), _max_vec(*polar)
 
 
 def intrinsic_eta(space, g, J, tol=EPS):
@@ -326,18 +326,18 @@ def intrinsic_eta(space, g, J, tol=EPS):
 
     Returns eta[i][j] = the m-vector eta_{X_i} X_j.
     """
-    gamma = nomizu_levi_civita(space, g, tol=tol)
-    n = space.dim_m
-    half = scalar_like(g, Fraction(1, 2))
+    return _eta(nomizu_levi_civita(space, g, tol=tol), J)
+
+
+def _eta(gamma, J):
+    """eta[i][j] = J (nabla_i J) X_j / 2 from the Nomizu operator gamma."""
+    n = len(gamma)
+    half = scalar_like(gamma, Fraction(1, 2))
     eta = [[None] * n for _ in range(n)]
-    for i in range(n):
-        x = _mvec(n, i)
+    for i, d in enumerate(_nabla_j(gamma, J)):
+        jd = smallmat.mat_mul(J, d)
         for j in range(n):
-            y = _mvec(n, j)
-            nj = smallmat.vec_sub(
-                bilinear_apply(gamma, x, smallmat.mat_vec(J, y)),
-                smallmat.mat_vec(J, bilinear_apply(gamma, x, y)))
-            eta[i][j] = [half * c for c in smallmat.mat_vec(J, nj)]
+            eta[i][j] = [half * jd[r][j] for r in range(n)]
     return eta
 
 
@@ -363,7 +363,7 @@ def eta_parallel_residual(space, g, J, tol=EPS):
     parallel exactly on nearly Kahler structures.
     """
     gamma = nomizu_levi_civita(space, g, tol=tol)
-    eta = intrinsic_eta(space, g, J, tol=tol)
+    eta = _eta(gamma, J)
     n = space.dim_m
     gbar = [[smallmat.vec_sub(gamma[i][j], eta[i][j]) for j in range(n)]
             for i in range(n)]
@@ -396,15 +396,9 @@ def normal_torsion_curvature(space):
 def is_naturally_reductive(space, g, tol=EPS):
     """g([X,Y]_m, Z) = -g([X,Z]_m, Y) over all basis triples."""
     n = space.dim_m
-    for i in range(n):
-        for j in range(n):
-            gij = smallmat.mat_vec(g, space.bm[i][j])
-            for k in range(n):
-                lhs = gij[k]
-                rhs = smallmat.vec_dot(smallmat.mat_vec(g, space.bm[i][k]), _mvec(n, j))
-                if not is_zero(lhs + rhs, tol):
-                    return False
-    return True
+    gb = _g_brackets(space, g)
+    return all(is_zero(gb[i][j][k] + gb[i][k][j], tol)
+               for i in range(n) for j in range(n) for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +518,8 @@ def ricci(space, g, tol=EPS):
     """Ricci tensor of an invariant metric plus the Einstein verdict.
 
     Returns (ric, scal, einstein_ok, max_rel_dev): einstein_ok is the check
-    Ric = (scal / dim m) g at relative tolerance 1e-8.
+    Ric = (scal / dim m) g, exact on exact data and at relative tolerance
+    1e-8 on floats; max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|.
     """
     gamma = nomizu_levi_civita(space, g, tol=tol)
     n = space.dim_m
@@ -550,7 +545,7 @@ def ricci(space, g, tol=EPS):
     ginv = smallmat.inv(g)
     scal = smallmat.trace(smallmat.mat_mul(ginv, ric))
     lam = exact_div(scal, n)
-    dev = smallmat.mat_max_abs(smallmat.mat_sub(ric, smallmat.mat_scale(lam, g)))
-    scale = max(smallmat.mat_max_abs(ric), 1e-30)
-    rel = dev / scale
-    return ric, scal, rel <= 1e-8, rel
+    diff = smallmat.mat_sub(ric, smallmat.mat_scale(lam, g))
+    scale = smallmat.mat_max_abs(ric)
+    rel = smallmat.mat_max_abs(diff) / max(scale, 1e-30)
+    return ric, scal, all_zero(diff, 1e-8 * scale), rel

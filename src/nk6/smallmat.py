@@ -2,10 +2,12 @@
 
 Matrices are lists of row lists, vectors plain lists.  The same Gaussian
 elimination serves exact scalars (pivot on any nonzero entry, arithmetic
-stays exact) and floats (partial pivoting).  Zero tests follow the zero
-policy of :mod:`nk6.scalars`: scalars that are all exact are compared with
-0 exactly, otherwise by ``abs(float(x))`` against a tolerance.  Dimensions
-never exceed a few dozen here, so nothing clever is needed.
+stays exact) and floats (partial pivoting).  Products skip terms with a
+zero factor, so sparse matrices cost only their nonzero entries.  Zero
+tests follow the zero policy of :mod:`nk6.scalars`: scalars that are all
+exact are compared with 0 exactly, otherwise by ``abs(float(x))`` against a
+tolerance.  Dimensions never exceed a few dozen here, so nothing clever is
+needed.
 """
 
 from __future__ import annotations
@@ -40,9 +42,17 @@ def mat_vec(a, v):
 
 
 def _dot(u, v):
+    """sum_i u_i v_i, skipping every term with a zero factor.
+
+    The matrices of the Lie layer are sparse, so most exact products would
+    be ``Fraction(0)``; skipping them changes no value (an empty sum is the
+    exact 0) and, on floats, at most the sign of a zero.  Non-finite
+    entries, for which 0 * inf is NaN, are rejected by ``parse_space``.
+    """
     s = 0
     for x, y in zip(u, v):
-        s = s + x * y
+        if x != 0 and y != 0:
+            s = s + x * y
     return s
 
 

@@ -66,10 +66,14 @@ class SpaceDocument:
     m_indices: list
     forms: dict = field(default_factory=dict)      # name -> KForm on m
     metric: list = None                            # Gram on m, or None
+    space: ReductiveSpace = field(default=None, repr=False, compare=False)
 
     def reductive_space(self):
-        algebra = LieAlgebraData(self.constants, labels=self.labels)
-        return ReductiveSpace(algebra, self.h_indices, self.m_indices)
+        """The validated ReductiveSpace, built once and then shared."""
+        if self.space is None:
+            algebra = LieAlgebraData(self.constants, labels=self.labels)
+            self.space = ReductiveSpace(algebra, self.h_indices, self.m_indices)
+        return self.space
 
 
 def parse_space(data):

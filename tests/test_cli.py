@@ -179,6 +179,22 @@ def test_check_cone_builds_the_structure_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_check_builds_the_lie_algebra_once(monkeypatch, capsys):
+    from nk6 import lie
+
+    calls = []
+    original = lie.LieAlgebraData.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(lie.LieAlgebraData, "__init__", counting)
+    code, _ = run(capsys, "check", os.path.join(FIX, "flag.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_check_marks_float_fallback(tmp_path, capsys):
     with open(os.path.join(FIX, "s3xs3.json")) as fh:
         doc = json.load(fh)

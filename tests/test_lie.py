@@ -26,7 +26,7 @@ from nk6.lie import (
 )
 from nk6 import smallmat, s3xs3, spaces
 from nk6.hitchin import build_su3
-from nk6.scalars import QSqrt3
+from nk6.scalars import QSqrt3, is_exact
 
 
 def su2():
@@ -168,6 +168,56 @@ def test_nomizu_metric_and_torsion_identities():
                     assert t1 + t2 == 0
 
 
+def _nomizu_by_solves(space, g):
+    """The Nomizu operator by one solve of g u = rhs per basis pair."""
+    n = space.dim_m
+    bm = space.bm
+    half = Fraction(1, 2) if all(map(is_exact, (x for r in g for x in r))) else 0.5
+    gamma = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rhs = [half * (sum(g[j][l] * bm[z][i][l] for l in range(n))
+                           + sum(g[i][l] * bm[z][j][l] for l in range(n)))
+                   for z in range(n)]
+            u = smallmat.solve(g, rhs)
+            gamma[i][j] = [half * bm[i][j][r] + u[r] for r in range(n)]
+    return gamma
+
+
+def test_nomizu_matches_the_per_pair_solve():
+    fm, cp3 = spaces.flag_model(), spaces.cp3_model()
+    s = build_su3(s3xs3.candidate(
+        s3xs3.DiagonalInvariantForm((Fraction(1),) * 3)))
+    exact_cases = [
+        (fm.space, fm.metric(1, 1, 2)),
+        (fm.space, fm.metric(2, 3, 1)),
+        (cp3.space, cp3.metric(Fraction(1, 2))),
+        (s3xs3.cyclic_space(), s.g),
+    ]
+    for space, g in exact_cases:
+        gamma = nomizu_levi_civita(space, g)
+        assert gamma == _nomizu_by_solves(space, g)
+        assert all(is_exact(x) for row in gamma for v in row for x in v)
+    g = [[0.7 * float(x) for x in row] for row in fm.metric(3, 1, 2)]
+    gamma, ref = nomizu_levi_civita(fm.space, g), _nomizu_by_solves(fm.space, g)
+    assert max(abs(a - b) for r1, r2 in zip(gamma, ref)
+               for v1, v2 in zip(r1, r2) for a, b in zip(v1, v2)) < 1e-12
+
+
+def test_nomizu_inverts_the_metric_once(monkeypatch):
+    fm = spaces.flag_model()
+    calls = []
+    original = smallmat.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smallmat, "solve", counting)
+    nomizu_levi_civita(fm.space, fm.metric(1, 1, 2))
+    assert len(calls) == 1   # the one inside smallmat.inv
+
+
 def test_nomizu_u_term_localization():
     fm = spaces.flag_model()
     space = fm.space
@@ -208,6 +258,44 @@ def test_nearly_kahler_residual_catalog_cases():
     ok2, res2 = nearly_kahler_residual(
         fm.space, fm.metric(1, 1, 2), fm.acs((1, 1, 1)))
     assert not ok2 and res2 > 0
+
+
+def _sampled_nk_verdict(space, g, J, tol=1e-10):
+    """(nabla_X J) X at the basis and 25 seeded random X, max coefficient."""
+    n = space.dim_m
+    exact = all(is_exact(x) for m in (g, J) for r in m for x in r)
+    rng = random.Random(7)
+    vectors = [[1 if r == i else 0 for r in range(n)] for i in range(n)]
+    for _ in range(25):
+        vectors.append([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if exact
+                        else rng.uniform(-1, 1) for _ in range(n)])
+    gamma = nomizu_levi_civita(space, g)
+    worst = 0.0
+    for x in vectors:
+        jx = smallmat.mat_vec(J, x)
+        resid = smallmat.vec_sub(
+            bilinear_apply(gamma, x, jx),
+            smallmat.mat_vec(J, bilinear_apply(gamma, x, x)))
+        worst = max(worst, max(abs(float(r)) for r in resid))
+    return worst <= tol
+
+
+def test_polarised_nk_verdict_matches_sampling():
+    fm, cp3 = spaces.flag_model(), spaces.cp3_model()
+    cases = [(fm.space, fm.metric(r, s, t), fm.acs((1, 1, 1)))
+             for r in (1, 2, 3) for s in (1, 2, 3) for t in (1, 2, 3)]
+    cases += [(cp3.space, cp3.metric(t), cp3.acs(fiber))
+              for t in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
+              for fiber in (1, -1)]
+    verdicts = []
+    for space, g, j in cases:
+        ok, res = nearly_kahler_residual(space, g, j)
+        assert ok == _sampled_nk_verdict(space, g, j)
+        assert ok == (res == 0)
+        verdicts.append(ok)
+    # r = s = t on the flag; on CP^3 the nearly Kahler t = 1/2 with fiber
+    # sign -1 and the Kahler t = 1 with fiber sign +1 (nabla J = 0)
+    assert [i for i, ok in enumerate(verdicts) if ok] == [0, 13, 26, 30, 31]
 
 
 def test_nearly_kahler_residual_precondition_reporting():
@@ -383,6 +471,33 @@ def test_ricci_einstein_on_solution_exact():
     assert einstein and rel == 0
     assert float(scal) > 0
     assert scal == QSqrt3(0, Fraction(5, 3))  # 5/sqrt(3), exactly
+
+
+def test_ricci_einstein_verdict_is_exact_on_exact_data():
+    # a relative defect of 1e-12 passes a float test at 1e-8, not an exact one
+    fm = spaces.flag_model()
+    g = fm.metric(1, 1, 1 + Fraction(1, 10 ** 12))
+    _, _, einstein, rel = ricci(fm.space, g)
+    assert not einstein and 0 < rel < 1e-8
+    _, _, einstein, _ = ricci(fm.space, [[float(x) for x in r] for r in g])
+    assert einstein
+    _, _, einstein, rel = ricci(fm.space, fm.metric(1, 1, 1))
+    assert einstein and rel == 0
+
+
+def test_natural_reductivity_lowers_each_bracket_once(monkeypatch):
+    fm = spaces.flag_model()
+    calls = []
+    original = smallmat.mat_vec
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(smallmat, "mat_vec", counting)
+    assert is_naturally_reductive(fm.space, fm.metric(1, 1, 1))
+    assert not is_naturally_reductive(fm.space, fm.metric(1, 1, 2))
+    assert len(calls) <= 2 * 36
 
 
 def _double_sum(table, x, y):

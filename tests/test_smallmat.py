@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nk6 import smallmat as sm
+from nk6.scalars import QSqrt3, is_exact
 
 
 def rnd_mat(rng, n, bound=5):
@@ -68,3 +69,41 @@ def test_float_mode_pivoting():
     a = [[1e-14, 1.0], [1.0, 0.0]]
     x = sm.solve(a, [1.0, 2.0])
     assert abs(x[0] - 2.0) < 1e-9
+
+
+def _sparse(rng, rows, cols, entry, zero):
+    """A matrix with about a third of its entries nonzero."""
+    return [[entry(rng) if rng.random() < 0.35 else zero for _ in range(cols)]
+            for _ in range(rows)]
+
+
+_KERNEL_SCALARS = [
+    ("Fraction", lambda r: Fraction(r.randint(-7, 7), r.randint(1, 4)),
+     Fraction(0)),
+    ("QSqrt3", lambda r: QSqrt3(Fraction(r.randint(-3, 3), r.randint(1, 3)),
+                                Fraction(r.randint(-3, 3), r.randint(1, 3))),
+     QSqrt3(0)),
+    ("float", lambda r: r.uniform(-2, 2), 0.0),
+]
+
+
+@pytest.mark.parametrize("name,entry,zero", _KERNEL_SCALARS,
+                         ids=[k[0] for k in _KERNEL_SCALARS])
+def test_sparse_kernels_match_dense_double_sum(name, entry, zero):
+    rng = random.Random(11)
+    for _ in range(25):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        a = _sparse(rng, n, k, entry, zero)
+        b = _sparse(rng, k, m, entry, zero)
+        v = _sparse(rng, 1, k, entry, zero)[0]
+        w = _sparse(rng, 1, k, entry, zero)[0]
+        dense_ab = [[sum((a[i][l] * b[l][j] for l in range(k)), 0)
+                     for j in range(m)] for i in range(n)]
+        dense_av = [sum((a[i][l] * v[l] for l in range(k)), 0) for i in range(n)]
+        dense_vw = sum((v[l] * w[l] for l in range(k)), 0)
+        ab, av, vw = sm.mat_mul(a, b), sm.mat_vec(a, v), sm.vec_dot(v, w)
+        assert ab == dense_ab
+        assert av == dense_av
+        assert vw == dense_vw
+        if name != "float":
+            assert all(is_exact(x) for x in [vw] + av + [y for r in ab for y in r])
