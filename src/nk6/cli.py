@@ -25,7 +25,7 @@ from .hitchin import StructureError, build_su3, nk_check
 from .lie import ce_differential, nearly_kahler_residual, ricci
 from . import smallmat
 from .report import Report
-from .scalars import is_exact
+from .scalars import is_exact, is_zero
 from .spacefile import SpaceFormatError, load_space
 
 
@@ -40,21 +40,20 @@ def _parser():
                    help="keep exact scalars where possible, or force floats "
                         "(check only)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.add_argument("--seed", type=int, default=0, help="seed for sweeps/scans")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the verify s6 sample points")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker pool size for sweeps")
+                   help="has no effect; accepted for compatibility")
     sub = p.add_subparsers(dest="command")
 
     v = sub.add_parser("verify", help="verify a model space")
     v.add_argument("space", choices=["s3xs3", "flag", "cp3", "s6"])
     v.add_argument("--grid", type=int, default=3,
-                   help="metric grid bound for the flag manifold")
+                   help="natural-reductivity grid bound for the flag manifold")
     v.add_argument("--samples", type=int, default=100,
-                   help="random sample count (s6 points; verify s3xs3 "
-                        "sweeps at least 1000 triples)")
+                   help="random sample count for verify s6")
 
-    s = sub.add_parser("solve-s3xs3", help="classify the diagonal family")
-    s.add_argument("--samples", type=int, default=10000)
+    sub.add_parser("solve-s3xs3", help="classify the diagonal family")
 
     c = sub.add_parser("check", help="check user-supplied space data")
     c.add_argument("file")
@@ -112,34 +111,19 @@ def _cmd_verify(args):
 
 
 def _verify_s3xs3(args):
-    samples = max(args.samples, 1000)
-    rep = _base_report(args, "verify s3xs3", samples=samples)
+    rep = _base_report(args, "verify s3xs3")
     tol = args.tolerance
-    solved = s3xs3.solve_nk(samples=samples, seed=args.seed, tol=tol,
-                            threads=args.threads)
-    rep.check("uniqueness sweep (no admissible non-equal solution)",
-              solved.sweep.counterexamples == 0,
-              label="diff-system",
-              detail=f"{solved.sweep.accepted} triples")
-    rep.check("quadratic-root argument", not solved.trace.failures,
-              label="diff-system")
-    rep.check("sign patterns are all-positive or one-positive",
-              set(solved.survivors)
-              == {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)},
-              label="g-positivity")
-    rep.check("one-positive patterns have co-frame certificates",
-              len(solved.certificates) == 3, label="co-frame")
+    rep.verdicts += s3xs3.solve_nk(tol=tol).verdicts
     s = build_su3(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
         (Fraction(1),) * 3)), tol=tol)
     nk = nk_check(s, s3xs3.differential, tol=tol)
     rep.check("nearly Kahler system at lambda = 1", nk.verdict,
               label="diff-system",
               residual=max(nk.residual_r1, nk.residual_r2))
-    mu_err = abs(float(nk.mu) - float(s3xs3.mu_of(1)))
-    rep.check("mu matches 1/(2 sqrt 3)", mu_err <= tol, label="diff-system",
-              residual=mu_err)
+    mu_err = nk.mu - s3xs3.mu_of(1)
+    rep.check("mu matches 1/(2 sqrt 3)", is_zero(mu_err, tol),
+              label="diff-system", residual=abs(float(mu_err)))
     rep.scalar("mu", float(nk.mu))
-    rep.scalar("min_sweep_residual", solved.sweep.min_residual_float)
 
     space = s3xs3.cyclic_space()
     _, scal, einstein_ok, rel = ricci(space, s.g)
@@ -164,47 +148,15 @@ def _cone_verdicts(rep, structure, link_d, tol):
 
 def _verify_flag(args):
     rep = _base_report(args, "verify flag", grid=args.grid)
-    fl = spaces.flag_verify(grid=args.grid, tol=args.tolerance)
-    rep.check("bracket families match matrix commutators",
-              fl.bracket_families_exact, label="brackets")
-    rep.check("torus weights as computed characters", fl.weights_exact,
-              label="weights")
-    rep.check("canonical structure satisfies order-3 conditions",
-              fl.canonical_3symmetric, label="3symmetric")
-    mixed = {k: v for k, v in fl.flipped_integrable.items()
-             if k not in ((1, 1, 1), (-1, -1, -1))}
-    rep.check("one-summand flips are integrable", all(mixed.values()),
-              label="integrable")
-    rep.check("canonical structure is not integrable",
-              not fl.flipped_integrable[(1, 1, 1)], label="integrable")
-    rep.check("naturally reductive iff r = s = t",
-              all(((r == s == t) == v) for (r, s, t), v in fl.natred_grid.items()),
-              label="naturally-reductive")
-    rep.check("nearly Kahler verdict iff r = s = t",
-              all(((r == s == t) == v) for (r, s, t), v in fl.nk_grid.items()),
-              label="diff-system")
-    if fl.display_discrepancies or not fl.weights_match_display:
-        rep.skip("classical display deviations recorded",
-                 detail=f"{len(fl.display_discrepancies)} bracket display(s), "
-                        f"weights display match = {fl.weights_match_display}")
+    rep.verdicts += spaces.flag_verify(grid=args.grid,
+                                       tol=args.tolerance).verdicts
     return rep
 
 
 def _verify_cp3(args):
     rep = _base_report(args, "verify cp3")
     cp = spaces.cp3_verify(tol=args.tolerance)
-    rep.check("isotropy commutant has dimension 4",
-              cp.commutant_dimension == 4, label="isotropy")
-    rep.check("two irreducible summands of dims (4, 2)",
-              cp.summands_irreducible and cp.summand_dims == (4, 2),
-              label="isotropy")
-    rep.check("four invariant almost complex structures",
-              cp.acs_candidates == 4, label="isotropy")
-    rep.check("unique nearly Kahler fiber scaling", cp.nk_unique,
-              label="diff-system")
-    rep.check("unique Kahler fiber scaling, opposite sign",
-              cp.kahler_unique and cp.kahler_fiber_sign == -cp.nk_fiber_sign,
-              label="kahler")
+    rep.verdicts += cp.verdicts
     rep.scalar("t_nk", cp.t_nk)
     rep.scalar("t_kahler", cp.t_kahler)
     rep.scalar("ratio", cp.ratio)
@@ -243,22 +195,12 @@ def _verify_s6(args):
 
 
 def _cmd_solve(args):
-    rep = _base_report(args, "solve-s3xs3", samples=args.samples)
-    solved = s3xs3.solve_nk(samples=args.samples, seed=args.seed,
-                            tol=args.tolerance, threads=args.threads)
+    rep = _base_report(args, "solve-s3xs3")
+    solved = s3xs3.solve_nk(tol=args.tolerance)
     rep.check("solution family is (lambda, lambda, lambda), lambda > 0",
-              solved.ok, label="diff-system",
-              detail=solved.family)
-    rep.check("sweep found no admissible non-equal solution",
-              solved.sweep.counterexamples == 0, label="diff-system",
-              detail=f"accepted {solved.sweep.accepted} of "
-                     f"{solved.sweep.tried} tried")
-    rep.check("quadratic-root trace has no failures",
-              not solved.trace.failures, label="diff-system")
-    rep.check("family points verify end to end",
-              all(solved.verified_examples), label="diff-system")
+              solved.ok, label="diff-system", detail=solved.family)
+    rep.verdicts += solved.verdicts
     rep.scalar("mu_at_lambda_1", float(solved.mu_at_one))
-    rep.scalar("min_sweep_residual", solved.sweep.min_residual_float)
     return rep
 
 

@@ -10,6 +10,7 @@ order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, index_tuples, interior, lambda5_to_vector, wedge
@@ -113,26 +114,49 @@ class NKReport:
 
 
 # ---------------------------------------------------------------------------
+def k_matrix(psi, vol):
+    """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks."""
+    if psi.n != 6 or psi.k != 3:
+        raise ValueError("expected a 3-form in dimension 6")
+    cols = []
+    for i in range(6):
+        e = [0] * 6
+        e[i] = 1
+        cols.append(lambda5_to_vector(wedge(interior(e, psi), psi), vol))
+    return smallmat.transpose(cols)
+
+
+def contract(psi, m, slot=0):
+    """The 3-form  -psi(.., m ., ..)  with the endomorphism m in one slot.
+
+    With m = J this is phi; with m = K = kappa J it is kappa phi.
+    """
+    tuples, _ = index_tuples(psi.n, 3)
+    coeffs = []
+    for t in tuples:
+        total = 0
+        for s in range(psi.n):
+            ms = m[s][t[slot]]
+            if ms == 0:
+                continue
+            val = psi.coeff(t[:slot] + (s,) + t[slot + 1:])
+            if val != 0:
+                total = total + ms * val
+        coeffs.append(-total)
+    return KForm(psi.n, 3, coeffs)
+
+
 def hitchin_K(psi, vol, tol=EPS):
     """Endomorphism K with K(X) the vector of  interior(X, psi) ^ psi.
 
     Normalized against the given orientation form; returns (K, tau0) where
     K^2 = tau0 * Id (verified) and tau0 = trace(K^2)/6.
     """
-    if psi.n != 6 or psi.k != 3:
-        raise ValueError("expected a 3-form in dimension 6")
-    n = 6
-    cols = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        sigma = wedge(interior(e, psi), psi)
-        cols.append(lambda5_to_vector(sigma, vol))
-    K = smallmat.transpose(cols)
+    K = k_matrix(psi, vol)
     K2 = smallmat.mat_mul(K, K)
     tau0 = exact_div(smallmat.trace(K2), 6)
     dev = smallmat.mat_sub(
-        K2, smallmat.mat_scale(tau0, smallmat.identity(n, scalar_like(K2))))
+        K2, smallmat.mat_scale(tau0, smallmat.identity(6, scalar_like(K2))))
     if not all_zero(dev, 1e-8 * max(smallmat.mat_max_abs(K2), 1.0)):
         raise ArithmeticError("K^2 is not a multiple of the identity")
     return K, simplify(tau0)
@@ -151,23 +175,7 @@ def phi_from(psi, J, tol=EPS):
     compared and must agree (exactly in exact mode), which holds precisely
     when psi is of type (3,0)+(0,3) for J.
     """
-    n = 6
-    tuples, _ = index_tuples(n, 3)
-    phis = []
-    for slot in range(3):
-        coeffs = []
-        for t in tuples:
-            total = 0
-            for s in range(n):
-                js = J[s][t[slot]]
-                if js == 0:
-                    continue
-                replaced = t[:slot] + (s,) + t[slot + 1:]
-                val = psi.coeff(replaced)
-                if val != 0:
-                    total = total + js * val
-            coeffs.append(-total)
-        phis.append(KForm(n, 3, coeffs))
+    phis = [contract(psi, J, slot) for slot in range(3)]
     slot_tol = max(tol, 1e-8 * max(phis[0].max_abs(), 1.0))
     if not all((phis[0] - other).is_zero(slot_tol) for other in phis[1:]):
         raise SlotInconsistent()
@@ -252,6 +260,18 @@ def build_su3(cand, tol=EPS):
 
     return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g,
                         kappa=kappa, tau0=tau0, vol=vol)
+
+
+def build_either_orientation(omega, psi, tol=EPS):
+    """Build once, against the reference volume -sign(omega^3) e012345.
+
+    Flipping the orientation flips J and g, and only this one can give a
+    positive metric (see ``omega3_sign``).  Returns (structure,
+    orientation) or raises the structure error.
+    """
+    orient = -omega3_sign(omega)
+    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
+    return build_su3(SU3Candidate(omega, psi, vol), tol=tol), orient
 
 
 def form_dot(a, b):

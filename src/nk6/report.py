@@ -36,8 +36,22 @@ class Verdict:
         return out
 
 
+def verdict(name, ok, label="", residual=None, detail=""):
+    """A pass/fail verdict; only a failing one keeps its label."""
+    return Verdict(name=name, status=PASS if ok else FAIL,
+                   label="" if ok else label, residual=residual, detail=detail)
+
+
+class Verdicts:
+    """A model report that decides its named ``verdicts`` once."""
+
+    @property
+    def ok(self):
+        return all(v.status != FAIL for v in self.verdicts)
+
+
 @dataclass
-class Report:
+class Report(Verdicts):
     command: str
     inputs: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
@@ -47,21 +61,12 @@ class Report:
     timing_s: float = 0.0
 
     def check(self, name, ok, label="", residual=None, detail=""):
-        self.verdicts.append(Verdict(
-            name=name,
-            status=PASS if ok else FAIL,
-            label="" if ok else label,
-            residual=residual,
-            detail=detail,
-        ))
+        self.verdicts.append(verdict(name, ok, label, residual, detail))
         return ok
-
-    def skip(self, name, detail=""):
-        self.verdicts.append(Verdict(name=name, status=NA, detail=detail))
 
     @property
     def all_pass(self):
-        return all(v.status != FAIL for v in self.verdicts)
+        return self.ok
 
     def scalar(self, name, value):
         self.scalars[name] = float(value) if value is not None else None

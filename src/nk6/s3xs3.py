@@ -5,9 +5,10 @@ co-frame (e1,e2,e3,f1,f2,f3) with d e_i = e_{i+1} ^ e_{i+2} and
 d f_i = f_{i+1} ^ f_{i+2}.  A generic invariant 2-form is a triple
 (A, B, C); the type-(1,1) condition forces A = B = 0 and C diagonalizes
 under the co-frame action C -> M C N^t with M, N in SO(3), leaving the
-diagonal triple (lambda_1, lambda_2, lambda_3).  The nearly Kahler system
-collapses to one quadratic equation on the lambda_i^2, whose analysis
-yields the one-parameter solution family (lambda, lambda, lambda).
+diagonal triple (lambda_1, lambda_2, lambda_3).  A polynomial certificate
+in the lambda_i^2 (:func:`uniqueness_certificate`) shows that the nearly
+Kahler system holds only on the family (lambda, lambda, lambda), up to
+co-frame signs.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import smallmat
+from .certificate import Certificate, Claim, check_certificate
 from .exterior import KForm
 from .hitchin import SU3Candidate, build_su3, nk_check
 from .lie import LieAlgebraData, ReductiveSpace, ce_differential
+from .poly import Poly
+from .report import Verdicts, verdict
 from .scalars import EPS, QSqrt3, all_zero, exact_div, is_zero, scalar_like
 
 
@@ -262,123 +266,50 @@ def mu_of(lam):
 
 
 # ---------------------------------------------------------------------------
+def uniqueness_certificate():
+    """|l1| = |l2| = |l3| for omega = diag(l1, l2, l3), as a certificate.
+
+    In the squares x_i = l_i^2 the three minors are
+    4/27 l_i (x_j - x_k)(x_i - x_j - x_k), up to sign.  Of the 8 branches
+    only x1 = x2 = x3 meets the open orthant: the others force x = 0 or
+    one x_i = 0.
+    """
+    l1, l2, l3 = Poly.variables(3)
+    x1, x2, x3 = l1 * l1, l2 * l2, l3 * l3
+    c = Fraction(4, 27)
+    return Certificate(
+        family="S^3xS^3", variables=("l1", "l2", "l3"), omega=omega_diagonal,
+        differential=differential,
+        claims=(Claim(c, (l1, x2 - x3, x1 - x2 - x3)),
+                Claim(c, (l2, x1 - x3, x2 - x1 - x3)),
+                Claim(c, (l3, x1 - x2, x3 - x1 - x2))),
+        squares=True)
+
+
 def random_rational(rng, bound=5, max_den=9):
     den = rng.randint(1, max_den)
     num = rng.randint(-bound * den, bound * den)
     return Fraction(num, den)
 
 
-@dataclass
-class SweepResult:
-    requested: int
-    accepted: int
-    tried: int
-    counterexamples: int
-    min_residual_float: float
+def sweep_nonequal(samples=1000, seed=0, bound=5):
+    """Sampled cross-check of the certificate, serial and seeded.
 
-
-def _sweep_chunk(args):
-    samples, seed, bound = args
+    Draws rational triples in [-bound, bound]^3 and keeps the admissible
+    ones whose |lambda_i| are not all equal.  Returns (accepted,
+    counterexamples), a counterexample being a zero system residual.  No
+    verdict uses it; the tests do, and bench/tracer.py wraps it by name.
+    """
     rng = random.Random(seed)
-    accepted = tried = bad = 0
-    min_res = float("inf")
+    accepted = bad = 0
     while accepted < samples:
-        tried += 1
-        lams = (random_rational(rng, bound), random_rational(rng, bound),
-                random_rational(rng, bound))
-        if any(l == 0 for l in lams):
-            continue
-        if abs(lams[0]) == abs(lams[1]) == abs(lams[2]):
-            continue
-        if not su3_admissible(lams):
+        lams = tuple(random_rational(rng, bound) for _ in range(3))
+        if (0 in lams or abs(lams[0]) == abs(lams[1]) == abs(lams[2])
+                or not su3_admissible(lams)):
             continue
         accepted += 1
-        r = nk_residual(lams)
-        if r == 0:
-            bad += 1
-        else:
-            min_res = min(min_res, float(r))
-    return accepted, tried, bad, min_res
-
-
-def sweep_nonequal(samples=10000, seed=0, bound=5, threads=1, chunks=16):
-    """Rational sweep over admissible triples with non-equal |lambda_i|.
-
-    Draws random rational triples in [-bound, bound]^3, keeps the
-    admissible ones whose |lambda_i| are not all equal, and evaluates the
-    exact system residual on each.  Returns a SweepResult; the uniqueness
-    claim is that counterexamples (residual zero) stay at 0.
-
-    The sweep is split into a fixed number of independently seeded chunks
-    merged in index order, so the result does not depend on the worker
-    count.
-    """
-    per = [samples // chunks] * chunks
-    for i in range(samples % chunks):
-        per[i] += 1
-    jobs = [(per[i], seed * 1000003 + i, bound) for i in range(chunks) if per[i]]
-    if threads > 1:
-        import concurrent.futures as cf
-        try:
-            with cf.ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_sweep_chunk, jobs))
-        except (OSError, RuntimeError):
-            results = [_sweep_chunk(j) for j in jobs]
-    else:
-        results = [_sweep_chunk(j) for j in jobs]
-    accepted = sum(r[0] for r in results)
-    tried = sum(r[1] for r in results)
-    bad = sum(r[2] for r in results)
-    min_res = min(r[3] for r in results)
-    return SweepResult(requested=samples, accepted=accepted, tried=tried,
-                       counterexamples=bad, min_residual_float=min_res)
-
-
-@dataclass
-class QuadraticTrace:
-    """Machine-checked steps of the root argument for the lambda system."""
-
-    common_quadratic_checked: int = 0
-    distinct_roots_force_zero: int = 0
-    failures: list = field(default_factory=list)
-
-
-def quadratic_argument(seed=0, cases=200):
-    """Verify the two algebraic steps behind uniqueness, on exact instances.
-
-    (a) For random rational triples, each lambda_i^2 is a root of
-        2 x^2 - Lambda x - c_i = 0 with Lambda = sum lambda_j^2 -- an exact
-        polynomial identity, evaluated literally.
-    (b) If two values u != v were both roots of the same quadratic while
-        the triple is (u, v, v), the root sum u + v = Lambda / 2 = (u + 2v)/2
-        forces u = 0, i.e. a degenerate form.  Checked by exact elimination
-        on random instances.
-    """
-    rng = random.Random(seed)
-    trace = QuadraticTrace()
-    for _ in range(cases):
-        lams = tuple(random_rational(rng, 5) for _ in range(3))
-        if any(l == 0 for l in lams):
-            continue
-        s = [l * l for l in lams]
-        lam_sum = s[0] + s[1] + s[2]
-        cs = system_constants(lams)
-        for i in range(3):
-            val = 2 * s[i] * s[i] - lam_sum * s[i] - cs[i]
-            if val != 0:
-                trace.failures.append(("quadratic", lams, i, val))
-        trace.common_quadratic_checked += 1
-
-        u, v = s[0], s[1]
-        if u == v:
-            continue
-        # both roots of 2x^2 - Lx - c with L = u + 2v: sum of roots L/2
-        lam_eff = u + 2 * v
-        forced_u = 2 * (u + v) - lam_eff  # equals u exactly when u = 0 forced
-        if forced_u != u:
-            trace.failures.append(("elimination", lams, forced_u))
-        trace.distinct_roots_force_zero += 1
-    return trace
+        bad += nk_residual(lams) == 0
+    return accepted, bad
 
 
 def sign_pattern_analysis(lam=Fraction(1)):
@@ -416,49 +347,47 @@ def _diagonal_certificate(signs):
 
 
 @dataclass
-class SolveReport:
+class SolveReport(Verdicts):
     family: str
     mu_at_one: object
-    sweep: SweepResult
-    trace: QuadraticTrace
+    certificate: object
     survivors: list
     certificates: dict
     verified_examples: list
-
-    @property
-    def ok(self):
-        return (self.sweep.counterexamples == 0
-                and not self.trace.failures
-                and set(self.survivors)
-                == {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
-                and all(self.verified_examples))
+    verdicts: list
 
 
-def solve_nk(samples=10000, seed=0, tol=EPS, threads=1):
+def solve_nk(tol=EPS):
     """Classify the diagonal nearly Kahler triples: the family (l, l, l), l > 0.
 
-    Combines (a) the exact quadratic-root argument, (b) a rational sweep
-    showing every admissible non-equal triple has positive system residual,
-    (c) the sign-pattern analysis with co-frame certificates, and (d) full
-    pipeline verification (build + first-order system) at sample points of
-    the family.
+    Combines (a) the polynomial certificate that |l1| = |l2| = |l3|, (b)
+    the sign-pattern analysis with co-frame certificates, and (c) full
+    pipeline verification (build, first-order system, exact mu) at sample
+    points of the family.
     """
-    sweep = sweep_nonequal(samples=samples, seed=seed, threads=threads)
-    trace = quadratic_argument(seed=seed)
+    cert = check_certificate(uniqueness_certificate(), tol)
     survivors, certificates = sign_pattern_analysis()
     verified = []
     for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
         s = build_su3(candidate(DiagonalInvariantForm((lam,) * 3)), tol=tol)
         rep = nk_check(s, differential, tol=tol)
-        mu_expected = mu_of(lam)
-        verified.append(rep.verdict
-                        and abs(float(rep.mu) - float(mu_expected)) <= tol)
+        verified.append(rep.verdict and is_zero(rep.mu - mu_of(lam), tol))
+    patterns = {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
+    verdicts = [verdict(*v) for v in (
+        ("uniqueness certificate (no admissible non-equal solution)",
+         cert.unique and cert.solutions == [(1, 1, 1)], "diff-system", None,
+         cert.detail),
+        ("sign patterns are all-positive or one-positive",
+         set(survivors) == patterns, "g-positivity"),
+        ("one-positive patterns have co-frame certificates",
+         len(certificates) == 3, "co-frame"),
+        ("family points verify end to end", all(verified), "diff-system"))]
     return SolveReport(
         family="(lambda, lambda, lambda), lambda > 0, up to co-frame sign",
         mu_at_one=mu_of(1),
-        sweep=sweep,
-        trace=trace,
+        certificate=cert,
         survivors=survivors,
         certificates=certificates,
         verified_examples=verified,
+        verdicts=verdicts,
     )

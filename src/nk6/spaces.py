@@ -14,13 +14,8 @@ from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm
-from .hitchin import (
-    SU3Candidate,
-    StructureError,
-    build_su3,
-    nk_check,
-    omega3_sign,
-)
+from .certificate import Certificate, Claim, check_certificate
+from .hitchin import build_either_orientation  # noqa: F401  (spaces API)
 from .lie import (
     LieAlgebraData,
     ReductiveSpace,
@@ -30,7 +25,9 @@ from .lie import (
     is_naturally_reductive,
 )
 from .octonion import quat_conj, quat_mul
-from .scalars import EPS, all_zero
+from .poly import Poly
+from .report import NA, Verdict, Verdicts, verdict
+from .scalars import EPS, all_zero, exact_div
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +265,10 @@ class FlagModel:
     basis_matrices: list
 
     def metric(self, r, s, t):
-        vals = [r, r, s, s, t, t]
-        return [[Fraction(vals[i]) if i == j else Fraction(0)
+        """diag(r, r, s, s, t, t); the entries may be numbers or Polys."""
+        vals = [x if isinstance(x, Poly) else Fraction(x)
+                for x in (r, r, s, s, t, t)]
+        return [[vals[i] if i == j else Fraction(0)
                  for j in range(6)] for i in range(6)]
 
     def acs(self, signs=(1, 1, 1)):
@@ -309,31 +308,14 @@ def flag_model():
 
 
 @dataclass
-class FlagReport:
+class FlagReport(Verdicts):
     bracket_families_exact: bool
-    display_discrepancies: list
     weights_exact: bool
-    weights_match_display: bool
     canonical_3symmetric: bool
     flipped_integrable: dict
     natred_grid: dict
-    nk_grid: dict
-    grid: int
-
-    @property
-    def ok(self):
-        diag_ok = all(
-            (r == s == t) == v for (r, s, t), v in self.natred_grid.items())
-        nk_ok = all((r == s == t) == v for (r, s, t), v in self.nk_grid.items())
-        mixed = {k: v for k, v in self.flipped_integrable.items()
-                 if k not in ((1, 1, 1), (-1, -1, -1))}
-        canonical_not_integrable = not any(
-            self.flipped_integrable.get(k, True)
-            for k in ((1, 1, 1), (-1, -1, -1)))
-        return (self.bracket_families_exact and self.weights_exact
-                and self.canonical_3symmetric and diag_ok and nk_ok
-                and all(mixed.values()) and len(mixed) == 6
-                and canonical_not_integrable)
+    certificate: object
+    verdicts: list
 
 
 def _flag_bracket_family_checks(model):
@@ -410,6 +392,24 @@ def _flag_weight_checks(model):
     return ok, display_matches
 
 
+def flag_certificate(model):
+    """Nearly Kahler iff r = s = t, for diag(r, r, s, s, t, t) and canonical J.
+
+    The three minors are -16/27 r (s - t) (r + s + t)^3 and its two
+    companions; r + s + t has positive coefficients, so the one branch is
+    s = t, r = t, r = s.
+    """
+    r, s, t = Poly.variables(3)
+    cube = (r + s + t,) * 3
+    c = Fraction(-16, 27)
+    return Certificate(
+        family="flag", variables=("r", "s", "t"), omega=model.omega,
+        differential=lambda a: ce_differential(model.space, a,
+                                               check_invariance=False),
+        claims=(Claim(c, (r, s - t) + cube), Claim(c, (s, r - t) + cube),
+                Claim(c, (t, r - s) + cube)))
+
+
 def flag_verify(grid=4, tol=EPS):
     """Full verification of the flag manifold case.
 
@@ -417,63 +417,51 @@ def flag_verify(grid=4, tol=EPS):
     (b) torus weights on the three summands are the displayed characters;
     (c) the canonical almost complex structure satisfies the order-3
         eigenspace conditions, while every one-summand flip is integrable;
-    (d) on the (r,s,t) grid, natural reductivity and the nearly Kahler
-        verdict both hold exactly on the diagonal r = s = t and fail off it.
+    (d) on the (r,s,t) grid, natural reductivity holds exactly on the
+        diagonal r = s = t and fails off it;
+    (e) the nearly Kahler system holds iff r = s = t, by certificate.
     """
     model = flag_model()
     space = model.space
 
     failures, display = _flag_bracket_family_checks(model)
     weights_ok, weights_display = _flag_weight_checks(model)
-
-    j_can = model.acs((1, 1, 1))
-    canonical_ok = check_3symmetric(space, j_can, tol=tol)
-
-    flipped = {}
-    for signs in itertools.product((1, -1), repeat=3):
-        flipped[signs] = is_complex_subalgebra(space, model.acs(signs), tol=tol)
-
-    natred = {}
-    nk = {}
+    canonical_ok = check_3symmetric(space, model.acs((1, 1, 1)), tol=tol)
+    flipped = {signs: is_complex_subalgebra(space, model.acs(signs), tol=tol)
+               for signs in itertools.product((1, -1), repeat=3)}
+    canonical = ((1, 1, 1), (-1, -1, -1))
+    mixed = [v for k, v in flipped.items() if k not in canonical]
     rng = range(1, grid + 1)
-    for r, s, t in itertools.product(rng, rng, rng):
-        g = model.metric(r, s, t)
-        natred[(r, s, t)] = is_naturally_reductive(space, g, tol=tol)
-        nk[(r, s, t)] = _flag_nk_verdict(model, r, s, t, tol=tol)
+    natred = {(r, s, t): is_naturally_reductive(space, model.metric(r, s, t),
+                                                tol=tol)
+              for r, s, t in itertools.product(rng, rng, rng)}
+    cert = check_certificate(flag_certificate(model), tol)
 
+    verdicts = [verdict(*v) for v in (
+        ("bracket families match matrix commutators", not failures,
+         "brackets"),
+        ("torus weights as computed characters", weights_ok, "weights"),
+        ("canonical structure satisfies order-3 conditions", canonical_ok,
+         "3symmetric"),
+        ("one-summand flips are integrable", len(mixed) == 6 and all(mixed),
+         "integrable"),
+        ("canonical structure is not integrable",
+         not any(flipped[k] for k in canonical), "integrable"),
+        ("naturally reductive iff r = s = t",
+         all((r == s == t) == v for (r, s, t), v in natred.items()),
+         "naturally-reductive"),
+        ("nearly Kahler verdict iff r = s = t",
+         cert.unique and cert.solutions == [(1, 1, 1)], "diff-system", None,
+         cert.detail))]
+    if display or not weights_display:
+        verdicts.append(Verdict(
+            "classical display deviations recorded", NA,
+            detail=f"{len(display)} bracket display(s), "
+                   f"weights display match = {weights_display}"))
     return FlagReport(
-        bracket_families_exact=not failures,
-        display_discrepancies=display,
-        weights_exact=weights_ok,
-        weights_match_display=weights_display,
-        canonical_3symmetric=canonical_ok,
-        flipped_integrable=flipped,
-        natred_grid=natred,
-        nk_grid=nk,
-        grid=grid,
-    )
-
-
-def build_either_orientation(omega, psi, tol=EPS):
-    """Build once, against the reference volume -sign(omega^3) e012345.
-
-    Flipping the orientation flips J and g, and only this one can give a
-    positive metric (see ``omega3_sign``).  Returns (structure,
-    orientation) or raises the structure error.
-    """
-    orient = -omega3_sign(omega)
-    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
-    return build_su3(SU3Candidate(omega, psi, vol), tol=tol), orient
-
-
-def _flag_nk_verdict(model, r, s, t, tol=EPS):
-    d = lambda a: ce_differential(model.space, a)
-    om = model.omega(r, s, t)
-    try:
-        structure, _ = build_either_orientation(om, d(om) / 3, tol=tol)
-    except StructureError:
-        return False
-    return nk_check(structure, d, tol=tol).verdict
+        bracket_families_exact=not failures, weights_exact=weights_ok,
+        canonical_3symmetric=canonical_ok, flipped_integrable=flipped,
+        natred_grid=natred, certificate=cert, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +486,9 @@ class CP3Model:
     p_indices: tuple
     v_indices: tuple
 
-    def metric(self, t):
-        vals = [1, 1, 1, 1, t, t]
+    def metric(self, t, a=1):
+        """a g_p + t g_v; the scales may be numbers or Polys."""
+        vals = [a, a, a, a, t, t]
         return [[vals[i] if i == j else 0 for j in range(6)] for i in range(6)]
 
     def acs(self, fiber_sign=1, global_sign=1):
@@ -513,9 +502,9 @@ class CP3Model:
         out[5][4] = Fraction(fib)
         return out
 
-    def omega(self, t, fiber_sign=1):
-        """Kahler form of (metric(t), acs(fiber_sign))."""
-        return kahler_form(self.metric(t), self.acs(fiber_sign))
+    def omega(self, t, fiber_sign=1, a=1):
+        """Kahler form of (metric(t, a), acs(fiber_sign))."""
+        return kahler_form(self.metric(t, a), self.acs(fiber_sign))
 
 
 def cp3_model():
@@ -562,67 +551,62 @@ def _block_support(mat):
 
 
 @dataclass
-class CP3Report:
+class CP3Report(Verdicts):
     commutant_dimension: int
     summand_dims: tuple
     summands_irreducible: bool
     acs_candidates: int
     nk_fiber_sign: int
-    t_nk: float
-    t_kahler: float
+    t_nk: Fraction
+    t_kahler: Fraction
     kahler_fiber_sign: int
-    ratio: float
+    ratio: Fraction
     nk_unique: bool
     kahler_unique: bool
-
-    @property
-    def ok(self):
-        return (self.commutant_dimension == 4
-                and self.summand_dims == (4, 2)
-                and self.summands_irreducible
-                and self.acs_candidates == 4
-                and self.nk_unique and self.kahler_unique
-                and self.t_nk > 0 and self.t_kahler > 0)
+    verdicts: list
 
 
-def _cp3_nk_residual(model, t, fiber_sign, tol):
+def cp3_certificate(model, fiber_sign):
+    """The nearly Kahler scalings of the metric (a, a, a, a, t, t).
+
+    Fiber sign -1: the minor is 128/27 a (2t - a) (a + t)^3, one branch,
+    t = a / 2.  Fiber sign +1: 128/27 a (t - a)^3 (a + 2t), one branch
+    t = a, where tau0 = -64 (t - a)^4 / 81 vanishes, so the build fails.
+    """
+    a, t = Poly.variables(2)
+    factors = ((a, 2 * t - a) + (a + t,) * 3 if fiber_sign == -1
+               else (a,) + (t - a,) * 3 + (a + 2 * t,))
+    return Certificate(
+        family=f"CP^3 fiber {fiber_sign:+d}", variables=("a", "t"),
+        omega=lambda a, t: model.omega(t, fiber_sign, a),
+        differential=lambda x: ce_differential(model.space, x,
+                                               check_invariance=False),
+        claims=(Claim(Fraction(128, 27), factors),))
+
+
+def _kahler_scaling(model, fiber_sign):
+    """The t > 0 with d omega_t = 0, or None.
+
+    d omega_t = u + t w is linear in t: t is read off one pivot of w and
+    then u + t w == 0 is checked exactly.
+    """
     d = lambda a: ce_differential(model.space, a, check_invariance=False)
-    om = model.omega(t, fiber_sign)
-    try:
-        s, _ = build_either_orientation(om, d(om) / 3, tol=tol)
-    except StructureError:
-        return float("inf")
-    rep = nk_check(s, d, tol=tol)
-    return max(rep.residual_r1, rep.residual_r2)
+    u = d(model.omega(0, fiber_sign))
+    w = d(model.omega(1, fiber_sign)) - u
+    pivot = next((i for i, x in enumerate(w.c) if x != 0), None)
+    if pivot is None:
+        return None
+    t = exact_div(-u.c[pivot], w.c[pivot])
+    return t if t > 0 and (u + w.scale(t)).is_zero() else None
 
 
-def _golden_min(f, lo, hi, iters=80):
-    invphi = (5 ** 0.5 - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
+def cp3_verify(tol=EPS):
+    """Isotropy analysis plus the exact fiber scalings.
 
-
-def cp3_verify(tol=EPS, t_max=4.0, coarse=80):
-    """Isotropy analysis plus the fiber-scaling scan.
-
-    The invariant metrics are g_t = g_p + t g_v up to homothety; the scan
-    locates the unique t where one fiber sign of the almost complex
-    structure solves the nearly Kahler system, and the unique t where the
-    opposite sign gives a closed Kahler form (d omega = 0, solved linearly
-    in t); their ratio is reported.
+    The invariant metrics are g = a g_p + t g_v.  A certificate per fiber
+    sign of the almost complex structure gives the nearly Kahler rays, and
+    the Kahler condition d omega = 0 is linear in t; their ratio is
+    reported.
     """
     model = cp3_model()
     space = model.space
@@ -635,67 +619,35 @@ def cp3_verify(tol=EPS, t_max=4.0, coarse=80):
     irreducible = (len(p_only) == 2 and len(v_only) == 2 and not cross
                    and _has_complex_generator(p_only, 4, (0, 1, 2, 3))
                    and _has_complex_generator(v_only, 2, (4, 5)))
-
     acs_count = _count_acs_candidates(model, comm)
 
-    # Kahler scaling: d omega_t = u + t * w is linear in t
-    results = {}
-    for sv in (1, -1):
-        om0 = model.omega(0, sv)  # t = 0 part
-        om1 = (model.omega(1, sv) - om0)  # fiber part coefficient
-        u = ce_differential(space, om0, check_invariance=False)
-        w = ce_differential(space, om1, check_invariance=False)
-        uw = sum(float(a) * float(b) for a, b in zip(u.c, w.c))
-        ww = sum(float(b) * float(b) for b in w.c)
-        t_star = -uw / ww
-        resid = (u + w.scale(t_star)).max_abs()
-        results[sv] = (t_star, resid)
-
-    kahler = [(sv, ts) for sv, (ts, r) in results.items() if ts > 0 and r <= 1e-9]
-    kahler_sign, t_k = kahler[-1] if kahler else (None, None)
+    kahler = [(sv, t) for sv in (1, -1)
+              if (t := _kahler_scaling(model, sv)) is not None]
     kahler_unique = len(kahler) == 1
+    kahler_sign, t_k = kahler[0] if kahler_unique else (0, None)
 
-    # nearly Kahler scaling: scan then refine
-    nk_sign = None
-    t_nk = None
-    nk_unique = True
-    for sv in (1, -1):
-        f = lambda t: _cp3_nk_residual(model, t, sv, tol)
-        ts = [t_max * (k + 1) / coarse for k in range(coarse)]
-        vals = [f(t) for t in ts]
-        finite = [v for v in vals if v != float("inf")]
-        if not finite:
-            continue
-        basins = []
-        for k in range(1, coarse - 1):
-            if vals[k] < vals[k - 1] and vals[k] < vals[k + 1]:
-                basins.append(k)
-        hits = []
-        for k in basins:
-            x, v = _golden_min(f, ts[max(0, k - 1)], ts[min(coarse - 1, k + 1)])
-            if v <= 1e-8:
-                hits.append((x, v))
-        if hits:
-            if nk_sign is not None or len(hits) > 1:
-                nk_unique = False
-            nk_sign = sv
-            t_nk = hits[0][0]
-    nk_unique = nk_unique and nk_sign is not None
+    certs = {sv: check_certificate(cp3_certificate(model, sv), tol)
+             for sv in (-1, 1)}
+    found = [(sv, ray[1]) for sv, c in certs.items() for ray in c.solutions]
+    nk_unique = all(c.ok for c in certs.values()) and len(found) == 1
+    nk_sign, t_nk = found[0] if nk_unique else (0, None)
 
-    ratio = (t_k / t_nk) if (t_k and t_nk) else float("nan")
+    verdicts = [verdict(*v) for v in (
+        ("isotropy commutant has dimension 4", dim_comm == 4, "isotropy"),
+        ("two irreducible summands of dims (4, 2)", irreducible, "isotropy"),
+        ("four invariant almost complex structures", acs_count == 4,
+         "isotropy"),
+        ("unique nearly Kahler fiber scaling", nk_unique, "diff-system", None,
+         "; ".join(c.detail for c in certs.values())),
+        ("unique Kahler fiber scaling, opposite sign",
+         kahler_unique and kahler_sign == -nk_sign, "kahler"))]
     return CP3Report(
-        commutant_dimension=dim_comm,
-        summand_dims=(4, 2),
-        summands_irreducible=irreducible,
-        acs_candidates=acs_count,
-        nk_fiber_sign=nk_sign if nk_sign else 0,
-        t_nk=t_nk if t_nk else float("nan"),
-        t_kahler=t_k if t_k else float("nan"),
-        kahler_fiber_sign=kahler_sign if kahler_sign else 0,
-        ratio=ratio,
-        nk_unique=nk_unique,
-        kahler_unique=kahler_unique,
-    )
+        commutant_dimension=dim_comm, summand_dims=(4, 2),
+        summands_irreducible=irreducible, acs_candidates=acs_count,
+        nk_fiber_sign=nk_sign, t_nk=t_nk, t_kahler=t_k,
+        kahler_fiber_sign=kahler_sign,
+        ratio=t_k / t_nk if t_k and t_nk else None, nk_unique=nk_unique,
+        kahler_unique=kahler_unique, verdicts=verdicts)
 
 
 def _has_complex_generator(block_endos, size, idx):

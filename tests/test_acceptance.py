@@ -10,7 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from conftest import pipeline_nk_verdict
 from nk6 import cone, octonion as oc, s3xs3, smallmat, spaces
+from nk6.certificate import pair_polynomials
 from nk6.exterior import KForm
 from nk6.hitchin import SU3Candidate, build_su3, nk_check
 from nk6.lie import (
@@ -21,27 +23,35 @@ from nk6.lie import (
     nearly_kahler_residual,
     ricci,
 )
+from nk6.poly import Poly
 
 
 def test_criterion_1_s3xs3_uniqueness_and_mu():
-    """Diagonal family solve: >= 10^4 sweep, mu = 1/(2 sqrt 3) at lambda 1,
-    under 30 seconds."""
+    """Diagonal family solve: the polynomial certificate leaves only
+    |l1| = |l2| = |l3|, mu = 1/(2 sqrt 3) at lambda 1, under 30 seconds."""
     started = time.time()
-    rep = s3xs3.solve_nk(samples=10000, seed=0)
+    rep = s3xs3.solve_nk()
     elapsed = time.time() - started
     assert rep.ok
-    assert rep.sweep.accepted >= 10000
-    assert rep.sweep.counterexamples == 0
+    assert rep.certificate.unique
+    assert rep.certificate.solutions == [(1, 1, 1)]
     assert rep.family.startswith("(lambda, lambda, lambda)")
     nk = nk_check(build_su3(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
         (Fraction(1),) * 3))), s3xs3.differential)
     assert nk.verdict
+    assert nk.mu == s3xs3.mu_of(1)
     assert abs(float(nk.mu) - 1 / (2 * 3 ** 0.5)) <= 1e-10
     assert elapsed < 30
 
 
 def test_criterion_2_tau_formula_identity():
-    """81 tau0 equals the quartic and its factorization on 500 exact triples."""
+    """81 tau0 equals the quartic and its factorization as polynomials, and
+    on 500 exact triples."""
+    lams = Poly.variables(3)
+    tau0, _ = pair_polynomials(s3xs3.omega_diagonal(*lams), s3xs3.differential)
+    assert 81 * tau0 == s3xs3.quartic_invariant(lams)
+    assert 81 * tau0 == s3xs3.quartic_factored(lams)
+
     rng = random.Random(101)
     vol = s3xs3.volume_form()
     checked = 0
@@ -59,36 +69,38 @@ def test_criterion_2_tau_formula_identity():
 
 
 def test_criterion_3_flag_manifold():
-    """Exact brackets and order-3 conditions; on {1..4}^3 both natural
-    reductivity and the nearly Kahler verdict hold iff r = s = t.
-    Under 60 seconds."""
+    """Exact brackets and order-3 conditions; on {1..4}^3 natural
+    reductivity holds iff r = s = t, and the certificate proves the nearly
+    Kahler system holds iff r = s = t.  Under 60 seconds."""
     started = time.time()
     rep = spaces.flag_verify(grid=4)
     elapsed = time.time() - started
+    assert rep.ok
     assert rep.bracket_families_exact
     assert rep.weights_exact
     assert rep.canonical_3symmetric
-    assert len(rep.natred_grid) == 64 and len(rep.nk_grid) == 64
+    assert len(rep.natred_grid) == 64
     for key in rep.natred_grid:
-        diag = key[0] == key[1] == key[2]
-        assert rep.natred_grid[key] == diag
-        assert rep.nk_grid[key] == diag
+        assert rep.natred_grid[key] == (key[0] == key[1] == key[2])
+    assert rep.certificate.unique
+    assert rep.certificate.solutions == [(1, 1, 1)]
     assert elapsed < 60
 
 
 def test_criterion_4_cp3():
     """Two irreducible summands (4,2); one nearly Kahler fiber scaling for one
-    sign pattern and one Kahler scaling for the opposite sign, both to
-    relative precision 1e-6."""
+    sign pattern and one Kahler scaling for the opposite sign, exactly
+    t_nk = 1/2 and t_kahler = 1."""
     rep = spaces.cp3_verify()
+    assert rep.ok
     assert rep.commutant_dimension == 4
     assert rep.summand_dims == (4, 2) and rep.summands_irreducible
     assert rep.acs_candidates == 4
     assert rep.nk_unique and rep.kahler_unique
     assert rep.kahler_fiber_sign == -rep.nk_fiber_sign
-    # located to relative precision 1e-6 against independently refined values
-    assert abs(rep.t_nk - 0.5) / 0.5 <= 1e-6
-    assert abs(rep.t_kahler - 1.0) / 1.0 <= 1e-6
+    assert rep.t_nk == Fraction(1, 2)
+    assert rep.t_kahler == 1
+    assert rep.ratio == 2
 
 
 def test_criterion_5_cone_g2():
@@ -216,7 +228,8 @@ def test_criterion_7_cross_oracle_consistency():
     g = fm.metric(1, 1, 2)
     ok, res = nearly_kahler_residual(fm.space, g, fm.acs((1, 1, 1)))
     assert not ok
-    assert not spaces._flag_nk_verdict(fm, 1, 1, 2)
+    assert not pipeline_nk_verdict(fm.omega(1, 1, 2),
+                                   lambda a: ce_differential(fm.space, a))
 
 
 def test_criterion_8_einstein():

@@ -214,13 +214,39 @@ def test_check_marks_float_fallback(tmp_path, capsys):
     assert Report.from_json(out).verdicts[0].detail == ""
 
 
-def test_verify_s3xs3_reports_the_swept_sample_count(capsys):
-    code, out = run(capsys, "--json", "verify", "s3xs3", "--samples", "10")
+@pytest.mark.parametrize("argv,name,certificate", [
+    (["verify", "s3xs3"],
+     "uniqueness certificate (no admissible non-equal solution)",
+     "certificate S^3xS^3 (l1^2, l2^2, l3^2): 8 branches, "
+     "solution ray (1, 1, 1)"),
+    (["solve-s3xs3"],
+     "uniqueness certificate (no admissible non-equal solution)",
+     "certificate S^3xS^3 (l1^2, l2^2, l3^2): 8 branches, "
+     "solution ray (1, 1, 1)"),
+    (["verify", "flag", "--grid", "2"], "nearly Kahler verdict iff r = s = t",
+     "certificate flag (r, s, t): 1 branch, solution ray (1, 1, 1)"),
+    (["verify", "cp3"], "unique nearly Kahler fiber scaling",
+     "certificate CP^3 fiber -1 (a, t): 1 branch, solution ray (1, 1/2); "
+     "certificate CP^3 fiber +1 (a, t): 1 branch, no solution"),
+], ids=["s3xs3", "solve", "flag", "cp3"])
+def test_uniqueness_verdicts_name_their_certificates(capsys, argv, name,
+                                                     certificate):
+    code, out = run(capsys, "--json", "--threads", "1", *argv)
     assert code == 0
     rep = Report.from_json(out)
-    assert rep.inputs["samples"] == 1000
-    sweep = next(v for v in rep.verdicts if v.name.startswith("uniqueness sweep"))
-    assert sweep.detail == "1000 triples"
+    verdict = next(v for v in rep.verdicts if v.name == name)
+    assert verdict.status == "pass"
+    assert verdict.detail == certificate
+    assert verdict.residual is None
+    assert not any("sweep" in v.name for v in rep.verdicts)
+
+
+def test_verify_cp3_reports_exact_scalings(capsys):
+    code, out = run(capsys, "--json", "verify", "cp3")
+    assert code == 0
+    scalars = Report.from_json(out).scalars
+    assert (scalars["t_nk"], scalars["t_kahler"], scalars["ratio"]) == \
+        (0.5, 1.0, 2.0)
 
 
 def _s3xs3_copy(tmp_path, edit):
@@ -270,7 +296,7 @@ def test_malformed_space_document_is_exit_two(tmp_path, capsys, edit, path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["table"], ["verify", "flag", "--grid", "1"], ["solve-s3xs3", "--samples", "1"]])
+    ["table"], ["verify", "flag", "--grid", "1"], ["solve-s3xs3"]])
 def test_scalar_float_outside_check_is_usage_error(capsys, argv):
     code = main(["--scalar", "float"] + argv)
     captured = capsys.readouterr()
@@ -284,7 +310,8 @@ def test_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, nk6.cli; print('numpy' in sys.modules)"],
+         "import sys, nk6.cli, nk6.spaces, nk6.s3xs3, nk6.poly; "
+         "print('numpy' in sys.modules, 'sympy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nk6 import s3xs3, smallmat
+from nk6.certificate import check_certificate
 from nk6.exterior import wedge
 from nk6.hitchin import StructureError, build_su3, nk_check
 from nk6.scalars import QSqrt3
@@ -173,24 +174,24 @@ def test_k_identity_on_admissible_triples():
 
 
 def test_sweep_no_counterexamples():
-    res = s3xs3.sweep_nonequal(samples=600, seed=5)
-    assert res.accepted == 600
-    assert res.counterexamples == 0
-    assert res.min_residual_float > 0
+    # the sampled oracle agrees with the certificate: no admissible
+    # non-equal triple solves the system
+    accepted, bad = s3xs3.sweep_nonequal(samples=600, seed=5)
+    assert accepted == 600
+    assert bad == 0
 
 
-def test_sweep_deterministic_and_thread_invariant():
-    a = s3xs3.sweep_nonequal(samples=300, seed=9, threads=1)
-    b = s3xs3.sweep_nonequal(samples=300, seed=9, threads=2)
-    assert (a.accepted, a.tried, a.counterexamples, a.min_residual_float) == \
-           (b.accepted, b.tried, b.counterexamples, b.min_residual_float)
+def test_sweep_is_deterministic():
+    assert s3xs3.sweep_nonequal(samples=300, seed=9) == \
+        s3xs3.sweep_nonequal(samples=300, seed=9)
 
 
-def test_quadratic_argument_trace():
-    trace = s3xs3.quadratic_argument(seed=3, cases=150)
-    assert not trace.failures
-    assert trace.common_quadratic_checked > 100
-    assert trace.distinct_roots_force_zero > 50
+def test_uniqueness_certificate_leaves_only_the_equal_family():
+    res = check_certificate(s3xs3.uniqueness_certificate())
+    assert res.ok and res.unique
+    assert res.solutions == [(1, 1, 1)]
+    assert res.detail == ("certificate S^3xS^3 (l1^2, l2^2, l3^2): "
+                          "8 branches, solution ray (1, 1, 1)")
 
 
 def test_sign_pattern_analysis():
@@ -205,8 +206,10 @@ def test_sign_pattern_analysis():
 
 
 def test_solve_nk_full():
-    rep = s3xs3.solve_nk(samples=1500, seed=2)
+    rep = s3xs3.solve_nk()
     assert rep.ok
+    assert rep.certificate.solutions == [(1, 1, 1)]
+    assert all(rep.verified_examples)
     assert rep.mu_at_one == s3xs3.mu_of(1)
     assert float(rep.mu_at_one) == pytest.approx(1 / (2 * 3 ** 0.5), abs=1e-14)
 

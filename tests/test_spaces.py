@@ -107,7 +107,11 @@ def test_flag_verify_small_grid():
     assert len(mixed) == 6 and all(mixed.values())
     assert not rep.flipped_integrable[(1, 1, 1)]
     assert rep.natred_grid[(1, 1, 1)] and not rep.natred_grid[(1, 1, 2)]
-    assert rep.nk_grid[(2, 2, 2)] and not rep.nk_grid[(2, 1, 1)]
+    assert rep.certificate.solutions == [(1, 1, 1)]
+    nk = next(v for v in rep.verdicts
+              if v.name == "nearly Kahler verdict iff r = s = t")
+    assert nk.status == "pass"
+    assert nk.detail == "certificate flag (r, s, t): 1 branch, solution ray (1, 1, 1)"
 
 
 def test_cp3_model_reductive_split():
@@ -141,9 +145,12 @@ def test_cp3_verify():
     assert rep.summand_dims == (4, 2)
     assert rep.acs_candidates == 4
     assert rep.nk_fiber_sign == -rep.kahler_fiber_sign
-    assert rep.t_nk == pytest.approx(0.5, abs=1e-6)
-    assert rep.t_kahler == pytest.approx(1.0, abs=1e-9)
-    assert rep.ratio == pytest.approx(2.0, abs=1e-5)
+    assert rep.nk_fiber_sign == -1
+    assert rep.t_nk == Fraction(1, 2)
+    assert rep.t_kahler == 1
+    assert rep.ratio == 2
+    assert all(isinstance(x, Fraction)
+               for x in (rep.t_nk, rep.t_kahler, rep.ratio))
 
 
 def test_table_rows():
