@@ -3,7 +3,8 @@
 Both spaces carry finitely many invariant almost complex structures.  On
 the flag manifold the three one-summand flips are integrable while the
 canonical structure satisfies the order-3 eigenspace conditions; natural
-reductivity and the nearly Kahler property single out r = s = t.  On CP^3
+reductivity (a linear condition on the metric, so one nullspace) and the
+nearly Kahler property single out r = s = t.  On CP^3
 one fiber scaling is nearly Kahler for one fiber sign, and the Kahler
 scaling sits at exactly twice it for the opposite sign.  Each nearly
 Kahler claim is a polynomial certificate, printed below.
@@ -16,14 +17,14 @@ def show(cert):
     for claim in cert.claims:
         print("    minor =", claim.format(cert.variables))
 
-flag = spaces.flag_verify(grid=3)
+flag = spaces.flag_verify()
 print("flag manifold:")
 print("  brackets exact          :", flag.bracket_families_exact)
 print("  canonical order-3       :", flag.canonical_3symmetric)
 print("  integrable flips        :",
       sorted(k for k, v in flag.flipped_integrable.items() if v))
-print("  naturally reductive hits:",
-      [k for k, v in flag.natred_grid.items() if v])
+print("  naturally reductive on  :",
+      ", ".join("(" + ", ".join(map(str, ray)) + ")" for ray in flag.natred_rays))
 print("  nearly Kahler           :", flag.certificate.detail)
 show(spaces.flag_certificate(spaces.flag_model()))
 

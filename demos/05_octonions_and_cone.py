@@ -21,7 +21,15 @@ e2[1] = 1
 print("P(i1, i2)      =", octonion.cross(e1, e2))
 print("phi0           =", octonion.g2_three_form())
 
-# the sphere structure at a point, exactly
+# S^6 = G2/SU(3): g2 is the stabiliser of phi0, and it moves e1 in 6
+# independent directions, so G2 is transitive on the sphere
+s6rep = octonion.s6_verify()
+print("dim g2         =", s6rep.scalars["g2_dimension"])
+print("orbit rank     =", s6rep.scalars["orbit_rank"],
+      ", isotropy dim", s6rep.scalars["isotropy_dimension"])
+
+# the sphere structure at a point, exactly; by G2-equivariance the
+# agreement at e1 holds at every point
 x = [Fraction(0)] * 7
 x[0] = Fraction(1)
 s6, basis, dev = octonion.s6_structure_at(x)

@@ -13,20 +13,23 @@ parse error.  ``--json`` switches the report to machine-readable output.
 from __future__ import annotations
 
 import argparse
-import math
-import random
 import sys
 import time
-from fractions import Fraction
 
-from . import cone as cone_mod
-from . import octonion, s3xs3, spaces
-from .hitchin import StructureError, build_su3, nk_check
-from .lie import ce_differential, nearly_kahler_residual, ricci
-from . import smallmat
+from . import octonion, s3xs3, smallmat, spaces
+from .cone import cone_verdicts
+from .hitchin import StructureError, nk_check
+from .lie import ce_differential, nearly_kahler_residual
 from .report import Report
-from .scalars import is_exact, is_zero
+from .scalars import is_exact
 from .spacefile import SpaceFormatError, load_space
+
+
+def _inert(parser, *flags):
+    """Options that change nothing, kept so that older command lines run."""
+    for flag in flags:
+        parser.add_argument(flag, type=int,
+                            help="has no effect; accepted for compatibility")
 
 
 def _parser():
@@ -40,18 +43,12 @@ def _parser():
                    help="keep exact scalars where possible, or force floats "
                         "(check only)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the verify s6 sample points")
-    p.add_argument("--threads", type=int, default=1,
-                   help="has no effect; accepted for compatibility")
+    _inert(p, "--seed", "--threads")
     sub = p.add_subparsers(dest="command")
 
     v = sub.add_parser("verify", help="verify a model space")
     v.add_argument("space", choices=["s3xs3", "flag", "cp3", "s6"])
-    v.add_argument("--grid", type=int, default=3,
-                   help="natural-reductivity grid bound for the flag manifold")
-    v.add_argument("--samples", type=int, default=100,
-                   help="random sample count for verify s6")
+    _inert(v, "--grid", "--samples")
 
     sub.add_parser("solve-s3xs3", help="classify the diagonal family")
 
@@ -95,102 +92,19 @@ def main(argv=None):
 
 
 def _base_report(args, command, **inputs):
-    return Report(command=command, inputs=inputs,
-                  tolerance=args.tolerance, seed=args.seed)
+    return Report(command=command, inputs=inputs, tolerance=args.tolerance)
 
 
 # ---------------------------------------------------------------------------
 def _cmd_verify(args):
-    if args.space == "s3xs3":
-        return _verify_s3xs3(args)
-    if args.space == "flag":
-        return _verify_flag(args)
-    if args.space == "cp3":
-        return _verify_cp3(args)
-    return _verify_s6(args)
-
-
-def _verify_s3xs3(args):
-    rep = _base_report(args, "verify s3xs3")
-    tol = args.tolerance
-    rep.verdicts += s3xs3.solve_nk(tol=tol).verdicts
-    s = build_su3(s3xs3.candidate(s3xs3.DiagonalInvariantForm(
-        (Fraction(1),) * 3)), tol=tol)
-    nk = nk_check(s, s3xs3.differential, tol=tol)
-    rep.check("nearly Kahler system at lambda = 1", nk.verdict,
-              label="diff-system",
-              residual=max(nk.residual_r1, nk.residual_r2))
-    mu_err = nk.mu - s3xs3.mu_of(1)
-    rep.check("mu matches 1/(2 sqrt 3)", is_zero(mu_err, tol),
-              label="diff-system", residual=abs(float(mu_err)))
-    rep.scalar("mu", float(nk.mu))
-
-    space = s3xs3.cyclic_space()
-    _, scal, einstein_ok, rel = ricci(space, s.g)
-    rep.check("Einstein with positive scalar curvature",
-              einstein_ok and float(scal) > 0, label="einstein", residual=rel)
-    rep.scalar("scal", float(scal))
-    _cone_verdicts(rep, s, s3xs3.differential, tol)
-    rep.scalar("kappa", float(s.kappa))
-    rep.scalar("tau0", float(s.tau0))
-    return rep
-
-
-def _cone_verdicts(rep, structure, link_d, tol):
-    """Run the cone check on a built structure and report its two verdicts."""
-    crep = cone_mod.cone_check(structure, link_d, tol=tol)
-    rep.check("cone form closed", crep.d_rho_residual <= tol,
-              label="cone-closed", residual=crep.d_rho_residual)
-    rep.check("cone form coclosed", crep.d_star_rho_residual <= tol,
-              label="cone-coclosed", residual=crep.d_star_rho_residual)
-    return crep
-
-
-def _verify_flag(args):
-    rep = _base_report(args, "verify flag", grid=args.grid)
-    rep.verdicts += spaces.flag_verify(grid=args.grid,
-                                       tol=args.tolerance).verdicts
-    return rep
-
-
-def _verify_cp3(args):
-    rep = _base_report(args, "verify cp3")
-    cp = spaces.cp3_verify(tol=args.tolerance)
-    rep.verdicts += cp.verdicts
-    rep.scalar("t_nk", cp.t_nk)
-    rep.scalar("t_kahler", cp.t_kahler)
-    rep.scalar("ratio", cp.ratio)
-    return rep
-
-
-def _verify_s6(args):
-    rep = _base_report(args, "verify s6", samples=args.samples)
-    tol = args.tolerance
-    rng = random.Random(args.seed)
-    worst = 0.0
-    failures = 0
-    for _ in range(args.samples):
-        v = [rng.gauss(0.0, 1.0) for _ in range(7)]
-        norm = math.hypot(*v)
-        try:
-            _, _, dev = octonion.s6_structure_at([t / norm for t in v], tol=tol)
-            worst = max(worst, dev)
-        except StructureError:
-            failures += 1
-    rep.check("structure builds at random points", failures == 0,
-              label="stability")
-    rep.check("stable-form J equals octonion J (up to global sign)",
-              worst <= max(tol, 1e-9), label="octonion-J", residual=worst)
-
-    s6, _, dev0 = octonion.s6_structure_at([Fraction(1)] + [Fraction(0)] * 6)
-    rep.check("exact agreement at a basis point", dev0 == 0,
-              label="octonion-J", residual=float(dev0))
-    _cone_verdicts(rep, s6, cone_mod.s6_link_differential(s6), tol)
-    rho7 = cone_mod.u_basis_expansion(cone_mod.cone_rho(s6.omega, s6.psi))
-    c, devg2 = cone_mod.g2_metric_identity(rho7)
-    rep.check("constant metric identity of the cone 3-form", devg2 <= 1e-9,
-              label="g2-identity", residual=devg2)
-    rep.scalar("g2_identity_constant", float(c))
+    rep = _base_report(args, f"verify {args.space}")
+    # looked up per call, so that a wrapped module function is the one run
+    verify = {"s3xs3": s3xs3.verify, "flag": spaces.flag_verify,
+              "cp3": spaces.cp3_verify, "s6": octonion.s6_verify}[args.space]
+    model = verify(tol=args.tolerance)
+    rep.verdicts += model.verdicts
+    for name, value in model.scalars.items():
+        rep.scalar(name, value)
     return rep
 
 
@@ -278,7 +192,8 @@ def _cmd_check(args):
                       label="nabla-J", detail=str(ex))
 
     if args.cone:
-        crep = _cone_verdicts(rep, structure, d, tol)
+        verdicts, crep = cone_verdicts(structure, d, tol)
+        rep.verdicts += verdicts
         rep.scalar("cone_omega2_coefficient", float(crep.omega2_coefficient))
     return rep
 

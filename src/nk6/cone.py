@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from . import smallmat
-from .exterior import KForm, hodge_star, metric_volume, wedge
+from .exterior import KForm, hodge_star, interior, metric_volume, wedge
 from .hitchin import form_dot, mu_volume_fit, omega3_sign
+from .report import verdict
 from .scalars import EPS, all_zero, exact_div, is_positive, simplify
 
 
@@ -49,9 +50,6 @@ class ConeForm:
         for (a, dr, _), f in other.terms.items():
             out.add(a, dr, f)
         return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, s):
         out = ConeForm()
@@ -212,31 +210,28 @@ def cone_check(s, link_d, tol=EPS):
     )
 
 
-def g2_metric_identity(rho7, tol=1e-8):
+def cone_verdicts(s, link_d, tol=EPS):
+    """Run :func:`cone_check`; returns (its two verdicts, the ConeReport)."""
+    crep = cone_check(s, link_d, tol=tol)
+    return [verdict("cone form closed", crep.d_rho_residual <= tol,
+                    "cone-closed", crep.d_rho_residual),
+            verdict("cone form coclosed", crep.d_star_rho_residual <= tol,
+                    "cone-coclosed", crep.d_star_rho_residual)], crep
+
+
+def g2_metric_identity(rho7):
     """Fitted constant of  i_X rho ^ i_Y rho ^ rho = c <X, Y> vol7.
 
-    Evaluated on the standard basis of R^7; returns (c, max deviation from
-    c * identity).  For the unit cone form of a parallel structure the
-    standard identity gives |c| = 6 (recorded by callers, not asserted).
+    Evaluated on the standard basis of R^7; returns (c, the largest entry
+    of q - c * identity in absolute value), both exact on exact input.
+    For the unit cone form of a parallel structure the standard identity
+    gives |c| = 6 (recorded by callers, not asserted).
     """
-    from .exterior import interior
-
-    n = 7
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ei = [0] * n
-        ei[i] = 1
-        ri = interior(ei, rho7)
-        for j in range(i, n):
-            ej = [0] * n
-            ej[j] = 1
-            rj = interior(ej, rho7)
-            top = wedge(wedge(ri, rj), rho7)
-            q[i][j] = q[j][i] = top.c[0]
-    c = exact_div(smallmat.trace(q), n)
-    dev = smallmat.mat_max_abs(
-        smallmat.mat_sub(q, smallmat.mat_scale(c, smallmat.identity(n))))
-    return simplify(c), dev
+    rows = [interior(e, rho7) for e in smallmat.identity(7)]
+    q = [[wedge(wedge(ri, rj), rho7).c[0] for rj in rows] for ri in rows]
+    c = exact_div(smallmat.trace(q), 7)
+    dev = smallmat.mat_sub(q, smallmat.mat_scale(c, smallmat.identity(7)))
+    return simplify(c), max(abs(x) for row in dev for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ def contract(psi, m, slot=0):
     return KForm(psi.n, 3, coeffs)
 
 
-def hitchin_K(psi, vol, tol=EPS):
+def hitchin_K(psi, vol):
     """Endomorphism K with K(X) the vector of  interior(X, psi) ^ psi.
 
     Normalized against the given orientation form; returns (K, tau0) where
@@ -206,7 +206,7 @@ def build_su3(cand, tol=EPS):
     exact = not any(isinstance(c, float)
                     for c in (*omega.c, *psi.c, *vol.c))
 
-    K, tau0 = hitchin_K(psi, vol, tol=tol)
+    K, tau0 = hitchin_K(psi, vol)
     if not is_positive(-tau0):
         raise NotStable(f"tau0 = {tau0} is not negative")
 

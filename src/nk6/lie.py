@@ -393,12 +393,17 @@ def normal_torsion_curvature(space):
     return t, r
 
 
-def is_naturally_reductive(space, g, tol=EPS):
-    """g([X,Y]_m, Z) = -g([X,Z]_m, Y) over all basis triples."""
+def natural_reductivity_defect(space, g):
+    """g([X,Y]_m, Z) + g([X,Z]_m, Y) over all basis triples, linear in g."""
     n = space.dim_m
     gb = _g_brackets(space, g)
-    return all(is_zero(gb[i][j][k] + gb[i][k][j], tol)
-               for i in range(n) for j in range(n) for k in range(n))
+    return [gb[i][j][k] + gb[i][k][j]
+            for i in range(n) for j in range(n) for k in range(n)]
+
+
+def is_naturally_reductive(space, g, tol=EPS):
+    """g([X,Y]_m, Z) = -g([X,Z]_m, Y) over all basis triples."""
+    return all_zero(natural_reductivity_defect(space, g), tol)
 
 
 # ---------------------------------------------------------------------------

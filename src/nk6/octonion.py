@@ -1,10 +1,11 @@
 """Octonions by Cayley-Dickson doubling, the 7-dimensional cross product,
-and the pointwise SU(3)-structures on the unit 6-sphere.
+the pointwise SU(3)-structures on the unit 6-sphere, and S^6 = G2/SU(3).
 
 The doubling rule is (a, b)(c, d) = (ac - d*b, da + bc*) over the
 quaternions, which are doubled from the complexes the same way.  All table
-entries are integers, so basis identities hold exactly; float vectors are
-fine for randomized checks.
+entries are integers, so basis identities hold exactly, and so does every
+verdict of :func:`s6_verify`: g2 is computed as a nullspace over Q and the
+structure is compared with the octonion product at one exact point.
 """
 
 from __future__ import annotations
@@ -12,9 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import smallmat
+from .cone import (
+    cone_rho, cone_verdicts, g2_metric_identity, s6_link_differential,
+    u_basis_expansion)
 from .exterior import KForm, index_tuples
-from .hitchin import SU3Candidate, build_su3
-from .scalars import EPS, exact_div, scalar_like
+from .hitchin import StructureError, SU3Candidate, build_su3, contract
+from .report import Verdicts, verdict
+from .scalars import EPS, all_zero, exact_div, is_zero, scalar_like
 
 
 def quat_mul(a, b):
@@ -42,23 +47,6 @@ def oct_mul(x, y):
     return first + second
 
 
-def _build_table():
-    table = []
-    for i in range(8):
-        ei = [0] * 8
-        ei[i] = 1
-        row = []
-        for j in range(8):
-            ej = [0] * 8
-            ej[j] = 1
-            row.append(oct_mul(ei, ej))
-        table.append(row)
-    return table
-
-
-MULT_TABLE = _build_table()
-
-
 def cross(x, y):
     """2-fold vector cross product on R^7 (imaginary octonions).
 
@@ -74,27 +62,15 @@ def cross(x, y):
 
 def cross_matrix(x):
     """Matrix of y -> P(x, y) acting on R^7."""
-    cols = []
-    for j in range(7):
-        e = [0] * 7
-        e[j] = 1
-        cols.append(cross(x, e))
-    return smallmat.transpose(cols)
+    return smallmat.transpose([cross(x, e) for e in smallmat.identity(7)])
 
 
 def g2_three_form():
     """phi0 with phi0(x, y, z) = <P(x,y), z>, entries +-1 on 7 triples."""
-    tuples, _ = index_tuples(7, 3)
-    terms = []
-    for (i, j, k) in tuples:
-        ei = [0] * 7
-        ei[i] = 1
-        ej = [0] * 7
-        ej[j] = 1
-        v = cross(ei, ej)[k]
-        if v != 0:
-            terms.append(((i, j, k), Fraction(v)))
-    return KForm.from_terms(7, 3, terms)
+    eye = smallmat.identity(7)
+    return KForm.from_terms(7, 3, [
+        ((i, j, k), Fraction(cross(eye[i], eye[j])[k]))
+        for i, j, k in index_tuples(7, 3)[0]])
 
 
 def euler_radial_derivative(alpha):
@@ -108,9 +84,7 @@ def euler_radial_derivative(alpha):
 
     n = alpha.n
     out = KForm.zero(n, alpha.k)
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
+    for i, e in enumerate(smallmat.identity(n)):
         out = out + wedge(KForm.basis(n, (i,)), interior(e, alpha))
     return out
 
@@ -168,8 +142,7 @@ def s6_structure_at(x, tol=EPS):
     ambient space, and the cross-product operator y -> P(x, y) on the
     tangent space.
     """
-    nrm = sum(float(v) ** 2 for v in x)
-    if abs(nrm - 1.0) > 1e-9:
+    if not is_zero(sum(v * v for v in x) - 1, tol):
         raise ValueError("point must lie on the unit sphere")
     cand, basis = s6_candidate(x)
     s = build_su3(cand, tol=tol)
@@ -181,3 +154,67 @@ def s6_structure_at(x, tol=EPS):
         smallmat.mat_max_abs(smallmat.mat_add(s.J, j_oct)),
     )
     return s, basis, dev
+
+
+def stabiliser(phi):
+    """Basis of {D in gl(n) : D . phi = 0}, the Lie algebra fixing a 3-form.
+
+    D . phi = -(phi(D., ., .) + phi(., D., .) + phi(., ., D.)) is linear in
+    D, so this is one nullspace: a column per matrix unit of gl(n), a row
+    per coefficient of the 3-form.
+    """
+    n = phi.n
+    columns = []
+    for a in range(n):
+        for b in range(n):
+            unit = [[int(r == a and c == b) for c in range(n)]
+                    for r in range(n)]
+            parts = [contract(phi, unit, slot).c for slot in range(3)]
+            columns.append([sum(col) for col in zip(*parts)])
+    kernel = smallmat.nullspace(smallmat.transpose(columns))
+    return [[v[r * n:(r + 1) * n] for r in range(n)] for v in kernel]
+
+
+def s6_verify(tol=EPS):
+    """S^6 = G2/SU(3), and its nearly Kahler structure, from one exact point.
+
+    g2 is the stabiliser of phi0: 14-dimensional and inside so(7).  The
+    orbit map D -> D e1 has rank 6, so G2 acts transitively on S^6, and the
+    isotropy at e1 has dimension 8 = dim su(3).  The stable-form J and the
+    octonion J are both built from phi0, the point and the metric alone,
+    so both are G2-equivariant: exact agreement at e1 is agreement on all
+    of S^6.  The cone checks then run on the exact structure at e1.
+    """
+    g2 = stabiliser(g2_three_form())
+    e1 = [Fraction(1)] + [Fraction(0)] * 6
+    isotropy = smallmat.nullspace(
+        smallmat.transpose([smallmat.mat_vec(d, e1) for d in g2]))
+    rank = len(g2) - len(isotropy)
+    report = Verdicts(scalars={"g2_dimension": len(g2), "orbit_rank": rank,
+                               "isotropy_dimension": len(isotropy)})
+    report.verdicts = [verdict(*v) for v in (
+        ("stabiliser g2 of phi0 has dimension 14", len(g2) == 14, "g2"),
+        ("g2 lies in so(7)",
+         all_zero([smallmat.mat_add(d, smallmat.transpose(d)) for d in g2]),
+         "g2"),
+        ("G2 acts transitively on S^6 (orbit map at e1 has rank 6)",
+         rank == 6, "homogeneity"),
+        ("isotropy at e1 has dimension 8 = dim su(3)", len(isotropy) == 8,
+         "homogeneity"))]
+    try:
+        s6, _, dev = s6_structure_at(e1, tol)
+    except StructureError as ex:
+        report.verdicts.append(verdict("structure builds at e1", False,
+                                       ex.label, detail=str(ex)))
+        return report
+    report.verdicts.append(verdict(
+        "exact agreement at a basis point", dev == 0, "octonion-J",
+        float(dev), "with G2-equivariance: agreement on all of S^6"))
+    report.verdicts += cone_verdicts(s6, s6_link_differential(s6), tol)[0]
+    c, dev = g2_metric_identity(
+        u_basis_expansion(cone_rho(s6.omega, s6.psi)))
+    report.verdicts.append(verdict(
+        "constant metric identity of the cone 3-form", is_zero(dev, tol),
+        "g2-identity", float(dev)))
+    report.scalars["g2_identity_constant"] = c
+    return report

@@ -42,22 +42,24 @@ def verdict(name, ok, label="", residual=None, detail=""):
                    label="" if ok else label, residual=residual, detail=detail)
 
 
+@dataclass
 class Verdicts:
-    """A model report that decides its named ``verdicts`` once."""
+    """A model report: named ``verdicts`` decided once, and the ``scalars``
+    derived with them."""
+
+    verdicts: list = field(default_factory=list)
+    scalars: dict = field(default_factory=dict)
 
     @property
     def ok(self):
         return all(v.status != FAIL for v in self.verdicts)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class Report(Verdicts):
     command: str
     inputs: dict = field(default_factory=dict)
-    verdicts: list = field(default_factory=list)
-    scalars: dict = field(default_factory=dict)
     tolerance: float = 1e-10
-    seed: int = 0
     timing_s: float = 0.0
 
     def check(self, name, ok, label="", residual=None, detail=""):
@@ -78,7 +80,6 @@ class Report(Verdicts):
             "verdicts": [v.as_dict() for v in self.verdicts],
             "scalars": self.scalars,
             "tolerance": self.tolerance,
-            "seed": self.seed,
             "timing_s": self.timing_s,
             "all_pass": self.all_pass,
         }
@@ -92,7 +93,7 @@ class Report(Verdicts):
         rep = cls(command=data["command"], inputs=data.get("inputs", {}),
                   scalars=data.get("scalars", {}),
                   tolerance=data.get("tolerance", 1e-10),
-                  seed=data.get("seed", 0), timing_s=data.get("timing_s", 0.0))
+                  timing_s=data.get("timing_s", 0.0))
         for v in data.get("verdicts", []):
             rep.verdicts.append(Verdict(
                 name=v["name"], status=v["status"], label=v.get("label", ""),
@@ -113,6 +114,6 @@ class Report(Verdicts):
             lines.append(f"[{mark}] {v.name}{extra}")
         for k, v in sorted(self.scalars.items()):
             lines.append(f"    {k} = {v}")
-        lines.append(f"    tolerance={self.tolerance:g} seed={self.seed} "
+        lines.append(f"    tolerance={self.tolerance:g} "
                      f"time={self.timing_s:.2f}s")
         return "\n".join(lines)

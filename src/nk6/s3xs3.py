@@ -21,9 +21,10 @@ from fractions import Fraction
 
 from . import smallmat
 from .certificate import Certificate, Claim, check_certificate
+from .cone import cone_verdicts
 from .exterior import KForm
 from .hitchin import SU3Candidate, build_su3, nk_check
-from .lie import LieAlgebraData, ReductiveSpace, ce_differential
+from .lie import LieAlgebraData, ReductiveSpace, ce_differential, ricci
 from .poly import Poly
 from .report import Verdicts, verdict
 from .scalars import EPS, QSqrt3, all_zero, exact_div, is_zero, scalar_like
@@ -346,7 +347,7 @@ def _diagonal_certificate(signs):
     return None
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolveReport(Verdicts):
     family: str
     mu_at_one: object
@@ -354,7 +355,8 @@ class SolveReport(Verdicts):
     survivors: list
     certificates: dict
     verified_examples: list
-    verdicts: list
+    structure: object
+    nk: object
 
 
 def solve_nk(tol=EPS):
@@ -363,15 +365,16 @@ def solve_nk(tol=EPS):
     Combines (a) the polynomial certificate that |l1| = |l2| = |l3|, (b)
     the sign-pattern analysis with co-frame certificates, and (c) full
     pipeline verification (build, first-order system, exact mu) at sample
-    points of the family.
+    points of the family.  The lambda = 1 structure and its NKReport are
+    kept as ``structure`` and ``nk``.
     """
     cert = check_certificate(uniqueness_certificate(), tol)
     survivors, certificates = sign_pattern_analysis()
     verified = []
-    for lam in (Fraction(1), Fraction(2), Fraction(1, 2)):
+    for lam in (Fraction(2), Fraction(1, 2), Fraction(1)):  # s, nk: lambda 1
         s = build_su3(candidate(DiagonalInvariantForm((lam,) * 3)), tol=tol)
-        rep = nk_check(s, differential, tol=tol)
-        verified.append(rep.verdict and is_zero(rep.mu - mu_of(lam), tol))
+        nk = nk_check(s, differential, tol=tol)
+        verified.append(nk.verdict and is_zero(nk.mu - mu_of(lam), tol))
     patterns = {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
     verdicts = [verdict(*v) for v in (
         ("uniqueness certificate (no admissible non-equal solution)",
@@ -389,5 +392,26 @@ def solve_nk(tol=EPS):
         survivors=survivors,
         certificates=certificates,
         verified_examples=verified,
+        structure=s,
+        nk=nk,
         verdicts=verdicts,
     )
+
+
+def verify(tol=EPS):
+    """``nk6 verify s3xs3``: :func:`solve_nk`, then the nearly Kahler, mu,
+    Einstein and cone verdicts of its lambda = 1 structure, built once."""
+    solved = solve_nk(tol)
+    s, nk = solved.structure, solved.nk
+    mu_err = nk.mu - mu_of(1)
+    _, scal, einstein, rel = ricci(cyclic_space(), s.g)
+    verdicts = solved.verdicts + [verdict(*v) for v in (
+        ("nearly Kahler system at lambda = 1", nk.verdict, "diff-system",
+         max(nk.residual_r1, nk.residual_r2)),
+        ("mu matches 1/(2 sqrt 3)", is_zero(mu_err, tol), "diff-system",
+         abs(float(mu_err))),
+        ("Einstein with positive scalar curvature", einstein and scal > 0,
+         "einstein", rel))]
+    verdicts += cone_verdicts(s, differential, tol)[0]
+    return Verdicts(verdicts=verdicts, scalars={
+        "mu": nk.mu, "scal": scal, "kappa": s.kappa, "tau0": s.tau0})

@@ -20,10 +20,6 @@ class SingularMatrix(ValueError):
     pass
 
 
-def zeros(n, m):
-    return [[0 for _ in range(m)] for _ in range(n)]
-
-
 def identity(n, one=1):
     return [[one if i == j else 0 for j in range(n)] for i in range(n)]
 

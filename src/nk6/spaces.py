@@ -22,7 +22,7 @@ from .lie import (
     ce_differential,
     check_3symmetric,
     is_complex_subalgebra,
-    is_naturally_reductive,
+    natural_reductivity_defect,
 )
 from .octonion import quat_conj, quat_mul
 from .poly import Poly
@@ -307,15 +307,14 @@ def flag_model():
     )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FlagReport(Verdicts):
     bracket_families_exact: bool
     weights_exact: bool
     canonical_3symmetric: bool
     flipped_integrable: dict
-    natred_grid: dict
+    natred_rays: list
     certificate: object
-    verdicts: list
 
 
 def _flag_bracket_family_checks(model):
@@ -325,38 +324,29 @@ def _flag_bracket_family_checks(model):
         [<a,0,0>, <0,b,0>]   = <0, 0, -conj(a) conj(b)>
         [<a,0,0>, <a',0,0>]  = diag(iy, -iy, 0),  y = 2 Im(a conj(a'))
     (the conjugation in the first family is what sends the product of two
-    holomorphic slots into the anti-holomorphic third summand).  Returns
+    holomorphic slots into the anti-holomorphic third summand).  Both
+    sides of each identity are R-bilinear in (a, b), so the four basis
+    pairs {1, i} x {1, i} prove it for all complex a, b.  Returns
     (failures, display_discrepancies): failures break the verified forms;
     display discrepancies record where the classical display
     [<a,0,0>,<0,b,0>] = <0,0,ab> differs from the oracle.
     """
     failures = []
     display = []
-    zero = (Fraction(0), Fraction(0))
-
-    samples = [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((1, 2), (3, -1)),
-               ((0, 1), (1, 1)), ((2, 3), (-1, 5))]
-    for (ar, ai), (br, bi) in samples:
-        a = (Fraction(ar), Fraction(ai))
-        b = (Fraction(br), Fraction(bi))
-        lhs = cmat_bracket(flag_matrix(a, zero, zero), flag_matrix(zero, b, zero))
-        # -conj(a) conj(b) = -(a0 - i a1)(b0 - i b1)
-        c = (-(a[0] * b[0] - a[1] * b[1]), a[0] * b[1] + a[1] * b[0])
-        if not cmat_eq(lhs, flag_matrix(zero, zero, c)):
-            failures.append((("pq-verified", (ar, ai), (br, bi)), lhs))
+    zero = (0, 0)
+    for a, b in itertools.product(((1, 0), (0, 1)), repeat=2):
+        x = flag_matrix(a, zero, zero)
+        pq = cmat_bracket(x, flag_matrix(zero, b, zero))
         ab = (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-        if not cmat_eq(lhs, flag_matrix(zero, zero, ab)):
-            display.append(("pq-display <0,0,ab>", (ar, ai), (br, bi)))
-
-    for (ar, ai), (br, bi) in samples:
-        a = (Fraction(ar), Fraction(ai))
-        ap = (Fraction(br), Fraction(bi))
-        lhs = cmat_bracket(flag_matrix(a, zero, zero), flag_matrix(ap, zero, zero))
-        y = 2 * (ai * br - ar * bi)  # 2 Im(a conj(a'))
-        rhs = cmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]],
-                   [[y, 0, 0], [0, -y, 0], [0, 0, 0]])
-        if not cmat_eq(lhs, rhs):
-            failures.append((("aa'", (ar, ai), (br, bi)), lhs))
+        # -conj(a) conj(b) = -conj(ab)
+        if not cmat_eq(pq, flag_matrix(zero, zero, (-ab[0], ab[1]))):
+            failures.append(("pq-verified", a, b))
+        if not cmat_eq(pq, flag_matrix(zero, zero, ab)):
+            display.append(("pq-display <0,0,ab>", a, b))
+        y = 2 * (a[1] * b[0] - a[0] * b[1])  # 2 Im(a conj(b))
+        if not cmat_eq(cmat_bracket(x, flag_matrix(b, zero, zero)),
+                       _flag_torus(y, -y, 0)):
+            failures.append(("aa'", a, b))
     return failures, display
 
 
@@ -410,15 +400,32 @@ def flag_certificate(model):
                 Claim(c, (t, r - s) + cube)))
 
 
-def flag_verify(grid=4, tol=EPS):
+def natural_reductivity_rays(model):
+    """Basis of the (r, s, t) for which diag(r, r, s, s, t, t) is naturally
+    reductive.
+
+    The defect g([X,Y]_m, Z) + g([X,Z]_m, Y) is linear in g, so it is one
+    nullspace: a column per unit metric (1, 0, 0), (0, 1, 0), (0, 0, 1).
+    """
+    columns = [natural_reductivity_defect(model.space, model.metric(*unit))
+               for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return smallmat.nullspace(smallmat.transpose(columns))
+
+
+def _span(vectors):
+    return "span{" + ", ".join(
+        "(" + ", ".join(map(str, v)) + ")" for v in vectors) + "}"
+
+
+def flag_verify(tol=EPS):
     """Full verification of the flag manifold case.
 
     (a) displayed bracket families match the matrix commutator exactly;
     (b) torus weights on the three summands are the displayed characters;
     (c) the canonical almost complex structure satisfies the order-3
         eigenspace conditions, while every one-summand flip is integrable;
-    (d) on the (r,s,t) grid, natural reductivity holds exactly on the
-        diagonal r = s = t and fails off it;
+    (d) natural reductivity holds iff r = s = t: the defect's nullspace is
+        the ray (1, 1, 1);
     (e) the nearly Kahler system holds iff r = s = t, by certificate.
     """
     model = flag_model()
@@ -431,10 +438,7 @@ def flag_verify(grid=4, tol=EPS):
                for signs in itertools.product((1, -1), repeat=3)}
     canonical = ((1, 1, 1), (-1, -1, -1))
     mixed = [v for k, v in flipped.items() if k not in canonical]
-    rng = range(1, grid + 1)
-    natred = {(r, s, t): is_naturally_reductive(space, model.metric(r, s, t),
-                                                tol=tol)
-              for r, s, t in itertools.product(rng, rng, rng)}
+    rays = natural_reductivity_rays(model)
     cert = check_certificate(flag_certificate(model), tol)
 
     verdicts = [verdict(*v) for v in (
@@ -447,9 +451,8 @@ def flag_verify(grid=4, tol=EPS):
          "integrable"),
         ("canonical structure is not integrable",
          not any(flipped[k] for k in canonical), "integrable"),
-        ("naturally reductive iff r = s = t",
-         all((r == s == t) == v for (r, s, t), v in natred.items()),
-         "naturally-reductive"),
+        ("naturally reductive iff r = s = t", rays == [[1, 1, 1]],
+         "naturally-reductive", None, f"defect nullspace: {_span(rays)}"),
         ("nearly Kahler verdict iff r = s = t",
          cert.unique and cert.solutions == [(1, 1, 1)], "diff-system", None,
          cert.detail))]
@@ -461,7 +464,7 @@ def flag_verify(grid=4, tol=EPS):
     return FlagReport(
         bracket_families_exact=not failures, weights_exact=weights_ok,
         canonical_3symmetric=canonical_ok, flipped_integrable=flipped,
-        natred_grid=natred, certificate=cert, verdicts=verdicts)
+        natred_rays=rays, certificate=cert, verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +553,7 @@ def _block_support(mat):
             (True, False) in hit or (False, True) in hit)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class CP3Report(Verdicts):
     commutant_dimension: int
     summand_dims: tuple
@@ -563,7 +566,6 @@ class CP3Report(Verdicts):
     ratio: Fraction
     nk_unique: bool
     kahler_unique: bool
-    verdicts: list
 
 
 def cp3_certificate(model, fiber_sign):
@@ -632,6 +634,7 @@ def cp3_verify(tol=EPS):
     nk_unique = all(c.ok for c in certs.values()) and len(found) == 1
     nk_sign, t_nk = found[0] if nk_unique else (0, None)
 
+    ratio = t_k / t_nk if t_k and t_nk else None
     verdicts = [verdict(*v) for v in (
         ("isotropy commutant has dimension 4", dim_comm == 4, "isotropy"),
         ("two irreducible summands of dims (4, 2)", irreducible, "isotropy"),
@@ -645,9 +648,9 @@ def cp3_verify(tol=EPS):
         commutant_dimension=dim_comm, summand_dims=(4, 2),
         summands_irreducible=irreducible, acs_candidates=acs_count,
         nk_fiber_sign=nk_sign, t_nk=t_nk, t_kahler=t_k,
-        kahler_fiber_sign=kahler_sign,
-        ratio=t_k / t_nk if t_k and t_nk else None, nk_unique=nk_unique,
-        kahler_unique=kahler_unique, verdicts=verdicts)
+        kahler_fiber_sign=kahler_sign, ratio=ratio, nk_unique=nk_unique,
+        kahler_unique=kahler_unique, verdicts=verdicts,
+        scalars={"t_nk": t_nk, "t_kahler": t_k, "ratio": ratio})
 
 
 def _has_complex_generator(block_endos, size, idx):

@@ -145,7 +145,7 @@ def test_tampered_certificate_is_a_labelled_failing_verdict(monkeypatch,
                                         cert.claims[1].factors))
 
     monkeypatch.setattr(spaces, "flag_certificate", wrong_constant)
-    code = main(["--json", "verify", "flag", "--grid", "1"])
+    code = main(["--json", "verify", "flag"])
     assert code == 1
     rep = Report.from_json(capsys.readouterr().out)
     nk = next(v for v in rep.verdicts

@@ -110,21 +110,70 @@ def test_check_psi_of_wrong_degree_is_exit_two(capsys):
 
 
 def test_reports_deterministic(capsys):
-    code1, out1 = run(capsys, "--json", "--seed", "3", "verify", "s6",
-                      "--samples", "10")
-    code2, out2 = run(capsys, "--json", "--seed", "3", "verify", "s6",
-                      "--samples", "10")
+    code1, out1 = run(capsys, "--json", "verify", "s6")
+    code2, out2 = run(capsys, "--json", "verify", "s6")
     assert code1 == code2 == 0
     a, b = json.loads(out1), json.loads(out2)
     a.pop("timing_s")
     b.pop("timing_s")
     assert a == b
+    assert "seed" not in a
 
 
-def test_verify_flag_small_grid(capsys):
-    code, out = run(capsys, "verify", "flag", "--grid", "2")
+def test_verify_flag_passes(capsys):
+    code, out = run(capsys, "verify", "flag")
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_verify_s6_is_exact(capsys):
+    code, out = run(capsys, "--json", "verify", "s6")
+    assert code == 0
+    rep = Report.from_json(out)
+    assert rep.all_pass
+    assert rep.scalars == {"g2_dimension": 14, "orbit_rank": 6,
+                           "isotropy_dimension": 8, "g2_identity_constant": -6}
+    residuals = [v.residual for v in rep.verdicts if v.residual is not None]
+    assert residuals and all(r == 0.0 for r in residuals)
+    assert rep.inputs == {}
+
+
+# the argv that bench/run.py builds: COMMON, then --seed, then the command
+BENCH_PREFIX = ["--json", "--threads", "1", "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["verify", "s3xs3"], []), (["verify", "flag"], ["--grid", "4"]),
+    (["verify", "cp3"], []), (["verify", "s6"], ["--samples", "100"]),
+    (["table"], [])], ids=["s3xs3", "flag", "cp3", "s6", "table"])
+def test_benchmark_argv_options_have_no_effect(capsys, argv, extra):
+    code, out = run(capsys, *BENCH_PREFIX, *argv, *extra)
+    bare_code, bare_out = run(capsys, "--json", *argv)
+    assert code == bare_code == 0
+    a, b = json.loads(out), json.loads(bare_out)
+    a.pop("timing_s")
+    b.pop("timing_s")
+    assert a == b
+
+
+def test_verify_s3xs3_builds_four_times(monkeypatch, capsys):
+    # the certificate's ray and solve_nk's three family points; the
+    # lambda = 1 checks reuse solve_nk's structure
+    from nk6 import hitchin
+
+    calls = []
+    original = hitchin.build_su3
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nk6") and getattr(module, "build_su3", None) is original:
+            monkeypatch.setattr(module, "build_su3", counting)
+    code, _ = run(capsys, "verify", "s3xs3")
+    assert code == 0
+    assert len(calls) == 4
 
 
 def test_check_uses_supplied_metric(capsys):
@@ -223,7 +272,7 @@ def test_check_marks_float_fallback(tmp_path, capsys):
      "uniqueness certificate (no admissible non-equal solution)",
      "certificate S^3xS^3 (l1^2, l2^2, l3^2): 8 branches, "
      "solution ray (1, 1, 1)"),
-    (["verify", "flag", "--grid", "2"], "nearly Kahler verdict iff r = s = t",
+    (["verify", "flag"], "nearly Kahler verdict iff r = s = t",
      "certificate flag (r, s, t): 1 branch, solution ray (1, 1, 1)"),
     (["verify", "cp3"], "unique nearly Kahler fiber scaling",
      "certificate CP^3 fiber -1 (a, t): 1 branch, solution ray (1, 1/2); "
@@ -296,7 +345,7 @@ def test_malformed_space_document_is_exit_two(tmp_path, capsys, edit, path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["table"], ["verify", "flag", "--grid", "1"], ["solve-s3xs3"]])
+    ["table"], ["verify", "flag"], ["solve-s3xs3"]])
 def test_scalar_float_outside_check_is_usage_error(capsys, argv):
     code = main(["--scalar", "float"] + argv)
     captured = capsys.readouterr()

@@ -177,6 +177,60 @@ def test_s6_structure_random_points():
 def test_s6_rejects_non_unit_point():
     with pytest.raises(ValueError):
         oc.s6_structure_at([Fraction(2)] + [Fraction(0)] * 6)
+    # off the sphere by about 10^-12: an exact point is decided exactly
+    with pytest.raises(ValueError):
+        oc.s6_structure_at([1 + Fraction(1, 10 ** 12)] + [Fraction(0)] * 6)
+
+
+def test_g2_is_the_stabiliser_of_phi0():
+    g2 = oc.stabiliser(oc.g2_three_form())
+    assert len(g2) == 14
+    # numpy oracle: every D is skew and annihilates phi0 as a tensor
+    phi = np.zeros((7, 7, 7))
+    for (i, j, k), v in oc.g2_three_form().terms():
+        for a, b, c, sign in ((i, j, k, 1), (j, k, i, 1), (k, i, j, 1),
+                              (j, i, k, -1), (i, k, j, -1), (k, j, i, -1)):
+            phi[a, b, c] = sign * float(v)
+    for d in g2:
+        dm = np.array(d, dtype=float)
+        assert np.abs(dm + dm.T).max() == 0
+        act = (np.einsum("la,lbc->abc", dm, phi)
+               + np.einsum("lb,alc->abc", dm, phi)
+               + np.einsum("lc,abl->abc", dm, phi))
+        assert np.abs(act).max() == 0
+    assert np.linalg.matrix_rank(np.array([np.ravel(d) for d in g2],
+                                          dtype=float)) == 14
+
+
+def _tampered_phi0(terms):
+    return lambda: KForm.from_terms(7, 3, terms)
+
+
+@pytest.mark.parametrize("edit,failing", [
+    # one sign flipped: the split form, whose 14-dimensional stabiliser
+    # is not compact
+    (lambda terms: [(terms[0][0], -terms[0][1])] + terms[1:],
+     {"g2 lies in so(7)", "structure builds at e1"}),
+    # one term dropped: the stabiliser grows to dimension 15
+    (lambda terms: terms[1:],
+     {"stabiliser g2 of phi0 has dimension 14",
+      "G2 acts transitively on S^6 (orbit map at e1 has rank 6)",
+      "isotropy at e1 has dimension 8 = dim su(3)", "g2 lies in so(7)",
+      "structure builds at e1"}),
+], ids=["sign-flipped", "term-dropped"])
+def test_s6_verify_on_a_tampered_phi0(monkeypatch, capsys, edit, failing):
+    from nk6.cli import main
+    from nk6.report import Report
+
+    terms = list(oc.g2_three_form().terms())
+    monkeypatch.setattr(oc, "g2_three_form", _tampered_phi0(edit(terms)))
+    rep = oc.s6_verify()
+    assert {v.name for v in rep.verdicts if v.status == "fail"} == failing
+    assert all(v.label for v in rep.verdicts if v.status == "fail")
+    assert main(["--json", "verify", "s6"]) == 1
+    cli = Report.from_json(capsys.readouterr().out)
+    assert [v.as_dict() for v in cli.verdicts] == \
+        [v.as_dict() for v in rep.verdicts]
 
 
 def test_tangent_basis_is_oriented_orthonormal():

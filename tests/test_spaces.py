@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -98,20 +99,70 @@ def test_flag_torus_bracket_example():
     assert spaces.cmat_eq(lhs, rhs)
 
 
-def test_flag_verify_small_grid():
-    rep = spaces.flag_verify(grid=2)
+def test_flag_verify_natural_reductivity_ray():
+    rep = spaces.flag_verify()
     assert rep.ok
     assert rep.canonical_3symmetric
     mixed = {k: v for k, v in rep.flipped_integrable.items()
              if k not in ((1, 1, 1), (-1, -1, -1))}
     assert len(mixed) == 6 and all(mixed.values())
     assert not rep.flipped_integrable[(1, 1, 1)]
-    assert rep.natred_grid[(1, 1, 1)] and not rep.natred_grid[(1, 1, 2)]
+    assert rep.natred_rays == [[1, 1, 1]]
+    natred = next(v for v in rep.verdicts
+                  if v.name == "naturally reductive iff r = s = t")
+    assert natred.status == "pass"
+    assert natred.detail == "defect nullspace: span{(1, 1, 1)}"
     assert rep.certificate.solutions == [(1, 1, 1)]
     nk = next(v for v in rep.verdicts
               if v.name == "nearly Kahler verdict iff r = s = t")
     assert nk.status == "pass"
     assert nk.detail == "certificate flag (r, s, t): 1 branch, solution ray (1, 1, 1)"
+
+
+def test_natural_reductivity_ray_matches_the_grid_oracle():
+    fm = spaces.flag_model()
+    grid = itertools.product(range(1, 5), repeat=3)
+    assert [k for k in grid if is_naturally_reductive(fm.space, fm.metric(*k))] \
+        == [(r, r, r) for r in range(1, 5)]
+    assert spaces.natural_reductivity_rays(fm) == [[1, 1, 1]]
+
+
+def test_tampered_metric_family_fails_natural_reductivity(monkeypatch):
+    # diag(r, 2r, s, s, t, t) is not even isotropy-invariant: no member of
+    # the family is naturally reductive, and the verdict says so
+    original = spaces.FlagModel.metric
+
+    def tampered(self, r, s, t):
+        g = original(self, r, s, t)
+        g[1][1] = 2 * g[1][1]
+        return g
+
+    monkeypatch.setattr(spaces.FlagModel, "metric", tampered)
+    rep = spaces.flag_verify()
+    assert not rep.ok
+    assert rep.natred_rays == []
+    natred = next(v for v in rep.verdicts
+                  if v.name == "naturally reductive iff r = s = t")
+    assert natred.status == "fail" and natred.label == "naturally-reductive"
+    assert natred.detail == "defect nullspace: span{}"
+
+
+def test_flag_bracket_families_on_the_old_sample_pairs():
+    # the five sample pairs that the basis {1, i} x {1, i} replaced
+    zero = (Fraction(0), Fraction(0))
+    pairs = [((1, 0), (1, 0)), ((1, 0), (0, 1)), ((1, 2), (3, -1)),
+             ((0, 1), (1, 1)), ((2, 3), (-1, 5))]
+    for (ar, ai), (br, bi) in pairs:
+        a, b = (Fraction(ar), Fraction(ai)), (Fraction(br), Fraction(bi))
+        pq = spaces.cmat_bracket(spaces.flag_matrix(a, zero, zero),
+                                 spaces.flag_matrix(zero, b, zero))
+        c = (-(ar * br - ai * bi), ar * bi + ai * br)  # -conj(a) conj(b)
+        assert spaces.cmat_eq(pq, spaces.flag_matrix(zero, zero, c))
+        aa = spaces.cmat_bracket(spaces.flag_matrix(a, zero, zero),
+                                 spaces.flag_matrix(b, zero, zero))
+        y = 2 * (ai * br - ar * bi)  # 2 Im(a conj(a'))
+        assert spaces.cmat_eq(aa, spaces.cmat([[0] * 3] * 3,
+                                              [[y, 0, 0], [0, -y, 0], [0, 0, 0]]))
 
 
 def test_cp3_model_reductive_split():
