@@ -12,7 +12,8 @@ reports and a command line front end (``nk6``).
 
 from . import cone, octonion, report, s3xs3, spacefile, spaces
 from .scalars import EPS, QSqrt3, SQRT3
-from .exterior import KForm, wedge, interior, hodge_star, lambda5_to_vector
+from .exterior import (
+    HodgeStar, KForm, wedge, interior, hodge_star, lambda5_to_vector)
 from .lie import (
     LieAlgebraData,
     ReductiveSpace,
@@ -47,6 +48,7 @@ __all__ = [
     "wedge",
     "interior",
     "hodge_star",
+    "HodgeStar",
     "lambda5_to_vector",
     "LieAlgebraData",
     "ReductiveSpace",

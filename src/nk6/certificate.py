@@ -16,7 +16,7 @@ runs once per ray in the open orthant.  Nothing is factored or solved.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import smallmat
@@ -60,6 +60,7 @@ class CertificateResult:
     ok: bool           # the claims hold
     detail: str
     solutions: list    # the rays that pass the pipeline
+    builds: list = field(default_factory=list)  # (structure, NKReport) per ray
 
     @property
     def unique(self):
@@ -134,7 +135,7 @@ def check_certificate(cert, tol=EPS):
         choices.append(linear)
 
     branches = list(itertools.product(*choices))
-    rays, solutions = [], []
+    rays, solutions, builds = [], [], []
     for rows in branches:
         kernel = smallmat.nullspace(list(rows))
         if len(kernel) > 1:
@@ -147,22 +148,26 @@ def check_certificate(cert, tol=EPS):
         point = [exact_sqrt(x) for x in ray] if cert.squares else ray
         if None in point:
             return fail(f"no exact point on the ray {_fmt(ray)}")
-        if _passes(cert, point, tol):
+        built = _passes(cert, point, tol)
+        if built is not None:
             solutions.append(ray)
+            builds.append(built)
     found = ", ".join(f"solution ray {_fmt(r)}" for r in solutions)
     plural = "es" if len(branches) != 1 else ""
     return CertificateResult(
         True, f"{where}: {len(branches)} branch{plural}, "
-              f"{found or 'no solution'}", solutions)
+              f"{found or 'no solution'}", solutions, builds)
 
 
 def _passes(cert, point, tol):
+    """(structure, NKReport) of the point when it is nearly Kahler, else None."""
     om = cert.omega(*point)
     try:
         s, _ = build_either_orientation(om, cert.differential(om) / 3, tol=tol)
     except StructureError:
-        return False
-    return nk_check(s, cert.differential, tol=tol).verdict
+        return None
+    nk = nk_check(s, cert.differential, tol=tol)
+    return (s, nk) if nk.verdict else None
 
 
 def _fmt(ray):

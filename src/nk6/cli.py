@@ -19,7 +19,7 @@ import time
 from . import octonion, s3xs3, smallmat, spaces
 from .cone import cone_verdicts
 from .hitchin import StructureError, nk_check
-from .lie import ce_differential, nearly_kahler_residual
+from .lie import ce_differential, is_invariant, nearly_kahler_residual
 from .report import Report
 from .scalars import is_exact
 from .spacefile import SpaceFormatError, load_space
@@ -137,10 +137,19 @@ def _cmd_check(args):
     omega = _named_form(doc, args.omega, 2, args.scalar)
     if space.dim_m != 6:
         raise SpaceFormatError("$: m must be 6-dimensional for this check")
-
-    d = lambda a: ce_differential(space, a)
-    psi = (d(omega) / 3 if args.psi is None
+    psi = (None if args.psi is None
            else _named_form(doc, args.psi, 3, args.scalar))
+
+    # invariance is decided once, on the inputs: phi, omega^2 and the cone
+    # forms are built from omega and psi by equivariant operations
+    for name, form in ((args.omega, omega), (args.psi, psi)):
+        if form is not None and not is_invariant(space, form, tol=tol):
+            rep.check("forms are h-invariant", False, label="NotInvariant",
+                      detail=f"{name} is not h-invariant")
+            return rep
+    d = lambda a: ce_differential(space, a, check_invariance=False)
+    if psi is None:
+        psi = d(omega) / 3
 
     try:
         structure, orient = spaces.build_either_orientation(omega, psi, tol=tol)

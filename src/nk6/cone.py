@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from . import smallmat
-from .exterior import KForm, hodge_star, interior, metric_volume, wedge
+from .exterior import HodgeStar, KForm, interior, metric_volume, wedge
 from .hitchin import form_dot, mu_volume_fit, omega3_sign
 from .report import verdict
 from .scalars import EPS, all_zero, exact_div, is_positive, simplify
@@ -101,13 +101,13 @@ def cone_hodge(c, g, vol=None):
     With p the degree of the link form:
       *(r^a beta)      = (-1)^p r^(a+6-2p) dr ^ *6(beta)
       *(r^a dr^alpha)  =        r^(a+6-2p) *6(alpha)
-    where *6 is the link star of (g, vol).  Exponents must stay >= 0.
+    where *6 is the link star of (g, vol), built once for all terms.
+    Exponents must stay >= 0.
     """
-    if vol is None:
-        vol = metric_volume(g)
+    link_star = HodgeStar(g, vol)
     out = ConeForm()
     for (a, dr, _), f in c.terms.items():
-        star = hodge_star(f, g, vol)
+        star = link_star(f)
         p = f.k
         exponent = a + 6 - 2 * p
         if dr:

@@ -53,17 +53,11 @@ def sort_index(idx):
     return sign, tuple(idx)
 
 
-_COMPLEMENT_SIGN: dict = {}
-
-
 def complement(n, idx):
     """Complementary tuple and the sign of the permutation (idx, comp)."""
-    key = (n, idx)
-    if key not in _COMPLEMENT_SIGN:
-        comp = tuple(i for i in range(n) if i not in idx)
-        sign, _ = sort_index(idx + comp)
-        _COMPLEMENT_SIGN[key] = (comp, sign)
-    return _COMPLEMENT_SIGN[key]
+    comp = tuple(i for i in range(n) if i not in idx)
+    sign, _ = sort_index(idx + comp)
+    return comp, sign
 
 
 class KForm:
@@ -270,39 +264,79 @@ def metric_volume(gram, orientation=1, n=None):
     return KForm.basis(n, tuple(range(n)), orientation * s)
 
 
-def hodge_star(a, gram, vol=None, tol=EPS):
-    """Hodge star for the metric ``gram`` and unit-norm volume form ``vol``.
+class HodgeStar:
+    """The Hodge star of one metric and unit-norm volume form.
 
     Defined by  alpha ^ star(beta) = <alpha, beta> vol  on each degree.
-    """
-    n = a.n
-    if not smallmat.is_positive_definite(gram):
-        raise NotPositiveDefinite("Gram matrix is not positive definite")
-    gram_inv = smallmat.inv(gram)
-    if vol is None:
-        vol = metric_volume(gram)
-    if vol.n != n or vol.k != n:
-        raise ValueError("volume form has wrong degree")
-    v = vol.c[0]
-    if v == 0:
-        raise ValueError("volume form vanishes")
-    norm2 = v * v * smallmat.det(gram_inv)
-    if not is_zero(norm2 - 1, 1e-6):
-        raise ValueError("volume form is not unit-norm for this metric")
+    The metric and the volume form are checked, and g^-1 computed, once.
+    The star of a basis k-form e_J is
 
-    k = a.k
-    out = KForm.zero(n, n - k)
-    tuples_k, _ = index_tuples(n, k)
-    _, pos_out = index_tuples(n, n - k)
-    for idx in tuples_k:
-        basis_i = KForm.basis(n, idx)
-        inner = form_inner(basis_i, a, gram_inv)
-        if inner == 0:
-            continue
-        comp, sign = complement(n, idx)
-        p = pos_out[comp]
-        out.c[p] = out.c[p] + sign * (v * inner)
-    return out
+        star(e_J) = sum_I <e_I, e_J> sign(I, I^c) v e_{I^c},
+
+    with <e_I, e_J> the I x J minor of g^-1; the column of minors is
+    computed on first use and kept, and a minor with a zero row is zero
+    and not computed.  ``vol`` defaults to :func:`metric_volume`.
+    """
+
+    def __init__(self, gram, vol=None):
+        n = len(gram)
+        if not smallmat.is_positive_definite(gram):
+            raise NotPositiveDefinite("Gram matrix is not positive definite")
+        self.gram_inv = smallmat.inv(gram)
+        if vol is None:
+            vol = metric_volume(gram)
+        if vol.n != n or vol.k != n:
+            raise ValueError("volume form has wrong degree")
+        v = vol.c[0]
+        if v == 0:
+            raise ValueError("volume form vanishes")
+        norm2 = v * v * smallmat.det(self.gram_inv)
+        if not is_zero(norm2 - 1, 1e-6):
+            raise ValueError("volume form is not unit-norm for this metric")
+        self.n, self.v = n, v
+        self._minors = {}
+
+    def _column(self, k, j):
+        """The nonzero minors <e_I, e_J> as (position of I, minor), J at j."""
+        col = self._minors.get((k, j))
+        if col is None:
+            tuples, _ = index_tuples(self.n, k)
+            jb = tuples[j]
+            col = []
+            for i, ia in enumerate(tuples):
+                sub = [[self.gram_inv[r][c] for c in jb] for r in ia]
+                if any(all(x == 0 for x in row) for row in sub):
+                    continue
+                minor = smallmat.det(sub)
+                if minor != 0:
+                    col.append((i, minor))
+            self._minors[k, j] = col
+        return col
+
+    def __call__(self, a):
+        n, k = self.n, a.k
+        if a.n != n:
+            raise ValueError("form dimension does not match the metric")
+        inner = {}
+        for j, x in enumerate(a.c):
+            if x == 0:
+                continue
+            for i, minor in self._column(k, j):
+                inner[i] = inner.get(i, 0) + x * minor
+        tuples, _ = index_tuples(n, k)
+        _, pos_out = index_tuples(n, n - k)
+        out = KForm.zero(n, n - k)
+        for i, value in inner.items():
+            if value == 0:
+                continue
+            comp, sign = complement(n, tuples[i])
+            out.c[pos_out[comp]] = sign * (self.v * value)
+        return out
+
+
+def hodge_star(a, gram, vol=None, tol=EPS):
+    """The star of one form: ``HodgeStar(gram, vol)(a)``."""
+    return HodgeStar(gram, vol)(a)
 
 
 def lambda5_to_vector(sigma, vol):

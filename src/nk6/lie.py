@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import smallmat
-from .exterior import KForm, index_tuples
+from .exterior import KForm, index_tuples, sort_index
 from .scalars import EPS, all_zero, exact_div, is_zero, scalar_like, sqrt_scalar
 
 
@@ -27,12 +27,19 @@ class HasFixedVector(ValueError):
 
 
 class LieAlgebraData:
-    """Structure constants c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k."""
+    """Structure constants c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k.
+
+    ``brackets[i][j]`` lists the pairs (k, c[i][j][k]) with a nonzero
+    constant; the Jacobi and antisymmetry checks and the bracket tables of
+    :class:`ReductiveSpace` run over these alone.
+    """
 
     def __init__(self, constants, labels=None, check=True, tol=EPS):
         self.dim = len(constants)
-        self.c = [[list(constants[i][j]) for j in range(self.dim)]
-                  for i in range(self.dim)]
+        r = range(self.dim)
+        self.c = [[list(constants[i][j]) for j in r] for i in r]
+        self.brackets = [[[(k, v) for k, v in enumerate(self.c[i][j]) if v != 0]
+                          for j in r] for i in r]
         self.labels = list(labels) if labels else [f"X{i+1}" for i in range(self.dim)]
         if check:
             self._check_antisymmetry(tol)
@@ -50,10 +57,16 @@ class LieAlgebraData:
             c[j][i][k] = c[j][i][k] - v
         return cls(c, labels=labels, check=check, tol=tol)
 
+    def nonzero(self):
+        """The nonzero constants as (i, j, k, c[i][j][k])."""
+        for i, row in enumerate(self.brackets):
+            for j, entries in enumerate(row):
+                for k, v in entries:
+                    yield i, j, k, v
+
     def _check_antisymmetry(self, tol):
-        c, r = self.c, range(self.dim)
-        if not all_zero([c[i][j][k] + c[j][i][k] for i in r for j in r for k in r],
-                        tol):
+        c = self.c
+        if not all_zero([v + c[j][i][k] for i, j, k, v in self.nonzero()], tol):
             raise ValueError("structure constants are not antisymmetric")
 
 
@@ -87,25 +100,56 @@ def _mvec(n, i):
 
 
 def check_jacobi(L, tol=EPS):
-    """True iff [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 on all basis triples."""
-    d, c = L.dim, L.c
-    e = [_mvec(d, i) for i in range(d)]
+    """True iff [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 on all basis triples.
+
+    [[X_a, X_b], X_z] = sum c_ab^l c_lz^w X_w, over nonzero constants only.
+    """
+    d, br = L.dim, L.brackets
     for i in range(d):
         for j in range(i + 1, d):
-            bij = bilinear_apply(c, e[i], e[j])
             for k in range(j + 1, d):
-                total = bilinear_apply(c, bij, e[k])
-                total = smallmat.vec_add(
-                    total, bilinear_apply(c, bilinear_apply(c, e[j], e[k]), e[i]))
-                total = smallmat.vec_add(
-                    total, bilinear_apply(c, bilinear_apply(c, e[k], e[i]), e[j]))
-                if not all_zero(total, tol):
+                total = {}
+                for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, u in br[a][b]:
+                        for w, v in br[l][z]:
+                            total[w] = total.get(w, 0) + u * v
+                if not all_zero(list(total.values()), tol):
                     return False
     return True
 
 
+def _apply(columns, coeffs, size):
+    """The image of ``coeffs`` under a compiled sparse linear map.
+
+    ``columns[p]`` lists the (output position, coefficient) pairs of input
+    position p; zero inputs are skipped, so a sparse form costs only its
+    nonzero coefficients.
+    """
+    out = [0] * size
+    for x, col in zip(coeffs, columns):
+        if x == 0:
+            continue
+        for o, c in col:
+            out[o] = out[o] + c * x
+    return out
+
+
+def _columns(entries, n_in):
+    """Columns from summed {(out, in): coefficient}, zero sums dropped."""
+    cols = [[] for _ in range(n_in)]
+    for (o, i), c in sorted(entries.items()):
+        if c != 0:
+            cols[i].append((o, c))
+    return cols
+
+
 class ReductiveSpace:
-    """g = h (+) m along basis indices, with Ad(H)-invariance at bracket level."""
+    """g = h (+) m along basis indices, with Ad(H)-invariance at bracket level.
+
+    The invariant differential and the invariance test on k-forms are fixed
+    sparse linear maps of the space; each is compiled on first use and kept
+    on the instance (:meth:`d_table`, :meth:`ad_table`).
+    """
 
     def __init__(self, algebra, h_indices, m_indices, check=True):
         self.algebra = algebra
@@ -115,45 +159,38 @@ class ReductiveSpace:
             raise ValueError("h and m indices must partition the basis")
         self.dim_h = len(self.h_idx)
         self.dim_m = len(self.m_idx)
-        self._tables()
+        self._compiled = {}
         if check:
             self._check_reductive()
+        self._tables()
 
     def _tables(self):
-        c, d = self.algebra.c, self.algebra.dim
-        m, h = self.m_idx, self.h_idx
+        nm, nh = self.dim_m, self.dim_h
+        m_pos = {g: p for p, g in enumerate(self.m_idx)}
+        h_pos = {g: p for p, g in enumerate(self.h_idx)}
         # m x m brackets split into m- and h-components
-        self.bm = [[None] * self.dim_m for _ in range(self.dim_m)]
-        self.bh = [[None] * self.dim_m for _ in range(self.dim_m)]
-        for a, ia in enumerate(m):
-            for b, ib in enumerate(m):
-                w = bilinear_apply(c, _mvec(d, ia), _mvec(d, ib))
-                self.bm[a][b] = [w[i] for i in m]
-                self.bh[a][b] = [w[i] for i in h]
-        # ad of h-basis acting on m
-        self.ad_h = []
-        self.ad_h_h = []
-        for ih in h:
-            rows_m = []
-            rows_h = []
-            for ia in m:
-                w = bilinear_apply(c, _mvec(d, ih), _mvec(d, ia))
-                rows_m.append([w[i] for i in m])
-                rows_h.append([w[i] for i in h])
-            # column-action matrix: ad(h) X_a = sum_b M[b][a] X_b
-            self.ad_h.append(smallmat.transpose(rows_m))
-            self.ad_h_h.append(rows_h)
+        self.bm = [[[0] * nm for _ in range(nm)] for _ in range(nm)]
+        self.bh = [[[0] * nh for _ in range(nm)] for _ in range(nm)]
+        # ad of the h-basis on m as column-action matrices:
+        # ad(H_h) X_a = sum_b ad_h[h][b][a] X_b
+        self.ad_h = [[[0] * nm for _ in range(nm)] for _ in range(nh)]
+        for i, j, k, v in self.algebra.nonzero():
+            if i in m_pos and j in m_pos:
+                a, b = m_pos[i], m_pos[j]
+                if k in m_pos:
+                    self.bm[a][b][m_pos[k]] = v
+                else:
+                    self.bh[a][b][h_pos[k]] = v
+            elif i in h_pos and j in m_pos and k in m_pos:
+                self.ad_h[h_pos[i]][m_pos[k]][m_pos[j]] = v
 
     def _check_reductive(self):
-        c = self.algebra.c
-        for ih in self.h_idx:
-            for jh in self.h_idx:
-                if any(c[ih][jh][i] != 0 for i in self.m_idx):
-                    raise ValueError("[h,h] is not contained in h")
-        for rows in self.ad_h_h:
-            for row in rows:
-                if any(x != 0 for x in row):
-                    raise ValueError("[h,m] is not contained in m")
+        h = set(self.h_idx)
+        for i, j, k, _ in self.algebra.nonzero():
+            if i in h and j in h and k not in h:
+                raise ValueError("[h,h] is not contained in h")
+            if i in h and j not in h and k in h:
+                raise ValueError("[h,m] is not contained in m")
 
     def ad_h_action(self, h_coeffs):
         """Matrix of ad(sum h_i H_i) acting on m."""
@@ -169,6 +206,70 @@ class ReductiveSpace:
                         out[r][s] = out[r][s] + coef * row[s]
         return out
 
+    def d_table(self, k):
+        """The invariant differential on k-forms, compiled once."""
+        if ("d", k) not in self._compiled:
+            self._compiled["d", k] = _differential_table(self, k)
+        return self._compiled["d", k]
+
+    def ad_table(self, k):
+        """The action of the h-basis on k-forms, compiled once."""
+        if ("ad", k) not in self._compiled:
+            self._compiled["ad", k] = _invariance_table(self, k)
+        return self._compiled["ad", k]
+
+
+def _differential_table(space, k):
+    """Columns of d: k-forms -> (k+1)-forms, for :func:`ce_differential`.
+
+    (d a)(X_0..X_k) = sum_{a<b} (-1)^{a+b} a([X_a,X_b]_m, X_0..^a..^b..X_k)
+    on each increasing output index; every term is sorted to its input
+    position once, here.
+    """
+    n = space.dim_m
+    _, pos_in = index_tuples(n, k)
+    tuples, pos_out = index_tuples(n, k + 1)
+    entries = {}
+    for t_out in tuples:
+        o = pos_out[t_out]
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                w = space.bm[t_out[a]][t_out[b]]
+                rest = t_out[:a] + t_out[a + 1:b] + t_out[b + 1:]
+                sgn = -1 if (a + b) % 2 else 1
+                for s in range(n):
+                    if w[s] == 0:
+                        continue
+                    sign, t_in = sort_index((s,) + rest)
+                    if sign:
+                        key = (o, pos_in[t_in])
+                        entries[key] = entries.get(key, 0) + sign * sgn * w[s]
+    return _columns(entries, len(pos_in))
+
+
+def _invariance_table(space, k):
+    """Columns of a -> (ad(H_h) . a) for every h-basis element H_h.
+
+    Output position h * C(n, k) + p is the coefficient at the p-th index
+    of sum over slots of a(.., ad(H_h) X_slot, ..), for :func:`is_invariant`.
+    """
+    n = space.dim_m
+    tuples, pos = index_tuples(n, k)
+    entries = {}
+    for h, mat in enumerate(space.ad_h):
+        for idx in tuples:
+            o = h * len(tuples) + pos[idx]
+            for slot in range(k):
+                for s in range(n):
+                    coef = mat[s][idx[slot]]
+                    if coef == 0:
+                        continue
+                    sign, t_in = sort_index(idx[:slot] + (s,) + idx[slot + 1:])
+                    if sign:
+                        key = (o, pos[t_in])
+                        entries[key] = entries.get(key, 0) + sign * coef
+    return _columns(entries, len(tuples))
+
 
 # ---------------------------------------------------------------------------
 def is_invariant(space, alpha, tol=EPS):
@@ -176,20 +277,9 @@ def is_invariant(space, alpha, tol=EPS):
     n = space.dim_m
     if alpha.n != n:
         raise ValueError("form dimension does not match dim m")
-    tuples, _ = index_tuples(n, alpha.k)
-    for mat in space.ad_h:
-        for idx in tuples:
-            total = 0
-            for slot in range(len(idx)):
-                for s in range(n):
-                    coef = mat[s][idx[slot]]
-                    if coef == 0:
-                        continue
-                    replaced = idx[:slot] + (s,) + idx[slot + 1:]
-                    total = total + coef * alpha.coeff(replaced)
-            if not is_zero(total, tol):
-                return False
-    return True
+    size = space.dim_h * len(alpha.c)
+    return all(is_zero(x, tol)
+               for x in _apply(space.ad_table(alpha.k), alpha.c, size))
 
 
 def is_invariant_endo(space, J, tol=EPS):
@@ -217,31 +307,14 @@ def ce_differential(space, alpha, tol=EPS, check_invariance=True):
 
     (d a)(X_0..X_p) = sum_{i<j} (-1)^{i+j} a([X_i,X_j]_m, X_0..^i..^j..X_p).
     The sign convention is pinned by the cyclic co-frame requirement
-    d e_1 = e_2 ^ e_3 on the S^3 x S^3 model algebra.
+    d e_1 = e_2 ^ e_3 on the S^3 x S^3 model algebra.  The map is the
+    space's compiled :meth:`ReductiveSpace.d_table`.
     """
     n = space.dim_m
     if check_invariance and not is_invariant(space, alpha, tol=tol):
         raise NotInvariant("form is not h-invariant")
-    k = alpha.k
-    out = KForm.zero(n, k + 1)
-    if k + 1 > n:
-        return out
-    tuples, pos = index_tuples(n, k + 1)
-    for t_out in tuples:
-        total = 0
-        for a in range(k + 1):
-            for b in range(a + 1, k + 1):
-                w = space.bm[t_out[a]][t_out[b]]
-                rest = t_out[:a] + t_out[a + 1:b] + t_out[b + 1:]
-                sgn = -1 if (a + b) % 2 else 1
-                for s in range(n):
-                    if w[s] == 0:
-                        continue
-                    val = alpha.coeff((s,) + rest)
-                    if val != 0:
-                        total = total + sgn * (w[s] * val)
-        out.c[pos[t_out]] = total
-    return out
+    size = len(index_tuples(n, alpha.k + 1)[0])
+    return KForm(n, alpha.k + 1, _apply(space.d_table(alpha.k), alpha.c, size))
 
 
 # ---------------------------------------------------------------------------

@@ -366,14 +366,19 @@ def solve_nk(tol=EPS):
     the sign-pattern analysis with co-frame certificates, and (c) full
     pipeline verification (build, first-order system, exact mu) at sample
     points of the family.  The lambda = 1 structure and its NKReport are
-    kept as ``structure`` and ``nk``.
+    the certificate's, from its ray (1, 1, 1), and are kept as
+    ``structure`` and ``nk``.
     """
     cert = check_certificate(uniqueness_certificate(), tol)
+    built = dict(zip(cert.solutions, cert.builds))
     survivors, certificates = sign_pattern_analysis()
     verified = []
     for lam in (Fraction(2), Fraction(1, 2), Fraction(1)):  # s, nk: lambda 1
-        s = build_su3(candidate(DiagonalInvariantForm((lam,) * 3)), tol=tol)
-        nk = nk_check(s, differential, tol=tol)
+        if lam == 1 and (1, 1, 1) in built:
+            s, nk = built[1, 1, 1]  # the certificate's build of its ray
+        else:
+            s = build_su3(candidate(DiagonalInvariantForm((lam,) * 3)), tol=tol)
+            nk = nk_check(s, differential, tol=tol)
         verified.append(nk.verdict and is_zero(nk.mu - mu_of(lam), tol))
     patterns = {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
     verdicts = [verdict(*v) for v in (

@@ -156,9 +156,9 @@ def test_benchmark_argv_options_have_no_effect(capsys, argv, extra):
     assert a == b
 
 
-def test_verify_s3xs3_builds_four_times(monkeypatch, capsys):
-    # the certificate's ray and solve_nk's three family points; the
-    # lambda = 1 checks reuse solve_nk's structure
+def test_verify_s3xs3_builds_three_times(monkeypatch, capsys):
+    # the certificate's ray (1, 1, 1) and the family points 2 and 1/2; the
+    # family point 1 and the lambda = 1 checks reuse the ray's structure
     from nk6 import hitchin
 
     calls = []
@@ -173,7 +173,7 @@ def test_verify_s3xs3_builds_four_times(monkeypatch, capsys):
             monkeypatch.setattr(module, "build_su3", counting)
     code, _ = run(capsys, "verify", "s3xs3")
     assert code == 0
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_check_uses_supplied_metric(capsys):
@@ -364,3 +364,127 @@ def test_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False False"
+
+
+def _flag_with_forms(tmp_path, **forms):
+    """The flag fixture with its forms replaced, as a file path."""
+    with open(os.path.join(FIX, "flag.json")) as fh:
+        doc = json.load(fh)
+    doc.pop("metric")
+    doc["forms"] = {name: [[list(idx), v] for idx, v in terms]
+                    for name, terms in forms.items()}
+    path = tmp_path / "flag_forms.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# omega = e02 + e13 + e45 is not torus-invariant.  omega = e01 - e23 + e45
+# is, and with psi = Re((e0 + i e1)(e2 - i e3)(e4 + i e5)) it builds a
+# structure, but psi (and so phi) is not: d phi used to raise NotInvariant.
+NON_INVARIANT = {
+    "omega": ({"omega": [((0, 2), "1"), ((1, 3), "1"), ((4, 5), "1")]}, []),
+    "psi": ({"omega": [((0, 1), "1"), ((2, 3), "-1"), ((4, 5), "1")],
+             "psi": [((0, 2, 4), "1"), ((1, 3, 4), "1"), ((1, 2, 5), "-1"),
+                     ((0, 3, 5), "1")]}, ["--psi", "psi"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INVARIANT))
+def test_check_non_invariant_form_is_a_failing_verdict(tmp_path, name):
+    forms, extra = NON_INVARIANT[name]
+    path = _flag_with_forms(tmp_path, **forms)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(ROOT, "src")))
+    done = subprocess.run(
+        [sys.executable, "-m", "nk6.cli", "--json", "check", path, "--cone"]
+        + extra, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == ""
+    rep = Report.from_json(done.stdout)
+    assert [(v.name, v.status, v.label, v.detail) for v in rep.verdicts] == [
+        ("forms are h-invariant", "fail", "NotInvariant",
+         f"{name} is not h-invariant")]
+
+
+def test_check_cone_inverts_the_metric_once(monkeypatch, capsys):
+    # one HodgeStar per cone_check: the Sylvester check and g^-1 run once
+    from nk6 import cone, smallmat
+
+    inside, calls = [], []
+    for fname in ("inv", "is_positive_definite"):
+        original = getattr(smallmat, fname)
+
+        def counting(*args, _name=fname, _original=original, **kwargs):
+            if inside:
+                calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(smallmat, fname, counting)
+    original_check = cone.cone_check
+
+    def in_cone_check(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cone, "cone_check", in_cone_check)
+    code, _ = run(capsys, "check", os.path.join(FIX, "cp3.json"), "--cone")
+    assert code == 0
+    assert sorted(calls) == ["inv", "is_positive_definite"]
+
+
+@pytest.mark.parametrize("fixture", ["s3xs3", "flag", "cp3"])
+def test_check_compiles_each_table_once(monkeypatch, capsys, fixture):
+    from nk6 import lie
+
+    built = []
+    for fname in ("_differential_table", "_invariance_table"):
+        original = getattr(lie, fname)
+
+        def counting(space, k, _name=fname, _original=original):
+            built.append((id(space), _name, k))
+            return _original(space, k)
+
+        monkeypatch.setattr(lie, fname, counting)
+    code, _ = run(capsys, "check", os.path.join(FIX, f"{fixture}.json"),
+                  "--cone")
+    assert code == 0
+    assert built and len(set(built)) == len(built)
+    assert len({space for space, _, _ in built}) == 1
+
+
+def _module_dict_sizes():
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name == "nk6" or name.startswith("nk6."):
+            for attr, value in vars(module).items():
+                if isinstance(value, dict) and not attr.startswith("__"):
+                    sizes[f"{name}.{attr}"] = len(value)
+    return sizes
+
+
+def test_checks_leave_module_dicts_the_same_size(tmp_path, capsys):
+    # compiled tables live on the space of one document, so a long-lived
+    # caller does not grow with the candidates it has seen
+    from fractions import Fraction
+
+    def candidate(fixture, scale, number):
+        with open(os.path.join(FIX, f"{fixture}.json")) as fh:
+            doc = json.load(fh)
+        for term in doc["forms"]["omega"]:
+            term[1] = str(Fraction(term[1]) * scale)
+        doc.pop("metric", None)
+        path = tmp_path / f"{fixture}-{number}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    for fixture in ("s3xs3", "flag", "cp3"):
+        assert main(["check", candidate(fixture, 1, 0), "--cone"]) == 0
+    before = _module_dict_sizes()
+    for number in range(1, 51):
+        fixture = ("s3xs3", "flag", "cp3")[number % 3]
+        scale = Fraction(number + 1, 3)
+        assert main(["check", candidate(fixture, scale, number), "--cone"]) == 0
+    capsys.readouterr()
+    assert _module_dict_sizes() == before
