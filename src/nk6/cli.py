@@ -13,6 +13,7 @@ parse error.  ``--json`` switches the report to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -21,7 +22,7 @@ from .cone import cone_verdicts
 from .hitchin import StructureError, nk_check
 from .lie import ce_differential, is_invariant, nearly_kahler_residual
 from .report import Report
-from .scalars import is_exact
+from .scalars import EPS, all_zero, exact_div, is_exact
 from .spacefile import SpaceFormatError, load_space
 
 
@@ -37,8 +38,10 @@ def _parser():
         prog="nk6",
         description="Invariant nearly Kahler verification on 6-dimensional "
                     "homogeneous spaces")
-    p.add_argument("--tolerance", type=float, default=1e-10,
-                   help="float comparison tolerance (default 1e-10)")
+    p.add_argument("--tolerance", type=float, default=EPS,
+                   help="zero test for float data, scaled by their magnitude "
+                        "where an identity scales; exact data are decided "
+                        "exactly, whatever this is (default %(default)g)")
     p.add_argument("--scalar", choices=["exact", "float"], default="exact",
                    help="keep exact scalars where possible, or force floats "
                         "(check only)")
@@ -69,6 +72,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
+        return 2
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        print("error: --tolerance must be finite and >= 0", file=sys.stderr)
         return 2
     if args.scalar == "float" and args.command != "check":
         print("error: --scalar float applies only to check", file=sys.stderr)
@@ -165,12 +171,10 @@ def _cmd_check(args):
     rep.check("stable pair builds an SU(3)-structure", True, detail=detail)
 
     nk = nk_check(structure, d, tol=tol)
-    rep.check("first structure equation (d omega = 3 psi)",
-              nk.residual_r1 <= tol, label="diff-system",
-              residual=nk.residual_r1)
-    rep.check("second structure equation (d phi = -2 mu omega^2)",
-              nk.residual_r2 <= tol, label="diff-system",
-              residual=nk.residual_r2)
+    rep.check("first structure equation (d omega = 3 psi)", nk.first,
+              label="diff-system", residual=nk.residual_r1)
+    rep.check("second structure equation (d phi = -2 mu omega^2)", nk.second,
+              label="diff-system", residual=nk.residual_r2)
     rep.scalar("mu", float(nk.mu))
     rep.scalar("tau0", float(structure.tau0))
     rep.scalar("kappa", float(structure.kappa))
@@ -179,17 +183,15 @@ def _cmd_check(args):
     if doc.metric is not None:
         # the supplied Gram should be the induced metric up to homothety,
         # and the connection-level defect must agree with the form verdict
-        num = sum(float(a) * float(b) for ra, rb in zip(doc.metric, structure.g)
-                  for a, b in zip(ra, rb))
-        den = sum(float(b) ** 2 for rb in structure.g for b in rb)
-        scale = num / den
-        dev = smallmat.mat_max_abs(smallmat.mat_sub(
-            [[float(x) for x in row] for row in doc.metric],
-            smallmat.mat_scale(scale, [[float(x) for x in row]
-                                       for row in structure.g])))
-        rel = dev / max(smallmat.mat_max_abs(doc.metric), 1e-30)
+        a, b = ([x for row in m for x in row] for m in (doc.metric, structure.g))
+        if smallmat.is_float_data([a, b]):
+            a, b = [float(x) for x in a], [float(x) for x in b]
+        scale = exact_div(smallmat.vec_dot(a, b), smallmat.vec_dot(b, b))
+        dev = smallmat.vec_sub(a, smallmat.vec_scale(scale, b))
+        size = smallmat.mat_max_abs([a])
         rep.check("supplied metric is the induced one up to homothety",
-                  rel <= max(tol, 1e-9), label="metric", residual=rel)
+                  all_zero(dev, tol * size), label="metric",
+                  residual=smallmat.mat_max_abs([dev]) / max(size, 1e-30))
         rep.scalar("metric_scale", scale)
         try:
             ok, res = nearly_kahler_residual(space, doc.metric, structure.J,

@@ -141,15 +141,6 @@ def u_basis_expansion(c, radius=1):
     return total
 
 
-def complex_orientation(s):
-    """Sign of omega^3: the orientation the almost complex structure induces.
-
-    The link star is taken in this orientation, which is what makes
-    *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega.
-    """
-    return omega3_sign(s.omega)
-
-
 # ---------------------------------------------------------------------------
 @dataclass
 class ConeReport:
@@ -158,7 +149,12 @@ class ConeReport:
     omega2_coefficient: object
     phi_term_residual: float
     normalization: object
-    verdict: bool
+    closed: bool
+    coclosed: bool
+
+    @property
+    def verdict(self):
+        return self.closed and self.coclosed
 
 
 def cone_check(s, link_d, tol=EPS):
@@ -181,12 +177,11 @@ def cone_check(s, link_d, tol=EPS):
 
     rho = cone_rho(s.omega, s.psi)
     d_rho = cone_differential(rho, link_d)
-    vol_g = metric_volume(s.g, orientation=complex_orientation(s))
+    # the link star in the orientation of omega^3, the one J induces, makes
+    # *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega
+    vol_g = metric_volume(s.g, orientation=omega3_sign(s.omega))
     star_rho = cone_hodge(rho, s.g, vol_g)
     d_star_rho = cone_differential(star_rho, link_d)
-
-    r1 = d_rho.max_abs()
-    r2 = d_star_rho.max_abs()
 
     o2 = wedge(s.omega, s.omega)
     quartic_term = star_rho.term(4, False, 4)
@@ -201,22 +196,23 @@ def cone_check(s, link_d, tol=EPS):
         phi_resid = (phi_term + s.phi).max_abs()
 
     return ConeReport(
-        d_rho_residual=r1,
-        d_star_rho_residual=r2,
+        d_rho_residual=d_rho.max_abs(),
+        d_star_rho_residual=d_star_rho.max_abs(),
         omega2_coefficient=coeff,
         phi_term_residual=phi_resid,
         normalization=scale,
-        verdict=r1 <= tol and r2 <= tol,
+        closed=d_rho.is_zero(tol),
+        coclosed=d_star_rho.is_zero(tol),
     )
 
 
 def cone_verdicts(s, link_d, tol=EPS):
     """Run :func:`cone_check`; returns (its two verdicts, the ConeReport)."""
     crep = cone_check(s, link_d, tol=tol)
-    return [verdict("cone form closed", crep.d_rho_residual <= tol,
-                    "cone-closed", crep.d_rho_residual),
-            verdict("cone form coclosed", crep.d_star_rho_residual <= tol,
-                    "cone-coclosed", crep.d_star_rho_residual)], crep
+    return [verdict("cone form closed", crep.closed, "cone-closed",
+                    crep.d_rho_residual),
+            verdict("cone form coclosed", crep.coclosed, "cone-coclosed",
+                    crep.d_star_rho_residual)], crep
 
 
 def g2_metric_identity(rho7):

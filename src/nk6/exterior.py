@@ -174,8 +174,7 @@ class KForm:
         return hash((self.n, self.k, tuple(self.c)))
 
     def isclose(self, other, tol=EPS):
-        self._check_compatible(other)
-        return (self - other).max_abs() <= tol
+        return (self - other).is_zero(tol)
 
     def to_float(self):
         return self._like([float(v) for v in self.c])
@@ -291,7 +290,7 @@ class HodgeStar:
         if v == 0:
             raise ValueError("volume form vanishes")
         norm2 = v * v * smallmat.det(self.gram_inv)
-        if not is_zero(norm2 - 1, 1e-6):
+        if not is_zero(norm2 - 1, EPS):
             raise ValueError("volume form is not unit-norm for this metric")
         self.n, self.v = n, v
         self._minors = {}

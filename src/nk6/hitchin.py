@@ -19,7 +19,11 @@ from .scalars import (
 
 
 class StructureError(ValueError):
-    """A named algebraic condition of the construction failed."""
+    """A named algebraic condition of the construction failed.
+
+    Raised itself when an identity the construction guarantees fails, on
+    float data by rounding beyond the tolerance.
+    """
 
     label = "structure"
 
@@ -105,12 +109,18 @@ class SU3Structure:
 
 @dataclass
 class NKReport:
-    """Residuals of the first-order system plus the fitted constant mu."""
+    """Each structure equation decided by the zero policy (``first``,
+    ``second``), its residual for display, and the fitted constant mu."""
 
     residual_r1: float
     residual_r2: float
     mu: object
-    verdict: bool
+    first: bool
+    second: bool
+
+    @property
+    def verdict(self):
+        return self.first and self.second
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +156,20 @@ def contract(psi, m, slot=0):
     return KForm(psi.n, 3, coeffs)
 
 
-def hitchin_K(psi, vol):
+def hitchin_K(psi, vol, tol=EPS):
     """Endomorphism K with K(X) the vector of  interior(X, psi) ^ psi.
 
     Normalized against the given orientation form; returns (K, tau0) where
-    K^2 = tau0 * Id (verified) and tau0 = trace(K^2)/6.
+    K^2 = tau0 * Id (verified, relative to the size of K^2 on floats) and
+    tau0 = trace(K^2)/6.
     """
     K = k_matrix(psi, vol)
     K2 = smallmat.mat_mul(K, K)
     tau0 = exact_div(smallmat.trace(K2), 6)
     dev = smallmat.mat_sub(
         K2, smallmat.mat_scale(tau0, smallmat.identity(6, scalar_like(K2))))
-    if not all_zero(dev, 1e-8 * max(smallmat.mat_max_abs(K2), 1.0)):
-        raise ArithmeticError("K^2 is not a multiple of the identity")
+    if not all_zero(dev, tol * max(smallmat.mat_max_abs(K2), 1.0)):
+        raise StructureError("K^2 is not a multiple of the identity")
     return K, simplify(tau0)
 
 
@@ -176,7 +187,7 @@ def phi_from(psi, J, tol=EPS):
     when psi is of type (3,0)+(0,3) for J.
     """
     phis = [contract(psi, J, slot) for slot in range(3)]
-    slot_tol = max(tol, 1e-8 * max(phis[0].max_abs(), 1.0))
+    slot_tol = tol * max(phis[0].max_abs(), 1.0)
     if not all((phis[0] - other).is_zero(slot_tol) for other in phis[1:]):
         raise SlotInconsistent()
     return phis[0]
@@ -191,7 +202,7 @@ def omega3_sign(omega):
     have opposite signs.
     """
     o3 = wedge(wedge(omega, omega), omega)
-    return 1 if float(o3.c[0]) > 0 else -1
+    return 1 if is_positive(o3.c[0]) else -1
 
 
 def build_su3(cand, tol=EPS):
@@ -199,14 +210,15 @@ def build_su3(cand, tol=EPS):
 
     Errors name the violated condition: NotStable (stability of psi),
     NotType11 (omega ^ psi != 0), DegenerateOmega (omega^3 = 0),
-    NotPositive (the induced symmetric form is not positive definite).
+    NotPositive (the induced symmetric form is not positive definite),
+    SlotInconsistent, or StructureError itself (see there).
     """
     omega, psi, vol = cand.omega, cand.psi, cand.vol
     n = 6
     exact = not any(isinstance(c, float)
                     for c in (*omega.c, *psi.c, *vol.c))
 
-    K, tau0 = hitchin_K(psi, vol)
+    K, tau0 = hitchin_K(psi, vol, tol)
     if not is_positive(-tau0):
         raise NotStable(f"tau0 = {tau0} is not negative")
 
@@ -227,8 +239,8 @@ def build_su3(cand, tol=EPS):
     J = [[exact_div(x, kappa) for x in row] for row in K]
 
     j2 = smallmat.mat_add(smallmat.mat_mul(J, J), smallmat.identity(n, scalar_like(J)))
-    if not all_zero(j2, 1e-8):
-        raise ArithmeticError("J^2 differs from -Id")
+    if not all_zero(j2, tol):
+        raise StructureError("J^2 differs from -Id")
 
     # g(X, Y) = omega(X, JY)
     g = [[None] * n for _ in range(n)]
@@ -240,23 +252,23 @@ def build_su3(cand, tol=EPS):
                 if jy[r] != 0:
                     val = val + omega.coeff((i, r)) * jy[r]
             g[i][j] = simplify(val)
-    if not smallmat.is_symmetric(g, tol=1e-8):
-        raise ArithmeticError("induced bilinear form is not symmetric")
+    if not smallmat.is_symmetric(g, tol=tol):
+        raise StructureError("induced bilinear form is not symmetric")
     if not smallmat.is_positive_definite(g):
         raise NotPositive()
     jgj = smallmat.mat_mul(smallmat.transpose(J), smallmat.mat_mul(g, J))
-    if not all_zero(smallmat.mat_sub(jgj, g), 1e-8):
-        raise ArithmeticError("J is not orthogonal for the induced metric")
+    if not all_zero(smallmat.mat_sub(jgj, g), tol):
+        raise StructureError("J is not orthogonal for the induced metric")
 
     phi = phi_from(psi, J, tol=tol)
     # interior(X, psi) = interior(JX, phi) on the basis
-    contraction_tol = 1e-8 * max(psi.max_abs(), 1.0)
+    contraction_tol = tol * max(psi.max_abs(), 1.0)
     for i in range(n):
         e = [0] * n
         e[i] = 1
         je = [J[r][i] for r in range(n)]
         if not (interior(e, psi) - interior(je, phi)).is_zero(contraction_tol):
-            raise ArithmeticError("contraction identity for phi fails")
+            raise StructureError("contraction identity for phi fails")
 
     return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g,
                         kappa=kappa, tau0=tau0, vol=vol)
@@ -298,18 +310,16 @@ def nk_check(s, differential, tol=EPS):
     classical value.  (The fit itself runs on d phi; only the quoted mu
     and residual carry the factor 3.)
     """
-    domega = differential(s.omega)
-    r1_form = domega - s.psi.scale(3)
-    r1 = r1_form.max_abs()
-    mu_fit, r2_fit = mu_volume_fit(s, differential)
-    mu = simplify(3 * mu_fit)
-    r2 = 3 * r2_fit
-    verdict = r1 <= tol and r2 <= tol
-    return NKReport(residual_r1=r1, residual_r2=r2, mu=mu, verdict=verdict)
+    r1 = differential(s.omega) - s.psi.scale(3)
+    mu_fit, r2 = mu_volume_fit(s, differential)  # r2 at the scale of phi
+    return NKReport(residual_r1=r1.max_abs(), residual_r2=3 * r2.max_abs(),
+                    mu=simplify(3 * mu_fit), first=r1.is_zero(tol),
+                    second=r2.is_zero(tol / 3))
 
 
 def mu_volume_fit(s, differential):
-    """Least-squares constant in  d phi = -2 c omega^omega  and its residual.
+    """Least-squares constant in  d phi = -2 c omega^omega  and the
+    residual 4-form  d phi + 2 c omega^omega.
 
     This is the metric-normalization scalar: c = 1 exactly when the cone
     over the structure is parallel (the structure equations at unit scale).
@@ -318,5 +328,4 @@ def mu_volume_fit(s, differential):
     o2 = wedge(s.omega, s.omega)
     denom = form_dot(o2, o2)
     c = simplify(exact_div(-form_dot(dphi, o2), 2 * denom))
-    resid = (dphi + o2.scale(2 * c)).max_abs()
-    return c, resid
+    return c, dphi + o2.scale(2 * c)

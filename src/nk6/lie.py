@@ -416,17 +416,10 @@ def _eta(gamma, J):
 
 def eta_total_skew_residual(g, eta):
     """Max deviation of (X,Y,Z) -> g(eta_X Y, Z) from total skew-symmetry."""
-    n = len(eta)
-    t = [[[smallmat.vec_dot(smallmat.mat_vec(g, eta[i][j]), _mvec(n, k))
-           for k in range(n)] for j in range(n)] for i in range(n)]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                worst = max(worst,
-                            abs(float(t[i][j][k] + t[j][i][k])),
-                            abs(float(t[i][j][k] + t[i][k][j])))
-    return worst
+    r = range(len(eta))
+    t = [[smallmat.mat_vec(g, eta[i][j]) for j in r] for i in r]
+    return _max_vec([t[i][j][k] + t[j][i][k] for i in r for j in r for k in r],
+                    [t[i][j][k] + t[i][k][j] for i in r for j in r for k in r])
 
 
 def eta_parallel_residual(space, g, J, tol=EPS):
@@ -497,39 +490,46 @@ def _max_vec(*vecs):
     return max((abs(float(x)) for v in vecs for x in v), default=0.0)
 
 
+def _plus_brackets(space, J):
+    """[w_i, w_j] for w_i = X_i + i J X_i, over all basis pairs (i, j).
+
+    Yields (x, jx, y, jy, ((re_m, im_m), (re_h, im_h))) with x = X_i and
+    y = X_j.  The brackets of m- = conj(m+) are the conjugates of these,
+    so they add no condition.
+    """
+    n = space.dim_m
+    cols = smallmat.transpose(J)
+    for i in range(n):
+        for j in range(n):
+            x, y = _mvec(n, i), _mvec(n, j)
+            yield x, cols[i], y, cols[j], _cplx_pair_bracket(
+                space, x, cols[i], y, cols[j])
+
+
+def _eigen_parts(J, a, b):
+    """The m+ and m- parts of A + iB, each as (re, im), up to a factor 1/2."""
+    ja, jb = smallmat.mat_vec(J, a), smallmat.mat_vec(J, b)
+    return ((smallmat.vec_sub(a, jb), smallmat.vec_add(b, ja)),
+            (smallmat.vec_add(a, jb), smallmat.vec_sub(b, ja)))
+
+
 def check_3symmetric(space, J, tol=EPS):
     """Eigenspace bracket conditions of an order-3 splitting.
 
     With m+ spanned by X + i J X over the basis, verifies
-    [m+, m+] c m-,  [m-, m-] c m+,  [m+, m-] c complexified h,
-    entirely in real arithmetic.  Raises unless J^2 = -Id.
+    [m+, m+] c m-,  [m-, m-] c m+ (its conjugate),  [m+, m-] c complexified
+    h, entirely in real arithmetic.  Raises unless J^2 = -Id.
     """
     n = space.dim_m
     j2 = smallmat.mat_mul(J, J)
     if not all_zero(smallmat.mat_add(j2, smallmat.identity(n, scalar_like(J))), tol):
         raise ValueError("J^2 differs from -Id")
-    worst = 0.0
-    for i in range(n):
-        x = _mvec(n, i)
-        jx = smallmat.mat_vec(J, x)
-        for j in range(n):
-            y = _mvec(n, j)
-            jy = smallmat.mat_vec(J, y)
-            # [m+, m+] c m-
-            (am, bm), (ah, bh) = _cplx_pair_bracket(space, x, jx, y, jy)
-            plus_re = smallmat.vec_sub(am, smallmat.mat_vec(J, bm))
-            plus_im = smallmat.vec_add(bm, smallmat.mat_vec(J, am))
-            worst = max(worst, _max_vec(ah, bh, plus_re, plus_im))
-            # [m-, m-] c m+
-            (cm, dm), (ch, dh) = _cplx_pair_bracket(
-                space, x, [-c for c in jx], y, [-c for c in jy])
-            minus_re = smallmat.vec_add(cm, smallmat.mat_vec(J, dm))
-            minus_im = smallmat.vec_sub(dm, smallmat.mat_vec(J, cm))
-            worst = max(worst, _max_vec(ch, dh, minus_re, minus_im))
-            # [m+, m-] c h (x) C
-            (em, fm), _ = _cplx_pair_bracket(space, x, jx, y, [-c for c in jy])
-            worst = max(worst, _max_vec(em, fm))
-    return worst <= tol
+    defects = []
+    for x, jx, y, jy, ((am, bm), h_part) in _plus_brackets(space, J):
+        plus, _ = _eigen_parts(J, am, bm)
+        mixed, _ = _cplx_pair_bracket(space, x, jx, y, [-c for c in jy])
+        defects += [*h_part, *plus, *mixed]
+    return all_zero(defects, tol)
 
 
 def is_complex_subalgebra(space, J, tol=EPS):
@@ -538,23 +538,13 @@ def is_complex_subalgebra(space, J, tol=EPS):
     Closure of the (1,0)-distribution characterizes the integrable invariant
     almost complex structures.
     """
-    n = space.dim_m
-    worst = 0.0
-    for i in range(n):
-        x = _mvec(n, i)
-        jx = smallmat.mat_vec(J, x)
-        for j in range(n):
-            y = _mvec(n, j)
-            jy = smallmat.mat_vec(J, y)
-            (am, bm), _ = _cplx_pair_bracket(space, x, jx, y, jy)
-            # m- component of [w, w'] must vanish: P-(A + iB) = 0
-            minus_re = smallmat.vec_add(am, smallmat.mat_vec(J, bm))
-            minus_im = smallmat.vec_sub(bm, smallmat.mat_vec(J, am))
-            worst = max(worst, _max_vec(minus_re, minus_im))
-    return worst <= tol
+    defects = []
+    for *_, ((am, bm), _) in _plus_brackets(space, J):
+        defects += _eigen_parts(J, am, bm)[1]
+    return all_zero(defects, tol)
 
 
-def acs_from_automorphism(S, tol=1e-12):
+def acs_from_automorphism(S, tol=EPS):
     """Almost complex structure of an order-3 symmetry:  J = (2 S + Id)/sqrt 3.
 
     Requires S^3 = Id with 1 not an eigenvalue; the returned J satisfies
@@ -597,7 +587,7 @@ def ricci(space, g, tol=EPS):
 
     Returns (ric, scal, einstein_ok, max_rel_dev): einstein_ok is the check
     Ric = (scal / dim m) g, exact on exact data and at relative tolerance
-    1e-8 on floats; max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|.
+    ``tol`` on floats; max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|.
     """
     gamma = nomizu_levi_civita(space, g, tol=tol)
     n = space.dim_m
@@ -626,4 +616,4 @@ def ricci(space, g, tol=EPS):
     diff = smallmat.mat_sub(ric, smallmat.mat_scale(lam, g))
     scale = smallmat.mat_max_abs(ric)
     rel = smallmat.mat_max_abs(diff) / max(scale, 1e-30)
-    return ric, scal, all_zero(diff, 1e-8 * scale), rel
+    return ric, scal, all_zero(diff, tol * scale), rel

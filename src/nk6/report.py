@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .scalars import EPS
+
 
 PASS, FAIL, NA = "pass", "fail", "na"
 
@@ -59,7 +61,7 @@ class Verdicts:
 class Report(Verdicts):
     command: str
     inputs: dict = field(default_factory=dict)
-    tolerance: float = 1e-10
+    tolerance: float = EPS
     timing_s: float = 0.0
 
     def check(self, name, ok, label="", residual=None, detail=""):
@@ -92,7 +94,7 @@ class Report(Verdicts):
         data = json.loads(text)
         rep = cls(command=data["command"], inputs=data.get("inputs", {}),
                   scalars=data.get("scalars", {}),
-                  tolerance=data.get("tolerance", 1e-10),
+                  tolerance=data.get("tolerance", EPS),
                   timing_s=data.get("timing_s", 0.0))
         for v in data.get("verdicts", []):
             rep.verdicts.append(Verdict(

@@ -145,7 +145,7 @@ def nondegenerate(w):
     return nondegeneracy_scalar(w) != 0
 
 
-def reduce_to_diagonal(w, tol=1e-12):
+def reduce_to_diagonal(w, tol=EPS):
     """Diagonalize a type-(1,1) nondegenerate invariant 2-form.
 
     Requires A^t C = C B = 0 (else TypeConditionFails), which together with
@@ -175,7 +175,7 @@ def reduce_to_diagonal(w, tol=1e-12):
     recon = [[sum(lams[i] * u[i][r] * v[i][col] for i in range(3))
               for col in range(3)] for r in range(3)]
     scale = max(1.0, smallmat.mat_max_abs(w.C))
-    if smallmat.mat_max_abs(smallmat.mat_sub(recon, w.C)) > 1e-9 * scale:
+    if not all_zero(smallmat.mat_sub(recon, w.C), tol * scale):
         raise ArithmeticError("signed SVD reconstruction failed")
     return (DiagonalInvariantForm(tuple(lams)),
             smallmat.transpose(u), smallmat.transpose(v))
@@ -409,7 +409,7 @@ def verify(tol=EPS):
     solved = solve_nk(tol)
     s, nk = solved.structure, solved.nk
     mu_err = nk.mu - mu_of(1)
-    _, scal, einstein, rel = ricci(cyclic_space(), s.g)
+    _, scal, einstein, rel = ricci(cyclic_space(), s.g, tol)
     verdicts = solved.verdicts + [verdict(*v) for v in (
         ("nearly Kahler system at lambda = 1", nk.verdict, "diff-system",
          max(nk.residual_r1, nk.residual_r2)),

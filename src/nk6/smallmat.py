@@ -200,8 +200,7 @@ def solve_in_span(columns, target, tol=EPS):
     coords = [0] * ncols
     for row, col in enumerate(pivots):
         coords[col] = m[row][ncols]
-    if not all_zero([m[row][ncols] for row in range(len(pivots), nrows)],
-                    max(tol, 1e-8)):
+    if not all_zero([m[row][ncols] for row in range(len(pivots), nrows)], tol):
         raise SingularMatrix("target not in span")
     return coords
 

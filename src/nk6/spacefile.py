@@ -181,8 +181,11 @@ def parse_space(data):
 
 def load_space(path):
     """Parse and validate a space document from a file path."""
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as ex:
+        raise SpaceFormatError(f"{path}: cannot read ({ex})")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as ex:

@@ -488,3 +488,93 @@ def test_checks_leave_module_dicts_the_same_size(tmp_path, capsys):
         assert main(["check", candidate(fixture, scale, number), "--cone"]) == 0
     capsys.readouterr()
     assert _module_dict_sizes() == before
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "s3xs3"], ["check", os.path.join(FIX, "flag.json"), "--cone"]],
+    ids=["verify", "check"])
+def test_malformed_tolerance_is_exit_two(capsys, value, argv):
+    code = main([f"--tolerance={value}"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --tolerance must be finite and >= 0\n"
+    assert captured.out == ""
+
+
+def _unreadable(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "missing.json"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dimension": "\xe9"}')
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+def test_unreadable_space_file_is_exit_two(tmp_path, capsys, kind):
+    path = str(_unreadable(tmp_path, kind))
+    code = main(["check", path])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}: cannot read (")
+    assert err.count("\n") == 1
+
+
+def _perturbed_flag(tmp_path):
+    """The flag fixture at t = 1 + 10^-12: omega and metric, exactly."""
+    with open(os.path.join(FIX, "flag.json")) as fh:
+        doc = json.load(fh)
+    t = "1000000000001/1000000000000"
+    doc["forms"]["omega"][2][1] = t
+    doc["metric"][4][4] = doc["metric"][5][5] = t
+    path = tmp_path / "flag_perturbed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_check_decides_exact_data_exactly(tmp_path, capsys):
+    # residuals of 8e-12 and 2.7e-12 are below the default tolerance, but
+    # the data are exact, so they are not zero
+    code, out = run(capsys, "--json", "check", _perturbed_flag(tmp_path),
+                    "--cone")
+    assert code == 1
+    rep = Report.from_json(out)
+    assert [(v.name, v.label) for v in rep.verdicts if v.status == "fail"] == [
+        ("second structure equation (d phi = -2 mu omega^2)", "diff-system"),
+        ("cone form coclosed", "cone-coclosed")]
+    assert all(0 < v.residual < 1e-10 for v in rep.verdicts
+               if v.status == "fail")
+
+
+EXACT_COMMANDS = {
+    **{f"verify {space}": ["verify", space]
+       for space in ("s3xs3", "flag", "cp3", "s6")},
+    "solve-s3xs3": ["solve-s3xs3"],
+    **{f"check {name}": ["check", os.path.join(FIX, f"{name}.json"), "--cone"]
+       for name in ("s3xs3", "flag", "cp3")},
+    "check perturbed flag": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
+def test_exact_verdicts_do_not_depend_on_tolerance(tmp_path, capsys, name):
+    argv = EXACT_COMMANDS[name] or ["check", _perturbed_flag(tmp_path), "--cone"]
+    verdicts = {}
+    for tol in ([], ["--tolerance", "0"], ["--tolerance", "1"]):
+        code, out = run(capsys, "--json", *tol, *argv)
+        verdicts[tuple(tol)] = code, [
+            (v.name, v.status, v.label, v.residual, v.detail)
+            for v in Report.from_json(out).verdicts]
+    assert len(set(map(repr, verdicts.values()))) == 1
+
+
+def test_float_build_inconsistency_is_a_labelled_verdict(capsys):
+    # at tolerance 0, rounding breaks an identity build_su3 checks on floats
+    code, out = run(capsys, "--json", "--tolerance", "0", "--scalar", "float",
+                    "check", os.path.join(FIX, "s3xs3.json"))
+    assert code == 1
+    build = Report.from_json(out).verdicts[0]
+    assert (build.name, build.status, build.label) == (
+        "stable pair builds an SU(3)-structure", "fail", "structure")

@@ -5,7 +5,7 @@ import pytest
 
 from nk6 import cone, octonion as oc, s3xs3
 from nk6.exterior import KForm, hodge_star, index_tuples, metric_volume
-from nk6.hitchin import SU3Candidate, build_su3, nk_check
+from nk6.hitchin import SU3Candidate, build_su3, nk_check, omega3_sign
 
 
 def diagonal_structure(lams=(1, 1, 1)):
@@ -53,7 +53,7 @@ def test_cone_hodge_matches_seven_dimensional_star():
     for i in range(6):
         for j in range(6):
             g7[i + 1][j + 1] = s.g[i][j]
-    orient = cone.complex_orientation(s)
+    orient = omega3_sign(s.omega)
     vol6 = metric_volume(s.g, orientation=orient)
     vol7 = metric_volume(g7, orientation=orient)
     rho = cone.cone_rho(s.omega, s.psi)
@@ -152,6 +152,9 @@ def test_cone_check_agrees_on_all_catalog_structures():
         (fm.space, fm.omega(1, 1, 2), False),
         (cm.space, cm.omega(Fraction(1, 2), -1), True),
         (cm.space, cm.omega(Fraction(3, 2), -1), False),
+        # 10^-12 off the solution: exact data is decided exactly
+        (fm.space, fm.omega(1, 1, 1 + Fraction(1, 10 ** 12)), False),
+        (cm.space, cm.omega(Fraction(1, 2) + Fraction(1, 10 ** 12), -1), False),
     ]
     for space, omega, expect in cases:
         diff = lambda a: ce_differential(space, a, check_invariance=False)

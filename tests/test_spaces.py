@@ -267,6 +267,8 @@ def _orientation_candidates():
     for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         for fiber in (1, -1):
             out.append((cm.omega(t, fiber), cp3_d))
+    # omega^3 of this omega is 10^-420, zero as a float: the sign is exact
+    out.append((fm.omega(1, 1, 1).scale(Fraction(1, 10 ** 140)), flag_d))
     exact = [(omega, d(omega) / 3) for omega, d in out]
     floats = [(omega.to_float(), psi.to_float()) for omega, psi in exact[::2]]
     return exact + floats
