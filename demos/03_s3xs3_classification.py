@@ -1,7 +1,8 @@
 """The classification of invariant nearly Kahler structures on S^3 x S^3.
 
-Everything happens on su(2) (+) su(2) in a cyclic co-frame.  The
-type-(1,1) reduction leaves a diagonal triple (l1, l2, l3); the first
+Everything happens on su(2) (+) su(2) in a cyclic co-frame.  Two
+polynomial identities reduce a general invariant 2-form (A, B, C) to a
+diagonal triple (l1, l2, l3); the first
 order system becomes a few polynomials in the l_i, and a certificate --
 their claimed factorisations, checked by expansion -- leaves only the
 equal triples.
@@ -19,6 +20,10 @@ space = s3xs3.cyclic_space()
 from nk6.exterior import KForm
 from nk6.lie import ce_differential
 print("d e1 =", ce_differential(space, KForm.basis(6, (0,))))
+
+# the reduction of (A, B, C), 15 variables, to the diagonal family
+print("type (1,1) forces A = B = 0, det C != 0:", s3xs3.type_identity())
+print("rotations commute with d, C -> M C N^t :", s3xs3.rotation_identity())
 
 # the polynomials of the family omega = diag(l1, l2, l3)
 names = ("l1", "l2", "l3")

@@ -196,8 +196,12 @@ def _cmd_check(args):
         try:
             ok, res = nearly_kahler_residual(space, doc.metric, structure.J,
                                              tol=tol)
+            detail = "" if ok == nk.verdict else ", ".join(
+                f"{level} level: {'' if v else 'not '}nearly Kahler"
+                for level, v in (("connection", ok), ("form", nk.verdict)))
             rep.check("connection-level and form-level verdicts agree",
-                      ok == nk.verdict, label="nabla-J", residual=res)
+                      ok == nk.verdict, label="nabla-J", residual=res,
+                      detail=detail)
         except ValueError as ex:
             rep.check("connection-level and form-level verdicts agree", False,
                       label="nabla-J", detail=str(ex))

@@ -170,8 +170,10 @@ def cone_check(s, link_d, tol=EPS):
     term against -phi.
     """
     c, _ = mu_volume_fit(s, link_d)
+    # c compares d phi with omega^2, so its zero test is at their ratio
+    ratio = link_d(s.phi).max_abs() / wedge(s.omega, s.omega).max_abs()
     scale = 1
-    if is_positive(c, tol):
+    if is_positive(c, tol * ratio):
         scale = c
         s = s.scaled(c)
 

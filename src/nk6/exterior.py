@@ -333,7 +333,7 @@ class HodgeStar:
         return out
 
 
-def hodge_star(a, gram, vol=None, tol=EPS):
+def hodge_star(a, gram, vol=None):
     """The star of one form: ``HodgeStar(gram, vol)(a)``."""
     return HodgeStar(gram, vol)(a)
 

@@ -3,18 +3,17 @@
 The left-invariant calculus happens on su(2) (+) su(2) in a cyclic
 co-frame (e1,e2,e3,f1,f2,f3) with d e_i = e_{i+1} ^ e_{i+2} and
 d f_i = f_{i+1} ^ f_{i+2}.  A generic invariant 2-form is a triple
-(A, B, C); the type-(1,1) condition forces A = B = 0 and C diagonalizes
-under the co-frame action C -> M C N^t with M, N in SO(3), leaving the
-diagonal triple (lambda_1, lambda_2, lambda_3).  A polynomial certificate
-in the lambda_i^2 (:func:`uniqueness_certificate`) shows that the nearly
-Kahler system holds only on the family (lambda, lambda, lambda), up to
-co-frame signs.
+(A, B, C) with 15 parameters; type (1,1) forces A = B = 0
+(:func:`type_identity`), and co-frame rotations act by C -> M C N^t
+(:func:`rotation_identity`), so the real SVD (cited) leaves the diagonal
+triple (lambda_1, lambda_2, lambda_3).  A polynomial certificate in the
+lambda_i^2 (:func:`uniqueness_certificate`) shows that the nearly Kahler
+system holds only on (lambda, lambda, lambda), up to co-frame signs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,20 +21,12 @@ from fractions import Fraction
 from . import smallmat
 from .certificate import Certificate, Claim, check_certificate
 from .cone import cone_verdicts
-from .exterior import KForm
+from .exterior import KForm, wedge
 from .hitchin import SU3Candidate, build_su3, nk_check
 from .lie import LieAlgebraData, ReductiveSpace, ce_differential, ricci
 from .poly import Poly
 from .report import Verdicts, verdict
-from .scalars import EPS, QSqrt3, all_zero, exact_div, is_zero, scalar_like
-
-
-class TypeConditionFails(ValueError):
-    """The pair (omega, d omega) is not of type (1,1): A^t C or C B nonzero."""
-
-
-class Degenerate(ValueError):
-    """det C = 0 once A = B = 0 is forced, so omega^3 = 0."""
+from .scalars import EPS, QSqrt3, exact_div, is_zero
 
 
 _SPACE = None
@@ -68,12 +59,9 @@ def cyclic_space():
     return _SPACE
 
 
-VOL_INDEX = (0, 1, 2, 3, 4, 5)
-
-
 def volume_form(orientation=1):
     """e123 ^ f123, the reference orientation of the diagonal family."""
-    return KForm.basis(6, VOL_INDEX, Fraction(orientation))
+    return KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orientation))
 
 
 def differential(alpha):
@@ -130,88 +118,63 @@ def candidate(diag, orientation=1):
 
 # ---------------------------------------------------------------------------
 def nondegeneracy_scalar(w):
-    """det C - A^t C B;  omega^3 = -6 (det C - A^t C B) e123^f123.
+    """det C - A^t C B, det C as a Leibniz sum so that Poly entries work."""
+    c = w.C
+    det = (c[0][0] * c[1][1] * c[2][2] + c[0][1] * c[1][2] * c[2][0]
+           + c[0][2] * c[1][0] * c[2][1] - c[0][2] * c[1][1] * c[2][0]
+           - c[0][0] * c[1][2] * c[2][1] - c[0][1] * c[1][0] * c[2][2])
+    return det - smallmat.vec_dot(smallmat.mat_vec(c, w.B), w.A)
 
-    The closed form is frozen against the brute-force wedge computation
-    (exact, random rational coefficients); the relative sign of the two
-    terms is the one the oracle confirms.
+
+def type_identity():
+    """Type (1,1) and omega^3 != 0 force A = B = 0 and det C != 0.
+
+    Over the 15 parameters of (A, B, C) as variables: omega ^ d omega has
+    the coefficients +-(A^t C)_i, +-(C B)_i, and omega^3 is -6 times
+    :func:`nondegeneracy_scalar`.  So A^t C = C B = 0 and det C != 0, and
+    then A = B = 0.
     """
-    atcb = smallmat.vec_dot(smallmat.mat_vec(w.C, w.B), w.A)
-    return smallmat.det(w.C) - atcb
-
-
-def nondegenerate(w):
-    """True iff omega ^ omega ^ omega != 0, by the closed-form scalar."""
-    return nondegeneracy_scalar(w) != 0
-
-
-def reduce_to_diagonal(w, tol=EPS):
-    """Diagonalize a type-(1,1) nondegenerate invariant 2-form.
-
-    Requires A^t C = C B = 0 (else TypeConditionFails), which together with
-    nondegeneracy forces A = B = 0 and det C != 0 (else Degenerate).
-    Returns (DiagonalInvariantForm, M, N) with M, N in SO(3) realizing the
-    co-frame change C = M diag(lams) N^t; det C = lambda_1 lambda_2 lambda_3.
-    """
+    v = Poly.variables(15)
+    w = ABCForm(v[:3], v[3:6], [v[6 + 3 * i:9 + 3 * i] for i in range(3)])
+    om = w.to_form()
     atc = smallmat.mat_vec(smallmat.transpose(w.C), w.A)
     cb = smallmat.mat_vec(w.C, w.B)
-    if not all_zero(atc + cb, tol):
-        raise TypeConditionFails("A^t C or C B is nonzero")
-    if is_zero(smallmat.det(w.C), tol):
-        raise Degenerate("det C = 0 after forcing A = B = 0")
-
-    if all_zero([w.C[i][j] for i in range(3) for j in range(3) if i != j], tol):
-        eye = smallmat.identity(3, scalar_like((w.A, w.B, w.C)))
-        return DiagonalInvariantForm(tuple(w.C[i][i] for i in range(3))), eye, eye
-
-    u, lams, v = _jacobi_svd(w.C)
-    # u and v hold columns; det is the same for a matrix and its transpose
-    if smallmat.det(u) < 0:
-        u[2] = [-x for x in u[2]]
-        lams[2] = -lams[2]
-    if smallmat.det(v) < 0:
-        v[2] = [-x for x in v[2]]
-        lams[2] = -lams[2]
-    recon = [[sum(lams[i] * u[i][r] * v[i][col] for i in range(3))
-              for col in range(3)] for r in range(3)]
-    scale = max(1.0, smallmat.mat_max_abs(w.C))
-    if not all_zero(smallmat.mat_sub(recon, w.C), tol * scale):
-        raise ArithmeticError("signed SVD reconstruction failed")
-    return (DiagonalInvariantForm(tuple(lams)),
-            smallmat.transpose(u), smallmat.transpose(v))
+    return (wedge(om, differential(om)).c
+            == [-atc[2], atc[1], -atc[0], cb[2], -cb[1], cb[0]]
+            and wedge(wedge(om, om), om).c[0] == -6 * nondegeneracy_scalar(w))
 
 
-def _jacobi_svd(c):
-    """C = U diag(s) V^T by one-sided (Hestenes) Jacobi on the columns of C.
+def quaternion_rotation(a, b, c, d):
+    """R(q), quadratic in q = a + bi + cj + dk; R(q) / |q|^2 is in SO(3)."""
+    return [[a * a + b * b - c * c - d * d, 2 * (b * c - a * d),
+             2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a - b * b + c * c - d * d,
+             2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b),
+             a * a - b * b - c * c + d * d]]
 
-    Plane rotations collected in V make the columns of C V orthogonal;
-    their norms are the singular values s, sorted decreasing, and
-    U = C V diag(s)^-1.  Returns (columns of U, s, columns of V).
+
+def rotation_identity():
+    """Co-frame rotations R(q) (+) R(q'), 4 variables each, commute with d.
+
+    With R^* e_a = sum_i R_ia e_i: |q|^2 d(R^* e_a) = R^*(d e_a) on the six
+    co-frame 1-forms, and R R^t = |q|^4 Id.  For unit q, q' the pullback
+    then commutes with d on all forms and sends C to M C N^t.
     """
-    a = [[float(c[r][i]) for r in range(3)] for i in range(3)]
-    v = [[float(r == i) for r in range(3)] for i in range(3)]
-    for _ in range(32):  # converges quadratically; a sweep cap guards NaN
-        rotated = False
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            alpha, beta = (math.fsum(x * x for x in a[i]) for i in (p, q))
-            gamma = math.fsum(x * y for x, y in zip(a[p], a[q]))
-            if abs(gamma) <= math.ulp(1.0) * math.sqrt(alpha * beta):
-                continue
-            rotated = True
-            zeta = (beta - alpha) / (2 * gamma)
-            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-            cs = 1.0 / math.hypot(1.0, t)
-            sn = cs * t
-            for cols in (a, v):
-                cols[p], cols[q] = (
-                    [cs * x - sn * y for x, y in zip(cols[p], cols[q])],
-                    [sn * x + cs * y for x, y in zip(cols[p], cols[q])])
-        if not rotated:
-            break
-    s = [math.sqrt(math.fsum(x * x for x in col)) for col in a]
-    order = sorted(range(3), key=lambda i: -s[i])
-    return ([[x / s[i] for x in a[i]] for i in order],
-            [s[i] for i in order], [v[i] for i in order])
+    q = Poly.variables(8)
+    rotations = [quaternion_rotation(*q[:4]), quaternion_rotation(*q[4:])]
+    norms = [sum(x * x for x in q[:4]), sum(x * x for x in q[4:])]
+    images = [KForm.from_terms(6, 1, [((3 * s + i,), rotations[s][i][a])
+                                      for i in range(3)])
+              for s in (0, 1) for a in range(3)]
+    pullback = lambda form: sum(  # of a 2-form
+        (wedge(images[i], images[j]).scale(x) for (i, j), x in form.terms()),
+        KForm.zero(6, 2))
+    return all(differential(images[a]).scale(norms[a // 3])
+               == pullback(differential(KForm.basis(6, (a,))))
+               for a in range(6)) and all(
+        smallmat.mat_mul(r, smallmat.transpose(r))
+        == smallmat.identity(3, n * n) for r, n in zip(rotations, norms))
 
 
 def quartic_invariant(lams):
@@ -362,8 +325,9 @@ class SolveReport(Verdicts):
 def solve_nk(tol=EPS):
     """Classify the diagonal nearly Kahler triples: the family (l, l, l), l > 0.
 
-    Combines (a) the polynomial certificate that |l1| = |l2| = |l3|, (b)
-    the sign-pattern analysis with co-frame certificates, and (c) full
+    Combines (a) the reduction of (A, B, C) to the diagonal family, (b)
+    the polynomial certificate that |l1| = |l2| = |l3|, (c) the
+    sign-pattern analysis with co-frame certificates, and (d) full
     pipeline verification (build, first-order system, exact mu) at sample
     points of the family.  The lambda = 1 structure and its NKReport are
     the certificate's, from its ray (1, 1, 1), and are kept as
@@ -381,7 +345,16 @@ def solve_nk(tol=EPS):
             nk = nk_check(s, differential, tol=tol)
         verified.append(nk.verdict and is_zero(nk.mu - mu_of(lam), tol))
     patterns = {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
+    covers = "; the reduction covers all 15 parameters of (A, B, C)"
     verdicts = [verdict(*v) for v in (
+        ("type (1,1) and omega^3 != 0 force A = B = 0, det C != 0",
+         type_identity(), "type-11", None,
+         "omega ^ d omega = +-(A^t C)_i, +-(C B)_i and omega^3 = "
+         "-6 (det C - A^t C B) e123^f123 as polynomials" + covers),
+        ("co-frame rotations commute with d (C -> M C N^t)",
+         rotation_identity(), "co-frame", None,
+         "|q|^2 d(R(q)^* e_i) = R(q)^*(d e_i), R R^t = |q|^4 Id; with the "
+         "real SVD C = M diag(l) N^t, M, N in SO(3) (cited)" + covers),
         ("uniqueness certificate (no admissible non-equal solution)",
          cert.unique and cert.solutions == [(1, 1, 1)], "diff-system", None,
          cert.detail),

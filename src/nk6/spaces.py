@@ -317,7 +317,7 @@ class FlagReport(Verdicts):
     certificate: object
 
 
-def _flag_bracket_family_checks(model):
+def _flag_bracket_family_checks():
     """Closed-form bracket families against the matrix commutator.
 
     The commutator is authoritative.  It confirms
@@ -431,7 +431,7 @@ def flag_verify(tol=EPS):
     model = flag_model()
     space = model.space
 
-    failures, display = _flag_bracket_family_checks(model)
+    failures, display = _flag_bracket_family_checks()
     weights_ok, weights_display = _flag_weight_checks(model)
     canonical_ok = check_3symmetric(space, model.acs((1, 1, 1)), tol=tol)
     flipped = {signs: is_complex_subalgebra(space, model.acs(signs), tol=tol)

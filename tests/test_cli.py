@@ -548,6 +548,34 @@ def test_check_decides_exact_data_exactly(tmp_path, capsys):
                if v.status == "fail")
 
 
+
+def test_level_disagreement_names_each_outcome(tmp_path, capsys):
+    # omega at t = 1 + 10^-12 with the identity metric left in place: the
+    # connection-level defect is exactly zero while the form level fails
+    with open(os.path.join(FIX, "flag.json")) as fh:
+        doc = json.load(fh)
+    doc["forms"]["omega"][2][1] = "1000000000001/1000000000000"
+    path = tmp_path / "flag_omega_only.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "--json", "check", str(path))
+    assert code == 1
+    agree = [v for v in Report.from_json(out).verdicts
+             if v.name == "connection-level and form-level verdicts agree"]
+    assert [(v.status, v.label, v.residual, v.detail) for v in agree] == [
+        ("fail", "nabla-J", 0.0,
+         "connection level: nearly Kahler, form level: not nearly Kahler")]
+
+
+def test_cone_rescale_decision_scales_with_the_data(capsys):
+    # c = 0.096 on the float fixture: above --tolerance 0.1 times the
+    # size of d phi over omega^2, so the structure is rescaled
+    code, out = run(capsys, "--json", "--tolerance", "0.1", "--scalar",
+                    "float", "check", os.path.join(FIX, "s3xs3.json"), "--cone")
+    assert code == 0
+    cone = {v.name: v.status for v in Report.from_json(out).verdicts
+            if v.name.startswith("cone form")}
+    assert cone == {"cone form closed": "pass", "cone form coclosed": "pass"}
+
 EXACT_COMMANDS = {
     **{f"verify {space}": ["verify", space]
        for space in ("s3xs3", "flag", "cp3", "s6")},

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from nk6 import s3xs3, smallmat
 from nk6.certificate import check_certificate
-from nk6.exterior import wedge
+from nk6.cli import main
+from nk6.exterior import KForm, wedge
 from nk6.hitchin import StructureError, build_su3, nk_check
+from nk6.lie import LieAlgebraData, ReductiveSpace
+from nk6.report import Report
 from nk6.scalars import QSqrt3
 from nk6.spaces import build_either_orientation
 
@@ -22,11 +24,11 @@ def rnd_abc(rng, bound=2):
 def test_nondegenerate_examples():
     eye = smallmat.identity(3, Fraction(1))
     zero = [Fraction(0)] * 3
-    assert s3xs3.nondegenerate(s3xs3.ABCForm(zero, zero, eye))
+    assert s3xs3.nondegeneracy_scalar(s3xs3.ABCForm(zero, zero, eye)) == 1
     singular = [[Fraction(1), Fraction(0), Fraction(0)],
                 [Fraction(0), Fraction(1), Fraction(0)],
                 [Fraction(0), Fraction(0), Fraction(0)]]
-    assert not s3xs3.nondegenerate(s3xs3.ABCForm(zero, zero, singular))
+    assert s3xs3.nondegeneracy_scalar(s3xs3.ABCForm(zero, zero, singular)) == 0
 
 
 def test_nondegeneracy_scalar_matches_wedge_oracle():
@@ -38,70 +40,141 @@ def test_nondegeneracy_scalar_matches_wedge_oracle():
         assert o3.c[0] == -6 * s3xs3.nondegeneracy_scalar(w)
 
 
-def test_reduce_diagonal_fast_path():
-    zero = [Fraction(0)] * 3
-    c = [[Fraction(1), 0, 0], [0, Fraction(2), 0], [0, 0, Fraction(3)]]
-    d, m, n = s3xs3.reduce_to_diagonal(s3xs3.ABCForm(zero, zero, c))
-    assert d.lams == (1, 2, 3)
-    assert m == smallmat.identity(3, Fraction(1))
-    assert n == smallmat.identity(3, Fraction(1))
+def test_reduction_identities_hold():
+    assert s3xs3.type_identity()
+    assert s3xs3.rotation_identity()
 
 
-def _rotation(axis, th):
-    i, j = [k for k in range(3) if k != axis]
-    r = np.eye(3)
-    r[i, i] = r[j, j] = np.cos(th)
-    r[i, j], r[j, i] = -np.sin(th), np.sin(th)
-    return r
-
-
-def test_reduce_svd_path_recovers_values():
-    # one rotation with det C > 0, then two-sided rotations with det C < 0
-    # (between them they flip U and V into SO(3))
-    cases = [
-        (_rotation(2, 0.9), [1.0, 1.0, 2.0], np.eye(3)),
-        (_rotation(2, 0.9), [1.0, -2.0, 3.0], _rotation(0, 0.4)),
-        (_rotation(1, 0.7), [3.0, -2.0, 1.0], _rotation(2, 0.4)),
-    ]
-    zero = [0.0] * 3
-    for left, diag, right in cases:
-        c = (left @ np.diag(diag) @ right.T).tolist()
-        d, m, n = s3xs3.reduce_to_diagonal(s3xs3.ABCForm(zero, zero, c))
-        vals = sorted(abs(x) for x in d.lams)
-        assert vals == pytest.approx(sorted(abs(x) for x in diag), abs=1e-9)
-        prod = d.lams[0] * d.lams[1] * d.lams[2]
-        assert prod == pytest.approx(float(np.linalg.det(np.array(c))),
-                                     abs=1e-9)
-        # reconstruction M D N^t = C
-        recon = np.array(m) @ np.diag(d.lams) @ np.array(n).T
-        assert np.abs(recon - np.array(c)).max() < 1e-12
-        assert np.linalg.det(np.array(m)) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.det(np.array(n)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_reduce_rejects_type_failures():
+def test_type_identity_at_the_rejected_points():
+    # A^t C != 0: omega ^ d omega has the coefficient -(A^t C)_1 = -1
     zero = [Fraction(0)] * 3
     a = [Fraction(1), Fraction(0), Fraction(0)]
     eye = smallmat.identity(3, Fraction(1))
-    with pytest.raises(s3xs3.TypeConditionFails):
-        s3xs3.reduce_to_diagonal(s3xs3.ABCForm(a, zero, eye))
+    om = s3xs3.ABCForm(a, zero, eye).to_form()
+    assert wedge(om, s3xs3.differential(om)).c == [0, 0, -1, 0, 0, 0]
+    # type (1,1) but det C = 0: omega^3 vanishes
     singular = [[Fraction(1), 0, 0], [0, Fraction(1), 0], [0, 0, Fraction(0)]]
-    with pytest.raises(s3xs3.Degenerate):
-        s3xs3.reduce_to_diagonal(s3xs3.ABCForm(zero, zero, singular))
+    om = s3xs3.ABCForm(zero, zero, singular).to_form()
+    assert wedge(om, s3xs3.differential(om)).is_zero()
+    assert wedge(wedge(om, om), om).is_zero()
+
+
+def _unit_rotation(q):
+    """R(q) / |q|^2 for a rational quaternion q: a rational matrix in SO(3)."""
+    norm = sum(Fraction(x) ** 2 for x in q)
+    return [[x / norm for x in row] for row in s3xs3.quaternion_rotation(
+        *map(Fraction, q))]
+
+
+def _pullback(m, n, form):
+    """The pullback under e_a -> sum_i M_ia e_i, f_b -> sum_j N_jb f_j."""
+    images = [KForm.from_terms(6, 1, [((3 * side + i,), p[i][a])
+                                      for i in range(3)])
+              for side, p in ((0, m), (1, n)) for a in range(3)]
+    out = KForm.zero(6, form.k)
+    for idx, value in form.terms():
+        term = KForm.constant(6, value)
+        for i in idx:
+            term = wedge(term, images[i])
+        out = out + term
+    return out
+
+
+QUATERNION_PAIRS = [((1, 2, -1, 3), (2, 0, 1, -1)), ((3, -1, 1, 1), (1, 1, 2, 5))]
+
+
+def test_rotation_pullback_maps_c_to_m_c_nt():
+    # exact unit rotations: the pullback sends sum c_ij e_i f_j to
+    # M C N^t and commutes with d on the whole 2-form
+    zero = [Fraction(0)] * 3
+    rng = random.Random(23)
+    for q, q2 in QUATERNION_PAIRS:
+        m, n = _unit_rotation(q), _unit_rotation(q2)
+        assert smallmat.det(m) == 1 and smallmat.det(n) == 1
+        assert smallmat.mat_mul(m, smallmat.transpose(m)) == \
+            smallmat.identity(3, 1)
+        c = [[s3xs3.random_rational(rng, 3) for _ in range(3)]
+             for _ in range(3)]
+        om = s3xs3.ABCForm(zero, zero, c).to_form()
+        mcnt = smallmat.mat_mul(m, smallmat.mat_mul(c, smallmat.transpose(n)))
+        assert _pullback(m, n, om) == s3xs3.ABCForm(zero, zero, mcnt).to_form()
+        assert s3xs3.differential(_pullback(m, n, om)) == \
+            _pullback(m, n, s3xs3.differential(om))
 
 
 def test_det_invariant_under_coframe_changes():
-    rng = np.random.default_rng(7)
-    c = np.array([[1.0, 0.5, 0.0], [-0.25, 2.0, 1.0], [0.0, 0.5, -1.0]])
-    det = np.linalg.det(c)
-    for _ in range(100):
-        qm, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        qn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        if np.linalg.det(qm) < 0:
-            qm[:, 0] *= -1
-        if np.linalg.det(qn) < 0:
-            qn[:, 0] *= -1
-        assert np.linalg.det(qm @ c @ qn.T) == pytest.approx(det, rel=1e-9)
+    rng = random.Random(7)
+    zero = [Fraction(0)] * 3
+    for q, q2 in QUATERNION_PAIRS:
+        m, n = _unit_rotation(q), _unit_rotation(q2)
+        c = [[s3xs3.random_rational(rng, 3) for _ in range(3)]
+             for _ in range(3)]
+        mcnt = smallmat.mat_mul(m, smallmat.mat_mul(c, smallmat.transpose(n)))
+        assert s3xs3.nondegeneracy_scalar(s3xs3.ABCForm(zero, zero, mcnt)) \
+            == s3xs3.nondegeneracy_scalar(s3xs3.ABCForm(zero, zero, c)) \
+            == smallmat.det(c)
+
+
+def _tampered_su2_space():
+    """[X1,X2] = X3, [X2,X3] = 2 X1, [X3,X1] = X2 on the first factor: a Lie
+    algebra (Jacobi holds) whose co-frame rotations are not automorphisms."""
+    c = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for base in (0, 3):
+        for (i, j, k), a in (((0, 1, 2), 1), ((1, 2, 0), 2 if base == 0 else 1),
+                             ((2, 0, 1), 1)):
+            c[base + i][base + j][base + k] = Fraction(a)
+            c[base + j][base + i][base + k] = Fraction(-a)
+    return ReductiveSpace(LieAlgebraData(c), [], list(range(6)))
+
+
+def _flipped_rotation(*q):
+    r = ORIGINAL_ROTATION(*q)
+    r[0][1] = -r[0][1]
+    return r
+
+
+ORIGINAL_ROTATION = s3xs3.quaternion_rotation
+ORIGINAL_SCALAR = s3xs3.nondegeneracy_scalar
+TYPE_VERDICT = ("type (1,1) and omega^3 != 0 force A = B = 0, det C != 0",
+                "type-11")
+ROTATION_VERDICT = ("co-frame rotations commute with d (C -> M C N^t)",
+                    "co-frame")
+REDUCTION_NAMES = (TYPE_VERDICT[0], ROTATION_VERDICT[0])
+
+
+@pytest.mark.parametrize("tamper, failing", [
+    ("su2-constants", {TYPE_VERDICT, ROTATION_VERDICT}),
+    ("omega3-sign", {TYPE_VERDICT}),
+    ("rotation-entry", {ROTATION_VERDICT}),
+])
+@pytest.mark.parametrize("argv", [["verify", "s3xs3"], ["solve-s3xs3"]])
+def test_reduction_verdicts_fail_on_tampered_inputs(
+        monkeypatch, capsys, tamper, failing, argv):
+    if tamper == "su2-constants":
+        monkeypatch.setattr(s3xs3, "_SPACE", _tampered_su2_space())
+    elif tamper == "omega3-sign":
+        monkeypatch.setattr(s3xs3, "nondegeneracy_scalar",
+                            lambda w: -ORIGINAL_SCALAR(w))
+    else:
+        monkeypatch.setattr(s3xs3, "quaternion_rotation", _flipped_rotation)
+    assert main(["--json", *argv]) == 1
+    rep = Report.from_json(capsys.readouterr().out)
+    reduction = [v for v in rep.verdicts if v.name in REDUCTION_NAMES]
+    assert len(reduction) == 2
+    assert {(v.name, v.label) for v in reduction
+            if v.status == "fail"} == failing
+    assert all(v.residual is None for v in reduction)
+
+
+def test_reduction_verdicts_cover_all_parameters(capsys):
+    assert main(["--json", "solve-s3xs3"]) == 0
+    rep = Report.from_json(capsys.readouterr().out)
+    reduction = [v for v in rep.verdicts if v.name in REDUCTION_NAMES]
+    assert [v.status for v in reduction] == ["pass", "pass"]
+    for v in reduction:
+        assert v.residual is None
+        assert v.detail.endswith(
+            "the reduction covers all 15 parameters of (A, B, C)")
 
 
 def test_su3_admissible_examples():

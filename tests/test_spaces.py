@@ -70,7 +70,7 @@ def test_ledger_obata_canonical_complement_is_3symmetric():
 
 def test_flag_model_brackets_and_weights():
     fm = spaces.flag_model()
-    failures, display = spaces._flag_bracket_family_checks(fm)
+    failures, display = spaces._flag_bracket_family_checks()
     assert not failures
     assert display  # the classical <0,0,ab> display deviates; recorded
     ok, display_match = spaces._flag_weight_checks(fm)
