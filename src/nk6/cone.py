@@ -149,6 +149,8 @@ class ConeReport:
     omega2_coefficient: object
     phi_term_residual: float
     normalization: object
+    fit: object
+    rescaled: bool
     closed: bool
     coclosed: bool
 
@@ -162,7 +164,8 @@ def cone_check(s, link_d, tol=EPS):
 
     The structure is first rescaled, in closed form, to unit metric
     normalization (the least-squares constant of d phi = -2 c omega^2
-    becomes 1), the scale a cone can absorb into the radius; then rho is
+    becomes 1), the scale a cone can absorb into the radius, unless the
+    fitted c is not positive at ``tol`` (``rescaled`` False); then rho is
     built and d rho, d *rho are evaluated with the link differential and
     the term-wise cone star.
     Also reports the fitted coefficient of the r^4 omega^omega term of
@@ -172,9 +175,8 @@ def cone_check(s, link_d, tol=EPS):
     c, _ = mu_volume_fit(s, link_d)
     # c compares d phi with omega^2, so its zero test is at their ratio
     ratio = link_d(s.phi).max_abs() / wedge(s.omega, s.omega).max_abs()
-    scale = 1
-    if is_positive(c, tol * ratio):
-        scale = c
+    rescaled = is_positive(c, tol * ratio)
+    if rescaled:
         s = s.scaled(c)
 
     rho = cone_rho(s.omega, s.psi)
@@ -202,19 +204,27 @@ def cone_check(s, link_d, tol=EPS):
         d_star_rho_residual=d_star_rho.max_abs(),
         omega2_coefficient=coeff,
         phi_term_residual=phi_resid,
-        normalization=scale,
+        normalization=c if rescaled else 1,
+        fit=c,
+        rescaled=rescaled,
         closed=d_rho.is_zero(tol),
         coclosed=d_star_rho.is_zero(tol),
     )
 
 
 def cone_verdicts(s, link_d, tol=EPS):
-    """Run :func:`cone_check`; returns (its two verdicts, the ConeReport)."""
+    """Run :func:`cone_check`; returns (its two verdicts, the ConeReport).
+
+    Both verdicts say so when the structure was left unscaled.
+    """
     crep = cone_check(s, link_d, tol=tol)
+    detail = "" if crep.rescaled else (
+        f"structure left unscaled: the fitted c = {float(crep.fit):.4g} is "
+        f"not positive at tolerance {tol:g} times max|d phi| / max|omega^2|")
     return [verdict("cone form closed", crep.closed, "cone-closed",
-                    crep.d_rho_residual),
+                    crep.d_rho_residual, detail),
             verdict("cone form coclosed", crep.coclosed, "cone-coclosed",
-                    crep.d_star_rho_residual)], crep
+                    crep.d_star_rho_residual, detail)], crep
 
 
 def g2_metric_identity(rho7):

@@ -57,6 +57,22 @@ class LieAlgebraData:
             c[j][i][k] = c[j][i][k] - v
         return cls(c, labels=labels, check=check, tol=tol)
 
+    @classmethod
+    def from_matrices(cls, basis, labels=None):
+        """The algebra spanned by the matrices ``basis`` under the commutator.
+
+        Each [X_i, X_j] is rebuilt exactly from its coordinates in the
+        basis (:func:`span_coordinates`), which raises when the bracket
+        leaves the span; the antisymmetry and Jacobi checks then run on
+        the constants as for any other algebra.
+        """
+        coordinates = span_coordinates(basis)
+        dim = len(basis)
+        triples = [(i, j, k, v) for i in range(dim) for j in range(i + 1, dim)
+                   for k, v in enumerate(coordinates(
+                       smallmat.commutator(basis[i], basis[j]))) if v != 0]
+        return cls.from_sparse(dim, triples, labels=labels)
+
     def nonzero(self):
         """The nonzero constants as (i, j, k, c[i][j][k])."""
         for i, row in enumerate(self.brackets):
@@ -68,6 +84,50 @@ class LieAlgebraData:
         c = self.c
         if not all_zero([v + c[j][i][k] for i, j, k, v in self.nonzero()], tol):
             raise ValueError("structure constants are not antisymmetric")
+
+
+def span_coordinates(basis):
+    """The coordinate map of the span of the matrices ``basis``.
+
+    The trace-form Gram matrix tr(A^t B) of the basis, the dot products of
+    the flattened matrices, is inverted once.
+    The returned function sends a matrix to its coordinates and raises
+    ValueError when the coordinates do not rebuild the matrix exactly,
+    i.e. when it lies outside the span.
+    """
+    flat = [[x for row in b for x in row] for b in basis]
+    ginv = smallmat.inv([[smallmat.vec_dot(u, v) for v in flat] for u in flat])
+    # the basis matrices are sparse: keep each one's nonzero entries only
+    support = [[(p, v) for p, v in enumerate(u) if v != 0] for u in flat]
+
+    def coordinates(m):
+        rest = [x for row in m for x in row]
+        x = smallmat.mat_vec(ginv, [sum(v * rest[p] for p, v in u)
+                                    for u in support])
+        for xk, u in zip(x, support):
+            if xk != 0:
+                for p, v in u:
+                    rest[p] = rest[p] - xk * v
+        if not all_zero(rest):
+            raise ValueError("matrix is outside the span of the basis")
+        return x
+
+    return coordinates
+
+
+def su2_sum(i, coeffs):
+    """c_1 X_i (+) ... (+) c_k X_i in su(2)^k, a block-diagonal 3k x 3k matrix.
+
+    X_i = -L_i for the so(3) generators (L_i)_jk = -eps_ijk, so
+    [X_i, X_j] = -eps_ijk X_k: the sign of the cyclic co-frame
+    d e_i = e_{i+1} ^ e_{i+2}.
+    """
+    j, k = (i + 1) % 3, (i + 2) % 3
+    out = [[0] * (3 * len(coeffs)) for _ in range(3 * len(coeffs))]
+    for s, c in enumerate(coeffs):
+        out[3 * s + j][3 * s + k] = c
+        out[3 * s + k][3 * s + j] = -c
+    return out
 
 
 def bilinear_apply(table, x, y):
@@ -285,8 +345,7 @@ def is_invariant(space, alpha, tol=EPS):
 def is_invariant_endo(space, J, tol=EPS):
     """True iff the endomorphism of m commutes with every ad(h)."""
     for mat in space.ad_h:
-        d = smallmat.mat_sub(smallmat.mat_mul(mat, J), smallmat.mat_mul(J, mat))
-        if not all_zero(d, tol):
+        if not all_zero(smallmat.commutator(mat, J), tol):
             return False
     return True
 
@@ -360,12 +419,7 @@ def _nomizu_matrix(gamma, x):
 
 def _nabla_j(gamma, J):
     """The matrices nabla_i J = [L_i, J], L_i the Nomizu matrix of X_i."""
-    out = []
-    for gi in gamma:
-        li = smallmat.transpose(gi)
-        out.append(smallmat.mat_sub(smallmat.mat_mul(li, J),
-                                    smallmat.mat_mul(J, li)))
-    return out
+    return [smallmat.commutator(smallmat.transpose(gi), J) for gi in gamma]
 
 
 def nearly_kahler_residual(space, g, J, tol=EPS):
@@ -576,8 +630,8 @@ def curvature_operator(space, gamma, i, j):
     n = space.dim_m
     li = _nomizu_matrix(gamma, _mvec(n, i))
     lj = _nomizu_matrix(gamma, _mvec(n, j))
-    out = smallmat.mat_sub(smallmat.mat_mul(li, lj), smallmat.mat_mul(lj, li))
-    out = smallmat.mat_sub(out, _nomizu_matrix(gamma, space.bm[i][j]))
+    out = smallmat.mat_sub(smallmat.commutator(li, lj),
+                           _nomizu_matrix(gamma, space.bm[i][j]))
     out = smallmat.mat_sub(out, space.ad_h_action(space.bh[i][j]))
     return out
 

@@ -23,7 +23,8 @@ from .certificate import Certificate, Claim, check_certificate
 from .cone import cone_verdicts
 from .exterior import KForm, wedge
 from .hitchin import SU3Candidate, build_su3, nk_check
-from .lie import LieAlgebraData, ReductiveSpace, ce_differential, ricci
+from .lie import (
+    LieAlgebraData, ReductiveSpace, ce_differential, ricci, su2_sum)
 from .poly import Poly
 from .report import Verdicts, verdict
 from .scalars import EPS, QSqrt3, exact_div, is_zero
@@ -33,21 +34,18 @@ _SPACE = None
 
 
 def cyclic_space():
-    """su(2) (+) su(2) with constants chosen so that d e_i = e_{i+1} ^ e_{i+2}.
+    """su(2) (+) su(2) as block-diagonal 6 x 6 matrices X_i (+) 0, 0 (+) X_i.
 
-    The sign of the structure constants is exactly the one that makes the
-    cyclic co-frame axiom hold; this is asserted on first use.
+    With X_i = -L_i (:func:`nk6.lie.su2_sum`) the constants are those for
+    which the cyclic co-frame axiom d e_i = e_{i+1} ^ e_{i+2} holds; this
+    is asserted on first use.
     """
     global _SPACE
     if _SPACE is None:
-        c = [[[0] * 6 for _ in range(6)] for _ in range(6)]
-        for base in (0, 3):
-            for i in range(3):
-                j, k = (i + 1) % 3, (i + 2) % 3
-                c[base + i][base + j][base + k] = Fraction(-1)
-                c[base + j][base + i][base + k] = Fraction(1)
-        algebra = LieAlgebraData(
-            c, labels=["e1", "e2", "e3", "f1", "f2", "f3"])
+        algebra = LieAlgebraData.from_matrices(
+            [su2_sum(i, (1, 0)) for i in range(3)]
+            + [su2_sum(i, (0, 1)) for i in range(3)],
+            labels=["e1", "e2", "e3", "f1", "f2", "f3"])
         space = ReductiveSpace(algebra, [], list(range(6)))
         for base in (0, 3):
             for i in range(3):

@@ -79,6 +79,11 @@ def mat_scale(c, a):
     return [vec_scale(c, r) for r in a]
 
 
+def commutator(a, b):
+    """[a, b] = a b - b a, the bracket of every matrix Lie algebra here."""
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
 def trace(a):
     s = 0
     for i in range(len(a)):

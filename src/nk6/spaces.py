@@ -1,9 +1,12 @@
 """Model spaces: Ledger-Obata S^3 x S^3, the flag manifold of C^3 on su(3),
 CP^3 on sp(2), and the subalgebra/dimension table of the classification.
 
-Structure constants are never hand-entered: each algebra is generated from
-matrix (or direct-sum) commutators over an exact basis and Jacobi-checked
-on construction.
+Structure constants are never hand-entered: every algebra is spanned by
+integer real matrices and built by ``LieAlgebraData.from_matrices``, the
+commutator being the one bracket.  A complex entry a + ib enters as the
+block [[a, -b], [b, a]], a quaternion as its left-multiplication matrix and
+su(2)^k as block-diagonal so(3) generators; the constants are rebuilt
+exactly from coordinates and Jacobi-checked on construction.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .lie import (
     check_3symmetric,
     is_complex_subalgebra,
     natural_reductivity_defect,
+    span_coordinates,
+    su2_sum,
 )
 from .octonion import quat_conj, quat_mul
 from .poly import Poly
@@ -31,116 +36,29 @@ from .scalars import EPS, all_zero, exact_div
 
 
 # ---------------------------------------------------------------------------
-# generic construction of structure constants from a bracket closure
-def algebra_from_basis(basis, bracket, flatten, labels=None):
-    """LieAlgebraData from basis elements, a bracket, and a flattener.
-
-    The bracket of every basis pair is decomposed exactly in the basis;
-    a failure to decompose means the basis does not close and raises.
-    """
-    dim = len(basis)
-    columns = [flatten(b) for b in basis]
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            w = flatten(bracket(basis[i], basis[j]))
-            coords = smallmat.solve_in_span(columns, w)
-            for k, x in enumerate(coords):
-                c[i][j][k] = Fraction(x)
-                c[j][i][k] = -Fraction(x)
-    return LieAlgebraData(c, labels=labels)
+# real matrix forms of the complex and quaternionic model algebras
+def _blocks(grid):
+    """The matrix assembled from a grid of equal-size square blocks."""
+    return [[x for block in row for x in block[r]]
+            for row in grid for r in range(len(row[0]))]
 
 
-# -- exact complex matrices (pairs of rational matrices) --------------------
-def cmat(re, im):
-    return (tuple(tuple(Fraction(x) for x in row) for row in re),
-            tuple(tuple(Fraction(x) for x in row) for row in im))
+def _complex_matrix(re, im):
+    """The real 2n x 2n form of re + i im: a + ib becomes [[a, -b], [b, a]]."""
+    return _blocks([[[[a, -b], [b, a]] for a, b in zip(rr, ir)]
+                    for rr, ir in zip(re, im)])
 
 
-def cmat_mul(x, y):
-    a, b = x
-    c, d = y
-    re = smallmat.mat_sub(smallmat.mat_mul(a, c), smallmat.mat_mul(b, d))
-    im = smallmat.mat_add(smallmat.mat_mul(a, d), smallmat.mat_mul(b, c))
-    return re, im
-
-
-def cmat_bracket(x, y):
-    re1, im1 = cmat_mul(x, y)
-    re2, im2 = cmat_mul(y, x)
-    return smallmat.mat_sub(re1, re2), smallmat.mat_sub(im1, im2)
-
-
-def cmat_flatten(x):
-    re, im = x
-    return [v for row in re for v in row] + [v for row in im for v in row]
-
-
-def cmat_eq(x, y):
-    return all(a == b for a, b in zip(cmat_flatten(x), cmat_flatten(y)))
-
-
-# -- exact quaternionic matrices (entries are 4-lists) -----------------------
-def qmat(entries):
-    return tuple(tuple(tuple(Fraction(c) for c in e) for e in row)
-                 for row in entries)
-
-
-def qmat_mul(x, y):
-    n = len(x)
-    out = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            acc = [Fraction(0)] * 4
-            for j in range(n):
-                p = quat_mul(list(x[i][j]), list(y[j][k]))
-                acc = [a + b for a, b in zip(acc, p)]
-            row.append(tuple(acc))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def qmat_bracket(x, y):
-    xy = qmat_mul(x, y)
-    yx = qmat_mul(y, x)
-    return tuple(tuple(tuple(a - b for a, b in zip(xy[i][j], yx[i][j]))
-                       for j in range(len(x))) for i in range(len(x)))
-
-
-def qmat_flatten(x):
-    return [c for row in x for e in row for c in e]
+def _quaternion_matrix(entries):
+    """The real 4n x 4n form of a quaternionic matrix: each entry q becomes
+    its left-multiplication matrix x -> q x, so products are preserved."""
+    units = smallmat.identity(4)
+    return _blocks([[smallmat.transpose([quat_mul(q, e) for e in units])
+                     for q in row] for row in entries])
 
 
 # ---------------------------------------------------------------------------
 # Ledger-Obata: G x G x G / diagonal, for G = SU(2)
-def _su2_bracket(x, y):
-    """su(2) in the cyclic-co-frame convention: [X_i, X_j] = -eps_ijk X_k."""
-    return [
-        -(x[1] * y[2] - x[2] * y[1]),
-        -(x[2] * y[0] - x[0] * y[2]),
-        -(x[0] * y[1] - x[1] * y[0]),
-    ]
-
-
-def _triple_bracket(x, y):
-    return tuple(_su2_bracket(list(a), list(b)) for a, b in zip(x, y))
-
-
-def _triple_flatten(x):
-    return [Fraction(v) for comp in x for v in comp]
-
-
-def _triple(i, coeffs):
-    """Element of su(2)^3 with the i-th su(2) basis vector in given slots."""
-    out = []
-    for c in coeffs:
-        v = [Fraction(0)] * 3
-        v[i] = Fraction(c)
-        out.append(tuple(v))
-    return tuple(out)
-
-
 @dataclass
 class LedgerObata:
     """The 3-symmetric presentation of S^3 x S^3 inside su(2)^3.
@@ -182,51 +100,37 @@ class LedgerObata:
 def ledger_obata_su2():
     """Build both presentations of SU(2)^3 / diagonal."""
     # canonical complement: basis Delta_i, A1_i = (X,-X,0), A2_i = (0,X,-X)
-    basis_can = ([_triple(i, (1, 1, 1)) for i in range(3)]
-                 + [_triple(i, (1, -1, 0)) for i in range(3)]
-                 + [_triple(i, (0, 1, -1)) for i in range(3)])
+    basis_can = ([su2_sum(i, (1, 1, 1)) for i in range(3)]
+                 + [su2_sum(i, (1, -1, 0)) for i in range(3)]
+                 + [su2_sum(i, (0, 1, -1)) for i in range(3)])
     labels = (["D1", "D2", "D3"] + [f"A{i+1}" for i in range(3)]
               + [f"B{i+1}" for i in range(3)])
-    alg_can = algebra_from_basis(basis_can, _triple_bracket, _triple_flatten,
-                                 labels=labels)
-    space_can = ReductiveSpace(alg_can, [0, 1, 2], [3, 4, 5, 6, 7, 8])
-
     # last-two-factors complement: basis Delta_i, M1_i = (0,X,0), M2_i = (0,0,X)
-    basis_lt = ([_triple(i, (1, 1, 1)) for i in range(3)]
-                + [_triple(i, (0, 1, 0)) for i in range(3)]
-                + [_triple(i, (0, 0, 1)) for i in range(3)])
+    basis_lt = ([su2_sum(i, (1, 1, 1)) for i in range(3)]
+                + [su2_sum(i, (0, 1, 0)) for i in range(3)]
+                + [su2_sum(i, (0, 0, 1)) for i in range(3)])
     labels_lt = (["D1", "D2", "D3"] + [f"M{i+1}" for i in range(3)]
                  + [f"N{i+1}" for i in range(3)])
-    alg_lt = algebra_from_basis(basis_lt, _triple_bracket, _triple_flatten,
-                                labels=labels_lt)
-    space_lt = ReductiveSpace(alg_lt, [0, 1, 2], [3, 4, 5, 6, 7, 8])
 
-    # cyclic shift ds(A,B,C) = (B,C,A), projected to each complement
-    def s_matrix_for(basis_m, proj_cols):
-        cols = []
-        for b in basis_m:
-            shifted = (b[1], b[2], b[0])
-            coords = smallmat.solve_in_span(proj_cols, _triple_flatten(shifted))
-            cols.append(coords[3:])  # m-part of the coordinates
-        return smallmat.transpose(cols)
+    # cyclic shift ds(A,B,C) = (B,C,A): conjugation by a block permutation
+    eye, zero = smallmat.identity(3), [[0] * 3 for _ in range(3)]
+    perm = _blocks([[zero, zero, eye], [eye, zero, zero], [zero, eye, zero]])
 
-    cols_can = [_triple_flatten(b) for b in basis_can]
-    cols_lt = [_triple_flatten(b) for b in basis_lt]
-    s_can = s_matrix_for(basis_can[3:], cols_can)
-    s_lt = s_matrix_for(basis_lt[3:], cols_lt)
+    def presentation(basis, labels):
+        space = ReductiveSpace(LieAlgebraData.from_matrices(basis, labels),
+                               [0, 1, 2], [3, 4, 5, 6, 7, 8])
+        coordinates = span_coordinates(basis)
+        shift = smallmat.transpose([
+            coordinates(smallmat.mat_mul(smallmat.transpose(perm),
+                                         smallmat.mat_mul(b, perm)))[3:]
+            for b in basis[3:]])
+        # half the trace form -tr(XY): the factors' Euclidean products
+        metric = [[Fraction(-1, 2) * smallmat.trace(smallmat.mat_mul(a, b))
+                   for b in basis[3:]] for a in basis[3:]]
+        return space, shift, metric
 
-    def restricted_metric(basis_m):
-        return [[sum(x * y for ca, cb in zip(a, b) for x, y in zip(ca, cb))
-                 for b in basis_m] for a in basis_m]
-
-    return LedgerObata(
-        space=space_can,
-        s_matrix=s_can,
-        metric=restricted_metric(basis_can[3:]),
-        space_last_two=space_lt,
-        s_matrix_last_two=s_lt,
-        metric_last_two=restricted_metric(basis_lt[3:]),
-    )
+    return LedgerObata(*presentation(basis_can, labels),
+                       *presentation(basis_lt, labels_lt))
 
 
 # ---------------------------------------------------------------------------
@@ -234,19 +138,20 @@ def ledger_obata_su2():
 def flag_matrix(a, b, c):
     """The su(3) element with complex off-diagonal slots (a, b, c).
 
-    a, b, c are (re, im) pairs; the matrix is
-        [[0, -conj a, b], [a, 0, -conj c], [-conj b, c, 0]].
+    a, b, c are (re, im) pairs; the complex matrix
+        [[0, -conj a, b], [a, 0, -conj c], [-conj b, c, 0]]
+    is returned in its real 6 x 6 form.
     """
     (ar, ai), (br, bi), (cr, ci) = a, b, c
     re = [[0, -ar, br], [ar, 0, -cr], [-br, cr, 0]]
     im = [[0, ai, bi], [ai, 0, ci], [bi, ci, 0]]
-    return cmat(re, im)
+    return _complex_matrix(re, im)
 
 
 def _flag_torus(r, s, t):
     """diag(i r, i s, i t), trace-free when r + s + t = 0."""
-    return cmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]],
-                [[r, 0, 0], [0, s, 0], [0, 0, t]])
+    return _complex_matrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                           [[r, 0, 0], [0, s, 0], [0, 0, t]])
 
 
 def kahler_form(g, j):
@@ -261,8 +166,6 @@ def kahler_form(g, j):
 class FlagModel:
     space: ReductiveSpace
     summands: dict
-    J_blocks: list
-    basis_matrices: list
 
     def metric(self, r, s, t):
         """diag(r, r, s, s, t, t); the entries may be numbers or Polys."""
@@ -297,14 +200,10 @@ def flag_model():
         _flag_torus(1, -1, 0), _flag_torus(0, 1, -1),
     ]
     labels = ["p1", "p2", "q1", "q2", "r1", "r2", "h1", "h2"]
-    algebra = algebra_from_basis(basis, cmat_bracket, cmat_flatten, labels=labels)
-    space = ReductiveSpace(algebra, [6, 7], [0, 1, 2, 3, 4, 5])
-    return FlagModel(
-        space=space,
-        summands={"p": (0, 1), "q": (2, 3), "r": (4, 5)},
-        J_blocks=[(0, 1), (2, 3), (4, 5)],
-        basis_matrices=basis,
-    )
+    space = ReductiveSpace(LieAlgebraData.from_matrices(basis, labels),
+                           [6, 7], [0, 1, 2, 3, 4, 5])
+    return FlagModel(space=space,
+                     summands={"p": (0, 1), "q": (2, 3), "r": (4, 5)})
 
 
 @dataclass(kw_only=True)
@@ -336,16 +235,16 @@ def _flag_bracket_family_checks():
     zero = (0, 0)
     for a, b in itertools.product(((1, 0), (0, 1)), repeat=2):
         x = flag_matrix(a, zero, zero)
-        pq = cmat_bracket(x, flag_matrix(zero, b, zero))
+        pq = smallmat.commutator(x, flag_matrix(zero, b, zero))
         ab = (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
         # -conj(a) conj(b) = -conj(ab)
-        if not cmat_eq(pq, flag_matrix(zero, zero, (-ab[0], ab[1]))):
+        if pq != flag_matrix(zero, zero, (-ab[0], ab[1])):
             failures.append(("pq-verified", a, b))
-        if not cmat_eq(pq, flag_matrix(zero, zero, ab)):
+        if pq != flag_matrix(zero, zero, ab):
             display.append(("pq-display <0,0,ab>", a, b))
         y = 2 * (a[1] * b[0] - a[0] * b[1])  # 2 Im(a conj(b))
-        if not cmat_eq(cmat_bracket(x, flag_matrix(b, zero, zero)),
-                       _flag_torus(y, -y, 0)):
+        if (smallmat.commutator(x, flag_matrix(b, zero, zero))
+                != _flag_torus(y, -y, 0)):
             failures.append(("aa'", a, b))
     return failures, display
 
@@ -469,25 +368,25 @@ def flag_verify(tol=EPS):
 
 # ---------------------------------------------------------------------------
 # CP^3 on sp(2)
+_Q0 = (0, 0, 0, 0)
+
+
 def _offdiag(a):
-    """[[0, a], [-conj a, 0]] as an exact quaternionic matrix."""
-    return qmat([[(0, 0, 0, 0), tuple(a)],
-                 [tuple(-c for c in quat_conj(list(a))), (0, 0, 0, 0)]])
+    """[[0, a], [-conj a, 0]] in its real 8 x 8 form."""
+    return _quaternion_matrix([[_Q0, a], [[-c for c in quat_conj(a)], _Q0]])
 
 
 def _diag_first(b):
-    return qmat([[tuple(b), (0, 0, 0, 0)], [(0, 0, 0, 0), (0, 0, 0, 0)]])
+    return _quaternion_matrix([[b, _Q0], [_Q0, _Q0]])
 
 
 def _diag_second(b):
-    return qmat([[(0, 0, 0, 0), (0, 0, 0, 0)], [(0, 0, 0, 0), tuple(b)]])
+    return _quaternion_matrix([[_Q0, _Q0], [_Q0, b]])
 
 
 @dataclass
 class CP3Model:
     space: ReductiveSpace
-    p_indices: tuple
-    v_indices: tuple
 
     def metric(self, t, a=1):
         """a g_p + t g_v; the scales may be numbers or Polys."""
@@ -521,9 +420,9 @@ def cp3_model():
         _diag_second((0, 0, 0, 1)),
     ]
     labels = ["p0", "p1", "p2", "p3", "v1", "v2", "z", "s1", "s2", "s3"]
-    algebra = algebra_from_basis(basis, qmat_bracket, qmat_flatten, labels=labels)
-    space = ReductiveSpace(algebra, [6, 7, 8, 9], [0, 1, 2, 3, 4, 5])
-    return CP3Model(space=space, p_indices=(0, 1, 2, 3), v_indices=(4, 5))
+    return CP3Model(space=ReductiveSpace(
+        LieAlgebraData.from_matrices(basis, labels),
+        [6, 7, 8, 9], [0, 1, 2, 3, 4, 5]))
 
 
 def isotropy_commutant(space):

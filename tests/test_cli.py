@@ -576,6 +576,22 @@ def test_cone_rescale_decision_scales_with_the_data(capsys):
             if v.name.startswith("cone form")}
     assert cone == {"cone form closed": "pass", "cone form coclosed": "pass"}
 
+
+def test_unscaled_cone_check_says_so(capsys):
+    # at --tolerance 1 the fitted c = 0.096 is not positive on the scale
+    # 0.19 of d phi over omega^2: the cone is checked unscaled, and both
+    # verdicts name the skipped rescale and c
+    code, out = run(capsys, "--json", "--tolerance", "1", "--scalar",
+                    "float", "check", os.path.join(FIX, "s3xs3.json"), "--cone")
+    assert code == 1
+    cone = [v for v in Report.from_json(out).verdicts
+            if v.name.startswith("cone form")]
+    assert [v.status for v in cone] == ["pass", "fail"]
+    for v in cone:
+        assert v.detail.startswith(
+            "structure left unscaled: the fitted c = 0.09623 is not positive")
+
+
 EXACT_COMMANDS = {
     **{f"verify {space}": ["verify", space]
        for space in ("s3xs3", "flag", "cp3", "s6")},

@@ -23,6 +23,7 @@ from nk6.lie import (
     nomizu_levi_civita,
     normal_torsion_curvature,
     ricci,
+    su2_sum,
 )
 from nk6 import smallmat, s3xs3, spaces
 from nk6.hitchin import build_su3
@@ -56,6 +57,14 @@ def test_jacobi_examples():
         LieAlgebraData.from_sparse(
             3, [(0, 1, 0, Fraction(1)), (1, 2, 1, Fraction(1)),
                 (0, 2, 2, Fraction(-1))])
+
+
+def test_from_matrices_rejects_a_basis_that_does_not_close():
+    basis = [su2_sum(i, (1,)) for i in range(3)]
+    assert LieAlgebraData.from_matrices(basis).c == su2().c
+    # [X1, X2] = -X3 leaves the span of X1, X2
+    with pytest.raises(ValueError, match="outside the span"):
+        LieAlgebraData.from_matrices(basis[:2])
 
 
 def test_reductive_split_validation():
@@ -136,10 +145,9 @@ def test_nomizu_naturally_reductive_halves_bracket():
 def test_nomizu_symmetric_space_is_flat_operator():
     # su(2) as the isotropy of a rank-one symmetric presentation:
     # g = su(2) + su(2) with h the diagonal and m the antidiagonal.
-    basis = ([spaces._triple(i, (1, 1, 0)) for i in range(3)]
-             + [spaces._triple(i, (1, -1, 0)) for i in range(3)])
-    alg = spaces.algebra_from_basis(
-        basis, spaces._triple_bracket, spaces._triple_flatten)
+    basis = ([su2_sum(i, (1, 1)) for i in range(3)]
+             + [su2_sum(i, (1, -1)) for i in range(3)])
+    alg = LieAlgebraData.from_matrices(basis)
     space = ReductiveSpace(alg, [0, 1, 2], [3, 4, 5])
     g = smallmat.identity(3, Fraction(1))
     gamma = nomizu_levi_civita(space, g)
@@ -377,10 +385,9 @@ def test_normal_torsion_curvature():
     _, rhat = normal_torsion_curvature(space)
     assert all(rhat[i][j] == [] for i in range(6) for j in range(6))
     # symmetric-space data: torsion vanishes
-    basis = ([spaces._triple(i, (1, 1, 0)) for i in range(3)]
-             + [spaces._triple(i, (1, -1, 0)) for i in range(3)])
-    alg = spaces.algebra_from_basis(
-        basis, spaces._triple_bracket, spaces._triple_flatten)
+    basis = ([su2_sum(i, (1, 1)) for i in range(3)]
+             + [su2_sum(i, (1, -1)) for i in range(3)])
+    alg = LieAlgebraData.from_matrices(basis)
     sym = ReductiveSpace(alg, [0, 1, 2], [3, 4, 5])
     that, _ = normal_torsion_curvature(sym)
     assert all(all(x == 0 for x in that[i][j]) for i in range(3) for j in range(3))

@@ -26,10 +26,16 @@ def test_fixtures_load(name):
 
 
 def test_fixture_matches_catalog():
+    catalog = {"s3xs3": s3xs3.cyclic_space(),
+               "flag": spaces.flag_model().space,
+               "cp3": spaces.cp3_model().space}
+    for name, built in catalog.items():
+        doc = load_space(os.path.join(FIXTURES, f"{name}.json"))
+        space = doc.reductive_space()
+        assert space.algebra.c == built.algebra.c, name
+        assert space.algebra.labels == built.algebra.labels, name
+        assert (space.h_idx, space.m_idx) == (built.h_idx, built.m_idx), name
     doc = load_space(os.path.join(FIXTURES, "s3xs3.json"))
-    space = doc.reductive_space()
-    catalog = s3xs3.cyclic_space()
-    assert space.algebra.c == catalog.algebra.c
     assert doc.forms["omega"] == s3xs3.omega_diagonal(
         Fraction(1), Fraction(1), Fraction(1))
 

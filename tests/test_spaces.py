@@ -81,10 +81,9 @@ def test_flag_displayed_bracket_example():
     # [<1,0,0>, <0,1,0>] lands in the r-summand with unit size
     one = (Fraction(1), Fraction(0))
     zero = (Fraction(0), Fraction(0))
-    lhs = spaces.cmat_bracket(spaces.flag_matrix(one, zero, zero),
+    lhs = smallmat.commutator(spaces.flag_matrix(one, zero, zero),
                               spaces.flag_matrix(zero, one, zero))
-    assert spaces.cmat_eq(lhs, spaces.flag_matrix(zero, zero,
-                                                  (Fraction(-1), Fraction(0))))
+    assert lhs == spaces.flag_matrix(zero, zero, (Fraction(-1), Fraction(0)))
 
 
 def test_flag_torus_bracket_example():
@@ -92,11 +91,12 @@ def test_flag_torus_bracket_example():
     one = (Fraction(1), Fraction(0))
     eye = (Fraction(0), Fraction(1))
     zero = (Fraction(0), Fraction(0))
-    lhs = spaces.cmat_bracket(spaces.flag_matrix(one, zero, zero),
+    lhs = smallmat.commutator(spaces.flag_matrix(one, zero, zero),
                               spaces.flag_matrix(eye, zero, zero))
-    rhs = spaces.cmat([[0, 0, 0], [0, 0, 0], [0, 0, 0]],
-                      [[-2, 0, 0], [0, 2, 0], [0, 0, 0]])
-    assert spaces.cmat_eq(lhs, rhs)
+    # diag(-2i, 2i, 0) in real form: i y becomes [[0, -y], [y, 0]]
+    assert lhs == [[0, 2, 0, 0, 0, 0], [-2, 0, 0, 0, 0, 0],
+                   [0, 0, 0, -2, 0, 0], [0, 0, 2, 0, 0, 0],
+                   [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]
 
 
 def test_flag_verify_natural_reductivity_ray():
@@ -154,15 +154,14 @@ def test_flag_bracket_families_on_the_old_sample_pairs():
              ((0, 1), (1, 1)), ((2, 3), (-1, 5))]
     for (ar, ai), (br, bi) in pairs:
         a, b = (Fraction(ar), Fraction(ai)), (Fraction(br), Fraction(bi))
-        pq = spaces.cmat_bracket(spaces.flag_matrix(a, zero, zero),
+        pq = smallmat.commutator(spaces.flag_matrix(a, zero, zero),
                                  spaces.flag_matrix(zero, b, zero))
         c = (-(ar * br - ai * bi), ar * bi + ai * br)  # -conj(a) conj(b)
-        assert spaces.cmat_eq(pq, spaces.flag_matrix(zero, zero, c))
-        aa = spaces.cmat_bracket(spaces.flag_matrix(a, zero, zero),
+        assert pq == spaces.flag_matrix(zero, zero, c)
+        aa = smallmat.commutator(spaces.flag_matrix(a, zero, zero),
                                  spaces.flag_matrix(b, zero, zero))
         y = 2 * (ai * br - ar * bi)  # 2 Im(a conj(a'))
-        assert spaces.cmat_eq(aa, spaces.cmat([[0] * 3] * 3,
-                                              [[y, 0, 0], [0, -y, 0], [0, 0, 0]]))
+        assert aa == spaces._flag_torus(y, -y, 0)
 
 
 def test_cp3_model_reductive_split():
