@@ -13,6 +13,7 @@ parse error.  ``--json`` switches the report to machine-readable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -33,7 +34,9 @@ def _inert(parser, *flags):
                             help="has no effect; accepted for compatibility")
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="nk6",
         description="Invariant nearly Kahler verification on 6-dimensional "

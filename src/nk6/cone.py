@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from . import smallmat
 from .exterior import HodgeStar, KForm, interior, metric_volume, wedge
-from .hitchin import form_dot, mu_volume_fit, omega3_sign
+from .hitchin import form_dot, omega3_sign, volume_fit
 from .report import verdict
 from .scalars import EPS, all_zero, exact_div, is_positive, simplify
 
@@ -172,9 +172,10 @@ def cone_check(s, link_d, tol=EPS):
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
     term against -phi.
     """
-    c, _ = mu_volume_fit(s, link_d)
+    dphi, o2 = link_d(s.phi), wedge(s.omega, s.omega)
+    c, _ = volume_fit(dphi, o2)
     # c compares d phi with omega^2, so its zero test is at their ratio
-    ratio = link_d(s.phi).max_abs() / wedge(s.omega, s.omega).max_abs()
+    ratio = dphi.max_abs() / o2.max_abs()
     rescaled = is_positive(c, tol * ratio)
     if rescaled:
         s = s.scaled(c)

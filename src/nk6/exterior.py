@@ -272,9 +272,12 @@ class HodgeStar:
 
         star(e_J) = sum_I <e_I, e_J> sign(I, I^c) v e_{I^c},
 
-    with <e_I, e_J> the I x J minor of g^-1; the column of minors is
-    computed on first use and kept, and a minor with a zero row is zero
-    and not computed.  ``vol`` defaults to :func:`metric_volume`.
+    with <e_I, e_J> the I x J minor of g^-1.  Minors come from Laplace
+    expansion along their first row and are kept, so a k-minor costs at
+    most k products of (k-1)-minors already computed; a zero entry of g^-1
+    is skipped, and the empty minor (degree 0) is 1.  The n-minor is
+    det g^-1, which the unit-norm check reads.  ``vol`` defaults to
+    :func:`metric_volume`.
     """
 
     def __init__(self, gram, vol=None):
@@ -289,27 +292,42 @@ class HodgeStar:
         v = vol.c[0]
         if v == 0:
             raise ValueError("volume form vanishes")
-        norm2 = v * v * smallmat.det(self.gram_inv)
-        if not is_zero(norm2 - 1, EPS):
-            raise ValueError("volume form is not unit-norm for this metric")
         self.n, self.v = n, v
-        self._minors = {}
+        self._minors = {((), ()): 1}
+        self._columns = {}
+        full = tuple(range(n))
+        if not is_zero(v * v * self.minor(full, full) - 1, EPS):
+            raise ValueError("volume form is not unit-norm for this metric")
+
+    def minor(self, rows, cols):
+        """det of g^-1 restricted to the index tuples ``rows`` x ``cols``."""
+        key = (rows, cols)
+        out = self._minors.get(key)
+        if out is None:
+            first, rest = self.gram_inv[rows[0]], rows[1:]
+            out = 0
+            for p, c in enumerate(cols):
+                x = first[c]
+                if x == 0:
+                    continue
+                sub = self.minor(rest, cols[:p] + cols[p + 1:])
+                if sub != 0:
+                    out = out - x * sub if p % 2 else out + x * sub
+            self._minors[key] = out
+        return out
 
     def _column(self, k, j):
         """The nonzero minors <e_I, e_J> as (position of I, minor), J at j."""
-        col = self._minors.get((k, j))
+        col = self._columns.get((k, j))
         if col is None:
             tuples, _ = index_tuples(self.n, k)
             jb = tuples[j]
             col = []
             for i, ia in enumerate(tuples):
-                sub = [[self.gram_inv[r][c] for c in jb] for r in ia]
-                if any(all(x == 0 for x in row) for row in sub):
-                    continue
-                minor = smallmat.det(sub)
+                minor = self.minor(ia, jb)
                 if minor != 0:
                     col.append((i, minor))
-            self._minors[k, j] = col
+            self._columns[k, j] = col
         return col
 
     def __call__(self, a):

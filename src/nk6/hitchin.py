@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import smallmat
-from .exterior import KForm, index_tuples, interior, lambda5_to_vector, wedge
+from .exterior import (
+    KForm, index_tuples, interior, lambda5_to_vector, sort_index, wedge)
 from .scalars import (
     EPS, all_zero, exact_div, is_positive, scalar_like, simplify, sqrt_scalar)
 
@@ -136,24 +137,47 @@ def k_matrix(psi, vol):
     return smallmat.transpose(cols)
 
 
+_SLOT_TABLES: dict = {}
+
+
+def _slot_table(n, slot):
+    """Per 3-index t of dimension n: t[slot] and, for each s, the (position,
+    sign) of t with t[slot] replaced by s, or None when s repeats an index.
+
+    Depends on (n, slot) only, so it is built once and kept.
+    """
+    key = (n, slot)
+    if key not in _SLOT_TABLES:
+        tuples, pos = index_tuples(n, 3)
+        table = []
+        for t in tuples:
+            row = []
+            for s in range(n):
+                sign, u = sort_index(t[:slot] + (s,) + t[slot + 1:])
+                row.append((pos[u], sign) if sign else None)
+            table.append((t[slot], row))
+        _SLOT_TABLES[key] = table
+    return _SLOT_TABLES[key]
+
+
 def contract(psi, m, slot=0):
     """The 3-form  -psi(.., m ., ..)  with the endomorphism m in one slot.
 
     With m = J this is phi; with m = K = kappa J it is kappa phi.
     """
-    tuples, _ = index_tuples(psi.n, 3)
+    n, c = psi.n, psi.c
+    cols = [[(s, m[s][j]) for s in range(n) if m[s][j] != 0] for j in range(n)]
     coeffs = []
-    for t in tuples:
+    for j, row in _slot_table(n, slot):
         total = 0
-        for s in range(psi.n):
-            ms = m[s][t[slot]]
-            if ms == 0:
+        for s, ms in cols[j]:
+            hit = row[s]
+            if hit is None or c[hit[0]] == 0:
                 continue
-            val = psi.coeff(t[:slot] + (s,) + t[slot + 1:])
-            if val != 0:
-                total = total + ms * val
+            term = ms * c[hit[0]]
+            total = total + term if hit[1] > 0 else total - term
         coeffs.append(-total)
-    return KForm(psi.n, 3, coeffs)
+    return KForm(n, 3, coeffs)
 
 
 def hitchin_K(psi, vol, tol=EPS):
@@ -242,16 +266,11 @@ def build_su3(cand, tol=EPS):
     if not all_zero(j2, tol):
         raise StructureError("J^2 differs from -Id")
 
-    # g(X, Y) = omega(X, JY)
-    g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            jy = [J[r][j] for r in range(n)]
-            val = 0
-            for r in range(n):
-                if jy[r] != 0:
-                    val = val + omega.coeff((i, r)) * jy[r]
-            g[i][j] = simplify(val)
+    # g(X, Y) = omega(X, JY), from the antisymmetric matrix of omega
+    w = [[0] * n for _ in range(n)]
+    for (i, r), x in omega.terms():
+        w[i][r], w[r][i] = x, -x
+    g = [[simplify(x) for x in row] for row in smallmat.mat_mul(w, J)]
     if not smallmat.is_symmetric(g, tol=tol):
         raise StructureError("induced bilinear form is not symmetric")
     if not smallmat.is_positive_definite(g):
@@ -324,8 +343,10 @@ def mu_volume_fit(s, differential):
     This is the metric-normalization scalar: c = 1 exactly when the cone
     over the structure is parallel (the structure equations at unit scale).
     """
-    dphi = differential(s.phi)
-    o2 = wedge(s.omega, s.omega)
-    denom = form_dot(o2, o2)
-    c = simplify(exact_div(-form_dot(dphi, o2), 2 * denom))
+    return volume_fit(differential(s.phi), wedge(s.omega, s.omega))
+
+
+def volume_fit(dphi, o2):
+    """:func:`mu_volume_fit` from d phi and omega^omega already computed."""
+    c = simplify(exact_div(-form_dot(dphi, o2), 2 * form_dot(o2, o2)))
     return c, dphi + o2.scale(2 * c)

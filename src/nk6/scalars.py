@@ -29,8 +29,9 @@ class QSqrt3:
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        # parts that are already Fractions are kept, not re-wrapped
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
 
     # ------------------------------------------------------------------
     def __repr__(self):
@@ -46,6 +47,9 @@ class QSqrt3:
         return f"({self.a} + {self.b}*sqrt3)"
 
     # ------------------------------------------------------------------
+    # A rational operand (int, Fraction, or a QSqrt3 with b = 0) works on
+    # the two parts directly, with no coercion and no cross products;
+    # only the ordering coerces.
     @staticmethod
     def _coerce(x):
         if isinstance(x, QSqrt3):
@@ -55,51 +59,60 @@ class QSqrt3:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt3(self.a + o.a, self.b + o.b)
+        if isinstance(other, QSqrt3):
+            return QSqrt3(self.a + other.a, self.b + other.b)
+        if isinstance(other, _EXACT):
+            return QSqrt3(self.a + other, self.b)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt3(self.a - o.a, self.b - o.b)
+        if isinstance(other, QSqrt3):
+            return QSqrt3(self.a - other.a, self.b - other.b)
+        if isinstance(other, _EXACT):
+            return QSqrt3(self.a - other, self.b)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt3(o.a - self.a, o.b - self.b)
+        if isinstance(other, _EXACT):
+            return QSqrt3(other - self.a, -self.b)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt3(self.a * o.a + 3 * self.b * o.b,
-                      self.a * o.b + self.b * o.a)
+        if isinstance(other, QSqrt3):
+            a, b, c, d = self.a, self.b, other.a, other.b
+            if not d:
+                return QSqrt3(a * c, b * c)
+            if not b:
+                return QSqrt3(a * c, a * d)
+            return QSqrt3(a * c + 3 * (b * d), a * d + b * c)
+        if isinstance(other, _EXACT):
+            return QSqrt3(self.a * other, self.b * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.a * self.a - 3 * self.b * self.b
+        a, b = self.a, self.b
+        n = a * a - 3 * (b * b) if b else a * a
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return QSqrt3(self.a / n, -self.b / n)
+        return QSqrt3(a / n, -b / n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, QSqrt3):
+            return self * other.inverse()
+        if isinstance(other, _EXACT):
+            if other == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt 3)")
+            return QSqrt3(self.a / other, self.b / other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, _EXACT):
+            return self.inverse() * other
+        return NotImplemented
 
     def __neg__(self):
         return QSqrt3(-self.a, -self.b)
@@ -123,7 +136,9 @@ class QSqrt3:
         if isinstance(other, QSqrt3):
             return self.a == other.a and self.b == other.b
         if isinstance(other, _EXACT):
-            return self.b == 0 and self.a == other
+            if not other:  # the zero test of every sparsity skip
+                return not (self.a or self.b)
+            return not self.b and self.a == other
         if isinstance(other, float):
             return float(self) == other
         return NotImplemented

@@ -7,7 +7,8 @@ zero factor, so sparse matrices cost only their nonzero entries.  Zero
 tests follow the zero policy of :mod:`nk6.scalars`: scalars that are all
 exact are compared with 0 exactly, otherwise by ``abs(float(x))`` against a
 tolerance.  Dimensions never exceed a few dozen here, so nothing clever is
-needed.
+needed.  Positive definiteness is Sylvester's test, read off one
+elimination without row swaps (:func:`is_positive_definite`).
 """
 
 from __future__ import annotations
@@ -231,13 +232,25 @@ def nullspace(a, tol=EPS):
     return basis
 
 
-def leading_principal_minors(a):
-    return [det([row[: k + 1] for row in a[: k + 1]]) for k in range(len(a))]
-
-
 def is_positive_definite(a, tol=0.0):
-    """Sylvester criterion on the leading principal minors."""
-    return all(is_positive(mk, tol) for mk in leading_principal_minors(a))
+    """Sylvester's test: every leading principal minor of a is positive.
+
+    One elimination without row swaps.  While the minors D_1 .. D_k stay
+    nonzero, the k-th pivot is D_k / D_(k-1), so the running product of
+    the pivots is each leading minor in turn; the test stops at the first
+    one that is not positive, before it would divide by it.
+    """
+    m = [list(row) for row in a]
+    minor = 1
+    for k, top in enumerate(m):
+        minor = minor * top[k]
+        if not is_positive(minor, tol):
+            return False
+        for r in range(k + 1, len(m)):
+            if m[r][k] != 0:
+                f = exact_div(m[r][k], top[k])
+                m[r] = [x - f * y if y != 0 else x for x, y in zip(m[r], top)]
+    return True
 
 
 def is_symmetric(a, tol=EPS):

@@ -434,6 +434,76 @@ def test_check_cone_inverts_the_metric_once(monkeypatch, capsys):
     assert sorted(calls) == ["inv", "is_positive_definite"]
 
 
+def _count_calls(monkeypatch, module, fname):
+    calls = []
+    original = getattr(module, fname)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, fname, counting)
+    return calls
+
+
+def test_check_cone_computes_no_determinant_per_minor(monkeypatch, capsys):
+    # the Sylvester test is one elimination and the Hodge star's minors of
+    # g^-1 are Laplace expansions; only metric_volume takes a determinant
+    from nk6 import smallmat
+
+    calls = _count_calls(monkeypatch, smallmat, "det")
+    code, _ = run(capsys, "check", os.path.join(FIX, "s3xs3.json"), "--cone")
+    assert code == 0
+    assert len(calls) <= 2
+
+
+def test_check_cone_differentiates_phi_once_per_fit(monkeypatch, capsys):
+    # cone_check reuses the d phi and omega^2 of its fit for the rescale ratio
+    from nk6 import cli
+
+    calls = _count_calls(monkeypatch, cli, "ce_differential")
+    code, _ = run(capsys, "check", os.path.join(FIX, "s3xs3.json"), "--cone")
+    assert code == 0
+    assert len(calls) == 8
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    import argparse
+
+    builds = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "nk6":
+            builds.append(kwargs)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        code, _ = run(capsys, "table")
+        assert code == 0
+    assert len(builds) <= 1
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    from nk6 import cli
+
+    assert cli._parser() is cli._parser()
+    path = os.path.join(FIX, "s3xs3.json")
+    reports = []
+    for argv in (["check", path, "--cone"],
+                 ["--scalar", "float", "check", path, "--cone"],
+                 ["check", path, "--cone"]):
+        code, out = run(capsys, "--json", *argv)
+        assert code == 0
+        reports.append(Report.from_json(out).as_dict())
+    for rep in reports:
+        rep.pop("timing_s")
+    exact, floats, again = reports
+    assert again == exact and floats != exact
+    assert all(v.get("residual", 0.0) == 0.0 for v in again["verdicts"])
+
+
 @pytest.mark.parametrize("fixture", ["s3xs3", "flag", "cp3"])
 def test_check_compiles_each_table_once(monkeypatch, capsys, fixture):
     from nk6 import lie
