@@ -210,7 +210,7 @@ def _cmd_check(args):
                       label="nabla-J", detail=str(ex))
 
     if args.cone:
-        verdicts, crep = cone_verdicts(structure, d, tol)
+        verdicts, crep = cone_verdicts(structure, d, tol, nk.fit)
         rep.verdicts += verdicts
         rep.scalar("cone_omega2_coefficient", float(crep.omega2_coefficient))
     return rep

@@ -159,7 +159,7 @@ class ConeReport:
         return self.closed and self.coclosed
 
 
-def cone_check(s, link_d, tol=EPS):
+def cone_check(s, link_d, tol=EPS, fit=None):
     """Closed-and-coclosed test for the cone 3-form of an SU(3)-structure.
 
     The structure is first rescaled, in closed form, to unit metric
@@ -167,16 +167,18 @@ def cone_check(s, link_d, tol=EPS):
     becomes 1), the scale a cone can absorb into the radius, unless the
     fitted c is not positive at ``tol`` (``rescaled`` False); then rho is
     built and d rho, d *rho are evaluated with the link differential and
-    the term-wise cone star.
+    the term-wise cone star.  ``fit`` is the (d phi, omega^omega) of s
+    when :func:`nk_check` has computed it (``NKReport.fit``).
     Also reports the fitted coefficient of the r^4 omega^omega term of
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
     term against -phi.
     """
-    dphi, o2 = link_d(s.phi), wedge(s.omega, s.omega)
+    dphi, o2 = fit or (link_d(s.phi), wedge(s.omega, s.omega))
     c, _ = volume_fit(dphi, o2)
-    # c compares d phi with omega^2, so its zero test is at their ratio
-    ratio = dphi.max_abs() / o2.max_abs()
-    rescaled = is_positive(c, tol * ratio)
+    # when d phi is proportional to omega^2, c is half their ratio: its
+    # zero test is at that scale
+    scale = dphi.max_abs() / (2 * o2.max_abs())
+    rescaled = is_positive(c, tol * scale)
     if rescaled:
         s = s.scaled(c)
 
@@ -213,15 +215,16 @@ def cone_check(s, link_d, tol=EPS):
     )
 
 
-def cone_verdicts(s, link_d, tol=EPS):
+def cone_verdicts(s, link_d, tol=EPS, fit=None):
     """Run :func:`cone_check`; returns (its two verdicts, the ConeReport).
 
     Both verdicts say so when the structure was left unscaled.
     """
-    crep = cone_check(s, link_d, tol=tol)
+    crep = cone_check(s, link_d, tol=tol, fit=fit)
     detail = "" if crep.rescaled else (
         f"structure left unscaled: the fitted c = {float(crep.fit):.4g} is "
-        f"not positive at tolerance {tol:g} times max|d phi| / max|omega^2|")
+        f"not positive at tolerance {tol:g} times "
+        f"max|d phi| / (2 max|omega^2|)")
     return [verdict("cone form closed", crep.closed, "cone-closed",
                     crep.d_rho_residual, detail),
             verdict("cone form coclosed", crep.coclosed, "cone-coclosed",

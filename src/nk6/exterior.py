@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 
 from . import smallmat
-from .scalars import EPS, all_zero, exact_div, is_positive, is_zero, sqrt_scalar
+from .scalars import (
+    EPS, all_zero, exact_div, is_exact, is_positive, is_zero, sqrt_scalar)
 
 
 class NotPositiveDefinite(ValueError):
@@ -277,7 +278,9 @@ class HodgeStar:
     most k products of (k-1)-minors already computed; a zero entry of g^-1
     is skipped, and the empty minor (degree 0) is 1.  The n-minor is
     det g^-1, which the unit-norm check reads.  ``vol`` defaults to
-    :func:`metric_volume`.
+    :func:`metric_volume`.  The minors stay in the arithmetic of g; a float
+    volume (sqrt det g outside Q(sqrt 3)) or a float form makes the star
+    of that form run in floats, the minors converted as they are used.
     """
 
     def __init__(self, gram, vol=None):
@@ -293,10 +296,14 @@ class HodgeStar:
         if v == 0:
             raise ValueError("volume form vanishes")
         self.n, self.v = n, v
+        self.floats = isinstance(v, float)
         self._minors = {((), ()): 1}
         self._columns = {}
         full = tuple(range(n))
-        if not is_zero(v * v * self.minor(full, full) - 1, EPS):
+        det_inv = self.minor(full, full)
+        if self.floats:
+            det_inv = float(det_inv)
+        if not is_zero(v * v * det_inv - 1, EPS):
             raise ValueError("volume form is not unit-norm for this metric")
 
     def minor(self, rows, cols):
@@ -334,12 +341,16 @@ class HodgeStar:
         n, k = self.n, a.k
         if a.n != n:
             raise ValueError("form dimension does not match the metric")
+        floats = self.floats or not all(map(is_exact, a.c))
+        if floats:
+            a = a.to_float()
+        v = float(self.v) if floats else self.v
         inner = {}
         for j, x in enumerate(a.c):
             if x == 0:
                 continue
             for i, minor in self._column(k, j):
-                inner[i] = inner.get(i, 0) + x * minor
+                inner[i] = inner.get(i, 0) + x * (float(minor) if floats else minor)
         tuples, _ = index_tuples(n, k)
         _, pos_out = index_tuples(n, n - k)
         out = KForm.zero(n, n - k)
@@ -347,7 +358,7 @@ class HodgeStar:
             if value == 0:
                 continue
             comp, sign = complement(n, tuples[i])
-            out.c[pos_out[comp]] = sign * (self.v * value)
+            out.c[pos_out[comp]] = sign * (v * value)
         return out
 
 

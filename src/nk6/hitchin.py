@@ -9,7 +9,7 @@ order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import smallmat
@@ -111,13 +111,15 @@ class SU3Structure:
 @dataclass
 class NKReport:
     """Each structure equation decided by the zero policy (``first``,
-    ``second``), its residual for display, and the fitted constant mu."""
+    ``second``), its residual for display, and the fitted constant mu.
+    ``fit`` keeps the (d phi, omega^omega) of the fit for :func:`cone_check`."""
 
     residual_r1: float
     residual_r2: float
     mu: object
     first: bool
     second: bool
+    fit: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def verdict(self):
@@ -330,23 +332,19 @@ def nk_check(s, differential, tol=EPS):
     and residual carry the factor 3.)
     """
     r1 = differential(s.omega) - s.psi.scale(3)
-    mu_fit, r2 = mu_volume_fit(s, differential)  # r2 at the scale of phi
+    fit = differential(s.phi), wedge(s.omega, s.omega)
+    mu_fit, r2 = volume_fit(*fit)  # r2 at the scale of phi
     return NKReport(residual_r1=r1.max_abs(), residual_r2=3 * r2.max_abs(),
                     mu=simplify(3 * mu_fit), first=r1.is_zero(tol),
-                    second=r2.is_zero(tol / 3))
+                    second=r2.is_zero(tol / 3), fit=fit)
 
 
-def mu_volume_fit(s, differential):
+def volume_fit(dphi, o2):
     """Least-squares constant in  d phi = -2 c omega^omega  and the
-    residual 4-form  d phi + 2 c omega^omega.
+    residual 4-form  d phi + 2 c omega^omega, from d phi and omega^omega.
 
     This is the metric-normalization scalar: c = 1 exactly when the cone
     over the structure is parallel (the structure equations at unit scale).
     """
-    return volume_fit(differential(s.phi), wedge(s.omega, s.omega))
-
-
-def volume_fit(dphi, o2):
-    """:func:`mu_volume_fit` from d phi and omega^omega already computed."""
     c = simplify(exact_div(-form_dot(dphi, o2), 2 * form_dot(o2, o2)))
     return c, dphi + o2.scale(2 * c)

@@ -383,29 +383,47 @@ def nomizu_levi_civita(space, g, tol=EPS):
     Returns Gamma with Gamma[i][j] the m-vector of the covariant derivative
     of X_j along X_i at the base point:
         Gamma(X,Y) = [X,Y]_m / 2 + U(X,Y),
-        2 g(U(X,Y), Z) = g([Z,X]_m, Y) + g(X, [Z,Y]_m).
+        2 g(U(X,Y), Z) = g([Z,X]_m, Y) + g(X, [Z,Y]_m),
+    i.e. the Koszul table of :func:`_koszul` raised by g^-1.
+    """
+    koszul = _koszul(space, g, tol)
+    ginv = smallmat.inv(g)
+    return [_mat_vecs(ginv, row) for row in koszul]
+
+
+def _koszul(space, g, tol):
+    """The lowered Levi-Civita table G[i][j][z] = g(nabla_i X_j, X_z).
+
+    By Nomizu's formula G[i][j][z] = (gb[i][j][z] + gb[z][i][j]
+    + gb[z][j][i]) / 2 with gb the lowered brackets of :func:`_g_brackets`.
+    Raises unless g is h-invariant.
     """
     if not is_invariant_metric(space, g, tol=tol):
         raise ValueError("metric is not h-invariant")
     n = space.dim_m
     half = scalar_like(g, Fraction(1, 2))
-    ginv = smallmat.inv(g)
-    # gb[z][i][j] = g([X_z, X_i]_m, X_j), so g(X_i, [X_z, X_j]_m) = gb[z][j][i]
     gb = _g_brackets(space, g)
-    gamma = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rhs = [half * (gb[z][i][j] + gb[z][j][i]) for z in range(n)]
-            u = smallmat.mat_vec(ginv, rhs)
-            gamma[i][j] = [half * space.bm[i][j][r] + u[r] for r in range(n)]
-    return gamma
+    # only entries with a nonzero term are computed; the rest are 0
+    support = {t for a, row in enumerate(gb) for b, vec in enumerate(row)
+               for c, v in enumerate(vec) if v != 0
+               for t in ((a, b, c), (b, c, a), (c, b, a))}
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, z in support:
+        table[i][j][z] = half * (gb[i][j][z] + gb[z][i][j] + gb[z][j][i])
+    return table
 
 
 def _g_brackets(space, g):
     """The table g [X_i, X_j]_m of lowered bracket projections."""
     n = space.dim_m
-    return [[smallmat.mat_vec(g, space.bm[i][j]) for j in range(n)]
-            for i in range(n)]
+    rows = _mat_vecs(g, [v for row in space.bm for v in row])
+    return [rows[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _mat_vecs(a, vectors):
+    """[a v for v in vectors] as one row-sparse product, each entry summed
+    as ``smallmat.mat_vec`` sums it."""
+    return smallmat.mat_mul(vectors, smallmat.transpose(a))
 
 
 def _nomizu_matrix(gamma, x):
@@ -428,10 +446,15 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     Checks the preconditions (J^2 = -Id, orthogonality, invariance) and
     reports them distinctly.  X -> (nabla_X J) X is quadratic, so it
     vanishes iff its polarisation does on the basis pairs i <= j:
-    (nabla_i J) X_j + (nabla_j J) X_i = 0, with nabla_i J = [L_i, J] from
-    the Nomizu operator.  On exact data the verdict is an exact zero test,
-    on floats a comparison with ``tol``.  Returns (ok, residual), the
-    residual being the largest coefficient of those vectors.
+    (nabla_i J) X_j + (nabla_j J) X_i = 0.  The polarisation is formed
+    lowered, from the Koszul table G of :func:`_koszul`: since J is
+    g-orthogonal with J^2 = -Id, g(J u, w) = -g(u, J w), so
+        g((nabla_i J) X_j, X_z) = sum_s J_sj G[i][s][z] + sum_s J_sz G[i][j][s]
+    over the nonzero entries of J.  The 21 lowered vectors are raised by
+    g^-1 for the verdict and the residual: on exact data an exact zero
+    test (g^-1 is invertible, so it decides the lowered vectors alike), on
+    floats a comparison with ``tol``.  Returns (ok, residual), the
+    residual being the largest coefficient of the raised vectors.
     """
     n = space.dim_m
     j2 = smallmat.mat_mul(J, J)
@@ -442,10 +465,28 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
         raise ValueError("J is not orthogonal for g")
     if not is_invariant_endo(space, J, tol=tol):
         raise ValueError("J is not an invariant tensor")
-    nj = _nabla_j(nomizu_levi_civita(space, g, tol=tol), J)
-    polar = [[nj[i][r][j] + nj[j][r][i] for r in range(n)]
+    koszul = [[[(z, v) for z, v in enumerate(vec) if v != 0] for vec in row]
+              for row in _koszul(space, g, tol)]
+    ginv = smallmat.inv(g)
+    rows = [[(z, x) for z, x in enumerate(row) if x != 0] for row in J]
+    cols = [[(s, x) for s, x in enumerate(col) if x != 0]
+            for col in smallmat.transpose(J)]
+
+    def lowered(i, j):   # g((nabla_i J) X_j, X_z) for every z
+        out = [0] * n
+        for s, x in cols[j]:            # sum_s J_sj G[i][s][z]
+            for z, v in koszul[i][s]:
+                out[z] = out[z] + x * v
+        for s, v in koszul[i][j]:       # sum_s J_sz G[i][j][s]
+            for z, x in rows[s]:
+                out[z] = out[z] + x * v
+        return out
+
+    low = [[lowered(i, j) for j in range(n)] for i in range(n)]
+    polar = [smallmat.vec_add(low[i][j], low[j][i])
              for i in range(n) for j in range(i, n)]
-    return all_zero(polar, tol), _max_vec(*polar)
+    raised = _mat_vecs(ginv, polar)
+    return all_zero(raised, tol), _max_vec(*raised)
 
 
 def intrinsic_eta(space, g, J, tol=EPS):

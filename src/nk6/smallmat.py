@@ -30,8 +30,22 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
-    return [[_dot(row, col) for col in bt] for row in a]
+    """a b, accumulated over the nonzero entries of the rows of a and b.
+
+    Each entry sums a[i][k] b[k][j] in increasing k, as :func:`_dot` does,
+    so float results are bitwise those of the row-by-column products.
+    """
+    rows_b = [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, entries in zip(row, rows_b):
+            if x != 0:
+                for j, y in entries:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a, v):

@@ -5,11 +5,13 @@ h/m index split, optional named invariant forms on m and an optional
 metric Gram matrix.  Scalars are exact when written as "p/q" strings and
 float when written as JSON numbers.  The schema ships in
 ``schemas/space.schema.json``; antisymmetry is completed from the i < j
-entries and the Jacobi identity is validated on load.
+entries and the Jacobi identity is validated on load.  Documents of one
+algebra share its validated space (:func:`_validated_space`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -61,19 +63,44 @@ def _index_list(v, dim, where):
 class SpaceDocument:
     dimension: int
     labels: list
-    constants: list            # dense c[i][j][k]
     h_indices: list
     m_indices: list
+    space: ReductiveSpace = field(repr=False, compare=False)
     forms: dict = field(default_factory=dict)      # name -> KForm on m
     metric: list = None                            # Gram on m, or None
-    space: ReductiveSpace = field(default=None, repr=False, compare=False)
+
+    @property
+    def constants(self):
+        """The dense c[i][j][k] of the validated algebra."""
+        return self.space.algebra.c
 
     def reductive_space(self):
-        """The validated ReductiveSpace, built once and then shared."""
-        if self.space is None:
-            algebra = LieAlgebraData(self.constants, labels=self.labels)
-            self.space = ReductiveSpace(algebra, self.h_indices, self.m_indices)
+        """The validated ReductiveSpace, shared by the documents of one
+        algebra (:func:`_validated_space`): read it, never mutate it."""
         return self.space
+
+
+# the model algebras a long-lived caller checks are few (su(2)+su(2), su(3),
+# sp(2)), so a few recently used ones cover it; the capacity is fixed
+SPACE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=SPACE_CACHE_SIZE)
+def _validated_space(key):
+    """The ReductiveSpace of an algebra, keyed by the JSON text of its raw
+    data [dimension, basis, structure constants as written, h, m].
+
+    The key tells 1, 1.0 and "1" apart, so an exact and a float document
+    never share a space.  An algebra that fails validation raises and is
+    not stored; the entries were checked one by one before.
+    """
+    dim, labels, triples, h_idx, m_idx = json.loads(key)
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, v in triples:
+        val = _value(v, "")
+        c[i][j][k] = val
+        c[j][i][k] = -val
+    return ReductiveSpace(LieAlgebraData(c, labels=labels), h_idx, m_idx)
 
 
 def parse_space(data):
@@ -93,7 +120,6 @@ def parse_space(data):
     triples = data.get("structure_constants", [])
     if not isinstance(triples, list):
         raise SpaceFormatError("$.structure_constants: expected a list")
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for pos, entry in enumerate(triples):
         where = f"$.structure_constants[{pos}]"
@@ -108,9 +134,7 @@ def parse_space(data):
         if (i, j, k) in seen:
             raise SpaceFormatError(f"{where}: duplicate entry for [{i},{j},{k}]")
         seen.add((i, j, k))
-        val = _value(v, where)
-        c[i][j][k] = val
-        c[j][i][k] = -val
+        _value(v, where)
 
     h_idx = _index_list(data.get("h_indices", []), dim, "$.h_indices")
     m_idx = data.get("m_indices")
@@ -169,14 +193,13 @@ def parse_space(data):
                 if metric[i][j] != metric[j][i]:
                     raise SpaceFormatError("$.metric: not symmetric")
 
-    doc = SpaceDocument(dimension=dim, labels=list(labels), constants=c,
-                        h_indices=h_idx, m_indices=m_idx,
-                        forms=forms, metric=metric)
     try:
-        doc.reductive_space()
+        space = _validated_space(json.dumps([dim, labels, triples, h_idx, m_idx]))
     except ValueError as ex:
         raise SpaceFormatError(f"$: {ex}")
-    return doc
+    return SpaceDocument(dimension=dim, labels=list(labels), h_indices=h_idx,
+                         m_indices=m_idx, space=space, forms=forms,
+                         metric=metric)
 
 
 def load_space(path):

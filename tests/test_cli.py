@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -228,7 +229,18 @@ def test_check_cone_builds_the_structure_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_check_builds_the_lie_algebra_once(monkeypatch, capsys):
+@pytest.fixture
+def cold_space_cache():
+    """An empty cache of validated algebras, so that builds can be counted."""
+    from nk6.spacefile import _validated_space
+
+    _validated_space.cache_clear()
+    yield
+    _validated_space.cache_clear()
+
+
+def test_check_builds_the_lie_algebra_once(monkeypatch, capsys, tmp_path,
+                                           cold_space_cache):
     from nk6 import lie
 
     calls = []
@@ -240,6 +252,17 @@ def test_check_builds_the_lie_algebra_once(monkeypatch, capsys):
 
     monkeypatch.setattr(lie.LieAlgebraData, "__init__", counting)
     code, _ = run(capsys, "check", os.path.join(FIX, "flag.json"))
+    assert code == 0
+    assert len(calls) == 1
+    # a second document on the same algebra reuses the validated space
+    with open(os.path.join(FIX, "flag.json")) as fh:
+        doc = json.load(fh)
+    doc.pop("metric")
+    for term in doc["forms"]["omega"]:
+        term[1] = str(2 * Fraction(term[1]))
+    path = tmp_path / "flag_scaled.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(capsys, "check", str(path), "--cone")
     assert code == 0
     assert len(calls) == 1
 
@@ -458,13 +481,13 @@ def test_check_cone_computes_no_determinant_per_minor(monkeypatch, capsys):
 
 
 def test_check_cone_differentiates_phi_once_per_fit(monkeypatch, capsys):
-    # cone_check reuses the d phi and omega^2 of its fit for the rescale ratio
+    # cone_check takes the d phi and omega^2 of nk_check's fit
     from nk6 import cli
 
     calls = _count_calls(monkeypatch, cli, "ce_differential")
     code, _ = run(capsys, "check", os.path.join(FIX, "s3xs3.json"), "--cone")
     assert code == 0
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):
@@ -505,7 +528,8 @@ def test_reused_parser_keeps_no_state(capsys):
 
 
 @pytest.mark.parametrize("fixture", ["s3xs3", "flag", "cp3"])
-def test_check_compiles_each_table_once(monkeypatch, capsys, fixture):
+def test_check_compiles_each_table_once(monkeypatch, capsys, fixture,
+                                        cold_space_cache):
     from nk6 import lie
 
     built = []
@@ -522,6 +546,12 @@ def test_check_compiles_each_table_once(monkeypatch, capsys, fixture):
     assert code == 0
     assert built and len(set(built)) == len(built)
     assert len({space for space, _, _ in built}) == 1
+    # the same document again: the cached space keeps its tables
+    compiled = list(built)
+    code, _ = run(capsys, "check", os.path.join(FIX, f"{fixture}.json"),
+                  "--cone")
+    assert code == 0
+    assert built == compiled
 
 
 def _module_dict_sizes():
@@ -692,3 +722,76 @@ def test_float_build_inconsistency_is_a_labelled_verdict(capsys):
     build = Report.from_json(out).verdicts[0]
     assert (build.name, build.status, build.label) == (
         "stable pair builds an SU(3)-structure", "fail", "structure")
+
+
+def test_cone_rescale_at_half_tolerance(capsys):
+    # c = 2 is half of max|d phi| / max|omega^2| = 4 on the float CP^3
+    # fixture, so at --tolerance 1/2 it is positive and the cone rescales
+    code, out = run(capsys, "--json", "--tolerance", "0.5", "--scalar",
+                    "float", "check", os.path.join(FIX, "cp3.json"), "--cone")
+    assert code == 0
+    cone = {v.name: (v.status, v.detail) for v in Report.from_json(out).verdicts
+            if v.name.startswith("cone form")}
+    assert cone == {"cone form closed": ("pass", ""),
+                    "cone form coclosed": ("pass", "")}
+
+
+def test_zero_supplied_metric_is_singular(tmp_path, capsys):
+    with open(os.path.join(FIX, "flag.json")) as fh:
+        doc = json.load(fh)
+    doc["metric"] = [["0"] * 6 for _ in range(6)]
+    path = tmp_path / "flag_zero_metric.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "--json", "check", str(path))
+    assert code == 1
+    agree = [v for v in Report.from_json(out).verdicts
+             if v.name == "connection-level and form-level verdicts agree"]
+    assert [(v.status, v.label, v.detail) for v in agree] == [
+        ("fail", "nabla-J", "matrix is singular")]
+
+
+def _s3xs3_constants_as(tmp_path, name, value):
+    """The S^3xS^3 fixture with every structure constant passed through
+    ``value``, as a file path."""
+    with open(os.path.join(FIX, "s3xs3.json")) as fh:
+        doc = json.load(fh)
+    for entry in doc["structure_constants"]:
+        entry[3] = value(entry[3])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_exact_document_after_a_float_one_stays_exact(tmp_path, capsys,
+                                                      cold_space_cache):
+    from nk6.scalars import is_exact
+    from nk6.spacefile import load_space
+
+    exact = _s3xs3_constants_as(tmp_path, "exact", lambda v: int(v))
+    floats = _s3xs3_constants_as(tmp_path, "floats", lambda v: float(v))
+    reports = []
+    for path in (exact, floats, exact):
+        code, out = run(capsys, "--json", "check", path, "--cone")
+        assert code == 0
+        rep = json.loads(out)
+        rep.pop("timing_s")
+        reports.append(rep)
+    assert reports[2] == reports[0]
+    assert all(v["residual"] == 0.0 for v in reports[2]["verdicts"]
+               if "residual" in v)
+    spaces = [load_space(path).reductive_space() for path in (floats, exact)]
+    assert spaces[0] is not spaces[1]
+    assert not any(is_exact(v) for *_, v in spaces[0].algebra.nonzero())
+    assert all(is_exact(v) for *_, v in spaces[1].algebra.nonzero())
+
+
+def test_jacobi_violation_is_exit_two_with_a_cached_algebra(tmp_path, capsys):
+    assert main(["check", os.path.join(FIX, "s3xs3.json")]) == 0
+    capsys.readouterr()
+    # the same shape, with [X1, X2] leaking into the second su(2) factor
+    bad = _s3xs3_copy(tmp_path, lambda doc: doc["structure_constants"]
+                      .append([0, 1, 3, "1"]))
+    code = main(["check", bad])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: $: structure constants violate the Jacobi identity\n"

@@ -223,10 +223,10 @@ def _rescale_cases():
 
 
 def test_closed_form_rescale_equals_rebuild():
-    from nk6.hitchin import mu_volume_fit
+    from nk6.hitchin import nk_check, volume_fit
 
     for s, d in _rescale_cases():
-        c, _ = mu_volume_fit(s, d)
+        c, _ = volume_fit(*nk_check(s, d).fit)
         assert c > 0
         scaled = s.scaled(c)
         rebuilt = build_su3(SU3Candidate(s.omega.scale(c), s.psi.scale(c), s.vol))

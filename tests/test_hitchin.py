@@ -15,7 +15,6 @@ from nk6.hitchin import (
     SU3Candidate,
     build_su3,
     hitchin_K,
-    mu_volume_fit,
     nk_check,
     phi_from,
     tau,

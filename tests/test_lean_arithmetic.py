@@ -15,7 +15,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from nk6 import smallmat
-from nk6.exterior import HodgeStar, KForm, index_tuples
+from nk6.exterior import (
+    HodgeStar, KForm, hodge_star, index_tuples, metric_volume)
 from nk6.hitchin import contract
 from nk6.scalars import SQRT3, QSqrt3
 
@@ -149,10 +150,17 @@ def test_positive_definite_edge_cases():
 
 
 # -- Hodge star minors --------------------------------------------------------
+# positive weights, rational or in Q(sqrt 3); 1 most often
+WEIGHTS = st.one_of(st.just(1), st.sampled_from(
+    [2, 3, Fraction(1, 2), QSqrt3(2, 1), QSqrt3(2, -1), QSqrt3(1, 1)]))
+
+
 @st.composite
 def gram_matrices(draw):
-    """Positive definite g = B^T B, B = L U with L, U unit triangular 6 x 6
-    over Q or over Q(sqrt 3): det g = 1, so the unit volume form is exact."""
+    """Positive definite g = B^T D B, B = L U with L, U unit triangular
+    6 x 6 over Q or over Q(sqrt 3) and D a diagonal of positive weights:
+    det g = det D, so sqrt(det g) is in Q(sqrt 3) (all weights 1 gives
+    det g = 1) or not, and then the volume form is a float."""
     small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     if draw(st.booleans()):
         entry = small
@@ -165,10 +173,12 @@ def gram_matrices(draw):
         [[1 if i == j else (draw(entry) if j < i else 0) for j in range(6)]
          for i in range(6)])
     b = smallmat.mat_mul(lower, upper)
-    return smallmat.mat_mul(smallmat.transpose(b), b)
+    weights = [[draw(WEIGHTS) if i == j else 0 for j in range(6)]
+               for i in range(6)]
+    return smallmat.mat_mul(smallmat.transpose(b), smallmat.mat_mul(weights, b))
 
 
-@settings(SETTINGS, max_examples=25)
+@settings(SETTINGS, max_examples=40)
 @given(gram_matrices(), st.data())
 def test_every_hodge_minor_is_the_det_of_its_submatrix(g, data):
     star = HodgeStar(g)
@@ -182,6 +192,21 @@ def test_every_hodge_minor_is_the_det_of_its_submatrix(g, data):
             assert star.minor(rows, cols) == want
     full = tuple(range(6))
     assert star.minor(full, full) * smallmat.det(g) == 1
+    # the star of an exact form is exact iff sqrt(det g) is, else all floats
+    assert star.floats == isinstance(metric_volume(g).c[0], float)
+    out = [x for x in star(KForm.basis(6, (0, 2), QSqrt3(1, 1))).c if x != 0]
+    assert out and all(isinstance(x, float) == star.floats for x in out)
+
+
+def test_hodge_star_with_a_float_volume_runs_in_floats():
+    # det g = 2 + sqrt 3 has no square root in Q(sqrt 3)
+    g = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    g[0][0] = QSqrt3(2, 1)
+    out = hodge_star(KForm.basis(6, (0,)), g)
+    # *e0 = g^00 sqrt(det g) e12345 = (2 - sqrt 3) sqrt(2 + sqrt 3) e12345
+    want = (2 - 3 ** 0.5) * (2 + 3 ** 0.5) ** 0.5
+    assert abs(out.c[-1] - want) <= 1e-12 and not any(out.c[:-1])
+    assert isinstance(out.c[-1], float)
 
 
 # -- the slot contraction -----------------------------------------------------

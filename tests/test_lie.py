@@ -306,6 +306,66 @@ def test_polarised_nk_verdict_matches_sampling():
     assert [i for i, ok in enumerate(verdicts) if ok] == [0, 13, 26, 30, 31]
 
 
+def _commutator_nk_residual(space, g, J, tol=1e-10):
+    """The polarised nabla-J test as it was computed before the lowered
+    Koszul table: the Nomizu operator per basis pair, nabla_i J = [L_i, J]
+    as six dense commutators, then (nabla_i J) X_j + (nabla_j J) X_i."""
+    n = space.dim_m
+    half = Fraction(1, 2) if all(is_exact(x) for r in g for x in r) else 0.5
+    ginv = smallmat.inv(g)
+    gb = [[smallmat.mat_vec(g, space.bm[i][j]) for j in range(n)]
+          for i in range(n)]
+    gamma = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rhs = [half * (gb[z][i][j] + gb[z][j][i]) for z in range(n)]
+            u = smallmat.mat_vec(ginv, rhs)
+            gamma[i][j] = [half * space.bm[i][j][r] + u[r] for r in range(n)]
+    nj = [smallmat.commutator(smallmat.transpose(gi), J) for gi in gamma]
+    polar = [[nj[i][r][j] + nj[j][r][i] for r in range(n)]
+             for i in range(n) for j in range(i, n)]
+    exact = all(is_exact(x) for v in polar for x in v)
+    ok = (all(x == 0 for v in polar for x in v) if exact
+          else all(abs(float(x)) <= tol for v in polar for x in v))
+    return ok, max(abs(float(x)) for v in polar for x in v)
+
+
+def _nk_family_cases():
+    """Flag diag(r, r, s, s, t, t), CP^3 at t with both fiber signs and the
+    S^3 x S^3 solution, whose metric is not diagonal and lives in Q(sqrt 3)."""
+    fm, cp3 = spaces.flag_model(), spaces.cp3_model()
+    cases = [(fm.space, fm.metric(r, s, t), fm.acs(signs))
+             for r in (1, 2, 3) for s in (1, 2) for t in (1, 3)
+             for signs in ((1, 1, 1), (1, -1, 1))]
+    cases += [(cp3.space, cp3.metric(t), cp3.acs(fiber))
+              for t in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
+              for fiber in (1, -1)]
+    s = build_su3(s3xs3.candidate(
+        s3xs3.DiagonalInvariantForm((Fraction(1),) * 3)))
+    cases.append((s3xs3.cyclic_space(), s.g, s.J))
+    return cases
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_lowered_nk_residual_matches_the_commutator_formula(arithmetic):
+    verdicts = []
+    for space, g, j in _nk_family_cases():
+        if arithmetic == "float":
+            g, j = ([[float(x) for x in row] for row in m] for m in (g, j))
+        got, want = nearly_kahler_residual(space, g, j), \
+            _commutator_nk_residual(space, g, j)
+        assert got[0] == want[0]
+        if arithmetic == "exact":
+            assert got == want
+        else:
+            assert abs(got[1] - want[1]) <= 1e-12 * max(1.0, want[1])
+        verdicts.append(got[0])
+    # flag: r = s = t with signs (1, 1, 1), and the Kahler (1, 2, 1) of the
+    # integrable signs (1, -1, 1); CP^3: t = 1/2 with fiber -1 and the
+    # Kahler t = 1 with fiber +1; and the S^3 x S^3 solution
+    assert [i for i, ok in enumerate(verdicts) if ok] == [0, 5, 27, 28, 32]
+
+
 def test_nearly_kahler_residual_precondition_reporting():
     fm = spaces.flag_model()
     g = fm.metric(1, 1, 1)

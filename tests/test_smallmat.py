@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nk6 import smallmat as sm
 from nk6.scalars import QSqrt3, is_exact
@@ -107,3 +108,65 @@ def test_sparse_kernels_match_dense_double_sum(name, entry, zero):
         assert vw == dense_vw
         if name != "float":
             assert all(is_exact(x) for x in [vw] + av + [y for r in ab for y in r])
+
+
+# -- the row-sparse product against the row-by-column one ------------------
+def _row_by_column(a, b):
+    """The product as it was computed before: each entry the dot product of
+    a row of a and a column of b, in increasing k, zero factors skipped."""
+    def dot(u, v):
+        s = 0
+        for x, y in zip(u, v):
+            if x != 0 and y != 0:
+                s = s + x * y
+        return s
+    return [[dot(row, col) for col in zip(*b)] for row in a]
+
+
+_PRODUCT_SCALARS = {
+    "Fraction": st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    "QSqrt3": st.builds(
+        QSqrt3, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))),
+    "float": st.floats(min_value=-4, max_value=4, allow_nan=False,
+                       allow_infinity=False),
+}
+
+
+@st.composite
+def _products(draw, kind):
+    """(a, b) of shapes n x k and k x m, n and m possibly 0, with zero
+    entries, and whole zero rows of a and zero columns of b, drawn often."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    k = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), _PRODUCT_SCALARS[kind])
+    a = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=2)):
+        if n:
+            a[i] = [0] * k
+    for j in draw(st.lists(st.integers(0, max(m - 1, 0)), max_size=2)):
+        for row in b:
+            if m:
+                row[j] = 0
+    return a, b
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(sorted(_PRODUCT_SCALARS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), _products(kind))))
+def test_row_sparse_mat_mul_matches_the_dense_product(case):
+    kind, (a, b) = case
+    got, want = sm.mat_mul(a, b), _row_by_column(a, b)
+    assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
+    if kind == "float":
+        # the same additions in the same order: bitwise equal, zero signs too
+        assert [[repr(x) for x in row] for row in got] == \
+            [[repr(x) for x in row] for row in want]
+    else:
+        assert got == want
+        assert all(is_exact(x) for row in got for x in row)
+    dense = [[sum((a[i][l] * b[l][j] for l in range(len(b))), 0)
+              for j in range(len(b[0]))] for i in range(len(a))]
+    assert got == dense

@@ -114,3 +114,51 @@ def test_fixtures_validate_against_schema():
     for name in ("s3xs3", "flag", "cp3"):
         with open(os.path.join(FIXTURES, f"{name}.json")) as fh:
             jsonschema.validate(json.load(fh), schema)
+
+
+def _rescaled_s3xs3(scale):
+    """su(2) + su(2) with every structure constant times ``scale``: a valid
+    algebra, distinct for each scale."""
+    with open(os.path.join(FIXTURES, "s3xs3.json")) as fh:
+        doc = json.load(fh)
+    for entry in doc["structure_constants"]:
+        entry[3] = str(scale * Fraction(entry[3]))
+    return doc
+
+
+def test_identical_algebras_share_one_validated_space():
+    first = parse_space(_rescaled_s3xs3(3)).reductive_space()
+    doc = _rescaled_s3xs3(3)
+    doc["forms"] = {}
+    assert parse_space(doc).reductive_space() is first
+    # 3 and "3" are different spellings: a miss, never a shared space
+    for entry in doc["structure_constants"]:
+        entry[3] = int(Fraction(entry[3]))
+    other = parse_space(doc).reductive_space()
+    assert other is not first and other.algebra.c == first.algebra.c
+
+
+def test_cache_of_validated_spaces_stays_at_capacity():
+    from nk6.spacefile import SPACE_CACHE_SIZE, _validated_space
+
+    spaces_seen = [parse_space(_rescaled_s3xs3(k)).reductive_space()
+                   for k in range(1, 21)]
+    assert len({id(s) for s in spaces_seen}) == 20
+    assert _validated_space.cache_info().currsize == SPACE_CACHE_SIZE
+    # the most recent algebra is kept, the oldest was dropped
+    assert parse_space(_rescaled_s3xs3(20)).reductive_space() is spaces_seen[-1]
+    assert parse_space(_rescaled_s3xs3(1)).reductive_space() is not spaces_seen[0]
+    assert _validated_space.cache_info().currsize == SPACE_CACHE_SIZE
+
+
+def test_invalid_algebra_is_not_stored():
+    from nk6.spacefile import _validated_space
+
+    doc = _rescaled_s3xs3(1)
+    doc["structure_constants"].append([0, 1, 3, "1"])
+    before = _validated_space.cache_info()
+    for _ in range(2):
+        with pytest.raises(SpaceFormatError, match="Jacobi"):
+            parse_space(doc)
+    after = _validated_space.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
