@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from . import smallmat
 from .exterior import HodgeStar, KForm, interior, metric_volume, wedge
-from .hitchin import form_dot, omega3_sign, volume_fit
+from .hitchin import form_dot, volume_fit
 from .report import verdict
 from .scalars import EPS, all_zero, exact_div, is_positive, simplify
 
@@ -95,16 +95,16 @@ def cone_differential(c, link_d):
     return out
 
 
-def cone_hodge(c, g, vol=None):
+def cone_hodge(c, g, vol=None, tol=EPS):
     """Hodge star of the cone metric r^2 g + dr^2, term by term.
 
     With p the degree of the link form:
       *(r^a beta)      = (-1)^p r^(a+6-2p) dr ^ *6(beta)
       *(r^a dr^alpha)  =        r^(a+6-2p) *6(alpha)
-    where *6 is the link star of (g, vol), built once for all terms.
+    where *6 is the link star of (g, vol) at ``tol``, built once for all terms.
     Exponents must stay >= 0.
     """
-    link_star = HodgeStar(g, vol)
+    link_star = HodgeStar(g, vol, tol)
     out = ConeForm()
     for (a, dr, _), f in c.terms.items():
         star = link_star(f)
@@ -173,7 +173,7 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
     term against -phi.
     """
-    dphi, o2 = fit or (link_d(s.phi), wedge(s.omega, s.omega))
+    dphi, o2 = fit or (link_d(s.phi), s.omega2)
     c, _ = volume_fit(dphi, o2)
     # when d phi is proportional to omega^2, c is half their ratio: its
     # zero test is at that scale
@@ -186,11 +186,11 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     d_rho = cone_differential(rho, link_d)
     # the link star in the orientation of omega^3, the one J induces, makes
     # *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega
-    vol_g = metric_volume(s.g, orientation=omega3_sign(s.omega))
-    star_rho = cone_hodge(rho, s.g, vol_g)
+    vol_g = metric_volume(s.g, orientation=s.o3_sign)
+    star_rho = cone_hodge(rho, s.g, vol_g, tol)
     d_star_rho = cone_differential(star_rho, link_d)
 
-    o2 = wedge(s.omega, s.omega)
+    o2 = s.omega2
     quartic_term = star_rho.term(4, False, 4)
     if quartic_term is None:
         coeff = 0

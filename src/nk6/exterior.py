@@ -6,7 +6,10 @@ lexicographic order; antisymmetry lives in a single sign routine
 that sign conventions cannot drift apart.  Coefficients may be exact
 (int/Fraction/QSqrt3) or float; operations never mix the two on their own.
 
-Every operation returns a fresh form and nothing mutates its inputs, so
+Wedge, interior product and Hodge star are lattice products
+(:func:`scalars.bilinear`); a form keeps its lattice and lowers it on
+first use, so a chain of products stays in integers.  Every operation
+returns a fresh form and nothing mutates a form after construction, so
 values can be shared freely across threads.
 """
 
@@ -16,7 +19,8 @@ import itertools
 
 from . import smallmat
 from .scalars import (
-    EPS, all_zero, exact_div, is_exact, is_positive, is_zero, sqrt_scalar)
+    EPS, all_zero, bilinear, exact_div, is_positive, is_zero, kernel_rows, lift,
+    lower, sqrt_scalar, times)
 
 
 class NotPositiveDefinite(ValueError):
@@ -64,19 +68,32 @@ def complement(n, idx):
 class KForm:
     """Alternating k-form on an n-dimensional space."""
 
-    __slots__ = ("n", "k", "c")
+    __slots__ = ("n", "k", "_c", "_lattice")
 
-    def __init__(self, n, k, coeffs=None):
+    def __init__(self, n, k, coeffs=None, lattice=None):
         if not 1 <= n <= 8:
             raise ValueError("supported dimensions are 1 through 8")
         tuples, _ = index_tuples(n, k)
-        if coeffs is None:
+        if coeffs is None and lattice is None:
             coeffs = [0] * len(tuples)
-        if len(coeffs) != len(tuples):
+        if len(lattice[0] if coeffs is None else coeffs) != len(tuples):
             raise ValueError("coefficient list has wrong length")
-        self.n = n
-        self.k = k
-        self.c = list(coeffs)
+        self.n, self.k = n, k
+        self._c = None if coeffs is None else list(coeffs)
+        self._lattice = lattice
+
+    @property
+    def c(self):
+        """The coefficients, lowered from the lattice on first use."""
+        if self._c is None:
+            self._c = lower(self._lattice)
+        return self._c
+
+    def lattice(self):
+        """The coefficients lifted (:func:`scalars.lift`) on first use."""
+        if self._lattice is None:
+            self._lattice = lift(self._c)
+        return self._lattice
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -142,7 +159,7 @@ class KForm:
         return self._like([-a for a in self.c])
 
     def scale(self, s):
-        return self._like([s * a for a in self.c])
+        return KForm(self.n, self.k, lattice=times(s, self.lattice()))
 
     __rmul__ = scale
 
@@ -204,20 +221,17 @@ def wedge(a, b):
     """Exterior product; graded-commutative, associative."""
     if a.n != b.n:
         raise ValueError("wedge of forms on different spaces")
-    n = a.n
-    k = a.k + b.k
-    out = KForm.zero(n, k)
-    if k > n:
-        return out
-    _, pos = index_tuples(n, k)
-    for ia, va in a.terms():
-        for ib, vb in b.terms():
-            sign, t = sort_index(ia + ib)
-            if sign == 0:
-                continue
-            p = pos[t]
-            out.c[p] = out.c[p] + sign * (va * vb)
-    return out
+    n, k = a.n, a.k + b.k
+    return KForm(n, k, lattice=bilinear(_wedge_rows(n, a.k, b.k), a.lattice(),
+                                        b.lattice(), len(index_tuples(n, k)[0])))
+
+
+def _wedge_rows(n, ka, kb):
+    """The :func:`scalars.bilinear` table of the wedge of a ka- and a kb-form."""
+    pos = index_tuples(n, ka + kb)[1]
+    return kernel_rows(("wedge", n, ka, kb), lambda: [
+        [(j, pos[t], s) for j, ib in enumerate(index_tuples(n, kb)[0])
+         for s, t in [sort_index(ia + ib)] if s] for ia in index_tuples(n, ka)[0]])
 
 
 def interior(v, a):
@@ -226,18 +240,11 @@ def interior(v, a):
         raise ValueError("vector dimension mismatch")
     if a.k == 0:
         return KForm.zero(a.n, 0)
-    out = KForm.zero(a.n, a.k - 1)
-    _, pos = index_tuples(a.n, a.k - 1)
-    for idx, val in a.terms():
-        for slot, i in enumerate(idx):
-            vi = v[i]
-            if vi == 0:
-                continue
-            rest = idx[:slot] + idx[slot + 1:]
-            sgn = -1 if slot % 2 else 1
-            p = pos[rest]
-            out.c[p] = out.c[p] + sgn * (vi * val)
-    return out
+    tuples, (out, pos) = index_tuples(a.n, a.k)[0], index_tuples(a.n, a.k - 1)
+    rows = kernel_rows(("interior", a.n, a.k), lambda: [
+        [(i, pos[t[:slot] + t[slot + 1:]], -1 if slot % 2 else 1)
+         for slot, i in enumerate(t)] for t in tuples])
+    return KForm(a.n, a.k - 1, lattice=bilinear(rows, a.lattice(), lift(v), len(out)))
 
 
 def form_inner(a, b, gram_inv):
@@ -273,17 +280,17 @@ class HodgeStar:
 
         star(e_J) = sum_I <e_I, e_J> sign(I, I^c) v e_{I^c},
 
-    with <e_I, e_J> the I x J minor of g^-1.  Minors come from Laplace
-    expansion along their first row and are kept, so a k-minor costs at
-    most k products of (k-1)-minors already computed; a zero entry of g^-1
-    is skipped, and the empty minor (degree 0) is 1.  The n-minor is
-    det g^-1, which the unit-norm check reads.  ``vol`` defaults to
-    :func:`metric_volume`.  The minors stay in the arithmetic of g; a float
-    volume (sqrt det g outside Q(sqrt 3)) or a float form makes the star
-    of that form run in floats, the minors converted as they are used.
+    with <e_I, e_J> the I x J minor of g^-1: the J-th coefficient of the
+    wedge of the rows I of g^-1, a Laplace expansion along the first row,
+    kept per I.  On the lattice of g^-1, over d, the k-minors are integers
+    over d^k.  The unit-norm check reads exact det g^-1 off the n-minor; a float
+    one comes from elimination, and is compared at ``tol`` times the largest
+    entry of g and g^-1.  ``vol`` defaults to :func:`metric_volume`.  A
+    float volume (sqrt det g outside Q(sqrt 3)) or a float form makes the
+    star of that form run in floats.
     """
 
-    def __init__(self, gram, vol=None):
+    def __init__(self, gram, vol=None, tol=EPS):
         n = len(gram)
         if not smallmat.is_positive_definite(gram):
             raise NotPositiveDefinite("Gram matrix is not positive definite")
@@ -297,69 +304,50 @@ class HodgeStar:
             raise ValueError("volume form vanishes")
         self.n, self.v = n, v
         self.floats = isinstance(v, float)
-        self._minors = {((), ()): 1}
-        self._columns = {}
+        P, Q, d = lift([x for row in self.gram_inv for x in row])
+        self._rows = [(P[i:i + n], Q and Q[i:i + n], d) for i in range(0, n * n, n)]
+        self._minors = {(): lift([1])}
         full = tuple(range(n))
-        det_inv = self.minor(full, full)
+        det_inv = self.minor(full, full) if d else smallmat.det(self.gram_inv)
         if self.floats:
             det_inv = float(det_inv)
-        if not is_zero(v * v * det_inv - 1, EPS):
+        size = max(1.0, *map(smallmat.mat_max_abs, (gram, self.gram_inv)))
+        if not is_zero(v * v * det_inv - 1, tol * size):
             raise ValueError("volume form is not unit-norm for this metric")
+
+    def _minors_of(self, rows):
+        """The lattice of the minors of the rows ``rows`` of g^-1, by column."""
+        lattice = self._minors.get(rows)
+        if lattice is None:
+            n, k = self.n, len(rows)
+            lattice = self._minors[rows] = bilinear(
+                _wedge_rows(n, 1, k - 1), self._rows[rows[0]],
+                self._minors_of(rows[1:]), len(index_tuples(n, k)[0]))
+        return lattice
 
     def minor(self, rows, cols):
         """det of g^-1 restricted to the index tuples ``rows`` x ``cols``."""
-        key = (rows, cols)
-        out = self._minors.get(key)
-        if out is None:
-            first, rest = self.gram_inv[rows[0]], rows[1:]
-            out = 0
-            for p, c in enumerate(cols):
-                x = first[c]
-                if x == 0:
-                    continue
-                sub = self.minor(rest, cols[:p] + cols[p + 1:])
-                if sub != 0:
-                    out = out - x * sub if p % 2 else out + x * sub
-            self._minors[key] = out
-        return out
-
-    def _column(self, k, j):
-        """The nonzero minors <e_I, e_J> as (position of I, minor), J at j."""
-        col = self._columns.get((k, j))
-        if col is None:
-            tuples, _ = index_tuples(self.n, k)
-            jb = tuples[j]
-            col = []
-            for i, ia in enumerate(tuples):
-                minor = self.minor(ia, jb)
-                if minor != 0:
-                    col.append((i, minor))
-            self._columns[k, j] = col
-        return col
+        return lower(self._minors_of(rows))[index_tuples(self.n, len(cols))[1][cols]]
 
     def __call__(self, a):
         n, k = self.n, a.k
         if a.n != n:
             raise ValueError("form dimension does not match the metric")
-        floats = self.floats or not all(map(is_exact, a.c))
-        if floats:
-            a = a.to_float()
-        v = float(self.v) if floats else self.v
-        inner = {}
-        for j, x in enumerate(a.c):
-            if x == 0:
-                continue
-            for i, minor in self._column(k, j):
-                inner[i] = inner.get(i, 0) + x * (float(minor) if floats else minor)
         tuples, _ = index_tuples(n, k)
-        _, pos_out = index_tuples(n, n - k)
-        out = KForm.zero(n, n - k)
-        for i, value in inner.items():
-            if value == 0:
-                continue
-            comp, sign = complement(n, tuples[i])
-            out.c[pos_out[comp]] = sign * (v * value)
-        return out
+        P, Q, d = zip(*(self._minors_of(t) for t in tuples))
+        minors = [p for x in P for p in x], Q[0] and [q for x in Q for q in x], d[0]
+        x, v = a.lattice(), self.v
+        if self.floats or x[2] is None:
+            x, minors = (([float(y) for y in lower(z)], None, None)
+                         for z in (x, minors))
+            v = float(v)
+        _, pos = index_tuples(n, n - k)
+        size = len(tuples)
+        rows = kernel_rows(("star", n, k), lambda: [
+            [(i * size + j, pos[c], s) for i, (c, s) in enumerate(comps)]
+            for comps in [[complement(n, t) for t in tuples]] for j in range(size)])
+        star = bilinear(rows, x, minors, size)
+        return KForm(n, n - k, lattice=times(v, star))
 
 
 def hodge_star(a, gram, vol=None):

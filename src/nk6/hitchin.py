@@ -16,7 +16,8 @@ from . import smallmat
 from .exterior import (
     KForm, index_tuples, interior, lambda5_to_vector, sort_index, wedge)
 from .scalars import (
-    EPS, all_zero, exact_div, is_positive, scalar_like, simplify, sqrt_scalar)
+    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, kernel_rows, lift,
+    scalar_like, simplify, sqrt_scalar)
 
 
 class StructureError(ValueError):
@@ -82,7 +83,8 @@ class SU3Candidate:
 
 @dataclass
 class SU3Structure:
-    """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol)."""
+    """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol), with the
+    build's omega ^ omega and sign of omega^3 (:func:`omega3_sign`)."""
 
     omega: KForm
     psi: KForm
@@ -92,20 +94,26 @@ class SU3Structure:
     kappa: object
     tau0: object
     vol: KForm
+    omega2: KForm = field(repr=False, compare=False)
+    o3_sign: int = field(repr=False, compare=False)
 
     def scaled(self, c):
         """The structure of the pair (c omega, c psi), c > 0, in closed form.
 
         K is quadratic in psi, so tau0 scales by c^4 and kappa by c^2; J =
         K / kappa and the reference volume stay, and g = omega(., J .) and
-        phi = -psi(J ., ., .) scale by c like omega and psi.
+        phi = -psi(J ., ., .) scale by c like omega and psi, and omega^2 by
+        c^2 (formed again on floats).
         """
+        omega = self.omega.scale(c)
         return SU3Structure(
-            omega=self.omega.scale(c), psi=self.psi.scale(c),
+            omega=omega, psi=self.psi.scale(c),
             phi=self.phi.scale(c), J=self.J,
-            g=[[simplify(c * x) for x in row] for row in self.g],
+            g=smallmat.mat_scale(c, self.g),
             kappa=simplify(c * c * self.kappa),
-            tau0=simplify(c ** 4 * self.tau0), vol=self.vol)
+            tau0=simplify(c ** 4 * self.tau0), vol=self.vol,
+            omega2=self.omega2.scale(c * c) if is_exact(c) else wedge(omega, omega),
+            o3_sign=self.o3_sign)
 
 
 @dataclass
@@ -131,55 +139,24 @@ def k_matrix(psi, vol):
     """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks."""
     if psi.n != 6 or psi.k != 3:
         raise ValueError("expected a 3-form in dimension 6")
-    cols = []
-    for i in range(6):
-        e = [0] * 6
-        e[i] = 1
-        cols.append(lambda5_to_vector(wedge(interior(e, psi), psi), vol))
-    return smallmat.transpose(cols)
-
-
-_SLOT_TABLES: dict = {}
-
-
-def _slot_table(n, slot):
-    """Per 3-index t of dimension n: t[slot] and, for each s, the (position,
-    sign) of t with t[slot] replaced by s, or None when s repeats an index.
-
-    Depends on (n, slot) only, so it is built once and kept.
-    """
-    key = (n, slot)
-    if key not in _SLOT_TABLES:
-        tuples, pos = index_tuples(n, 3)
-        table = []
-        for t in tuples:
-            row = []
-            for s in range(n):
-                sign, u = sort_index(t[:slot] + (s,) + t[slot + 1:])
-                row.append((pos[u], sign) if sign else None)
-            table.append((t[slot], row))
-        _SLOT_TABLES[key] = table
-    return _SLOT_TABLES[key]
+    return smallmat.transpose([lambda5_to_vector(wedge(interior(e, psi), psi), vol)
+                               for e in smallmat.identity(6)])
 
 
 def contract(psi, m, slot=0):
     """The 3-form  -psi(.., m ., ..)  with the endomorphism m in one slot.
 
-    With m = J this is phi; with m = K = kappa J it is kappa phi.
+    With m = J this is phi; with m = K = kappa J it is kappa phi.  One
+    lattice product (:func:`scalars.bilinear`) of m, flattened, with psi.
     """
-    n, c = psi.n, psi.c
-    cols = [[(s, m[s][j]) for s in range(n) if m[s][j] != 0] for j in range(n)]
-    coeffs = []
-    for j, row in _slot_table(n, slot):
-        total = 0
-        for s, ms in cols[j]:
-            hit = row[s]
-            if hit is None or c[hit[0]] == 0:
-                continue
-            term = ms * c[hit[0]]
-            total = total + term if hit[1] > 0 else total - term
-        coeffs.append(-total)
-    return KForm(n, 3, coeffs)
+    n = psi.n
+    tuples, pos = index_tuples(n, 3)
+    rows = kernel_rows(("contract", n, slot), lambda: [   # m[s][j], psi(t[slot] = s)
+        [(pos[u], o, -sign) for o, t in enumerate(tuples) if t[slot] == j
+         for sign, u in [sort_index(t[:slot] + (s,) + t[slot + 1:])] if sign]
+        for s in range(n) for j in range(n)])
+    flat = lift([x for row in m for x in row])
+    return KForm(n, 3, lattice=bilinear(rows, flat, psi.lattice(), len(tuples)))
 
 
 def hitchin_K(psi, vol, tol=EPS):
@@ -219,25 +196,32 @@ def phi_from(psi, J, tol=EPS):
     return phis[0]
 
 
-def omega3_sign(omega):
-    """Sign (1 or -1) of the e012345 coefficient of omega ^ omega ^ omega.
+def omega_powers(omega):
+    """(omega ^ omega, omega ^ omega ^ omega)."""
+    o2 = wedge(omega, omega)
+    return o2, wedge(o2, omega)
+
+
+def omega3_sign(omega, o3=None):
+    """Sign (1 or -1) of the e012345 coefficient of omega^3 (``o3``).
 
     omega^3 carries the orientation the almost complex structure induces.
     K is normalized against a reference volume form, and the induced
     metric omega(., J .) is positive only when that volume form and omega^3
     have opposite signs.
     """
-    o3 = wedge(wedge(omega, omega), omega)
+    o3 = omega_powers(omega)[1] if o3 is None else o3
     return 1 if is_positive(o3.c[0]) else -1
 
 
-def build_su3(cand, tol=EPS):
+def build_su3(cand, tol=EPS, powers=None):
     """Assemble the full SU(3)-structure from a candidate pair, or raise.
 
     Errors name the violated condition: NotStable (stability of psi),
     NotType11 (omega ^ psi != 0), DegenerateOmega (omega^3 = 0),
     NotPositive (the induced symmetric form is not positive definite),
-    SlotInconsistent, or StructureError itself (see there).
+    SlotInconsistent, or StructureError itself (see there).  ``powers``:
+    the :func:`omega_powers` of omega, when known.
     """
     omega, psi, vol = cand.omega, cand.psi, cand.vol
     n = 6
@@ -252,7 +236,8 @@ def build_su3(cand, tol=EPS):
     if not op.is_zero(tol):
         raise NotType11(f"omega ^ psi has size {op.max_abs()}")
 
-    if wedge(wedge(omega, omega), omega).is_zero(tol):
+    o2, o3 = powers or omega_powers(omega)
+    if o3.is_zero(tol):
         raise DegenerateOmega()
 
     kappa = sqrt_scalar(-tau0)
@@ -260,9 +245,11 @@ def build_su3(cand, tol=EPS):
         # no exact square root in Q(sqrt 3); continue in floats
         K = [[float(x) for x in row] for row in K]
         omega = omega.to_float()
+        o2 = wedge(omega, omega)
         psi = psi.to_float()
         vol = vol.to_float()
-    J = [[exact_div(x, kappa) for x in row] for row in K]
+    J = (smallmat.mat_scale(exact_div(1, kappa), K) if is_exact(kappa)
+         else [[x / kappa for x in row] for row in K])
 
     j2 = smallmat.mat_add(smallmat.mat_mul(J, J), smallmat.identity(n, scalar_like(J)))
     if not all_zero(j2, tol):
@@ -284,15 +271,12 @@ def build_su3(cand, tol=EPS):
     phi = phi_from(psi, J, tol=tol)
     # interior(X, psi) = interior(JX, phi) on the basis
     contraction_tol = tol * max(psi.max_abs(), 1.0)
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        je = [J[r][i] for r in range(n)]
+    for e, je in zip(smallmat.identity(n), smallmat.transpose(J)):
         if not (interior(e, psi) - interior(je, phi)).is_zero(contraction_tol):
             raise StructureError("contraction identity for phi fails")
 
-    return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g,
-                        kappa=kappa, tau0=tau0, vol=vol)
+    return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g, kappa=kappa,
+                        tau0=tau0, vol=vol, omega2=o2, o3_sign=omega3_sign(omega, o3))
 
 
 def build_either_orientation(omega, psi, tol=EPS):
@@ -302,9 +286,10 @@ def build_either_orientation(omega, psi, tol=EPS):
     positive metric (see ``omega3_sign``).  Returns (structure,
     orientation) or raises the structure error.
     """
-    orient = -omega3_sign(omega)
+    powers = omega_powers(omega)
+    orient = -omega3_sign(omega, powers[1])
     vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
-    return build_su3(SU3Candidate(omega, psi, vol), tol=tol), orient
+    return build_su3(SU3Candidate(omega, psi, vol), tol=tol, powers=powers), orient
 
 
 def form_dot(a, b):
@@ -332,7 +317,7 @@ def nk_check(s, differential, tol=EPS):
     and residual carry the factor 3.)
     """
     r1 = differential(s.omega) - s.psi.scale(3)
-    fit = differential(s.phi), wedge(s.omega, s.omega)
+    fit = differential(s.phi), s.omega2
     mu_fit, r2 = volume_fit(*fit)  # r2 at the scale of phi
     return NKReport(residual_r1=r1.max_abs(), residual_r2=3 * r2.max_abs(),
                     mu=simplify(3 * mu_fit), first=r1.is_zero(tol),

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, index_tuples, sort_index
-from .scalars import EPS, all_zero, exact_div, is_zero, scalar_like, sqrt_scalar
+from .scalars import (
+    EPS, all_zero, bilinear, exact_div, is_zero, kernel_rows, lift, lower,
+    scalar_like, sqrt_scalar)
 
 
 class NotInvariant(ValueError):
@@ -96,7 +98,7 @@ def span_coordinates(basis):
     i.e. when it lies outside the span.
     """
     flat = [[x for row in b for x in row] for b in basis]
-    ginv = smallmat.inv([[smallmat.vec_dot(u, v) for v in flat] for u in flat])
+    ginv = smallmat.inv(smallmat.mat_mul(flat, smallmat.transpose(flat)))
     # the basis matrices are sparse: keep each one's nonzero entries only
     support = [[(p, v) for p, v in enumerate(u) if v != 0] for u in flat]
 
@@ -178,29 +180,11 @@ def check_jacobi(L, tol=EPS):
     return True
 
 
-def _apply(columns, coeffs, size):
-    """The image of ``coeffs`` under a compiled sparse linear map.
-
-    ``columns[p]`` lists the (output position, coefficient) pairs of input
-    position p; zero inputs are skipped, so a sparse form costs only its
-    nonzero coefficients.
-    """
-    out = [0] * size
-    for x, col in zip(coeffs, columns):
-        if x == 0:
-            continue
-        for o, c in col:
-            out[o] = out[o] + c * x
-    return out
-
-
-def _columns(entries, n_in):
-    """Columns from summed {(out, in): coefficient}, zero sums dropped."""
-    cols = [[] for _ in range(n_in)]
-    for (o, i), c in sorted(entries.items()):
-        if c != 0:
-            cols[i].append((o, c))
-    return cols
+def _compile(entries):
+    """The :func:`scalars.bilinear` (rows, first operand) of the map of summed
+    {(out, in): coefficient}: its coefficients, by input, lifted once."""
+    terms = sorted((i, o, c) for (o, i), c in entries.items() if c != 0)
+    return [[(i, o, 1)] for i, o, _ in terms], lift([c for *_, c in terms])
 
 
 class ReductiveSpace:
@@ -208,7 +192,7 @@ class ReductiveSpace:
 
     The invariant differential and the invariance test on k-forms are fixed
     sparse linear maps of the space; each is compiled on first use and kept
-    on the instance (:meth:`d_table`, :meth:`ad_table`).
+    on the instance (:meth:`compiled`).
     """
 
     def __init__(self, algebra, h_indices, m_indices, check=True):
@@ -266,17 +250,11 @@ class ReductiveSpace:
                         out[r][s] = out[r][s] + coef * row[s]
         return out
 
-    def d_table(self, k):
-        """The invariant differential on k-forms, compiled once."""
-        if ("d", k) not in self._compiled:
-            self._compiled["d", k] = _differential_table(self, k)
-        return self._compiled["d", k]
-
-    def ad_table(self, k):
-        """The action of the h-basis on k-forms, compiled once."""
-        if ("ad", k) not in self._compiled:
-            self._compiled["ad", k] = _invariance_table(self, k)
-        return self._compiled["ad", k]
+    def compiled(self, build, k):
+        """The linear map ``build(self, k)`` on k-forms, compiled once."""
+        if (build, k) not in self._compiled:
+            self._compiled[build, k] = build(self, k)
+        return self._compiled[build, k]
 
 
 def _differential_table(space, k):
@@ -304,7 +282,7 @@ def _differential_table(space, k):
                     if sign:
                         key = (o, pos_in[t_in])
                         entries[key] = entries.get(key, 0) + sign * sgn * w[s]
-    return _columns(entries, len(pos_in))
+    return _compile(entries)
 
 
 def _invariance_table(space, k):
@@ -328,7 +306,7 @@ def _invariance_table(space, k):
                     if sign:
                         key = (o, pos[t_in])
                         entries[key] = entries.get(key, 0) + sign * coef
-    return _columns(entries, len(tuples))
+    return _compile(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +316,8 @@ def is_invariant(space, alpha, tol=EPS):
     if alpha.n != n:
         raise ValueError("form dimension does not match dim m")
     size = space.dim_h * len(alpha.c)
-    return all(is_zero(x, tol)
-               for x in _apply(space.ad_table(alpha.k), alpha.c, size))
+    table = space.compiled(_invariance_table, alpha.k)
+    return all(is_zero(x, tol) for x in lower(bilinear(*table, alpha.lattice(), size)))
 
 
 def is_invariant_endo(space, J, tol=EPS):
@@ -367,13 +345,15 @@ def ce_differential(space, alpha, tol=EPS, check_invariance=True):
     (d a)(X_0..X_p) = sum_{i<j} (-1)^{i+j} a([X_i,X_j]_m, X_0..^i..^j..X_p).
     The sign convention is pinned by the cyclic co-frame requirement
     d e_1 = e_2 ^ e_3 on the S^3 x S^3 model algebra.  The map is the
-    space's compiled :meth:`ReductiveSpace.d_table`.
+    space's compiled :func:`_differential_table`.
     """
     n = space.dim_m
     if check_invariance and not is_invariant(space, alpha, tol=tol):
         raise NotInvariant("form is not h-invariant")
     size = len(index_tuples(n, alpha.k + 1)[0])
-    return KForm(n, alpha.k + 1, _apply(space.d_table(alpha.k), alpha.c, size))
+    return KForm(n, alpha.k + 1,
+                 lattice=bilinear(*space.compiled(_differential_table, alpha.k),
+                                  alpha.lattice(), size))
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +429,9 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     (nabla_i J) X_j + (nabla_j J) X_i = 0.  The polarisation is formed
     lowered, from the Koszul table G of :func:`_koszul`: since J is
     g-orthogonal with J^2 = -Id, g(J u, w) = -g(u, J w), so
-        g((nabla_i J) X_j, X_z) = sum_s J_sj G[i][s][z] + sum_s J_sz G[i][j][s]
-    over the nonzero entries of J.  The 21 lowered vectors are raised by
+        g((nabla_i J) X_j, X_z) = sum_s J_sj G[i][s][z] + sum_s J_sz G[i][j][s],
+    one lattice product (:func:`scalars.bilinear`) of J, twice, with G,
+    each sum in increasing s.  The 21 lowered vectors are raised by
     g^-1 for the verdict and the residual: on exact data an exact zero
     test (g^-1 is invertible, so it decides the lowered vectors alike), on
     floats a comparison with ``tol``.  Returns (ok, residual), the
@@ -465,24 +446,17 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
         raise ValueError("J is not orthogonal for g")
     if not is_invariant_endo(space, J, tol=tol):
         raise ValueError("J is not an invariant tensor")
-    koszul = [[[(z, v) for z, v in enumerate(vec) if v != 0] for vec in row]
-              for row in _koszul(space, g, tol)]
+    koszul = lift([v for row in _koszul(space, g, tol) for vec in row for v in vec])
     ginv = smallmat.inv(g)
-    rows = [[(z, x) for z, x in enumerate(row) if x != 0] for row in J]
-    cols = [[(s, x) for s, x in enumerate(col) if x != 0]
-            for col in smallmat.transpose(J)]
-
-    def lowered(i, j):   # g((nabla_i J) X_j, X_z) for every z
-        out = [0] * n
-        for s, x in cols[j]:            # sum_s J_sj G[i][s][z]
-            for z, v in koszul[i][s]:
-                out[z] = out[z] + x * v
-        for s, v in koszul[i][j]:       # sum_s J_sz G[i][j][s]
-            for z, x in rows[s]:
-                out[z] = out[z] + x * v
-        return out
-
-    low = [[lowered(i, j) for j in range(n)] for i in range(n)]
+    r = range(n)
+    rows = kernel_rows(("nabla J", n), lambda: [   # J_sj G[i][s][z], J_sz G[i][j][s]
+        [((i * n + s) * n + z, (i * n + j) * n + z, 1) for i in r for z in r]
+        for s in r for j in r] + [
+        [((i * n + j) * n + s, (i * n + j) * n + z, 1) for i in r for j in r]
+        for s in r for z in r])
+    twice = lift([x for row in J for x in row] * 2)
+    flat = lower(bilinear(rows, twice, koszul, n ** 3))
+    low = [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in r] for i in r]
     polar = [smallmat.vec_add(low[i][j], low[j][i])
              for i in range(n) for j in range(i, n)]
     raised = _mat_vecs(ginv, polar)
@@ -603,7 +577,7 @@ def _plus_brackets(space, J):
 
 def _eigen_parts(J, a, b):
     """The m+ and m- parts of A + iB, each as (re, im), up to a factor 1/2."""
-    ja, jb = smallmat.mat_vec(J, a), smallmat.mat_vec(J, b)
+    ja, jb = smallmat.transpose(smallmat.mat_mul(J, smallmat.transpose([a, b])))
     return ((smallmat.vec_sub(a, jb), smallmat.vec_add(b, ja)),
             (smallmat.vec_add(a, jb), smallmat.vec_sub(b, ja)))
 

@@ -11,11 +11,17 @@ live in Q(sqrt 3) falls back to floats, compared against a tolerance
 The zero policy lives here (:func:`all_zero`): a collection of scalars is
 compared with 0 exactly when every entry is exact, and otherwise by its
 largest ``abs(float(x))`` against a tolerance.
+
+So does the integer lattice of the exact kernels: :func:`lift` writes an
+exact list as integers over one denominator, :func:`bilinear` applies a
+compiled table to two lifted lists in Python integers, and :func:`lower`
+converts back.  Floats and other scalars pass through the same loop.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 EPS = 1e-10
@@ -48,16 +54,7 @@ class QSqrt3:
 
     # ------------------------------------------------------------------
     # A rational operand (int, Fraction, or a QSqrt3 with b = 0) works on
-    # the two parts directly, with no coercion and no cross products;
-    # only the ordering coerces.
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QSqrt3):
-            return x
-        if isinstance(x, _EXACT):
-            return QSqrt3(x)
-        return None
-
+    # the two parts directly, with no coercion and no cross products.
     def __add__(self, other):
         if isinstance(other, QSqrt3):
             return QSqrt3(self.a + other.a, self.b + other.b)
@@ -166,29 +163,17 @@ class QSqrt3:
             raise ArithmeticError("sqrt(3) is irrational")
         return (1 if a > 0 else -1) if big_is_a else (1 if b > 0 else -1)
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return float(self) < other
-        return (self - o).sign() < 0
+    def _order(op):
+        """A comparison: by the exact sign of the difference, or in floats."""
+        def compare(self, other):
+            if isinstance(other, (QSqrt3, *_EXACT)):
+                return op((self - other).sign(), 0)
+            return op(float(self), other)
+        return compare
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return float(self) <= other
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return float(self) > other
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return float(self) >= other
-        return (self - o).sign() >= 0
+    __lt__, __le__ = _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
+    del _order
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(3.0)
@@ -324,3 +309,86 @@ def exact_div(x, y):
 def parse_rational(text):
     """Parse 'p/q' or 'p' into a Fraction (used by the JSON space format)."""
     return Fraction(text)
+
+
+def lift(values):
+    """The lattice (P, Q, d) of a list of scalars: x[i] = (P[i] + Q[i] sqrt 3) / d
+    in integers, d > 0, Q None when every sqrt 3 part is zero.  A list with
+    any other scalar (float, ``Poly``) passes through as (values, None, None).
+    """
+    d, surd, rational = 1, False, True
+    for x in values:
+        t = type(x)
+        if t is Fraction:
+            d = math.lcm(d, x.denominator)
+        elif t is QSqrt3:
+            d = math.lcm(d, x.a.denominator, x.b.denominator)
+            surd, rational = surd or x.b.numerator != 0, False
+        elif t is not int:
+            return values, None, None
+    num = lambda xs: [x.numerator * (d // x.denominator) for x in xs]
+    if rational:
+        return num(values), None, d
+    a = num([x.a if type(x) is QSqrt3 else x for x in values])
+    b = num([x.b if type(x) is QSqrt3 else 0 for x in values]) if surd else None
+    return a, b, d
+
+
+def lower(lattice):
+    """The scalars of a lattice: 0, an int, a Fraction or a QSqrt3 each."""
+    P, Q, d = lattice
+    if d is None:
+        return P
+    rat = lambda p: p if d == 1 or not p else Fraction(p, d)
+    return [QSqrt3(Fraction(p, d), Fraction(q, d)) if q else rat(p)
+            for p, q in zip(P, Q or [0] * len(P))]
+
+
+_ROWS: dict = {}
+
+
+def kernel_rows(key, build):
+    """The table ``key`` of :func:`bilinear`: ``build()`` on first use, then kept."""
+    rows = _ROWS.get(key)
+    if rows is None:
+        rows = _ROWS[key] = build()
+    return rows
+
+
+def times(s, lattice):
+    """The lattice of the scalar s times each entry of ``lattice``."""
+    size = len(lattice[0])
+    rows = kernel_rows(("times", size), lambda: [[(j, j, 1) for j in range(size)]])
+    return bilinear(rows, lift([s]), lattice, size)
+
+
+def _accumulate(rows, x, y, out):
+    for i, xi in enumerate(x):
+        if xi != 0:
+            for j, o, s in rows[i]:
+                yj = y[j]
+                if yj != 0:
+                    t = xi * yj
+                    out[o] = out[o] + t if s > 0 else out[o] - t
+    return out
+
+
+def bilinear(rows, x, y, size):
+    """The lattice of  out[o] = sum s x[i] y[j]  over the entries (j, o, s)
+    of ``rows[i]``, s = +-1, for lattices x and y of :func:`lift`.
+
+    Each output sums its terms in increasing (i, j), skipping zero factors
+    (no term: the integer 0).  Exact operands run in integers, four passes
+    with sqrt 3 parts; others run the same loop on their values.
+    """
+    if x[2] is None or y[2] is None:
+        return _accumulate(rows, lower(x), lower(y), [0] * size), None, None
+    (P1, Q1, d1), (P2, Q2, d2) = x, y
+    P = _accumulate(rows, P1, P2, [0] * size)
+    if Q1 is None and Q2 is None:
+        return P, None, d1 * d2
+    Q = [0] * size   # (a + b sqrt 3)(c + e sqrt 3) = ac + 3be + (ae + bc) sqrt 3
+    for u, w, out in ((Q1 and [3 * q for q in Q1], Q2, P), (P1, Q2, Q), (Q1, P2, Q)):
+        if u and w:
+            _accumulate(rows, u, w, out)
+    return P, Q, d1 * d2

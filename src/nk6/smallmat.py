@@ -14,7 +14,8 @@ elimination without row swaps (:func:`is_positive_definite`).
 from __future__ import annotations
 
 from .scalars import (
-    EPS, all_zero, exact_div, is_exact, is_positive, is_zero, scalar_like)
+    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, is_zero,
+    kernel_rows, lift, lower, scalar_like, times)
 
 
 class SingularMatrix(ValueError):
@@ -30,44 +31,40 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    """a b, accumulated over the nonzero entries of the rows of a and b.
+    """a b, one lattice product (:func:`scalars.bilinear`) of the flattened
+    matrices.
 
-    Each entry sums a[i][k] b[k][j] in increasing k, as :func:`_dot` does,
-    so float results are bitwise those of the row-by-column products.
+    Each entry sums a[i][k] b[k][j] in increasing k, skipping every term
+    with a zero factor: the matrices of the Lie layer are sparse, and a
+    skipped term changes no value (an empty sum is the exact 0) and, on
+    floats, at most the sign of a zero, so float results are bitwise those
+    of the row-by-column products.  Non-finite entries, for which 0 * inf
+    is NaN, are rejected by ``parse_space``.
     """
-    rows_b = [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, entries in zip(row, rows_b):
-            if x != 0:
-                for j, y in entries:
-                    acc[j] = acc[j] + x * y
-        out.append(acc)
-    return out
+    n, m, w = len(a), len(b), len(b[0]) if b else 0
+    rows = kernel_rows(("mat_mul", n, m, w), lambda: [
+        [(k * w + j, i * w + j, 1) for j in range(w)]
+        for i in range(n) for k in range(m)])
+    return _unflatten(lower(bilinear(rows, _flat(a), _flat(b), n * w)), n, w)
+
+
+def _flat(a):
+    """The lattice of a matrix, row by row."""
+    return lift([x for row in a for x in row])
+
+
+def _unflatten(values, n, w):
+    return [values[i * w:(i + 1) * w] for i in range(n)]
 
 
 def mat_vec(a, v):
-    return [_dot(row, v) for row in a]
+    """a v, the one-column case of :func:`mat_mul`."""
+    return [row[0] for row in mat_mul(a, [[x] for x in v])] if v else [0] * len(a)
 
 
-def _dot(u, v):
-    """sum_i u_i v_i, skipping every term with a zero factor.
-
-    The matrices of the Lie layer are sparse, so most exact products would
-    be ``Fraction(0)``; skipping them changes no value (an empty sum is the
-    exact 0) and, on floats, at most the sign of a zero.  Non-finite
-    entries, for which 0 * inf is NaN, are rejected by ``parse_space``.
-    """
-    s = 0
-    for x, y in zip(u, v):
-        if x != 0 and y != 0:
-            s = s + x * y
-    return s
-
-
-vec_dot = _dot
+def vec_dot(u, v):
+    """u . v, the one-entry case of :func:`mat_mul`."""
+    return mat_vec([u], v)[0]
 
 
 def vec_add(u, v):
@@ -91,7 +88,8 @@ def mat_sub(a, b):
 
 
 def mat_scale(c, a):
-    return [vec_scale(c, r) for r in a]
+    """c a, entrywise products in the integer lattice (:func:`scalars.times`)."""
+    return _unflatten(lower(times(c, _flat(a))), len(a), len(a[0]) if a else 0)
 
 
 def commutator(a, b):
@@ -111,11 +109,16 @@ def mat_max_abs(a):
 
 
 def is_float_data(a):
-    for row in a:
-        for x in row:
-            if not is_exact(x):
-                return True
-    return False
+    return not all(is_exact(x) for row in a for x in row)
+
+
+def _pivot(m, col, start, float_mode, tol):
+    """The pivot row of column ``col`` from row ``start`` on, or None: the
+    largest entry on floats (unless zero at ``tol``), else the first nonzero."""
+    if float_mode:
+        best = max(range(start, len(m)), key=lambda r: abs(float(m[r][col])))
+        return None if is_zero(m[best][col], tol) else best
+    return next((r for r in range(start, len(m)) if m[r][col] != 0), None)
 
 
 def _forward_eliminate(m, ncols, float_mode, tol):
@@ -126,17 +129,7 @@ def _forward_eliminate(m, ncols, float_mode, tol):
     for col in range(ncols):
         if row >= nrows:
             break
-        # pick pivot
-        best = None
-        if float_mode:
-            cand = max(range(row, nrows), key=lambda r: abs(float(m[r][col])))
-            if not is_zero(m[cand][col], tol):
-                best = cand
-        else:
-            for r in range(row, nrows):
-                if m[r][col] != 0:
-                    best = r
-                    break
+        best = _pivot(m, col, row, float_mode, tol)
         if best is None:
             continue
         m[row], m[best] = m[best], m[row]
@@ -180,16 +173,7 @@ def det(a):
     sign = 1
     out = 1
     for col in range(n):
-        best = None
-        if float_mode:
-            cand = max(range(col, n), key=lambda r: abs(float(m[r][col])))
-            if abs(float(m[cand][col])) > 0.0:
-                best = cand
-        else:
-            for r in range(col, n):
-                if m[r][col] != 0:
-                    best = r
-                    break
+        best = _pivot(m, col, col, float_mode, 0.0)
         if best is None:
             return 0 if not float_mode else 0.0
         if best != col:

@@ -1,0 +1,407 @@
+"""The integer-lattice kernels against naive per-term oracles.
+
+Each oracle is the per-term loop the lattice kernel replaced, in its
+summation order:
+
+- exact inputs (rational with mixed denominators, Q(sqrt 3), all-zero
+  operands) must give equal values (``==``);
+- float inputs must give the same bits on every nonzero output (a zero
+  whose sum cancels may differ in sign);
+- ``Poly`` inputs, on the certificate path, must give equal polynomials.
+
+Then: no kernel does ``Fraction`` arithmetic, only the lowering builds
+``Fraction``s; ``check --cone`` forms omega^2 and omega^3 once; and the float
+unit-norm test of ``HodgeStar`` follows the tolerance policy.
+"""
+
+import os
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nk6 import smallmat
+from nk6.certificate import pair_polynomials
+from nk6.cli import main
+from nk6.exterior import (
+    HodgeStar, KForm, complement, index_tuples, interior, metric_volume,
+    sort_index, wedge)
+from nk6.hitchin import contract
+from nk6.lie import ce_differential
+from nk6.poly import Poly
+from nk6.s3xs3 import uniqueness_certificate
+from nk6.scalars import QSqrt3, lift, lower
+from nk6.spacefile import load_space
+
+FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+# derandomized, so that every run draws the same examples
+SETTINGS = settings(max_examples=60, deadline=None, database=None,
+                    derandomize=True)
+
+rationals = st.one_of(
+    st.integers(min_value=-7, max_value=7),
+    st.fractions(min_value=-7, max_value=7, max_denominator=30))
+SCALARS = {
+    "rational": rationals,
+    "surd": st.builds(QSqrt3, rationals, st.one_of(st.just(0), rationals)),
+    "float": st.floats(min_value=-4, max_value=4, allow_nan=False,
+                       allow_infinity=False),
+}
+kinds = st.sampled_from(sorted(SCALARS))
+
+
+@st.composite
+def vectors(draw, kind, size):
+    """``size`` entries of one kind, zero often; all zero now and then."""
+    if draw(st.integers(0, 7)) == 0:
+        return [0] * size
+    entry = st.one_of(st.just(0), st.just(0), SCALARS[kind])
+    return [draw(entry) for _ in range(size)]
+
+
+@st.composite
+def forms(draw, kind, n, k):
+    return KForm(n, k, draw(vectors(kind, len(index_tuples(n, k)[0]))))
+
+
+def assert_same(got, want, kind):
+    """``==`` on exact data; on floats, equal bits on nonzero entries."""
+    assert len(got) == len(want)
+    if kind != "float":
+        assert got == want
+        return
+    for x, y in zip(got, want):
+        assert x == y
+        if y != 0:
+            assert isinstance(x, float) and repr(x) == repr(y)
+
+
+# -- oracles: the per-term loops ------------------------------------------
+def oracle_wedge(a, b):
+    _, pos = index_tuples(a.n, a.k + b.k)
+    out = [0] * len(pos)
+    for ia, va in a.terms():
+        for ib, vb in b.terms():
+            sign, t = sort_index(ia + ib)
+            if sign:
+                out[pos[t]] = out[pos[t]] + sign * (va * vb)
+    return out
+
+
+def oracle_interior(v, a):
+    _, pos = index_tuples(a.n, a.k - 1)
+    out = [0] * len(pos)
+    for idx, val in a.terms():
+        for slot, i in enumerate(idx):
+            if v[i] != 0:
+                p = pos[idx[:slot] + idx[slot + 1:]]
+                out[p] = out[p] + (-1 if slot % 2 else 1) * (v[i] * val)
+    return out
+
+
+def oracle_contract(psi, m, slot):
+    tuples, pos = index_tuples(psi.n, 3)
+    out = []
+    for t in tuples:
+        total = 0
+        for s in range(psi.n):
+            sign, u = sort_index(t[:slot] + (s,) + t[slot + 1:])
+            if m[s][t[slot]] == 0 or not sign or psi.c[pos[u]] == 0:
+                continue
+            term = m[s][t[slot]] * psi.c[pos[u]]
+            total = total + term if sign > 0 else total - term
+        out.append(-total)
+    return out
+
+
+def oracle_mat_mul(a, b):
+    out = []
+    for row in a:
+        acc = [0] * (len(b[0]) if b else 0)
+        for x, brow in zip(row, b):
+            for j, y in enumerate(brow):
+                if x != 0 and y != 0:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def oracle_differential(space, alpha):
+    """d alpha from the matrix of the formula, summed over inputs in order."""
+    n, k = space.dim_m, alpha.k
+    _, pos_in = index_tuples(n, k)
+    tuples, _ = index_tuples(n, k + 1)
+    out = []
+    for t_out in tuples:
+        row = {}
+        for a in range(k + 1):
+            for b in range(a + 1, k + 1):
+                rest = t_out[:a] + t_out[a + 1:b] + t_out[b + 1:]
+                for s, w in enumerate(space.bm[t_out[a]][t_out[b]]):
+                    sign, t_in = sort_index((s,) + rest)
+                    if w != 0 and sign:
+                        p = pos_in[t_in]
+                        row[p] = row.get(p, 0) + sign * (-1) ** (a + b) * w
+        total = 0
+        for p in sorted(row):
+            if row[p] != 0 and alpha.c[p] != 0:
+                total = total + row[p] * alpha.c[p]
+        out.append(total)
+    return out
+
+
+def oracle_star(gram_inv, v, a):
+    """The Laplace minors of g^-1 one by one, and the star column by column."""
+    n, k = len(gram_inv), a.k
+    memo = {}
+
+    def minor(rows, cols):
+        if not rows:
+            return 1
+        if (rows, cols) not in memo:
+            out = 0
+            for p, c in enumerate(cols):
+                x = gram_inv[rows[0]][c]
+                sub = minor(rows[1:], cols[:p] + cols[p + 1:]) if x != 0 else 0
+                if sub != 0:
+                    out = out - x * sub if p % 2 else out + x * sub
+            memo[rows, cols] = out
+        return memo[rows, cols]
+
+    tuples, _ = index_tuples(n, k)
+    _, pos_out = index_tuples(n, n - k)
+    inner = {}
+    for j, x in enumerate(a.c):
+        for i, ia in enumerate(tuples):
+            m = minor(ia, tuples[j]) if x != 0 else 0
+            if m != 0:
+                inner[i] = inner.get(i, 0) + x * m
+    out = [0] * len(pos_out)
+    for i, value in inner.items():
+        if value != 0:
+            comp, sign = complement(n, tuples[i])
+            out[pos_out[comp]] = sign * (v * value)
+    return out
+
+
+# -- lift and lower -------------------------------------------------------
+@SETTINGS
+@given(st.sampled_from(["rational", "surd"]).flatmap(
+    lambda kind: vectors(kind, 12)))
+def test_lower_inverts_lift_over_one_denominator(values):
+    P, Q, d = lift(values)
+    assert d > 0 and all(type(p) is int for p in P)
+    assert Q is None or all(type(q) is int for q in Q)
+    assert (Q is None) == all(not isinstance(x, QSqrt3) or x.b == 0 for x in values)
+    assert lower((P, Q, d)) == values
+
+
+def test_floats_and_polys_pass_through_lift():
+    x = Poly.variables(1)[0]
+    for values in ([1.5, 0, Fraction(1, 3)], [x, 2, 0]):
+        lattice = lift(values)
+        assert lattice == (values, None, None) and lower(lattice) is values
+
+
+# -- the kernels ----------------------------------------------------------
+@SETTINGS
+@given(kinds, st.integers(1, 6), st.data())
+def test_wedge_matches_the_per_term_loop(kind, n, data):
+    ka, kb = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    a, b = data.draw(forms(kind, n, ka)), data.draw(forms(kind, n, kb))
+    assert_same(wedge(a, b).c, oracle_wedge(a, b), kind)
+
+
+@SETTINGS
+@given(kinds, st.integers(1, 6), st.data())
+def test_interior_matches_the_per_term_loop(kind, n, data):
+    a = data.draw(forms(kind, n, data.draw(st.integers(1, n))))
+    v = data.draw(vectors(kind, n))
+    assert_same(interior(v, a).c, oracle_interior(v, a), kind)
+
+
+@SETTINGS
+@given(kinds, st.sampled_from([6, 7]), st.integers(0, 2), st.data())
+def test_contract_matches_the_per_term_loop(kind, n, slot, data):
+    psi = data.draw(forms(kind, n, 3))
+    m = [data.draw(vectors(kind, n)) for _ in range(n)]
+    assert_same(contract(psi, m, slot).c, oracle_contract(psi, m, slot), kind)
+
+
+@SETTINGS
+@given(kinds, st.integers(0, 6), st.integers(1, 6), st.integers(0, 6), st.data())
+def test_mat_mul_matches_the_per_term_loop(kind, n, m, w, data):
+    a = [data.draw(vectors(kind, m)) for _ in range(n)]
+    b = [data.draw(vectors(kind, w)) for _ in range(m)]
+    got, want = smallmat.mat_mul(a, b), oracle_mat_mul(a, b)
+    assert len(got) == n
+    assert_same([x for row in got for x in row], [x for row in want for x in row], kind)
+
+
+SPACES = {name: load_space(os.path.join(FIX, f"{name}.json")).reductive_space()
+          for name in ("s3xs3", "flag", "cp3")}
+
+
+@SETTINGS
+@given(kinds, st.sampled_from(sorted(SPACES)), st.integers(0, 5), st.data())
+def test_ce_differential_matches_the_formula(kind, name, k, data):
+    space = SPACES[name]
+    alpha = data.draw(forms(kind, 6, k))
+    got = ce_differential(space, alpha, check_invariance=False).c
+    assert_same(got, oracle_differential(space, alpha), kind)
+
+
+@SETTINGS
+@given(st.sampled_from(["flag", "cp3"]), st.sampled_from([2, 3]), st.data())
+def test_ce_differential_sums_floats_in_input_order(name, k, data):
+    # degrees 2 and 3 of su(3) and sp(2) have outputs of three and four
+    # terms; on dense forms of inexact floats the order of a sum shows in
+    # its bits
+    size = len(index_tuples(6, k)[0])
+    alpha = KForm(6, k, data.draw(st.lists(st.floats(0.1, 4), min_size=size,
+                                           max_size=size)))
+    got = ce_differential(SPACES[name], alpha, check_invariance=False).c
+    assert_same(got, oracle_differential(SPACES[name], alpha), "float")
+
+
+@st.composite
+def metrics(draw, kind):
+    """Positive definite g = B^T D B, B unit lower triangular; over Q and
+    Q(sqrt 3) the weights D are squares, so the volume form is exact."""
+    if kind == "float":
+        entry, weights = SCALARS["float"], st.floats(min_value=0.25, max_value=4)
+    else:
+        entry = SCALARS[kind]
+        weights = st.sampled_from([1, 4, Fraction(9, 4), QSqrt3(7, 4)])
+    b = [[1 if i == j else (draw(st.one_of(st.just(0), entry)) if j < i else 0)
+          for j in range(6)] for i in range(6)]
+    d = [[draw(weights) if i == j else 0 for j in range(6)] for i in range(6)]
+    return smallmat.mat_mul(smallmat.transpose(b), smallmat.mat_mul(d, b))
+
+
+@settings(SETTINGS, max_examples=30)
+@given(kinds, st.integers(0, 6), st.data())
+def test_hodge_star_matches_the_per_term_loop(kind, k, data):
+    g = data.draw(metrics(kind))
+    star = HodgeStar(g)
+    assert star.floats == (kind == "float")
+    a = data.draw(forms(kind, 6, k))
+    assert_same(star(a).c, oracle_star(star.gram_inv, star.v, a), kind)
+
+
+def test_poly_products_on_the_certificate_path():
+    r, s, t = Poly.variables(3)
+    a = [[r, 0, 2 * s], [0, t * t, 1]]
+    b = [[s, Fraction(1, 2)], [r - t, 0], [0, r * s]]
+    assert smallmat.mat_mul(a, b) == oracle_mat_mul(a, b)
+    omega = KForm(6, 2, [r if p == 2 else s * t if p == 9 else 0 for p in range(15)])
+    assert wedge(omega, omega).c == oracle_wedge(omega, omega)
+    # tau0 and the 2x2 minors of (d phi~, omega^2) of the family, as
+    # polynomials, are the exact ones at a point
+    cert = uniqueness_certificate()
+    lams = Poly.variables(len(cert.variables))
+    tau0, minors = pair_polynomials(cert.omega(*lams), cert.differential)
+    point = (Fraction(2), Fraction(3), Fraction(5, 2))
+    tau0_at, minors_at = pair_polynomials(cert.omega(*point), cert.differential)
+    assert tau0(*point) == tau0_at
+    assert {abs(m(*point)) for m in minors} - {0} == {abs(m) for m in minors_at}
+
+
+# -- no Fraction arithmetic in the kernels --------------------------------
+def _fraction_calls(run):
+    """Calls of Fraction's arithmetic and of its constructor while ``run``."""
+    arithmetic = {f.__code__ for f in (Fraction._add, Fraction._sub,
+                                       Fraction._mul, Fraction._div)}
+    new = Fraction.__new__.__code__
+    counts = {"arithmetic": 0, "new": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code in arithmetic:
+                counts["arithmetic"] += 1
+            elif frame.f_code is new:
+                counts["new"] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return counts, out
+
+
+def _nonzero(values):
+    return sum(1 for x in values if x != 0)
+
+
+def test_kernels_make_no_fraction_arithmetic():
+    q = lambda a, b: QSqrt3(Fraction(a, 3), Fraction(b, 7))
+    a = KForm(6, 2, [q(p + 1, p - 4) if p % 3 else 0 for p in range(15)])
+    b = KForm(6, 3, [q(2 - p, p) if p % 4 else Fraction(p, 5) for p in range(20)])
+    counts, out = _fraction_calls(lambda: wedge(a, b).c)
+    assert counts["arithmetic"] == 0
+    assert 0 < counts["new"] <= 2 * _nonzero(out)
+
+    m1 = [[q(i - j, i * j) if (i + j) % 2 else Fraction(i, j + 1) for j in range(6)]
+          for i in range(6)]
+    m2 = [[Fraction(i + 2 * j, 5) for j in range(6)] for i in range(6)]
+    counts, out = _fraction_calls(lambda: smallmat.mat_mul(m1, m2))
+    assert counts["arithmetic"] == 0
+    assert 0 < counts["new"] <= 2 * _nonzero(x for row in out for x in row)
+
+    u = [[1 if i == j else q(i, j) if j == i + 1 else 0 for j in range(6)]
+         for i in range(6)]
+    g = smallmat.mat_mul(smallmat.transpose(u), u)   # det g = 1
+    star = HodgeStar(g, metric_volume(g))
+    assert not star.floats
+    counts, out = _fraction_calls(lambda: star(b).c)
+    assert counts["arithmetic"] == 0
+    assert 0 < counts["new"] <= 2 * _nonzero(out)
+
+
+# -- omega^2 and omega^3 once per check ----------------------------------
+def test_check_cone_forms_omega_powers_once(capsys):
+    # orientation, the DegenerateOmega test, the fit and the cone share one
+    # omega^2 and one omega^3; the other wedges are omega ^ psi and the six
+    # of K
+    wedge_code = wedge.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is wedge_code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        code = main(["check", os.path.join(FIX, "s3xs3.json"), "--cone"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 9
+
+
+# -- the float unit-norm test --------------------------------------------
+@st.composite
+def unit_grams(draw):
+    """g = B^T B of determinant 1, B = L U unit triangular over Q."""
+    entry = st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6,
+                                               max_denominator=3))
+    tri = lambda: [[1 if i == j else (draw(entry) if j < i else 0)
+                    for j in range(6)] for i in range(6)]
+    b = smallmat.mat_mul(tri(), smallmat.transpose(tri()))
+    return smallmat.mat_mul(smallmat.transpose(b), b)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(unit_grams())
+def test_float_copies_of_unit_grams_are_unit_norm(g):
+    assert smallmat.det(g) == 1
+    HodgeStar(g)
+    floats = [[float(x) for x in row] for row in g]
+    HodgeStar(floats)
+    for gram in (g, floats):
+        with pytest.raises(ValueError, match="not unit-norm"):
+            HodgeStar(gram, metric_volume(gram).scale(2))
