@@ -39,36 +39,3 @@ from .hitchin import (
     phi_from,
     nk_check,
 )
-
-__all__ = [
-    "EPS",
-    "QSqrt3",
-    "SQRT3",
-    "KForm",
-    "wedge",
-    "interior",
-    "hodge_star",
-    "HodgeStar",
-    "lambda5_to_vector",
-    "LieAlgebraData",
-    "ReductiveSpace",
-    "check_jacobi",
-    "ce_differential",
-    "is_invariant",
-    "nomizu_levi_civita",
-    "nearly_kahler_residual",
-    "intrinsic_eta",
-    "normal_torsion_curvature",
-    "is_naturally_reductive",
-    "check_3symmetric",
-    "acs_from_automorphism",
-    "ricci",
-    "SU3Candidate",
-    "SU3Structure",
-    "NKReport",
-    "hitchin_K",
-    "tau",
-    "build_su3",
-    "phi_from",
-    "nk_check",
-]

@@ -190,7 +190,7 @@ def _cmd_check(args):
         if smallmat.is_float_data([a, b]):
             a, b = [float(x) for x in a], [float(x) for x in b]
         scale = exact_div(smallmat.vec_dot(a, b), smallmat.vec_dot(b, b))
-        dev = smallmat.vec_sub(a, smallmat.vec_scale(scale, b))
+        dev = smallmat.vec_sub(a, [scale * x for x in b])
         size = smallmat.mat_max_abs([a])
         rep.check("supplied metric is the induced one up to homothety",
                   all_zero(dev, tol * size), label="metric",
@@ -212,7 +212,8 @@ def _cmd_check(args):
     if args.cone:
         verdicts, crep = cone_verdicts(structure, d, tol, nk.fit)
         rep.verdicts += verdicts
-        rep.scalar("cone_omega2_coefficient", float(crep.omega2_coefficient))
+        if crep is not None:
+            rep.scalar("cone_omega2_coefficient", float(crep.omega2_coefficient))
     return rep
 
 

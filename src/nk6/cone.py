@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from . import smallmat
-from .exterior import HodgeStar, KForm, interior, metric_volume, wedge
+from .exterior import HodgeStar, KForm, NotUnitNorm, interior, metric_volume, wedge
 from .hitchin import form_dot, volume_fit
 from .report import verdict
-from .scalars import EPS, all_zero, exact_div, is_positive, simplify
+from .scalars import EPS, exact_div, is_positive, simplify
 
 
 class ConeForm:
@@ -43,14 +43,6 @@ class ConeForm:
             self.terms[key] = form
         return self
 
-    def __add__(self, other):
-        out = ConeForm()
-        for (a, dr, _), f in self.terms.items():
-            out.add(a, dr, f)
-        for (a, dr, _), f in other.terms.items():
-            out.add(a, dr, f)
-        return out
-
     def scale(self, s):
         out = ConeForm()
         for (a, dr, _), f in self.terms.items():
@@ -61,17 +53,10 @@ class ConeForm:
         return max((f.max_abs() for f in self.terms.values()), default=0.0)
 
     def is_zero(self, tol=0.0):
-        return all_zero([f.c for f in self.terms.values()], tol)
+        return all(f.is_zero(tol) for f in self.terms.values())
 
     def term(self, exponent, with_dr, degree):
         return self.terms.get((exponent, with_dr, degree))
-
-    def __repr__(self):
-        bits = []
-        for (a, dr, _), f in sorted(self.terms.items()):
-            head = f"r^{a} dr^" if dr else f"r^{a} "
-            bits.append(f"{head}{f!r}")
-        return "ConeForm[" + "; ".join(bits) + "]"
 
 
 def cone_rho(omega, psi):
@@ -95,16 +80,17 @@ def cone_differential(c, link_d):
     return out
 
 
-def cone_hodge(c, g, vol=None, tol=EPS):
+def cone_hodge(c, g, vol=None, tol=EPS, inverse=None):
     """Hodge star of the cone metric r^2 g + dr^2, term by term.
 
     With p the degree of the link form:
       *(r^a beta)      = (-1)^p r^(a+6-2p) dr ^ *6(beta)
       *(r^a dr^alpha)  =        r^(a+6-2p) *6(alpha)
-    where *6 is the link star of (g, vol) at ``tol``, built once for all terms.
+    where *6 is the link star of (g, vol) at ``tol``, built once for all
+    terms (:class:`exterior.HodgeStar`, given g^-1 as ``inverse``).
     Exponents must stay >= 0.
     """
-    link_star = HodgeStar(g, vol, tol)
+    link_star = HodgeStar(g, vol, tol, inverse)
     out = ConeForm()
     for (a, dr, _), f in c.terms.items():
         star = link_star(f)
@@ -168,7 +154,9 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     fitted c is not positive at ``tol`` (``rescaled`` False); then rho is
     built and d rho, d *rho are evaluated with the link differential and
     the term-wise cone star.  ``fit`` is the (d phi, omega^omega) of s
-    when :func:`nk_check` has computed it (``NKReport.fit``).
+    when :func:`nk_check` has computed it (``NKReport.fit``).  The star
+    takes g^-1 and the volume form omega^3 / 6 from the structure, whose
+    build proved g positive: no elimination.
     Also reports the fitted coefficient of the r^4 omega^omega term of
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
     term against -phi.
@@ -186,8 +174,7 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     d_rho = cone_differential(rho, link_d)
     # the link star in the orientation of omega^3, the one J induces, makes
     # *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega
-    vol_g = metric_volume(s.g, orientation=s.o3_sign)
-    star_rho = cone_hodge(rho, s.g, vol_g, tol)
+    star_rho = cone_hodge(rho, s.g, s.omega3 / 6, tol, s.ginv)
     d_star_rho = cone_differential(star_rho, link_d)
 
     o2 = s.omega2
@@ -218,17 +205,22 @@ def cone_check(s, link_d, tol=EPS, fit=None):
 def cone_verdicts(s, link_d, tol=EPS, fit=None):
     """Run :func:`cone_check`; returns (its two verdicts, the ConeReport).
 
-    Both verdicts say so when the structure was left unscaled.
+    Both verdicts say so when the structure was left unscaled, and both
+    fail, with no report, when the star's unit-norm test fails.
     """
-    crep = cone_check(s, link_d, tol=tol, fit=fit)
-    detail = "" if crep.rescaled else (
-        f"structure left unscaled: the fitted c = {float(crep.fit):.4g} is "
-        f"not positive at tolerance {tol:g} times "
-        f"max|d phi| / (2 max|omega^2|)")
-    return [verdict("cone form closed", crep.closed, "cone-closed",
-                    crep.d_rho_residual, detail),
-            verdict("cone form coclosed", crep.coclosed, "cone-coclosed",
-                    crep.d_star_rho_residual, detail)], crep
+    try:
+        crep = cone_check(s, link_d, tol=tol, fit=fit)
+    except NotUnitNorm as ex:
+        crep, detail = None, f"no cone star: {ex} at tolerance {tol:g}"
+    else:
+        detail = "" if crep.rescaled else (
+            f"structure left unscaled: the fitted c = {float(crep.fit):.4g} is "
+            f"not positive at tolerance {tol:g} times "
+            f"max|d phi| / (2 max|omega^2|)")
+    return [verdict("cone form closed", bool(crep and crep.closed), "cone-closed",
+                    crep and crep.d_rho_residual, detail),
+            verdict("cone form coclosed", bool(crep and crep.coclosed),
+                    "cone-coclosed", crep and crep.d_star_rho_residual, detail)], crep
 
 
 def g2_metric_identity(rho7):

@@ -19,11 +19,15 @@ import itertools
 
 from . import smallmat
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_positive, is_zero, kernel_rows, lift,
-    lower, sqrt_scalar, times)
+    EPS, all_zero, bilinear, exact_div, is_positive, is_zero, kernel_rows,
+    lattice_zero, lift, lower, sqrt_scalar, times)
 
 
 class NotPositiveDefinite(ValueError):
+    pass
+
+
+class NotUnitNorm(ValueError):
     pass
 
 
@@ -178,7 +182,9 @@ class KForm:
 
     # -- predicates --------------------------------------------------------
     def is_zero(self, tol=0.0):
-        return all_zero(self.c, tol)
+        if self._lattice is None:
+            return all_zero(self._c, tol)
+        return lattice_zero(self._lattice, tol)
 
     def max_abs(self):
         return max((abs(float(v)) for v in self.c), default=0.0)
@@ -222,11 +228,11 @@ def wedge(a, b):
     if a.n != b.n:
         raise ValueError("wedge of forms on different spaces")
     n, k = a.n, a.k + b.k
-    return KForm(n, k, lattice=bilinear(_wedge_rows(n, a.k, b.k), a.lattice(),
+    return KForm(n, k, lattice=bilinear(wedge_rows(n, a.k, b.k), a.lattice(),
                                         b.lattice(), len(index_tuples(n, k)[0])))
 
 
-def _wedge_rows(n, ka, kb):
+def wedge_rows(n, ka, kb):
     """The :func:`scalars.bilinear` table of the wedge of a ka- and a kb-form."""
     pos = index_tuples(n, ka + kb)[1]
     return kernel_rows(("wedge", n, ka, kb), lambda: [
@@ -275,7 +281,6 @@ class HodgeStar:
     """The Hodge star of one metric and unit-norm volume form.
 
     Defined by  alpha ^ star(beta) = <alpha, beta> vol  on each degree.
-    The metric and the volume form are checked, and g^-1 computed, once.
     The star of a basis k-form e_J is
 
         star(e_J) = sum_I <e_I, e_J> sign(I, I^c) v e_{I^c},
@@ -283,18 +288,21 @@ class HodgeStar:
     with <e_I, e_J> the I x J minor of g^-1: the J-th coefficient of the
     wedge of the rows I of g^-1, a Laplace expansion along the first row,
     kept per I.  On the lattice of g^-1, over d, the k-minors are integers
-    over d^k.  The unit-norm check reads exact det g^-1 off the n-minor; a float
-    one comes from elimination, and is compared at ``tol`` times the largest
-    entry of g and g^-1.  ``vol`` defaults to :func:`metric_volume`.  A
-    float volume (sqrt det g outside Q(sqrt 3)) or a float form makes the
-    star of that form run in floats.
+    over d^k.  The metric is checked and inverted once, unless a caller that
+    proved it positive passes g^-1 as ``inverse``.  The unit-norm check reads
+    exact det g^-1 off the n-minor; a float one comes from elimination, and
+    is compared at ``tol`` times the largest entry of g and g^-1.  ``vol``
+    defaults to :func:`metric_volume`.  A float volume or a float form makes
+    the star of that form run in floats.
     """
 
-    def __init__(self, gram, vol=None, tol=EPS):
+    def __init__(self, gram, vol=None, tol=EPS, inverse=None):
         n = len(gram)
-        if not smallmat.is_positive_definite(gram):
-            raise NotPositiveDefinite("Gram matrix is not positive definite")
-        self.gram_inv = smallmat.inv(gram)
+        if inverse is None:
+            if not smallmat.is_positive_definite(gram):
+                raise NotPositiveDefinite("Gram matrix is not positive definite")
+            inverse = smallmat.inv(gram)
+        self.gram_inv = inverse
         if vol is None:
             vol = metric_volume(gram)
         if vol.n != n or vol.k != n:
@@ -313,7 +321,7 @@ class HodgeStar:
             det_inv = float(det_inv)
         size = max(1.0, *map(smallmat.mat_max_abs, (gram, self.gram_inv)))
         if not is_zero(v * v * det_inv - 1, tol * size):
-            raise ValueError("volume form is not unit-norm for this metric")
+            raise NotUnitNorm("volume form is not unit-norm for this metric")
 
     def _minors_of(self, rows):
         """The lattice of the minors of the rows ``rows`` of g^-1, by column."""
@@ -321,7 +329,7 @@ class HodgeStar:
         if lattice is None:
             n, k = self.n, len(rows)
             lattice = self._minors[rows] = bilinear(
-                _wedge_rows(n, 1, k - 1), self._rows[rows[0]],
+                wedge_rows(n, 1, k - 1), self._rows[rows[0]],
                 self._minors_of(rows[1:]), len(index_tuples(n, k)[0]))
         return lattice
 

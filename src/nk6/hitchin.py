@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import smallmat
-from .exterior import (
-    KForm, index_tuples, interior, lambda5_to_vector, sort_index, wedge)
+from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, kernel_rows, lift,
-    scalar_like, simplify, sqrt_scalar)
+    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, kernel_rows,
+    lattice_zero, lift, lower, scalar_like, simplify, sqrt_scalar, times)
 
 
 class StructureError(ValueError):
@@ -84,7 +83,7 @@ class SU3Candidate:
 @dataclass
 class SU3Structure:
     """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol), with the
-    build's omega ^ omega and sign of omega^3 (:func:`omega3_sign`)."""
+    build's omega^2, omega^3 (/ 6: the volume form of g) and g^-1."""
 
     omega: KForm
     psi: KForm
@@ -95,15 +94,17 @@ class SU3Structure:
     tau0: object
     vol: KForm
     omega2: KForm = field(repr=False, compare=False)
-    o3_sign: int = field(repr=False, compare=False)
+    omega3: KForm = field(repr=False, compare=False)
+    ginv: list = field(repr=False, compare=False)
 
     def scaled(self, c):
         """The structure of the pair (c omega, c psi), c > 0, in closed form.
 
         K is quadratic in psi, so tau0 scales by c^4 and kappa by c^2; J =
         K / kappa and the reference volume stay, and g = omega(., J .) and
-        phi = -psi(J ., ., .) scale by c like omega and psi, and omega^2 by
-        c^2 (formed again on floats).
+        phi = -psi(J ., ., .) scale by c like omega and psi, omega^2 by c^2
+        (formed again on floats), omega^3 (so the volume form of g) by c^3
+        and g^-1 by 1/c.
         """
         omega = self.omega.scale(c)
         return SU3Structure(
@@ -113,7 +114,8 @@ class SU3Structure:
             kappa=simplify(c * c * self.kappa),
             tau0=simplify(c ** 4 * self.tau0), vol=self.vol,
             omega2=self.omega2.scale(c * c) if is_exact(c) else wedge(omega, omega),
-            o3_sign=self.o3_sign)
+            omega3=self.omega3.scale(c ** 3),
+            ginv=smallmat.mat_scale(exact_div(1, c), self.ginv))
 
 
 @dataclass
@@ -136,11 +138,20 @@ class NKReport:
 
 # ---------------------------------------------------------------------------
 def k_matrix(psi, vol):
-    """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks."""
+    """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks: one
+    lattice product of psi with itself, in the order and signs of that wedge."""
     if psi.n != 6 or psi.k != 3:
         raise ValueError("expected a 3-form in dimension 6")
-    return smallmat.transpose([lambda5_to_vector(wedge(interior(e, psi), psi), vol)
-                               for e in smallmat.identity(6)])
+    pos2, fives = index_tuples(6, 2)[1], index_tuples(6, 5)[0]
+    rows = kernel_rows("K", lambda: [   # psi(a) psi(b) at K[i][j], j in a
+        [(b, i * 6 + j, (-1) ** (slot + i) * sign) for slot, j in enumerate(a)
+         for b, o, sign in wedge_rows(6, 2, 3)[pos2[a[:slot] + a[slot + 1:]]]
+         for i in [15 - sum(fives[o])]] for a in index_tuples(6, 3)[0]])
+    lattice, v = psi.lattice(), vol.c[0]
+    flat = bilinear(rows, lattice, lattice, 36)
+    flat = (lower(times(exact_div(1, v), flat)) if is_exact(v) and flat[2]
+            else [exact_div(x, v) for x in lower(flat)])
+    return [flat[i:i + 6] for i in range(0, 36, 6)]
 
 
 def contract(psi, m, slot=0):
@@ -196,6 +207,38 @@ def phi_from(psi, J, tol=EPS):
     return phis[0]
 
 
+def contraction_defect(psi, phi, J):
+    """The lattice of  interior(e_j, psi) - interior(J e_j, phi), j = 0..5,
+    15 coefficients each: one lattice product of (J, 1) with (phi, psi)."""
+    (t3, pos3), (_, pos2) = index_tuples(6, 3), index_tuples(6, 2)
+    drop = lambda t, slot: (pos2[t[:slot] + t[slot + 1:]], (-1) ** slot)
+    rows = kernel_rows("contraction", lambda: [   # J[s][j] phi(t), s in t
+        [(pos3[t], j * 15 + p, -sign) for t in t3 if s in t
+         for p, sign in [drop(t, t.index(s))]]
+        for s in range(6) for j in range(6)] + [   # 1 psi(t), j in t
+        [(20 + pos3[t], j * 15 + p, sign) for t in t3
+         for slot, j in enumerate(t) for p, sign in [drop(t, slot)]]])
+    return bilinear(rows, lift([x for row in J for x in row] + [1]),
+                    lift(phi.c + psi.c), 90)
+
+
+def metric_inverse(J, o2, o3):
+    """g^-1 = -J W^-1 for g = W J, W the matrix of omega, with no elimination:
+    W^-1_jk = -3 s_jk (omega^2)_{(jk)^c} / (omega^3)_012345, s_jk the sign
+    of :func:`exterior.complement`, from ``o2`` = omega^2, ``o3`` = omega^3."""
+    def build():   # J[i][j] omega^2((jk)^c) at [i][k]
+        pos4 = index_tuples(6, 4)[1]
+        comp = [[(k, *complement(6, (j, k))) for k in range(6) if k != j]
+                for j in range(6)]
+        return [[(pos4[c], i * 6 + k, sign) for k, c, sign in comp[j]]
+                for i in range(6) for j in range(6)]
+
+    rows = kernel_rows("g^-1", build)
+    flat = bilinear(rows, lift([x for row in J for x in row]), o2.lattice(), 36)
+    flat = lower(times(exact_div(3, o3.c[0]), flat))
+    return [flat[i:i + 6] for i in range(0, 36, 6)]
+
+
 def omega_powers(omega):
     """(omega ^ omega, omega ^ omega ^ omega)."""
     o2 = wedge(omega, omega)
@@ -245,7 +288,7 @@ def build_su3(cand, tol=EPS, powers=None):
         # no exact square root in Q(sqrt 3); continue in floats
         K = [[float(x) for x in row] for row in K]
         omega = omega.to_float()
-        o2 = wedge(omega, omega)
+        o2, o3 = wedge(omega, omega), o3.to_float()
         psi = psi.to_float()
         vol = vol.to_float()
     J = (smallmat.mat_scale(exact_div(1, kappa), K) if is_exact(kappa)
@@ -260,7 +303,7 @@ def build_su3(cand, tol=EPS, powers=None):
     for (i, r), x in omega.terms():
         w[i][r], w[r][i] = x, -x
     g = [[simplify(x) for x in row] for row in smallmat.mat_mul(w, J)]
-    if not smallmat.is_symmetric(g, tol=tol):
+    if not all_zero(smallmat.mat_sub(g, smallmat.transpose(g)), tol):
         raise StructureError("induced bilinear form is not symmetric")
     if not smallmat.is_positive_definite(g):
         raise NotPositive()
@@ -270,13 +313,13 @@ def build_su3(cand, tol=EPS, powers=None):
 
     phi = phi_from(psi, J, tol=tol)
     # interior(X, psi) = interior(JX, phi) on the basis
-    contraction_tol = tol * max(psi.max_abs(), 1.0)
-    for e, je in zip(smallmat.identity(n), smallmat.transpose(J)):
-        if not (interior(e, psi) - interior(je, phi)).is_zero(contraction_tol):
-            raise StructureError("contraction identity for phi fails")
+    if not lattice_zero(contraction_defect(psi, phi, J),
+                        tol * max(psi.max_abs(), 1.0)):
+        raise StructureError("contraction identity for phi fails")
 
     return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g, kappa=kappa,
-                        tau0=tau0, vol=vol, omega2=o2, o3_sign=omega3_sign(omega, o3))
+                        tau0=tau0, vol=vol, omega2=o2, omega3=o3,
+                        ginv=metric_inverse(J, o2, o3))
 
 
 def build_either_orientation(omega, psi, tol=EPS):
@@ -295,10 +338,7 @@ def build_either_orientation(omega, psi, tol=EPS):
 def form_dot(a, b):
     """Flat coefficient pairing used for least-squares fits."""
     a._check_compatible(b)
-    total = 0
-    for x, y in zip(a.c, b.c):
-        total = total + x * y
-    return total
+    return smallmat.vec_dot(a.c, b.c)
 
 
 def nk_check(s, differential, tol=EPS):

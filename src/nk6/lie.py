@@ -11,13 +11,14 @@ curvature/Ricci.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, index_tuples, sort_index
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_zero, kernel_rows, lift, lower,
-    scalar_like, sqrt_scalar)
+    EPS, all_zero, bilinear, exact_div, is_zero, kernel_rows, lattice_zero, lift,
+    lower, scalar_like, sqrt_scalar)
 
 
 class NotInvariant(ValueError):
@@ -190,9 +191,9 @@ def _compile(entries):
 class ReductiveSpace:
     """g = h (+) m along basis indices, with Ad(H)-invariance at bracket level.
 
-    The invariant differential and the invariance test on k-forms are fixed
-    sparse linear maps of the space; each is compiled on first use and kept
-    on the instance (:meth:`compiled`).
+    The invariant differential and the invariance tests of k-forms, metrics
+    and endomorphisms are fixed sparse linear maps of the space; each is
+    compiled on first use and kept on the instance (:meth:`compiled`).
     """
 
     def __init__(self, algebra, h_indices, m_indices, check=True):
@@ -238,20 +239,12 @@ class ReductiveSpace:
 
     def ad_h_action(self, h_coeffs):
         """Matrix of ad(sum h_i H_i) acting on m."""
-        n = self.dim_m
-        out = [[0] * n for _ in range(n)]
-        for coef, mat in zip(h_coeffs, self.ad_h):
-            if coef == 0:
-                continue
-            for r in range(n):
-                row = mat[r]
-                for s in range(n):
-                    if row[s] != 0:
-                        out[r][s] = out[r][s] + coef * row[s]
-        return out
+        r = range(self.dim_m)
+        return [[sum(c * m[a][b] for c, m in zip(h_coeffs, self.ad_h) if c != 0)
+                 for b in r] for a in r]
 
     def compiled(self, build, k):
-        """The linear map ``build(self, k)`` on k-forms, compiled once."""
+        """The linear map ``build(self, k)`` (on k-forms, say), compiled once."""
         if (build, k) not in self._compiled:
             self._compiled[build, k] = build(self, k)
         return self._compiled[build, k]
@@ -309,6 +302,31 @@ def _invariance_table(space, k):
     return _compile(entries)
 
 
+def tensor_invariance(space, kind):
+    """{(out, in): coefficient} of the map T -> ad(H_h)^t T + T ad(H_h)
+    (``kind`` "metric") or ad(H_h) T - T ad(H_h) ("endo") on matrices T of m,
+    for every h-basis element H_h: out = (h n + i) n + k for entry (i, k)."""
+    n, r = space.dim_m, range(space.dim_m)
+    metric = kind == "metric"
+    entries = {}
+    for h, ad in enumerate(space.ad_h):
+        o = h * n * n
+        for a, b in itertools.product(r, r):
+            v = ad[a][b]
+            if v == 0:
+                continue
+            i, s = (b, a) if metric else (a, b)   # v is ad^t or ad at [i][s]
+            for k in r:   # v T[s][k] at (i, k), T[k][a] v at (k, b)
+                for key, c in (((o + i * n + k, s * n + k), v),
+                               ((o + k * n + b, k * n + a), v if metric else -v)):
+                    entries[key] = entries[key] + c if key in entries else c
+    return entries
+
+
+def _tensor_invariance_table(space, kind):
+    return _compile(tensor_invariance(space, kind))
+
+
 # ---------------------------------------------------------------------------
 def is_invariant(space, alpha, tol=EPS):
     """True iff the form on m is annihilated by every ad(h), h in h."""
@@ -317,26 +335,23 @@ def is_invariant(space, alpha, tol=EPS):
         raise ValueError("form dimension does not match dim m")
     size = space.dim_h * len(alpha.c)
     table = space.compiled(_invariance_table, alpha.k)
-    return all(is_zero(x, tol) for x in lower(bilinear(*table, alpha.lattice(), size)))
+    return lattice_zero(bilinear(*table, alpha.lattice(), size), tol)
+
+
+def _is_invariant_tensor(space, kind, t, tol):
+    table = space.compiled(_tensor_invariance_table, kind)
+    flat = lift([x for row in t for x in row])
+    return lattice_zero(bilinear(*table, flat, space.dim_h * len(flat[0])), tol)
 
 
 def is_invariant_endo(space, J, tol=EPS):
     """True iff the endomorphism of m commutes with every ad(h)."""
-    for mat in space.ad_h:
-        if not all_zero(smallmat.commutator(mat, J), tol):
-            return False
-    return True
+    return _is_invariant_tensor(space, "endo", J, tol)
 
 
 def is_invariant_metric(space, g, tol=EPS):
     """g([h,X],Y) + g(X,[h,Y]) = 0 for all basis h, X, Y."""
-    for mat in space.ad_h:
-        d = smallmat.mat_add(
-            smallmat.mat_mul(smallmat.transpose(mat), g),
-            smallmat.mat_mul(g, mat))
-        if not all_zero(d, tol):
-            return False
-    return True
+    return _is_invariant_tensor(space, "metric", g, tol)
 
 
 def ce_differential(space, alpha, tol=EPS, check_invariance=True):
@@ -409,10 +424,7 @@ def _mat_vecs(a, vectors):
 def _nomizu_matrix(gamma, x):
     """Matrix of Y -> Gamma(x, Y)."""
     n = len(gamma)
-    cols = []
-    for j in range(n):
-        cols.append(bilinear_apply(gamma, x, _mvec(n, j)))
-    return smallmat.transpose(cols)
+    return smallmat.transpose([bilinear_apply(gamma, x, _mvec(n, j)) for j in range(n)])
 
 
 def _nabla_j(gamma, J):
@@ -660,25 +672,11 @@ def ricci(space, g, tol=EPS):
     """
     gamma = nomizu_levi_civita(space, g, tol=tol)
     n = space.dim_m
-    ric = [[0] * n for _ in range(n)]
-    ops = {}
-    for i in range(n):
-        for j in range(n):
-            key = (min(i, j), max(i, j))
-            if key not in ops and i != j:
-                ops[key] = curvature_operator(space, gamma, key[0], key[1])
-    for j in range(n):
-        for k in range(n):
-            s = 0
-            for i in range(n):
-                if i == j:
-                    continue
-                op = ops[(min(i, j), max(i, j))]
-                v = [op[r][k] for r in range(n)]
-                if i > j:
-                    v = [-x for x in v]
-                s = s + v[i]
-            ric[j][k] = s
+    # Ric_jk = sum_i R(X_i, X_j)_ik, with R(X_i, X_j) = -R(X_j, X_i)
+    ops = {(i, j): curvature_operator(space, gamma, i, j)
+           for i in range(n) for j in range(i + 1, n)}
+    ric = [[sum(ops[i, j][i][k] if i < j else -ops[j, i][i][k]
+                for i in range(n) if i != j) for k in range(n)] for j in range(n)]
     ginv = smallmat.inv(g)
     scal = smallmat.trace(smallmat.mat_mul(ginv, ric))
     lam = exact_div(scal, n)

@@ -210,6 +210,15 @@ def all_zero(values, tol=0.0):
     return all(abs(float(x)) <= tol for x in vals)
 
 
+def lattice_zero(lattice, tol=0.0):
+    """The zero policy on a lattice of :func:`lift`: an exact one is zero
+    when its integers are, with no lowering; others go to :func:`all_zero`."""
+    P, Q, d = lattice
+    if d is None:
+        return all_zero(P, tol)
+    return not any(P) and not (Q and any(Q))
+
+
 def is_zero(x, tol=0.0):
     """The zero policy for one scalar: the one-entry case of :func:`all_zero`."""
     if is_exact(x):

@@ -75,10 +75,6 @@ def vec_sub(u, v):
     return [x - y for x, y in zip(u, v)]
 
 
-def vec_scale(c, u):
-    return [c * x for x in u]
-
-
 def mat_add(a, b):
     return [vec_add(r, s) for r, s in zip(a, b)]
 
@@ -249,9 +245,3 @@ def is_positive_definite(a, tol=0.0):
                 f = exact_div(m[r][k], top[k])
                 m[r] = [x - f * y if y != 0 else x for x, y in zip(m[r], top)]
     return True
-
-
-def is_symmetric(a, tol=EPS):
-    n = len(a)
-    return all_zero([a[i][j] - a[j][i] for i in range(n) for j in range(i + 1, n)],
-                    tol)

@@ -28,6 +28,7 @@ from .lie import (
     natural_reductivity_defect,
     span_coordinates,
     su2_sum,
+    tensor_invariance,
 )
 from .octonion import quat_conj, quat_mul
 from .poly import Poly
@@ -428,16 +429,9 @@ def cp3_model():
 def isotropy_commutant(space):
     """Basis of endomorphisms of m commuting with the whole ad(h) action."""
     n = space.dim_m
-    rows = []
-    for mat in space.ad_h:
-        for r in range(n):
-            for s in range(n):
-                row = [Fraction(0)] * (n * n)
-                # ([ad, E])_{rs} = sum_k ad[r][k] E[k][s] - E[r][k] ad[k][s]
-                for k in range(n):
-                    row[k * n + s] += mat[r][k]
-                    row[r * n + k] -= mat[k][s]
-                rows.append(row)
+    rows = [[0] * (n * n) for _ in range(space.dim_h * n * n)]
+    for (o, i), c in tensor_invariance(space, "endo").items():
+        rows[o][i] = c
     kernel = smallmat.nullspace(rows)
     return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in kernel]
 

@@ -428,12 +428,13 @@ def test_check_non_invariant_form_is_a_failing_verdict(tmp_path, name):
          f"{name} is not h-invariant")]
 
 
-def test_check_cone_inverts_the_metric_once(monkeypatch, capsys):
-    # one HodgeStar per cone_check: the Sylvester check and g^-1 run once
+def test_check_cone_eliminates_no_metric(monkeypatch, capsys):
+    # build_su3 proves g positive and carries g^-1 and omega^3 / 6 in closed
+    # form, so cone_check runs no Sylvester test, inverse or determinant
     from nk6 import cone, smallmat
 
     inside, calls = [], []
-    for fname in ("inv", "is_positive_definite"):
+    for fname in ("inv", "det", "is_positive_definite"):
         original = getattr(smallmat, fname)
 
         def counting(*args, _name=fname, _original=original, **kwargs):
@@ -454,7 +455,7 @@ def test_check_cone_inverts_the_metric_once(monkeypatch, capsys):
     monkeypatch.setattr(cone, "cone_check", in_cone_check)
     code, _ = run(capsys, "check", os.path.join(FIX, "cp3.json"), "--cone")
     assert code == 0
-    assert sorted(calls) == ["inv", "is_positive_definite"]
+    assert calls == []
 
 
 def _count_calls(monkeypatch, module, fname):

@@ -364,8 +364,8 @@ def test_kernels_make_no_fraction_arithmetic():
 # -- omega^2 and omega^3 once per check ----------------------------------
 def test_check_cone_forms_omega_powers_once(capsys):
     # orientation, the DegenerateOmega test, the fit and the cone share one
-    # omega^2 and one omega^3; the other wedges are omega ^ psi and the six
-    # of K
+    # omega^2 and one omega^3; the other wedge is omega ^ psi (K is one
+    # lattice product, with no wedge)
     wedge_code = wedge.__code__
     calls = []
 
@@ -380,7 +380,7 @@ def test_check_cone_forms_omega_powers_once(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert code == 0
-    assert len(calls) == 9
+    assert len(calls) == 3
 
 
 # -- the float unit-norm test --------------------------------------------
