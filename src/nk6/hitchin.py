@@ -16,7 +16,7 @@ from . import smallmat
 from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
 from .scalars import (
     EPS, all_zero, bilinear, exact_div, is_exact, is_positive, kernel_rows,
-    lattice_zero, lift, lower, scalar_like, simplify, sqrt_scalar, times)
+    lattice_zero, lift, lower, simplify, sqrt_scalar, times)
 
 
 class StructureError(ValueError):
@@ -180,9 +180,8 @@ def hitchin_K(psi, vol, tol=EPS):
     K = k_matrix(psi, vol)
     K2 = smallmat.mat_mul(K, K)
     tau0 = exact_div(smallmat.trace(K2), 6)
-    dev = smallmat.mat_sub(
-        K2, smallmat.mat_scale(tau0, smallmat.identity(6, scalar_like(K2))))
-    if not all_zero(dev, tol * max(smallmat.mat_max_abs(K2), 1.0)):
+    scale = max(smallmat.mat_max_abs(K2), 1.0)
+    if not smallmat.is_scalar_matrix(K2, tau0, tol * scale):
         raise StructureError("K^2 is not a multiple of the identity")
     return K, simplify(tau0)
 
@@ -294,8 +293,7 @@ def build_su3(cand, tol=EPS, powers=None):
     J = (smallmat.mat_scale(exact_div(1, kappa), K) if is_exact(kappa)
          else [[x / kappa for x in row] for row in K])
 
-    j2 = smallmat.mat_add(smallmat.mat_mul(J, J), smallmat.identity(n, scalar_like(J)))
-    if not all_zero(j2, tol):
+    if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
         raise StructureError("J^2 differs from -Id")
 
     # g(X, Y) = omega(X, JY), from the antisymmetric matrix of omega

@@ -7,6 +7,13 @@ invariant-form differential, the Levi-Civita connection via Nomizu's
 formula, the canonical Hermitian connection and its torsion, the normal
 connection, order-3 symmetries and their almost complex structures, and
 curvature/Ricci.
+
+The connection layer runs on matrices: the bracket maps [X_i, .] projected
+to m and h, the Nomizu matrices L_i of nabla_{X_i} and the torsion matrices
+E_i of eta_{X_i}.  Curvature, the derivative of eta and the eigenspace
+brackets of J are products of these (``smallmat.mat_mul``, and
+``smallmat.mat_combinations`` for sums sum_k c_k M_k), so every product
+runs through the one kernel :func:`scalars.bilinear`.
 """
 
 from __future__ import annotations
@@ -133,35 +140,6 @@ def su2_sum(i, coeffs):
     return out
 
 
-def bilinear_apply(table, x, y):
-    """sum_ij x_i y_j table[i][j]: the bilinear map of a table of vectors.
-
-    ``table[i][j]`` is the image of the basis pair (i, j): structure
-    constants, a bracket projection, a Nomizu operator or the torsion eta.
-    Zero coefficients of x, y and the table are skipped.
-    """
-    out = [0] * (len(table[0][0]) if table else 0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = table[i]
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coef = xi * yj
-            for k, w in enumerate(row[j]):
-                if w != 0:
-                    out[k] = out[k] + coef * w
-    return out
-
-
-def _mvec(n, i):
-    """The i-th standard basis vector of length n."""
-    v = [0] * n
-    v[i] = 1
-    return v
-
-
 def check_jacobi(L, tol=EPS):
     """True iff [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 on all basis triples.
 
@@ -236,12 +214,6 @@ class ReductiveSpace:
                 raise ValueError("[h,h] is not contained in h")
             if i in h and j not in h and k in h:
                 raise ValueError("[h,m] is not contained in m")
-
-    def ad_h_action(self, h_coeffs):
-        """Matrix of ad(sum h_i H_i) acting on m."""
-        r = range(self.dim_m)
-        return [[sum(c * m[a][b] for c, m in zip(h_coeffs, self.ad_h) if c != 0)
-                 for b in r] for a in r]
 
     def compiled(self, build, k):
         """The linear map ``build(self, k)`` (on k-forms, say), compiled once."""
@@ -390,14 +362,14 @@ def _koszul(space, g, tol):
     """The lowered Levi-Civita table G[i][j][z] = g(nabla_i X_j, X_z).
 
     By Nomizu's formula G[i][j][z] = (gb[i][j][z] + gb[z][i][j]
-    + gb[z][j][i]) / 2 with gb the lowered brackets of :func:`_g_brackets`.
+    + gb[z][j][i]) / 2 with gb = g [X_i, X_j]_m the lowered brackets.
     Raises unless g is h-invariant.
     """
     if not is_invariant_metric(space, g, tol=tol):
         raise ValueError("metric is not h-invariant")
     n = space.dim_m
     half = scalar_like(g, Fraction(1, 2))
-    gb = _g_brackets(space, g)
+    gb = _lowered(g, space.bm)
     # only entries with a nonzero term are computed; the rest are 0
     support = {t for a, row in enumerate(gb) for b, vec in enumerate(row)
                for c, v in enumerate(vec) if v != 0
@@ -408,10 +380,10 @@ def _koszul(space, g, tol):
     return table
 
 
-def _g_brackets(space, g):
-    """The table g [X_i, X_j]_m of lowered bracket projections."""
-    n = space.dim_m
-    rows = _mat_vecs(g, [v for row in space.bm for v in row])
+def _lowered(g, table):
+    """The table g table[i][j] of lowered vectors, in one product."""
+    n = len(table)
+    rows = _mat_vecs(g, [v for row in table for v in row])
     return [rows[i * n:(i + 1) * n] for i in range(n)]
 
 
@@ -421,15 +393,10 @@ def _mat_vecs(a, vectors):
     return smallmat.mat_mul(vectors, smallmat.transpose(a))
 
 
-def _nomizu_matrix(gamma, x):
-    """Matrix of Y -> Gamma(x, Y)."""
-    n = len(gamma)
-    return smallmat.transpose([bilinear_apply(gamma, x, _mvec(n, j)) for j in range(n)])
-
-
-def _nabla_j(gamma, J):
-    """The matrices nabla_i J = [L_i, J], L_i the Nomizu matrix of X_i."""
-    return [smallmat.commutator(smallmat.transpose(gi), J) for gi in gamma]
+def _maps(table):
+    """The matrices table[i]^t of Y -> table(X_i, Y) for a table of vectors
+    (brackets, a Nomizu operator, the torsion eta), one per basis vector."""
+    return [smallmat.transpose(t) for t in table]
 
 
 def nearly_kahler_residual(space, g, J, tol=EPS):
@@ -450,8 +417,7 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     residual being the largest coefficient of the raised vectors.
     """
     n = space.dim_m
-    j2 = smallmat.mat_mul(J, J)
-    if not all_zero(smallmat.mat_add(j2, smallmat.identity(n, scalar_like(J))), tol):
+    if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
         raise ValueError("J^2 differs from -Id")
     jgj = smallmat.mat_mul(smallmat.transpose(J), smallmat.mat_mul(g, J))
     if not all_zero(smallmat.mat_sub(jgj, g), tol):
@@ -480,25 +446,22 @@ def intrinsic_eta(space, g, J, tol=EPS):
 
     Returns eta[i][j] = the m-vector eta_{X_i} X_j.
     """
-    return _eta(nomizu_levi_civita(space, g, tol=tol), J)
+    L = _maps(nomizu_levi_civita(space, g, tol=tol))
+    return [smallmat.transpose(e) for e in _torsion(L, J)]
 
 
-def _eta(gamma, J):
-    """eta[i][j] = J (nabla_i J) X_j / 2 from the Nomizu operator gamma."""
-    n = len(gamma)
-    half = scalar_like(gamma, Fraction(1, 2))
-    eta = [[None] * n for _ in range(n)]
-    for i, d in enumerate(_nabla_j(gamma, J)):
-        jd = smallmat.mat_mul(J, d)
-        for j in range(n):
-            eta[i][j] = [half * jd[r][j] for r in range(n)]
-    return eta
+def _torsion(L, J):
+    """The torsion matrices E_i = J [L_i, J] / 2 of eta_{X_i}, from the
+    Nomizu matrices L_i (nabla_i J = [L_i, J])."""
+    half = scalar_like(J, Fraction(1, 2))
+    return [smallmat.mat_scale(half, smallmat.mat_mul(J, smallmat.commutator(l, J)))
+            for l in L]
 
 
 def eta_total_skew_residual(g, eta):
     """Max deviation of (X,Y,Z) -> g(eta_X Y, Z) from total skew-symmetry."""
     r = range(len(eta))
-    t = [[smallmat.mat_vec(g, eta[i][j]) for j in r] for i in r]
+    t = _lowered(g, eta)
     return _max_vec([t[i][j][k] + t[j][i][k] for i in r for j in r for k in r],
                     [t[i][j][k] + t[i][k][j] for i in r for j in r for k in r])
 
@@ -507,26 +470,22 @@ def eta_parallel_residual(space, g, J, tol=EPS):
     """Max coefficient of the canonical-connection derivative of eta.
 
     The canonical Hermitian connection is nabla - eta; its torsion eta is
-    parallel exactly on nearly Kahler structures.
+    parallel on nearly Kahler structures, and not only there (the flag
+    metric (2, 1, 1) with the canonical J).  With Lambda_w = L_w - E_w
+    (Nomizu and torsion matrices), the derivative along X_w of eta_{X_i} is
+    [Lambda_w, E_i] - sum_k (Lambda_w)_ki E_k.
     """
-    gamma = nomizu_levi_civita(space, g, tol=tol)
-    eta = _eta(gamma, J)
+    L = _maps(nomizu_levi_civita(space, g, tol=tol))
+    E = _torsion(L, J)
+    lam = [smallmat.mat_sub(l, e) for l, e in zip(L, E)]
     n = space.dim_m
-    gbar = [[smallmat.vec_sub(gamma[i][j], eta[i][j]) for j in range(n)]
-            for i in range(n)]
-    worst = 0.0
-    for w in range(n):
-        lam = _nomizu_matrix(gbar, _mvec(n, w))
-        for i in range(n):
-            for j in range(n):
-                term = smallmat.mat_vec(lam, eta[i][j])
-                lx = smallmat.mat_vec(lam, _mvec(n, i))
-                ly = smallmat.mat_vec(lam, _mvec(n, j))
-                e_lx = bilinear_apply(eta, lx, _mvec(n, j))
-                e_ly = bilinear_apply(eta, _mvec(n, i), ly)
-                resid = smallmat.vec_sub(smallmat.vec_sub(term, e_lx), e_ly)
-                worst = max(worst, max(abs(float(r)) for r in resid))
-    return worst
+    # sum_k (Lambda_w)_ki E_k at w n + i: the coefficients are the rows of
+    # the transposed Lambda_w
+    moved = smallmat.mat_combinations(
+        [row for lw in lam for row in smallmat.transpose(lw)], E)
+    defects = [smallmat.mat_sub(smallmat.commutator(lw, e), moved[w * n + i])
+               for w, lw in enumerate(lam) for i, e in enumerate(E)]
+    return _max_vec(*(row for d in defects for row in d))
 
 
 def normal_torsion_curvature(space):
@@ -543,7 +502,7 @@ def normal_torsion_curvature(space):
 def natural_reductivity_defect(space, g):
     """g([X,Y]_m, Z) + g([X,Z]_m, Y) over all basis triples, linear in g."""
     n = space.dim_m
-    gb = _g_brackets(space, g)
+    gb = _lowered(g, space.bm)
     return [gb[i][j][k] + gb[i][k][j]
             for i in range(n) for j in range(n) for k in range(n)]
 
@@ -554,44 +513,25 @@ def is_naturally_reductive(space, g, tol=EPS):
 
 
 # ---------------------------------------------------------------------------
-def _cplx_pair_bracket(space, u, v, s, t):
-    """Full bracket of (u + i v) and (s + i t), m-vectors, split parts.
-
-    Returns ((re_m, im_m), (re_h, im_h)).
-    """
-    bm, bh = space.bm, space.bh
-    re_m = smallmat.vec_sub(bilinear_apply(bm, u, s), bilinear_apply(bm, v, t))
-    im_m = smallmat.vec_add(bilinear_apply(bm, u, t), bilinear_apply(bm, v, s))
-    re_h = smallmat.vec_sub(bilinear_apply(bh, u, s), bilinear_apply(bh, v, t))
-    im_h = smallmat.vec_add(bilinear_apply(bh, u, t), bilinear_apply(bh, v, s))
-    return (re_m, im_m), (re_h, im_h)
-
-
 def _max_vec(*vecs):
     return max((abs(float(x)) for v in vecs for x in v), default=0.0)
 
 
-def _plus_brackets(space, J):
-    """[w_i, w_j] for w_i = X_i + i J X_i, over all basis pairs (i, j).
-
-    Yields (x, jx, y, jy, ((re_m, im_m), (re_h, im_h))) with x = X_i and
-    y = X_j.  The brackets of m- = conj(m+) are the conjugates of these,
-    so they add no condition.
+def _pair_brackets(table, J):
+    """Per i, the brackets of w_i = X_i + i J X_i with w_j and with conj w_j,
+    projected by ``table`` (``space.bm`` or ``space.bh``), as (re, im)
+    matrices whose column j is the bracket with index j.  With
+    P_i = [X_i, .] and PJ_i = [J X_i, .] = sum_k J_ki P_k they are
+        [w_i, w_j] = P_i - PJ_i J + i (P_i J + PJ_i),
+        [w_i, conj w_j] = P_i + PJ_i J + i (PJ_i - P_i J).
+    The brackets of m- = conj(m+) are the conjugates of these, so they add
+    no condition.
     """
-    n = space.dim_m
-    cols = smallmat.transpose(J)
-    for i in range(n):
-        for j in range(n):
-            x, y = _mvec(n, i), _mvec(n, j)
-            yield x, cols[i], y, cols[j], _cplx_pair_bracket(
-                space, x, cols[i], y, cols[j])
-
-
-def _eigen_parts(J, a, b):
-    """The m+ and m- parts of A + iB, each as (re, im), up to a factor 1/2."""
-    ja, jb = smallmat.transpose(smallmat.mat_mul(J, smallmat.transpose([a, b])))
-    return ((smallmat.vec_sub(a, jb), smallmat.vec_add(b, ja)),
-            (smallmat.vec_add(a, jb), smallmat.vec_sub(b, ja)))
+    P = _maps(table)
+    for p, pj in zip(P, smallmat.mat_combinations(smallmat.transpose(J), P)):
+        p_j, pj_j = smallmat.mat_mul(p, J), smallmat.mat_mul(pj, J)
+        yield ((smallmat.mat_sub(p, pj_j), smallmat.mat_add(p_j, pj)),
+               (smallmat.mat_add(p, pj_j), smallmat.mat_sub(pj, p_j)))
 
 
 def check_3symmetric(space, J, tol=EPS):
@@ -601,15 +541,14 @@ def check_3symmetric(space, J, tol=EPS):
     [m+, m+] c m-,  [m-, m-] c m+ (its conjugate),  [m+, m-] c complexified
     h, entirely in real arithmetic.  Raises unless J^2 = -Id.
     """
-    n = space.dim_m
-    j2 = smallmat.mat_mul(J, J)
-    if not all_zero(smallmat.mat_add(j2, smallmat.identity(n, scalar_like(J))), tol):
+    if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
         raise ValueError("J^2 differs from -Id")
-    defects = []
-    for x, jx, y, jy, ((am, bm), h_part) in _plus_brackets(space, J):
-        plus, _ = _eigen_parts(J, am, bm)
-        mixed, _ = _cplx_pair_bracket(space, x, jx, y, [-c for c in jy])
-        defects += [*h_part, *plus, *mixed]
+    # [m+, m+] has no h part
+    defects = [z for plus, _ in _pair_brackets(space.bh, J) for z in plus]
+    for (re, im), mixed in _pair_brackets(space.bm, J):
+        # nor an m+ part, re - J im + i (im + J re); [m+, m-] has no m part
+        defects += [smallmat.mat_sub(re, smallmat.mat_mul(J, im)),
+                    smallmat.mat_add(im, smallmat.mat_mul(J, re)), *mixed]
     return all_zero(defects, tol)
 
 
@@ -620,8 +559,10 @@ def is_complex_subalgebra(space, J, tol=EPS):
     almost complex structures.
     """
     defects = []
-    for *_, ((am, bm), _) in _plus_brackets(space, J):
-        defects += _eigen_parts(J, am, bm)[1]
+    for (re, im), _ in _pair_brackets(space.bm, J):
+        # the m- part of [m+, m+], re + J im + i (im - J re), vanishes
+        defects += [smallmat.mat_add(re, smallmat.mat_mul(J, im)),
+                    smallmat.mat_sub(im, smallmat.mat_mul(J, re))]
     return all_zero(defects, tol)
 
 
@@ -632,37 +573,21 @@ def acs_from_automorphism(S, tol=EPS):
     J^2 = -Id (exactly over Q(sqrt 3) for exact S).
     """
     n = len(S)
-    eye = smallmat.identity(n, scalar_like(S))
     s3 = smallmat.mat_mul(S, smallmat.mat_mul(S, S))
-    if not all_zero(smallmat.mat_sub(s3, eye), tol):
+    if not smallmat.is_scalar_matrix(s3, 1, tol):
         raise ValueError("S^3 differs from the identity")
-    if is_zero(smallmat.det(smallmat.mat_sub(S, eye)), tol):
+    if is_zero(smallmat.det(smallmat.mat_sub(S, smallmat.identity(n))), tol):
         raise HasFixedVector("1 is an eigenvalue of S")
     coef = 2 / sqrt_scalar(scalar_like(S, 3))
     half = scalar_like(S, Fraction(1, 2))
     J = [[coef * (S[i][j] + (half if i == j else 0)) for j in range(n)]
          for i in range(n)]
-    if not all_zero(smallmat.mat_add(smallmat.mat_mul(J, J), eye), tol):
+    if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
         raise ValueError("derived J does not square to -Id")
     return J
 
 
 # ---------------------------------------------------------------------------
-def curvature_operator(space, gamma, i, j):
-    """R(X_i, X_j) as a matrix on m.
-
-    R(X,Y) = [Lambda(X), Lambda(Y)] - Lambda([X,Y]_m) - ad([X,Y]_h),
-    the curvature of the invariant connection with Nomizu operator Lambda.
-    """
-    n = space.dim_m
-    li = _nomizu_matrix(gamma, _mvec(n, i))
-    lj = _nomizu_matrix(gamma, _mvec(n, j))
-    out = smallmat.mat_sub(smallmat.commutator(li, lj),
-                           _nomizu_matrix(gamma, space.bm[i][j]))
-    out = smallmat.mat_sub(out, space.ad_h_action(space.bh[i][j]))
-    return out
-
-
 def ricci(space, g, tol=EPS):
     """Ricci tensor of an invariant metric plus the Einstein verdict.
 
@@ -670,12 +595,17 @@ def ricci(space, g, tol=EPS):
     Ric = (scal / dim m) g, exact on exact data and at relative tolerance
     ``tol`` on floats; max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|.
     """
-    gamma = nomizu_levi_civita(space, g, tol=tol)
+    L = _maps(nomizu_levi_civita(space, g, tol=tol))
     n = space.dim_m
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # R(X_i, X_j) = [L_i, L_j] - L([X_i, X_j]_m) - ad([X_i, X_j]_h), the
+    # curvature of the invariant connection with Nomizu matrices L_i
+    lin = smallmat.mat_combinations(
+        [space.bm[i][j] + space.bh[i][j] for i, j in pairs], L + space.ad_h)
+    R = {(i, j): smallmat.mat_sub(smallmat.commutator(L[i], L[j]), m)
+         for (i, j), m in zip(pairs, lin)}
     # Ric_jk = sum_i R(X_i, X_j)_ik, with R(X_i, X_j) = -R(X_j, X_i)
-    ops = {(i, j): curvature_operator(space, gamma, i, j)
-           for i in range(n) for j in range(i + 1, n)}
-    ric = [[sum(ops[i, j][i][k] if i < j else -ops[j, i][i][k]
+    ric = [[sum(R[i, j][i][k] if i < j else -R[j, i][i][k]
                 for i in range(n) if i != j) for k in range(n)] for j in range(n)]
     ginv = smallmat.inv(g)
     scal = smallmat.trace(smallmat.mat_mul(ginv, ric))

@@ -88,6 +88,23 @@ def mat_scale(c, a):
     return _unflatten(lower(times(c, _flat(a))), len(a), len(a[0]) if a else 0)
 
 
+def mat_combinations(coeffs, mats):
+    """[sum_k c[k] mats[k] for c in coeffs] for matrices of one shape, which
+    may have no rows: one :func:`mat_mul` of the coefficient rows with the
+    flattened matrices."""
+    rows, cols = len(mats[0]), len(mats[0][0]) if mats[0] else 0
+    flat = mat_mul(coeffs, [[x for row in m for x in row] for m in mats])
+    return [_unflatten(v, rows, cols) for v in flat]
+
+
+def is_scalar_matrix(m, c, tol=0.0):
+    """Is m = c Id under the zero policy (:func:`scalars.all_zero`)?  The
+    entries m[i][j] - (c if i == j else 0) are tested, so exact data stay
+    exact."""
+    return all_zero([[x - c if i == j else x for j, x in enumerate(row)]
+                     for i, row in enumerate(m)], tol)
+
+
 def commutator(a, b):
     """[a, b] = a b - b a, the bracket of every matrix Lie algebra here."""
     return mat_sub(mat_mul(a, b), mat_mul(b, a))

@@ -33,7 +33,7 @@ from .lie import (
 from .octonion import quat_conj, quat_mul
 from .poly import Poly
 from .report import NA, Verdict, Verdicts, verdict
-from .scalars import EPS, all_zero, exact_div
+from .scalars import EPS, exact_div
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +559,7 @@ def _has_complex_generator(block_endos, size, idx):
         if all(x == 0 for row in dev for x in row):
             continue
         sq = smallmat.mat_mul(dev, dev)
-        lam = sq[0][0]
-        if lam >= 0:
-            return False
-        if any(sq[i][j] != (lam if i == j else 0)
-               for i in range(size) for j in range(size)):
+        if sq[0][0] >= 0 or not smallmat.is_scalar_matrix(sq, sq[0][0]):
             return False
     return True
 
@@ -581,8 +577,7 @@ def _count_acs_candidates(model, comm):
     seen = []
     for signs in itertools.product((1, -1), repeat=2):
         j = model.acs(fiber_sign=signs[1], global_sign=signs[0])
-        if not all_zero(smallmat.mat_add(smallmat.mat_mul(j, j),
-                                         smallmat.identity(len(j)))):
+        if not smallmat.is_scalar_matrix(smallmat.mat_mul(j, j), -1):
             continue
         try:
             smallmat.solve_in_span(columns, [x for row in j for x in row])

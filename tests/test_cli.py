@@ -471,14 +471,16 @@ def _count_calls(monkeypatch, module, fname):
 
 
 def test_check_cone_computes_no_determinant_per_minor(monkeypatch, capsys):
-    # the Sylvester test is one elimination and the Hodge star's minors of
-    # g^-1 are Laplace expansions; only metric_volume takes a determinant
+    # the Sylvester test is one elimination, the Hodge star's minors of g^-1
+    # are Laplace expansions and its volume is omega^3 / 6: an exact check
+    # takes no determinant on any fixture
     from nk6 import smallmat
 
     calls = _count_calls(monkeypatch, smallmat, "det")
-    code, _ = run(capsys, "check", os.path.join(FIX, "s3xs3.json"), "--cone")
-    assert code == 0
-    assert len(calls) <= 2
+    for name in ("s3xs3", "flag", "cp3"):
+        code, _ = run(capsys, "check", os.path.join(FIX, f"{name}.json"), "--cone")
+        assert code == 0, name
+        assert not calls, name
 
 
 def test_check_cone_differentiates_phi_once_per_fit(monkeypatch, capsys):

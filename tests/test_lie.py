@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,13 +11,13 @@ from nk6.lie import (
     NotInvariant,
     ReductiveSpace,
     acs_from_automorphism,
-    bilinear_apply,
     ce_differential,
     check_3symmetric,
     check_jacobi,
     eta_parallel_residual,
     eta_total_skew_residual,
     intrinsic_eta,
+    is_complex_subalgebra,
     is_invariant,
     is_naturally_reductive,
     nearly_kahler_residual,
@@ -27,7 +28,7 @@ from nk6.lie import (
 )
 from nk6 import smallmat, s3xs3, spaces
 from nk6.hitchin import build_su3
-from nk6.scalars import QSqrt3, is_exact
+from nk6.scalars import QSqrt3, exact_div, is_exact
 
 
 def su2():
@@ -268,6 +269,13 @@ def test_nearly_kahler_residual_catalog_cases():
     assert not ok2 and res2 > 0
 
 
+def _double_sum(table, x, y):
+    """sum_ij x_i y_j table[i][j] over the pairs of nonzero coefficients."""
+    terms = [(xi * yj, table[i][j]) for i, xi in enumerate(x) if xi != 0
+             for j, yj in enumerate(y) if yj != 0]
+    return [sum((c * w[k] for c, w in terms), 0) for k in range(len(table[0][0]))]
+
+
 def _sampled_nk_verdict(space, g, J, tol=1e-10):
     """(nabla_X J) X at the basis and 25 seeded random X, max coefficient."""
     n = space.dim_m
@@ -282,8 +290,8 @@ def _sampled_nk_verdict(space, g, J, tol=1e-10):
     for x in vectors:
         jx = smallmat.mat_vec(J, x)
         resid = smallmat.vec_sub(
-            bilinear_apply(gamma, x, jx),
-            smallmat.mat_vec(J, bilinear_apply(gamma, x, x)))
+            _double_sum(gamma, x, jx),
+            smallmat.mat_vec(J, _double_sum(gamma, x, x)))
         worst = max(worst, max(abs(float(r)) for r in resid))
     return worst <= tol
 
@@ -364,6 +372,222 @@ def test_lowered_nk_residual_matches_the_commutator_formula(arithmetic):
     # integrable signs (1, -1, 1); CP^3: t = 1/2 with fiber -1 and the
     # Kahler t = 1 with fiber +1; and the S^3 x S^3 solution
     assert [i for i, ok in enumerate(verdicts) if ok] == [0, 5, 27, 28, 32]
+
+
+# -- reference oracles: the per-pair formulas of the connection layer as
+# they were computed before its matrix form, applying each table to basis
+# vectors through _double_sum
+def _unit(n, i):
+    return [1 if r == i else 0 for r in range(n)]
+
+
+def _oracle_nomizu_matrix(gamma, x):
+    """Matrix of Y -> Gamma(x, Y)."""
+    n = len(gamma)
+    return smallmat.transpose([_double_sum(gamma, x, _unit(n, j)) for j in range(n)])
+
+
+def _oracle_ricci(space, g, tol=1e-10):
+    """ricci from R(X_i, X_j) per pair i < j, R(X, Y) = [Lambda(X), Lambda(Y)]
+    - Lambda([X, Y]_m) - ad([X, Y]_h) with Lambda the Nomizu operator."""
+    gamma = nomizu_levi_civita(space, g)
+    n = space.dim_m
+
+    def curvature(i, j):
+        li = _oracle_nomizu_matrix(gamma, _unit(n, i))
+        lj = _oracle_nomizu_matrix(gamma, _unit(n, j))
+        out = smallmat.mat_sub(smallmat.commutator(li, lj),
+                               _oracle_nomizu_matrix(gamma, space.bm[i][j]))
+        ad = [[sum((c * m[a][b] for c, m in zip(space.bh[i][j], space.ad_h)), 0)
+               for b in range(n)] for a in range(n)]
+        return smallmat.mat_sub(out, ad)
+
+    ops = {(i, j): curvature(i, j) for i in range(n) for j in range(i + 1, n)}
+    ric = [[sum(ops[i, j][i][k] if i < j else -ops[j, i][i][k]
+                for i in range(n) if i != j) for k in range(n)] for j in range(n)]
+    scal = smallmat.trace(smallmat.mat_mul(smallmat.inv(g), ric))
+    diff = smallmat.mat_sub(ric, smallmat.mat_scale(exact_div(scal, n), g))
+    scale = smallmat.mat_max_abs(ric)
+    rel = smallmat.mat_max_abs(diff) / max(scale, 1e-30)
+    exact = all(is_exact(x) for r in diff for x in r)
+    ok = (all(x == 0 for r in diff for x in r) if exact
+          else smallmat.mat_max_abs(diff) <= tol * scale)
+    return ric, scal, ok, rel
+
+
+def _oracle_eta(gamma, J):
+    """eta[i][j] = J (nabla_i J) X_j / 2, nabla_i J = [L_i, J] per i."""
+    n = len(gamma)
+    half = Fraction(1, 2) if all(is_exact(x) for r in J for x in r) else 0.5
+    eta = [[None] * n for _ in range(n)]
+    for i, gi in enumerate(gamma):
+        jd = smallmat.mat_mul(J, smallmat.commutator(smallmat.transpose(gi), J))
+        for j in range(n):
+            eta[i][j] = [half * jd[r][j] for r in range(n)]
+    return eta
+
+
+def _oracle_eta_parallel_residual(space, g, J):
+    """The derivative of eta along the canonical connection, per unit vector:
+    Lambda eta(X_i, X_j) - eta(Lambda X_i, X_j) - eta(X_i, Lambda X_j)."""
+    gamma = nomizu_levi_civita(space, g)
+    eta = _oracle_eta(gamma, J)
+    n = space.dim_m
+    gbar = [[smallmat.vec_sub(gamma[i][j], eta[i][j]) for j in range(n)]
+            for i in range(n)]
+    worst = 0.0
+    for w in range(n):
+        lam = _oracle_nomizu_matrix(gbar, _unit(n, w))
+        for i in range(n):
+            for j in range(n):
+                term = smallmat.mat_vec(lam, eta[i][j])
+                lx = smallmat.mat_vec(lam, _unit(n, i))
+                ly = smallmat.mat_vec(lam, _unit(n, j))
+                e_lx = _double_sum(eta, lx, _unit(n, j))
+                e_ly = _double_sum(eta, _unit(n, i), ly)
+                resid = smallmat.vec_sub(smallmat.vec_sub(term, e_lx), e_ly)
+                worst = max(worst, max(abs(float(r)) for r in resid))
+    return worst
+
+
+def _oracle_pair_bracket(space, u, v, s, t):
+    """[u + i v, s + i t] as ((re_m, im_m), (re_h, im_h))."""
+    bm, bh = space.bm, space.bh
+    re_m = smallmat.vec_sub(_double_sum(bm, u, s), _double_sum(bm, v, t))
+    im_m = smallmat.vec_add(_double_sum(bm, u, t), _double_sum(bm, v, s))
+    re_h = smallmat.vec_sub(_double_sum(bh, u, s), _double_sum(bh, v, t))
+    im_h = smallmat.vec_add(_double_sum(bh, u, t), _double_sum(bh, v, s))
+    return (re_m, im_m), (re_h, im_h)
+
+
+def _oracle_eigen_parts(J, a, b):
+    """The m+ and m- parts of a + i b, each as (re, im), times 2."""
+    ja, jb = smallmat.mat_vec(J, a), smallmat.mat_vec(J, b)
+    return ((smallmat.vec_sub(a, jb), smallmat.vec_add(b, ja)),
+            (smallmat.vec_add(a, jb), smallmat.vec_sub(b, ja)))
+
+
+def _oracle_3symmetric(space, J, tol=1e-10):
+    """(check_3symmetric, is_complex_subalgebra) per basis pair (i, j), from
+    the brackets of X_i + i J X_i with X_j +- i J X_j."""
+    n = space.dim_m
+    cols = smallmat.transpose(J)
+    three, closed = [], []
+    for i in range(n):
+        for j in range(n):
+            x, y = _unit(n, i), _unit(n, j)
+            (am, bm), h_part = _oracle_pair_bracket(space, x, cols[i], y, cols[j])
+            plus, minus = _oracle_eigen_parts(J, am, bm)
+            mixed, _ = _oracle_pair_bracket(space, x, cols[i], y,
+                                            [-c for c in cols[j]])
+            three += [*h_part, *plus, *mixed]
+            closed += minus
+    zero = lambda vs: all(abs(float(x)) <= tol for v in vs for x in v)
+    return zero(three), zero(closed)
+
+
+def _floats(m):
+    return [[float(x) for x in row] for row in m]
+
+
+def _connection_cases():
+    """(space, g, J): the flag metrics (r, s, t) in {1, 2}^3 with the
+    canonical J, CP^3 at t in {1/4, 1/2, 1, 2} with both fiber signs, the
+    Ledger-Obata canonical complement and the S^3 x S^3 solution (h = 0)."""
+    fm, cp3 = spaces.flag_model(), spaces.cp3_model()
+    lo = spaces.ledger_obata_su2()
+    cases = [(fm.space, fm.metric(r, s, t), fm.acs((1, 1, 1)))
+             for r, s, t in itertools.product((1, 2), repeat=3)]
+    cases += [(cp3.space, cp3.metric(t), cp3.acs(fiber))
+              for t in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
+              for fiber in (1, -1)]
+    cases.append((lo.space, lo.metric, acs_from_automorphism(lo.s_matrix)))
+    s = build_su3(s3xs3.candidate(
+        s3xs3.DiagonalInvariantForm((Fraction(1),) * 3)))
+    cases.append((s3xs3.cyclic_space(), s.g, s.J))
+    return cases
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_ricci_matches_the_per_pair_curvature(arithmetic):
+    einstein = []
+    for space, g, _ in _connection_cases():
+        g = _floats(g) if arithmetic == "float" else g
+        got, want = ricci(space, g), _oracle_ricci(space, g)
+        assert got[2] == want[2]
+        if arithmetic == "exact":
+            assert got == want
+        else:
+            scale = smallmat.mat_max_abs(want[0])
+            assert all(abs(a - b) <= 1e-12 * scale
+                       for r, s in zip(got[0], want[0]) for a, b in zip(r, s))
+            assert _close(got[1], want[1]) and _close(got[3], want[3])
+        einstein.append(got[2])
+    # flag: r = s = t and the Kahler-Einstein (1, 1, 2) up to order; CP^3 at
+    # t = 1/2 and 1 (the metric does not see the fiber sign); Ledger-Obata
+    # and the S^3 x S^3 solution
+    assert [i for i, ok in enumerate(einstein) if ok] == [
+        0, 1, 2, 4, 7, 10, 11, 12, 13, 16, 17]
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_eta_matches_the_unit_vector_loop(arithmetic):
+    parallel = []
+    for space, g, j in _connection_cases():
+        if arithmetic == "float":
+            g, j = _floats(g), _floats(j)
+        got, want = (eta_parallel_residual(space, g, j),
+                     _oracle_eta_parallel_residual(space, g, j))
+        assert got == want if arithmetic == "exact" else _close(got, want)
+        eta = intrinsic_eta(space, g, j)
+        oracle = _oracle_eta(nomizu_levi_civita(space, g), j)
+        if arithmetic == "exact":
+            assert eta == oracle
+        else:
+            assert all(_close(a, b) for r, s in zip(eta, oracle)
+                       for u, v in zip(r, s) for a, b in zip(u, v))
+        parallel.append(want <= 1e-10)
+    # every flag metric; CP^3 with fiber sign -1 and the Kahler t = 1;
+    # Ledger-Obata and the S^3 x S^3 solution
+    assert [i for i, ok in enumerate(parallel) if ok] == [
+        0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 15, 16, 17]
+
+
+def _acs_cases():
+    """(space, J): the 8 sign patterns on the flag, CP^3 with both fiber and
+    both global signs, the Ledger-Obata J and the S^3 x S^3 solution's J."""
+    fm, cp3 = spaces.flag_model(), spaces.cp3_model()
+    lo = spaces.ledger_obata_su2()
+    cases = [(fm.space, fm.acs(signs))
+             for signs in itertools.product((1, -1), repeat=3)]
+    cases += [(cp3.space, cp3.acs(fiber, glob))
+              for fiber in (1, -1) for glob in (1, -1)]
+    cases.append((lo.space, acs_from_automorphism(lo.s_matrix)))
+    s = build_su3(s3xs3.candidate(
+        s3xs3.DiagonalInvariantForm((Fraction(1),) * 3)))
+    cases.append((s3xs3.cyclic_space(), s.J))
+    return cases
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_3symmetric_matches_the_complex_pair_brackets(arithmetic):
+    verdicts = []
+    for space, j in _acs_cases():
+        j = _floats(j) if arithmetic == "float" else j
+        got = check_3symmetric(space, j), is_complex_subalgebra(space, j)
+        assert got == _oracle_3symmetric(space, j)
+        verdicts.append(got)
+    # the flag's canonical signs and every CP^3 structure of fiber sign -1
+    # and Ledger-Obata's J are 3-symmetric, the flag's flips and CP^3's fiber
+    # sign +1 integrable; the S^3 x S^3 solution's J is neither on the
+    # presentation with h = 0
+    canonical, integrable = (True, False), (False, True)
+    assert verdicts == ([canonical] + [integrable] * 6 + [canonical]
+                        + [integrable] * 2 + [canonical] * 3 + [(False, False)])
 
 
 def test_nearly_kahler_residual_precondition_reporting():
@@ -466,7 +690,6 @@ def test_3symmetric_examples():
     fm = spaces.flag_model()
     assert check_3symmetric(fm.space, fm.acs((1, 1, 1)))
     assert not check_3symmetric(fm.space, fm.acs((1, 1, -1)))
-    from nk6.lie import is_complex_subalgebra
     assert is_complex_subalgebra(fm.space, fm.acs((1, 1, -1)))
     lo = spaces.ledger_obata_su2()
     j = acs_from_automorphism(lo.s_matrix)
@@ -565,34 +788,3 @@ def test_natural_reductivity_lowers_each_bracket_once(monkeypatch):
     assert is_naturally_reductive(fm.space, fm.metric(1, 1, 1))
     assert not is_naturally_reductive(fm.space, fm.metric(1, 1, 2))
     assert len(calls) <= 2 * 36
-
-
-def _double_sum(table, x, y):
-    width = len(table[0][0])
-    return [sum((x[i] * y[j] * table[i][j][k]
-                 for i in range(len(x)) for j in range(len(y))), 0)
-            for k in range(width)]
-
-
-def _bilinear_tables():
-    flag, cp3 = spaces.flag_model().space, spaces.cp3_model().space
-    return [("su(3)", flag.algebra.c), ("flag bm", flag.bm), ("flag bh", flag.bh),
-            ("sp(2)", cp3.algebra.c), ("cp3 bm", cp3.bm), ("cp3 bh", cp3.bh)]
-
-
-@pytest.mark.parametrize("name,table", _bilinear_tables(),
-                         ids=[n for n, _ in _bilinear_tables()])
-def test_bilinear_apply_matches_double_sum(name, table):
-    rng = random.Random(17)
-    n = len(table)
-    for _ in range(6):
-        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
-        y = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
-        assert bilinear_apply(table, x, y) == _double_sum(table, x, y)
-
-
-def test_bilinear_apply_on_an_empty_h_table():
-    space = s3xs3.cyclic_space()
-    assert space.dim_h == 0
-    x = [Fraction(k + 1, 2) for k in range(6)]
-    assert bilinear_apply(space.bh, x, x[::-1]) == []

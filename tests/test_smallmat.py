@@ -170,3 +170,22 @@ def test_row_sparse_mat_mul_matches_the_dense_product(case):
     dense = [[sum((a[i][l] * b[l][j] for l in range(len(b))), 0)
               for j in range(len(b[0]))] for i in range(len(a))]
     assert got == dense
+
+
+def test_scalar_matrix_test_decides_exact_data_exactly():
+    off = [[Fraction(-1), 0], [0, Fraction(-1) + Fraction(1, 10 ** 12)]]
+    assert sm.is_scalar_matrix([[Fraction(-1), 0], [0, Fraction(-1)]], -1)
+    assert not sm.is_scalar_matrix(off, -1, 1e-8)
+    assert sm.is_scalar_matrix([[float(x) for x in row] for row in off], -1, 1e-8)
+    assert not sm.is_scalar_matrix([[QSqrt3(2), QSqrt3(0, 1)], [0, QSqrt3(2)]], 2)
+    assert sm.is_scalar_matrix([[QSqrt3(0, 1), 0], [0, QSqrt3(0, 1)]], QSqrt3(0, 1))
+
+
+def test_matrix_combinations_match_the_sums():
+    mats = [[[1, 2], [3, 4]], [[0, 1], [1, 0]]]
+    coeffs = [[2, 0], [1, Fraction(1, 2)], [0, 0]]
+    assert sm.mat_combinations(coeffs, mats) == [
+        [[sum((c[k] * m[i][j] for k, m in enumerate(mats)), 0) for j in range(2)]
+         for i in range(2)] for c in coeffs]
+    # maps into a zero space (h = 0) have no rows
+    assert sm.mat_combinations([[1, 1], [2, 0]], [[], []]) == [[], []]
