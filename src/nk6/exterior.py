@@ -8,7 +8,8 @@ that sign conventions cannot drift apart.  Coefficients may be exact
 
 Wedge, interior product and Hodge star are lattice products
 (:func:`scalars.bilinear`); a form keeps its lattice and lowers it on
-first use, so a chain of products stays in integers.  Every operation
+first use, so a chain of products stays in integers; sums, scaling, zero
+tests and ``max_abs`` of exact forms read the lattice too.  Every operation
 returns a fresh form and nothing mutates a form after construction, so
 values can be shared freely across threads.
 """
@@ -19,8 +20,8 @@ import itertools
 
 from . import smallmat
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_positive, is_zero, kernel_rows,
-    lattice_zero, lift, lower, sqrt_scalar, times)
+    EPS, bilinear, exact_div, is_exact, is_positive, is_zero, kernel_rows,
+    lattice_max_abs, lattice_sum, lattice_zero, lift, lower, sqrt_scalar, times)
 
 
 class NotPositiveDefinite(ValueError):
@@ -151,13 +152,13 @@ class KForm:
     def _like(self, coeffs):
         return KForm(self.n, self.k, coeffs)
 
-    def __add__(self, other):
+    def __add__(self, other, s=1):
         self._check_compatible(other)
-        return self._like([a + b for a, b in zip(self.c, other.c)])
+        total = lattice_sum(self.lattice(), other.lattice(), s)
+        return KForm(self.n, self.k, lattice=total)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        return self._like([a - b for a, b in zip(self.c, other.c)])
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return self._like([-a for a in self.c])
@@ -171,6 +172,8 @@ class KForm:
         return self.scale(s)
 
     def __truediv__(self, s):
+        if is_exact(s) and self.lattice()[2] is not None:
+            return self.scale(exact_div(1, s))   # in the lattice
         return self._like([exact_div(a, s) for a in self.c])
 
     def _check_compatible(self, other):
@@ -182,12 +185,10 @@ class KForm:
 
     # -- predicates --------------------------------------------------------
     def is_zero(self, tol=0.0):
-        if self._lattice is None:
-            return all_zero(self._c, tol)
-        return lattice_zero(self._lattice, tol)
+        return lattice_zero(self._lattice or (self._c, None, None), tol)
 
     def max_abs(self):
-        return max((abs(float(v)) for v in self.c), default=0.0)
+        return lattice_max_abs(self._lattice or (self._c, None, None))
 
     def __eq__(self, other):
         if not isinstance(other, KForm) or other.n != self.n or other.k != self.k:

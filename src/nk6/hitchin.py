@@ -5,6 +5,10 @@ GL(6)-orbit with stabilizer SL(3,C) and the compatibility conditions hold,
 an almost complex structure J, a metric g and a second 3-form phi with
 psi + i phi of type (3,0).  The nearly Kahler property is then the first
 order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega.
+
+Exact values stay in their lattices (:mod:`nk6.scalars`): J^2, g = W J,
+J^t g J, phi and g^-1 are products of the lattice of J = K / kappa, decided
+on integers, lowered only for the API; a matrix argument may be a lattice.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from fractions import Fraction
 from . import smallmat
 from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, kernel_rows,
-    lattice_zero, lift, lower, simplify, sqrt_scalar, times)
+    EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows,
+    lattice_max_abs, lattice_sum, lattice_zero, lower, simplify, sqrt_scalar, times)
 
 
 class StructureError(ValueError):
@@ -83,7 +87,7 @@ class SU3Candidate:
 @dataclass
 class SU3Structure:
     """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol), with the
-    build's omega^2, omega^3 (/ 6: the volume form of g) and g^-1."""
+    build's omega^2, omega^3 (/ 6: vol_g), g^-1 and the lattices of g, g^-1."""
 
     omega: KForm
     psi: KForm
@@ -96,6 +100,8 @@ class SU3Structure:
     omega2: KForm = field(repr=False, compare=False)
     omega3: KForm = field(repr=False, compare=False)
     ginv: list = field(repr=False, compare=False)
+    g_lattice: tuple = field(repr=False, compare=False)
+    ginv_lattice: tuple = field(repr=False, compare=False)
 
     def scaled(self, c):
         """The structure of the pair (c omega, c psi), c > 0, in closed form.
@@ -107,15 +113,15 @@ class SU3Structure:
         and g^-1 by 1/c.
         """
         omega = self.omega.scale(c)
+        g, ginv = times(c, self.g_lattice), times(exact_div(1, c), self.ginv_lattice)
         return SU3Structure(
             omega=omega, psi=self.psi.scale(c),
-            phi=self.phi.scale(c), J=self.J,
-            g=smallmat.mat_scale(c, self.g),
+            phi=self.phi.scale(c), J=self.J, g=_matrix(g),
             kappa=simplify(c * c * self.kappa),
             tau0=simplify(c ** 4 * self.tau0), vol=self.vol,
             omega2=self.omega2.scale(c * c) if is_exact(c) else wedge(omega, omega),
-            omega3=self.omega3.scale(c ** 3),
-            ginv=smallmat.mat_scale(exact_div(1, c), self.ginv))
+            omega3=self.omega3.scale(c ** 3), ginv=_matrix(ginv),
+            g_lattice=g, ginv_lattice=ginv)
 
 
 @dataclass
@@ -137,9 +143,19 @@ class NKReport:
 
 
 # ---------------------------------------------------------------------------
+def _matrix(lattice):
+    """The 6 x 6 matrix of a lattice, lowered."""
+    flat = lower(lattice)
+    return [flat[i:i + 6] for i in range(0, 36, 6)]
+
+
 def k_matrix(psi, vol):
-    """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks: one
-    lattice product of psi with itself, in the order and signs of that wedge."""
+    """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks."""
+    return _matrix(_k_lattice(psi, vol))
+
+
+def _k_lattice(psi, vol):
+    """The lattice of K: psi times itself in the order and signs of that wedge."""
     if psi.n != 6 or psi.k != 3:
         raise ValueError("expected a 3-form in dimension 6")
     pos2, fives = index_tuples(6, 2)[1], index_tuples(6, 5)[0]
@@ -149,9 +165,9 @@ def k_matrix(psi, vol):
          for i in [15 - sum(fives[o])]] for a in index_tuples(6, 3)[0]])
     lattice, v = psi.lattice(), vol.c[0]
     flat = bilinear(rows, lattice, lattice, 36)
-    flat = (lower(times(exact_div(1, v), flat)) if is_exact(v) and flat[2]
-            else [exact_div(x, v) for x in lower(flat)])
-    return [flat[i:i + 6] for i in range(0, 36, 6)]
+    if is_exact(v) and flat[2]:
+        return times(exact_div(1, v), flat)
+    return [exact_div(x, v) for x in lower(flat)], None, None
 
 
 def contract(psi, m, slot=0):
@@ -166,8 +182,8 @@ def contract(psi, m, slot=0):
         [(pos[u], o, -sign) for o, t in enumerate(tuples) if t[slot] == j
          for sign, u in [sort_index(t[:slot] + (s,) + t[slot + 1:])] if sign]
         for s in range(n) for j in range(n)])
-    flat = lift([x for row in m for x in row])
-    return KForm(n, 3, lattice=bilinear(rows, flat, psi.lattice(), len(tuples)))
+    return KForm(n, 3, lattice=bilinear(rows, smallmat.mat_lattice(m), psi.lattice(),
+                                        len(tuples)))
 
 
 def hitchin_K(psi, vol, tol=EPS):
@@ -177,13 +193,12 @@ def hitchin_K(psi, vol, tol=EPS):
     K^2 = tau0 * Id (verified, relative to the size of K^2 on floats) and
     tau0 = trace(K^2)/6.
     """
-    K = k_matrix(psi, vol)
-    K2 = smallmat.mat_mul(K, K)
-    tau0 = exact_div(smallmat.trace(K2), 6)
-    scale = max(smallmat.mat_max_abs(K2), 1.0)
-    if not smallmat.is_scalar_matrix(K2, tau0, tol * scale):
+    K = _k_lattice(psi, vol)
+    P, Q, d = K2 = smallmat.lattice_mul(K, K, 6, 6, 6)
+    tau0 = exact_div(sum(lower((P[::7], Q and Q[::7], d))), 6)
+    if not smallmat.is_scalar_matrix(K2, tau0, tol * max(lattice_max_abs(K2), 1.0)):
         raise StructureError("K^2 is not a multiple of the identity")
-    return K, simplify(tau0)
+    return _matrix(K), simplify(tau0)
 
 
 def tau(psi, vol):
@@ -208,23 +223,25 @@ def phi_from(psi, J, tol=EPS):
 
 def contraction_defect(psi, phi, J):
     """The lattice of  interior(e_j, psi) - interior(J e_j, phi), j = 0..5,
-    15 coefficients each: one lattice product of (J, 1) with (phi, psi)."""
+    15 coefficients each: a lattice product of J with phi plus one of 1
+    with psi."""
     (t3, pos3), (_, pos2) = index_tuples(6, 3), index_tuples(6, 2)
     drop = lambda t, slot: (pos2[t[:slot] + t[slot + 1:]], (-1) ** slot)
     rows = kernel_rows("contraction", lambda: [   # J[s][j] phi(t), s in t
         [(pos3[t], j * 15 + p, -sign) for t in t3 if s in t
          for p, sign in [drop(t, t.index(s))]]
         for s in range(6) for j in range(6)] + [   # 1 psi(t), j in t
-        [(20 + pos3[t], j * 15 + p, sign) for t in t3
+        [(pos3[t], j * 15 + p, sign) for t in t3
          for slot, j in enumerate(t) for p, sign in [drop(t, slot)]]])
-    return bilinear(rows, lift([x for row in J for x in row] + [1]),
-                    lift(phi.c + psi.c), 90)
+    return lattice_sum(bilinear(rows[36:], ([1], None, 1), psi.lattice(), 90),
+                       bilinear(rows[:36], smallmat.mat_lattice(J), phi.lattice(), 90))
 
 
 def metric_inverse(J, o2, o3):
-    """g^-1 = -J W^-1 for g = W J, W the matrix of omega, with no elimination:
-    W^-1_jk = -3 s_jk (omega^2)_{(jk)^c} / (omega^3)_012345, s_jk the sign
-    of :func:`exterior.complement`, from ``o2`` = omega^2, ``o3`` = omega^3."""
+    """The lattice of g^-1 = -J W^-1 for g = W J, W the matrix of omega, with
+    no elimination: W^-1_jk = -3 s_jk (omega^2)_{(jk)^c} / (omega^3)_012345,
+    s_jk the sign of :func:`exterior.complement`, from ``o2`` = omega^2,
+    ``o3`` = omega^3."""
     def build():   # J[i][j] omega^2((jk)^c) at [i][k]
         pos4 = index_tuples(6, 4)[1]
         comp = [[(k, *complement(6, (j, k))) for k in range(6) if k != j]
@@ -233,9 +250,8 @@ def metric_inverse(J, o2, o3):
                 for i in range(6) for j in range(6)]
 
     rows = kernel_rows("g^-1", build)
-    flat = bilinear(rows, lift([x for row in J for x in row]), o2.lattice(), 36)
-    flat = lower(times(exact_div(3, o3.c[0]), flat))
-    return [flat[i:i + 6] for i in range(0, 36, 6)]
+    flat = bilinear(rows, smallmat.mat_lattice(J), o2.lattice(), 36)
+    return times(exact_div(3, o3.c[0]), flat)
 
 
 def omega_powers(omega):
@@ -267,8 +283,7 @@ def build_su3(cand, tol=EPS, powers=None):
     """
     omega, psi, vol = cand.omega, cand.psi, cand.vol
     n = 6
-    exact = not any(isinstance(c, float)
-                    for c in (*omega.c, *psi.c, *vol.c))
+    exact = all(form.lattice()[2] is not None for form in (omega, psi, vol))
 
     K, tau0 = hitchin_K(psi, vol, tol)
     if not is_positive(-tau0):
@@ -285,28 +300,31 @@ def build_su3(cand, tol=EPS, powers=None):
     kappa = sqrt_scalar(-tau0)
     if isinstance(kappa, float) and exact:
         # no exact square root in Q(sqrt 3); continue in floats
-        K = [[float(x) for x in row] for row in K]
         omega = omega.to_float()
         o2, o3 = wedge(omega, omega), o3.to_float()
         psi = psi.to_float()
         vol = vol.to_float()
-    J = (smallmat.mat_scale(exact_div(1, kappa), K) if is_exact(kappa)
-         else [[x / kappa for x in row] for row in K])
+    J = (times(exact_div(1, kappa), smallmat.mat_lattice(K)) if is_exact(kappa)
+         else ([float(x) / kappa for row in K for x in row], None, None))
+    mul = lambda x, y: smallmat.lattice_mul(x, y, n, n, n)
 
-    if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
+    if not smallmat.is_scalar_matrix(mul(J, J), -1, tol):
         raise StructureError("J^2 differs from -Id")
 
-    # g(X, Y) = omega(X, JY), from the antisymmetric matrix of omega
-    w = [[0] * n for _ in range(n)]
-    for (i, r), x in omega.terms():
-        w[i][r], w[r][i] = x, -x
-    g = [[simplify(x) for x in row] for row in smallmat.mat_mul(w, J)]
-    if not all_zero(smallmat.mat_sub(g, smallmat.transpose(g)), tol):
+    # g(X, Y) = omega(X, JY): g = W J, W the antisymmetric matrix of omega
+    g = bilinear(kernel_rows("W J", lambda: [   # omega(a, b) J[b][k], -J[a][k]
+        [(b * n + k, a * n + k, 1) for k in range(n)]
+        + [(a * n + k, b * n + k, -1) for k in range(n)]
+        for a, b in index_tuples(n, 2)[0]]), omega.lattice(), J, n * n)
+    if not lattice_zero(lattice_sum(g, smallmat.lattice_transpose(g, n), -1), tol):
         raise StructureError("induced bilinear form is not symmetric")
-    if not smallmat.is_positive_definite(g):
+    P, Q, d = g   # (P + Q sqrt 3) / d, d > 0, is positive iff P is, or Q when P = 0
+    Q = Q if Q and any(Q) else None
+    tested = g if d is None or Q and any(P) else (Q or P, None, 1)
+    if not smallmat.is_positive_definite(_matrix(tested)):
         raise NotPositive()
-    jgj = smallmat.mat_mul(smallmat.transpose(J), smallmat.mat_mul(g, J))
-    if not all_zero(smallmat.mat_sub(jgj, g), tol):
+    jgj = mul(smallmat.lattice_transpose(J, n), mul(g, J))
+    if not lattice_zero(lattice_sum(jgj, g, -1), tol):
         raise StructureError("J is not orthogonal for the induced metric")
 
     phi = phi_from(psi, J, tol=tol)
@@ -315,9 +333,10 @@ def build_su3(cand, tol=EPS, powers=None):
                         tol * max(psi.max_abs(), 1.0)):
         raise StructureError("contraction identity for phi fails")
 
-    return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g, kappa=kappa,
-                        tau0=tau0, vol=vol, omega2=o2, omega3=o3,
-                        ginv=metric_inverse(J, o2, o3))
+    ginv = metric_inverse(J, o2, o3)
+    return SU3Structure(omega=omega, psi=psi, phi=phi, J=_matrix(J), g=_matrix(g),
+                        kappa=kappa, tau0=tau0, vol=vol, omega2=o2, omega3=o3,
+                        ginv=_matrix(ginv), g_lattice=g, ginv_lattice=ginv)
 
 
 def build_either_orientation(omega, psi, tol=EPS):
@@ -336,7 +355,8 @@ def build_either_orientation(omega, psi, tol=EPS):
 def form_dot(a, b):
     """Flat coefficient pairing used for least-squares fits."""
     a._check_compatible(b)
-    return smallmat.vec_dot(a.c, b.c)
+    x = a.lattice()
+    return lower(smallmat.lattice_mul(x, b.lattice(), 1, len(x[0]), 1))[0]
 
 
 def nk_check(s, differential, tol=EPS):

@@ -12,8 +12,10 @@ The connection layer runs on matrices: the bracket maps [X_i, .] projected
 to m and h, the Nomizu matrices L_i of nabla_{X_i} and the torsion matrices
 E_i of eta_{X_i}.  Curvature, the derivative of eta and the eigenspace
 brackets of J are products of these (``smallmat.mat_mul``, and
-``smallmat.mat_combinations`` for sums sum_k c_k M_k), so every product
-runs through the one kernel :func:`scalars.bilinear`.
+``smallmat.mat_combinations`` for sums sum_k c_k M_k), all through the one
+kernel :func:`scalars.bilinear`.  One compiled Koszul map per space gives
+the lowered Levi-Civita table, from which the nabla J verdict is read on
+the lowered vectors once g is proved invertible.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from fractions import Fraction
 from . import smallmat
 from .exterior import KForm, index_tuples, sort_index
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_zero, kernel_rows, lattice_zero, lift,
-    lower, scalar_like, sqrt_scalar)
+    EPS, all_zero, bilinear, exact_div, is_zero, kernel_rows, lattice_sum,
+    lattice_zero, lift, lower, scalar_like, sqrt_scalar)
 
 
 class NotInvariant(ValueError):
@@ -312,8 +314,8 @@ def is_invariant(space, alpha, tol=EPS):
 
 def _is_invariant_tensor(space, kind, t, tol):
     table = space.compiled(_tensor_invariance_table, kind)
-    flat = lift([x for row in t for x in row])
-    return lattice_zero(bilinear(*table, flat, space.dim_h * len(flat[0])), tol)
+    return lattice_zero(bilinear(*table, smallmat.mat_lattice(t),
+                                 space.dim_h * space.dim_m ** 2), tol)
 
 
 def is_invariant_endo(space, J, tol=EPS):
@@ -351,46 +353,46 @@ def nomizu_levi_civita(space, g, tol=EPS):
     of X_j along X_i at the base point:
         Gamma(X,Y) = [X,Y]_m / 2 + U(X,Y),
         2 g(U(X,Y), Z) = g([Z,X]_m, Y) + g(X, [Z,Y]_m),
-    i.e. the Koszul table of :func:`_koszul` raised by g^-1.
+    i.e. the Koszul table of :func:`_koszul` raised by g^-1, in one product.
     """
-    koszul = _koszul(space, g, tol)
-    ginv = smallmat.inv(g)
-    return [_mat_vecs(ginv, row) for row in koszul]
+    n = space.dim_m
+    koszul = _koszul(space, smallmat.mat_lattice(g), tol)
+    ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g)))
+    flat = lower(smallmat.lattice_mul(koszul, ginv_t, n * n, n, n))
+    return [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+            for i in range(n)]
+
+
+def _koszul_table(space, _):
+    """The map g -> G of :func:`_koszul`: by Nomizu's formula G[i][j][z] =
+    (gb[i][j][z] + gb[z][i][j] + gb[z][j][i]) / 2 with the lowered brackets
+    gb[a][b][c] = sum_s g[c][s] bm[a][b][s]."""
+    n, r = space.dim_m, range(space.dim_m)
+    entries = {}
+    for a, b in itertools.product(r, r):
+        for s, v in enumerate(space.bm[a][b]):
+            if v != 0:
+                for c in r:
+                    for i, j, z in ((a, b, c), (b, c, a), (c, b, a)):
+                        key = ((i * n + j) * n + z, c * n + s)
+                        entries[key] = entries.get(key, 0) + v * Fraction(1, 2)
+    return _compile(entries)
 
 
 def _koszul(space, g, tol):
-    """The lowered Levi-Civita table G[i][j][z] = g(nabla_i X_j, X_z).
-
-    By Nomizu's formula G[i][j][z] = (gb[i][j][z] + gb[z][i][j]
-    + gb[z][j][i]) / 2 with gb = g [X_i, X_j]_m the lowered brackets.
-    Raises unless g is h-invariant.
-    """
+    """The lattice of the lowered Levi-Civita table G[i][j][z] = g(nabla_i X_j,
+    X_z) from that of g, by :func:`_koszul_table`.  Raises unless g is
+    h-invariant."""
     if not is_invariant_metric(space, g, tol=tol):
         raise ValueError("metric is not h-invariant")
-    n = space.dim_m
-    half = scalar_like(g, Fraction(1, 2))
-    gb = _lowered(g, space.bm)
-    # only entries with a nonzero term are computed; the rest are 0
-    support = {t for a, row in enumerate(gb) for b, vec in enumerate(row)
-               for c, v in enumerate(vec) if v != 0
-               for t in ((a, b, c), (b, c, a), (c, b, a))}
-    table = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, j, z in support:
-        table[i][j][z] = half * (gb[i][j][z] + gb[z][i][j] + gb[z][j][i])
-    return table
+    return bilinear(*space.compiled(_koszul_table, None), g, space.dim_m ** 3)
 
 
 def _lowered(g, table):
     """The table g table[i][j] of lowered vectors, in one product."""
     n = len(table)
-    rows = _mat_vecs(g, [v for row in table for v in row])
+    rows = smallmat.mat_mul([v for row in table for v in row], smallmat.transpose(g))
     return [rows[i * n:(i + 1) * n] for i in range(n)]
-
-
-def _mat_vecs(a, vectors):
-    """[a v for v in vectors] as one row-sparse product, each entry summed
-    as ``smallmat.mat_vec`` sums it."""
-    return smallmat.mat_mul(vectors, smallmat.transpose(a))
 
 
 def _maps(table):
@@ -409,36 +411,35 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     lowered, from the Koszul table G of :func:`_koszul`: since J is
     g-orthogonal with J^2 = -Id, g(J u, w) = -g(u, J w), so
         g((nabla_i J) X_j, X_z) = sum_s J_sj G[i][s][z] + sum_s J_sz G[i][j][s],
-    one lattice product (:func:`scalars.bilinear`) of J, twice, with G,
-    each sum in increasing s.  The 21 lowered vectors are raised by
-    g^-1 for the verdict and the residual: on exact data an exact zero
-    test (g^-1 is invertible, so it decides the lowered vectors alike), on
-    floats a comparison with ``tol``.  Returns (ok, residual), the
-    residual being the largest coefficient of the raised vectors.
+    the 21 lowered vectors are one lattice product of J with G, (i, j) and
+    (j, i) added in its table.  ``smallmat.inv(g)`` proves g invertible
+    first, so exact lowered vectors that are all zero give (True, 0.0);
+    otherwise they are raised by g^-1, and (ok, residual) is decided on
+    them, exactly or at ``tol`` on floats, with the largest coefficient.
     """
     n = space.dim_m
-    if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
+    mul = lambda x, y, rows=n: smallmat.lattice_mul(x, y, rows, n, n)
+    Jl, gl = smallmat.mat_lattice(J), smallmat.mat_lattice(g)
+    if not smallmat.is_scalar_matrix(mul(Jl, Jl), -1, tol):
         raise ValueError("J^2 differs from -Id")
-    jgj = smallmat.mat_mul(smallmat.transpose(J), smallmat.mat_mul(g, J))
-    if not all_zero(smallmat.mat_sub(jgj, g), tol):
+    jgj = mul(smallmat.lattice_transpose(Jl, n), mul(gl, Jl))
+    if not lattice_zero(lattice_sum(jgj, gl, -1), tol):
         raise ValueError("J is not orthogonal for g")
-    if not is_invariant_endo(space, J, tol=tol):
+    if not is_invariant_endo(space, Jl, tol=tol):
         raise ValueError("J is not an invariant tensor")
-    koszul = lift([v for row in _koszul(space, g, tol) for vec in row for v in vec])
-    ginv = smallmat.inv(g)
-    r = range(n)
-    rows = kernel_rows(("nabla J", n), lambda: [   # J_sj G[i][s][z], J_sz G[i][j][s]
-        [((i * n + s) * n + z, (i * n + j) * n + z, 1) for i in r for z in r]
-        for s in r for j in r] + [
-        [((i * n + j) * n + s, (i * n + j) * n + z, 1) for i in r for j in r]
-        for s in r for z in r])
-    twice = lift([x for row in J for x in row] * 2)
-    flat = lower(bilinear(rows, twice, koszul, n ** 3))
-    low = [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in r] for i in r]
-    polar = [smallmat.vec_add(low[i][j], low[j][i])
-             for i in range(n) for j in range(i, n)]
-    raised = _mat_vecs(ginv, polar)
-    return all_zero(raised, tol), _max_vec(*raised)
+    koszul = _koszul(space, gl, tol)
+    ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g)))
+    r, pairs = range(n), [(i, j) for i in range(n) for j in range(i, n)]
+    out = lambda i, j, z: pairs.index((min(i, j), max(i, j))) * n + z
+    rows = kernel_rows(("nabla J", n), lambda: [   # J_st G[i][s][z], J_st G[i][j][s]
+        [((i * n + s) * n + z, out(i, t, z), 1) for i in r for z in r]
+        + [((i * n + j) * n + s, out(i, j, t), 1) for i in r for j in r]
+        for s in r for t in r])
+    polar = bilinear(rows, Jl, koszul, len(pairs) * n)
+    if polar[2] is not None and lattice_zero(polar):
+        return True, 0.0
+    raised = lower(mul(polar, ginv_t, len(pairs)))
+    return all_zero(raised, tol), _max_vec(raised)
 
 
 def intrinsic_eta(space, g, J, tol=EPS):

@@ -15,7 +15,9 @@ largest ``abs(float(x))`` against a tolerance.
 So does the integer lattice of the exact kernels: :func:`lift` writes an
 exact list as integers over one denominator, :func:`bilinear` applies a
 compiled table to two lifted lists in Python integers, and :func:`lower`
-converts back.  Floats and other scalars pass through the same loop.
+converts back.  Floats and other scalars pass through the same loop.  Sums,
+zero tests and sizes read a lattice too, so a value stays in integers from
+one product to the next and is lowered only where a list is wanted.
 """
 
 from __future__ import annotations
@@ -362,6 +364,29 @@ def kernel_rows(key, build):
     if rows is None:
         rows = _ROWS[key] = build()
     return rows
+
+
+def lattice_sum(x, y, s=1):
+    """The lattice of x + s y entry by entry, s = +-1: exact lattices over
+    their least common denominator, in integers; others on their values."""
+    if x[2] is None or y[2] is None:
+        return list(map(operator.add if s > 0 else operator.sub,
+                        lower(x), lower(y))), None, None
+    (P1, Q1, d1), (P2, Q2, d2) = x, y
+    d = math.lcm(d1, d2)
+    a, b, zeros = d // d1, s * (d // d2), [0] * len(P1)
+    comb = lambda u, v: [a * p + b * q for p, q in zip(u or zeros, v or zeros)]
+    return comb(P1, P2), None if Q1 is None and Q2 is None else comb(Q1, Q2), d
+
+
+def lattice_max_abs(lattice):
+    """max abs(float(x)) over the scalars x of a lattice (0.0 if none), bitwise
+    as on the lowered scalars: p / d on ints is correctly rounded."""
+    P, Q, d = lattice
+    r3 = math.sqrt(3.0)
+    values = map(float, P) if d is None else (
+        p / d + q / d * r3 if q else p / d for p, q in zip(P, Q or [0] * len(P)))
+    return max(map(abs, values), default=0.0)
 
 
 def times(s, lattice):

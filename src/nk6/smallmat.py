@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .scalars import (
     EPS, all_zero, bilinear, exact_div, is_exact, is_positive, is_zero,
-    kernel_rows, lift, lower, scalar_like, times)
+    kernel_rows, lattice_sum, lattice_zero, lift, lower, scalar_like, times)
 
 
 class SingularMatrix(ValueError):
@@ -31,8 +31,15 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    """a b, one lattice product (:func:`scalars.bilinear`) of the flattened
-    matrices.
+    """a b as lists: :func:`lattice_mul` of the matrices' lattices, lowered."""
+    n, m, w = len(a), len(b), len(b[0]) if b else 0
+    return _unflatten(lower(lattice_mul(mat_lattice(a), mat_lattice(b), n, m, w)),
+                      n, w)
+
+
+def lattice_mul(x, y, n, m, w):
+    """The lattice of a b from the lattices x of a (n x m) and y of b (m x w),
+    flattened row by row: one :func:`scalars.bilinear` product.
 
     Each entry sums a[i][k] b[k][j] in increasing k, skipping every term
     with a zero factor: the matrices of the Lie layer are sparse, and a
@@ -41,16 +48,21 @@ def mat_mul(a, b):
     of the row-by-column products.  Non-finite entries, for which 0 * inf
     is NaN, are rejected by ``parse_space``.
     """
-    n, m, w = len(a), len(b), len(b[0]) if b else 0
     rows = kernel_rows(("mat_mul", n, m, w), lambda: [
         [(k * w + j, i * w + j, 1) for j in range(w)]
         for i in range(n) for k in range(m)])
-    return _unflatten(lower(bilinear(rows, _flat(a), _flat(b), n * w)), n, w)
+    return bilinear(rows, x, y, n * w)
 
 
-def _flat(a):
-    """The lattice of a matrix, row by row."""
-    return lift([x for row in a for x in row])
+def mat_lattice(a):
+    """The lattice of a matrix, row by row; a lattice passes through."""
+    return a if isinstance(a, tuple) else lift([x for row in a for x in row])
+
+
+def lattice_transpose(x, n):
+    """The lattice of the transpose of an n x n matrix from its lattice."""
+    order = [i * n + j for j in range(n) for i in range(n)]
+    return tuple(v and [v[k] for k in order] for v in x[:2]) + x[2:]
 
 
 def _unflatten(values, n, w):
@@ -85,7 +97,7 @@ def mat_sub(a, b):
 
 def mat_scale(c, a):
     """c a, entrywise products in the integer lattice (:func:`scalars.times`)."""
-    return _unflatten(lower(times(c, _flat(a))), len(a), len(a[0]) if a else 0)
+    return _unflatten(lower(times(c, mat_lattice(a))), len(a), len(a[0]) if a else 0)
 
 
 def mat_combinations(coeffs, mats):
@@ -98,11 +110,12 @@ def mat_combinations(coeffs, mats):
 
 
 def is_scalar_matrix(m, c, tol=0.0):
-    """Is m = c Id under the zero policy (:func:`scalars.all_zero`)?  The
-    entries m[i][j] - (c if i == j else 0) are tested, so exact data stay
-    exact."""
-    return all_zero([[x - c if i == j else x for j, x in enumerate(row)]
-                     for i, row in enumerate(m)], tol)
+    """Is m (a matrix or its lattice) c Id under the zero policy?  The entries
+    m[i][j] - (c if i == j else 0) are tested, exact ones in integers."""
+    x = mat_lattice(m)
+    n = round(len(x[0]) ** 0.5)
+    eye = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)], None, 1
+    return lattice_zero(lattice_sum(x, times(c, eye), -1), tol)
 
 
 def commutator(a, b):
@@ -147,12 +160,12 @@ def _forward_eliminate(m, ncols, float_mode, tol):
             continue
         m[row], m[best] = m[best], m[row]
         piv = m[row][col]
-        m[row] = [exact_div(x, piv) for x in m[row]]
+        m[row] = [exact_div(x, piv) if x != 0 else x for x in m[row]]
         for r in range(nrows):
             f = m[r][col]
             if r == row or f == 0 or float_mode and is_zero(f, tol):
                 continue
-            m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+            m[r] = [x - f * y if y != 0 else x for x, y in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
     return pivots

@@ -10,8 +10,9 @@ summation order:
 - ``Poly`` inputs, on the certificate path, must give equal polynomials.
 
 Then: no kernel does ``Fraction`` arithmetic, only the lowering builds
-``Fraction``s; ``check --cone`` forms omega^2 and omega^3 once; and the float
-unit-norm test of ``HodgeStar`` follows the tolerance policy.
+``Fraction``s; ``check --cone`` forms omega^2 and omega^3 once; an exact
+build never lifts J and a check lifts no more than the pinned counts; and
+the float unit-norm test of ``HodgeStar`` follows the tolerance policy.
 """
 
 import os
@@ -21,13 +22,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nk6 import smallmat
+from nk6 import scalars, smallmat
 from nk6.certificate import pair_polynomials
 from nk6.cli import main
 from nk6.exterior import (
     HodgeStar, KForm, complement, index_tuples, interior, metric_volume,
     sort_index, wedge)
-from nk6.hitchin import contract
+from nk6.hitchin import build_either_orientation, contract
 from nk6.lie import ce_differential
 from nk6.poly import Poly
 from nk6.s3xs3 import uniqueness_certificate
@@ -381,6 +382,52 @@ def test_check_cone_forms_omega_powers_once(capsys):
     capsys.readouterr()
     assert code == 0
     assert len(calls) == 3
+
+
+# -- lifts per build and per check ---------------------------------------
+def _counting_lift(monkeypatch):
+    """Wrap ``scalars.lift`` in every nk6 module that holds it; returns the
+    list of the lifted lists."""
+    calls, original = [], scalars.lift
+
+    def counting(values):
+        calls.append(list(values))
+        return original(values)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nk6") and getattr(module, "lift", None) is original:
+            monkeypatch.setattr(module, "lift", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "flag", "cp3"])
+def test_an_exact_build_never_lifts_j(name, monkeypatch):
+    # J's lattice is K's times 1 / kappa, and every product of the build
+    # takes that lattice; K itself is lifted once, from hitchin_K's list
+    doc = load_space(os.path.join(FIX, f"{name}.json"))
+    omega = doc.forms["omega"]
+    psi = ce_differential(doc.reductive_space(), omega) / 3
+    build_either_orientation(omega, psi)   # tables and omega's lattice
+    calls = _counting_lift(monkeypatch)
+    s, _ = build_either_orientation(omega, psi)
+    J = [x for row in s.J for x in row]
+    K = [s.kappa * x for x in J]
+    assert s.kappa != 1
+    assert sum(c in (J, J + [1]) for c in calls) == 0
+    assert sum(c == K for c in calls) == 1
+
+
+@pytest.mark.parametrize("name, parent, pinned", [
+    ("s3xs3", 55, 29), ("flag", 73, 37), ("cp3", 73, 37)])
+def test_check_cone_lift_count(name, parent, pinned, monkeypatch, capsys):
+    # the lifts of one warm exact check --cone; ``parent`` is the count
+    # before the check kept its values in the lattice between products
+    argv = ["check", os.path.join(FIX, f"{name}.json"), "--cone"]
+    assert main(argv) == 0   # the algebra cache and the kernel tables
+    calls = _counting_lift(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == pinned < parent
 
 
 # -- the float unit-norm test --------------------------------------------

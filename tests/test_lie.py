@@ -19,16 +19,19 @@ from nk6.lie import (
     intrinsic_eta,
     is_complex_subalgebra,
     is_invariant,
+    is_invariant_endo,
     is_naturally_reductive,
     nearly_kahler_residual,
     nomizu_levi_civita,
     normal_torsion_curvature,
     ricci,
     su2_sum,
+    _koszul,
+    _pair_brackets,
 )
 from nk6 import smallmat, s3xs3, spaces
 from nk6.hitchin import build_su3
-from nk6.scalars import QSqrt3, exact_div, is_exact
+from nk6.scalars import QSqrt3, exact_div, is_exact, lower
 
 
 def su2():
@@ -374,6 +377,52 @@ def test_lowered_nk_residual_matches_the_commutator_formula(arithmetic):
     assert [i for i, ok in enumerate(verdicts) if ok] == [0, 5, 27, 28, 32]
 
 
+def _reference_koszul(space, g):
+    """The lowered Levi-Civita table G[i][j][z] = g(nabla_i X_j, X_z) as it
+    was computed before the compiled Koszul map: Nomizu's formula
+    G[i][j][z] = (gb[i][j][z] + gb[z][i][j] + gb[z][j][i]) / 2 with gb the
+    lowered brackets, evaluated per index of its support only."""
+    n = space.dim_m
+    half = Fraction(1, 2) if all(is_exact(x) for r in g for x in r) else 0.5
+    gb = [[smallmat.mat_vec(g, space.bm[a][b]) for b in range(n)]
+          for a in range(n)]
+    support = {t for a, row in enumerate(gb) for b, vec in enumerate(row)
+               for c, v in enumerate(vec) if v != 0
+               for t in ((a, b, c), (b, c, a), (c, b, a))}
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, z in support:
+        table[i][j][z] = half * (gb[i][j][z] + gb[z][i][j] + gb[z][j][i])
+    return table
+
+
+def _koszul_cases():
+    """The nabla-J family cases and the Ledger-Obata space (h != 0)."""
+    lo = spaces.ledger_obata_su2()
+    return [(space, g) for space, g, _ in _nk_family_cases()] + [
+        (lo.space, lo.metric)]
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_compiled_koszul_map_matches_the_per_support_loop(arithmetic):
+    for space, g in _koszul_cases():
+        n = space.dim_m
+        g = _floats(g) if arithmetic == "float" else g
+        want = _reference_koszul(space, g)
+        got = lower(_koszul(space, smallmat.mat_lattice(g), 1e-10))
+        ref_gamma = [[smallmat.mat_vec(smallmat.inv(g), v) for v in row]
+                     for row in want]
+        want = [x for row in want for v in row for x in v]
+        gamma = nomizu_levi_civita(space, g)
+        if arithmetic == "exact":
+            assert got == want
+            assert gamma == ref_gamma
+        else:
+            assert all(_close(a, b) for a, b in zip(got, want))
+            assert all(_close(a, b) for r1, r2 in zip(gamma, ref_gamma)
+                       for v1, v2 in zip(r1, r2) for a, b in zip(v1, v2))
+        assert len(got) == n ** 3 and len(gamma) == n
+
+
 # -- reference oracles: the per-pair formulas of the connection layer as
 # they were computed before its matrix form, applying each table to basis
 # vectors through _double_sum
@@ -694,6 +743,25 @@ def test_3symmetric_examples():
     lo = spaces.ledger_obata_su2()
     j = acs_from_automorphism(lo.s_matrix)
     assert check_3symmetric(lo.space, j)
+
+
+def test_3symmetric_h_part_decides_alone():
+    # S^2 x S^2 = su(2) + su(2) / <X3, Y3>: [m, m] lies in h, so every m part
+    # of check_3symmetric vanishes; J: X1 -> Y1, X2 -> Y2 is not invariant,
+    # and [X1 + i Y1, X2 + i Y2] = [X1, X2] - [Y1, Y2] is a nonzero element of
+    # h, so only the h part of [m+, m+] fails
+    basis = [su2_sum(i, c) for c in ((1, 0), (0, 1)) for i in range(3)]
+    space = ReductiveSpace(LieAlgebraData.from_matrices(basis), [2, 5],
+                           [0, 1, 3, 4])
+    J = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    assert smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1)
+    assert not is_invariant_endo(space, J)
+    assert all(x == 0 for a in space.bm for b in a for x in b)
+    m_parts = [z for (re, im), mixed in _pair_brackets(space.bm, J)
+               for z in (re, im, *mixed)]
+    assert all(x == 0 for z in m_parts for row in z for x in row)
+    assert not check_3symmetric(space, J)
+    assert is_complex_subalgebra(space, J)
 
 
 def test_3symmetric_rejects_non_acs():
