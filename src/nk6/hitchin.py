@@ -87,7 +87,7 @@ class SU3Candidate:
 @dataclass
 class SU3Structure:
     """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol), with the
-    build's omega^2, omega^3 (/ 6: vol_g), g^-1 and the lattices of g, g^-1."""
+    build's omega^2, omega^3 (/ 6: the volume form of g) and g^-1."""
 
     omega: KForm
     psi: KForm
@@ -100,8 +100,6 @@ class SU3Structure:
     omega2: KForm = field(repr=False, compare=False)
     omega3: KForm = field(repr=False, compare=False)
     ginv: list = field(repr=False, compare=False)
-    g_lattice: tuple = field(repr=False, compare=False)
-    ginv_lattice: tuple = field(repr=False, compare=False)
 
     def scaled(self, c):
         """The structure of the pair (c omega, c psi), c > 0, in closed form.
@@ -113,15 +111,15 @@ class SU3Structure:
         and g^-1 by 1/c.
         """
         omega = self.omega.scale(c)
-        g, ginv = times(c, self.g_lattice), times(exact_div(1, c), self.ginv_lattice)
         return SU3Structure(
             omega=omega, psi=self.psi.scale(c),
-            phi=self.phi.scale(c), J=self.J, g=_matrix(g),
+            phi=self.phi.scale(c), J=self.J,
+            g=smallmat.mat_scale(c, self.g),
             kappa=simplify(c * c * self.kappa),
             tau0=simplify(c ** 4 * self.tau0), vol=self.vol,
             omega2=self.omega2.scale(c * c) if is_exact(c) else wedge(omega, omega),
-            omega3=self.omega3.scale(c ** 3), ginv=_matrix(ginv),
-            g_lattice=g, ginv_lattice=ginv)
+            omega3=self.omega3.scale(c ** 3),
+            ginv=smallmat.mat_scale(exact_div(1, c), self.ginv))
 
 
 @dataclass
@@ -143,15 +141,9 @@ class NKReport:
 
 
 # ---------------------------------------------------------------------------
-def _matrix(lattice):
-    """The 6 x 6 matrix of a lattice, lowered."""
-    flat = lower(lattice)
-    return [flat[i:i + 6] for i in range(0, 36, 6)]
-
-
 def k_matrix(psi, vol):
     """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks."""
-    return _matrix(_k_lattice(psi, vol))
+    return smallmat.unflatten(lower(_k_lattice(psi, vol)), 6, 6)
 
 
 def _k_lattice(psi, vol):
@@ -198,7 +190,7 @@ def hitchin_K(psi, vol, tol=EPS):
     tau0 = exact_div(sum(lower((P[::7], Q and Q[::7], d))), 6)
     if not smallmat.is_scalar_matrix(K2, tau0, tol * max(lattice_max_abs(K2), 1.0)):
         raise StructureError("K^2 is not a multiple of the identity")
-    return _matrix(K), simplify(tau0)
+    return smallmat.unflatten(lower(K), 6, 6), simplify(tau0)
 
 
 def tau(psi, vol):
@@ -321,7 +313,7 @@ def build_su3(cand, tol=EPS, powers=None):
     P, Q, d = g   # (P + Q sqrt 3) / d, d > 0, is positive iff P is, or Q when P = 0
     Q = Q if Q and any(Q) else None
     tested = g if d is None or Q and any(P) else (Q or P, None, 1)
-    if not smallmat.is_positive_definite(_matrix(tested)):
+    if not smallmat.is_positive_definite(smallmat.unflatten(lower(tested), n, n)):
         raise NotPositive()
     jgj = mul(smallmat.lattice_transpose(J, n), mul(g, J))
     if not lattice_zero(lattice_sum(jgj, g, -1), tol):
@@ -333,10 +325,10 @@ def build_su3(cand, tol=EPS, powers=None):
                         tol * max(psi.max_abs(), 1.0)):
         raise StructureError("contraction identity for phi fails")
 
-    ginv = metric_inverse(J, o2, o3)
-    return SU3Structure(omega=omega, psi=psi, phi=phi, J=_matrix(J), g=_matrix(g),
-                        kappa=kappa, tau0=tau0, vol=vol, omega2=o2, omega3=o3,
-                        ginv=_matrix(ginv), g_lattice=g, ginv_lattice=ginv)
+    J, g, ginv = (smallmat.unflatten(lower(x), n, n)
+                  for x in (J, g, metric_inverse(J, o2, o3)))
+    return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g, kappa=kappa,
+                        tau0=tau0, vol=vol, omega2=o2, omega3=o3, ginv=ginv)
 
 
 def build_either_orientation(omega, psi, tol=EPS):

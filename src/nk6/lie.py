@@ -359,8 +359,7 @@ def nomizu_levi_civita(space, g, tol=EPS):
     koszul = _koszul(space, smallmat.mat_lattice(g), tol)
     ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g)))
     flat = lower(smallmat.lattice_mul(koszul, ginv_t, n * n, n, n))
-    return [[flat[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-            for i in range(n)]
+    return [smallmat.unflatten(row, n, n) for row in smallmat.unflatten(flat, n, n * n)]
 
 
 def _koszul_table(space, _):
@@ -431,9 +430,13 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g)))
     r, pairs = range(n), [(i, j) for i in range(n) for j in range(i, n)]
     out = lambda i, j, z: pairs.index((min(i, j), max(i, j))) * n + z
-    rows = kernel_rows(("nabla J", n), lambda: [   # J_st G[i][s][z], J_st G[i][j][s]
-        [((i * n + s) * n + z, out(i, t, z), 1) for i in r for z in r]
-        + [((i * n + j) * n + s, out(i, j, t), 1) for i in r for j in r]
+    # J_st G[i][s][z], J_st G[i][j][s]; a diagonal pair (i, i) takes its
+    # term twice, as (i, j) and (j, i) do once each
+    rows = kernel_rows(("nabla J", n), lambda: [
+        [((i * n + s) * n + z, out(i, t, z), 1) for i in r for z in r
+         for _ in range(1 + (i == t))]
+        + [((i * n + j) * n + s, out(i, j, t), 1) for i in r for j in r
+           for _ in range(1 + (i == j))]
         for s in r for t in r])
     polar = bilinear(rows, Jl, koszul, len(pairs) * n)
     if polar[2] is not None and lattice_zero(polar):

@@ -33,7 +33,7 @@ def transpose(a):
 def mat_mul(a, b):
     """a b as lists: :func:`lattice_mul` of the matrices' lattices, lowered."""
     n, m, w = len(a), len(b), len(b[0]) if b else 0
-    return _unflatten(lower(lattice_mul(mat_lattice(a), mat_lattice(b), n, m, w)),
+    return unflatten(lower(lattice_mul(mat_lattice(a), mat_lattice(b), n, m, w)),
                       n, w)
 
 
@@ -65,7 +65,8 @@ def lattice_transpose(x, n):
     return tuple(v and [v[k] for k in order] for v in x[:2]) + x[2:]
 
 
-def _unflatten(values, n, w):
+def unflatten(values, n, w):
+    """The n x w matrix of a flat row-by-row list."""
     return [values[i * w:(i + 1) * w] for i in range(n)]
 
 
@@ -97,7 +98,7 @@ def mat_sub(a, b):
 
 def mat_scale(c, a):
     """c a, entrywise products in the integer lattice (:func:`scalars.times`)."""
-    return _unflatten(lower(times(c, mat_lattice(a))), len(a), len(a[0]) if a else 0)
+    return unflatten(lower(times(c, mat_lattice(a))), len(a), len(a[0]) if a else 0)
 
 
 def mat_combinations(coeffs, mats):
@@ -106,7 +107,7 @@ def mat_combinations(coeffs, mats):
     flattened matrices."""
     rows, cols = len(mats[0]), len(mats[0][0]) if mats[0] else 0
     flat = mat_mul(coeffs, [[x for row in m for x in row] for m in mats])
-    return [_unflatten(v, rows, cols) for v in flat]
+    return [unflatten(v, rows, cols) for v in flat]
 
 
 def is_scalar_matrix(m, c, tol=0.0):
@@ -160,12 +161,12 @@ def _forward_eliminate(m, ncols, float_mode, tol):
             continue
         m[row], m[best] = m[best], m[row]
         piv = m[row][col]
-        m[row] = [exact_div(x, piv) if x != 0 else x for x in m[row]]
+        m[row] = [exact_div(x, piv) for x in m[row]]
         for r in range(nrows):
             f = m[r][col]
             if r == row or f == 0 or float_mode and is_zero(f, tol):
                 continue
-            m[r] = [x - f * y if y != 0 else x for x, y in zip(m[r], m[row])]
+            m[r] = [x - f * y for x, y in zip(m[r], m[row])]
         pivots.append(col)
         row += 1
     return pivots

@@ -317,10 +317,11 @@ def test_polarised_nk_verdict_matches_sampling():
     assert [i for i, ok in enumerate(verdicts) if ok] == [0, 13, 26, 30, 31]
 
 
-def _commutator_nk_residual(space, g, J, tol=1e-10):
+def _commutator_polar(space, g, J):
     """The polarised nabla-J test as it was computed before the lowered
     Koszul table: the Nomizu operator per basis pair, nabla_i J = [L_i, J]
-    as six dense commutators, then (nabla_i J) X_j + (nabla_j J) X_i."""
+    as six dense commutators, then (nabla_i J) X_j + (nabla_j J) X_i for
+    each pair i <= j, keyed by the pair."""
     n = space.dim_m
     half = Fraction(1, 2) if all(is_exact(x) for r in g for x in r) else 0.5
     ginv = smallmat.inv(g)
@@ -333,8 +334,12 @@ def _commutator_nk_residual(space, g, J, tol=1e-10):
             u = smallmat.mat_vec(ginv, rhs)
             gamma[i][j] = [half * space.bm[i][j][r] + u[r] for r in range(n)]
     nj = [smallmat.commutator(smallmat.transpose(gi), J) for gi in gamma]
-    polar = [[nj[i][r][j] + nj[j][r][i] for r in range(n)]
-             for i in range(n) for j in range(i, n)]
+    return {(i, j): [nj[i][r][j] + nj[j][r][i] for r in range(n)]
+            for i in range(n) for j in range(i, n)}
+
+
+def _commutator_nk_residual(space, g, J, tol=1e-10):
+    polar = list(_commutator_polar(space, g, J).values())
     exact = all(is_exact(x) for v in polar for x in v)
     ok = (all(x == 0 for v in polar for x in v) if exact
           else all(abs(float(x)) <= tol for v in polar for x in v))
@@ -375,6 +380,45 @@ def test_lowered_nk_residual_matches_the_commutator_formula(arithmetic):
     # integrable signs (1, -1, 1); CP^3: t = 1/2 with fiber -1 and the
     # Kahler t = 1 with fiber +1; and the S^3 x S^3 solution
     assert [i for i, ok in enumerate(verdicts) if ok] == [0, 5, 27, 28, 32]
+
+
+def _rotated_flag_cases():
+    """Flag metrics and structures in the basis with X_p1 + X_q1 in place
+    of X_p1: g and J are not block diagonal there, and the largest
+    polarised coefficient can lie on a diagonal pair (i, i)."""
+    fm, one, eye, zero = spaces.flag_model(), (1, 0), (0, 1), (0, 0)
+    basis = [spaces.flag_matrix(*slots) for slots in (
+        (one, one, zero), (eye, zero, zero), (zero, one, zero),
+        (zero, eye, zero), (zero, zero, one), (zero, zero, eye))]
+    basis += [spaces._flag_torus(1, -1, 0), spaces._flag_torus(0, 1, -1)]
+    space = ReductiveSpace(LieAlgebraData.from_matrices(basis), [6, 7], range(6))
+    P = [[Fraction(int(i == j or (i, j) == (2, 0))) for j in range(6)]
+         for i in range(6)]
+    P_inv, P_t = smallmat.inv(P), smallmat.transpose(P)
+    return [(space, smallmat.mat_mul(P_t, smallmat.mat_mul(fm.metric(*rst), P)),
+             smallmat.mat_mul(P_inv, smallmat.mat_mul(fm.acs(signs), P)))
+            for rst in ((1, 2, 3), (2, 1, 1), (1, 2, 1))
+            for signs in ((1, 1, 1), (1, -1, 1))]
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_nk_residual_counts_a_diagonal_pair_twice(arithmetic):
+    # the polarisation of the pair (i, i) is 2 (nabla_i J) X_i
+    on_diagonal = 0
+    for space, g, j in _rotated_flag_cases():
+        polar = _commutator_polar(space, g, j)
+        want = _commutator_nk_residual(space, g, j)
+        diagonal = max(abs(float(x)) for (a, b), v in polar.items() if a == b
+                       for x in v)
+        on_diagonal += want[1] > 0 and diagonal == want[1]
+        if arithmetic == "float":
+            g, j = _floats(g), _floats(j)
+        got = nearly_kahler_residual(space, g, j)
+        if arithmetic == "exact":
+            assert got == want
+        else:
+            assert got[0] == want[0] and _close(got[1], want[1])
+    assert on_diagonal >= 3
 
 
 def _reference_koszul(space, g):
