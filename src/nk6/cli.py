@@ -23,7 +23,9 @@ from .cone import cone_verdicts
 from .hitchin import StructureError, nk_check
 from .lie import ce_differential, is_invariant, nearly_kahler_residual
 from .report import Report
-from .scalars import EPS, all_zero, exact_div, is_exact
+from .scalars import (
+    EPS, exact_div, is_exact, is_positive, lattice_max_abs, lattice_sum,
+    lattice_zero, lower, times)
 from .spacefile import SpaceFormatError, load_space
 
 
@@ -184,17 +186,16 @@ def _cmd_check(args):
     rep.inputs["orientation"] = orient
 
     if doc.metric is not None:
-        # the supplied Gram should be the induced metric up to homothety,
-        # and the connection-level defect must agree with the form verdict
-        a, b = ([x for row in m for x in row] for m in (doc.metric, structure.g))
-        if smallmat.is_float_data([a, b]):
-            a, b = [float(x) for x in a], [float(x) for x in b]
-        scale = exact_div(smallmat.vec_dot(a, b), smallmat.vec_dot(b, b))
-        dev = smallmat.vec_sub(a, [scale * x for x in b])
-        size = smallmat.mat_max_abs([a])
+        # the supplied Gram should be the induced metric up to homothety, a
+        # positive scale (not -1 for -g), compared on the lattices, and the
+        # connection-level defect must agree with the form verdict
+        a, b = (smallmat.mat_lattice(m) for m in (doc.metric, structure.g))
+        dot = lambda x, y: lower(smallmat.lattice_mul(x, y, 1, len(x[0]), 1))[0]
+        scale = exact_div(dot(a, b), dot(b, b))
+        dev, size = lattice_sum(a, times(scale, b), -1), lattice_max_abs(a)
         rep.check("supplied metric is the induced one up to homothety",
-                  all_zero(dev, tol * size), label="metric",
-                  residual=smallmat.mat_max_abs([dev]) / max(size, 1e-30))
+                  lattice_zero(dev, tol * size) and is_positive(scale, tol * size),
+                  label="metric", residual=lattice_max_abs(dev) / max(size, 1e-30))
         rep.scalar("metric_scale", scale)
         try:
             ok, res = nearly_kahler_residual(space, doc.metric, structure.J,

@@ -198,9 +198,6 @@ class KForm:
     def __hash__(self):
         return hash((self.n, self.k, tuple(self.c)))
 
-    def isclose(self, other, tol=EPS):
-        return (self - other).is_zero(tol)
-
     def to_float(self):
         return self._like([float(v) for v in self.c])
 
@@ -254,17 +251,6 @@ def interior(v, a):
     return KForm(a.n, a.k - 1, lattice=bilinear(rows, a.lattice(), lift(v), len(out)))
 
 
-def form_inner(a, b, gram_inv):
-    """Inner product on k-forms induced by the inverse Gram matrix."""
-    a._check_compatible(b)
-    total = 0
-    for ia, va in a.terms():
-        for ib, vb in b.terms():
-            sub = [[gram_inv[i][j] for j in ib] for i in ia]
-            total = total + va * vb * smallmat.det(sub)
-    return total
-
-
 def metric_volume(gram, orientation=1, n=None):
     """Unit-norm top form of a positive Gram matrix, fixing orientation.
 
@@ -288,13 +274,16 @@ class HodgeStar:
 
     with <e_I, e_J> the I x J minor of g^-1: the J-th coefficient of the
     wedge of the rows I of g^-1, a Laplace expansion along the first row,
-    kept per I.  On the lattice of g^-1, over d, the k-minors are integers
-    over d^k.  The metric is checked and inverted once, unless a caller that
-    proved it positive passes g^-1 as ``inverse``.  The unit-norm check reads
-    exact det g^-1 off the n-minor; a float one comes from elimination, and
-    is compared at ``tol`` times the largest entry of g and g^-1.  ``vol``
-    defaults to :func:`metric_volume`.  A float volume or a float form makes
-    the star of that form run in floats.
+    kept per I.  Exact g^-1 is symmetric, so there it is the I-th
+    coefficient of the wedge of the rows J, formed only for the J where the
+    form has a coefficient.  On the lattice of g^-1, over d, the k-minors
+    are integers over d^k.  The metric is checked and inverted once, unless
+    a caller that proved it positive passes g^-1, or its lattice, as
+    ``inverse``.  The unit-norm check reads exact det g^-1 off the n-minor,
+    and only a float one, from elimination, is compared at ``tol`` times
+    the largest entry of g and g^-1.  ``vol`` defaults to
+    :func:`metric_volume`.  A float volume or a float form makes the star
+    of that form run in floats.
     """
 
     def __init__(self, gram, vol=None, tol=EPS, inverse=None):
@@ -313,14 +302,16 @@ class HodgeStar:
             raise ValueError("volume form vanishes")
         self.n, self.v = n, v
         self.floats = isinstance(v, float)
-        P, Q, d = lift([x for row in self.gram_inv for x in row])
+        P, Q, d = lattice = smallmat.mat_lattice(inverse)
         self._rows = [(P[i:i + n], Q and Q[i:i + n], d) for i in range(0, n * n, n)]
         self._minors = {(): lift([1])}
         full = tuple(range(n))
-        det_inv = self.minor(full, full) if d else smallmat.det(self.gram_inv)
+        det_inv = (self.minor(full, full) if d
+                   else smallmat.det(smallmat.unflatten(P, n, n)))
         if self.floats:
             det_inv = float(det_inv)
-        size = max(1.0, *map(smallmat.mat_max_abs, (gram, self.gram_inv)))
+        size = (max(1.0, smallmat.mat_max_abs(gram), lattice_max_abs(lattice))
+                if self.floats or d is None else 0.0)
         if not is_zero(v * v * det_inv - 1, tol * size):
             raise NotUnitNorm("volume form is not unit-norm for this metric")
 
@@ -343,17 +334,23 @@ class HodgeStar:
         if a.n != n:
             raise ValueError("form dimension does not match the metric")
         tuples, _ = index_tuples(n, k)
-        P, Q, d = zip(*(self._minors_of(t) for t in tuples))
-        minors = [p for x in P for p in x], Q[0] and [q for x in Q for q in x], d[0]
-        x, v = a.lattice(), self.v
+        size, x, v = len(tuples), a.lattice(), self.v
+        _, Q, d = self._rows[0]
+        if d is None:   # float g^-1: the minors of each row set, read by column
+            by_rows = [self._minors_of(t)[0] for t in tuples]
+            minors = [m[j] for j in range(size) for m in by_rows], None, None
+        else:   # the minors of the rows J for the J where a has a coefficient
+            zero = [0] * size, Q and [0] * size, d ** k
+            P, Q, d = zip(*(self._minors_of(t) if x[0][j] or x[1] and x[1][j]
+                            else zero for j, t in enumerate(tuples)))
+            minors = [p for m in P for p in m], Q[0] and [q for m in Q for q in m], d[0]
         if self.floats or x[2] is None:
             x, minors = (([float(y) for y in lower(z)], None, None)
                          for z in (x, minors))
             v = float(v)
         _, pos = index_tuples(n, n - k)
-        size = len(tuples)
         rows = kernel_rows(("star", n, k), lambda: [
-            [(i * size + j, pos[c], s) for i, (c, s) in enumerate(comps)]
+            [(j * size + i, pos[c], s) for i, (c, s) in enumerate(comps)]
             for comps in [[complement(n, t) for t in tuples]] for j in range(size)])
         star = bilinear(rows, x, minors, size)
         return KForm(n, n - k, lattice=times(v, star))

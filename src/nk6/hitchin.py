@@ -27,10 +27,14 @@ class StructureError(ValueError):
     """A named algebraic condition of the construction failed.
 
     Raised itself when an identity the construction guarantees fails, on
-    float data by rounding beyond the tolerance.
+    float data by rounding beyond the tolerance; a subclass's label is its
+    name.
     """
 
     label = "structure"
+
+    def __init_subclass__(cls):
+        cls.label = cls.__name__
 
     def __init__(self, message=""):
         super().__init__(message or self.__doc__)
@@ -39,31 +43,21 @@ class StructureError(ValueError):
 class NotStable(StructureError):
     """psi is not stable: the quartic invariant tau(psi) is >= 0."""
 
-    label = "NotStable"
-
 
 class NotType11(StructureError):
     """omega ^ psi != 0, so omega is not of type (1,1) for J(psi)."""
-
-    label = "NotType11"
 
 
 class DegenerateOmega(StructureError):
     """omega ^ omega ^ omega = 0, so omega is degenerate."""
 
-    label = "DegenerateOmega"
-
 
 class NotPositive(StructureError):
     """The symmetric form omega(., J .) is not positive definite."""
 
-    label = "NotPositive"
-
 
 class SlotInconsistent(StructureError):
     """psi(J.,.,.) depends on the slot, so psi is not of pure type for J."""
-
-    label = "SlotInconsistent"
 
 
 @dataclass
@@ -87,7 +81,8 @@ class SU3Candidate:
 @dataclass
 class SU3Structure:
     """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol), with the
-    build's omega^2, omega^3 (/ 6: the volume form of g) and g^-1."""
+    build's omega^2, omega^3 (/ 6: the volume form of g) and the lattice of
+    g^-1 (:func:`metric_inverse`)."""
 
     omega: KForm
     psi: KForm
@@ -99,7 +94,7 @@ class SU3Structure:
     vol: KForm
     omega2: KForm = field(repr=False, compare=False)
     omega3: KForm = field(repr=False, compare=False)
-    ginv: list = field(repr=False, compare=False)
+    ginv: tuple = field(repr=False, compare=False)
 
     def scaled(self, c):
         """The structure of the pair (c omega, c psi), c > 0, in closed form.
@@ -108,7 +103,7 @@ class SU3Structure:
         K / kappa and the reference volume stay, and g = omega(., J .) and
         phi = -psi(J ., ., .) scale by c like omega and psi, omega^2 by c^2
         (formed again on floats), omega^3 (so the volume form of g) by c^3
-        and g^-1 by 1/c.
+        and g^-1 by 1/c, on its lattice.
         """
         omega = self.omega.scale(c)
         return SU3Structure(
@@ -119,7 +114,7 @@ class SU3Structure:
             tau0=simplify(c ** 4 * self.tau0), vol=self.vol,
             omega2=self.omega2.scale(c * c) if is_exact(c) else wedge(omega, omega),
             omega3=self.omega3.scale(c ** 3),
-            ginv=smallmat.mat_scale(exact_div(1, c), self.ginv))
+            ginv=times(exact_div(1, c), self.ginv))
 
 
 @dataclass
@@ -325,8 +320,8 @@ def build_su3(cand, tol=EPS, powers=None):
                         tol * max(psi.max_abs(), 1.0)):
         raise StructureError("contraction identity for phi fails")
 
-    J, g, ginv = (smallmat.unflatten(lower(x), n, n)
-                  for x in (J, g, metric_inverse(J, o2, o3)))
+    ginv = metric_inverse(J, o2, o3)
+    J, g = (smallmat.unflatten(lower(x), n, n) for x in (J, g))
     return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g, kappa=kappa,
                         tau0=tau0, vol=vol, omega2=o2, omega3=o3, ginv=ginv)
 

@@ -411,10 +411,11 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     g-orthogonal with J^2 = -Id, g(J u, w) = -g(u, J w), so
         g((nabla_i J) X_j, X_z) = sum_s J_sj G[i][s][z] + sum_s J_sz G[i][j][s],
     the 21 lowered vectors are one lattice product of J with G, (i, j) and
-    (j, i) added in its table.  ``smallmat.inv(g)`` proves g invertible
-    first, so exact lowered vectors that are all zero give (True, 0.0);
-    otherwise they are raised by g^-1, and (ok, residual) is decided on
-    them, exactly or at ``tol`` on floats, with the largest coefficient.
+    (j, i) added in its table.  g is proved invertible first (a singular g
+    fails with ``matrix is singular``), a rational g with no inverse, so
+    exact lowered vectors that are all zero give (True, 0.0); otherwise
+    they are raised by g^-1, and (ok, residual) is decided on them, exactly
+    or at ``tol`` on floats, with the largest coefficient.
     """
     n = space.dim_m
     mul = lambda x, y, rows=n: smallmat.lattice_mul(x, y, rows, n, n)
@@ -427,7 +428,10 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     if not is_invariant_endo(space, Jl, tol=tol):
         raise ValueError("J is not an invariant tensor")
     koszul = _koszul(space, gl, tol)
-    ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g)))
+    P, Q, d = gl   # a rational g is invertible iff its integer numerators are
+    ginv = smallmat.inv(g) if d is None or Q else None
+    if ginv is None and not smallmat.bareiss_det(smallmat.unflatten(P, n, n)):
+        raise smallmat.SingularMatrix("matrix is singular")
     r, pairs = range(n), [(i, j) for i in range(n) for j in range(i, n)]
     out = lambda i, j, z: pairs.index((min(i, j), max(i, j))) * n + z
     # J_st G[i][s][z], J_st G[i][j][s]; a diagonal pair (i, i) takes its
@@ -441,7 +445,8 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     polar = bilinear(rows, Jl, koszul, len(pairs) * n)
     if polar[2] is not None and lattice_zero(polar):
         return True, 0.0
-    raised = lower(mul(polar, ginv_t, len(pairs)))
+    ginv_t = smallmat.transpose(smallmat.inv(g) if ginv is None else ginv)
+    raised = lower(mul(polar, smallmat.mat_lattice(ginv_t), len(pairs)))
     return all_zero(raised, tol), _max_vec(raised)
 
 

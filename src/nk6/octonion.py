@@ -73,22 +73,6 @@ def g2_three_form():
         for i, j, k in index_tuples(7, 3)[0]])
 
 
-def euler_radial_derivative(alpha):
-    """d of the radial contraction of a constant form:  sum_i e_i ^ i_{e_i} alpha.
-
-    For a constant k-form this equals k * alpha (the degree identity); it is
-    the exterior derivative of the contraction of alpha with the position
-    field, and pins the sphere differential of the invariant forms below.
-    """
-    from .exterior import interior, wedge
-
-    n = alpha.n
-    out = KForm.zero(n, alpha.k)
-    for i, e in enumerate(smallmat.identity(n)):
-        out = out + wedge(KForm.basis(n, (i,)), interior(e, alpha))
-    return out
-
-
 def tangent_basis(x):
     """Orthonormal basis of the orthogonal complement of a unit 7-vector.
 

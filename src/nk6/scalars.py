@@ -22,8 +22,10 @@ one product to the next and is lowered only where a list is wanted.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import re
 from fractions import Fraction
 
 EPS = 1e-10
@@ -317,9 +319,17 @@ def exact_div(x, y):
     return x / y
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+@functools.lru_cache(maxsize=1024)
 def parse_rational(text):
-    """Parse 'p/q' or 'p' into a Fraction (used by the JSON space format)."""
-    return Fraction(text)
+    """'p/q' or 'p' as a Fraction (the JSON space format), the last 1024
+    texts kept: ASCII -?digits(/digits)? by ``int``, other text by
+    ``Fraction(text)``, which takes the same values and raises the same
+    errors, only slower."""
+    m = _RATIONAL.fullmatch(text)
+    return Fraction(int(m[1]), int(m[2] or 1)) if m else Fraction(text)
 
 
 def lift(values):

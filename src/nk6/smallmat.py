@@ -215,6 +215,22 @@ def det(a):
     return sign * out
 
 
+def bareiss_det(a):
+    """det of a square integer matrix by fraction-free (Bareiss) elimination:
+    every division is exact, so each entry stays an integer (a minor of a)."""
+    m, sign, prev = [list(row) for row in a], 1, 1
+    for k in range(len(m)):
+        best = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if best is None:
+            return 0
+        m[k], m[best], sign = m[best], m[k], sign if best == k else -sign
+        top, piv = m[k], m[k][k]
+        for r in range(k + 1, len(m)):
+            m[r] = [(x * piv - m[r][k] * y) // prev for x, y in zip(m[r], top)]
+        prev = piv
+    return sign * prev
+
+
 def solve_in_span(columns, target, tol=EPS):
     """Coordinates of ``target`` in the span of ``columns``.
 

@@ -6,12 +6,11 @@ metric Gram matrix.  Scalars are exact when written as "p/q" strings and
 float when written as JSON numbers.  The schema ships in
 ``schemas/space.schema.json``; antisymmetry is completed from the i < j
 entries and the Jacobi identity is validated on load.  Documents of one
-algebra share its validated space (:func:`_validated_space`).
+algebra share its validated space (:func:`parse_space`).
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -76,35 +75,24 @@ class SpaceDocument:
 
     def reductive_space(self):
         """The validated ReductiveSpace, shared by the documents of one
-        algebra (:func:`_validated_space`): read it, never mutate it."""
+        algebra (:func:`parse_space`): read it, never mutate it."""
         return self.space
 
 
 # the model algebras a long-lived caller checks are few (su(2)+su(2), su(3),
 # sp(2)), so a few recently used ones cover it; the capacity is fixed
 SPACE_CACHE_SIZE = 8
-
-
-@functools.lru_cache(maxsize=SPACE_CACHE_SIZE)
-def _validated_space(key):
-    """The ReductiveSpace of an algebra, keyed by the JSON text of its raw
-    data [dimension, basis, structure constants as written, h, m].
-
-    The key tells 1, 1.0 and "1" apart, so an exact and a float document
-    never share a space.  An algebra that fails validation raises and is
-    not stored; the entries were checked one by one before.
-    """
-    dim, labels, triples, h_idx, m_idx = json.loads(key)
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, v in triples:
-        val = _value(v, "")
-        c[i][j][k] = val
-        c[j][i][k] = -val
-    return ReductiveSpace(LieAlgebraData(c, labels=labels), h_idx, m_idx)
+_SPACES = {}   # validated ReductiveSpaces, the most recently used last
 
 
 def parse_space(data):
-    """Validate a parsed JSON object into a SpaceDocument."""
+    """Validate a parsed JSON object into a SpaceDocument.
+
+    Documents of one algebra share its validated space, keyed by the JSON
+    text of the raw [dimension, basis, structure constants, h, m], which
+    tells 1, 1.0 and "1" apart.  Only algebras that pass validation are
+    stored, and raw data that did can only pass again: they are not read.
+    """
     if not isinstance(data, dict):
         raise SpaceFormatError("$: top level must be an object")
     dim = data.get("dimension")
@@ -118,31 +106,16 @@ def parse_space(data):
         raise SpaceFormatError(f"$.basis: expected a list of {dim} labels")
 
     triples = data.get("structure_constants", [])
-    if not isinstance(triples, list):
-        raise SpaceFormatError("$.structure_constants: expected a list")
-    seen = set()
-    for pos, entry in enumerate(triples):
-        where = f"$.structure_constants[{pos}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise SpaceFormatError(f"{where}: expected [i, j, k, value]")
-        i, j, k, v = entry
-        for name, idx in (("i", i), ("j", j), ("k", k)):
-            if not _is_index(idx, dim):
-                raise SpaceFormatError(f"{where}.{name}: index out of range")
-        if i >= j:
-            raise SpaceFormatError(f"{where}: give entries for i < j only")
-        if (i, j, k) in seen:
-            raise SpaceFormatError(f"{where}: duplicate entry for [{i},{j},{k}]")
-        seen.add((i, j, k))
-        _value(v, where)
-
-    h_idx = _index_list(data.get("h_indices", []), dim, "$.h_indices")
-    m_idx = data.get("m_indices")
-    if m_idx is None:
-        m_idx = [i for i in range(dim) if i not in h_idx]
-    m_idx = _index_list(m_idx, dim, "$.m_indices")
-    if sorted(h_idx + m_idx) != list(range(dim)):
-        raise SpaceFormatError("$.h_indices/m_indices: must partition the basis")
+    h_idx, m_idx = data.get("h_indices", []), data.get("m_indices")
+    try:
+        key = json.dumps([dim, labels, triples, h_idx, m_idx])
+    except (TypeError, ValueError):   # not JSON data: rejected below
+        key = None
+    space = _SPACES.get(key)
+    if space is None:
+        c, h_idx, m_idx = _algebra(dim, triples, h_idx, m_idx)
+    else:
+        h_idx, m_idx = list(space.h_idx), list(space.m_idx)
     m_pos = {g: p for p, g in enumerate(m_idx)}
     nm = len(m_idx)
 
@@ -188,18 +161,51 @@ def parse_space(data):
             raise SpaceFormatError("$.metric: expected a square m x m matrix")
         metric = [[_value(v, f"$.metric[{i}][{j}]") for j, v in enumerate(row)]
                   for i, row in enumerate(rows)]
-        for i in range(nm):
-            for j in range(nm):
-                if metric[i][j] != metric[j][i]:
-                    raise SpaceFormatError("$.metric: not symmetric")
+        if metric != [list(col) for col in zip(*metric)]:
+            raise SpaceFormatError("$.metric: not symmetric")
 
-    try:
-        space = _validated_space(json.dumps([dim, labels, triples, h_idx, m_idx]))
-    except ValueError as ex:
-        raise SpaceFormatError(f"$: {ex}")
+    if space is None:
+        try:
+            space = ReductiveSpace(LieAlgebraData(c, labels=labels), h_idx, m_idx)
+        except ValueError as ex:
+            raise SpaceFormatError(f"$: {ex}")
+    _SPACES[key] = _SPACES.pop(key, space)
+    if len(_SPACES) > SPACE_CACHE_SIZE:
+        del _SPACES[next(iter(_SPACES))]
     return SpaceDocument(dimension=dim, labels=list(labels), h_indices=h_idx,
                          m_indices=m_idx, space=space, forms=forms,
                          metric=metric)
+
+
+def _algebra(dim, triples, h_idx, m_idx):
+    """The structure constants c[i][j][k] and the h/m split, validated."""
+    if not isinstance(triples, list):
+        raise SpaceFormatError("$.structure_constants: expected a list")
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = set()
+    for pos, entry in enumerate(triples):
+        where = f"$.structure_constants[{pos}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise SpaceFormatError(f"{where}: expected [i, j, k, value]")
+        i, j, k, v = entry
+        for name, idx in (("i", i), ("j", j), ("k", k)):
+            if not _is_index(idx, dim):
+                raise SpaceFormatError(f"{where}.{name}: index out of range")
+        if i >= j:
+            raise SpaceFormatError(f"{where}: give entries for i < j only")
+        if (i, j, k) in seen:
+            raise SpaceFormatError(f"{where}: duplicate entry for [{i},{j},{k}]")
+        seen.add((i, j, k))
+        c[i][j][k] = _value(v, where)
+        c[j][i][k] = -c[i][j][k]
+
+    h_idx = _index_list(h_idx, dim, "$.h_indices")
+    if m_idx is None:
+        m_idx = [i for i in range(dim) if i not in h_idx]
+    m_idx = _index_list(m_idx, dim, "$.m_indices")
+    if sorted(h_idx + m_idx) != list(range(dim)):
+        raise SpaceFormatError("$.h_indices/m_indices: must partition the basis")
+    return c, h_idx, m_idx
 
 
 def load_space(path):
@@ -218,39 +224,24 @@ def load_space(path):
 
 
 def _scalar_out(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int):
-        return str(Fraction(v))
-    return float(v)
+    return str(Fraction(v)) if isinstance(v, (int, Fraction)) else float(v)
 
 
 def dump_space(space, forms=None, metric=None, labels=None):
     """Serialize a ReductiveSpace (plus optional forms/metric) to JSON text."""
     algebra = space.algebra
-    dim = algebra.dim
-    triples = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(dim):
-                v = algebra.c[i][j][k]
-                if v != 0:
-                    triples.append([i, j, k, _scalar_out(v)])
     out = {
-        "dimension": dim,
+        "dimension": algebra.dim,
         "basis": labels or algebra.labels,
-        "structure_constants": triples,
+        "structure_constants": [[i, j, k, _scalar_out(v)]
+                                for i, j, k, v in algebra.nonzero() if i < j],
         "h_indices": list(space.h_idx),
         "m_indices": list(space.m_idx),
     }
     if forms:
-        fout = {}
-        for name, form in forms.items():
-            entries = []
-            for idx, v in form.terms():
-                entries.append([[space.m_idx[i] for i in idx], _scalar_out(v)])
-            fout[name] = entries
-        out["forms"] = fout
+        out["forms"] = {name: [[[space.m_idx[i] for i in idx], _scalar_out(v)]
+                               for idx, v in form.terms()]
+                        for name, form in forms.items()}
     if metric is not None:
         out["metric"] = [[_scalar_out(v) for v in row] for row in metric]
     return json.dumps(out, indent=2)

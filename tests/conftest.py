@@ -16,6 +16,19 @@ def pipeline_nk_verdict(omega, differential):
     return nk_check(s, differential).verdict
 
 
+def form_inner(a, b, gram_inv):
+    """The inner product of two k-forms from the inverse Gram matrix, minor
+    by minor: <e_I, e_J> = det gram_inv[I][J], the Hodge star's oracle."""
+    from nk6 import smallmat
+
+    total = 0
+    for ia, va in a.terms():
+        for ib, vb in b.terms():
+            sub = [[gram_inv[i][j] for j in ib] for i in ia]
+            total = total + va * vb * smallmat.det(sub)
+    return total
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion at the end of the run."""
     lines = []

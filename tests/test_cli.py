@@ -188,6 +188,57 @@ def test_check_uses_supplied_metric(capsys):
     assert rep.scalars["metric_scale"] > 0
 
 
+def _with_metric(tmp_path, name, metric):
+    """A copy of a fixture whose metric is ``metric`` (rows of strings), or,
+    given a function, that function of each entry of the fixture's metric."""
+    with open(os.path.join(FIX, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    if callable(metric):
+        metric = [[metric(Fraction(x)) for x in row] for row in doc["metric"]]
+    doc["metric"] = metric
+    path = tmp_path / f"{name}_metric.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("scalar", ["exact", "float"])
+@pytest.mark.parametrize("metric", ["negated", "zero"])
+def test_homothety_needs_a_positive_scale(metric, scalar, tmp_path, capsys):
+    # -g and 0 are multiples of g, by -1 and 0, but not homotheties
+    make = {"negated": lambda x: str(-x), "zero": lambda x: "0"}[metric]
+    path = _with_metric(tmp_path, "cp3", make)
+    code, out = run(capsys, "--json", "--scalar", scalar, "check", path, "--cone")
+    assert code == 1
+    rep = Report.from_json(out)
+    [homothety] = [v for v in rep.verdicts if v.label == "metric"]
+    assert homothety.status == "fail"
+    assert homothety.name == "supplied metric is the induced one up to homothety"
+    assert rep.scalars["metric_scale"] == {"negated": -1.0, "zero": 0.0}[metric]
+    [nabla_j] = [v for v in rep.verdicts if v.name.startswith("connection-level")]
+    if metric == "zero":   # the exact proof and the float inverse say so alike
+        assert nabla_j.status == "fail" and nabla_j.detail == "matrix is singular"
+    else:
+        assert nabla_j.status == "pass"
+
+
+def test_check_cone_with_a_metric_inverts_nothing(monkeypatch, capsys, tmp_path):
+    # an exact supplied metric is proved invertible without its inverse, and
+    # the cone star takes the build's g^-1: no smallmat.inv on any fixture
+    from nk6 import smallmat
+
+    # the S^3 x S^3 metric is sqrt 3 / 3 times this one
+    s3 = [["2" if i == j else "-1" if abs(i - j) == 3 else "0" for j in range(6)]
+          for i in range(6)]
+    paths = [_with_metric(tmp_path, "s3xs3", s3)]
+    paths += [os.path.join(FIX, f"{name}.json") for name in ("flag", "cp3")]
+    calls = _count_calls(monkeypatch, smallmat, "inv")
+    for path in paths:
+        code, out = run(capsys, "--json", "check", path, "--cone")
+        assert code == 0, path
+        assert "connection-level" in out
+        assert not calls, path
+
+
 def test_check_with_named_psi_and_float_mode(tmp_path, capsys):
     from fractions import Fraction
     from nk6 import s3xs3
@@ -232,11 +283,11 @@ def test_check_cone_builds_the_structure_once(monkeypatch, capsys):
 @pytest.fixture
 def cold_space_cache():
     """An empty cache of validated algebras, so that builds can be counted."""
-    from nk6.spacefile import _validated_space
+    from nk6.spacefile import _SPACES
 
-    _validated_space.cache_clear()
+    _SPACES.clear()
     yield
-    _validated_space.cache_clear()
+    _SPACES.clear()
 
 
 def test_check_builds_the_lie_algebra_once(monkeypatch, capsys, tmp_path,
@@ -473,7 +524,8 @@ def _count_calls(monkeypatch, module, fname):
 def test_check_cone_computes_no_determinant_per_minor(monkeypatch, capsys):
     # the Sylvester test is one elimination, the Hodge star's minors of g^-1
     # are Laplace expansions and its volume is omega^3 / 6: an exact check
-    # takes no determinant on any fixture
+    # takes no determinant of scalars on any fixture (a supplied metric is
+    # proved invertible by one determinant of integers, smallmat.bareiss_det)
     from nk6 import smallmat
 
     calls = _count_calls(monkeypatch, smallmat, "det")

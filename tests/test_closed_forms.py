@@ -7,7 +7,8 @@
 - the compiled invariance of a metric and an endomorphism, against the
   ``commutator`` loops, on the model spaces and on perturbed data;
 - g^-1 = -J W^-1 and vol_g = omega^3 / 6 of ``SU3Structure``, against
-  ``smallmat.inv`` and ``metric_volume``, also after ``scaled(c)``;
+  ``smallmat.inv`` and ``metric_volume``, also after ``scaled(c)``, and the
+  cone star from that lattice of g^-1 against the star of c g;
 - a float document whose volume form fails the unit-norm test at tolerance
   0 gets failing cone verdicts, not a traceback.
 
@@ -25,6 +26,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nk6 import octonion, s3xs3, smallmat, spaces
 from nk6.certificate import check_certificate
+from nk6.cone import cone_hodge, cone_rho
 from nk6.exterior import (
     KForm, index_tuples, interior, lambda5_to_vector, metric_volume, wedge)
 from nk6.hitchin import (
@@ -202,9 +204,24 @@ def verify_structures():
             octonion.s6_structure_at(e1)[0]]
 
 
+def ginv(s):
+    """g^-1 of a structure as a matrix, from the lattice it carries."""
+    return smallmat.unflatten(lower(s.ginv), 6, 6)
+
+
 def assert_closed_forms(s):
-    assert s.ginv == smallmat.inv(s.g)
+    assert ginv(s) == smallmat.inv(s.g)
     assert s.omega3 / 6 == metric_volume(s.g, omega3_sign(s.omega, s.omega3))
+
+
+def assert_cone_star_of_lattice(s, c):
+    # the star of the rescaled pair from the lattice of g^-1 the build formed,
+    # scaled by 1/c, against that of c g inverted afresh, with c^3 omega^3 / 6
+    t = s.scaled(c)
+    rho = cone_rho(t.omega, t.psi)
+    lattice = cone_hodge(rho, t.g, t.omega3 / 6, inverse=t.ginv)
+    fresh = cone_hodge(rho, smallmat.mat_scale(c, s.g), s.omega3.scale(c ** 3) / 6)
+    assert lattice.terms == fresh.terms
 
 
 def test_closed_forms_on_fixtures_and_verify_structures():
@@ -213,19 +230,25 @@ def test_closed_forms_on_fixtures_and_verify_structures():
         for c in (Fraction(2), Fraction(1, 3), QSqrt3(1, 1)):
             t = s.scaled(c)
             assert_closed_forms(t)
-            assert t.ginv == smallmat.mat_scale(1 / c, s.ginv)
+            assert ginv(t) == smallmat.mat_scale(1 / c, ginv(s))
             assert t.omega3 / 6 == (s.omega3 / 6).scale(c ** 3)
+            assert_cone_star_of_lattice(s, c)
 
 
 scales = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
 signs = st.sampled_from([1, -1])
+# the integer (l1, l2, l3) up to order and scale, entries at most 7, whose
+# S^3 x S^3 structure is stable with kappa in Q(sqrt 3): independent scales
+# almost never are, and every such draw was filtered out
+S3_EXACT = [(1, 1, 1), (2, 7, 7), (3, 4, 5), (3, 5, 7), (5, 5, 6)]
 
 
 @st.composite
 def built_structures(draw):
     family = draw(st.sampled_from(["s3xs3", "flag", "cp3"]))
     if family == "s3xs3":
-        omega = s3xs3.omega_diagonal(*(draw(signs) * draw(scales) for _ in range(3)))
+        lam, base = draw(scales), draw(st.permutations(draw(st.sampled_from(S3_EXACT))))
+        omega = s3xs3.omega_diagonal(*(draw(signs) * lam * x for x in base))
         d = s3xs3.differential
     elif family == "flag":
         model = spaces.flag_model()
@@ -250,7 +273,8 @@ def test_closed_forms_on_built_structures(s, c):
     assert_closed_forms(s)
     t = s.scaled(c)
     assert_closed_forms(t)
-    assert t.ginv == smallmat.mat_scale(1 / c, s.ginv)
+    assert ginv(t) == smallmat.mat_scale(1 / c, ginv(s))
+    assert_cone_star_of_lattice(s, c)
 
 
 # -- a float volume form that fails the unit-norm test ----------------------

@@ -13,10 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import form_inner
 from nk6 import smallmat
 from nk6.exterior import (
-    HodgeStar, KForm, complement, form_inner, hodge_star, index_tuples,
-    metric_volume)
+    HodgeStar, KForm, complement, hodge_star, index_tuples, metric_volume)
 from nk6.lie import LieAlgebraData, ce_differential, check_jacobi, is_invariant
 from nk6.s3xs3 import cyclic_space
 from nk6.scalars import SQRT3, QSqrt3, is_exact, is_zero

@@ -292,6 +292,21 @@ def test_hodge_star_matches_the_per_term_loop(kind, k, data):
     assert_same(star(a).c, oracle_star(star.gram_inv, star.v, a), kind)
 
 
+@SETTINGS
+@given(st.sampled_from([2, 3, 4]), st.data())
+def test_float_star_reads_the_minors_of_the_rows_i(k, data):
+    # a float g^-1 from elimination is symmetric only up to rounding; its
+    # star takes <e_I, e_J> from the rows I, bit for bit as the per-term loop,
+    # dense forms making every minor count
+    g = [[float(x) for x in row] for row in data.draw(metrics("rational"))]
+    ginv = smallmat.inv(g)
+    size = len(index_tuples(6, k)[0])
+    a = KForm(6, k, data.draw(st.lists(st.floats(0.1, 4), min_size=size,
+                                       max_size=size)))
+    star = HodgeStar(g, metric_volume(g), inverse=ginv)
+    assert_same(star(a).c, oracle_star(ginv, star.v, a), "float")
+
+
 def test_poly_products_on_the_certificate_path():
     r, s, t = Poly.variables(3)
     a = [[r, 0, 2 * s], [0, t * t, 1]]
@@ -418,10 +433,12 @@ def test_an_exact_build_never_lifts_j(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name, parent, pinned", [
-    ("s3xs3", 55, 31), ("flag", 73, 39), ("cp3", 73, 39)])
+    ("s3xs3", 31, 29), ("flag", 39, 35), ("cp3", 39, 35)])
 def test_check_cone_lift_count(name, parent, pinned, monkeypatch, capsys):
     # the lifts of one warm exact check --cone; ``parent`` is the count
-    # before the check kept its values in the lattice between products
+    # before the cone star took the build's lattice of g^-1 and the metric
+    # cross-checks their lattices (55 / 73 / 73 before values stayed in the
+    # lattice between products)
     argv = ["check", os.path.join(FIX, f"{name}.json"), "--cone"]
     assert main(argv) == 0   # the algebra cache and the kernel tables
     calls = _counting_lift(monkeypatch)

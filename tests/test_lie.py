@@ -259,6 +259,23 @@ def test_nearly_kahler_residual_kahler_case():
     assert ok and res == 0
 
 
+@pytest.mark.parametrize("arithmetic", ["exact", "surd", "float"])
+def test_nearly_kahler_residual_of_a_singular_metric(arithmetic):
+    # g = diag(1, 1, 0, 0, 0, 0) passes every precondition on the flat torus
+    # (J-orthogonal, invariant) and its lowered vectors are zero; it still
+    # fails as singular, on exact data with no inverse formed
+    one = {"exact": Fraction(1), "surd": QSqrt3(0, 1), "float": 1.0}[arithmetic]
+    space = ReductiveSpace(abelian(6), [], list(range(6)))
+    g = [[one if i == j < 2 else 0 * one for j in range(6)] for i in range(6)]
+    j = [[0] * 6 for _ in range(6)]
+    for a, b in ((0, 1), (2, 3), (4, 5)):
+        j[a][b], j[b][a] = -1, 1
+    with pytest.raises(smallmat.SingularMatrix, match="^matrix is singular$"):
+        nearly_kahler_residual(space, g, j)
+    g[2][2] = g[3][3] = g[4][4] = g[5][5] = one
+    assert nearly_kahler_residual(space, g, j) == (True, 0.0)
+
+
 def test_nearly_kahler_residual_catalog_cases():
     # the diagonal solution is nearly Kahler; exact zero residual
     s = build_su3(s3xs3.candidate(

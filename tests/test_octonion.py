@@ -6,7 +6,7 @@ import pytest
 
 from nk6 import octonion as oc
 from nk6 import smallmat
-from nk6.exterior import KForm
+from nk6.exterior import KForm, interior, wedge
 
 
 def basis8(i):
@@ -127,13 +127,27 @@ def test_trilinear_alternating():
         assert sum(a * b for a, b in zip(p, z)) == val
 
 
+def euler_radial_derivative(alpha):
+    """d of the radial contraction of a constant form:  sum_i e_i ^ i_{e_i} alpha.
+
+    For a constant k-form this equals k * alpha (the degree identity); it is
+    the exterior derivative of the contraction of alpha with the position
+    field, and pins the sphere differential of ``cone.s6_link_differential``.
+    """
+    n = alpha.n
+    out = KForm.zero(n, alpha.k)
+    for i, e in enumerate(smallmat.identity(n)):
+        out = out + wedge(KForm.basis(n, (i,)), interior(e, alpha))
+    return out
+
+
 def test_euler_degree_identity():
     phi0 = oc.g2_three_form()
-    assert oc.euler_radial_derivative(phi0) == phi0.scale(3)
+    assert euler_radial_derivative(phi0) == phi0.scale(3)
     from nk6.exterior import hodge_star
     star = hodge_star(phi0, smallmat.identity(7, Fraction(1)),
                       KForm.basis(7, tuple(range(7))))
-    assert oc.euler_radial_derivative(star) == star.scale(4)
+    assert euler_radial_derivative(star) == star.scale(4)
 
 
 def test_s6_structure_exact_at_basis_point():

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nk6.scalars import (
-    QSqrt3, SQRT3, all_zero, exact_div, exact_sqrt, is_zero, scalar_like,
-    sqrt_scalar)
+    QSqrt3, SQRT3, all_zero, exact_div, exact_sqrt, is_zero, parse_rational,
+    scalar_like, sqrt_scalar)
 
 
 def test_field_operations():
@@ -94,3 +95,28 @@ def test_scalar_like_follows_the_data():
     assert isinstance(scalar_like([QSqrt3(0, 1)], Fraction(1, 2)), Fraction)
     half = scalar_like([[1, 0.5]], Fraction(1, 2))
     assert isinstance(half, float) and half == 0.5
+
+
+# -- parse_rational: the ASCII fast path agrees with Fraction(text) ------------
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as ex:   # the type and message must agree too
+        return type(ex), str(ex)
+    assert type(value) is Fraction
+    return value
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789-+/ ._e", max_size=12),
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True)))
+def test_parse_rational_agrees_with_fraction(text):
+    assert _outcome(parse_rational, text) == _outcome(Fraction, text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-0/0", "-5/0", "007", "-0", "1_0",
+                                  " 1", "1.5", "+1", "1/-2", "", "/", "٣"])
+def test_parse_rational_edge_cases(text):
+    assert _outcome(parse_rational, text) == _outcome(Fraction, text)

@@ -189,3 +189,25 @@ def test_matrix_combinations_match_the_sums():
          for i in range(2)] for c in coeffs]
     # maps into a zero space (h = 0) have no rows
     assert sm.mat_combinations([[1, 1], [2, 0]], [[], []]) == [[], []]
+
+
+# -- the fraction-free determinant of an integer matrix ----------------------
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 6 x 6, often sparse, now and then with
+    two equal rows (singular) or a zero leading entry (a row swap)."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        m[draw(st.integers(1, n - 1))] = list(m[0])
+    return m
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(integer_matrices())
+def test_bareiss_det_equals_the_eliminated_det(m):
+    # exact: the same integer as the elimination over Fractions
+    d = sm.bareiss_det(m)
+    assert type(d) is int
+    assert d == (sm.det(m) if m else 1)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -139,26 +140,99 @@ def test_identical_algebras_share_one_validated_space():
 
 
 def test_cache_of_validated_spaces_stays_at_capacity():
-    from nk6.spacefile import SPACE_CACHE_SIZE, _validated_space
+    from nk6.spacefile import SPACE_CACHE_SIZE, _SPACES
 
     spaces_seen = [parse_space(_rescaled_s3xs3(k)).reductive_space()
                    for k in range(1, 21)]
     assert len({id(s) for s in spaces_seen}) == 20
-    assert _validated_space.cache_info().currsize == SPACE_CACHE_SIZE
+    assert len(_SPACES) == SPACE_CACHE_SIZE
     # the most recent algebra is kept, the oldest was dropped
     assert parse_space(_rescaled_s3xs3(20)).reductive_space() is spaces_seen[-1]
     assert parse_space(_rescaled_s3xs3(1)).reductive_space() is not spaces_seen[0]
-    assert _validated_space.cache_info().currsize == SPACE_CACHE_SIZE
+    assert len(_SPACES) == SPACE_CACHE_SIZE
 
 
 def test_invalid_algebra_is_not_stored():
-    from nk6.spacefile import _validated_space
+    from nk6.spacefile import _SPACES
 
     doc = _rescaled_s3xs3(1)
     doc["structure_constants"].append([0, 1, 3, "1"])
-    before = _validated_space.cache_info()
+    before = dict(_SPACES)
     for _ in range(2):
         with pytest.raises(SpaceFormatError, match="Jacobi"):
             parse_space(doc)
-    after = _validated_space.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+    assert _SPACES == before
+
+
+# -- what a cached algebra skips, and what it never hides ----------------------
+def _fixture(name):
+    with open(os.path.join(FIXTURES, f"{name}.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "flag", "cp3"])
+def test_cached_algebra_parses_no_structure_constant(name, monkeypatch):
+    from nk6 import spacefile
+
+    doc = _fixture(name)
+    parse_space(doc)   # the algebra is validated and stored
+    calls = []
+    original = spacefile.parse_rational
+    monkeypatch.setattr(spacefile, "parse_rational",
+                        lambda text: calls.append(text) or original(text))
+    parse_space(_fixture(name))
+    # the forms' and the metric's strings are read; no structure constant is
+    written = [v for entries in doc["forms"].values() for _, v in entries]
+    written += [v for row in doc.get("metric") or [] for v in row]
+    assert calls == written
+    monkeypatch.setattr(spacefile, "_SPACES", {})
+    calls.clear()
+    parse_space(_fixture(name))
+    assert len(calls) == len(written) + len(doc["structure_constants"])
+
+
+def _set_value(doc):
+    doc["structure_constants"][3][3] = "1/0"
+
+
+def _set_index(doc):
+    doc["structure_constants"][3][2] = doc["dimension"]
+
+
+def _swap_ij(doc):
+    entry = doc["structure_constants"][3]
+    entry[0], entry[1] = entry[1], entry[0]
+
+
+def _duplicate(doc):
+    doc["structure_constants"][3] = list(doc["structure_constants"][2])
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "flag", "cp3"])
+@pytest.mark.parametrize("change, message", [
+    (_set_value, r"\$\.structure_constants\[3\]: bad rational '1/0'"),
+    (_set_index, r"\$\.structure_constants\[3\]\.k: index out of range"),
+    (_swap_ij, r"\$\.structure_constants\[3\]: give entries for i < j only"),
+    (_duplicate, r"\$\.structure_constants\[3\]: duplicate entry")])
+def test_one_changed_constant_fails_as_on_a_cold_cache(name, change, message,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+    # a document one constant away from a cached algebra exits 2 with the
+    # JSON-path message it gets when nothing is cached
+    from nk6 import spacefile
+    from nk6.cli import main
+
+    doc = _fixture(name)
+    change(doc)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for cache in ("warm", "cold"):
+        if cache == "warm":
+            parse_space(_fixture(name))
+        else:
+            monkeypatch.setattr(spacefile, "_SPACES", {})
+        assert main(["check", str(path), "--cone"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert re.match(r"error: " + message, errors[0])
