@@ -16,7 +16,6 @@ runs once per ray in the open orthant.  Nothing is factored or solved.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import smallmat
@@ -27,12 +26,11 @@ from .poly import Poly
 from .scalars import EPS, exact_div, exact_sqrt
 
 
-@dataclass(frozen=True)
 class Claim:
     """constant times the product of the factors."""
 
-    constant: Fraction
-    factors: tuple
+    def __init__(self, constant, factors):
+        self.constant, self.factors = constant, factors  # Fraction, Polys
 
     def expand(self):
         out = Fraction(self.constant)
@@ -45,22 +43,21 @@ class Claim:
                           + [f"({f.format(names)})" for f in self.factors])
 
 
-@dataclass(frozen=True)
 class Certificate:
-    family: str
-    variables: tuple
-    omega: object          # parameter values -> 2-form
-    differential: object   # form -> form
-    claims: tuple          # one Claim per distinct minor
-    squares: bool = False
+    def __init__(self, family, variables, omega, differential, claims,
+                 squares=False):
+        self.family, self.variables = family, variables
+        self.omega = omega                # parameter values -> 2-form
+        self.differential = differential  # form -> form
+        self.claims = claims              # one Claim per distinct minor
+        self.squares = squares
 
 
-@dataclass
 class CertificateResult:
-    ok: bool           # the claims hold
-    detail: str
-    solutions: list    # the rays that pass the pipeline
-    builds: list = field(default_factory=list)  # (structure, NKReport) per ray
+    def __init__(self, ok, detail, solutions, builds=None):
+        self.ok, self.detail = ok, detail  # ok: the claims hold
+        self.solutions = solutions  # the rays that pass the pipeline
+        self.builds = [] if builds is None else builds  # (structure, NKReport) per ray
 
     @property
     def unique(self):

@@ -143,7 +143,7 @@ def _cmd_check(args):
     rep = _base_report(args, f"check {args.file}", file=args.file,
                        omega=args.omega, psi=args.psi or "(d omega)/3")
     tol = args.tolerance
-    doc = load_space(args.file)
+    doc = load_space(args.file, floats=args.scalar == "float")
     space = doc.reductive_space()
     omega = _named_form(doc, args.omega, 2, args.scalar)
     if space.dim_m != 6:

@@ -9,12 +9,11 @@ for rho = r^2 dr ^ omega + r^3 psi) runs exactly in exact scalar mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from . import smallmat
 from .exterior import HodgeStar, KForm, NotUnitNorm, interior, metric_volume, wedge
 from .hitchin import form_dot, volume_fit
 from .report import verdict
-from .scalars import EPS, exact_div, is_positive, simplify
+from .scalars import EPS, exact_div, is_exact, is_positive, simplify
 
 
 class ConeForm:
@@ -128,17 +127,19 @@ def u_basis_expansion(c, radius=1):
 
 
 # ---------------------------------------------------------------------------
-@dataclass
 class ConeReport:
-    d_rho_residual: float
-    d_star_rho_residual: float
-    omega2_coefficient: object
-    phi_term_residual: float
-    normalization: object
-    fit: object
-    rescaled: bool
-    closed: bool
-    coclosed: bool
+    def __init__(self, d_rho_residual, d_star_rho_residual, omega2_coefficient,
+                 phi_term_residual, normalization, fit, rescaled, closed,
+                 coclosed):
+        self.d_rho_residual = d_rho_residual
+        self.d_star_rho_residual = d_star_rho_residual
+        self.omega2_coefficient = omega2_coefficient
+        self.phi_term_residual = phi_term_residual
+        self.normalization = normalization
+        self.fit = fit
+        self.rescaled = rescaled
+        self.closed = closed
+        self.coclosed = coclosed
 
     @property
     def verdict(self):
@@ -163,10 +164,10 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     """
     dphi, o2 = fit or (link_d(s.phi), s.omega2)
     c, _ = volume_fit(dphi, o2)
-    # when d phi is proportional to omega^2, c is half their ratio: its
-    # zero test is at that scale
-    scale = dphi.max_abs() / (2 * o2.max_abs())
-    rescaled = is_positive(c, tol * scale)
+    # when d phi is proportional to omega^2, c is half their ratio: a float
+    # c is tested at that scale, an exact one exactly (the scale may underflow)
+    rescaled = is_positive(c, 0.0 if is_exact(c) else
+                           tol * dphi.max_abs() / (2 * o2.max_abs()))
     if rescaled:
         s = s.scaled(c)
 

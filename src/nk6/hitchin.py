@@ -13,7 +13,6 @@ on integers, lowered only for the API; a matrix argument may be a lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import smallmat
@@ -60,41 +59,33 @@ class SlotInconsistent(StructureError):
     """psi(J.,.,.) depends on the slot, so psi is not of pure type for J."""
 
 
-@dataclass
 class SU3Candidate:
     """A 2-form and a 3-form on the same 6-dimensional space, plus an
     orientation (a reference nonzero 6-form)."""
 
-    omega: KForm
-    psi: KForm
-    vol: KForm
-
-    def __post_init__(self):
-        if self.omega.n != 6 or self.psi.n != 6 or self.vol.n != 6:
+    def __init__(self, omega, psi, vol):
+        if omega.n != 6 or psi.n != 6 or vol.n != 6:
             raise ValueError("candidate forms must live in dimension 6")
-        if self.omega.k != 2 or self.psi.k != 3 or self.vol.k != 6:
+        if omega.k != 2 or psi.k != 3 or vol.k != 6:
             raise ValueError("candidate degrees must be (2, 3, 6)")
-        if self.vol.is_zero():
+        if vol.is_zero():
             raise ValueError("reference volume form vanishes")
+        self.omega, self.psi, self.vol = omega, psi, vol
 
 
-@dataclass
 class SU3Structure:
     """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol), with the
     build's omega^2, omega^3 (/ 6: the volume form of g) and the lattice of
     g^-1 (:func:`metric_inverse`)."""
 
-    omega: KForm
-    psi: KForm
-    phi: KForm
-    J: list
-    g: list
-    kappa: object
-    tau0: object
-    vol: KForm
-    omega2: KForm = field(repr=False, compare=False)
-    omega3: KForm = field(repr=False, compare=False)
-    ginv: tuple = field(repr=False, compare=False)
+    def __init__(self, omega, psi, phi, J, g, kappa, tau0, vol, omega2,
+                 omega3, ginv):
+        self.omega, self.psi, self.phi = omega, psi, phi
+        self.J, self.g = J, g  # 6 x 6 lists
+        self.kappa, self.tau0 = kappa, tau0
+        self.vol = vol
+        self.omega2, self.omega3 = omega2, omega3
+        self.ginv = ginv
 
     def scaled(self, c):
         """The structure of the pair (c omega, c psi), c > 0, in closed form.
@@ -117,18 +108,16 @@ class SU3Structure:
             ginv=times(exact_div(1, c), self.ginv))
 
 
-@dataclass
 class NKReport:
     """Each structure equation decided by the zero policy (``first``,
     ``second``), its residual for display, and the fitted constant mu.
     ``fit`` keeps the (d phi, omega^omega) of the fit for :func:`cone_check`."""
 
-    residual_r1: float
-    residual_r2: float
-    mu: object
-    first: bool
-    second: bool
-    fit: tuple = field(default=None, repr=False, compare=False)
+    def __init__(self, residual_r1, residual_r2, mu, first, second, fit=None):
+        self.residual_r1, self.residual_r2 = residual_r1, residual_r2
+        self.mu = mu
+        self.first, self.second = first, second
+        self.fit = fit
 
     @property
     def verdict(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .scalars import EPS
 
@@ -19,13 +18,12 @@ from .scalars import EPS
 PASS, FAIL, NA = "pass", "fail", "na"
 
 
-@dataclass
 class Verdict:
-    name: str
-    status: str
-    label: str = ""
-    residual: float = None
-    detail: str = ""
+    def __init__(self, name, status, label="", residual=None, detail=""):
+        self.name, self.status = name, status
+        self.label = label
+        self.residual = residual
+        self.detail = detail
 
     def as_dict(self):
         out = {"name": self.name, "status": self.status}
@@ -44,25 +42,27 @@ def verdict(name, ok, label="", residual=None, detail=""):
                    label="" if ok else label, residual=residual, detail=detail)
 
 
-@dataclass
 class Verdicts:
     """A model report: named ``verdicts`` decided once, and the ``scalars``
     derived with them."""
 
-    verdicts: list = field(default_factory=list)
-    scalars: dict = field(default_factory=dict)
+    def __init__(self, verdicts=None, scalars=None):
+        self.verdicts = [] if verdicts is None else verdicts
+        self.scalars = {} if scalars is None else scalars
 
     @property
     def ok(self):
         return all(v.status != FAIL for v in self.verdicts)
 
 
-@dataclass(kw_only=True)
 class Report(Verdicts):
-    command: str
-    inputs: dict = field(default_factory=dict)
-    tolerance: float = EPS
-    timing_s: float = 0.0
+    def __init__(self, verdicts=None, scalars=None, *, command, inputs=None,
+                 tolerance=EPS, timing_s=0.0):
+        super().__init__(verdicts, scalars)
+        self.command = command
+        self.inputs = {} if inputs is None else inputs
+        self.tolerance = tolerance
+        self.timing_s = timing_s
 
     def check(self, name, ok, label="", residual=None, detail=""):
         self.verdicts.append(verdict(name, ok, label, residual, detail))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import smallmat
@@ -67,13 +66,11 @@ def differential(alpha):
 
 
 # ---------------------------------------------------------------------------
-@dataclass
 class ABCForm:
     """omega = sum a_i e_{i+1}e_{i+2} + sum b_i f_{i+1}f_{i+2} + sum c_ij e_i f_j."""
 
-    A: list
-    B: list
-    C: list
+    def __init__(self, A, B, C):
+        self.A, self.B, self.C = A, B, C  # 3, 3 and 3 x 3 coefficients
 
     def to_form(self):
         terms = []
@@ -87,16 +84,13 @@ class ABCForm:
         return KForm.from_terms(6, 2, terms)
 
 
-@dataclass
 class DiagonalInvariantForm:
     """omega = lambda_1 e1^f1 + lambda_2 e2^f2 + lambda_3 e3^f3, lambdas nonzero."""
 
-    lams: tuple
-
-    def __post_init__(self):
-        if len(self.lams) != 3 or any(l == 0 for l in self.lams):
+    def __init__(self, lams):
+        if len(lams) != 3 or any(l == 0 for l in lams):
             raise ValueError("need three nonzero coefficients")
-        self.lams = tuple(self.lams)
+        self.lams = tuple(lams)
 
     def to_form(self):
         return KForm.from_terms(
@@ -308,16 +302,19 @@ def _diagonal_certificate(signs):
     return None
 
 
-@dataclass(kw_only=True)
 class SolveReport(Verdicts):
-    family: str
-    mu_at_one: object
-    certificate: object
-    survivors: list
-    certificates: dict
-    verified_examples: list
-    structure: object
-    nk: object
+    def __init__(self, verdicts=None, scalars=None, *, family, mu_at_one,
+                 certificate, survivors, certificates, verified_examples,
+                 structure, nk):
+        super().__init__(verdicts, scalars)
+        self.family = family
+        self.mu_at_one = mu_at_one
+        self.certificate = certificate
+        self.survivors = survivors
+        self.certificates = certificates
+        self.verified_examples = verified_examples
+        self.structure = structure
+        self.nk = nk
 
 
 def solve_nk(tol=EPS):

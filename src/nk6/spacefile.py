@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exterior import KForm
@@ -31,19 +30,28 @@ class SpaceFormatError(ValueError):
     """Invalid space document; message carries a JSON-path-style location."""
 
 
-def _value(v, where):
+def _value(v, where, floats=False):
+    """An exact number, or a float for a JSON float; with ``floats`` (the
+    data of ``check --scalar float``) an exact one must have a float value."""
     if isinstance(v, str):
         try:
-            return parse_rational(v)
+            q = parse_rational(v)
         except (ValueError, ZeroDivisionError) as ex:
             raise SpaceFormatError(f"{where}: bad rational {v!r} ({ex})")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpaceFormatError(f"{where}: expected number or 'p/q' string")
-    if isinstance(v, int):
-        return Fraction(v)
-    if not math.isfinite(v):
+    elif isinstance(v, int):
+        q = Fraction(v)
+    elif not math.isfinite(v):
         raise SpaceFormatError(f"{where}: non-finite number {v!r}")
-    return float(v)
+    else:
+        return float(v)
+    if floats:
+        try:
+            float(q)
+        except OverflowError:
+            raise SpaceFormatError(f"{where}: outside the float range")
+    return q
 
 
 def _is_index(i, dim):
@@ -58,15 +66,16 @@ def _index_list(v, dim, where):
     return list(v)
 
 
-@dataclass
 class SpaceDocument:
-    dimension: int
-    labels: list
-    h_indices: list
-    m_indices: list
-    space: ReductiveSpace = field(repr=False, compare=False)
-    forms: dict = field(default_factory=dict)      # name -> KForm on m
-    metric: list = None                            # Gram on m, or None
+    def __init__(self, dimension, labels, h_indices, m_indices, space,
+                 forms=None, metric=None):
+        self.dimension = dimension
+        self.labels = labels
+        self.h_indices = h_indices
+        self.m_indices = m_indices
+        self.space = space                            # the ReductiveSpace
+        self.forms = {} if forms is None else forms   # name -> KForm on m
+        self.metric = metric                          # Gram on m, or None
 
     @property
     def constants(self):
@@ -85,13 +94,15 @@ SPACE_CACHE_SIZE = 8
 _SPACES = {}   # validated ReductiveSpaces, the most recently used last
 
 
-def parse_space(data):
+def parse_space(data, floats=False):
     """Validate a parsed JSON object into a SpaceDocument.
 
     Documents of one algebra share its validated space, keyed by the JSON
     text of the raw [dimension, basis, structure constants, h, m], which
     tells 1, 1.0 and "1" apart.  Only algebras that pass validation are
     stored, and raw data that did can only pass again: they are not read.
+    With ``floats`` (``check --scalar float``) every exact entry of a form
+    or of the metric must have a float value.
     """
     if not isinstance(data, dict):
         raise SpaceFormatError("$: top level must be an object")
@@ -147,7 +158,7 @@ def parse_space(data):
                 mapped.append(m_pos[g])
             if len(set(mapped)) != len(mapped):
                 raise SpaceFormatError(f"{where}[{pos}]: repeated index")
-            terms.append((tuple(mapped), _value(v, f"{where}[{pos}]")))
+            terms.append((tuple(mapped), _value(v, f"{where}[{pos}]", floats)))
         try:
             forms[name] = KForm.from_terms(nm, degree or 0, terms)
         except ValueError as ex:
@@ -159,7 +170,7 @@ def parse_space(data):
         if (not isinstance(rows, list) or len(rows) != nm
                 or any(not isinstance(r, list) or len(r) != nm for r in rows)):
             raise SpaceFormatError("$.metric: expected a square m x m matrix")
-        metric = [[_value(v, f"$.metric[{i}][{j}]") for j, v in enumerate(row)]
+        metric = [[_value(v, f"$.metric[{i}][{j}]", floats) for j, v in enumerate(row)]
                   for i, row in enumerate(rows)]
         if metric != [list(col) for col in zip(*metric)]:
             raise SpaceFormatError("$.metric: not symmetric")
@@ -208,8 +219,8 @@ def _algebra(dim, triples, h_idx, m_idx):
     return c, h_idx, m_idx
 
 
-def load_space(path):
-    """Parse and validate a space document from a file path."""
+def load_space(path, floats=False):
+    """Parse and validate a space document from a file path (:func:`parse_space`)."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -220,7 +231,7 @@ def load_space(path):
     except json.JSONDecodeError as ex:
         raise SpaceFormatError(
             f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}")
-    return parse_space(data)
+    return parse_space(data, floats)
 
 
 def _scalar_out(v):

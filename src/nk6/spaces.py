@@ -12,7 +12,6 @@ exactly from coordinates and Jacobi-checked on construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import smallmat
@@ -60,7 +59,6 @@ def _quaternion_matrix(entries):
 
 # ---------------------------------------------------------------------------
 # Ledger-Obata: G x G x G / diagonal, for G = SU(2)
-@dataclass
 class LedgerObata:
     """The 3-symmetric presentation of S^3 x S^3 inside su(2)^3.
 
@@ -71,12 +69,12 @@ class LedgerObata:
     (first-component basis A1_i, second A2_i; or factors M1_i, M2_i).
     """
 
-    space: ReductiveSpace
-    s_matrix: list
-    metric: list
-    space_last_two: ReductiveSpace
-    s_matrix_last_two: list
-    metric_last_two: list
+    def __init__(self, space, s_matrix, metric, space_last_two,
+                 s_matrix_last_two, metric_last_two):
+        self.space, self.s_matrix, self.metric = space, s_matrix, metric
+        self.space_last_two = space_last_two
+        self.s_matrix_last_two = s_matrix_last_two
+        self.metric_last_two = metric_last_two
 
     def identification(self):
         """Columns of the map (X, Y) -> m of the last-two-factors complement.
@@ -163,10 +161,10 @@ def kahler_form(g, j):
         for a in range(n) for b in range(a + 1, n)])
 
 
-@dataclass
 class FlagModel:
-    space: ReductiveSpace
-    summands: dict
+    def __init__(self, space, summands):
+        self.space = space
+        self.summands = summands  # name -> the two indices of the summand
 
     def metric(self, r, s, t):
         """diag(r, r, s, s, t, t); the entries may be numbers or Polys."""
@@ -207,14 +205,17 @@ def flag_model():
                      summands={"p": (0, 1), "q": (2, 3), "r": (4, 5)})
 
 
-@dataclass(kw_only=True)
 class FlagReport(Verdicts):
-    bracket_families_exact: bool
-    weights_exact: bool
-    canonical_3symmetric: bool
-    flipped_integrable: dict
-    natred_rays: list
-    certificate: object
+    def __init__(self, verdicts=None, scalars=None, *, bracket_families_exact,
+                 weights_exact, canonical_3symmetric, flipped_integrable,
+                 natred_rays, certificate):
+        super().__init__(verdicts, scalars)
+        self.bracket_families_exact = bracket_families_exact
+        self.weights_exact = weights_exact
+        self.canonical_3symmetric = canonical_3symmetric
+        self.flipped_integrable = flipped_integrable
+        self.natred_rays = natred_rays
+        self.certificate = certificate
 
 
 def _flag_bracket_family_checks():
@@ -385,9 +386,9 @@ def _diag_second(b):
     return _quaternion_matrix([[_Q0, _Q0], [_Q0, b]])
 
 
-@dataclass
 class CP3Model:
-    space: ReductiveSpace
+    def __init__(self, space):
+        self.space = space
 
     def metric(self, t, a=1):
         """a g_p + t g_v; the scales may be numbers or Polys."""
@@ -446,19 +447,21 @@ def _block_support(mat):
             (True, False) in hit or (False, True) in hit)
 
 
-@dataclass(kw_only=True)
 class CP3Report(Verdicts):
-    commutant_dimension: int
-    summand_dims: tuple
-    summands_irreducible: bool
-    acs_candidates: int
-    nk_fiber_sign: int
-    t_nk: Fraction
-    t_kahler: Fraction
-    kahler_fiber_sign: int
-    ratio: Fraction
-    nk_unique: bool
-    kahler_unique: bool
+    def __init__(self, verdicts=None, scalars=None, *, commutant_dimension,
+                 summand_dims, summands_irreducible, acs_candidates,
+                 nk_fiber_sign, t_nk, t_kahler, kahler_fiber_sign, ratio,
+                 nk_unique, kahler_unique):
+        super().__init__(verdicts, scalars)
+        self.commutant_dimension = commutant_dimension
+        self.summand_dims = summand_dims
+        self.summands_irreducible = summands_irreducible
+        self.acs_candidates = acs_candidates
+        self.nk_fiber_sign = nk_fiber_sign
+        self.t_nk, self.t_kahler = t_nk, t_kahler
+        self.kahler_fiber_sign = kahler_fiber_sign
+        self.ratio = ratio
+        self.nk_unique, self.kahler_unique = nk_unique, kahler_unique
 
 
 def cp3_certificate(model, fiber_sign):
@@ -620,9 +623,9 @@ def algebra_dimension(label):
     return total
 
 
-@dataclass
 class TableReport:
-    rows: list
+    def __init__(self, rows):
+        self.rows = rows
 
     @property
     def ok(self):

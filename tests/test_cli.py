@@ -850,3 +850,49 @@ def test_jacobi_violation_is_exit_two_with_a_cached_algebra(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: $: structure constants violate the Jacobi identity\n"
+
+
+def test_cone_check_on_tiny_exact_data(tmp_path, capsys):
+    # at 10^-200 the float size of omega^2 underflows to 0.0, which the
+    # rescale's zero test once divided by; an exact c needs no size
+    with open(os.path.join(FIX, "cp3.json")) as fh:
+        doc = json.load(fh)
+    del doc["metric"]
+    omega = doc["forms"]["omega"]
+    path = tmp_path / "cp3_scaled.json"
+    verdicts = []
+    for scale in (1, Fraction(1, 10 ** 200)):
+        doc["forms"]["omega"] = [[idx, str(Fraction(v) * scale)] for idx, v in omega]
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "--json", "check", str(path), "--cone")
+        assert code == 0
+        verdicts.append([(v.name, v.status, v.label, v.residual, v.detail)
+                         for v in Report.from_json(out).verdicts])
+    assert verdicts[1] == verdicts[0]
+    assert [name for name, *_ in verdicts[1]][-2:] == [
+        "cone form closed", "cone form coclosed"]
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda doc: doc["forms"]["omega"][0].__setitem__(1, "1e400"),
+     "$.forms.omega[0]"),
+    (lambda doc: doc["forms"]["omega"][2].__setitem__(1, -10 ** 400),
+     "$.forms.omega[2]"),
+    (lambda doc: doc["metric"][0].__setitem__(0, "1e999"), "$.metric[0][0]"),
+], ids=["omega-string", "omega-int", "metric"])
+def test_scalar_float_rejects_numbers_beyond_the_float_range(tmp_path, capsys,
+                                                              edit, path):
+    with open(os.path.join(FIX, "cp3.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    file = tmp_path / "huge.json"
+    file.write_text(json.dumps(doc))
+    code = main(["--scalar", "float", "check", str(file), "--cone"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: outside the float range\n"
+    if path == "$.forms.omega[0]":
+        # exact arithmetic takes the number: the edited omega is not invariant
+        code, out = run(capsys, "--json", "check", str(file))
+        assert code == 1
+        assert Report.from_json(out).verdicts[0].label == "NotInvariant"

@@ -2,13 +2,17 @@
 
 ``Tracer.install`` looks each name of its ``FUNCTIONS`` up with
 ``getattr`` on the ``nk6`` module, so deleting or renaming one of them
-breaks a traced benchmark run.  The names are read from the file with
-``ast``; the tracer itself is not imported.
+breaks a traced benchmark run, and so does an ``import nk6.cli`` that
+no longer loads one of their modules.  The names are read from the file
+with ``ast``; the tracer itself is not imported.
 """
 
 import ast
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,3 +34,22 @@ def _traced_functions():
 def test_traced_function_resolves(qualname):
     modname, fname = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"nk6.{modname}"), fname))
+
+
+def test_cli_import_loads_every_traced_module_and_no_dataclasses():
+    # The records of nk6 are plain classes: `import nk6.cli` pulls in
+    # neither dataclasses nor, through it, inspect, which cost a fresh
+    # command about 20 ms.  Tracer.install reads each traced module from
+    # sys.modules right after `import nk6.cli`, so the import must still
+    # load every one of them.
+    src = os.path.abspath(os.path.join(os.path.dirname(TRACER), os.pardir, "src"))
+    code = ("import json, sys; before = set(sys.modules); import nk6.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert not {"dataclasses", "inspect"} & loaded
+    traced = {f"nk6.{name.split('.')[0]}" for name in _traced_functions()}
+    assert traced <= loaded, traced - loaded
