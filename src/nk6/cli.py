@@ -125,7 +125,7 @@ def _cmd_solve(args):
     rep.check("solution family is (lambda, lambda, lambda), lambda > 0",
               solved.ok, label="diff-system", detail=solved.family)
     rep.verdicts += solved.verdicts
-    rep.scalar("mu_at_lambda_1", float(solved.mu_at_one))
+    rep.scalar("mu_at_lambda_1", solved.mu_at_one)
     return rep
 
 
@@ -180,9 +180,9 @@ def _cmd_check(args):
               label="diff-system", residual=nk.residual_r1)
     rep.check("second structure equation (d phi = -2 mu omega^2)", nk.second,
               label="diff-system", residual=nk.residual_r2)
-    rep.scalar("mu", float(nk.mu))
-    rep.scalar("tau0", float(structure.tau0))
-    rep.scalar("kappa", float(structure.kappa))
+    rep.scalar("mu", nk.mu)
+    rep.scalar("tau0", structure.tau0)
+    rep.scalar("kappa", structure.kappa)
     rep.inputs["orientation"] = orient
 
     if doc.metric is not None:
@@ -214,7 +214,7 @@ def _cmd_check(args):
         verdicts, crep = cone_verdicts(structure, d, tol, nk.fit)
         rep.verdicts += verdicts
         if crep is not None:
-            rep.scalar("cone_omega2_coefficient", float(crep.omega2_coefficient))
+            rep.scalar("cone_omega2_coefficient", crep.omega2_coefficient)
     return rep
 
 

@@ -19,7 +19,7 @@ from . import smallmat
 from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
 from .scalars import (
     EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows,
-    lattice_max_abs, lattice_sum, lattice_zero, lower, simplify, sqrt_scalar, times)
+    lattice_sum, lattice_zero, lower, scaled_tol, simplify, sqrt_scalar, times)
 
 
 class StructureError(ValueError):
@@ -172,7 +172,7 @@ def hitchin_K(psi, vol, tol=EPS):
     K = _k_lattice(psi, vol)
     P, Q, d = K2 = smallmat.lattice_mul(K, K, 6, 6, 6)
     tau0 = exact_div(sum(lower((P[::7], Q and Q[::7], d))), 6)
-    if not smallmat.is_scalar_matrix(K2, tau0, tol * max(lattice_max_abs(K2), 1.0)):
+    if not smallmat.is_scalar_matrix(K2, tau0, scaled_tol(tol, K2)):
         raise StructureError("K^2 is not a multiple of the identity")
     return smallmat.unflatten(lower(K), 6, 6), simplify(tau0)
 
@@ -191,7 +191,7 @@ def phi_from(psi, J, tol=EPS):
     when psi is of type (3,0)+(0,3) for J.
     """
     phis = [contract(psi, J, slot) for slot in range(3)]
-    slot_tol = tol * max(phis[0].max_abs(), 1.0)
+    slot_tol = scaled_tol(tol, phis[0].lattice())
     if not all((phis[0] - other).is_zero(slot_tol) for other in phis[1:]):
         raise SlotInconsistent()
     return phis[0]
@@ -306,7 +306,7 @@ def build_su3(cand, tol=EPS, powers=None):
     phi = phi_from(psi, J, tol=tol)
     # interior(X, psi) = interior(JX, phi) on the basis
     if not lattice_zero(contraction_defect(psi, phi, J),
-                        tol * max(psi.max_abs(), 1.0)):
+                        scaled_tol(tol, psi.lattice())):
         raise StructureError("contraction identity for phi fails")
 
     ginv = metric_inverse(J, o2, o3)

@@ -176,7 +176,7 @@ class ReductiveSpace:
     compiled on first use and kept on the instance (:meth:`compiled`).
     """
 
-    def __init__(self, algebra, h_indices, m_indices, check=True):
+    def __init__(self, algebra, h_indices, m_indices):
         self.algebra = algebra
         self.h_idx = list(h_indices)
         self.m_idx = list(m_indices)
@@ -185,8 +185,7 @@ class ReductiveSpace:
         self.dim_h = len(self.h_idx)
         self.dim_m = len(self.m_idx)
         self._compiled = {}
-        if check:
-            self._check_reductive()
+        self._check_reductive()
         self._tables()
 
     def _tables(self):
@@ -411,11 +410,11 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     g-orthogonal with J^2 = -Id, g(J u, w) = -g(u, J w), so
         g((nabla_i J) X_j, X_z) = sum_s J_sj G[i][s][z] + sum_s J_sz G[i][j][s],
     the 21 lowered vectors are one lattice product of J with G, (i, j) and
-    (j, i) added in its table.  g is proved invertible first (a singular g
-    fails with ``matrix is singular``), a rational g with no inverse, so
-    exact lowered vectors that are all zero give (True, 0.0); otherwise
-    they are raised by g^-1, and (ok, residual) is decided on them, exactly
-    or at ``tol`` on floats, with the largest coefficient.
+    (j, i) added in its table.  g is proved invertible first by its
+    determinant, with no inverse (a singular g fails with ``matrix is
+    singular``), so exact lowered vectors that are all zero give (True,
+    0.0); otherwise they are raised by g^-1, and (ok, residual) is decided
+    on them, exactly or at ``tol`` on floats, with the largest coefficient.
     """
     n = space.dim_m
     mul = lambda x, y, rows=n: smallmat.lattice_mul(x, y, rows, n, n)
@@ -428,9 +427,7 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     if not is_invariant_endo(space, Jl, tol=tol):
         raise ValueError("J is not an invariant tensor")
     koszul = _koszul(space, gl, tol)
-    P, Q, d = gl   # a rational g is invertible iff its integer numerators are
-    ginv = smallmat.inv(g) if d is None or Q else None
-    if ginv is None and not smallmat.bareiss_det(smallmat.unflatten(P, n, n)):
+    if smallmat.det(g) == 0:
         raise smallmat.SingularMatrix("matrix is singular")
     r, pairs = range(n), [(i, j) for i in range(n) for j in range(i, n)]
     out = lambda i, j, z: pairs.index((min(i, j), max(i, j))) * n + z
@@ -445,7 +442,7 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     polar = bilinear(rows, Jl, koszul, len(pairs) * n)
     if polar[2] is not None and lattice_zero(polar):
         return True, 0.0
-    ginv_t = smallmat.transpose(smallmat.inv(g) if ginv is None else ginv)
+    ginv_t = smallmat.transpose(smallmat.inv(g))
     raised = lower(mul(polar, smallmat.mat_lattice(ginv_t), len(pairs)))
     return all_zero(raised, tol), _max_vec(raised)
 

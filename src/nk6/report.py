@@ -36,10 +36,19 @@ class Verdict:
         return out
 
 
+def _number(x):
+    """float(x) for a report: None (JSON null) for None and non-finite values."""
+    try:
+        x = None if x is None else float(x)
+    except OverflowError:   # an exact value beyond the float range
+        return None
+    return x if x is None or math.isfinite(x) else None
+
+
 def verdict(name, ok, label="", residual=None, detail=""):
     """A pass/fail verdict; only a failing one keeps its label."""
-    return Verdict(name=name, status=PASS if ok else FAIL,
-                   label="" if ok else label, residual=residual, detail=detail)
+    return Verdict(name=name, status=PASS if ok else FAIL, residual=_number(residual),
+                   label="" if ok else label, detail=detail)
 
 
 class Verdicts:
@@ -73,7 +82,7 @@ class Report(Verdicts):
         return self.ok
 
     def scalar(self, name, value):
-        self.scalars[name] = float(value) if value is not None else None
+        self.scalars[name] = _number(value)
 
     def as_dict(self):
         return {

@@ -391,12 +391,21 @@ def lattice_sum(x, y, s=1):
 
 def lattice_max_abs(lattice):
     """max abs(float(x)) over the scalars x of a lattice (0.0 if none), bitwise
-    as on the lowered scalars: p / d on ints is correctly rounded."""
+    as on the lowered scalars: p / d on ints is correctly rounded; inf when
+    an exact one lies beyond the float range."""
     P, Q, d = lattice
     r3 = math.sqrt(3.0)
     values = map(float, P) if d is None else (
         p / d + q / d * r3 if q else p / d for p, q in zip(P, Q or [0] * len(P)))
-    return max(map(abs, values), default=0.0)
+    try:
+        return max(map(abs, values), default=0.0)
+    except OverflowError:
+        return math.inf
+
+
+def scaled_tol(tol, lattice):
+    """tol times the size (at least 1) of a float lattice; exact ones ignore tol."""
+    return tol * max(lattice_max_abs(lattice), 1.0) if lattice[2] is None else tol
 
 
 def times(s, lattice):

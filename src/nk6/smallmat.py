@@ -1,14 +1,18 @@
 """Small dense linear algebra over generic scalars.
 
-Matrices are lists of row lists, vectors plain lists.  The same Gaussian
-elimination serves exact scalars (pivot on any nonzero entry, arithmetic
-stays exact) and floats (partial pivoting).  Products skip terms with a
-zero factor, so sparse matrices cost only their nonzero entries.  Zero
-tests follow the zero policy of :mod:`nk6.scalars`: scalars that are all
-exact are compared with 0 exactly, otherwise by ``abs(float(x))`` against a
+Matrices are lists of row lists, vectors plain lists.  One forward
+elimination (:func:`_eliminate`) and one back-substitution serve every
+solver, on exact scalars (pivot on the first nonzero entry, arithmetic
+stays exact) and on floats (partial pivoting): :func:`det` is the swap sign
+times the product of the pivots, :func:`is_positive_definite` is
+Sylvester's test on the running products of a pass without row swaps, and
+:func:`solve`, :func:`inv`, :func:`solve_in_span` and :func:`nullspace`
+back-substitute over the pivot rows.  Products skip terms with a zero
+factor, so sparse matrices cost only their nonzero entries.  Zero tests
+follow the zero policy of :mod:`nk6.scalars`: scalars that are all exact
+are compared with 0 exactly, otherwise by ``abs(float(x))`` against a
 tolerance.  Dimensions never exceed a few dozen here, so nothing clever is
-needed.  Positive definiteness is Sylvester's test, read off one
-elimination without row swaps (:func:`is_positive_definite`).
+needed.
 """
 
 from __future__ import annotations
@@ -139,54 +143,63 @@ def is_float_data(a):
     return not all(is_exact(x) for row in a for x in row)
 
 
-def _pivot(m, col, start, float_mode, tol):
-    """The pivot row of column ``col`` from row ``start`` on, or None: the
-    largest entry on floats (unless zero at ``tol``), else the first nonzero."""
-    if float_mode:
-        best = max(range(start, len(m)), key=lambda r: abs(float(m[r][col])))
-        return None if is_zero(m[best][col], tol) else best
-    return next((r for r in range(start, len(m)) if m[r][col] != 0), None)
+def _eliminate(a, ncols, tol=EPS, swaps=True):
+    """Forward elimination on the first ``ncols`` columns of a copy of the
+    rows ``a``: (rows, pivots, minors, sign).
 
-
-def _forward_eliminate(m, ncols, float_mode, tol):
-    """Row-reduce in place; returns list of pivot column indices."""
-    pivots = []
-    row = 0
-    nrows = len(m)
+    Row i < len(pivots) of ``rows`` has its pivot in column ``pivots[i]``;
+    the rows below a pivot are cleared, but only columns right of it are
+    written.  ``minors`` are the running products of the pivots and
+    ``sign`` that of the row swaps.  A column's pivot is its first nonzero
+    entry on exact data, its largest on floats, or none when that is zero
+    at ``tol``.  Without ``swaps`` only the next row's entry is a candidate,
+    so the running products are the leading principal minors.
+    """
+    m, float_mode = [list(row) for row in a], is_float_data(a)
+    pivots, minors, sign = [], [], 1
     for col in range(ncols):
-        if row >= nrows:
-            break
-        best = _pivot(m, col, row, float_mode, tol)
-        if best is None:
+        row = len(pivots)
+        rows = range(row, len(m) if swaps else min(row + 1, len(m)))
+        best = (max(rows, key=lambda r: abs(float(m[r][col])), default=None)
+                if float_mode else next((r for r in rows if m[r][col] != 0), None))
+        if best is None or float_mode and is_zero(m[best][col], tol):
             continue
-        m[row], m[best] = m[best], m[row]
-        piv = m[row][col]
-        m[row] = [exact_div(x, piv) for x in m[row]]
-        for r in range(nrows):
-            f = m[r][col]
-            if r == row or f == 0 or float_mode and is_zero(f, tol):
-                continue
-            m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        top, piv = m[best], m[best][col]
+        if best != row:
+            m[row], m[best], sign = top, m[row], -sign
         pivots.append(col)
-        row += 1
-    return pivots
+        minors.append(minors[-1] * piv if minors else piv)
+        for r in range(row + 1, len(m)):
+            f = m[r][col]
+            if f != 0 and not (float_mode and is_zero(f, tol)):
+                f = exact_div(f, piv)
+                m[r][col + 1:] = [x - f * y if y != 0 else x
+                                  for x, y in zip(m[r][col + 1:], top[col + 1:])]
+    return m, pivots, minors, sign
+
+
+def _back_substitute(m, pivots, cols):
+    """x[i][k] with sum_j m[i][pivots[j]] x[j][k] = m[i][cols[k]] on the
+    pivot rows i of :func:`_eliminate`, from the last one up."""
+    x = [None] * len(pivots)
+    for i in reversed(range(len(pivots))):
+        row, acc = m[i], [m[i][c] for c in cols]
+        for p, xp in zip(pivots[i + 1:], x[i + 1:]):
+            if row[p] != 0:
+                acc = [u - row[p] * v if v != 0 else u for u, v in zip(acc, xp)]
+        x[i] = [exact_div(u, row[pivots[i]]) for u in acc]
+    return x
 
 
 def solve(a, b, tol=EPS):
     """Solve a x = b for square a; b a vector or a matrix of columns."""
-    n = len(a)
-    vector_rhs = not isinstance(b[0], list)
-    rhs = [[x] for x in b] if vector_rhs else [list(r) for r in b]
-    width = len(rhs[0])
-    m = [list(a[i]) + rhs[i] for i in range(n)]
-    float_mode = is_float_data(m)
-    pivots = _forward_eliminate(m, n, float_mode, tol)
+    n, vector_rhs = len(a), not isinstance(b[0], list)
+    rhs = [[x] for x in b] if vector_rhs else b
+    m, pivots, _, _ = _eliminate([[*r, *s] for r, s in zip(a, rhs)], n, tol)
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular")
-    sol = [row[n:] for row in m]
-    if vector_rhs:
-        return [row[0] for row in sol]
-    return sol
+    sol = _back_substitute(m, pivots, range(n, len(m[0])))
+    return [row[0] for row in sol] if vector_rhs else sol
 
 
 def inv(a):
@@ -194,41 +207,12 @@ def inv(a):
 
 
 def det(a):
-    n = len(a)
-    m = [list(row) for row in a]
-    float_mode = is_float_data(m)
-    sign = 1
-    out = 1
-    for col in range(n):
-        best = _pivot(m, col, col, float_mode, 0.0)
-        if best is None:
-            return 0 if not float_mode else 0.0
-        if best != col:
-            m[col], m[best] = m[best], m[col]
-            sign = -sign
-        piv = m[col][col]
-        out = out * piv
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = exact_div(m[r][col], piv)
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return sign * out
-
-
-def bareiss_det(a):
-    """det of a square integer matrix by fraction-free (Bareiss) elimination:
-    every division is exact, so each entry stays an integer (a minor of a)."""
-    m, sign, prev = [list(row) for row in a], 1, 1
-    for k in range(len(m)):
-        best = next((r for r in range(k, len(m)) if m[r][k]), None)
-        if best is None:
-            return 0
-        m[k], m[best], sign = m[best], m[k], sign if best == k else -sign
-        top, piv = m[k], m[k][k]
-        for r in range(k + 1, len(m)):
-            m[r] = [(x * piv - m[r][k] * y) // prev for x, y in zip(m[r], top)]
-        prev = piv
-    return sign * prev
+    """The swap sign times the product of the pivots: 0 (0.0 on floats)
+    when a column has none, 1 for the empty matrix."""
+    _, pivots, minors, sign = _eliminate(a, len(a), 0.0)
+    if len(pivots) < len(a):
+        return 0.0 if is_float_data(a) else 0
+    return sign * minors[-1] if a else 1
 
 
 def solve_in_span(columns, target, tol=EPS):
@@ -236,59 +220,35 @@ def solve_in_span(columns, target, tol=EPS):
 
     ``columns`` is a list of vectors (same length as ``target``).  Raises
     SingularMatrix when the system is inconsistent, i.e. the target is not
-    in the span.
+    in the span.  A column that depends on earlier ones gets 0.
     """
-    nrows = len(target)
-    ncols = len(columns)
-    m = [[columns[j][i] for j in range(ncols)] + [target[i]]
-         for i in range(nrows)]
-    float_mode = is_float_data(m)
-    pivots = _forward_eliminate(m, ncols, float_mode, tol)
-    coords = [0] * ncols
-    for row, col in enumerate(pivots):
-        coords[col] = m[row][ncols]
-    if not all_zero([m[row][ncols] for row in range(len(pivots), nrows)], tol):
+    n = len(columns)
+    m, pivots, _, _ = _eliminate(
+        [[col[i] for col in columns] + [t] for i, t in enumerate(target)], n, tol)
+    if not all_zero([row[n] for row in m[len(pivots):]], tol):
         raise SingularMatrix("target not in span")
-    return coords
+    solved = dict(zip(pivots, _back_substitute(m, pivots, [n])))
+    return [solved[c][0] if c in solved else 0 for c in range(n)]
 
 
 def nullspace(a, tol=EPS):
-    """Basis of the kernel of a (list of vectors)."""
-    nrows = len(a)
-    if nrows == 0:
+    """Basis of the kernel of a (list of vectors): per free column f, the
+    solution with 1 at f and 0 at the other free columns."""
+    if not a:
         return []
-    ncols = len(a[0])
-    m = [list(row) for row in a]
-    float_mode = is_float_data(m)
-    pivots = _forward_eliminate(m, ncols, float_mode, tol)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    one = scalar_like(a)
-    for f in free:
-        v = [0] * ncols
-        v[f] = one
-        for row, col in enumerate(pivots):
-            v[col] = -m[row][f]
-        basis.append(v)
-    return basis
+    n, one = len(a[0]), scalar_like(a)
+    m, pivots, _, _ = _eliminate(a, n, tol)
+    free = [c for c in range(n) if c not in pivots]
+    solved = dict(zip(pivots, _back_substitute(m, pivots, free)))
+    return [[one if c == f else -solved[c][k] if c in solved else 0
+             for c in range(n)] for k, f in enumerate(free)]
 
 
 def is_positive_definite(a, tol=0.0):
     """Sylvester's test: every leading principal minor of a is positive.
 
-    One elimination without row swaps.  While the minors D_1 .. D_k stay
-    nonzero, the k-th pivot is D_k / D_(k-1), so the running product of
-    the pivots is each leading minor in turn; the test stops at the first
-    one that is not positive, before it would divide by it.
+    They are the running products of the pivots of an elimination without
+    row swaps; a zero one leaves its column without a pivot.
     """
-    m = [list(row) for row in a]
-    minor = 1
-    for k, top in enumerate(m):
-        minor = minor * top[k]
-        if not is_positive(minor, tol):
-            return False
-        for r in range(k + 1, len(m)):
-            if m[r][k] != 0:
-                f = exact_div(m[r][k], top[k])
-                m[r] = [x - f * y if y != 0 else x for x, y in zip(m[r], top)]
-    return True
+    _, pivots, minors, _ = _eliminate(a, len(a), tol, swaps=False)
+    return len(pivots) == len(a) and all(is_positive(d, tol) for d in minors)

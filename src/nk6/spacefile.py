@@ -101,8 +101,8 @@ def parse_space(data, floats=False):
     text of the raw [dimension, basis, structure constants, h, m], which
     tells 1, 1.0 and "1" apart.  Only algebras that pass validation are
     stored, and raw data that did can only pass again: they are not read.
-    With ``floats`` (``check --scalar float``) every exact entry of a form
-    or of the metric must have a float value.
+    With ``floats`` (``check --scalar float``) every exact entry of the
+    structure constants, a form or the metric must have a float value.
     """
     if not isinstance(data, dict):
         raise SpaceFormatError("$: top level must be an object")
@@ -127,6 +127,9 @@ def parse_space(data, floats=False):
         c, h_idx, m_idx = _algebra(dim, triples, h_idx, m_idx)
     else:
         h_idx, m_idx = list(space.h_idx), list(space.m_idx)
+    if floats:   # the algebra may be cached by an exact document
+        for pos, entry in enumerate(triples):
+            _value(entry[3], f"$.structure_constants[{pos}]", floats)
     m_pos = {g: p for p, g in enumerate(m_idx)}
     nm = len(m_idx)
 

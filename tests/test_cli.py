@@ -524,15 +524,27 @@ def _count_calls(monkeypatch, module, fname):
 def test_check_cone_computes_no_determinant_per_minor(monkeypatch, capsys):
     # the Sylvester test is one elimination, the Hodge star's minors of g^-1
     # are Laplace expansions and its volume is omega^3 / 6: an exact check
-    # takes no determinant of scalars on any fixture (a supplied metric is
-    # proved invertible by one determinant of integers, smallmat.bareiss_det)
-    from nk6 import smallmat
+    # takes one determinant per supplied metric (its invertibility proof in
+    # nearly_kahler_residual) and none inside cone_check or HodgeStar
+    from nk6 import cone, exterior, smallmat
 
-    calls = _count_calls(monkeypatch, smallmat, "det")
-    for name in ("s3xs3", "flag", "cp3"):
+    calls, inside = _count_calls(monkeypatch, smallmat, "det"), []
+    for module, name in ((cone, "cone_check"), (exterior.HodgeStar, "__init__"),
+                         (exterior.HodgeStar, "__call__")):
+        original = getattr(module, name)
+
+        def marked(*args, _original=original, **kwargs):
+            inside.append(len(calls))
+            result = _original(*args, **kwargs)
+            assert len(calls) == inside.pop()
+            return result
+
+        monkeypatch.setattr(module, name, marked)
+    for name, metrics in (("s3xs3", 0), ("flag", 1), ("cp3", 1)):
+        calls.clear()
         code, _ = run(capsys, "check", os.path.join(FIX, f"{name}.json"), "--cone")
         assert code == 0, name
-        assert not calls, name
+        assert len(calls) == metrics, name
 
 
 def test_check_cone_differentiates_phi_once_per_fit(monkeypatch, capsys):
@@ -854,21 +866,24 @@ def test_jacobi_violation_is_exit_two_with_a_cached_algebra(tmp_path, capsys):
 
 def test_cone_check_on_tiny_exact_data(tmp_path, capsys):
     # at 10^-200 the float size of omega^2 underflows to 0.0, which the
-    # rescale's zero test once divided by; an exact c needs no size
+    # rescale's zero test once divided by; an exact c needs no size.  At
+    # 10^100, tau0 (about 10^400) and the float size of K^2 lie beyond the
+    # float range: no size is formed, and tau0 is reported as null
     with open(os.path.join(FIX, "cp3.json")) as fh:
         doc = json.load(fh)
     del doc["metric"]
     omega = doc["forms"]["omega"]
     path = tmp_path / "cp3_scaled.json"
     verdicts = []
-    for scale in (1, Fraction(1, 10 ** 200)):
+    for scale in (1, Fraction(1, 10 ** 200), 10 ** 100):
         doc["forms"]["omega"] = [[idx, str(Fraction(v) * scale)] for idx, v in omega]
         path.write_text(json.dumps(doc))
         code, out = run(capsys, "--json", "check", str(path), "--cone")
-        assert code == 0
+        assert code == 0 and "Infinity" not in out
         verdicts.append([(v.name, v.status, v.label, v.residual, v.detail)
                          for v in Report.from_json(out).verdicts])
-    assert verdicts[1] == verdicts[0]
+    assert verdicts[2] == verdicts[1] == verdicts[0]
+    assert Report.from_json(out).scalars["tau0"] is None
     assert [name for name, *_ in verdicts[1]][-2:] == [
         "cone form closed", "cone form coclosed"]
 
@@ -896,3 +911,36 @@ def test_scalar_float_rejects_numbers_beyond_the_float_range(tmp_path, capsys,
         code, out = run(capsys, "--json", "check", str(file))
         assert code == 1
         assert Report.from_json(out).verdicts[0].label == "NotInvariant"
+
+
+def test_exact_metric_beyond_the_float_range_fails_the_homothety(tmp_path, capsys):
+    # exact arithmetic takes 10^999; its relative deviation, a ratio of two
+    # sizes beyond the float range, and the scale are reported as null
+    with open(os.path.join(FIX, "cp3.json")) as fh:
+        metric = json.load(fh)["metric"]
+    metric[0][0] = "1e999"
+    path = _with_metric(tmp_path, "cp3", metric)
+    code, out = run(capsys, "--json", "check", path, "--cone")
+    assert code == 1 and "Infinity" not in out and "NaN" not in out
+    rep = Report.from_json(out)
+    [homothety] = [v for v in rep.verdicts if v.label == "metric"]
+    assert homothety.name == "supplied metric is the induced one up to homothety"
+    assert homothety.status == "fail" and homothety.residual is None
+    assert rep.scalars["metric_scale"] is None
+
+
+def test_scalar_float_rejects_structure_constants_beyond_the_float_range(
+        tmp_path, capsys, cold_space_cache):
+    # S^3 x S^3 with its constants times 10^400 is a valid algebra: exact
+    # mode takes it, float mode exits 2 also when the algebra is cached
+    path = _s3xs3_constants_as(tmp_path, "huge",
+                               lambda v: str(Fraction(v) * 10 ** 400))
+    for argv in (["--scalar", "float"], [], ["--scalar", "float"]):
+        code = main([*argv, "check", path, "--cone"])
+        captured = capsys.readouterr()
+        if not argv:
+            assert code == 0
+            continue
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: $.structure_constants[0]: "
+                                "outside the float range\n")

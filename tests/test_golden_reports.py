@@ -8,6 +8,14 @@ their exit code and every verdict's name, status, label and detail; their
 residuals and scalars may move by rounding, within 1e-12 relative (and
 1e-12 absolute below 1), because a kernel may sum in another order.
 
+The ``candidate-*`` cases check the documents of ``golden/candidates/``:
+the first round of ``bench/candidates.py`` at seed 1 (``CandidateStream(
+load_fixtures(root), random.Random(1)).next_round()``, each written with
+``json.dumps``), 20 exact checks and the round's two ``--scalar float``
+re-checks.  Every document is passed by its path from the repository root,
+from the root, so ``inputs.file`` and ``command`` read the same on any
+checkout.
+
 To regenerate the files, at a commit whose reports are trusted, run
 ``PYTHONPATH=src python tests/test_golden_reports.py`` from the repository
 root.
@@ -28,6 +36,8 @@ from nk6.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURES = ("s3xs3", "flag", "cp3")
+CANDIDATES = sorted(p.stem for p in (GOLDEN / "candidates").glob("*.json"))
+RECHECKED = ("candidate-00", "candidate-05")   # the round's float re-checks
 
 CASES = {
     **{f"check-{f}": ["check", f"fixtures/{f}.json", "--cone"] for f in FIXTURES},
@@ -36,6 +46,11 @@ CASES = {
     "table": ["table"],
     **{f"check-float-{f}": ["--scalar", "float", "check", f"fixtures/{f}.json",
                             "--cone"] for f in FIXTURES},
+    **{c: ["check", f"tests/golden/candidates/{c}.json", "--cone"]
+       for c in CANDIDATES},
+    **{c.replace("-", "-float-", 1): ["--scalar", "float", "check",
+                                      f"tests/golden/candidates/{c}.json", "--cone"]
+       for c in RECHECKED},
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -191,23 +192,122 @@ def test_matrix_combinations_match_the_sums():
     assert sm.mat_combinations([[1, 1], [2, 0]], [[], []]) == [[], []]
 
 
-# -- the fraction-free determinant of an integer matrix ----------------------
+# -- the one elimination against naive references ---------------------------
+_EXACT_ENTRIES = {
+    "int": st.integers(min_value=-9, max_value=9),
+    "Fraction": st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    "QSqrt3": st.builds(
+        QSqrt3, st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=3))),
+    # dyadic, so that the float matrix is the exact one, entry for entry
+    "float": st.builds(Fraction, st.integers(min_value=-20, max_value=20),
+                       st.sampled_from([1, 2, 4])),
+}
+
+
 @st.composite
-def integer_matrices(draw):
-    """Square integer matrices up to 6 x 6, often sparse, now and then with
-    two equal rows (singular) or a zero leading entry (a row swap)."""
+def integer_matrices(draw, entries=_EXACT_ENTRIES["int"]):
+    """Square matrices up to 6 x 6, often sparse, now and then with two
+    equal rows (singular), a zero leading entry (a row swap) or of the form
+    b b^t (symmetric, often positive definite)."""
     n = draw(st.integers(min_value=0, max_value=6))
-    entry = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    entry = st.one_of(st.just(0), entries)
     m = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if n > 1 and draw(st.booleans()):
         m[draw(st.integers(1, n - 1))] = list(m[0])
+    if n and draw(st.booleans()):
+        m[0][0] = 0
+    if draw(st.booleans()):
+        m = [[sum((x * y for x, y in zip(r, s)), 0) for s in m] for r in m]
     return m
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(integer_matrices())
-def test_bareiss_det_equals_the_eliminated_det(m):
-    # exact: the same integer as the elimination over Fractions
-    d = sm.bareiss_det(m)
-    assert type(d) is int
-    assert d == (sm.det(m) if m else 1)
+def _leibniz(m):
+    """det m as the sum over permutations (1 for the empty matrix)."""
+    total = 0
+    for p in itertools.permutations(range(len(m))):
+        inversions = sum(p[i] > p[j] for i in range(len(p))
+                         for j in range(i + 1, len(p)))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(p):
+            term = term * m[i][j]
+        total = total + term
+    return total
+
+
+def _rank(m):
+    """The largest k with a nonzero k x k minor of m."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                if _leibniz([[m[i][j] for j in c] for i in r]) != 0:
+                    return k
+    return 0
+
+
+def _close(got, want, scale):
+    return abs(float(got) - float(want)) <= 1e-9 * max(1.0, scale)
+
+
+def _size(m):
+    """Hadamard's bound on every minor of m: the product of its row norms."""
+    out = 1.0
+    for row in m:
+        out *= max(1.0, sum(float(x) ** 2 for x in row) ** 0.5)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(_EXACT_ENTRIES))
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_elimination_matches_naive_references(kind, data):
+    exact = data.draw(integer_matrices(_EXACT_ENTRIES[kind]))
+    floats = kind == "float"
+    a = [[float(x) for x in row] for row in exact] if floats else exact
+    n, size, d = len(a), _size(exact), _leibniz(exact)
+    same = lambda got, want: _close(got, want, size) if floats else got == want
+    # det: the Leibniz expansion; an exact singular matrix gives the int 0
+    assert same(sm.det(a), d)
+    if not floats and d == 0:
+        assert type(sm.det(a)) is int
+    # Sylvester's test: every leading minor positive, by Leibniz
+    minors = [_leibniz([row[:k] for row in exact[:k]]) for k in range(1, n + 1)]
+    if not floats or all(abs(float(x)) > 1e-9 * size for x in minors):
+        assert sm.is_positive_definite(a) == all(x > 0 for x in minors)
+    if n == 0:
+        assert sm.nullspace(a) == []
+        return
+    b = [data.draw(_EXACT_ENTRIES[kind]) for _ in range(n)]
+    b = [float(x) for x in b] if floats else b
+    if d != 0:
+        # solve and inv: a x = b, a a^-1 = Id
+        x = sm.solve(a, b)
+        assert all(same(y, t) for y, t in zip(sm.mat_vec(a, x), b))
+        eye = sm.mat_mul(a, sm.inv(a))
+        assert all(same(eye[i][j], int(i == j)) for i in range(n) for j in range(n))
+    elif not floats:
+        with pytest.raises(sm.SingularMatrix):
+            sm.solve(a, b)
+        with pytest.raises(sm.SingularMatrix):
+            sm.inv(a)
+    # nullspace: n - rank independent vectors v with a v = 0
+    rank = _rank(exact)
+    basis = sm.nullspace(a)
+    assert len(basis) == n - rank
+    assert all(same(y, 0) for v in basis for y in sm.mat_vec(a, v))
+    assert not basis or _rank(basis) == len(basis)
+    # solve_in_span on the columns of a and a dependent one, their sum
+    columns = sm.transpose(a) + [[sum(row, 0) for row in a]]
+    coeffs = [data.draw(_EXACT_ENTRIES[kind]) for _ in range(n)]
+    target = sm.mat_vec(a, [float(c) for c in coeffs] if floats else coeffs)
+    coords = sm.solve_in_span(columns, target)
+    got = sm.mat_vec(sm.transpose(columns), coords)
+    assert all(same(y, t) for y, t in zip(got, target))
+    if not floats and rank < n:
+        # a unit vector outside the column space is not in the span
+        k = next(k for k in range(n)
+                 if _rank([row + [int(i == k)] for i, row in enumerate(a)]) > rank)
+        with pytest.raises(sm.SingularMatrix):
+            sm.solve_in_span(columns, [int(i == k) for i in range(n)])
