@@ -20,7 +20,7 @@ import time
 
 from . import octonion, s3xs3, smallmat, spaces
 from .cone import cone_verdicts
-from .hitchin import StructureError, nk_check
+from .hitchin import FloatRangeError, StructureError, nk_check
 from .lie import ce_differential, is_invariant, nearly_kahler_residual
 from .report import Report
 from .scalars import (
@@ -94,7 +94,7 @@ def main(argv=None):
             rep = _cmd_check(args)
         else:
             rep = _cmd_table(args)
-    except SpaceFormatError as ex:
+    except (SpaceFormatError, FloatRangeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     rep.timing_s = time.perf_counter() - started
@@ -193,9 +193,11 @@ def _cmd_check(args):
         dot = lambda x, y: lower(smallmat.lattice_mul(x, y, 1, len(x[0]), 1))[0]
         scale = exact_div(dot(a, b), dot(b, b))
         dev, size = lattice_sum(a, times(scale, b), -1), lattice_max_abs(a)
+        # the relative deviation is a ratio of the exact largest entries
+        top = lambda x: max(map(abs, lower(x)))
         rep.check("supplied metric is the induced one up to homothety",
                   lattice_zero(dev, tol * size) and is_positive(scale, tol * size),
-                  label="metric", residual=lattice_max_abs(dev) / max(size, 1e-30))
+                  label="metric", residual=exact_div(top(dev), top(a) or 1))
         rep.scalar("metric_scale", scale)
         try:
             ok, res = nearly_kahler_residual(space, doc.metric, structure.J,

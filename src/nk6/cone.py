@@ -103,8 +103,8 @@ def cone_hodge(c, g, vol=None, tol=EPS, inverse=None):
     return out
 
 
-def u_basis_expansion(c, radius=1):
-    """The cone form at fixed radius as a 7-form-algebra element.
+def u_basis_expansion(c):
+    """The cone form at radius 1 as a 7-form-algebra element.
 
     Index 0 is the radial co-vector (dr); link indices shift up by one.
     At radius 1 the orthonormal co-frame of the cone metric restricts to
@@ -116,13 +116,12 @@ def u_basis_expansion(c, radius=1):
         raise ValueError("mixed total degrees in u-basis expansion")
     deg = degrees.pop() if degrees else 0
     total = KForm.zero(7, deg)
-    for (a, dr, _), f in c.terms.items():
-        scale = radius ** a
+    for (_, dr, _), f in c.terms.items():
         for idx, v in f.terms():
             shifted = tuple(i + 1 for i in idx)
             if dr:
                 shifted = (0,) + shifted
-            total = total + KForm.basis(7, shifted, scale * v)
+            total = total + KForm.basis(7, shifted, v)
     return total
 
 
@@ -149,18 +148,19 @@ class ConeReport:
 def cone_check(s, link_d, tol=EPS, fit=None):
     """Closed-and-coclosed test for the cone 3-form of an SU(3)-structure.
 
-    The structure is first rescaled, in closed form, to unit metric
-    normalization (the least-squares constant of d phi = -2 c omega^2
-    becomes 1), the scale a cone can absorb into the radius, unless the
-    fitted c is not positive at ``tol`` (``rescaled`` False); then rho is
-    built and d rho, d *rho are evaluated with the link differential and
-    the term-wise cone star.  ``fit`` is the (d phi, omega^omega) of s
-    when :func:`nk_check` has computed it (``NKReport.fit``).  The star
-    takes g^-1 and the volume form omega^3 / 6 from the structure, whose
-    build proved g positive: no elimination.
+    The test runs at the scale k that brings the structure to unit metric
+    normalization: the least-squares constant c of d phi = -2 c omega^2,
+    the scale a cone can absorb into the radius, or k = 1 when c is not
+    positive at ``tol`` (``rescaled`` False).  The pair (k omega, k psi)
+    has metric k g and volume form k^3 omega^3 / 6, and the star scales as
+    *_{k g} = k^(3-p) *_g on p-forms, so the star of its rho is the star of
+    the build's (g, omega^3 / 6, g^-1) on cone_rho(k^2 omega, k psi): no
+    second structure and no elimination.  ``fit`` is the (d phi,
+    omega^omega) of s when :func:`nk_check` has computed it
+    (``NKReport.fit``).
     Also reports the fitted coefficient of the r^4 omega^omega term of
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
-    term against -phi.
+    term against -k phi.
     """
     dphi, o2 = fit or (link_d(s.phi), s.omega2)
     c, _ = volume_fit(dphi, o2)
@@ -168,34 +168,31 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     # c is tested at that scale, an exact one exactly (the scale may underflow)
     rescaled = is_positive(c, 0.0 if is_exact(c) else
                            tol * dphi.max_abs() / (2 * o2.max_abs()))
-    if rescaled:
-        s = s.scaled(c)
+    k = c if rescaled else 1
 
-    rho = cone_rho(s.omega, s.psi)
-    d_rho = cone_differential(rho, link_d)
+    psi = s.psi.scale(k)
+    d_rho = cone_differential(cone_rho(s.omega.scale(k), psi), link_d)
     # the link star in the orientation of omega^3, the one J induces, makes
     # *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega
-    star_rho = cone_hodge(rho, s.g, s.omega3 / 6, tol, s.ginv)
+    star_rho = cone_hodge(cone_rho(s.omega.scale(k * k), psi), s.g,
+                          s.omega3 / 6, tol, s.ginv)
     d_star_rho = cone_differential(star_rho, link_d)
 
-    o2 = s.omega2
+    o2 = s.omega2.scale(k * k)
     quartic_term = star_rho.term(4, False, 4)
     if quartic_term is None:
         coeff = 0
     else:
         coeff = simplify(exact_div(form_dot(quartic_term, o2), form_dot(o2, o2)))
-    phi_term = star_rho.term(3, True, 3)
-    if phi_term is None:
-        phi_resid = s.phi.max_abs()
-    else:
-        phi_resid = (phi_term + s.phi).max_abs()
+    phi, phi_term = s.phi.scale(k), star_rho.term(3, True, 3)
+    phi_resid = (phi if phi_term is None else phi_term + phi).max_abs()
 
     return ConeReport(
         d_rho_residual=d_rho.max_abs(),
         d_star_rho_residual=d_star_rho.max_abs(),
         omega2_coefficient=coeff,
         phi_term_residual=phi_resid,
-        normalization=c if rescaled else 1,
+        normalization=k,
         fit=c,
         rescaled=rescaled,
         closed=d_rho.is_zero(tol),

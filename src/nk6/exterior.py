@@ -251,12 +251,12 @@ def interior(v, a):
     return KForm(a.n, a.k - 1, lattice=bilinear(rows, a.lattice(), lift(v), len(out)))
 
 
-def metric_volume(gram, orientation=1, n=None):
+def metric_volume(gram, orientation=1):
     """Unit-norm top form of a positive Gram matrix, fixing orientation.
 
     Exact when sqrt(det g) lies in the scalar field, float otherwise.
     """
-    n = len(gram) if n is None else n
+    n = len(gram)
     d = smallmat.det(gram)
     if not is_positive(d):
         raise NotPositiveDefinite("Gram determinant not positive")

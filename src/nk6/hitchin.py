@@ -13,6 +13,7 @@ on integers, lowered only for the API; a matrix argument may be a lattice.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import smallmat
@@ -37,6 +38,11 @@ class StructureError(ValueError):
 
     def __init__(self, message=""):
         super().__init__(message or self.__doc__)
+
+
+class FloatRangeError(ArithmeticError):
+    """Exact data need float arithmetic, and their tau0 lies outside the
+    float range: a limit of the arithmetic, not a failed condition."""
 
 
 class NotStable(StructureError):
@@ -86,26 +92,6 @@ class SU3Structure:
         self.vol = vol
         self.omega2, self.omega3 = omega2, omega3
         self.ginv = ginv
-
-    def scaled(self, c):
-        """The structure of the pair (c omega, c psi), c > 0, in closed form.
-
-        K is quadratic in psi, so tau0 scales by c^4 and kappa by c^2; J =
-        K / kappa and the reference volume stay, and g = omega(., J .) and
-        phi = -psi(J ., ., .) scale by c like omega and psi, omega^2 by c^2
-        (formed again on floats), omega^3 (so the volume form of g) by c^3
-        and g^-1 by 1/c, on its lattice.
-        """
-        omega = self.omega.scale(c)
-        return SU3Structure(
-            omega=omega, psi=self.psi.scale(c),
-            phi=self.phi.scale(c), J=self.J,
-            g=smallmat.mat_scale(c, self.g),
-            kappa=simplify(c * c * self.kappa),
-            tau0=simplify(c ** 4 * self.tau0), vol=self.vol,
-            omega2=self.omega2.scale(c * c) if is_exact(c) else wedge(omega, omega),
-            omega3=self.omega3.scale(c ** 3),
-            ginv=times(exact_div(1, c), self.ginv))
 
 
 class NKReport:
@@ -273,9 +259,15 @@ def build_su3(cand, tol=EPS, powers=None):
     if o3.is_zero(tol):
         raise DegenerateOmega()
 
-    kappa = sqrt_scalar(-tau0)
+    try:
+        kappa = sqrt_scalar(-tau0)
+    except OverflowError:   # an exact tau0 beyond the float range
+        kappa = math.inf
     if isinstance(kappa, float) and exact:
         # no exact square root in Q(sqrt 3); continue in floats
+        if not 0 < kappa < math.inf:
+            raise FloatRangeError("kappa = sqrt(-tau0) is not in Q(sqrt 3), "
+                                  "and tau0 lies outside the float range")
         omega = omega.to_float()
         o2, o3 = wedge(omega, omega), o3.to_float()
         psi = psi.to_float()

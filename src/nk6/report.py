@@ -95,8 +95,8 @@ class Report(Verdicts):
             "all_pass": self.all_pass,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self):
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):

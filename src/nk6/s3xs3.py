@@ -385,6 +385,6 @@ def verify(tol=EPS):
          abs(float(mu_err))),
         ("Einstein with positive scalar curvature", einstein and scal > 0,
          "einstein", rel))]
-    verdicts += cone_verdicts(s, differential, tol)[0]
+    verdicts += cone_verdicts(s, differential, tol, nk.fit)[0]
     return Verdicts(verdicts=verdicts, scalars={
         "mu": nk.mu, "scal": scal, "kappa": s.kappa, "tau0": s.tau0})

@@ -241,12 +241,12 @@ def _scalar_out(v):
     return str(Fraction(v)) if isinstance(v, (int, Fraction)) else float(v)
 
 
-def dump_space(space, forms=None, metric=None, labels=None):
+def dump_space(space, forms=None, metric=None):
     """Serialize a ReductiveSpace (plus optional forms/metric) to JSON text."""
     algebra = space.algebra
     out = {
         "dimension": algebra.dim,
-        "basis": labels or algebra.labels,
+        "basis": algebra.labels,
         "structure_constants": [[i, j, k, _scalar_out(v)]
                                 for i, j, k, v in algebra.nonzero() if i < j],
         "h_indices": list(space.h_idx),

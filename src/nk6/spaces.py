@@ -24,6 +24,7 @@ from .lie import (
     ce_differential,
     check_3symmetric,
     is_complex_subalgebra,
+    is_invariant_endo,
     natural_reductivity_defect,
     span_coordinates,
     su2_sum,
@@ -32,7 +33,7 @@ from .lie import (
 from .octonion import quat_conj, quat_mul
 from .poly import Poly
 from .report import NA, Verdict, Verdicts, verdict
-from .scalars import EPS, exact_div
+from .scalars import EPS
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +486,17 @@ def cp3_certificate(model, fiber_sign):
 def _kahler_scaling(model, fiber_sign):
     """The t > 0 with d omega_t = 0, or None.
 
-    d omega_t = u + t w is linear in t: t is read off one pivot of w and
-    then u + t w == 0 is checked exactly.
+    d omega_t = u + t w is linear in t: t is the coordinate of -u in the
+    span of w, found exactly.
     """
     d = lambda a: ce_differential(model.space, a, check_invariance=False)
     u = d(model.omega(0, fiber_sign))
     w = d(model.omega(1, fiber_sign)) - u
-    pivot = next((i for i, x in enumerate(w.c) if x != 0), None)
-    if pivot is None:
+    try:
+        [t] = smallmat.solve_in_span([w.c], [-x for x in u.c])
+    except smallmat.SingularMatrix:
         return None
-    t = exact_div(-u.c[pivot], w.c[pivot])
-    return t if t > 0 and (u + w.scale(t)).is_zero() else None
+    return t if t > 0 else None
 
 
 def cp3_verify(tol=EPS):
@@ -517,7 +518,7 @@ def cp3_verify(tol=EPS):
     irreducible = (len(p_only) == 2 and len(v_only) == 2 and not cross
                    and _has_complex_generator(p_only, 4, (0, 1, 2, 3))
                    and _has_complex_generator(v_only, 2, (4, 5)))
-    acs_count = _count_acs_candidates(model, comm)
+    acs_count = _count_acs_candidates(model)
 
     kahler = [(sv, t) for sv in (1, -1)
               if (t := _kahler_scaling(model, sv)) is not None]
@@ -567,26 +568,19 @@ def _has_complex_generator(block_endos, size, idx):
     return True
 
 
-def _count_acs_candidates(model, comm):
-    """Enumerate invariant J with J^2 = -Id from the commutant.
+def _count_acs_candidates(model):
+    """Count the invariant J with J^2 = -Id among the model's candidates.
 
     Within each summand the commutant is spanned by the identity and one
-    complex generator; scaling the generator to a square root of -Id (when
-    the scale admits one) gives two units per summand.  Every candidate is
-    verified exactly against J^2 = -Id and membership in the commutant
-    span, and counted once.
+    complex generator; its two units per summand give the candidates
+    J_p (+) +-J_v up to a global sign.  Each is verified exactly against
+    J^2 = -Id and invariance under the isotropy, and counted once.
     """
-    columns = [[x for row in m for x in row] for m in comm]
     seen = []
     for signs in itertools.product((1, -1), repeat=2):
         j = model.acs(fiber_sign=signs[1], global_sign=signs[0])
-        if not smallmat.is_scalar_matrix(smallmat.mat_mul(j, j), -1):
-            continue
-        try:
-            smallmat.solve_in_span(columns, [x for row in j for x in row])
-        except smallmat.SingularMatrix:
-            continue
-        if j not in seen:
+        if (smallmat.is_scalar_matrix(smallmat.mat_mul(j, j), -1)
+                and is_invariant_endo(model.space, j) and j not in seen):
             seen.append(j)
     return len(seen)
 

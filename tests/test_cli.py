@@ -914,8 +914,9 @@ def test_scalar_float_rejects_numbers_beyond_the_float_range(tmp_path, capsys,
 
 
 def test_exact_metric_beyond_the_float_range_fails_the_homothety(tmp_path, capsys):
-    # exact arithmetic takes 10^999; its relative deviation, a ratio of two
-    # sizes beyond the float range, and the scale are reported as null
+    # exact arithmetic takes 10^999; its relative deviation, a ratio of the
+    # exact largest entries, is of order 1, and the scale, beyond the float
+    # range, is reported as null
     with open(os.path.join(FIX, "cp3.json")) as fh:
         metric = json.load(fh)["metric"]
     metric[0][0] = "1e999"
@@ -925,8 +926,34 @@ def test_exact_metric_beyond_the_float_range_fails_the_homothety(tmp_path, capsy
     rep = Report.from_json(out)
     [homothety] = [v for v in rep.verdicts if v.label == "metric"]
     assert homothety.name == "supplied metric is the induced one up to homothety"
-    assert homothety.status == "fail" and homothety.residual is None
+    assert homothety.status == "fail" and 0 < homothety.residual <= 1
     assert rep.scalars["metric_scale"] is None
+
+
+@pytest.mark.parametrize("scale", [10 ** 100, Fraction(1, 10 ** 100)],
+                         ids=["1e100", "1e-100"])
+def test_float_fallback_beyond_the_float_range_exits_2(tmp_path, capsys, scale):
+    # candidate-06 builds in floats (kappa is not in Q(sqrt 3)); with omega
+    # scaled by 10^100 or 10^-100, tau0 lies outside the float range: a
+    # limit of the arithmetic, not a failed check.  At 10^2 and 10^-4 the
+    # same document still checks in floats
+    src = os.path.join(ROOT, "tests", "golden", "candidates", "candidate-06.json")
+    with open(src) as fh:
+        doc = json.load(fh)
+    omega = doc["forms"]["omega"]
+    path = tmp_path / "c06.json"
+    for factor in (scale, 100, Fraction(1, 10 ** 4)):
+        doc["forms"]["omega"] = [[idx, str(Fraction(v) * factor)] for idx, v in omega]
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path), "--cone"])
+        captured = capsys.readouterr()
+        if factor is scale:
+            assert code == 2 and captured.out == ""
+            assert captured.err == ("error: kappa = sqrt(-tau0) is not in "
+                                    "Q(sqrt 3), and tau0 lies outside the float range\n")
+        else:
+            assert code == 1 and captured.err == ""
+            assert "float arithmetic: kappa not in Q(sqrt 3)" in captured.out
 
 
 def test_scalar_float_rejects_structure_constants_beyond_the_float_range(

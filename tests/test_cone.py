@@ -223,14 +223,16 @@ def _rescale_cases():
 
 
 def test_closed_form_rescale_equals_rebuild():
-    from nk6.hitchin import nk_check, volume_fit
-
+    # the check of s at its fitted scale c reads s's build through the
+    # star's scaling law; the structure built again from (c omega, c psi)
+    # has fit 1 and the same cone report
     for s, d in _rescale_cases():
-        c, _ = volume_fit(*nk_check(s, d).fit)
-        assert c > 0
-        scaled = s.scaled(c)
+        rep = cone.cone_check(s, d)
+        assert rep.rescaled and rep.fit > 0 and rep.normalization == rep.fit
+        c = rep.fit
         rebuilt = build_su3(SU3Candidate(s.omega.scale(c), s.psi.scale(c), s.vol))
-        assert scaled.omega == rebuilt.omega and scaled.psi == rebuilt.psi
-        assert scaled.phi == rebuilt.phi and scaled.vol == rebuilt.vol
-        assert scaled.J == rebuilt.J and scaled.g == rebuilt.g
-        assert scaled.kappa == rebuilt.kappa and scaled.tau0 == rebuilt.tau0
+        again = cone.cone_check(rebuilt, d)
+        assert again.fit == again.normalization == 1
+        for report in (rep, again):
+            report.fit = report.normalization = None
+        assert vars(again) == vars(rep)

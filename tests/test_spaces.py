@@ -181,11 +181,10 @@ def test_cp3_isotropy_commutant():
 
 
 def test_cp3_acs_count_is_exact():
-    cm = spaces.cp3_model()
-    comm = spaces.isotropy_commutant(cm.space)
-    assert spaces._count_acs_candidates(cm, comm) == 4
-    # outside the span of the identity alone: no candidate survives
-    assert spaces._count_acs_candidates(cm, [smallmat.identity(6)]) == 0
+    assert spaces._count_acs_candidates(spaces.cp3_model()) == 4
+    # on the Ledger-Obata S^3 x S^3 no candidate is invariant
+    lo = spaces.CP3Model(spaces.ledger_obata_su2().space)
+    assert spaces._count_acs_candidates(lo) == 0
 
 
 def test_cp3_verify():

@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nk6"
 
 SMALL_LITERAL = re.compile(r"^[0-9.]*[eE]-[0-9]+$")
 ALLOWED_LITERALS = Counter({("scalars.py", "1e-10"): 1,
-                            ("cli.py", "1e-30"): 1,
                             ("lie.py", "1e-30"): 1})
 
 
