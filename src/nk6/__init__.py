@@ -12,8 +12,7 @@ reports and a command line front end (``nk6``).
 
 from . import cone, octonion, report, s3xs3, spacefile, spaces
 from .scalars import EPS, QSqrt3, SQRT3
-from .exterior import (
-    HodgeStar, KForm, wedge, interior, hodge_star, lambda5_to_vector)
+from .exterior import HodgeStar, KForm, wedge, interior, hodge_star
 from .lie import (
     LieAlgebraData,
     ReductiveSpace,

@@ -20,10 +20,9 @@ from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, wedge
-from .hitchin import (
-    StructureError, build_either_orientation, contract, k_matrix, nk_check)
+from .hitchin import StructureError, build_either_orientation, kappa_phi, nk_check
 from .poly import Poly
-from .scalars import EPS, exact_div, exact_sqrt
+from .scalars import EPS, exact_div, exact_sqrt, lower
 
 
 class Claim:
@@ -70,9 +69,9 @@ def pair_polynomials(omega, differential):
     K is normalised against e012345; the orientation only flips signs.
     """
     psi = differential(omega) / 3
-    K = k_matrix(psi, KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(1)))
-    tau0 = exact_div(smallmat.trace(smallmat.mat_mul(K, K)), 6)
-    dphi = differential(contract(psi, K)).c
+    K, phi_k = kappa_phi(psi, KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(1)))
+    tau0 = exact_div(sum(lower(smallmat.lattice_mul(K, K, 6, 6, 6))[::7]), 6)
+    dphi = differential(phi_k).c
     o2 = wedge(omega, omega).c
     minors = []
     for a, b in itertools.combinations(range(len(o2)), 2):

@@ -24,8 +24,8 @@ from .hitchin import FloatRangeError, StructureError, nk_check
 from .lie import ce_differential, is_invariant, nearly_kahler_residual
 from .report import Report
 from .scalars import (
-    EPS, exact_div, is_exact, is_positive, lattice_max_abs, lattice_sum,
-    lattice_zero, lower, times)
+    EPS, exact_div, is_positive, lattice_max_abs, lattice_sum, lattice_zero,
+    lower, sqrt_scalar, times)
 from .spacefile import SpaceFormatError, load_space
 
 
@@ -48,7 +48,7 @@ def _parser():
                         "where an identity scales; exact data are decided "
                         "exactly, whatever this is (default %(default)g)")
     p.add_argument("--scalar", choices=["exact", "float"], default="exact",
-                   help="keep exact scalars where possible, or force floats "
+                   help="decide exact data exactly, or force floats "
                         "(check only)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     _inert(p, "--seed", "--threads")
@@ -168,12 +168,7 @@ def _cmd_check(args):
         rep.check("stable pair builds an SU(3)-structure", False,
                   label=ex.label, detail=str(ex))
         return rep
-    detail = ""
-    if is_exact(structure.tau0) and isinstance(structure.kappa, float):
-        # exact inputs, but kappa left Q(sqrt 3): the residuals below are
-        # tolerance comparisons, not exact zeros
-        detail = "float arithmetic: kappa not in Q(sqrt 3)"
-    rep.check("stable pair builds an SU(3)-structure", True, detail=detail)
+    rep.check("stable pair builds an SU(3)-structure", True)
 
     nk = nk_check(structure, d, tol=tol)
     rep.check("first structure equation (d omega = 3 psi)", nk.first,
@@ -182,25 +177,26 @@ def _cmd_check(args):
               label="diff-system", residual=nk.residual_r2)
     rep.scalar("mu", nk.mu)
     rep.scalar("tau0", structure.tau0)
-    rep.scalar("kappa", structure.kappa)
+    rep.scalar("kappa", sqrt_scalar(-structure.tau0))
     rep.inputs["orientation"] = orient
 
     if doc.metric is not None:
         # the supplied Gram should be the induced metric up to homothety, a
-        # positive scale (not -1 for -g), compared on the lattices, and the
-        # connection-level defect must agree with the form verdict
-        a, b = (smallmat.mat_lattice(m) for m in (doc.metric, structure.g))
+        # positive scale (not -1 for -g), compared with G = kappa g, and the
+        # connection-level defect, decided on K, must agree with the form verdict
+        a, b = smallmat.mat_lattice(doc.metric), structure.G
         dot = lambda x, y: lower(smallmat.lattice_mul(x, y, 1, len(x[0]), 1))[0]
-        scale = exact_div(dot(a, b), dot(b, b))
+        scale = exact_div(dot(a, b), dot(b, b))   # of G: kappa times less than of g
         dev, size = lattice_sum(a, times(scale, b), -1), lattice_max_abs(a)
         # the relative deviation is a ratio of the exact largest entries
         top = lambda x: max(map(abs, lower(x)))
         rep.check("supplied metric is the induced one up to homothety",
-                  lattice_zero(dev, tol * size) and is_positive(scale, tol * size),
+                  lattice_zero(dev, tol * size)
+                  and is_positive(scale, tol * size / lattice_max_abs(b)),
                   label="metric", residual=exact_div(top(dev), top(a) or 1))
-        rep.scalar("metric_scale", scale)
+        rep.scalar("metric_scale", structure.per_kappa(-structure.tau0 * scale))
         try:
-            ok, res = nearly_kahler_residual(space, doc.metric, structure.J,
+            ok, res = nearly_kahler_residual(space, doc.metric, structure.K,
                                              tol=tol)
             detail = "" if ok == nk.verdict else ", ".join(
                 f"{level} level: {'' if v else 'not '}nearly Kahler"

@@ -10,10 +10,10 @@ for rho = r^2 dr ^ omega + r^3 psi) runs exactly in exact scalar mode.
 from __future__ import annotations
 
 from . import smallmat
-from .exterior import HodgeStar, KForm, NotUnitNorm, interior, metric_volume, wedge
+from .exterior import HodgeStar, KForm, NotUnitNorm, interior, wedge
 from .hitchin import form_dot, volume_fit
 from .report import verdict
-from .scalars import EPS, exact_div, is_exact, is_positive, simplify
+from .scalars import EPS, exact_div, is_exact, is_positive, simplify, sqrt_scalar
 
 
 class ConeForm:
@@ -21,12 +21,6 @@ class ConeForm:
 
     def __init__(self):
         self.terms = {}
-
-    @classmethod
-    def monomial(cls, exponent, with_dr, form):
-        out = cls()
-        out.add(exponent, with_dr, form)
-        return out
 
     def add(self, exponent, with_dr, form):
         if exponent < 0:
@@ -79,17 +73,15 @@ def cone_differential(c, link_d):
     return out
 
 
-def cone_hodge(c, g, vol=None, tol=EPS, inverse=None):
+def cone_hodge(c, link_star):
     """Hodge star of the cone metric r^2 g + dr^2, term by term.
 
     With p the degree of the link form:
       *(r^a beta)      = (-1)^p r^(a+6-2p) dr ^ *6(beta)
       *(r^a dr^alpha)  =        r^(a+6-2p) *6(alpha)
-    where *6 is the link star of (g, vol) at ``tol``, built once for all
-    terms (:class:`exterior.HodgeStar`, given g^-1 as ``inverse``).
+    where *6 is ``link_star`` (an :class:`exterior.HodgeStar` of g).
     Exponents must stay >= 0.
     """
-    link_star = HodgeStar(g, vol, tol, inverse)
     out = ConeForm()
     for (a, dr, _), f in c.terms.items():
         star = link_star(f)
@@ -134,11 +126,8 @@ class ConeReport:
         self.d_star_rho_residual = d_star_rho_residual
         self.omega2_coefficient = omega2_coefficient
         self.phi_term_residual = phi_term_residual
-        self.normalization = normalization
-        self.fit = fit
-        self.rescaled = rescaled
-        self.closed = closed
-        self.coclosed = coclosed
+        self.normalization, self.fit, self.rescaled = normalization, fit, rescaled
+        self.closed, self.coclosed = closed, coclosed
 
     @property
     def verdict(self):
@@ -151,51 +140,51 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     The test runs at the scale k that brings the structure to unit metric
     normalization: the least-squares constant c of d phi = -2 c omega^2,
     the scale a cone can absorb into the radius, or k = 1 when c is not
-    positive at ``tol`` (``rescaled`` False).  The pair (k omega, k psi)
-    has metric k g and volume form k^3 omega^3 / 6, and the star scales as
-    *_{k g} = k^(3-p) *_g on p-forms, so the star of its rho is the star of
-    the build's (g, omega^3 / 6, g^-1) on cone_rho(k^2 omega, k psi): no
-    second structure and no elimination.  ``fit`` is the (d phi,
-    omega^omega) of s when :func:`nk_check` has computed it
-    (``NKReport.fit``).
+    positive at ``tol`` (``rescaled`` False).  (k omega, k psi) has metric
+    k g, *_{k g} = k^(3-p) *_g on p-forms, and the build's G^-1 = g^-1 /
+    kappa with omega^3 / 6 gives kappa^(-p) *_g: on cone_rho(k^2 kappa^2
+    omega, k kappa^3 psi), at k = c on (c~^2 omega, -c~ tau0 psi) for the
+    fit c~ = kappa c of d Phi, that is the star of rho, exact on exact data.
+    ``fit`` is the (d Phi, omega^omega) of :func:`nk_check`, if known.
     Also reports the fitted coefficient of the r^4 omega^omega term of
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
     term against -k phi.
     """
-    dphi, o2 = fit or (link_d(s.phi), s.omega2)
-    c, _ = volume_fit(dphi, o2)
-    # when d phi is proportional to omega^2, c is half their ratio: a float
-    # c is tested at that scale, an exact one exactly (the scale may underflow)
-    rescaled = is_positive(c, 0.0 if is_exact(c) else
+    dphi, o2 = fit or (link_d(s.Phi), s.omega2)
+    cphi, _ = volume_fit(dphi, o2)
+    # when d Phi is proportional to omega^2, c~ is half their ratio: a float
+    # c~ is tested at that scale, an exact one exactly (the scale may underflow)
+    rescaled = is_positive(cphi, 0.0 if is_exact(cphi) else
                            tol * dphi.max_abs() / (2 * o2.max_abs()))
+    tau0, c = s.tau0, s.per_kappa(cphi)
     k = c if rescaled else 1
+    # (k kappa)^2 and k kappa^3, in floats at k = 1 when kappa is
+    a, b = ((cphi * cphi, -cphi * tau0) if rescaled
+            else (-tau0, -tau0 * sqrt_scalar(-tau0)))
 
-    psi = s.psi.scale(k)
-    d_rho = cone_differential(cone_rho(s.omega.scale(k), psi), link_d)
+    d_rho = cone_differential(cone_rho(s.omega, s.psi), link_d)   # over k
     # the link star in the orientation of omega^3, the one J induces, makes
     # *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega
-    star_rho = cone_hodge(cone_rho(s.omega.scale(k * k), psi), s.g,
-                          s.omega3 / 6, tol, s.ginv)
+    star = HodgeStar.of_inverse(s.Ginv, s.omega3 / 6, -tau0 * tau0 * tau0, tol)
+    star_rho = cone_hodge(cone_rho(s.omega.scale(a), s.psi.scale(b)), star)
     d_star_rho = cone_differential(star_rho, link_d)
 
-    o2 = s.omega2.scale(k * k)
-    quartic_term = star_rho.term(4, False, 4)
-    if quartic_term is None:
-        coeff = 0
-    else:
-        coeff = simplify(exact_div(form_dot(quartic_term, o2), form_dot(o2, o2)))
-    phi, phi_term = s.phi.scale(k), star_rho.term(3, True, 3)
+    q, o2 = star_rho.term(4, False, 4), s.omega2   # against k^2 o2, k^2 = a / -tau0
+    coeff = 0 if q is None else simplify(
+        exact_div(-tau0 * form_dot(q, o2), a * form_dot(o2, o2)))
+    # k phi = (k kappa) Phi / kappa^2 = b Phi / tau0^2
+    phi, phi_term = s.Phi.scale(exact_div(b, tau0 * tau0)), star_rho.term(3, True, 3)
     phi_resid = (phi if phi_term is None else phi_term + phi).max_abs()
 
     return ConeReport(
-        d_rho_residual=d_rho.max_abs(),
+        d_rho_residual=d_rho.scale(k).max_abs(),
         d_star_rho_residual=d_star_rho.max_abs(),
         omega2_coefficient=coeff,
         phi_term_residual=phi_resid,
         normalization=k,
         fit=c,
         rescaled=rescaled,
-        closed=d_rho.is_zero(tol),
+        closed=d_rho.is_zero(tol if is_exact(k) else tol / k),
         coclosed=d_star_rho.is_zero(tol),
     )
 
@@ -274,15 +263,10 @@ def s6_link_differential(candidate_structure):
     d(omega^2) follows by Leibniz.
     """
     s = candidate_structure
-    o2 = wedge(s.omega, s.omega)
-    zero4 = KForm.zero(6, 4)
-    zero5 = KForm.zero(6, 5)
-    d_omega2 = wedge(s.psi.scale(3), s.omega) + wedge(s.omega, s.psi.scale(3))
-    pairs = [
+    return SpanDifferential([
         (s.omega, s.psi.scale(3)),
-        (s.psi, zero4),
-        (s.phi, o2.scale(-2)),
-        (o2, d_omega2),
-        (metric_volume(s.g), KForm.zero(6, 7)),
-    ]
-    return SpanDifferential(pairs)
+        (s.psi, KForm.zero(6, 4)),
+        (s.phi, s.omega2.scale(-2)),
+        (s.omega2, wedge(s.omega, s.psi.scale(6))),
+        (s.omega3 / 6, KForm.zero(6, 7)),
+    ])

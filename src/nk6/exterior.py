@@ -277,32 +277,36 @@ class HodgeStar:
     kept per I.  Exact g^-1 is symmetric, so there it is the I-th
     coefficient of the wedge of the rows J, formed only for the J where the
     form has a coefficient.  On the lattice of g^-1, over d, the k-minors
-    are integers over d^k.  The metric is checked and inverted once, unless
-    a caller that proved it positive passes g^-1, or its lattice, as
-    ``inverse``.  The unit-norm check reads exact det g^-1 off the n-minor,
-    and only a float one, from elimination, is compared at ``tol`` times
-    the largest entry of g and g^-1.  ``vol`` defaults to
-    :func:`metric_volume`.  A float volume or a float form makes the star
-    of that form run in floats.
+    are integers over d^k.  The metric is checked and inverted once (or g^-1
+    given, :meth:`of_inverse`).  The unit-norm check reads exact det g^-1
+    off the n-minor; a float one is compared at ``tol`` times the largest
+    entry of g and g^-1.  ``vol`` defaults to :func:`metric_volume`.  A
+    float volume or form makes the star of that form run in floats.
     """
 
-    def __init__(self, gram, vol=None, tol=EPS, inverse=None):
-        n = len(gram)
-        if inverse is None:
-            if not smallmat.is_positive_definite(gram):
-                raise NotPositiveDefinite("Gram matrix is not positive definite")
-            inverse = smallmat.inv(gram)
+    def __init__(self, gram, vol=None, tol=EPS):
+        if not smallmat.is_positive_definite(gram):
+            raise NotPositiveDefinite("Gram matrix is not positive definite")
+        self._setup(smallmat.inv(gram), vol or metric_volume(gram), 1, tol,
+                    smallmat.mat_max_abs(gram))
+
+    @classmethod
+    def of_inverse(cls, inverse, vol, scale, tol):
+        """The star of g^-1 = ``inverse`` with a volume form of squared norm
+        v^2 det g^-1 = 1 / ``scale``: scale^(-1/2) times the star of g."""
+        star = cls.__new__(cls)
+        star._setup(inverse, vol, scale, tol, 0.0)
+        return star
+
+    def _setup(self, inverse, vol, scale, tol, size):
         self.gram_inv = inverse
-        if vol is None:
-            vol = metric_volume(gram)
-        if vol.n != n or vol.k != n:
+        P, Q, d = lattice = smallmat.mat_lattice(inverse)
+        self.n, self.v = n, v = vol.n, vol.c[0]
+        if vol.k != n or len(P) != n * n:
             raise ValueError("volume form has wrong degree")
-        v = vol.c[0]
         if v == 0:
             raise ValueError("volume form vanishes")
-        self.n, self.v = n, v
         self.floats = isinstance(v, float)
-        P, Q, d = lattice = smallmat.mat_lattice(inverse)
         self._rows = [(P[i:i + n], Q and Q[i:i + n], d) for i in range(0, n * n, n)]
         self._minors = {(): lift([1])}
         full = tuple(range(n))
@@ -310,9 +314,9 @@ class HodgeStar:
                    else smallmat.det(smallmat.unflatten(P, n, n)))
         if self.floats:
             det_inv = float(det_inv)
-        size = (max(1.0, smallmat.mat_max_abs(gram), lattice_max_abs(lattice))
+        size = (max(1.0, size, lattice_max_abs(lattice))
                 if self.floats or d is None else 0.0)
-        if not is_zero(v * v * det_inv - 1, tol * size):
+        if not is_zero(v * v * det_inv * scale - 1, tol * size):
             raise NotUnitNorm("volume form is not unit-norm for this metric")
 
     def _minors_of(self, rows):
@@ -360,22 +364,3 @@ def hodge_star(a, gram, vol=None):
     """The star of one form: ``HodgeStar(gram, vol)(a)``."""
     return HodgeStar(gram, vol)(a)
 
-
-def lambda5_to_vector(sigma, vol):
-    """The vector v with  interior(v, vol) = sigma,  for a 5-form in dim 6.
-
-    Realizes the isomorphism of 5-forms with vectors tensored by top forms
-    that the stable-form construction needs.
-    """
-    if sigma.n != 6 or sigma.k != 5:
-        raise ValueError("expected a 5-form in dimension 6")
-    if vol.n != 6 or vol.k != 6 or vol.c[0] == 0:
-        raise ValueError("expected a nonzero top form in dimension 6")
-    v = vol.c[0]
-    tuples5, pos5 = index_tuples(6, 5)
-    out = []
-    for i in range(6):
-        comp = tuple(j for j in range(6) if j != i)
-        sgn = -1 if i % 2 else 1
-        out.append(sgn * exact_div(sigma.c[pos5[comp]], v))
-    return out

@@ -6,20 +6,24 @@ an almost complex structure J, a metric g and a second 3-form phi with
 psi + i phi of type (3,0).  The nearly Kahler property is then the first
 order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega.
 
-Exact values stay in their lattices (:mod:`nk6.scalars`): J^2, g = W J,
-J^t g J, phi and g^-1 are products of the lattice of J = K / kappa, decided
-on integers, lowered only for the API; a matrix argument may be a lattice.
+Every identity is homogeneous in kappa = sqrt(-tau0), so each is decided
+on the K-forms K = kappa J, G = W K = kappa g and Phi = kappa phi, which
+are rational in psi: exact data are decided exactly whatever kappa is.
+Exact values stay in their lattices (:mod:`nk6.scalars`), decided on
+integers, lowered only for the API; a matrix argument may be a lattice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
 from .scalars import (
-    EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows,
+    EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows, lattice_max_abs,
     lattice_sum, lattice_zero, lower, scaled_tol, simplify, sqrt_scalar, times)
 
 
@@ -41,8 +45,8 @@ class StructureError(ValueError):
 
 
 class FloatRangeError(ArithmeticError):
-    """Exact data need float arithmetic, and their tau0 lies outside the
-    float range: a limit of the arithmetic, not a failed condition."""
+    """Float data whose K = kappa J squares outside the float range: a limit
+    of the arithmetic, not a failed condition."""
 
 
 class NotStable(StructureError):
@@ -80,24 +84,43 @@ class SU3Candidate:
 
 
 class SU3Structure:
-    """Validated bundle (omega, psi, phi, J, g, kappa, tau0, vol), with the
-    build's omega^2, omega^3 (/ 6: the volume form of g) and the lattice of
-    g^-1 (:func:`metric_inverse`)."""
+    """Validated K-forms (omega, psi, Phi, K, G, tau0, vol), omega^2, omega^3
+    (/ 6: the volume form of g) and G^-1; ``kappa`` exact in Q(sqrt 3), else
+    None on exact data; J, g, phi the K-forms over kappa, formed when read."""
 
-    def __init__(self, omega, psi, phi, J, g, kappa, tau0, vol, omega2,
-                 omega3, ginv):
-        self.omega, self.psi, self.phi = omega, psi, phi
-        self.J, self.g = J, g  # 6 x 6 lists
-        self.kappa, self.tau0 = kappa, tau0
-        self.vol = vol
-        self.omega2, self.omega3 = omega2, omega3
-        self.ginv = ginv
+    def __init__(self, omega, psi, Phi, K, G, tau0, vol, omega2, omega3, Ginv):
+        self.omega, self.psi, self.Phi = omega, psi, Phi
+        self.K, self.G, self.Ginv = K, G, Ginv  # 6 x 6 lattices
+        self.tau0, self.vol, self.omega2, self.omega3 = tau0, vol, omega2, omega3
+        root = sqrt_scalar(-tau0)
+        self.kappa = None if is_exact(tau0) and not is_exact(root) else root
+
+    def per_kappa(self, x):
+        """x / kappa, x a scalar or a lattice: exact when kappa is, else floats."""
+        if not isinstance(x, tuple):   # sign(x) sqrt(x^2 / kappa^2), in range
+            r = sqrt_scalar(exact_div(x * x, -self.tau0))
+            return -r if x < 0 else r
+        if self.kappa is None:
+            return [float(self.per_kappa(v)) for v in lower(x)], None, None
+        return times(exact_div(1, self.kappa), x)
+
+    @functools.cached_property
+    def J(self):
+        return smallmat.unflatten(lower(self.per_kappa(self.K)), 6, 6)
+
+    @functools.cached_property
+    def g(self):
+        return smallmat.unflatten(lower(self.per_kappa(self.G)), 6, 6)
+
+    @functools.cached_property
+    def phi(self):
+        return KForm(6, 3, lattice=self.per_kappa(self.Phi.lattice()))
 
 
 class NKReport:
     """Each structure equation decided by the zero policy (``first``,
     ``second``), its residual for display, and the fitted constant mu.
-    ``fit`` keeps the (d phi, omega^omega) of the fit for :func:`cone_check`."""
+    ``fit`` keeps the (d Phi, omega^omega) of the fit for :func:`cone_check`."""
 
     def __init__(self, residual_r1, residual_r2, mu, first, second, fit=None):
         self.residual_r1, self.residual_r2 = residual_r1, residual_r2
@@ -111,9 +134,10 @@ class NKReport:
 
 
 # ---------------------------------------------------------------------------
-def k_matrix(psi, vol):
-    """K: X -> the vector of interior(X, psi) ^ psi against vol, no checks."""
-    return smallmat.unflatten(lower(_k_lattice(psi, vol)), 6, 6)
+def kappa_phi(psi, vol):
+    """(K's lattice, Phi = contract(psi, K) = kappa phi), with no checks."""
+    K = _k_lattice(psi, vol)
+    return K, contract(psi, K)
 
 
 def _k_lattice(psi, vol):
@@ -149,24 +173,28 @@ def contract(psi, m, slot=0):
 
 
 def hitchin_K(psi, vol, tol=EPS):
-    """Endomorphism K with K(X) the vector of  interior(X, psi) ^ psi.
-
-    Normalized against the given orientation form; returns (K, tau0) where
-    K^2 = tau0 * Id (verified, relative to the size of K^2 on floats) and
-    tau0 = trace(K^2)/6.
-    """
+    """(K, tau0): K(X) the vector of interior(X, psi) ^ psi against the
+    orientation form ``vol``, K^2 = tau0 Id verified (:func:`_tau0`)."""
     K = _k_lattice(psi, vol)
+    return smallmat.unflatten(lower(K), 6, 6), _tau0(K, tol)
+
+
+def _tau0(K, tol):
+    """tau0 = trace(K^2) / 6 with K^2 = tau0 Id verified; FloatRangeError
+    when a float K's largest entry squares outside the normal floats."""
+    top = lattice_max_abs(K) if K[2] is None else 0
+    if top and not sys.float_info.min <= top * top < math.inf:
+        raise FloatRangeError(f"K^2 lies outside the float range (|K| = {top:.3g})")
     P, Q, d = K2 = smallmat.lattice_mul(K, K, 6, 6, 6)
     tau0 = exact_div(sum(lower((P[::7], Q and Q[::7], d))), 6)
     if not smallmat.is_scalar_matrix(K2, tau0, scaled_tol(tol, K2)):
         raise StructureError("K^2 is not a multiple of the identity")
-    return smallmat.unflatten(lower(K), 6, 6), simplify(tau0)
+    return simplify(tau0)
 
 
 def tau(psi, vol):
     """Quartic invariant tau0 with tau(psi) = tau0 vol^2; stable iff < 0."""
-    _, tau0 = hitchin_K(psi, vol)
-    return tau0
+    return hitchin_K(psi, vol)[1]
 
 
 def phi_from(psi, J, tol=EPS):
@@ -176,11 +204,15 @@ def phi_from(psi, J, tol=EPS):
     compared and must agree (exactly in exact mode), which holds precisely
     when psi is of type (3,0)+(0,3) for J.
     """
-    phis = [contract(psi, J, slot) for slot in range(3)]
-    slot_tol = scaled_tol(tol, phis[0].lattice())
-    if not all((phis[0] - other).is_zero(slot_tol) for other in phis[1:]):
+    phi = contract(psi, J)
+    _check_slots(psi, J, phi, tol)
+    return phi
+
+
+def _check_slots(psi, m, phi, tol):
+    slot_tol = scaled_tol(tol, phi.lattice())
+    if not all((phi - contract(psi, m, slot)).is_zero(slot_tol) for slot in (1, 2)):
         raise SlotInconsistent()
-    return phis[0]
 
 
 def contraction_defect(psi, phi, J):
@@ -203,7 +235,7 @@ def metric_inverse(J, o2, o3):
     """The lattice of g^-1 = -J W^-1 for g = W J, W the matrix of omega, with
     no elimination: W^-1_jk = -3 s_jk (omega^2)_{(jk)^c} / (omega^3)_012345,
     s_jk the sign of :func:`exterior.complement`, from ``o2`` = omega^2,
-    ``o3`` = omega^3."""
+    ``o3`` = omega^3.  Of K = kappa J it is kappa g^-1 = -tau0 G^-1."""
     def build():   # J[i][j] omega^2((jk)^c) at [i][k]
         pos4 = index_tuples(6, 4)[1]
         comp = [[(k, *complement(6, (j, k))) for k in range(6) if k != j]
@@ -237,7 +269,9 @@ def omega3_sign(omega, o3=None):
 def build_su3(cand, tol=EPS, powers=None):
     """Assemble the full SU(3)-structure from a candidate pair, or raise.
 
-    Errors name the violated condition: NotStable (stability of psi),
+    Each identity is decided on the K-forms, a float one at ``tol`` times
+    the size of its data (:func:`scalars.scaled_tol`).  Errors name the
+    violated condition: NotStable (stability of psi),
     NotType11 (omega ^ psi != 0), DegenerateOmega (omega^3 = 0),
     NotPositive (the induced symmetric form is not positive definite),
     SlotInconsistent, or StructureError itself (see there).  ``powers``:
@@ -245,66 +279,48 @@ def build_su3(cand, tol=EPS, powers=None):
     """
     omega, psi, vol = cand.omega, cand.psi, cand.vol
     n = 6
-    exact = all(form.lattice()[2] is not None for form in (omega, psi, vol))
-
-    K, tau0 = hitchin_K(psi, vol, tol)
+    K, Phi = kappa_phi(psi, vol)
+    tau0 = _tau0(K, tol)
     if not is_positive(-tau0):
         raise NotStable(f"tau0 = {tau0} is not negative")
 
+    w = omega.lattice()
     op = wedge(omega, psi)
-    if not op.is_zero(tol):
+    if not op.is_zero(scaled_tol(tol, w, psi.lattice())):
         raise NotType11(f"omega ^ psi has size {op.max_abs()}")
 
     o2, o3 = powers or omega_powers(omega)
-    if o3.is_zero(tol):
+    if o3.is_zero(scaled_tol(tol, w, w, w)):
         raise DegenerateOmega()
-
-    try:
-        kappa = sqrt_scalar(-tau0)
-    except OverflowError:   # an exact tau0 beyond the float range
-        kappa = math.inf
-    if isinstance(kappa, float) and exact:
-        # no exact square root in Q(sqrt 3); continue in floats
-        if not 0 < kappa < math.inf:
-            raise FloatRangeError("kappa = sqrt(-tau0) is not in Q(sqrt 3), "
-                                  "and tau0 lies outside the float range")
-        omega = omega.to_float()
-        o2, o3 = wedge(omega, omega), o3.to_float()
-        psi = psi.to_float()
-        vol = vol.to_float()
-    J = (times(exact_div(1, kappa), smallmat.mat_lattice(K)) if is_exact(kappa)
-         else ([float(x) / kappa for row in K for x in row], None, None))
     mul = lambda x, y: smallmat.lattice_mul(x, y, n, n, n)
 
-    if not smallmat.is_scalar_matrix(mul(J, J), -1, tol):
-        raise StructureError("J^2 differs from -Id")
-
-    # g(X, Y) = omega(X, JY): g = W J, W the antisymmetric matrix of omega
-    g = bilinear(kernel_rows("W J", lambda: [   # omega(a, b) J[b][k], -J[a][k]
+    # G(X, Y) = omega(X, KY): G = W K, W the antisymmetric matrix of omega
+    G = bilinear(kernel_rows("W J", lambda: [   # omega(a, b) K[b][k], -K[a][k]
         [(b * n + k, a * n + k, 1) for k in range(n)]
         + [(a * n + k, b * n + k, -1) for k in range(n)]
-        for a, b in index_tuples(n, 2)[0]]), omega.lattice(), J, n * n)
-    if not lattice_zero(lattice_sum(g, smallmat.lattice_transpose(g, n), -1), tol):
+        for a, b in index_tuples(n, 2)[0]]), w, K, n * n)
+    if not lattice_zero(lattice_sum(G, smallmat.lattice_transpose(G, n), -1),
+                        scaled_tol(tol, w, K)):
         raise StructureError("induced bilinear form is not symmetric")
-    P, Q, d = g   # (P + Q sqrt 3) / d, d > 0, is positive iff P is, or Q when P = 0
+    P, Q, d = G   # (P + Q sqrt 3) / d, d > 0, is positive iff P is, or Q when P = 0
     Q = Q if Q and any(Q) else None
-    tested = g if d is None or Q and any(P) else (Q or P, None, 1)
+    tested = G if d is None or Q and any(P) else (Q or P, None, 1)
     if not smallmat.is_positive_definite(smallmat.unflatten(lower(tested), n, n)):
         raise NotPositive()
-    jgj = mul(smallmat.lattice_transpose(J, n), mul(g, J))
-    if not lattice_zero(lattice_sum(jgj, g, -1), tol):
+    kgk = mul(smallmat.lattice_transpose(K, n), mul(G, K))   # J^t g J = g
+    if not lattice_zero(lattice_sum(kgk, times(tau0, G)), scaled_tol(tol, K, K, G)):
         raise StructureError("J is not orthogonal for the induced metric")
 
-    phi = phi_from(psi, J, tol=tol)
-    # interior(X, psi) = interior(JX, phi) on the basis
-    if not lattice_zero(contraction_defect(psi, phi, J),
-                        scaled_tol(tol, psi.lattice())):
+    _check_slots(psi, K, Phi, tol)
+    # interior(X, psi) = interior(JX, phi) on the basis, times -tau0
+    psi_k = psi.scale(-tau0)
+    if not lattice_zero(contraction_defect(psi_k, Phi, K),
+                        scaled_tol(tol, psi_k.lattice())):
         raise StructureError("contraction identity for phi fails")
 
-    ginv = metric_inverse(J, o2, o3)
-    J, g = (smallmat.unflatten(lower(x), n, n) for x in (J, g))
-    return SU3Structure(omega=omega, psi=psi, phi=phi, J=J, g=g, kappa=kappa,
-                        tau0=tau0, vol=vol, omega2=o2, omega3=o3, ginv=ginv)
+    Ginv = times(exact_div(-1, tau0), metric_inverse(K, o2, o3))
+    return SU3Structure(omega=omega, psi=psi, Phi=Phi, K=K, G=G, tau0=tau0,
+                        vol=vol, omega2=o2, omega3=o3, Ginv=Ginv)
 
 
 def build_either_orientation(omega, psi, tol=EPS):
@@ -339,15 +355,17 @@ def nk_check(s, differential, tol=EPS):
     The constant is quoted at the scale of d(omega): with both structure
     equations written  d omega = 3 psi  and  d(3 phi) = -2 mu omega^omega,
     the diagonal family on S^3 x S^3 has mu = 1/(2 lambda sqrt 3), the
-    classical value.  (The fit itself runs on d phi; only the quoted mu
-    and residual carry the factor 3.)
+    classical value.  (The fit itself runs on d Phi = kappa d phi; the
+    quoted mu and residual are over kappa and carry the factor 3.)
     """
     r1 = differential(s.omega) - s.psi.scale(3)
-    fit = differential(s.phi), s.omega2
-    mu_fit, r2 = volume_fit(*fit)  # r2 at the scale of phi
-    return NKReport(residual_r1=r1.max_abs(), residual_r2=3 * r2.max_abs(),
-                    mu=simplify(3 * mu_fit), first=r1.is_zero(tol),
-                    second=r2.is_zero(tol / 3), fit=fit)
+    fit = differential(s.Phi), s.omega2
+    c, r2 = volume_fit(*fit)  # at the scale of Phi
+    return NKReport(residual_r1=r1.max_abs(),
+                    residual_r2=3 * lattice_max_abs(s.per_kappa(r2.lattice())),
+                    mu=simplify(3 * s.per_kappa(c)),
+                    first=r1.is_zero(scaled_tol(tol, s.psi.lattice())),
+                    second=r2.is_zero(scaled_tol(tol, fit[0].lattice())), fit=fit)
 
 
 def volume_fit(dphi, o2):
@@ -356,6 +374,7 @@ def volume_fit(dphi, o2):
 
     This is the metric-normalization scalar: c = 1 exactly when the cone
     over the structure is parallel (the structure equations at unit scale).
+    Of d Phi = kappa d phi it gives kappa c and kappa times the residual.
     """
     c = simplify(exact_div(-form_dot(dphi, o2), 2 * form_dot(o2, o2)))
     return c, dphi + o2.scale(2 * c)

@@ -26,8 +26,9 @@ from fractions import Fraction
 from . import smallmat
 from .exterior import KForm, index_tuples, sort_index
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_zero, kernel_rows, lattice_sum,
-    lattice_zero, lift, lower, scalar_like, sqrt_scalar)
+    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, is_zero,
+    kernel_rows, lattice_sum, lattice_zero, lift, lower, scalar_like, scaled_tol,
+    sqrt_scalar, times)
 
 
 class NotInvariant(ValueError):
@@ -402,12 +403,13 @@ def _maps(table):
 def nearly_kahler_residual(space, g, J, tol=EPS):
     """The defining identity (nabla_X J) X = 0, proved by polarisation.
 
-    Checks the preconditions (J^2 = -Id, orthogonality, invariance) and
-    reports them distinctly.  X -> (nabla_X J) X is quadratic, so it
-    vanishes iff its polarisation does on the basis pairs i <= j:
-    (nabla_i J) X_j + (nabla_j J) X_i = 0.  The polarisation is formed
-    lowered, from the Koszul table G of :func:`_koszul`: since J is
-    g-orthogonal with J^2 = -Id, g(J u, w) = -g(u, J w), so
+    It is homogeneous in J, so ``J`` may be any K = kappa J, kappa > 0: it
+    is decided on K and quoted for J.  Checks the preconditions (K^2 =
+    -kappa^2 Id, orthogonality, invariance) and reports them distinctly.
+    X -> (nabla_X J) X is quadratic, so it vanishes iff its polarisation
+    does on the basis pairs i <= j: (nabla_i J) X_j + (nabla_j J) X_i = 0.
+    The polarisation is formed lowered, from the Koszul table G of
+    :func:`_koszul`: since J is g-antisymmetric, g(J u, w) = -g(u, J w), so
         g((nabla_i J) X_j, X_z) = sum_s J_sj G[i][s][z] + sum_s J_sz G[i][j][s],
     the 21 lowered vectors are one lattice product of J with G, (i, j) and
     (j, i) added in its table.  g is proved invertible first by its
@@ -419,10 +421,12 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     n = space.dim_m
     mul = lambda x, y, rows=n: smallmat.lattice_mul(x, y, rows, n, n)
     Jl, gl = smallmat.mat_lattice(J), smallmat.mat_lattice(g)
-    if not smallmat.is_scalar_matrix(mul(Jl, Jl), -1, tol):
-        raise ValueError("J^2 differs from -Id")
+    P, Q, d = J2 = mul(Jl, Jl)
+    t = lower((P[:1], Q and Q[:1], d))[0]   # -kappa^2
+    if not (is_positive(-t) and smallmat.is_scalar_matrix(J2, t, scaled_tol(tol, J2))):
+        raise ValueError("J^2 is not a negative multiple of the identity")
     jgj = mul(smallmat.lattice_transpose(Jl, n), mul(gl, Jl))
-    if not lattice_zero(lattice_sum(jgj, gl, -1), tol):
+    if not lattice_zero(lattice_sum(jgj, times(t, gl)), scaled_tol(tol, Jl, Jl, gl)):
         raise ValueError("J is not orthogonal for g")
     if not is_invariant_endo(space, Jl, tol=tol):
         raise ValueError("J is not an invariant tensor")
@@ -443,7 +447,11 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     if polar[2] is not None and lattice_zero(polar):
         return True, 0.0
     ginv_t = smallmat.transpose(smallmat.inv(g))
-    raised = lower(mul(polar, smallmat.mat_lattice(ginv_t), len(pairs)))
+    raised = mul(polar, smallmat.mat_lattice(ginv_t), len(pairs))
+    kappa = sqrt_scalar(-t)
+    if raised[2] is not None and not is_exact(kappa):   # decided on K
+        return lattice_zero(raised), _max_vec(lower(raised)) / kappa
+    raised = lower(times(exact_div(1, kappa), raised))
     return all_zero(raised, tol), _max_vec(raised)
 
 

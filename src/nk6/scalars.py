@@ -4,9 +4,9 @@ All algebra in this package is generic over its scalars by duck typing.
 Exact computations use ``int``/``Fraction``; when a square root of 3 is
 unavoidable (cube roots of unity, the canonical almost complex structure
 of a 3-symmetric space) the quadratic extension Q(sqrt 3) is available as
-:class:`QSqrt3`.  Anything past an irrational square root that does not
-live in Q(sqrt 3) falls back to floats, compared against a tolerance
-(default ``EPS``).
+:class:`QSqrt3`.  A verdict that would need another square root is
+decided on data homogeneous in it (K = kappa J, :mod:`nk6.hitchin`).
+Float data are compared against a tolerance (default ``EPS``).
 
 The zero policy lives here (:func:`all_zero`): a collection of scalars is
 compared with 0 exactly when every entry is exact, and otherwise by its
@@ -301,11 +301,18 @@ def exact_sqrt(x):
 
 
 def sqrt_scalar(x):
-    """Square root, exact when representable, float otherwise."""
+    """Square root, exact when representable, float otherwise (of a
+    rational x, 2^e sqrt(x / 4^e) with x / 4^e near 1: in any range)."""
     if is_exact(x):
         r = exact_sqrt(x)
         if r is not None:
             return r
+        if not isinstance(x, QSqrt3) and x > 0:
+            e = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
+            try:
+                return math.ldexp(math.sqrt(x * Fraction(4) ** -e), e)
+            except OverflowError:
+                return math.inf
     v = float(x)
     if v < 0:
         raise ValueError("square root of a negative scalar")
@@ -403,9 +410,12 @@ def lattice_max_abs(lattice):
         return math.inf
 
 
-def scaled_tol(tol, lattice):
-    """tol times the size (at least 1) of a float lattice; exact ones ignore tol."""
-    return tol * max(lattice_max_abs(lattice), 1.0) if lattice[2] is None else tol
+def scaled_tol(tol, *lattices):
+    """tol times the product of the sizes of the lattices an identity is
+    formed from, if any is float: a verdict at every scale of the data."""
+    if all(x[2] is not None for x in lattices):
+        return tol
+    return tol * math.prod(map(lattice_max_abs, lattices))
 
 
 def times(s, lattice):

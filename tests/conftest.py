@@ -16,6 +16,23 @@ def pipeline_nk_verdict(omega, differential):
     return nk_check(s, differential).verdict
 
 
+def lambda5_to_vector(sigma, vol):
+    """The vector v with  interior(v, vol) = sigma,  for a 5-form in dim 6:
+    the isomorphism of 5-forms with vectors tensored by top forms, by which
+    Hitchin's K(X) is the vector of interior(X, psi) ^ psi (the K oracle)."""
+    from nk6.exterior import index_tuples
+    from nk6.scalars import exact_div
+
+    if sigma.n != 6 or sigma.k != 5:
+        raise ValueError("expected a 5-form in dimension 6")
+    if vol.n != 6 or vol.k != 6 or vol.c[0] == 0:
+        raise ValueError("expected a nonzero top form in dimension 6")
+    pos5 = index_tuples(6, 5)[1]
+    return [(-1 if i % 2 else 1)
+            * exact_div(sigma.c[pos5[tuple(j for j in range(6) if j != i)]], vol.c[0])
+            for i in range(6)]
+
+
 def form_inner(a, b, gram_inv):
     """The inner product of two k-forms from the inverse Gram matrix, minor
     by minor: <e_I, e_J> = det gram_inv[I][J], the Hodge star's oracle."""

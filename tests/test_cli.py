@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nk6.cli import main
 from nk6.report import Report
@@ -318,23 +322,152 @@ def test_check_builds_the_lie_algebra_once(monkeypatch, capsys, tmp_path,
     assert len(calls) == 1
 
 
-def test_check_marks_float_fallback(tmp_path, capsys):
+CANDIDATE_06 = os.path.join(ROOT, "tests", "golden", "candidates", "candidate-06.json")
+
+
+def _scaled_document(tmp_path, src, factor, drop_metric=False):
+    """A copy of the document ``src`` with omega times ``factor``."""
+    with open(src) as fh:
+        doc = json.load(fh)
+    doc["forms"]["omega"] = [[idx, str(Fraction(v) * factor)]
+                             for idx, v in doc["forms"]["omega"]]
+    if drop_metric:
+        doc.pop("metric")
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("factor", [
+    1, 100, Fraction(1, 10 ** 4), 10 ** 6, 10 ** 8, 10 ** 100, Fraction(1, 10 ** 100)],
+    ids=["1", "1e2", "1e-4", "1e6", "1e8", "1e100", "1e-100"])
+def test_exact_candidate_with_kappa_outside_q_sqrt3_is_decided_exactly(
+        tmp_path, capsys, factor):
+    # kappa = sqrt(-tau0) of candidate-06 is not in Q(sqrt 3); the build,
+    # the structure equations and the cone are decided on K = kappa J, so
+    # at every scale the first equation and the closed cone form are exact
+    # zeros, and the second equation and the coclosed form fail
+    path = _scaled_document(tmp_path, CANDIDATE_06, factor)
+    code, out = run(capsys, "--json", "check", path, "--cone")
+    assert code == 1
+    verdicts = Report.from_json(out).verdicts
+    assert [(v.name, v.status, v.label, v.detail) for v in verdicts] == [
+        ("stable pair builds an SU(3)-structure", "pass", "", ""),
+        ("first structure equation (d omega = 3 psi)", "pass", "", ""),
+        ("second structure equation (d phi = -2 mu omega^2)", "fail",
+         "diff-system", ""),
+        ("cone form closed", "pass", "", ""),
+        ("cone form coclosed", "fail", "cone-coclosed", "")]
+    residuals = [v.residual for v in verdicts]
+    assert residuals[1] == residuals[3] == 0.0
+    assert residuals[2] > 0 and residuals[4] > 0
+
+
+@pytest.mark.parametrize("factor", [10 ** 100, Fraction(1, 10 ** 100)],
+                         ids=["1e100", "1e-100"])
+def test_float_check_beyond_the_float_range_exits_2(tmp_path, capsys, factor):
+    # in floats, K = kappa J of candidate-06 with omega times 10^100 or
+    # 10^-100 squares outside the normal floats: a limit of the arithmetic,
+    # not a failed check
+    path = _scaled_document(tmp_path, CANDIDATE_06, factor)
+    code = main(["--scalar", "float", "check", path, "--cone"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: K^2 lies outside the float range")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "flag"])
+@pytest.mark.parametrize("factor", [Fraction(1, 10 ** 4), 10 ** 6, 10 ** 8],
+                         ids=["1e-4", "1e6", "1e8"])
+def test_float_verdicts_hold_at_every_scale(tmp_path, capsys, name, factor):
+    # each float identity is tested at the size of its own data, so the
+    # nearly Kahler fixtures pass at every scale, like the documents
+    path = _scaled_document(tmp_path, os.path.join(FIX, f"{name}.json"), factor,
+                            drop_metric=name == "flag")
+    code, out = run(capsys, "--json", "--scalar", "float", "check", path, "--cone")
+    assert code == 0, out
+
+
+def test_supplied_metric_g_equals_w_k_is_decided_exactly(tmp_path, capsys):
+    # the metric G = W K = kappa g of candidate-06 is rational although g is
+    # not: the homothety and the connection-level verdict are exact on it
+    from nk6.hitchin import build_either_orientation
+    from nk6.lie import ce_differential
+    from nk6.scalars import lower
+    from nk6.spacefile import load_space
+
+    doc = load_space(CANDIDATE_06)
+    omega = doc.forms["omega"]
+    s, _ = build_either_orientation(
+        omega, ce_differential(doc.reductive_space(), omega) / 3)
+    assert s.kappa is None
+    with open(CANDIDATE_06) as fh:
+        raw = json.load(fh)
+    G = lower(s.G)
+    raw["metric"] = [[str(x) for x in G[i:i + 6]] for i in range(0, 36, 6)]
+    path = tmp_path / "c06_metric.json"
+    path.write_text(json.dumps(raw))
+    code, out = run(capsys, "--json", "check", str(path))
+    assert code == 1
+    verdicts = {v.name: v for v in Report.from_json(out).verdicts}
+    homothety = verdicts["supplied metric is the induced one up to homothety"]
+    agree = verdicts["connection-level and form-level verdicts agree"]
+    assert (homothety.status, homothety.residual) == ("pass", 0.0)
+    assert (agree.status, agree.detail) == ("pass", "")
+    assert agree.residual > 0
+
+
+# (l1, l2, l3) with kappa in Q(sqrt 3), up to order and scale (as in
+# tests/test_closed_forms.py); a random triple almost never is
+S3_EXACT = [(1, 1, 1), (2, 7, 7), (3, 4, 5), (3, 5, 7), (5, 5, 6)]
+_lambdas = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+
+
+@st.composite
+def _s3xs3_triples(draw):
+    if draw(st.booleans()):
+        base = draw(st.permutations(draw(st.sampled_from(S3_EXACT))))
+        triple = [draw(_lambdas) * x for x in base]
+    else:
+        triple = [draw(_lambdas) for _ in range(3)]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+    return [x * sign for x, sign in zip(triple, signs)]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_s3xs3_triples())
+def test_exact_and_float_checks_agree_on_s3xs3_triples(triple):
+    # S^3 x S^3 with omega = l1 e1^f1 + l2 e2^f2 + l3 e3^f3: exact and
+    # --scalar float check --cone give the same exit code and the same
+    # status, label and detail on every verdict, with residuals within
+    # 1e-9 (relative above 1), and every passing exact residual is 0.0
+    s = [x * x for x in triple]
+    assume(s[0] ** 2 + s[1] ** 2 + s[2] ** 2
+           < 2 * (s[0] * s[1] + s[1] * s[2] + s[0] * s[2]))   # psi stable
     with open(os.path.join(FIX, "s3xs3.json")) as fh:
         doc = json.load(fh)
-    for term, coeff in zip(doc["forms"]["omega"], ("1", "2", "2")):
-        term[1] = coeff
-    path = tmp_path / "s3xs3_122.json"
-    path.write_text(json.dumps(doc))
-    fallback = "float arithmetic: kappa not in Q(sqrt 3)"
-
-    _, out = run(capsys, "--json", "check", str(path), "--cone")
-    build = Report.from_json(out).verdicts[0]
-    assert build.status == "pass" and build.detail == fallback
-    # float inputs and an exact build in Q(sqrt 3) are not fallbacks
-    _, out = run(capsys, "--json", "--scalar", "float", "check", str(path))
-    assert Report.from_json(out).verdicts[0].detail == ""
-    _, out = run(capsys, "--json", "check", os.path.join(FIX, "s3xs3.json"))
-    assert Report.from_json(out).verdicts[0].detail == ""
+    for term, x in zip(doc["forms"]["omega"], triple):
+        term[1] = str(x)
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s3xs3.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for scalar in ("exact", "float"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["--json", "--scalar", scalar, "check", path, "--cone"])
+            reports[scalar] = code, Report.from_json(out.getvalue()).verdicts
+    (code, exact), (float_code, floats) = reports["exact"], reports["float"]
+    assert code == float_code
+    assert [(v.name, v.status, v.label, v.detail) for v in exact] == \
+        [(v.name, v.status, v.label, v.detail) for v in floats]
+    for e, f in zip(exact, floats):
+        assert (e.residual is None) == (f.residual is None)
+        if e.residual is not None:
+            assert abs(e.residual - f.residual) <= 1e-9 * max(1.0, abs(e.residual))
+            assert e.status == "fail" or e.residual == 0.0
 
 
 @pytest.mark.parametrize("argv,name,certificate", [
@@ -783,8 +916,9 @@ def test_exact_verdicts_do_not_depend_on_tolerance(tmp_path, capsys, name):
 
 def test_float_build_inconsistency_is_a_labelled_verdict(capsys):
     # at tolerance 0, rounding breaks an identity build_su3 checks on floats
+    # (K^t G K = -tau0 G on candidate-06)
     code, out = run(capsys, "--json", "--tolerance", "0", "--scalar", "float",
-                    "check", os.path.join(FIX, "s3xs3.json"))
+                    "check", CANDIDATE_06)
     assert code == 1
     build = Report.from_json(out).verdicts[0]
     assert (build.name, build.status, build.label) == (
@@ -928,32 +1062,6 @@ def test_exact_metric_beyond_the_float_range_fails_the_homothety(tmp_path, capsy
     assert homothety.name == "supplied metric is the induced one up to homothety"
     assert homothety.status == "fail" and 0 < homothety.residual <= 1
     assert rep.scalars["metric_scale"] is None
-
-
-@pytest.mark.parametrize("scale", [10 ** 100, Fraction(1, 10 ** 100)],
-                         ids=["1e100", "1e-100"])
-def test_float_fallback_beyond_the_float_range_exits_2(tmp_path, capsys, scale):
-    # candidate-06 builds in floats (kappa is not in Q(sqrt 3)); with omega
-    # scaled by 10^100 or 10^-100, tau0 lies outside the float range: a
-    # limit of the arithmetic, not a failed check.  At 10^2 and 10^-4 the
-    # same document still checks in floats
-    src = os.path.join(ROOT, "tests", "golden", "candidates", "candidate-06.json")
-    with open(src) as fh:
-        doc = json.load(fh)
-    omega = doc["forms"]["omega"]
-    path = tmp_path / "c06.json"
-    for factor in (scale, 100, Fraction(1, 10 ** 4)):
-        doc["forms"]["omega"] = [[idx, str(Fraction(v) * factor)] for idx, v in omega]
-        path.write_text(json.dumps(doc))
-        code = main(["check", str(path), "--cone"])
-        captured = capsys.readouterr()
-        if factor is scale:
-            assert code == 2 and captured.out == ""
-            assert captured.err == ("error: kappa = sqrt(-tau0) is not in "
-                                    "Q(sqrt 3), and tau0 lies outside the float range\n")
-        else:
-            assert code == 1 and captured.err == ""
-            assert "float arithmetic: kappa not in Q(sqrt 3)" in captured.out
 
 
 def test_scalar_float_rejects_structure_constants_beyond_the_float_range(

@@ -6,10 +6,11 @@
   product of J with phi, against the twelve ``interior`` calls;
 - the compiled invariance of a metric and an endomorphism, against the
   ``commutator`` loops, on the model spaces and on perturbed data;
-- g^-1 = -J W^-1 and vol_g = omega^3 / 6 of ``SU3Structure``, against
-  ``smallmat.inv`` and ``metric_volume``, and the scaling law of the cone
-  star that ``cone_check`` uses: the star from that lattice of g^-1 on
-  (c^2 omega, c psi) against the star of c g on (c omega, c psi);
+- G^-1 = -K W^-1 / (-tau0) and vol_g = omega^3 / 6 of ``SU3Structure``,
+  against ``smallmat.inv`` of G = W K and ``metric_volume`` of g, and the
+  scaling law of the cone star that ``cone_check`` uses: the star from
+  that lattice of G^-1 on (c^2 kappa^2 omega, c kappa^3 psi) against the
+  star of c g on (c omega, c psi);
 - a float document whose volume form fails the unit-norm test at tolerance
   0 gets failing cone verdicts, not a traceback.
 
@@ -17,7 +18,6 @@ Exact data must agree by ``==``; floats bit for bit on nonzero entries
 where the summation order is kept, within a bound where it is not.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -28,10 +28,11 @@ from hypothesis import assume, given, settings, strategies as st
 from nk6 import octonion, s3xs3, smallmat, spaces
 from nk6.certificate import check_certificate
 from nk6.cone import cone_hodge, cone_rho
+from conftest import lambda5_to_vector
 from nk6.exterior import (
-    KForm, index_tuples, interior, lambda5_to_vector, metric_volume, wedge)
+    HodgeStar, KForm, index_tuples, interior, metric_volume, wedge)
 from nk6.hitchin import (
-    StructureError, build_either_orientation, contraction_defect, k_matrix,
+    StructureError, build_either_orientation, contraction_defect, kappa_phi,
     omega3_sign)
 from nk6.lie import (
     _tensor_invariance_table, ce_differential, is_invariant_endo,
@@ -90,6 +91,10 @@ def oracle_k(psi, vol):
                                for e in smallmat.identity(6)])
 
 
+def k_matrix(psi, vol):
+    return smallmat.unflatten(lower(kappa_phi(psi, vol)[0]), 6, 6)
+
+
 @SETTINGS
 @given(st.data(), kinds, st.sampled_from([1, -1]))
 def test_compiled_k_matches_the_per_term_k(data, kind, sign):
@@ -100,8 +105,9 @@ def test_compiled_k_matches_the_per_term_k(data, kind, sign):
 
 def test_compiled_k_on_the_model_structures():
     # dense psi with sqrt 3 parts (S^3 x S^3) and the S^6 psi
-    for psi, vol in [(s.psi, s.vol) for s in verify_structures()]:
-        assert k_matrix(psi, vol) == oracle_k(psi, vol)
+    for s in verify_structures():
+        assert k_matrix(s.psi, s.vol) == oracle_k(s.psi, s.vol)
+        assert kappa_phi(s.psi, s.vol)[1] == s.Phi
 
 
 # -- the contraction identity -----------------------------------------------
@@ -205,25 +211,46 @@ def verify_structures():
             octonion.s6_structure_at(e1)[0]]
 
 
-def ginv(s):
-    """g^-1 of a structure as a matrix, from the lattice it carries."""
-    return smallmat.unflatten(lower(s.ginv), 6, 6)
+def matrix(lattice):
+    return smallmat.unflatten(lower(lattice), 6, 6)
+
+
+def k_star(s):
+    """The cone check's star: the build's G^-1 with omega^3 / 6, whose
+    squared norm is -1 / tau0^3."""
+    return HodgeStar.of_inverse(s.Ginv, s.omega3 / 6, -s.tau0 ** 3, 0.0)
 
 
 def assert_closed_forms(s):
-    assert ginv(s) == smallmat.inv(s.g)
-    assert s.omega3 / 6 == metric_volume(s.g, omega3_sign(s.omega, s.omega3))
+    assert matrix(s.Ginv) == smallmat.inv(matrix(s.G))
+    k_star(s)   # the exact norm test
+    if s.kappa is not None:
+        assert s.omega3 / 6 == metric_volume(s.g, omega3_sign(s.omega, s.omega3))
 
 
 def assert_cone_star_scales(s, c):
-    # *_{c g} = c^(3 - p) *_g on p-forms: the star of the build's lattice of
-    # g^-1 and omega^3 / 6 on rho(c^2 omega, c psi) against the star of c g,
-    # inverted afresh, with volume form c^3 omega^3 / 6 on rho(c omega, c psi)
-    lattice = cone_hodge(cone_rho(s.omega.scale(c * c), s.psi.scale(c)), s.g,
-                         s.omega3 / 6, inverse=s.ginv)
+    # *_{c g} = c^(3 - p) *_g and the build's star is kappa^(-p) *_g on
+    # p-forms: that star on rho(c^2 kappa^2 omega, c kappa^3 psi) against the
+    # star of c g, inverted afresh, with volume form c^3 omega^3 / 6 on
+    # rho(c omega, c psi)
+    kappa = s.kappa
+    lattice = cone_hodge(cone_rho(s.omega.scale(c * c * kappa * kappa),
+                                  s.psi.scale(c * kappa ** 3)), k_star(s))
     fresh = cone_hodge(cone_rho(s.omega.scale(c), s.psi.scale(c)),
-                       smallmat.mat_scale(c, s.g), s.omega3.scale(c ** 3) / 6)
+                       HodgeStar(smallmat.mat_scale(c, s.g), s.omega3.scale(c ** 3) / 6))
     assert lattice.terms == fresh.terms
+
+
+def test_closed_forms_with_kappa_outside_q_sqrt3():
+    # candidate-06: kappa = sqrt(-tau0) is not in Q(sqrt 3), G and G^-1 are
+    # rational, and the cone star's norm test is exact
+    doc = load_space(os.path.join(ROOT, "tests", "golden", "candidates",
+                                  "candidate-06.json"))
+    omega = doc.forms["omega"]
+    s, _ = build_either_orientation(
+        omega, ce_differential(doc.reductive_space(), omega) / 3)
+    assert s.kappa is None and s.Ginv[2] is not None
+    assert_closed_forms(s)
 
 
 def test_closed_forms_on_fixtures_and_verify_structures():
@@ -261,7 +288,7 @@ def built_structures(draw):
         s, _ = build_either_orientation(omega, d(omega) / 3)
     except StructureError:
         s = None
-    assume(s is not None and not isinstance(s.kappa, float))
+    assume(s is not None and s.kappa is not None)
     return s
 
 
@@ -273,35 +300,14 @@ def test_closed_forms_on_built_structures(s, c):
 
 
 # -- a float volume form that fails the unit-norm test ----------------------
-# fixtures/cp3.json with no metric and omega = 0.013 e01 + 0.013 e23
-# - 0.0065 e45 as JSON floats
-CP3_FLOAT = json.loads("""
-{"dimension": 10,
- "basis": ["p0", "p1", "p2", "p3", "v1", "v2", "z", "s1", "s2", "s3"],
- "structure_constants": [
-  [0, 1, 6, "2"], [0, 1, 7, "-2"], [0, 2, 4, "2"], [0, 2, 8, "-2"],
-  [0, 3, 5, "2"], [0, 3, 9, "-2"], [0, 4, 2, "-1"], [0, 5, 3, "-1"],
-  [0, 6, 1, "-1"], [0, 7, 1, "1"], [0, 8, 2, "1"], [0, 9, 3, "1"],
-  [1, 2, 5, "2"], [1, 2, 9, "2"], [1, 3, 4, "-2"], [1, 3, 8, "-2"],
-  [1, 4, 3, "1"], [1, 5, 2, "-1"], [1, 6, 0, "1"], [1, 7, 0, "-1"],
-  [1, 8, 3, "1"], [1, 9, 2, "-1"], [2, 3, 6, "2"], [2, 3, 7, "2"],
-  [2, 4, 0, "1"], [2, 5, 1, "1"], [2, 6, 3, "-1"], [2, 7, 3, "-1"],
-  [2, 8, 0, "-1"], [2, 9, 1, "1"], [3, 4, 1, "-1"], [3, 5, 0, "1"],
-  [3, 6, 2, "1"], [3, 7, 2, "1"], [3, 8, 1, "-1"], [3, 9, 0, "-1"],
-  [4, 5, 6, "2"], [4, 6, 5, "-2"], [5, 6, 4, "2"], [7, 8, 9, "2"],
-  [7, 9, 8, "-2"], [8, 9, 7, "2"]],
- "h_indices": [6, 7, 8, 9], "m_indices": [0, 1, 2, 3, 4, 5],
- "forms": {"omega": [[[0, 1], 0.013], [[2, 3], 0.013], [[4, 5], -0.0065]]}}
-""")
-
-
-def test_unit_norm_failure_is_a_failing_cone_verdict(tmp_path):
-    path = tmp_path / "cp3_float.json"
-    path.write_text(json.dumps(CP3_FLOAT))
+def test_unit_norm_failure_is_a_failing_cone_verdict():
+    # fixtures/s3xs3.json in floats at tolerance 0 builds (every identity
+    # of the build holds to the bit), but v^2 det G^-1 (-tau0)^3 rounds off 1
     env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(ROOT, "src")))
     done = subprocess.run(
-        [sys.executable, "-m", "nk6.cli", "--json", "--tolerance", "0", "check",
-         str(path), "--cone"], env=env, capture_output=True, text=True, timeout=60)
+        [sys.executable, "-m", "nk6.cli", "--json", "--tolerance", "0",
+         "--scalar", "float", "check", os.path.join(FIX, "s3xs3.json"), "--cone"],
+        env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 1
     assert done.stderr == ""
     cone = {v.name: v for v in Report.from_json(done.stdout).verdicts

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import form_inner
+from conftest import form_inner, lambda5_to_vector
 from nk6.exterior import (
     KForm,
     NotPositiveDefinite,
     hodge_star,
     interior,
-    lambda5_to_vector,
     metric_volume,
     wedge,
 )

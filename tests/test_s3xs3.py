@@ -242,8 +242,8 @@ def test_k_identity_on_admissible_triples():
         checked += 1
         cand = s3xs3.candidate(s3xs3.DiagonalInvariantForm(lams))
         s, _ = build_either_orientation(cand.omega, cand.psi)
-        k2 = 81 * float(s.kappa) ** 2
-        assert abs(k2 - float(-s3xs3.quartic_factored(lams))) <= 1e-10 * max(k2, 1)
+        # kappa^2 = -tau0, exact also when kappa is not in Q(sqrt 3)
+        assert 81 * -s.tau0 == -s3xs3.quartic_factored(lams)
 
 
 def test_sweep_no_counterexamples():

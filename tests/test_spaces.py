@@ -265,7 +265,8 @@ def _orientation_candidates():
     for t in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         for fiber in (1, -1):
             out.append((cm.omega(t, fiber), cp3_d))
-    # omega^3 of this omega is 10^-420, zero as a float: the sign is exact
+    # omega^3 of this omega is 10^-420, zero as a float: the sign is exact;
+    # its float copy has K of size 10^-280, whose square leaves the floats
     out.append((fm.omega(1, 1, 1).scale(Fraction(1, 10 ** 140)), flag_d))
     exact = [(omega, d(omega) / 3) for omega, d in out]
     floats = [(omega.to_float(), psi.to_float()) for omega, psi in exact[::2]]
@@ -273,17 +274,17 @@ def _orientation_candidates():
 
 
 def test_one_build_orientation_matches_two_orientation_loop():
-    from nk6.hitchin import StructureError
+    from nk6.hitchin import FloatRangeError, StructureError
 
     outcomes = set()
     for omega, psi in _orientation_candidates():
         try:
             want, want_orient = _two_orientation_build(omega, psi)
-        except StructureError as ex:
-            with pytest.raises(StructureError) as got:
+        except (StructureError, FloatRangeError) as ex:
+            with pytest.raises((StructureError, FloatRangeError)) as got:
                 spaces.build_either_orientation(omega, psi)
-            assert got.value.label == ex.label
-            outcomes.add(ex.label)
+            assert type(got.value) is type(ex)
+            outcomes.add(type(ex).__name__)
             continue
         s, orient = spaces.build_either_orientation(omega, psi)
         assert orient == want_orient

@@ -1,10 +1,15 @@
-"""Lint-style guard for the one SU(3) build.
+"""Lint-style guards for the one SU(3) build and its arithmetic.
 
 Every ``SU3Structure`` in ``src/nk6`` comes out of ``hitchin.build_su3``,
 which proves each identity the structure carries.  A check at another
 scale reads the build and the scaling laws (``cone.cone_check``); it never
 assembles a second structure.  So ``SU3Structure(...)`` is called once, in
 ``build_su3``.
+
+Exact data are decided exactly: the build decides on K = kappa J whatever
+kappa is, so no exact form is turned into floats on the way.  Floats enter
+only by ``--scalar float``, so ``KForm.to_float()`` is called once, in
+``cli._named_form``.
 """
 
 import ast
@@ -13,17 +18,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "nk6"
 
 
-def constructions(source):
-    """(line, enclosing function) of each call of SU3Structure(...) itself."""
+def calls(source, name):
+    """(line, enclosing function) of each call of ``name``, by itself or as
+    an attribute (``x.name(...)``)."""
     out = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Name) and node.func.id == "SU3Structure"
-                or isinstance(node.func, ast.Attribute)
-                and node.func.attr == "SU3Structure"):
+                isinstance(node.func, ast.Name) and node.func.id == name
+                or isinstance(node.func, ast.Attribute) and node.func.attr == name):
             out.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -32,10 +37,22 @@ def constructions(source):
     return out
 
 
+def constructions(source):
+    """(line, enclosing function) of each call of SU3Structure(...) itself."""
+    return calls(source, "SU3Structure")
+
+
+def _callers(name):
+    return [(path.name, function) for path in sorted(SRC.glob("*.py"))
+            for _, function in calls(path.read_text(), name)]
+
+
 def test_su3_structures_are_constructed_only_in_build_su3():
-    found = [(path.name, function) for path in sorted(SRC.glob("*.py"))
-             for _, function in constructions(path.read_text())]
-    assert found == [("hitchin.py", "build_su3")]
+    assert _callers("SU3Structure") == [("hitchin.py", "build_su3")]
+
+
+def test_floats_enter_only_by_the_scalar_option():
+    assert _callers("to_float") == [("cli.py", "_named_form")]
 
 
 def test_guard_sees_the_forms_it_forbids():
@@ -48,3 +65,13 @@ def test_guard_sees_the_forms_it_forbids():
         "def build_su3():\n"
         "    return SU3Structure()\n") == [
             (1, None), (4, "scaled"), (7, "build_su3")]
+
+
+def test_guard_sees_to_float_calls():
+    assert calls(
+        "def to_float(self):\n"
+        "    return self\n"
+        "def build_su3(omega):\n"
+        "    o3 = omega.to_float()\n"
+        "    return KForm.to_float(o3), to_float\n", "to_float") == [
+            (4, "build_su3"), (5, "build_su3")]
