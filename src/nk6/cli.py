@@ -18,15 +18,13 @@ import math
 import sys
 import time
 
-from . import octonion, s3xs3, smallmat, spaces
-from .cone import cone_verdicts
-from .hitchin import FloatRangeError, StructureError, nk_check
-from .lie import ce_differential, is_invariant, nearly_kahler_residual
+# modules, not names: a lazily registered module runs on its first use
+from . import (
+    cone, hitchin, lie, octonion, s3xs3, smallmat, spacefile, spaces, table)
 from .report import Report
 from .scalars import (
     EPS, exact_div, is_positive, lattice_max_abs, lattice_sum, lattice_zero,
     lower, sqrt_scalar, times)
-from .spacefile import SpaceFormatError, load_space
 
 
 def _inert(parser, *flags):
@@ -94,7 +92,7 @@ def main(argv=None):
             rep = _cmd_check(args)
         else:
             rep = _cmd_table(args)
-    except (SpaceFormatError, FloatRangeError) as ex:
+    except (spacefile.SpaceFormatError, hitchin.FloatRangeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     rep.timing_s = time.perf_counter() - started
@@ -109,10 +107,11 @@ def _base_report(args, command, **inputs):
 # ---------------------------------------------------------------------------
 def _cmd_verify(args):
     rep = _base_report(args, f"verify {args.space}")
-    # looked up per call, so that a wrapped module function is the one run
-    verify = {"s3xs3": s3xs3.verify, "flag": spaces.flag_verify,
-              "cp3": spaces.cp3_verify, "s6": octonion.s6_verify}[args.space]
-    model = verify(tol=args.tolerance)
+    # looked up per call, so that a wrapped function is the one run
+    module, name = {"s3xs3": (s3xs3, "verify"), "flag": (spaces, "flag_verify"),
+                    "cp3": (spaces, "cp3_verify"),
+                    "s6": (octonion, "s6_verify")}[args.space]
+    model = getattr(module, name)(tol=args.tolerance)
     rep.verdicts += model.verdicts
     for name, value in model.scalars.items():
         rep.scalar(name, value)
@@ -132,10 +131,10 @@ def _cmd_solve(args):
 def _named_form(doc, name, degree, scalar):
     """The document's form ``name``, of the given degree, in --scalar arithmetic."""
     if name not in doc.forms:
-        raise SpaceFormatError(f"$.forms: no {degree}-form named {name!r}")
+        raise spacefile.SpaceFormatError(f"$.forms: no {degree}-form named {name!r}")
     form = doc.forms[name]
     if form.k != degree:
-        raise SpaceFormatError(f"$.forms.{name}: degree must be {degree}")
+        raise spacefile.SpaceFormatError(f"$.forms.{name}: degree must be {degree}")
     return form.to_float() if scalar == "float" else form
 
 
@@ -143,34 +142,34 @@ def _cmd_check(args):
     rep = _base_report(args, f"check {args.file}", file=args.file,
                        omega=args.omega, psi=args.psi or "(d omega)/3")
     tol = args.tolerance
-    doc = load_space(args.file, floats=args.scalar == "float")
+    doc = spacefile.load_space(args.file, floats=args.scalar == "float")
     space = doc.reductive_space()
     omega = _named_form(doc, args.omega, 2, args.scalar)
     if space.dim_m != 6:
-        raise SpaceFormatError("$: m must be 6-dimensional for this check")
+        raise spacefile.SpaceFormatError("$: m must be 6-dimensional for this check")
     psi = (None if args.psi is None
            else _named_form(doc, args.psi, 3, args.scalar))
 
     # invariance is decided once, on the inputs: phi, omega^2 and the cone
     # forms are built from omega and psi by equivariant operations
     for name, form in ((args.omega, omega), (args.psi, psi)):
-        if form is not None and not is_invariant(space, form, tol=tol):
+        if form is not None and not lie.is_invariant(space, form, tol=tol):
             rep.check("forms are h-invariant", False, label="NotInvariant",
                       detail=f"{name} is not h-invariant")
             return rep
-    d = lambda a: ce_differential(space, a, check_invariance=False)
+    d = lambda a: lie.ce_differential(space, a, check_invariance=False)
     if psi is None:
         psi = d(omega) / 3
 
     try:
-        structure, orient = spaces.build_either_orientation(omega, psi, tol=tol)
-    except StructureError as ex:
+        structure, orient = hitchin.build_either_orientation(omega, psi, tol=tol)
+    except hitchin.StructureError as ex:
         rep.check("stable pair builds an SU(3)-structure", False,
                   label=ex.label, detail=str(ex))
         return rep
     rep.check("stable pair builds an SU(3)-structure", True)
 
-    nk = nk_check(structure, d, tol=tol)
+    nk = hitchin.nk_check(structure, d, tol=tol)
     rep.check("first structure equation (d omega = 3 psi)", nk.first,
               label="diff-system", residual=nk.residual_r1)
     rep.check("second structure equation (d phi = -2 mu omega^2)", nk.second,
@@ -196,7 +195,7 @@ def _cmd_check(args):
                   label="metric", residual=exact_div(top(dev), top(a) or 1))
         rep.scalar("metric_scale", structure.per_kappa(-structure.tau0 * scale))
         try:
-            ok, res = nearly_kahler_residual(space, doc.metric, structure.K,
+            ok, res = lie.nearly_kahler_residual(space, doc.metric, structure.K,
                                              tol=tol)
             detail = "" if ok == nk.verdict else ", ".join(
                 f"{level} level: {'' if v else 'not '}nearly Kahler"
@@ -209,7 +208,7 @@ def _cmd_check(args):
                       label="nabla-J", detail=str(ex))
 
     if args.cone:
-        verdicts, crep = cone_verdicts(structure, d, tol, nk.fit)
+        verdicts, crep = cone.cone_verdicts(structure, d, tol, nk.fit)
         rep.verdicts += verdicts
         if crep is not None:
             rep.scalar("cone_omega2_coefficient", crep.omega2_coefficient)
@@ -218,7 +217,7 @@ def _cmd_check(args):
 
 def _cmd_table(args):
     rep = _base_report(args, "table")
-    tb = spaces.table_check()
+    tb = table.table_check()
     for row in tb.rows:
         rep.check(f"{row['h']} in {row['g']} -> {row['target']}",
                   row["codimension"] == 6 and row["isotropy_allowed"],

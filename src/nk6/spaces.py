@@ -1,5 +1,6 @@
-"""Model spaces: Ledger-Obata S^3 x S^3, the flag manifold of C^3 on su(3),
-CP^3 on sp(2), and the subalgebra/dimension table of the classification.
+"""Model spaces: Ledger-Obata S^3 x S^3, the flag manifold of C^3 on su(3)
+and CP^3 on sp(2); the subalgebra/dimension table of the classification is
+``nk6.table``, re-exported here.
 
 Structure constants are never hand-entered: every algebra is spanned by
 integer real matrices and built by ``LieAlgebraData.from_matrices``, the
@@ -34,6 +35,7 @@ from .octonion import quat_conj, quat_mul
 from .poly import Poly
 from .report import NA, Verdict, Verdicts, verdict
 from .scalars import EPS
+from .table import ALLOWED_ISOTROPY, algebra_dimension, table_check  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -583,61 +585,3 @@ def _count_acs_candidates(model):
                 and is_invariant_endo(model.space, j) and j not in seen):
             seen.append(j)
     return len(seen)
-
-
-# ---------------------------------------------------------------------------
-# dimension table of admissible isotropy pairs
-ALLOWED_ISOTROPY = ["0", "u(1)", "2u(1)", "su(2)", "u(2)", "su(3)"]
-
-TABLE_ROWS = [
-    ("0", "su(2)+su(2)", "S3xS3"),
-    ("u(1)", "u(1)+su(2)+su(2)", "S3xS3"),
-    ("2u(1)", "2u(1)+su(2)+su(2)", "S3xS3"),
-    ("2u(1)", "su(3)", "F3"),
-    ("su(2)", "su(2)+su(2)+su(2)", "S3xS3"),
-    ("u(2)", "u(1)+su(2)+su(2)+su(2)", "S3xS3"),
-    ("u(2)", "sp(2)", "CP3"),
-    ("su(3)", "g2", "S6"),
-]
-
-_DIMS = {"0": 0, "u(1)": 1, "su(2)": 3, "su(3)": 8, "sp(2)": 10, "g2": 14,
-         "u(2)": 4}
-
-
-def algebra_dimension(label):
-    """Dimension of a direct sum like '2u(1)+su(2)+su(2)'."""
-    total = 0
-    for part in label.split("+"):
-        part = part.strip()
-        if part[0].isdigit() and part not in _DIMS:
-            count, rest = int(part[0]), part[1:]
-            total += count * _DIMS[rest]
-        else:
-            total += _DIMS[part]
-    return total
-
-
-class TableReport:
-    def __init__(self, rows):
-        self.rows = rows
-
-    @property
-    def ok(self):
-        return all(r["codimension"] == 6 and r["isotropy_allowed"]
-                   for r in self.rows)
-
-
-def table_check():
-    """Each table row: dim g - dim h = 6 and h in the allowed isotropy list."""
-    rows = []
-    for h, g, target in TABLE_ROWS:
-        rows.append({
-            "h": h,
-            "g": g,
-            "target": target,
-            "dim_h": algebra_dimension(h),
-            "dim_g": algebra_dimension(g),
-            "codimension": algebra_dimension(g) - algebra_dimension(h),
-            "isotropy_allowed": h in ALLOWED_ISOTROPY,
-        })
-    return TableReport(rows=rows)
