@@ -85,49 +85,31 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         if args.command == "verify":
-            rep = _cmd_verify(args)
+            # looked up per call, so that a wrapped function is the one run
+            module, name = {"s3xs3": (s3xs3, "verify"),
+                            "flag": (spaces, "flag_verify"),
+                            "cp3": (spaces, "cp3_verify"),
+                            "s6": (octonion, "s6_verify")}[args.space]
+            rep = getattr(module, name)(tol=args.tolerance)
         elif args.command == "solve-s3xs3":
-            rep = _cmd_solve(args)
+            rep = s3xs3.solve_nk(tol=args.tolerance)
         elif args.command == "check":
             rep = _cmd_check(args)
         else:
-            rep = _cmd_table(args)
+            rep = table.table_check()
     except (spacefile.SpaceFormatError, hitchin.FloatRangeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    # "verify s6", "solve-s3xs3", "check FILE" or "table"
+    rep.command = " ".join([args.command, *(
+        getattr(args, k) for k in ("space", "file") if hasattr(args, k))])
+    rep.tolerance = args.tolerance
     rep.timing_s = time.perf_counter() - started
     print(rep.to_json() if args.json else rep.render())
     return 0 if rep.all_pass else 1
 
 
-def _base_report(args, command, **inputs):
-    return Report(command=command, inputs=inputs, tolerance=args.tolerance)
-
-
 # ---------------------------------------------------------------------------
-def _cmd_verify(args):
-    rep = _base_report(args, f"verify {args.space}")
-    # looked up per call, so that a wrapped function is the one run
-    module, name = {"s3xs3": (s3xs3, "verify"), "flag": (spaces, "flag_verify"),
-                    "cp3": (spaces, "cp3_verify"),
-                    "s6": (octonion, "s6_verify")}[args.space]
-    model = getattr(module, name)(tol=args.tolerance)
-    rep.verdicts += model.verdicts
-    for name, value in model.scalars.items():
-        rep.scalar(name, value)
-    return rep
-
-
-def _cmd_solve(args):
-    rep = _base_report(args, "solve-s3xs3")
-    solved = s3xs3.solve_nk(tol=args.tolerance)
-    rep.check("solution family is (lambda, lambda, lambda), lambda > 0",
-              solved.ok, label="diff-system", detail=solved.family)
-    rep.verdicts += solved.verdicts
-    rep.scalar("mu_at_lambda_1", solved.mu_at_one)
-    return rep
-
-
 def _named_form(doc, name, degree, scalar):
     """The document's form ``name``, of the given degree, in --scalar arithmetic."""
     if name not in doc.forms:
@@ -139,8 +121,8 @@ def _named_form(doc, name, degree, scalar):
 
 
 def _cmd_check(args):
-    rep = _base_report(args, f"check {args.file}", file=args.file,
-                       omega=args.omega, psi=args.psi or "(d omega)/3")
+    rep = Report(inputs={"file": args.file, "omega": args.omega,
+                         "psi": args.psi or "(d omega)/3"})
     tol = args.tolerance
     doc = spacefile.load_space(args.file, floats=args.scalar == "float")
     space = doc.reductive_space()
@@ -174,9 +156,8 @@ def _cmd_check(args):
               label="diff-system", residual=nk.residual_r1)
     rep.check("second structure equation (d phi = -2 mu omega^2)", nk.second,
               label="diff-system", residual=nk.residual_r2)
-    rep.scalar("mu", nk.mu)
-    rep.scalar("tau0", structure.tau0)
-    rep.scalar("kappa", sqrt_scalar(-structure.tau0))
+    rep.scalars.update(mu=nk.mu, tau0=structure.tau0,
+                       kappa=sqrt_scalar(-structure.tau0))
     rep.inputs["orientation"] = orient
 
     if doc.metric is not None:
@@ -193,7 +174,7 @@ def _cmd_check(args):
                   lattice_zero(dev, tol * size)
                   and is_positive(scale, tol * size / lattice_max_abs(b)),
                   label="metric", residual=exact_div(top(dev), top(a) or 1))
-        rep.scalar("metric_scale", structure.per_kappa(-structure.tau0 * scale))
+        rep.scalars["metric_scale"] = structure.per_kappa(-structure.tau0 * scale)
         try:
             ok, res = lie.nearly_kahler_residual(space, doc.metric, structure.K,
                                              tol=tol)
@@ -211,18 +192,7 @@ def _cmd_check(args):
         verdicts, crep = cone.cone_verdicts(structure, d, tol, nk.fit)
         rep.verdicts += verdicts
         if crep is not None:
-            rep.scalar("cone_omega2_coefficient", crep.omega2_coefficient)
-    return rep
-
-
-def _cmd_table(args):
-    rep = _base_report(args, "table")
-    tb = table.table_check()
-    for row in tb.rows:
-        rep.check(f"{row['h']} in {row['g']} -> {row['target']}",
-                  row["codimension"] == 6 and row["isotropy_allowed"],
-                  label="table",
-                  detail=f"{row['dim_g']} - {row['dim_h']} = {row['codimension']}")
+            rep.scalars["cone_omega2_coefficient"] = crep.omega2_coefficient
     return rep
 
 

@@ -607,7 +607,8 @@ def ricci(space, g, tol=EPS):
 
     Returns (ric, scal, einstein_ok, max_rel_dev): einstein_ok is the check
     Ric = (scal / dim m) g, exact on exact data and at relative tolerance
-    ``tol`` on floats; max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|.
+    ``tol`` on floats; max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|,
+    and 0.0 when Ric = 0.
     """
     L = _maps(nomizu_levi_civita(space, g, tol=tol))
     n = space.dim_m
@@ -626,5 +627,5 @@ def ricci(space, g, tol=EPS):
     lam = exact_div(scal, n)
     diff = smallmat.mat_sub(ric, smallmat.mat_scale(lam, g))
     scale = smallmat.mat_max_abs(ric)
-    rel = smallmat.mat_max_abs(diff) / max(scale, 1e-30)
+    rel = smallmat.mat_max_abs(diff) / scale if scale else 0.0
     return ric, scal, all_zero(diff, tol * scale), rel

@@ -18,7 +18,7 @@ from .cone import (
     u_basis_expansion)
 from .exterior import KForm, index_tuples
 from .hitchin import StructureError, SU3Candidate, build_su3, contract
-from .report import Verdicts, verdict
+from .report import Report, verdict
 from .scalars import EPS, all_zero, exact_div, is_zero, scalar_like
 
 
@@ -174,8 +174,8 @@ def s6_verify(tol=EPS):
     isotropy = smallmat.nullspace(
         smallmat.transpose([smallmat.mat_vec(d, e1) for d in g2]))
     rank = len(g2) - len(isotropy)
-    report = Verdicts(scalars={"g2_dimension": len(g2), "orbit_rank": rank,
-                               "isotropy_dimension": len(isotropy)})
+    report = Report(scalars={"g2_dimension": len(g2), "orbit_rank": rank,
+                             "isotropy_dimension": len(isotropy)})
     report.verdicts = [verdict(*v) for v in (
         ("stabiliser g2 of phi0 has dimension 14", len(g2) == 14, "g2"),
         ("g2 lies in so(7)",

@@ -1,10 +1,11 @@
 """Machine-readable verification reports.
 
-A report is a list of named tri-state verdicts (pass / fail / na), the
-derived scalars, and the run parameters.  Failing verdicts carry the label
-of the violated condition (the same labels the structure errors use, e.g.
-``NotStable``), so a consumer can tell stability failures from positivity
-failures without parsing prose.
+Every command and model verification returns one :class:`Report`: a list
+of named tri-state verdicts (pass / fail / na), the derived scalars, the
+run parameters, and a model's facts as attributes.  Failing verdicts carry
+the label of the violated condition (the same labels the structure errors
+use, e.g. ``NotStable``), so a consumer can tell stability failures from
+positivity failures without parsing prose.
 """
 
 from __future__ import annotations
@@ -51,45 +52,37 @@ def verdict(name, ok, label="", residual=None, detail=""):
                    label="" if ok else label, detail=detail)
 
 
-class Verdicts:
-    """A model report: named ``verdicts`` decided once, and the ``scalars``
-    derived with them."""
+class Report:
+    """Verdicts, scalars, run parameters and ``facts`` (kept as attributes,
+    such as ``rep.certificate`` or ``rep.rows``).  Scalars stay exact until
+    the report is written, by :meth:`as_dict` or :meth:`render`."""
 
-    def __init__(self, verdicts=None, scalars=None):
+    def __init__(self, verdicts=None, scalars=None, *, command="", inputs=None,
+                 tolerance=EPS, timing_s=0.0, **facts):
         self.verdicts = [] if verdicts is None else verdicts
         self.scalars = {} if scalars is None else scalars
-
-    @property
-    def ok(self):
-        return all(v.status != FAIL for v in self.verdicts)
-
-
-class Report(Verdicts):
-    def __init__(self, verdicts=None, scalars=None, *, command, inputs=None,
-                 tolerance=EPS, timing_s=0.0):
-        super().__init__(verdicts, scalars)
         self.command = command
         self.inputs = {} if inputs is None else inputs
         self.tolerance = tolerance
         self.timing_s = timing_s
+        vars(self).update(facts)
 
     def check(self, name, ok, label="", residual=None, detail=""):
         self.verdicts.append(verdict(name, ok, label, residual, detail))
         return ok
 
     @property
-    def all_pass(self):
-        return self.ok
+    def ok(self):
+        return all(v.status != FAIL for v in self.verdicts)
 
-    def scalar(self, name, value):
-        self.scalars[name] = _number(value)
+    all_pass = ok
 
     def as_dict(self):
         return {
             "command": self.command,
             "inputs": self.inputs,
             "verdicts": [v.as_dict() for v in self.verdicts],
-            "scalars": self.scalars,
+            "scalars": {k: _number(v) for k, v in self.scalars.items()},
             "tolerance": self.tolerance,
             "timing_s": self.timing_s,
             "all_pass": self.all_pass,
@@ -124,7 +117,7 @@ class Report(Verdicts):
                 extra += f"  ({v.detail})"
             lines.append(f"[{mark}] {v.name}{extra}")
         for k, v in sorted(self.scalars.items()):
-            lines.append(f"    {k} = {v}")
+            lines.append(f"    {k} = {_number(v)}")
         lines.append(f"    tolerance={self.tolerance:g} "
                      f"time={self.timing_s:.2f}s")
         return "\n".join(lines)

@@ -25,7 +25,7 @@ from .hitchin import SU3Candidate, build_su3, nk_check
 from .lie import (
     LieAlgebraData, ReductiveSpace, ce_differential, ricci, su2_sum)
 from .poly import Poly
-from .report import Verdicts, verdict
+from .report import Report, verdict
 from .scalars import EPS, QSqrt3, exact_div, is_zero
 
 
@@ -290,31 +290,12 @@ def sign_pattern_analysis(lam=Fraction(1)):
 
 
 def _diagonal_certificate(signs):
-    """Diagonal M, N in SO(3) with M diag(s) N^t = Id, if one exists."""
-    for m in itertools.product((1, -1), repeat=3):
-        if m[0] * m[1] * m[2] != 1:
-            continue
-        n = tuple(m[i] * signs[i] for i in range(3))
-        if n[0] * n[1] * n[2] != 1:
-            continue
-        return ([[m[i] if i == j else 0 for j in range(3)] for i in range(3)],
-                [[n[i] if i == j else 0 for j in range(3)] for i in range(3)])
-    return None
-
-
-class SolveReport(Verdicts):
-    def __init__(self, verdicts=None, scalars=None, *, family, mu_at_one,
-                 certificate, survivors, certificates, verified_examples,
-                 structure, nk):
-        super().__init__(verdicts, scalars)
-        self.family = family
-        self.mu_at_one = mu_at_one
-        self.certificate = certificate
-        self.survivors = survivors
-        self.certificates = certificates
-        self.verified_examples = verified_examples
-        self.structure = structure
-        self.nk = nk
+    """M = diag(signs) and N = Id in SO(3), so that M diag(s) N^t = Id; None
+    when the signs multiply to -1, as then det(M diag(s) N^t) = -1."""
+    if signs[0] * signs[1] * signs[2] != 1:
+        return None
+    return ([[signs[i] if i == j else 0 for j in range(3)] for i in range(3)],
+            smallmat.identity(3))
 
 
 def solve_nk(tol=EPS):
@@ -358,17 +339,15 @@ def solve_nk(tol=EPS):
         ("one-positive patterns have co-frame certificates",
          len(certificates) == 3, "co-frame"),
         ("family points verify end to end", all(verified), "diff-system"))]
-    return SolveReport(
-        family="(lambda, lambda, lambda), lambda > 0, up to co-frame sign",
-        mu_at_one=mu_of(1),
-        certificate=cert,
-        survivors=survivors,
-        certificates=certificates,
-        verified_examples=verified,
-        structure=s,
-        nk=nk,
-        verdicts=verdicts,
-    )
+    family = "(lambda, lambda, lambda), lambda > 0, up to co-frame sign"
+    rep = Report(verdicts, {"mu_at_lambda_1": mu_of(1)}, family=family,
+                 mu_at_one=mu_of(1), certificate=cert, survivors=survivors,
+                 certificates=certificates, verified_examples=verified,
+                 structure=s, nk=nk)
+    rep.verdicts.insert(0, verdict(
+        "solution family is (lambda, lambda, lambda), lambda > 0", rep.ok,
+        "diff-system", detail=family))
+    return rep
 
 
 def verify(tol=EPS):
@@ -378,7 +357,8 @@ def verify(tol=EPS):
     s, nk = solved.structure, solved.nk
     mu_err = nk.mu - mu_of(1)
     _, scal, einstein, rel = ricci(cyclic_space(), s.g, tol)
-    verdicts = solved.verdicts + [verdict(*v) for v in (
+    # the family summary is solve-s3xs3's headline, not repeated here
+    verdicts = solved.verdicts[1:] + [verdict(*v) for v in (
         ("nearly Kahler system at lambda = 1", nk.verdict, "diff-system",
          max(nk.residual_r1, nk.residual_r2)),
         ("mu matches 1/(2 sqrt 3)", is_zero(mu_err, tol), "diff-system",
@@ -386,5 +366,5 @@ def verify(tol=EPS):
         ("Einstein with positive scalar curvature", einstein and scal > 0,
          "einstein", rel))]
     verdicts += cone_verdicts(s, differential, tol, nk.fit)[0]
-    return Verdicts(verdicts=verdicts, scalars={
+    return Report(verdicts, {
         "mu": nk.mu, "scal": scal, "kappa": s.kappa, "tau0": s.tau0})

@@ -33,7 +33,7 @@ from .lie import (
 )
 from .octonion import quat_conj, quat_mul
 from .poly import Poly
-from .report import NA, Verdict, Verdicts, verdict
+from .report import NA, Report, Verdict, verdict
 from .scalars import EPS
 from .table import ALLOWED_ISOTROPY, algebra_dimension, table_check  # noqa: F401
 
@@ -208,19 +208,6 @@ def flag_model():
                      summands={"p": (0, 1), "q": (2, 3), "r": (4, 5)})
 
 
-class FlagReport(Verdicts):
-    def __init__(self, verdicts=None, scalars=None, *, bracket_families_exact,
-                 weights_exact, canonical_3symmetric, flipped_integrable,
-                 natred_rays, certificate):
-        super().__init__(verdicts, scalars)
-        self.bracket_families_exact = bracket_families_exact
-        self.weights_exact = weights_exact
-        self.canonical_3symmetric = canonical_3symmetric
-        self.flipped_integrable = flipped_integrable
-        self.natred_rays = natred_rays
-        self.certificate = certificate
-
-
 def _flag_bracket_family_checks():
     """Closed-form bracket families against the matrix commutator.
 
@@ -365,10 +352,10 @@ def flag_verify(tol=EPS):
             "classical display deviations recorded", NA,
             detail=f"{len(display)} bracket display(s), "
                    f"weights display match = {weights_display}"))
-    return FlagReport(
-        bracket_families_exact=not failures, weights_exact=weights_ok,
+    return Report(
+        verdicts, bracket_families_exact=not failures, weights_exact=weights_ok,
         canonical_3symmetric=canonical_ok, flipped_integrable=flipped,
-        natred_rays=rays, certificate=cert, verdicts=verdicts)
+        natred_rays=rays, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +437,6 @@ def _block_support(mat):
             (True, False) in hit or (False, True) in hit)
 
 
-class CP3Report(Verdicts):
-    def __init__(self, verdicts=None, scalars=None, *, commutant_dimension,
-                 summand_dims, summands_irreducible, acs_candidates,
-                 nk_fiber_sign, t_nk, t_kahler, kahler_fiber_sign, ratio,
-                 nk_unique, kahler_unique):
-        super().__init__(verdicts, scalars)
-        self.commutant_dimension = commutant_dimension
-        self.summand_dims = summand_dims
-        self.summands_irreducible = summands_irreducible
-        self.acs_candidates = acs_candidates
-        self.nk_fiber_sign = nk_fiber_sign
-        self.t_nk, self.t_kahler = t_nk, t_kahler
-        self.kahler_fiber_sign = kahler_fiber_sign
-        self.ratio = ratio
-        self.nk_unique, self.kahler_unique = nk_unique, kahler_unique
-
-
 def cp3_certificate(model, fiber_sign):
     """The nearly Kahler scalings of the metric (a, a, a, a, t, t).
 
@@ -543,13 +513,13 @@ def cp3_verify(tol=EPS):
          "; ".join(c.detail for c in certs.values())),
         ("unique Kahler fiber scaling, opposite sign",
          kahler_unique and kahler_sign == -nk_sign, "kahler"))]
-    return CP3Report(
+    return Report(
+        verdicts, {"t_nk": t_nk, "t_kahler": t_k, "ratio": ratio},
         commutant_dimension=dim_comm, summand_dims=(4, 2),
         summands_irreducible=irreducible, acs_candidates=acs_count,
         nk_fiber_sign=nk_sign, t_nk=t_nk, t_kahler=t_k,
         kahler_fiber_sign=kahler_sign, ratio=ratio, nk_unique=nk_unique,
-        kahler_unique=kahler_unique, verdicts=verdicts,
-        scalars={"t_nk": t_nk, "t_kahler": t_k, "ratio": ratio})
+        kahler_unique=kahler_unique)
 
 
 def _has_complex_generator(block_endos, size, idx):

@@ -1,6 +1,8 @@
 """The subalgebra/dimension table of the classification, read from label
 strings: ``nk6 table`` runs none of the algebra code."""
 
+from .report import Report
+
 ALLOWED_ISOTROPY = ["0", "u(1)", "2u(1)", "su(2)", "u(2)", "su(3)"]
 
 TABLE_ROWS = [
@@ -31,22 +33,16 @@ def algebra_dimension(label):
     return total
 
 
-class TableReport:
-    def __init__(self, rows):
-        self.rows = rows
-
-    @property
-    def ok(self):
-        return all(r["codimension"] == 6 and r["isotropy_allowed"]
-                   for r in self.rows)
-
-
 def table_check():
-    """Each table row: dim g - dim h = 6 and h in the allowed isotropy list."""
-    rows = []
+    """Each table row: dim g - dim h = 6 and h in the allowed isotropy list,
+    one verdict a row; the rows are kept as ``rows``."""
+    rep = Report(rows=[])
     for h, g, target in TABLE_ROWS:
         dim_h, dim_g = algebra_dimension(h), algebra_dimension(g)
-        rows.append({"h": h, "g": g, "target": target, "dim_h": dim_h,
-                     "dim_g": dim_g, "codimension": dim_g - dim_h,
-                     "isotropy_allowed": h in ALLOWED_ISOTROPY})
-    return TableReport(rows=rows)
+        codim, allowed = dim_g - dim_h, h in ALLOWED_ISOTROPY
+        rep.rows.append({"h": h, "g": g, "target": target, "dim_h": dim_h,
+                         "dim_g": dim_g, "codimension": codim,
+                         "isotropy_allowed": allowed})
+        rep.check(f"{h} in {g} -> {target}", codim == 6 and allowed,
+                  label="table", detail=f"{dim_g} - {dim_h} = {codim}")
+    return rep

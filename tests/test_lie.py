@@ -878,8 +878,8 @@ def test_ricci_round_sphere():
 
 def test_ricci_flat_abelian():
     space = ReductiveSpace(abelian(6), [], list(range(6)))
-    ric, scal, einstein, _ = ricci(space, smallmat.identity(6, Fraction(1)))
-    assert scal == 0
+    ric, scal, einstein, rel = ricci(space, smallmat.identity(6, Fraction(1)))
+    assert scal == 0 and einstein and rel == 0.0
     assert all(all(x == 0 for x in row) for row in ric)
 
 

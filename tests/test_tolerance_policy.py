@@ -3,8 +3,7 @@
 Every pass/fail in ``src/nk6`` is decided by the zero policy of
 ``nk6.scalars`` at the threaded tolerance.  So no module outside
 ``scalars.py`` compares a value with a tolerance itself, and the only
-tolerance-like literal is ``scalars.EPS``; the two ``1e-30`` literals guard
-a division that turns a residual into a relative one for display.
+tolerance-like literal is ``scalars.EPS``.
 """
 
 import ast
@@ -17,8 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "nk6"
 
 SMALL_LITERAL = re.compile(r"^[0-9.]*[eE]-[0-9]+$")
-ALLOWED_LITERALS = Counter({("scalars.py", "1e-10"): 1,
-                            ("lie.py", "1e-30"): 1})
+ALLOWED_LITERALS = Counter({("scalars.py", "1e-10"): 1})
 
 
 def _modules():
