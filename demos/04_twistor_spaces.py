@@ -7,7 +7,8 @@ reductivity (a linear condition on the metric, so one nullspace) and the
 nearly Kahler property single out r = s = t.  On CP^3
 one fiber scaling is nearly Kahler for one fiber sign, and the Kahler
 scaling sits at exactly twice it for the opposite sign.  Each nearly
-Kahler claim is a polynomial certificate, printed below.
+Kahler claim is one polynomial certificate over every invariant 2-form,
+printed below with its claimed tau0 and omega^3.
 """
 
 from nk6 import spaces
@@ -15,7 +16,9 @@ from nk6 import spaces
 
 def show(cert):
     for claim in cert.claims:
-        print("    minor =", claim.format(cert.variables))
+        print("    minor   =", claim.format(cert.variables))
+    print("    tau0    =", cert.tau0.format(cert.variables))
+    print("    omega^3 =", cert.omega3.format(cert.variables))
 
 flag = spaces.flag_verify()
 print("flag manifold:")
@@ -37,7 +40,5 @@ print("  t_nearly_kahler     :", cp3.t_nk, " (fiber sign", cp3.nk_fiber_sign, ")
 print("  t_kahler            :", cp3.t_kahler, " (fiber sign",
       cp3.kahler_fiber_sign, ")")
 print("  ratio               :", cp3.ratio)
-model = spaces.cp3_model()
-for fiber in (-1, 1):
-    print("  fiber", fiber, "certificate:")
-    show(spaces.cp3_certificate(model, fiber))
+print("  nearly Kahler       :", cp3.certificate.detail)
+show(spaces.cp3_certificate(spaces.cp3_model()))

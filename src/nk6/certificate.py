@@ -1,26 +1,30 @@
 """Polynomial certificates for the uniqueness claims of the model spaces.
 
-A family is a 2-form omega(v), polynomial in the metric parameters v.  With
-psi = d omega / 3 and phi~ = -psi(K., ., .) = kappa phi, the system
-d phi = -2 mu omega^2 says that every 2x2 minor of (d phi~, omega^2)
-vanishes; kappa drops out, so the minors are polynomials.  A certificate
-claims each minor's factorisation.  The checker expands the claims and
-compares them with the minors by ``==``, up to sign.  Every factor must be
-nonvanishing on the admissible region (a monomial, or positive
-coefficients on the positive orthant) or a homogeneous linear form in the
-parameters (in their squares for ``squares`` families).  One linear factor
-per minor is a branch, whose solutions are a nullspace; the exact pipeline
-runs once per ray in the open orthant.  Nothing is factored or solved.
+A family is omega = sum x_i w_i, by default over every invariant 2-form
+w_i.  With psi = d omega / 3 and phi~ = -psi(K., ., .) = kappa phi, the
+system d phi = -2 mu omega^2 says that every 2x2 minor of (d phi~,
+omega^2) vanishes; kappa drops out, so the minors are polynomials.  A
+certificate claims the factorisations of the minors (up to sign), of tau0
+and of omega^3; the checker expands them and compares by ``==``.  A factor
+of tau0 or omega^3 is nonvanishing at every solution, as psi is stable
+only where tau0 < 0 and omega nondegenerate only where omega^3 != 0.
+Every other factor must be linear (in the squares for ``squares``
+families).  One linear factor per minor is a branch, whose solutions are a
+nullspace; the exact pipeline runs once per ray, in every orthant, up to
+the sign of omega.  Nothing is factored or solved.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, wedge
-from .hitchin import StructureError, build_either_orientation, kappa_phi, nk_check
+from .hitchin import (
+    StructureError, build_either_orientation, kappa_phi, nk_check, omega_powers)
+from .lie import ce_differential, invariant_forms
 from .poly import Poly
 from .scalars import EPS, exact_div, exact_sqrt, lower
 
@@ -32,10 +36,7 @@ class Claim:
         self.constant, self.factors = constant, factors  # Fraction, Polys
 
     def expand(self):
-        out = Fraction(self.constant)
-        for f in self.factors:
-            out = out * f
-        return out
+        return math.prod(self.factors, start=Fraction(self.constant))
 
     def format(self, names):
         return " * ".join([str(self.constant)]
@@ -43,20 +44,27 @@ class Claim:
 
 
 class Certificate:
-    def __init__(self, family, variables, omega, differential, claims,
-                 squares=False):
-        self.family, self.variables = family, variables
-        self.omega = omega                # parameter values -> 2-form
-        self.differential = differential  # form -> form
+    def __init__(self, family, variables, space, claims, tau0, omega3,
+                 basis=None, squares=False):
+        self.family, self.variables, self.space = family, variables, space
         self.claims = claims              # one Claim per distinct minor
+        self.tau0, self.omega3 = tau0, omega3  # a Claim each
+        self.basis = invariant_forms(space, 2) if basis is None else basis
         self.squares = squares
+        self.differential = lambda a: ce_differential(space, a,
+                                                      check_invariance=False)
+
+    def omega(self, *x):
+        """sum x_i w_i, in the arithmetic of x (numbers or Polys)."""
+        return sum((w.scale(v) for w, v in zip(self.basis, x)),
+                   KForm.zero(self.space.dim_m, 2))
 
 
 class CertificateResult:
-    def __init__(self, ok, detail, solutions, builds=None):
+    def __init__(self, ok, detail, solutions, builds=()):
         self.ok, self.detail = ok, detail  # ok: the claims hold
         self.solutions = solutions  # the rays that pass the pipeline
-        self.builds = [] if builds is None else builds  # (structure, NKReport) per ray
+        self.builds = builds  # (structure, NKReport) per ray
 
     @property
     def unique(self):
@@ -104,8 +112,14 @@ def check_certificate(cert, tol=EPS):
     def fail(why):
         return CertificateResult(False, f"{where}: {why}", [])
 
-    _, minors = pair_polynomials(
-        cert.omega(*Poly.variables(len(cert.variables))), cert.differential)
+    if len(cert.basis) != len(cert.variables):
+        return fail(f"{len(cert.basis)} 2-forms, {len(cert.variables)} variables")
+    omega = cert.omega(*Poly.variables(len(cert.variables)))
+    tau0, minors = pair_polynomials(omega, cert.differential)
+    if cert.tau0.expand() != tau0:
+        return fail("tau0 matches no claim")
+    if cert.omega3.expand() != omega_powers(omega)[1].c[0]:
+        return fail("omega^3 matches no claim")
     if not minors:
         return fail("every minor vanishes identically")
     used = [_match(m, [c.expand() for c in cert.claims]) for m in minors]
@@ -115,13 +129,13 @@ def check_certificate(cert, tol=EPS):
     if sorted(used) != list(range(len(cert.claims))):
         return fail("a claim matches no minor")
 
+    nonvanishing = cert.tau0.factors + cert.omega3.factors
     choices = []
     for claim in cert.claims:
         linear = []
         for f in claim.factors:
-            odd = cert.squares and any(k % 2 for e in f.terms for k in e)
-            if len(f.terms) == 1 or (not odd and min(f.terms.values()) > 0):
-                continue  # a monomial or a positive polynomial
+            if _match(f, nonvanishing) is not None:
+                continue
             vec = _linear(f, cert.squares)
             if vec is None:
                 return fail(f"factor {f.format(cert.variables)} is neither "
@@ -136,19 +150,23 @@ def check_certificate(cert, tol=EPS):
         kernel = smallmat.nullspace(list(rows))
         if len(kernel) > 1:
             return fail("a branch has more than a ray of solutions")
-        v = kernel[0] if kernel else [0]
-        ray = tuple(x / v[0] for x in v) if v[0] != 0 else (0,)
-        if not all(x > 0 for x in ray) or ray in rays:
-            continue  # no new solution in the open orthant
+        if not kernel:
+            continue
+        lead = next(x for x in kernel[0] if x != 0)  # fixes the sign of omega
+        ray = tuple(exact_div(x, lead) for x in kernel[0])
+        if ray in rays or cert.squares and min(ray) < 0:
+            continue  # no new solution, or no real point
         rays.append(ray)
         point = [exact_sqrt(x) for x in ray] if cert.squares else ray
         if None in point:
-            return fail(f"no exact point on the ray {_fmt(ray)}")
+            return fail(f"no exact point on the ray {format_ray(ray)}")
+        if any(f(*point) == 0 for f in nonvanishing):
+            continue  # tau0 = 0 or omega^3 = 0: no SU(3)-structure
         built = _passes(cert, point, tol)
         if built is not None:
             solutions.append(ray)
             builds.append(built)
-    found = ", ".join(f"solution ray {_fmt(r)}" for r in solutions)
+    found = ", ".join(f"solution ray {format_ray(r)}" for r in solutions)
     plural = "es" if len(branches) != 1 else ""
     return CertificateResult(
         True, f"{where}: {len(branches)} branch{plural}, "
@@ -166,5 +184,5 @@ def _passes(cert, point, tol):
     return (s, nk) if nk.verdict else None
 
 
-def _fmt(ray):
+def format_ray(ray):
     return "(" + ", ".join(map(str, ray)) + ")"

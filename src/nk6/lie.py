@@ -276,10 +276,34 @@ def _invariance_table(space, k):
     return _compile(entries)
 
 
-def tensor_invariance(space, kind):
-    """{(out, in): coefficient} of the map T -> ad(H_h)^t T + T ad(H_h)
-    (``kind`` "metric") or ad(H_h) T - T ad(H_h) ("endo") on matrices T of m,
-    for every h-basis element H_h: out = (h n + i) n + k for entry (i, k)."""
+def _invariant_kernel(space, build, k, size):
+    """The nullspace of the compiled invariance map ``build(space, k)`` on
+    vectors of ``size`` entries; its matrix has a zero row when h = 0."""
+    rows, coefs = space.compiled(build, k)
+    matrix = [[0] * size for _ in range(max(space.dim_h * size, 1))]
+    for [(i, o, _)], c in zip(rows, lower(coefs)):
+        matrix[o][i] = c
+    return smallmat.nullspace(matrix)
+
+
+def invariant_forms(space, k):
+    """A basis of the invariant k-forms on m."""
+    size = len(index_tuples(space.dim_m, k)[0])
+    return [KForm(space.dim_m, k, v)
+            for v in _invariant_kernel(space, _invariance_table, k, size)]
+
+
+def isotropy_commutant(space):
+    """A basis of the endomorphisms of m that commute with every ad(h)."""
+    n = space.dim_m
+    return [smallmat.unflatten(v, n, n) for v in
+            _invariant_kernel(space, _tensor_invariance_table, "endo", n * n)]
+
+
+def _tensor_invariance_table(space, kind):
+    """The compiled map T -> ad(H_h)^t T + T ad(H_h) (``kind`` "metric") or
+    ad(H_h) T - T ad(H_h) ("endo") on matrices T of m, for every h-basis
+    element H_h: out = (h n + i) n + k for entry (i, k)."""
     n, r = space.dim_m, range(space.dim_m)
     metric = kind == "metric"
     entries = {}
@@ -294,11 +318,7 @@ def tensor_invariance(space, kind):
                 for key, c in (((o + i * n + k, s * n + k), v),
                                ((o + k * n + b, k * n + a), v if metric else -v)):
                     entries[key] = entries[key] + c if key in entries else c
-    return entries
-
-
-def _tensor_invariance_table(space, kind):
-    return _compile(tensor_invariance(space, kind))
+    return _compile(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -223,22 +223,26 @@ def mu_of(lam):
 
 # ---------------------------------------------------------------------------
 def uniqueness_certificate():
-    """|l1| = |l2| = |l3| for omega = diag(l1, l2, l3), as a certificate.
+    """|l1| = |l2| = |l3| for omega = sum l_i e_i ^ f_i, as a certificate.
 
     In the squares x_i = l_i^2 the three minors are
-    4/27 l_i (x_j - x_k)(x_i - x_j - x_k), up to sign.  Of the 8 branches
-    only x1 = x2 = x3 meets the open orthant: the others force x = 0 or
+    4/27 l_i (x_j - x_k)(x_i - x_j - x_k), up to sign; tau0 is the factored
+    quartic over 81 and omega^3 = -6 l1 l2 l3.  Of the 8 branches only
+    x1 = x2 = x3 leaves a nondegenerate omega: the others force x = 0 or
     one x_i = 0.
     """
     l1, l2, l3 = Poly.variables(3)
     x1, x2, x3 = l1 * l1, l2 * l2, l3 * l3
     c = Fraction(4, 27)
     return Certificate(
-        family="S^3xS^3", variables=("l1", "l2", "l3"), omega=omega_diagonal,
-        differential=differential,
+        family="S^3xS^3", variables=("l1", "l2", "l3"), space=cyclic_space(),
+        basis=[KForm.basis(6, (i, 3 + i)) for i in range(3)],
         claims=(Claim(c, (l1, x2 - x3, x1 - x2 - x3)),
                 Claim(c, (l2, x1 - x3, x2 - x1 - x3)),
                 Claim(c, (l3, x1 - x2, x3 - x1 - x2))),
+        tau0=Claim(Fraction(1, 81), (l1 - l2 - l3, -l1 + l2 - l3,
+                                      -l1 - l2 + l3, l1 + l2 + l3)),
+        omega3=Claim(-6, (l1, l2, l3)),
         squares=True)
 
 
@@ -282,20 +286,11 @@ def sign_pattern_analysis(lam=Fraction(1)):
         lams = tuple(s * lam for s in signs)
         if su3_admissible(lams):
             survivors.append(signs)
-            if signs != (1, 1, 1):
-                cert = _diagonal_certificate(signs)
-                if cert is not None:
-                    certificates[signs] = cert
+            if signs != (1, 1, 1) and signs[0] * signs[1] * signs[2] == 1:
+                # M = diag(signs) and N = Id are in SO(3): M diag(s) N^t = Id
+                certificates[signs] = ([[signs[i] if i == j else 0 for j in range(3)]
+                                        for i in range(3)], smallmat.identity(3))
     return survivors, certificates
-
-
-def _diagonal_certificate(signs):
-    """M = diag(signs) and N = Id in SO(3), so that M diag(s) N^t = Id; None
-    when the signs multiply to -1, as then det(M diag(s) N^t) = -1."""
-    if signs[0] * signs[1] * signs[2] != 1:
-        return None
-    return ([[signs[i] if i == j else 0 for j in range(3)] for i in range(3)],
-            smallmat.identity(3))
 
 
 def solve_nk(tol=EPS):

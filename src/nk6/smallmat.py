@@ -152,10 +152,13 @@ def _eliminate(a, ncols, tol=EPS, swaps=True):
     written.  ``minors`` are the running products of the pivots and
     ``sign`` that of the row swaps.  A column's pivot is its first nonzero
     entry on exact data, its largest on floats, or none when that is zero
-    at ``tol``.  Without ``swaps`` only the next row's entry is a candidate,
-    so the running products are the leading principal minors.
+    at ``tol`` times the largest entry of the ``ncols`` columns (a rank at
+    every scale).  Without ``swaps`` only the next row's entry is a
+    candidate, so the running products are the leading principal minors.
     """
     m, float_mode = [list(row) for row in a], is_float_data(a)
+    if float_mode:
+        tol *= max((abs(float(x)) for row in m for x in row[:ncols]), default=0.0)
     pivots, minors, sign = [], [], 1
     for col in range(ncols):
         row = len(pivots)

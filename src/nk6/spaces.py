@@ -17,24 +17,25 @@ from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm
-from .certificate import Certificate, Claim, check_certificate
+from .certificate import Certificate, Claim, check_certificate, format_ray
 from .hitchin import build_either_orientation  # noqa: F401  (spaces API)
 from .lie import (
     LieAlgebraData,
     ReductiveSpace,
     ce_differential,
     check_3symmetric,
+    invariant_forms,
     is_complex_subalgebra,
     is_invariant_endo,
+    isotropy_commutant,
     natural_reductivity_defect,
     span_coordinates,
     su2_sum,
-    tensor_invariance,
 )
 from .octonion import quat_conj, quat_mul
 from .poly import Poly
 from .report import NA, Report, Verdict, verdict
-from .scalars import EPS
+from .scalars import EPS, exact_div
 from .table import ALLOWED_ISOTROPY, algebra_dimension, table_check  # noqa: F401
 
 
@@ -164,26 +165,27 @@ def kahler_form(g, j):
         for a in range(n) for b in range(a + 1, n)])
 
 
+def _block_acs(signs):
+    """J e_{2i} = s_i e_{2i+1} on the three planes (e_{2i}, e_{2i+1})."""
+    out = [[Fraction(0)] * 6 for _ in range(6)]
+    for i, s in enumerate(signs):
+        out[2 * i + 1][2 * i], out[2 * i][2 * i + 1] = Fraction(s), Fraction(-s)
+    return out
+
+
 class FlagModel:
     def __init__(self, space, summands):
         self.space = space
         self.summands = summands  # name -> the two indices of the summand
 
     def metric(self, r, s, t):
-        """diag(r, r, s, s, t, t); the entries may be numbers or Polys."""
-        vals = [x if isinstance(x, Poly) else Fraction(x)
-                for x in (r, r, s, s, t, t)]
-        return [[vals[i] if i == j else Fraction(0)
-                 for j in range(6)] for i in range(6)]
+        """diag(r, r, s, s, t, t)."""
+        return [[Fraction(x) if i == j else Fraction(0) for j in range(6)]
+                for i, x in enumerate((r, r, s, s, t, t))]
 
     def acs(self, signs=(1, 1, 1)):
         """Block almost complex structure s_p J_p (+) s_q J_q (+) s_r J_r."""
-        out = [[Fraction(0)] * 6 for _ in range(6)]
-        for block, sign in enumerate(signs):
-            base = 2 * block
-            out[base][base + 1] = Fraction(-sign)
-            out[base + 1][base] = Fraction(sign)
-        return out
+        return _block_acs(signs)
 
     def omega(self, r, s, t, signs=(1, 1, 1)):
         """Kahler form of (metric(r,s,t), acs(signs))."""
@@ -274,21 +276,22 @@ def _flag_weight_checks(model):
 
 
 def flag_certificate(model):
-    """Nearly Kahler iff r = s = t, for diag(r, r, s, s, t, t) and canonical J.
+    """Nearly Kahler iff r = s = t, over the invariant 2-forms r e01 + s e23
+    + t e45 (of diag(r, r, s, s, t, t) and the canonical J if r, s, t > 0).
 
     The three minors are -16/27 r (s - t) (r + s + t)^3 and its two
-    companions; r + s + t has positive coefficients, so the one branch is
-    s = t, r = t, r = s.
+    companions, with tau0 = -4/81 (r + s + t)^4 and omega^3 = 6 r s t, so
+    the one branch is s = t, r = t, r = s.
     """
     r, s, t = Poly.variables(3)
     cube = (r + s + t,) * 3
     c = Fraction(-16, 27)
     return Certificate(
-        family="flag", variables=("r", "s", "t"), omega=model.omega,
-        differential=lambda a: ce_differential(model.space, a,
-                                               check_invariance=False),
+        family="flag", variables=("r", "s", "t"), space=model.space,
         claims=(Claim(c, (r, s - t) + cube), Claim(c, (s, r - t) + cube),
-                Claim(c, (t, r - s) + cube)))
+                Claim(c, (t, r - s) + cube)),
+        tau0=Claim(Fraction(-4, 81), cube + (r + s + t,)),
+        omega3=Claim(6, (r, s, t)))
 
 
 def natural_reductivity_rays(model):
@@ -301,11 +304,6 @@ def natural_reductivity_rays(model):
     columns = [natural_reductivity_defect(model.space, model.metric(*unit))
                for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     return smallmat.nullspace(smallmat.transpose(columns))
-
-
-def _span(vectors):
-    return "span{" + ", ".join(
-        "(" + ", ".join(map(str, v)) + ")" for v in vectors) + "}"
 
 
 def flag_verify(tol=EPS):
@@ -343,7 +341,8 @@ def flag_verify(tol=EPS):
         ("canonical structure is not integrable",
          not any(flipped[k] for k in canonical), "integrable"),
         ("naturally reductive iff r = s = t", rays == [[1, 1, 1]],
-         "naturally-reductive", None, f"defect nullspace: {_span(rays)}"),
+         "naturally-reductive", None,
+         f"defect nullspace: span{{{', '.join(map(format_ray, rays))}}}"),
         ("nearly Kahler verdict iff r = s = t",
          cert.unique and cert.solutions == [(1, 1, 1)], "diff-system", None,
          cert.detail))]
@@ -381,20 +380,13 @@ class CP3Model:
         self.space = space
 
     def metric(self, t, a=1):
-        """a g_p + t g_v; the scales may be numbers or Polys."""
+        """a g_p + t g_v."""
         vals = [a, a, a, a, t, t]
         return [[vals[i] if i == j else 0 for j in range(6)] for i in range(6)]
 
     def acs(self, fiber_sign=1, global_sign=1):
         """J_p (+) (fiber_sign) J_v, times a global sign."""
-        out = [[Fraction(0)] * 6 for _ in range(6)]
-        for (a, b) in ((0, 1), (2, 3)):
-            out[a][b] = Fraction(-global_sign)
-            out[b][a] = Fraction(global_sign)
-        fib = global_sign * fiber_sign
-        out[4][5] = Fraction(-fib)
-        out[5][4] = Fraction(fib)
-        return out
+        return _block_acs((global_sign, global_sign, global_sign * fiber_sign))
 
     def omega(self, t, fiber_sign=1, a=1):
         """Kahler form of (metric(t, a), acs(fiber_sign))."""
@@ -417,16 +409,6 @@ def cp3_model():
         [6, 7, 8, 9], [0, 1, 2, 3, 4, 5]))
 
 
-def isotropy_commutant(space):
-    """Basis of endomorphisms of m commuting with the whole ad(h) action."""
-    n = space.dim_m
-    rows = [[0] * (n * n) for _ in range(space.dim_h * n * n)]
-    for (o, i), c in tensor_invariance(space, "endo").items():
-        rows[o][i] = c
-    kernel = smallmat.nullspace(rows)
-    return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in kernel]
-
-
 def _block_support(mat):
     """Whether the endomorphism touches p x p, v x v and a cross block.
 
@@ -437,47 +419,31 @@ def _block_support(mat):
             (True, False) in hit or (False, True) in hit)
 
 
-def cp3_certificate(model, fiber_sign):
-    """The nearly Kahler scalings of the metric (a, a, a, a, t, t).
+def cp3_certificate(model):
+    """The nearly Kahler rays of the invariant 2-forms a (e01 + e23) + x e45.
 
-    Fiber sign -1: the minor is 128/27 a (2t - a) (a + t)^3, one branch,
-    t = a / 2.  Fiber sign +1: 128/27 a (t - a)^3 (a + 2t), one branch
-    t = a, where tau0 = -64 (t - a)^4 / 81 vanishes, so the build fails.
+    The one minor is -128/27 a (a - x)^3 (a + 2x), with tau0 =
+    -64/81 (a - x)^4 and omega^3 = 6 a^2 x: one branch, the ray (1, -1/2).
     """
-    a, t = Poly.variables(2)
-    factors = ((a, 2 * t - a) + (a + t,) * 3 if fiber_sign == -1
-               else (a,) + (t - a,) * 3 + (a + 2 * t,))
+    a, x = Poly.variables(2)
     return Certificate(
-        family=f"CP^3 fiber {fiber_sign:+d}", variables=("a", "t"),
-        omega=lambda a, t: model.omega(t, fiber_sign, a),
-        differential=lambda x: ce_differential(model.space, x,
-                                               check_invariance=False),
-        claims=(Claim(Fraction(128, 27), factors),))
+        family="CP^3", variables=("a", "x"), space=model.space,
+        claims=(Claim(Fraction(-128, 27), (a,) + (a - x,) * 3 + (a + 2 * x,)),),
+        tau0=Claim(Fraction(-64, 81), (a - x,) * 4),
+        omega3=Claim(6, (a, a, x)))
 
 
-def _kahler_scaling(model, fiber_sign):
-    """The t > 0 with d omega_t = 0, or None.
-
-    d omega_t = u + t w is linear in t: t is the coordinate of -u in the
-    span of w, found exactly.
-    """
-    d = lambda a: ce_differential(model.space, a, check_invariance=False)
-    u = d(model.omega(0, fiber_sign))
-    w = d(model.omega(1, fiber_sign)) - u
-    try:
-        [t] = smallmat.solve_in_span([w.c], [-x for x in u.c])
-    except smallmat.SingularMatrix:
-        return None
-    return t if t > 0 else None
+def _fiber_scaling(ray):
+    """(t, fiber sign) of omega = a (e01 + e23) + x e45: the Kahler form of
+    a g_p + t g_v and J_p (+) (fiber sign) J_v, t = |x / a|."""
+    x = exact_div(ray[1], ray[0])
+    return abs(x), 1 if x > 0 else -1
 
 
 def cp3_verify(tol=EPS):
-    """Isotropy analysis plus the exact fiber scalings.
-
-    The invariant metrics are g = a g_p + t g_v.  A certificate per fiber
-    sign of the almost complex structure gives the nearly Kahler rays, and
-    the Kahler condition d omega = 0 is linear in t; their ratio is
-    reported.
+    """Isotropy analysis plus the exact fiber scalings and their ratio: the
+    nearly Kahler ray of a (e01 + e23) + x e45 by certificate, the Kahler
+    rays as the nullspace of (a, x) -> d omega.
     """
     model = cp3_model()
     space = model.space
@@ -492,16 +458,13 @@ def cp3_verify(tol=EPS):
                    and _has_complex_generator(v_only, 2, (4, 5)))
     acs_count = _count_acs_candidates(model)
 
-    kahler = [(sv, t) for sv in (1, -1)
-              if (t := _kahler_scaling(model, sv)) is not None]
-    kahler_unique = len(kahler) == 1
-    kahler_sign, t_k = kahler[0] if kahler_unique else (0, None)
+    kahler = smallmat.nullspace(smallmat.transpose(
+        [ce_differential(space, w).c for w in invariant_forms(space, 2)]))
+    kahler_unique = len(kahler) == 1 and all(kahler[0])
+    t_k, kahler_sign = _fiber_scaling(kahler[0]) if kahler_unique else (None, 0)
 
-    certs = {sv: check_certificate(cp3_certificate(model, sv), tol)
-             for sv in (-1, 1)}
-    found = [(sv, ray[1]) for sv, c in certs.items() for ray in c.solutions]
-    nk_unique = all(c.ok for c in certs.values()) and len(found) == 1
-    nk_sign, t_nk = found[0] if nk_unique else (0, None)
+    cert = check_certificate(cp3_certificate(model), tol)
+    t_nk, nk_sign = _fiber_scaling(cert.solutions[0]) if cert.unique else (None, 0)
 
     ratio = t_k / t_nk if t_k and t_nk else None
     verdicts = [verdict(*v) for v in (
@@ -509,8 +472,8 @@ def cp3_verify(tol=EPS):
         ("two irreducible summands of dims (4, 2)", irreducible, "isotropy"),
         ("four invariant almost complex structures", acs_count == 4,
          "isotropy"),
-        ("unique nearly Kahler fiber scaling", nk_unique, "diff-system", None,
-         "; ".join(c.detail for c in certs.values())),
+        ("unique nearly Kahler fiber scaling", cert.unique, "diff-system", None,
+         cert.detail),
         ("unique Kahler fiber scaling, opposite sign",
          kahler_unique and kahler_sign == -nk_sign, "kahler"))]
     return Report(
@@ -518,8 +481,8 @@ def cp3_verify(tol=EPS):
         commutant_dimension=dim_comm, summand_dims=(4, 2),
         summands_irreducible=irreducible, acs_candidates=acs_count,
         nk_fiber_sign=nk_sign, t_nk=t_nk, t_kahler=t_k,
-        kahler_fiber_sign=kahler_sign, ratio=ratio, nk_unique=nk_unique,
-        kahler_unique=kahler_unique)
+        kahler_fiber_sign=kahler_sign, ratio=ratio, nk_unique=cert.unique,
+        kahler_unique=kahler_unique, certificate=cert)
 
 
 def _has_complex_generator(block_endos, size, idx):

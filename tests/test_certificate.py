@@ -67,13 +67,14 @@ def test_flag_polynomials_match_sympy():
     (1, "t - a", "a * (t - a)**3 * (a + 2*t)"),
 ])
 def test_cp3_polynomials_match_sympy(fiber, tau0_root, minor):
+    # the one certificate over a (e01 + e23) + x e45 holds both fiber
+    # signs: x = (fiber) t is the Kahler form of a g_p + t g_v, J_p (+) J_v
     a, t = sympy.symbols("a t")
     names = {"a": a, "t": t}
-    tau0, minors = family_polys(spaces.cp3_certificate(spaces.cp3_model(),
-                                                       fiber))
-    assert sympy.expand(to_sympy(tau0, (a, t)) + sympy.Rational(64, 81)
+    tau0, minors = family_polys(spaces.cp3_certificate(spaces.cp3_model()))
+    assert sympy.expand(to_sympy(tau0, (a, fiber * t)) + sympy.Rational(64, 81)
                         * sympy.sympify(tau0_root, names) ** 4) == 0
-    assert_same_up_to_sign(minors, (a, t), [
+    assert_same_up_to_sign(minors, (a, fiber * t), [
         sympy.Rational(128, 27) * sympy.sympify(minor, names)])
 
 
@@ -89,19 +90,18 @@ def test_minors_evaluate_like_the_numeric_pair():
 def test_certificate_rays():
     flag = check_certificate(spaces.flag_certificate(spaces.flag_model()))
     assert flag.ok and flag.solutions == [(1, 1, 1)]
-    model = spaces.cp3_model()
-    minus = check_certificate(spaces.cp3_certificate(model, -1))
-    plus = check_certificate(spaces.cp3_certificate(model, 1))
-    assert minus.solutions == [(1, Fraction(1, 2))]
-    # t = a is the one branch of fiber +1, where the build is not stable
-    assert plus.ok and plus.solutions == []
-    assert plus.detail.endswith("1 branch, no solution")
+    cp3 = check_certificate(spaces.cp3_certificate(spaces.cp3_model()))
+    # a - x, where tau0 vanishes, is no branch: one certificate, one ray
+    assert cp3.ok and cp3.solutions == [(1, Fraction(-1, 2))]
+    assert cp3.detail == ("certificate CP^3 (a, x): "
+                          "1 branch, solution ray (1, -1/2)")
 
 
-def _with_claims(cert, claims):
-    """The certificate with the same family, variables, maps and squares."""
-    return Certificate(cert.family, cert.variables, cert.omega,
-                       cert.differential, tuple(claims), squares=cert.squares)
+def _with_claims(cert, claims, **changed):
+    """The certificate with the same family, space, basis and squares."""
+    fields = {"tau0": cert.tau0, "omega3": cert.omega3, **changed}
+    return Certificate(cert.family, cert.variables, cert.space, tuple(claims),
+                       basis=cert.basis, squares=cert.squares, **fields)
 
 
 def _tampered(cert, index, claim):
@@ -125,6 +125,10 @@ def test_tampered_certificates_fail_with_a_reason():
         # neither linear in the squares nor nonvanishing
         "factor kind": _tampered(cert, 0, Claim(first.constant, (
             l1, l2 + l3, l2 - l3, first.factors[2]))),
+        "wrong tau0": _with_claims(cert, cert.claims, tau0=Claim(
+            -cert.tau0.constant, cert.tau0.factors)),
+        "wrong omega^3": _with_claims(cert, cert.claims, omega3=Claim(
+            cert.omega3.constant, (l1, l2, l2))),
     }
     reasons = {}
     for name, bad in cases.items():
@@ -137,6 +141,8 @@ def test_tampered_certificates_fail_with_a_reason():
         "dropped claim": "minor 3 of 3 matches no claim",
         "extra claim": "a claim matches no minor",
         "factor kind": "factor l2 + l3 is neither nonvanishing nor linear",
+        "wrong tau0": "tau0 matches no claim",
+        "wrong omega^3": "omega^3 matches no claim",
     }
 
 
@@ -161,18 +167,26 @@ def test_tampered_certificate_is_a_labelled_failing_verdict(monkeypatch,
 
 
 def test_flag_grid_oracle_agrees_with_the_certificate():
-    # the 64-point pipeline grid that the certificate replaced
+    # a 64-point pipeline grid over every sign of every summand: the
+    # certificate's one ray is +-(1, 1, 1)
     model = spaces.flag_model()
     d = lambda a: ce_differential(model.space, a)
     ray = check_certificate(spaces.flag_certificate(model)).solutions
-    for r, s, t in itertools.product(range(1, 5), repeat=3):
+    for r, s, t in itertools.product((-2, -1, 1, 2), repeat=3):
         on_ray = [(1, Fraction(s, r), Fraction(t, r))] == ray
         assert pipeline_nk_verdict(model.omega(r, s, t), d) == on_ray
+        assert on_ray == (r == s == t)
 
 
 def test_cp3_pipeline_oracle_agrees_with_the_certificate():
+    # a (e01 + e23) + t fiber e45 over both signs of a and of the fiber: the
+    # certificate's one ray is +-(1, -1/2)
     model = spaces.cp3_model()
     d = lambda a: ce_differential(model.space, a, check_invariance=False)
-    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
-        assert pipeline_nk_verdict(model.omega(t, -1), d) == (t == Fraction(1, 2))
-        assert not pipeline_nk_verdict(model.omega(t, 1), d)
+    [ray] = check_certificate(spaces.cp3_certificate(model)).solutions
+    for a, fiber in itertools.product((1, -2), (1, -1)):
+        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)):
+            on_ray = (1, t * fiber / a) == ray
+            assert pipeline_nk_verdict(model.omega(t, fiber, a), d) == on_ray
+            assert on_ray == (t == Fraction(1, 2) and fiber == -1 if a > 0
+                              else t == 1 and fiber == 1)

@@ -206,14 +206,20 @@ def _with_metric(tmp_path, name, metric):
 
 
 @pytest.mark.parametrize("scalar", ["exact", "float"])
-@pytest.mark.parametrize("metric", ["negated", "zero"])
+@pytest.mark.parametrize("metric", ["negated", "zero", "tiny"])
 def test_homothety_needs_a_positive_scale(metric, scalar, tmp_path, capsys):
-    # -g and 0 are multiples of g, by -1 and 0, but not homotheties
-    make = {"negated": lambda x: str(-x), "zero": lambda x: "0"}[metric]
+    # -g and 0 are multiples of g, by -1 and 0, but not homotheties; 10^-12 g
+    # in JSON floats is one, and its inverse is not singular at any scale
+    make = {"negated": lambda x: str(-x), "zero": lambda x: "0",
+            "tiny": lambda x: float(x) * 1e-12}[metric]
     path = _with_metric(tmp_path, "cp3", make)
     code, out = run(capsys, "--json", "--scalar", scalar, "check", path, "--cone")
-    assert code == 1
     rep = Report.from_json(out)
+    if metric == "tiny":
+        assert code == 0 and rep.all_pass
+        assert rep.scalars["metric_scale"] == pytest.approx(1e-12)
+        return
+    assert code == 1
     [homothety] = [v for v in rep.verdicts if v.label == "metric"]
     assert homothety.status == "fail"
     assert homothety.name == "supplied metric is the induced one up to homothety"
@@ -482,8 +488,7 @@ def test_exact_and_float_checks_agree_on_s3xs3_triples(triple):
     (["verify", "flag"], "nearly Kahler verdict iff r = s = t",
      "certificate flag (r, s, t): 1 branch, solution ray (1, 1, 1)"),
     (["verify", "cp3"], "unique nearly Kahler fiber scaling",
-     "certificate CP^3 fiber -1 (a, t): 1 branch, solution ray (1, 1/2); "
-     "certificate CP^3 fiber +1 (a, t): 1 branch, no solution"),
+     "certificate CP^3 (a, x): 1 branch, solution ray (1, -1/2)"),
 ], ids=["s3xs3", "solve", "flag", "cp3"])
 def test_uniqueness_verdicts_name_their_certificates(capsys, argv, name,
                                                      certificate):

@@ -205,7 +205,7 @@ def verify_structures():
     """The structures that ``verify s3xs3/flag/cp3/s6`` build."""
     fm, cp = spaces.flag_model(), spaces.cp3_model()
     flag = check_certificate(spaces.flag_certificate(fm))
-    cp3 = check_certificate(spaces.cp3_certificate(cp, -1))
+    cp3 = check_certificate(spaces.cp3_certificate(cp))
     e1 = [Fraction(1)] + [Fraction(0)] * 6
     return [s3xs3.solve_nk().structure, flag.builds[0][0], cp3.builds[0][0],
             octonion.s6_structure_at(e1)[0]]

@@ -19,6 +19,7 @@ from nk6.lie import (
     intrinsic_eta,
     is_complex_subalgebra,
     is_invariant,
+    invariant_forms,
     is_invariant_endo,
     is_naturally_reductive,
     nearly_kahler_residual,
@@ -134,6 +135,21 @@ def test_invariance_examples():
     fl = spaces.flag_model()
     assert is_invariant(fl.space, KForm.basis(6, (0, 1)))      # area form of p
     assert not is_invariant(fl.space, KForm.basis(6, (0,)))    # single covector
+
+
+@pytest.mark.parametrize("space,two,three", [
+    # h = 0: every form is invariant, though the invariance map has no row
+    (lambda: s3xs3.cyclic_space(), 15, 20),
+    (lambda: spaces.ledger_obata_su2().space, 1, 4),
+    (lambda: spaces.flag_model().space, 3, 2),
+    (lambda: spaces.cp3_model().space, 2, 2),
+], ids=["cyclic", "ledger-obata", "flag", "cp3"])
+def test_invariant_forms_count_and_invariance(space, two, three):
+    space = space()
+    for k, count in ((2, two), (3, three)):
+        forms = invariant_forms(space, k)
+        assert len(forms) == count
+        assert all(w.k == k and is_invariant(space, w) for w in forms)
 
 
 def test_nomizu_naturally_reductive_halves_bracket():
