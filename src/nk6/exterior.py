@@ -8,8 +8,8 @@ that sign conventions cannot drift apart.  Coefficients may be exact
 
 Wedge, interior product and Hodge star are lattice products
 (:func:`scalars.bilinear`); a form keeps its lattice and lowers it on
-first use, so a chain of products stays in integers; sums, scaling, zero
-tests and ``max_abs`` of exact forms read the lattice too.  Every operation
+first use, so a chain of rational products stays in integers; sums,
+scaling, zero tests and ``max_abs`` read the lattice too.  Every operation
 returns a fresh form and nothing mutates a form after construction, so
 values can be shared freely across threads.
 """
@@ -21,7 +21,8 @@ import itertools
 from . import smallmat
 from .scalars import (
     EPS, bilinear, exact_div, is_exact, is_positive, is_zero, kernel_rows,
-    lattice_max_abs, lattice_sum, lattice_zero, lift, lower, sqrt_scalar, times)
+    lattice_exact, lattice_max_abs, lattice_sum, lattice_zero, lift, lower,
+    sqrt_scalar, times)
 
 
 class NotPositiveDefinite(ValueError):
@@ -172,7 +173,7 @@ class KForm:
         return self.scale(s)
 
     def __truediv__(self, s):
-        if is_exact(s) and self.lattice()[2] is not None:
+        if is_exact(s) and self.lattice()[1] is not None:
             return self.scale(exact_div(1, s))   # in the lattice
         return self._like([exact_div(a, s) for a in self.c])
 
@@ -185,10 +186,10 @@ class KForm:
 
     # -- predicates --------------------------------------------------------
     def is_zero(self, tol=0.0):
-        return lattice_zero(self._lattice or (self._c, None, None), tol)
+        return lattice_zero(self._lattice or (self._c, None), tol)
 
     def max_abs(self):
-        return lattice_max_abs(self._lattice or (self._c, None, None))
+        return lattice_max_abs(self._lattice or (self._c, None))
 
     def __eq__(self, other):
         if not isinstance(other, KForm) or other.n != self.n or other.k != self.k:
@@ -274,11 +275,11 @@ class HodgeStar:
 
     with <e_I, e_J> the I x J minor of g^-1: the J-th coefficient of the
     wedge of the rows I of g^-1, a Laplace expansion along the first row,
-    kept per I.  Exact g^-1 is symmetric, so there it is the I-th
+    kept per I.  Rational g^-1 is symmetric, so there it is the I-th
     coefficient of the wedge of the rows J, formed only for the J where the
     form has a coefficient.  On the lattice of g^-1, over d, the k-minors
     are integers over d^k.  The metric is checked and inverted once (or g^-1
-    given, :meth:`of_inverse`).  The unit-norm check reads exact det g^-1
+    given, :meth:`of_inverse`).  The unit-norm check reads rational det g^-1
     off the n-minor; a float one is compared at ``tol`` times the largest
     entry of g and g^-1.  ``vol`` defaults to :func:`metric_volume`.  A
     float volume or form makes the star of that form run in floats.
@@ -300,14 +301,14 @@ class HodgeStar:
 
     def _setup(self, inverse, vol, scale, tol, size):
         self.gram_inv = inverse
-        P, Q, d = lattice = smallmat.mat_lattice(inverse)
+        P, d = lattice = smallmat.mat_lattice(inverse)
         self.n, self.v = n, v = vol.n, vol.c[0]
         if vol.k != n or len(P) != n * n:
             raise ValueError("volume form has wrong degree")
         if v == 0:
             raise ValueError("volume form vanishes")
         self.floats = isinstance(v, float)
-        self._rows = [(P[i:i + n], Q and Q[i:i + n], d) for i in range(0, n * n, n)]
+        self._rows = [(P[i:i + n], d) for i in range(0, n * n, n)]
         self._minors = {(): lift([1])}
         full = tuple(range(n))
         det_inv = (self.minor(full, full) if d
@@ -339,18 +340,15 @@ class HodgeStar:
             raise ValueError("form dimension does not match the metric")
         tuples, _ = index_tuples(n, k)
         size, x, v = len(tuples), a.lattice(), self.v
-        _, Q, d = self._rows[0]
-        if d is None:   # float g^-1: the minors of each row set, read by column
+        d = self._rows[0][1]
+        if d is None:   # g^-1 off Q: the minors of each row set, read by column
             by_rows = [self._minors_of(t)[0] for t in tuples]
-            minors = [m[j] for j in range(size) for m in by_rows], None, None
+            minors = [m[j] for j in range(size) for m in by_rows], None
         else:   # the minors of the rows J for the J where a has a coefficient
-            zero = [0] * size, Q and [0] * size, d ** k
-            P, Q, d = zip(*(self._minors_of(t) if x[0][j] or x[1] and x[1][j]
-                            else zero for j, t in enumerate(tuples)))
-            minors = [p for m in P for p in m], Q[0] and [q for m in Q for q in m], d[0]
-        if self.floats or x[2] is None:
-            x, minors = (([float(y) for y in lower(z)], None, None)
-                         for z in (x, minors))
+            minors = [p for j, t in enumerate(tuples) for p in (
+                self._minors_of(t)[0] if x[0][j] != 0 else [0] * size)], d ** k
+        if self.floats or not (lattice_exact(x) and lattice_exact(minors)):
+            x, minors = (([float(y) for y in lower(z)], None) for z in (x, minors))
             v = float(v)
         _, pos = index_tuples(n, n - k)
         rows = kernel_rows(("star", n, k), lambda: [

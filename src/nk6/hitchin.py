@@ -9,8 +9,8 @@ order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega.
 Every identity is homogeneous in kappa = sqrt(-tau0), so each is decided
 on the K-forms K = kappa J, G = W K = kappa g and Phi = kappa phi, which
 are rational in psi: exact data are decided exactly whatever kappa is.
-Exact values stay in their lattices (:mod:`nk6.scalars`), decided on
-integers, lowered only for the API; a matrix argument may be a lattice.
+Values stay in lattices (:mod:`nk6.scalars`), rational ones decided on
+integers, and are lowered only for the API; a matrix may be a lattice.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from fractions import Fraction
 from . import smallmat
 from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
 from .scalars import (
-    EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows, lattice_max_abs,
-    lattice_sum, lattice_zero, lower, scaled_tol, simplify, sqrt_scalar, times)
+    EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows, lattice_exact,
+    lattice_max_abs, lattice_sum, lattice_zero, lower, scaled_tol, simplify,
+    sqrt_scalar, times)
 
 
 class StructureError(ValueError):
@@ -101,7 +102,7 @@ class SU3Structure:
             r = sqrt_scalar(exact_div(x * x, -self.tau0))
             return -r if x < 0 else r
         if self.kappa is None:
-            return [float(self.per_kappa(v)) for v in lower(x)], None, None
+            return [float(self.per_kappa(v)) for v in lower(x)], None
         return times(exact_div(1, self.kappa), x)
 
     @functools.cached_property
@@ -151,9 +152,9 @@ def _k_lattice(psi, vol):
          for i in [15 - sum(fives[o])]] for a in index_tuples(6, 3)[0]])
     lattice, v = psi.lattice(), vol.c[0]
     flat = bilinear(rows, lattice, lattice, 36)
-    if is_exact(v) and flat[2]:
+    if is_exact(v) and flat[1]:
         return times(exact_div(1, v), flat)
-    return [exact_div(x, v) for x in lower(flat)], None, None
+    return [exact_div(x, v) for x in lower(flat)], None
 
 
 def contract(psi, m, slot=0):
@@ -182,14 +183,25 @@ def hitchin_K(psi, vol, tol=EPS):
 def _tau0(K, tol):
     """tau0 = trace(K^2) / 6 with K^2 = tau0 Id verified; FloatRangeError
     when a float K's largest entry squares outside the normal floats."""
-    top = lattice_max_abs(K) if K[2] is None else 0
+    top = 0 if lattice_exact(K) else lattice_max_abs(K)
     if top and not sys.float_info.min <= top * top < math.inf:
-        raise FloatRangeError(f"K^2 lies outside the float range (|K| = {top:.3g})")
-    P, Q, d = K2 = smallmat.lattice_mul(K, K, 6, 6, 6)
-    tau0 = exact_div(sum(lower((P[::7], Q and Q[::7], d))), 6)
+        size = f"|K| = {top:.3g}" if math.isfinite(top) else "K is not finite"
+        raise FloatRangeError(f"K^2 lies outside the float range ({size})")
+    P, d = K2 = smallmat.lattice_mul(K, K, 6, 6, 6)
+    tau0 = exact_div(sum(lower((P[::7], d))), 6)
     if not smallmat.is_scalar_matrix(K2, tau0, scaled_tol(tol, K2)):
         raise StructureError("K^2 is not a multiple of the identity")
     return simplify(tau0)
+
+
+def _quote(x):
+    """"= x" for a message; for an x >= 0 of more digits than ``str`` writes,
+    "~" its float or "beyond the float range"."""
+    try:
+        return f"= {x}"
+    except ValueError:
+        size = lattice_max_abs(([x], None))
+        return f"~ {size:.6g}" if size < math.inf else "beyond the float range"
 
 
 def tau(psi, vol):
@@ -227,7 +239,7 @@ def contraction_defect(psi, phi, J):
         for s in range(6) for j in range(6)] + [   # 1 psi(t), j in t
         [(pos3[t], j * 15 + p, sign) for t in t3
          for slot, j in enumerate(t) for p, sign in [drop(t, slot)]]])
-    return lattice_sum(bilinear(rows[36:], ([1], None, 1), psi.lattice(), 90),
+    return lattice_sum(bilinear(rows[36:], ([1], 1), psi.lattice(), 90),
                        bilinear(rows[:36], smallmat.mat_lattice(J), phi.lattice(), 90))
 
 
@@ -282,7 +294,7 @@ def build_su3(cand, tol=EPS, powers=None):
     K, Phi = kappa_phi(psi, vol)
     tau0 = _tau0(K, tol)
     if not is_positive(-tau0):
-        raise NotStable(f"tau0 = {tau0} is not negative")
+        raise NotStable(f"tau0 {_quote(tau0)} is not negative")
 
     w = omega.lattice()
     op = wedge(omega, psi)
@@ -302,10 +314,7 @@ def build_su3(cand, tol=EPS, powers=None):
     if not lattice_zero(lattice_sum(G, smallmat.lattice_transpose(G, n), -1),
                         scaled_tol(tol, w, K)):
         raise StructureError("induced bilinear form is not symmetric")
-    P, Q, d = G   # (P + Q sqrt 3) / d, d > 0, is positive iff P is, or Q when P = 0
-    Q = Q if Q and any(Q) else None
-    tested = G if d is None or Q and any(P) else (Q or P, None, 1)
-    if not smallmat.is_positive_definite(smallmat.unflatten(lower(tested), n, n)):
+    if not smallmat.is_positive_definite(smallmat.unflatten(G[0], n, n)):   # P / d
         raise NotPositive()
     kgk = mul(smallmat.lattice_transpose(K, n), mul(G, K))   # J^t g J = g
     if not lattice_zero(lattice_sum(kgk, times(tau0, G)), scaled_tol(tol, K, K, G)):

@@ -27,8 +27,8 @@ from . import smallmat
 from .exterior import KForm, index_tuples, sort_index
 from .scalars import (
     EPS, all_zero, bilinear, exact_div, is_exact, is_positive, is_zero,
-    kernel_rows, lattice_sum, lattice_zero, lift, lower, scalar_like, scaled_tol,
-    sqrt_scalar, times)
+    kernel_rows, lattice_exact, lattice_sum, lattice_zero, lift, lower,
+    scalar_like, scaled_tol, sqrt_scalar, times)
 
 
 class NotInvariant(ValueError):
@@ -441,8 +441,8 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     n = space.dim_m
     mul = lambda x, y, rows=n: smallmat.lattice_mul(x, y, rows, n, n)
     Jl, gl = smallmat.mat_lattice(J), smallmat.mat_lattice(g)
-    P, Q, d = J2 = mul(Jl, Jl)
-    t = lower((P[:1], Q and Q[:1], d))[0]   # -kappa^2
+    J2 = mul(Jl, Jl)
+    t = lower((J2[0][:1], J2[1]))[0]   # -kappa^2
     if not (is_positive(-t) and smallmat.is_scalar_matrix(J2, t, scaled_tol(tol, J2))):
         raise ValueError("J^2 is not a negative multiple of the identity")
     jgj = mul(smallmat.lattice_transpose(Jl, n), mul(gl, Jl))
@@ -464,12 +464,12 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
            for _ in range(1 + (i == j))]
         for s in r for t in r])
     polar = bilinear(rows, Jl, koszul, len(pairs) * n)
-    if polar[2] is not None and lattice_zero(polar):
+    if lattice_exact(polar) and lattice_zero(polar):
         return True, 0.0
     ginv_t = smallmat.transpose(smallmat.inv(g))
     raised = mul(polar, smallmat.mat_lattice(ginv_t), len(pairs))
     kappa = sqrt_scalar(-t)
-    if raised[2] is not None and not is_exact(kappa):   # decided on K
+    if lattice_exact(raised) and not is_exact(kappa):   # decided on K
         return lattice_zero(raised), _max_vec(lower(raised)) / kappa
     raised = lower(times(exact_div(1, kappa), raised))
     return all_zero(raised, tol), _max_vec(raised)

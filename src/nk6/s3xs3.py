@@ -26,7 +26,7 @@ from .lie import (
     LieAlgebraData, ReductiveSpace, ce_differential, ricci, su2_sum)
 from .poly import Poly
 from .report import Report, verdict
-from .scalars import EPS, QSqrt3, exact_div, is_zero
+from .scalars import EPS, QSqrt3, exact_div, is_zero, lower
 
 
 _SPACE = None
@@ -351,7 +351,8 @@ def verify(tol=EPS):
     solved = solve_nk(tol)
     s, nk = solved.structure, solved.nk
     mu_err = nk.mu - mu_of(1)
-    _, scal, einstein, rel = ricci(cyclic_space(), s.g, tol)
+    G = smallmat.unflatten(lower(s.G), 6, 6)   # kappa g: the same Ric, scal / kappa
+    _, scal, einstein, rel = ricci(cyclic_space(), G, tol)
     # the family summary is solve-s3xs3's headline, not repeated here
     verdicts = solved.verdicts[1:] + [verdict(*v) for v in (
         ("nearly Kahler system at lambda = 1", nk.verdict, "diff-system",
@@ -362,4 +363,4 @@ def verify(tol=EPS):
          "einstein", rel))]
     verdicts += cone_verdicts(s, differential, tol, nk.fit)[0]
     return Report(verdicts, {
-        "mu": nk.mu, "scal": scal, "kappa": s.kappa, "tau0": s.tau0})
+        "mu": nk.mu, "scal": s.kappa * scal, "kappa": s.kappa, "tau0": s.tau0})

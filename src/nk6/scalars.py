@@ -1,23 +1,22 @@
 """Coefficient scalars.
 
 All algebra in this package is generic over its scalars by duck typing.
-Exact computations use ``int``/``Fraction``; when a square root of 3 is
-unavoidable (cube roots of unity, the canonical almost complex structure
-of a 3-symmetric space) the quadratic extension Q(sqrt 3) is available as
-:class:`QSqrt3`.  A verdict that would need another square root is
-decided on data homogeneous in it (K = kappa J, :mod:`nk6.hitchin`).
-Float data are compared against a tolerance (default ``EPS``).
+Exact computations use ``int``/``Fraction``, and Q(sqrt 3)
+(:class:`QSqrt3`) for the cube roots of unity of 3-symmetric spaces; a
+verdict that would need a square root is decided on data homogeneous in
+it (K = kappa J, :mod:`nk6.hitchin`).  Float data are compared against a
+tolerance (default ``EPS``).
 
 The zero policy lives here (:func:`all_zero`): a collection of scalars is
 compared with 0 exactly when every entry is exact, and otherwise by its
 largest ``abs(float(x))`` against a tolerance.
 
-So does the integer lattice of the exact kernels: :func:`lift` writes an
-exact list as integers over one denominator, :func:`bilinear` applies a
-compiled table to two lifted lists in Python integers, and :func:`lower`
-converts back.  Floats and other scalars pass through the same loop.  Sums,
-zero tests and sizes read a lattice too, so a value stays in integers from
-one product to the next and is lowered only where a list is wanted.
+So does the integer lattice of the exact kernels: :func:`lift` writes a
+rational list as integers over one denominator, :func:`bilinear` applies a
+compiled table to two lifted lists in one pass in Python integers, and
+:func:`lower` converts back.  Other lists (floats, ``Poly``, ``QSqrt3``)
+run the same loop on their values.  Sums, zero tests and sizes read a
+lattice too, so a value stays in integers from one product to the next.
 """
 
 from __future__ import annotations
@@ -160,12 +159,8 @@ class QSqrt3:
             return 1
         if a < 0 and b < 0:
             return -1
-        # Opposite signs: compare a^2 with 3 b^2.
-        d = a * a - 3 * b * b
-        big_is_a = d > 0
-        if d == 0:
-            raise ArithmeticError("sqrt(3) is irrational")
-        return (1 if a > 0 else -1) if big_is_a else (1 if b > 0 else -1)
+        # opposite signs: the part of the larger square wins (a^2 != 3 b^2)
+        return (1 if a > 0 else -1) if a * a > 3 * b * b else (1 if b > 0 else -1)
 
     def _order(op):
         """A comparison: by the exact sign of the difference, or in floats."""
@@ -215,12 +210,10 @@ def all_zero(values, tol=0.0):
 
 
 def lattice_zero(lattice, tol=0.0):
-    """The zero policy on a lattice of :func:`lift`: an exact one is zero
+    """The zero policy on a lattice of :func:`lift`: a rational one is zero
     when its integers are, with no lowering; others go to :func:`all_zero`."""
-    P, Q, d = lattice
-    if d is None:
-        return all_zero(P, tol)
-    return not any(P) and not (Q and any(Q))
+    P, d = lattice
+    return all_zero(P, tol) if d is None else not any(P)
 
 
 def is_zero(x, tol=0.0):
@@ -340,36 +333,33 @@ def parse_rational(text):
 
 
 def lift(values):
-    """The lattice (P, Q, d) of a list of scalars: x[i] = (P[i] + Q[i] sqrt 3) / d
-    in integers, d > 0, Q None when every sqrt 3 part is zero.  A list with
-    any other scalar (float, ``Poly``) passes through as (values, None, None).
+    """The lattice (P, d) of a list of rationals: x[i] = P[i] / d in integers,
+    d > 0.  A list with any other scalar (float, ``Poly``, ``QSqrt3``) passes
+    through as (values, None) and runs the same loops on its values, exactly
+    when they are exact.
     """
-    d, surd, rational = 1, False, True
+    d = 1
     for x in values:
         t = type(x)
         if t is Fraction:
             d = math.lcm(d, x.denominator)
-        elif t is QSqrt3:
-            d = math.lcm(d, x.a.denominator, x.b.denominator)
-            surd, rational = surd or x.b.numerator != 0, False
         elif t is not int:
-            return values, None, None
-    num = lambda xs: [x.numerator * (d // x.denominator) for x in xs]
-    if rational:
-        return num(values), None, d
-    a = num([x.a if type(x) is QSqrt3 else x for x in values])
-    b = num([x.b if type(x) is QSqrt3 else 0 for x in values]) if surd else None
-    return a, b, d
+            return values, None
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def lower(lattice):
-    """The scalars of a lattice: 0, an int, a Fraction or a QSqrt3 each."""
-    P, Q, d = lattice
+    """The scalars of a lattice: 0, an int or a Fraction each, or the values
+    that passed through :func:`lift`."""
+    P, d = lattice
     if d is None:
         return P
-    rat = lambda p: p if d == 1 or not p else Fraction(p, d)
-    return [QSqrt3(Fraction(p, d), Fraction(q, d)) if q else rat(p)
-            for p, q in zip(P, Q or [0] * len(P))]
+    return [p if d == 1 or not p else Fraction(p, d) for p in P]
+
+
+def lattice_exact(lattice):
+    """Are the scalars of a lattice all exact (rational, or Q(sqrt 3) values)?"""
+    return lattice[1] is not None or all(map(is_exact, lattice[0]))
 
 
 _ROWS: dict = {}
@@ -384,26 +374,23 @@ def kernel_rows(key, build):
 
 
 def lattice_sum(x, y, s=1):
-    """The lattice of x + s y entry by entry, s = +-1: exact lattices over
+    """The lattice of x + s y entry by entry, s = +-1: rational lattices over
     their least common denominator, in integers; others on their values."""
-    if x[2] is None or y[2] is None:
+    if x[1] is None or y[1] is None:
         return list(map(operator.add if s > 0 else operator.sub,
-                        lower(x), lower(y))), None, None
-    (P1, Q1, d1), (P2, Q2, d2) = x, y
+                        lower(x), lower(y))), None
+    (P1, d1), (P2, d2) = x, y
     d = math.lcm(d1, d2)
-    a, b, zeros = d // d1, s * (d // d2), [0] * len(P1)
-    comb = lambda u, v: [a * p + b * q for p, q in zip(u or zeros, v or zeros)]
-    return comb(P1, P2), None if Q1 is None and Q2 is None else comb(Q1, Q2), d
+    a, b = d // d1, s * (d // d2)
+    return [a * p + b * q for p, q in zip(P1, P2)], d
 
 
 def lattice_max_abs(lattice):
     """max abs(float(x)) over the scalars x of a lattice (0.0 if none), bitwise
     as on the lowered scalars: p / d on ints is correctly rounded; inf when
     an exact one lies beyond the float range."""
-    P, Q, d = lattice
-    r3 = math.sqrt(3.0)
-    values = map(float, P) if d is None else (
-        p / d + q / d * r3 if q else p / d for p, q in zip(P, Q or [0] * len(P)))
+    P, d = lattice
+    values = map(float, P) if d is None else (p / d for p in P)
     try:
         return max(map(abs, values), default=0.0)
     except OverflowError:
@@ -413,7 +400,7 @@ def lattice_max_abs(lattice):
 def scaled_tol(tol, *lattices):
     """tol times the product of the sizes of the lattices an identity is
     formed from, if any is float: a verdict at every scale of the data."""
-    if all(x[2] is not None for x in lattices):
+    if all(map(lattice_exact, lattices)):
         return tol
     return tol * math.prod(map(lattice_max_abs, lattices))
 
@@ -441,17 +428,9 @@ def bilinear(rows, x, y, size):
     of ``rows[i]``, s = +-1, for lattices x and y of :func:`lift`.
 
     Each output sums its terms in increasing (i, j), skipping zero factors
-    (no term: the integer 0).  Exact operands run in integers, four passes
-    with sqrt 3 parts; others run the same loop on their values.
+    (no term: the integer 0).  Rational operands run in one integer pass;
+    others run the same loop on their values.
     """
-    if x[2] is None or y[2] is None:
-        return _accumulate(rows, lower(x), lower(y), [0] * size), None, None
-    (P1, Q1, d1), (P2, Q2, d2) = x, y
-    P = _accumulate(rows, P1, P2, [0] * size)
-    if Q1 is None and Q2 is None:
-        return P, None, d1 * d2
-    Q = [0] * size   # (a + b sqrt 3)(c + e sqrt 3) = ac + 3be + (ae + bc) sqrt 3
-    for u, w, out in ((Q1 and [3 * q for q in Q1], Q2, P), (P1, Q2, Q), (Q1, P2, Q)):
-        if u and w:
-            _accumulate(rows, u, w, out)
-    return P, Q, d1 * d2
+    if x[1] is None or y[1] is None:
+        return _accumulate(rows, lower(x), lower(y), [0] * size), None
+    return _accumulate(rows, x[0], y[0], [0] * size), x[1] * y[1]

@@ -65,8 +65,7 @@ def mat_lattice(a):
 
 def lattice_transpose(x, n):
     """The lattice of the transpose of an n x n matrix from its lattice."""
-    order = [i * n + j for j in range(n) for i in range(n)]
-    return tuple(v and [v[k] for k in order] for v in x[:2]) + x[2:]
+    return [x[0][i * n + j] for j in range(n) for i in range(n)], x[1]
 
 
 def unflatten(values, n, w):
@@ -116,10 +115,10 @@ def mat_combinations(coeffs, mats):
 
 def is_scalar_matrix(m, c, tol=0.0):
     """Is m (a matrix or its lattice) c Id under the zero policy?  The entries
-    m[i][j] - (c if i == j else 0) are tested, exact ones in integers."""
+    m[i][j] - (c if i == j else 0) are tested, rational ones in integers."""
     x = mat_lattice(m)
     n = round(len(x[0]) ** 0.5)
-    eye = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)], None, 1
+    eye = [1 if i % (n + 1) == 0 else 0 for i in range(n * n)], 1
     return lattice_zero(lattice_sum(x, times(c, eye), -1), tol)
 
 

@@ -232,8 +232,9 @@ def load_space(path, floats=False):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as ex:
-        raise SpaceFormatError(
-            f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}")
+        raise SpaceFormatError(f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}")
+    except (ValueError, RecursionError) as ex:   # an int of too many digits, nesting
+        raise SpaceFormatError(f"{path}: {str(ex).split(';')[0]}")
     return parse_space(data, floats)
 
 

@@ -556,6 +556,47 @@ def test_malformed_space_document_is_exit_two(tmp_path, capsys, edit, path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    lambda fixture: fixture.replace('"-1"', "1" + "0" * 5000, 1),
+    lambda fixture: "[" * 100_000 + "]" * 100_000,
+], ids=["int-of-5001-digits", "nesting-100000"])
+def test_json_the_decoder_cannot_convert_is_exit_two(tmp_path, capsys, text):
+    # json.loads raises ValueError beyond the int-to-str digit limit and
+    # RecursionError on deep nesting, neither a JSONDecodeError
+    with open(os.path.join(FIX, "s3xs3.json")) as fh:
+        path = tmp_path / "undecodable.json"
+        path.write_text(text(fh.read()))
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
+def test_not_stable_message_of_a_tau0_beyond_str(tmp_path, capsys):
+    # 10^100000 is exact input; tau0 then has more digits than str() writes,
+    # so the message quotes it by its float range
+    code, out = run(capsys, "--json", "check",
+                    _s3xs3_copy(tmp_path, _set_coefficient("1e100000")))
+    assert code == 1
+    [build] = Report.from_json(out).verdicts
+    assert (build.label, build.detail) == (
+        "NotStable", "tau0 beyond the float range is not negative")
+
+
+def test_float_k_that_is_not_finite_is_exit_two(tmp_path, capsys):
+    # omega = 10^300 (e1f1 + e2f2 + e3f3) in floats: the products of K
+    # overflow to inf and nan, which the message says instead of |K| = nan
+    def edit(doc):
+        for term in doc["forms"]["omega"]:
+            term[1] = 1e300
+    code = main(["check", _s3xs3_copy(tmp_path, edit)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: K^2 lies outside the float range "
+                            "(K is not finite)\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["table"], ["verify", "flag"], ["solve-s3xs3"]])
 def test_scalar_float_outside_check_is_usage_error(capsys, argv):

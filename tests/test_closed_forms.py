@@ -249,7 +249,7 @@ def test_closed_forms_with_kappa_outside_q_sqrt3():
     omega = doc.forms["omega"]
     s, _ = build_either_orientation(
         omega, ce_differential(doc.reductive_space(), omega) / 3)
-    assert s.kappa is None and s.Ginv[2] is not None
+    assert s.kappa is None and s.Ginv[1] is not None
     assert_closed_forms(s)
 
 

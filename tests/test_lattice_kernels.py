@@ -9,10 +9,12 @@ summation order:
   whose sum cancels may differ in sign);
 - ``Poly`` inputs, on the certificate path, must give equal polynomials.
 
-Then: no kernel does ``Fraction`` arithmetic, only the lowering builds
-``Fraction``s; ``check --cone`` forms omega^2 and omega^3 once; an exact
-build never lifts J and a check lifts no more than the pinned counts; and
-the float unit-norm test of ``HodgeStar`` follows the tolerance policy.
+Then: no kernel does ``Fraction`` arithmetic on rational data, only the
+lowering builds ``Fraction``s; Q(sqrt 3) data, which run the generic loop,
+give exact results; ``check --cone`` forms omega^2 and omega^3 once; an
+exact build never lifts J and a check lifts no more than the pinned
+counts; and the float unit-norm test of ``HodgeStar`` follows the
+tolerance policy.
 """
 
 import os
@@ -29,9 +31,10 @@ from nk6.exterior import (
     HodgeStar, KForm, complement, index_tuples, interior, metric_volume,
     sort_index, wedge)
 from nk6.hitchin import build_either_orientation, contract
-from nk6.lie import ce_differential
+from nk6.lie import ce_differential, nearly_kahler_residual
 from nk6.poly import Poly
-from nk6.s3xs3 import uniqueness_certificate
+from nk6.s3xs3 import (
+    cyclic_space, differential, omega_diagonal, uniqueness_certificate)
 from nk6.scalars import EPS, QSqrt3, lift, lower
 from nk6.spacefile import load_space
 
@@ -189,21 +192,64 @@ def oracle_star(gram_inv, v, a):
 
 # -- lift and lower -------------------------------------------------------
 @SETTINGS
-@given(st.sampled_from(["rational", "surd"]).flatmap(
-    lambda kind: vectors(kind, 12)))
+@given(vectors("rational", 12))
 def test_lower_inverts_lift_over_one_denominator(values):
-    P, Q, d = lift(values)
+    P, d = lift(values)
     assert d > 0 and all(type(p) is int for p in P)
-    assert Q is None or all(type(q) is int for q in Q)
-    assert (Q is None) == all(not isinstance(x, QSqrt3) or x.b == 0 for x in values)
-    assert lower((P, Q, d)) == values
+    assert lower((P, d)) == values
 
 
 def test_floats_and_polys_pass_through_lift():
     x = Poly.variables(1)[0]
-    for values in ([1.5, 0, Fraction(1, 3)], [x, 2, 0]):
+    for values in ([1.5, 0, Fraction(1, 3)], [x, 2, 0], [QSqrt3(1, 2), 0, 1]):
         lattice = lift(values)
-        assert lattice == (values, None, None) and lower(lattice) is values
+        assert lattice == (values, None) and lower(lattice) is values
+
+
+# -- Q(sqrt 3) data in the generic lane stay exact ------------------------
+# ``QSqrt3 == float`` compares by value, so an oracle cannot see a silent
+# float; these pin the type of each result and a verdict at a tolerance
+# that a float decision would pass
+def _exact(values):
+    return all(isinstance(x, (int, Fraction, QSqrt3)) for x in values)
+
+
+def test_hodge_star_of_a_q_sqrt3_form_is_exact():
+    u = [[1 if i == j else Fraction(i + 1, 2) if j == i + 1 else 0 for j in range(6)]
+         for i in range(6)]
+    g = smallmat.mat_mul(smallmat.transpose(u), u)   # det g = 1
+    a = KForm(6, 2, [QSqrt3(p, 1) if p % 2 else Fraction(p, 3) for p in range(15)])
+    star = HodgeStar(g)
+    assert not star.floats
+    got = star(a).c
+    assert _exact(got) and any(isinstance(x, QSqrt3) for x in got)
+    assert got == oracle_star(star.gram_inv, star.v, a)
+
+
+def test_build_on_q_sqrt3_data_beyond_the_float_range_is_exact():
+    # omega times c and psi times c^2 of the diagonal S^3xS^3 candidate:
+    # K is of order 10^800, far beyond the float range, and exact
+    c = 10 ** 200 + scalars.SQRT3
+    omega = omega_diagonal(1, 1, 1)
+    psi = differential(omega) / 3
+    s, _ = build_either_orientation(omega.scale(c), psi.scale(c * c))
+    assert isinstance(s.tau0, QSqrt3) and s.tau0 < 0
+    assert _exact(scalars.lower(s.K)) and _exact(scalars.lower(s.G))
+
+
+def test_nabla_j_of_q_sqrt3_data_is_decided_on_k():
+    # cyclic S^3xS^3, J e_i = f_i and J f_i = -(1 + sqrt 3) e_i, so
+    # kappa^2 = 1 + sqrt 3 and kappa is not in Q(sqrt 3); with g = diag(1, 1,
+    # 1, c, c, c), c = 1 + sqrt 3, the defect is exact and nonzero: at any
+    # tolerance the verdict stays False
+    c = 1 + scalars.SQRT3
+    J = [[0] * 6 for _ in range(6)]
+    for i in range(3):
+        J[3 + i][i], J[i][3 + i] = 1, -c
+    g = [[(1 if i < 3 else c) if i == j else 0 for j in range(6)] for i in range(6)]
+    for tol in (EPS, 10.0):
+        ok, residual = nearly_kahler_residual(cyclic_space(), g, J, tol)
+        assert ok is False and residual == pytest.approx(0.826445825, rel=1e-8)
 
 
 # -- the kernels ----------------------------------------------------------
@@ -353,19 +399,20 @@ def _nonzero(values):
 
 
 def test_kernels_make_no_fraction_arithmetic():
-    q = lambda a, b: QSqrt3(Fraction(a, 3), Fraction(b, 7))
+    # rational inputs: the integer pass (Q(sqrt 3) data run on their values)
+    q = lambda a, b: Fraction(7 * a + 3 * b, 21)
     a = KForm(6, 2, [q(p + 1, p - 4) if p % 3 else 0 for p in range(15)])
     b = KForm(6, 3, [q(2 - p, p) if p % 4 else Fraction(p, 5) for p in range(20)])
     counts, out = _fraction_calls(lambda: wedge(a, b).c)
     assert counts["arithmetic"] == 0
-    assert 0 < counts["new"] <= 2 * _nonzero(out)
+    assert 0 < counts["new"] <= _nonzero(out)
 
     m1 = [[q(i - j, i * j) if (i + j) % 2 else Fraction(i, j + 1) for j in range(6)]
           for i in range(6)]
     m2 = [[Fraction(i + 2 * j, 5) for j in range(6)] for i in range(6)]
     counts, out = _fraction_calls(lambda: smallmat.mat_mul(m1, m2))
     assert counts["arithmetic"] == 0
-    assert 0 < counts["new"] <= 2 * _nonzero(x for row in out for x in row)
+    assert 0 < counts["new"] <= _nonzero(x for row in out for x in row)
 
     u = [[1 if i == j else q(i, j) if j == i + 1 else 0 for j in range(6)]
          for i in range(6)]
@@ -374,7 +421,7 @@ def test_kernels_make_no_fraction_arithmetic():
     assert not star.floats
     counts, out = _fraction_calls(lambda: star(b).c)
     assert counts["arithmetic"] == 0
-    assert 0 < counts["new"] <= 2 * _nonzero(out)
+    assert 0 < counts["new"] <= _nonzero(out)
 
 
 # -- omega^2 and omega^3 once per check ----------------------------------

@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nk6 import s3xs3, spaces
+from nk6.cli import main
 from nk6.spacefile import (
     SpaceFormatError,
     dump_space,
@@ -236,3 +242,78 @@ def test_one_changed_constant_fails_as_on_a_cold_cache(name, change, message,
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert re.match(r"error: " + message, errors[0])
+
+
+# -- fuzzing: one value of a document replaced by a drawn JSON value ------
+def _paths(node, path=()):
+    """The paths of every value below the top level of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+S3XS3 = _fixture("s3xs3")
+S3XS3_PATHS = list(_paths(S3XS3))
+BIG = "@big-int@"   # stands in the JSON text for an int json cannot write
+
+
+@st.composite
+def big_ints(draw):
+    """(value, digits) of an int of up to 5,000 digits, built without str()."""
+    lead, exp = draw(st.integers(1, 9)), draw(st.integers(0, 4999))
+    tail, sign = draw(st.integers(0, 999)), draw(st.sampled_from([1, -1]))
+    text = "-" * (sign < 0) + str(lead) + str(tail).zfill(exp)[-exp:] * (exp > 0)
+    return sign * (lead * 10 ** exp + (tail % 10 ** exp if exp else 0)), text
+
+
+# text without e or E: an exponent string like "1e100000" is valid input,
+# only slow
+json_leaves = st.one_of(
+    st.integers(-10, 10), big_ints(), st.booleans(), st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(-1e3, 1e3),
+    st.text(st.characters(blacklist_characters="eE"), max_size=8))
+json_values = st.recursive(json_leaves, lambda inner: st.lists(inner, max_size=3),
+                           max_leaves=6)
+
+
+def _replaced(path, value):
+    doc = copy.deepcopy(S3XS3)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _with_big_ints(value, digits):
+    """``value`` for parse_space and its stand-in for the JSON text."""
+    if isinstance(value, tuple):
+        digits.append(value[1])
+        return value[0], BIG
+    if isinstance(value, list):
+        pairs = [_with_big_ints(v, digits) for v in value]
+        return [p for p, _ in pairs], [t for _, t in pairs]
+    return value, value
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(S3XS3_PATHS), json_values)
+def test_a_replaced_value_is_parsed_or_rejected(tmp_path_factory, path, value):
+    digits = []
+    parsed, stand_in = _with_big_ints(value, digits)
+    try:
+        parse_space(_replaced(path, parsed))
+    except SpaceFormatError:
+        pass
+    text = json.dumps(_replaced(path, stand_in))
+    for d in digits:
+        text = text.replace(f'"{BIG}"', d, 1)
+    file = tmp_path_factory.mktemp("fuzz") / "space.json"
+    file.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["check", str(file), "--cone"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
