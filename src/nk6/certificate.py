@@ -3,22 +3,24 @@
 A family is omega = sum x_i w_i, by default over every invariant 2-form
 w_i.  With psi = d omega / 3 and phi~ = -psi(K., ., .) = kappa phi, the
 system d phi = -2 mu omega^2 says that every 2x2 minor of (d phi~,
-omega^2) vanishes; kappa drops out, so the minors are polynomials.  A
-certificate claims the factorisations of the minors (up to sign), of tau0
-and of omega^3; the checker expands them and compares by ``==``.  A factor
-of tau0 or omega^3 is nonvanishing at every solution, as psi is stable
-only where tau0 < 0 and omega nondegenerate only where omega^3 != 0.
-Every other factor must be linear (in the squares for ``squares``
-families).  One linear factor per minor is a branch, whose solutions are a
-nullspace; the exact pipeline runs once per ray, in every orthant, up to
-the sign of omega.  Nothing is factored or solved.
+omega^2) vanishes; kappa drops out, so the minors are polynomials.  They
+are formed from 3 psi = d omega, which scales K by 9 and phi~ and the
+minors by 27, divided out once at the end: a family with integral
+coefficients runs in Python integers.  A certificate claims the
+factorisations of the minors (up to sign), of tau0 and of omega^3; the
+checker expands them and compares by ``==``.  A factor of tau0 or
+omega^3 is nonvanishing at every solution, as psi is stable only where
+tau0 < 0 and omega nondegenerate only where omega^3 != 0.  Every other
+factor must be linear (in the squares for ``squares`` families).  One
+linear factor per minor is a branch, whose solutions are a nullspace;
+the exact pipeline runs once per ray, in every orthant, up to the sign
+of omega.  Nothing is factored or solved.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, wedge
@@ -33,10 +35,10 @@ class Claim:
     """constant times the product of the factors."""
 
     def __init__(self, constant, factors):
-        self.constant, self.factors = constant, factors  # Fraction, Polys
+        self.constant, self.factors = constant, factors  # a rational, Polys
 
     def expand(self):
-        return math.prod(self.factors, start=Fraction(self.constant))
+        return math.prod(self.factors, start=self.constant)
 
     def format(self, names):
         return " * ".join([str(self.constant)]
@@ -74,11 +76,12 @@ class CertificateResult:
 def pair_polynomials(omega, differential):
     """tau0 and the nonzero 2x2 minors of (d phi~, omega^2), distinct up to sign.
 
-    K is normalised against e012345; the orientation only flips signs.
+    K is normalised against e012345; the orientation only flips signs.  On
+    3 psi = d omega, trace(K K) is 486 tau0 and each minor 27 times itself.
     """
-    psi = differential(omega) / 3
-    K, phi_k = kappa_phi(psi, KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(1)))
-    tau0 = exact_div(sum(lower(smallmat.lattice_mul(K, K, 6, 6, 6))[::7]), 6)
+    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), 1)
+    K, phi_k = kappa_phi(differential(omega), vol)
+    tau0 = exact_div(sum(lower(smallmat.lattice_mul(K, K, 6, 6, 6))[::7]), 486)
     dphi = differential(phi_k).c
     o2 = wedge(omega, omega).c
     minors = []
@@ -86,7 +89,7 @@ def pair_polynomials(omega, differential):
         m = dphi[a] * o2[b] - dphi[b] * o2[a]
         if m != 0 and _match(m, minors) is None:
             minors.append(m)
-    return tau0, minors
+    return tau0, [exact_div(m, 27) for m in minors]
 
 
 def _match(p, polys):
@@ -96,7 +99,7 @@ def _match(p, polys):
 def _linear(f, squares):
     """Coefficients of f as a linear form (in the squares), or None."""
     deg = 2 if squares else 1
-    vec = [Fraction(0)] * f.n
+    vec = [0] * f.n
     for e, c in f.terms.items():
         if sum(e) != deg or max(e) != deg:
             return None

@@ -278,12 +278,12 @@ def _invariance_table(space, k):
 
 def _invariant_kernel(space, build, k, size):
     """The nullspace of the compiled invariance map ``build(space, k)`` on
-    vectors of ``size`` entries; its matrix has a zero row when h = 0."""
+    vectors of ``size`` entries; when h = 0 its matrix has no rows."""
     rows, coefs = space.compiled(build, k)
-    matrix = [[0] * size for _ in range(max(space.dim_h * size, 1))]
+    matrix = [[0] * size for _ in range(space.dim_h * size)]
     for [(i, o, _)], c in zip(rows, lower(coefs)):
         matrix[o][i] = c
-    return smallmat.nullspace(matrix)
+    return smallmat.nullspace(matrix, ncols=size)
 
 
 def invariant_forms(space, k):

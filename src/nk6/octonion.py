@@ -10,7 +10,6 @@ structure is compared with the octonion product at one exact point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from . import smallmat
 from .cone import (
@@ -69,7 +68,7 @@ def g2_three_form():
     """phi0 with phi0(x, y, z) = <P(x,y), z>, entries +-1 on 7 triples."""
     eye = smallmat.identity(7)
     return KForm.from_terms(7, 3, [
-        ((i, j, k), Fraction(cross(eye[i], eye[j])[k]))
+        ((i, j, k), cross(eye[i], eye[j])[k])
         for i, j, k in index_tuples(7, 3)[0]])
 
 
@@ -170,7 +169,7 @@ def s6_verify(tol=EPS):
     of S^6.  The cone checks then run on the exact structure at e1.
     """
     g2 = stabiliser(g2_three_form())
-    e1 = [Fraction(1)] + [Fraction(0)] * 6
+    e1 = [1] + [0] * 6
     isotropy = smallmat.nullspace(
         smallmat.transpose([smallmat.mat_vec(d, e1) for d in g2]))
     rank = len(g2) - len(isotropy)

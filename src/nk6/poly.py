@@ -1,18 +1,27 @@
 """Sparse polynomials over Q.
 
 A :class:`Poly` in ``n`` variables maps exponent tuples to nonzero
-``Fraction`` coefficients.  It has ``+``, ``-``, ``*``, division by a
-rational and exact ``==`` (also against ``int`` and ``Fraction``): all
-that the exact kernels of :mod:`nk6.exterior`, :mod:`nk6.lie` and
-:mod:`nk6.smallmat` ask of a scalar, so a family's parameters run through
-them as variables (see :mod:`nk6.certificate`).
+rational coefficients: an ``int`` where the coefficient is whole, else a
+``Fraction``, so products of integral polynomials stay in Python
+integers.  It has ``+``, ``-``, ``*``, division by a rational and exact
+``==`` (also against ``int`` and ``Fraction``): all that the exact
+kernels of :mod:`nk6.exterior`, :mod:`nk6.lie` and :mod:`nk6.smallmat`
+ask of a scalar, so a family's parameters run through them as variables
+(see :mod:`nk6.certificate`).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 _RATIONAL = (int, Fraction)
+
+
+def _rational(c):
+    """c as an ``int`` when it is whole, else as a ``Fraction``."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Poly:
@@ -20,7 +29,8 @@ class Poly:
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
+        self.terms = {e: c if type(c) is int else _rational(c)
+                      for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def variables(cls, n):
@@ -65,7 +75,7 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.n, out)
 
@@ -74,7 +84,7 @@ class Poly:
     def __truediv__(self, q):
         if not isinstance(q, _RATIONAL):
             return NotImplemented
-        return self * (1 / Fraction(q))
+        return self * _rational(1 / Fraction(q))
 
     def __eq__(self, other):
         if isinstance(other, _RATIONAL) and other == 0:

@@ -14,9 +14,12 @@ largest ``abs(float(x))`` against a tolerance.
 So does the integer lattice of the exact kernels: :func:`lift` writes a
 rational list as integers over one denominator, :func:`bilinear` applies a
 compiled table to two lifted lists in one pass in Python integers, and
-:func:`lower` converts back.  Other lists (floats, ``Poly``, ``QSqrt3``)
-run the same loop on their values.  Sums, zero tests and sizes read a
-lattice too, so a value stays in integers from one product to the next.
+:func:`lower` converts back, to an ``int`` wherever a value is whole; it
+builds a ``Fraction`` only for a denominator other than 1, and so does
+:func:`exact_div` on two ints.  Other lists (floats, ``Poly``,
+``QSqrt3``) run the same loop on their values.  Sums, zero tests and
+sizes read a lattice too, so a value stays in integers from one product
+to the next.
 """
 
 from __future__ import annotations
@@ -313,9 +316,10 @@ def sqrt_scalar(x):
 
 
 def exact_div(x, y):
-    """Division that keeps int/int exact instead of decaying to float."""
+    """x / y, kept exact on exact operands instead of decaying to float: a
+    whole quotient of ints is an ``int``, any other one a ``Fraction``."""
     if isinstance(x, int) and isinstance(y, int):
-        return Fraction(x, y)
+        return x // y if x % y == 0 else Fraction(x, y)
     return x / y
 
 
@@ -334,27 +338,32 @@ def parse_rational(text):
 
 def lift(values):
     """The lattice (P, d) of a list of rationals: x[i] = P[i] / d in integers,
-    d > 0.  A list with any other scalar (float, ``Poly``, ``QSqrt3``) passes
-    through as (values, None) and runs the same loops on its values, exactly
-    when they are exact.
+    d > 0; a list of ints is its own numerators, over d = 1.  A list with any
+    other scalar (float, ``Poly``, ``QSqrt3``) passes through as (values,
+    None) and runs the same loops on its values, exactly when they are exact.
     """
-    d = 1
+    d, whole = 1, True
     for x in values:
         t = type(x)
         if t is Fraction:
-            d = math.lcm(d, x.denominator)
+            d, whole = math.lcm(d, x.denominator), False
         elif t is not int:
             return values, None
+    if whole:
+        return list(values), 1
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def lower(lattice):
-    """The scalars of a lattice: 0, an int or a Fraction each, or the values
-    that passed through :func:`lift`."""
+    """The scalars of a lattice, or the values that passed through
+    :func:`lift`: an ``int`` where P[i] / d is whole, else a ``Fraction``, so
+    only a nonzero non-integer output builds one."""
     P, d = lattice
     if d is None:
         return P
-    return [p if d == 1 or not p else Fraction(p, d) for p in P]
+    if d == 1:
+        return list(P)
+    return [p // d if p % d == 0 else Fraction(p, d) for p in P]
 
 
 def lattice_exact(lattice):

@@ -233,12 +233,15 @@ def solve_in_span(columns, target, tol=EPS):
     return [solved[c][0] if c in solved else 0 for c in range(n)]
 
 
-def nullspace(a, tol=EPS):
+def nullspace(a, tol=EPS, ncols=None):
     """Basis of the kernel of a (list of vectors): per free column f, the
-    solution with 1 at f and 0 at the other free columns."""
-    if not a:
-        return []
-    n, one = len(a[0]), scalar_like(a)
+    solution with 1 at f and 0 at the other free columns.
+
+    ``ncols`` is the width of a, by default that of its first row; a
+    matrix with no rows needs it, as its kernel is every vector.
+    """
+    n = ncols if ncols is not None else len(a[0]) if a else 0
+    one = scalar_like(a)
     m, pivots, _, _ = _eliminate(a, n, tol)
     free = [c for c in range(n) if c not in pivots]
     solved = dict(zip(pivots, _back_substitute(m, pivots, free)))

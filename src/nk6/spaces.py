@@ -167,9 +167,9 @@ def kahler_form(g, j):
 
 def _block_acs(signs):
     """J e_{2i} = s_i e_{2i+1} on the three planes (e_{2i}, e_{2i+1})."""
-    out = [[Fraction(0)] * 6 for _ in range(6)]
+    out = [[0] * 6 for _ in range(6)]
     for i, s in enumerate(signs):
-        out[2 * i + 1][2 * i], out[2 * i][2 * i + 1] = Fraction(s), Fraction(-s)
+        out[2 * i + 1][2 * i], out[2 * i][2 * i + 1] = s, -s
     return out
 
 
@@ -194,9 +194,7 @@ class FlagModel:
 
 def flag_model():
     """su(3) with the 2-torus isotropy and the three 2-dim summands."""
-    one = (Fraction(1), Fraction(0))
-    eye = (Fraction(0), Fraction(1))
-    zero = (Fraction(0), Fraction(0))
+    one, eye, zero = (1, 0), (0, 1), (0, 0)
     basis = [
         flag_matrix(one, zero, zero), flag_matrix(eye, zero, zero),
         flag_matrix(zero, one, zero), flag_matrix(zero, eye, zero),
@@ -466,7 +464,7 @@ def cp3_verify(tol=EPS):
     cert = check_certificate(cp3_certificate(model), tol)
     t_nk, nk_sign = _fiber_scaling(cert.solutions[0]) if cert.unique else (None, 0)
 
-    ratio = t_k / t_nk if t_k and t_nk else None
+    ratio = exact_div(t_k, t_nk) if t_k and t_nk else None
     verdicts = [verdict(*v) for v in (
         ("isotropy commutant has dimension 4", dim_comm == 4, "isotropy"),
         ("two irreducible summands of dims (4, 2)", irreducible, "isotropy"),
@@ -494,7 +492,7 @@ def _has_complex_generator(block_endos, size, idx):
         eye = smallmat.identity(size, Fraction(1))
         # subtract the trace part; the rest must square negative
         tr = smallmat.trace(sub)
-        dev = smallmat.mat_sub(sub, smallmat.mat_scale(tr / size, eye))
+        dev = smallmat.mat_sub(sub, smallmat.mat_scale(exact_div(tr, size), eye))
         if all(x == 0 for row in dev for x in row):
             continue
         sq = smallmat.mat_mul(dev, dev)

@@ -10,7 +10,9 @@ summation order:
 - ``Poly`` inputs, on the certificate path, must give equal polynomials.
 
 Then: no kernel does ``Fraction`` arithmetic on rational data, only the
-lowering builds ``Fraction``s; Q(sqrt 3) data, which run the generic loop,
+lowering builds ``Fraction``s, and only for values that are not whole (a
+whole one is an ``int``, and each ``verify`` keeps a pinned budget of
+``Fraction`` constructions); Q(sqrt 3) data, which run the generic loop,
 give exact results; ``check --cone`` forms omega^2 and omega^3 once; an
 exact build never lifts J and a check lifts no more than the pinned
 counts; and the float unit-norm test of ``HodgeStar`` follows the
@@ -24,7 +26,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nk6 import scalars, smallmat
+from nk6 import scalars, smallmat, spaces
 from nk6.certificate import pair_polynomials
 from nk6.cli import main
 from nk6.exterior import (
@@ -35,7 +37,7 @@ from nk6.lie import ce_differential, nearly_kahler_residual
 from nk6.poly import Poly
 from nk6.s3xs3 import (
     cyclic_space, differential, omega_diagonal, uniqueness_certificate)
-from nk6.scalars import EPS, QSqrt3, lift, lower
+from nk6.scalars import EPS, QSqrt3, exact_div, lift, lower
 from nk6.spacefile import load_space
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -197,6 +199,23 @@ def test_lower_inverts_lift_over_one_denominator(values):
     P, d = lift(values)
     assert d > 0 and all(type(p) is int for p in P)
     assert lower((P, d)) == values
+
+
+def test_exact_div_keeps_whole_quotients_int():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-6, 3) == -2 and type(exact_div(-6, 3)) is int
+    assert exact_div(1, 3) == Fraction(1, 3) and type(exact_div(1, 3)) is Fraction
+
+
+@SETTINGS
+@given(st.lists(st.one_of(rationals, st.builds(Fraction, st.integers(-7, 7))),
+                max_size=12))
+def test_lowered_scalars_are_int_exactly_where_whole(values):
+    # Fraction(n) entries too: a whole value comes back an int, any other a
+    # Fraction, so a Fraction exists only when its denominator is not 1
+    lowered = lower(lift(values))
+    assert lowered == values
+    assert [type(x) is int for x in lowered] == [x.denominator == 1 for x in values]
 
 
 def test_floats_and_polys_pass_through_lift():
@@ -371,6 +390,18 @@ def test_poly_products_on_the_certificate_path():
     assert {abs(m(*point)) for m in minors} - {0} == {abs(m) for m in minors_at}
 
 
+def test_pair_polynomials_of_int_data_are_exact():
+    # the pipeline runs on 3 psi = d omega and divides once at the end: int
+    # data give exact tau0 and minors, never a float
+    for cert, point in [(uniqueness_certificate(), (2, 3, 4)),
+                        (spaces.flag_certificate(spaces.flag_model()), (1, 2, 4))]:
+        tau0, minors = pair_polynomials(cert.omega(*point), cert.differential)
+        assert minors and all(type(x) in (int, Fraction) for x in [tau0, *minors])
+        lams = Poly.variables(len(cert.variables))
+        tau0_poly, _ = pair_polynomials(cert.omega(*lams), cert.differential)
+        assert tau0_poly(*point) == tau0 != 0
+
+
 # -- no Fraction arithmetic in the kernels --------------------------------
 def _fraction_calls(run):
     """Calls of Fraction's arithmetic and of its constructor while ``run``."""
@@ -497,6 +528,21 @@ def test_check_cone_lift_count(name, parent, pinned, monkeypatch, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == CONE_LIFTS[name] < pinned < parent
+
+
+# -- Fraction constructions per verify -----------------------------------
+@pytest.mark.parametrize("name, parent, budget", [
+    ("s3xs3", 11281, 2750), ("flag", 8414, 1710), ("cp3", 4623, 640),
+    ("s6", 3990, 570)])
+def test_verify_fraction_budget(name, parent, budget, capsys):
+    # Fraction.__new__ calls of one verify command, at most the count of a
+    # fresh interpreter (2,617 / 1,625 / 606 / 536) plus about 5%; ``parent``
+    # is the count when lift, lower, exact_div and Poly built a Fraction for
+    # whole numbers too.  Warm tables only lower it.
+    counts, code = _fraction_calls(lambda: main(["verify", name]))
+    capsys.readouterr()
+    assert code == 0
+    assert counts["new"] <= budget < parent
 
 
 # -- the float unit-norm test --------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nk6 import s3xs3
 from nk6.exterior import KForm, interior, wedge
@@ -31,6 +32,30 @@ def test_ring_laws():
         assert p * 1 == p and 1 * p == p
         assert p * 0 == 0
         assert -(-p) == p
+
+
+# int and Fraction coefficients, Fraction(n) among them, in two variables
+coefficients = st.one_of(
+    st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4))
+polys = st.builds(lambda terms: Poly(2, terms), st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), coefficients, max_size=4))
+
+
+def canonical(p):
+    """Every coefficient an int exactly when it is whole."""
+    return all((type(c) is int) == (c.denominator == 1) for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(polys, polys, polys, st.fractions(min_value=-6, max_value=6).filter(bool))
+def test_ring_laws_keep_coefficients_canonical(p, q, r, c):
+    assert p + q == q + p and p * q == q * p
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p / c) * c == p
+    results = [p, p + q, p - q, p * q, p * r + q, p / c, p * c, -p]
+    assert all(map(canonical, results))
 
 
 def test_evaluation_is_a_ring_homomorphism():

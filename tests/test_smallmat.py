@@ -41,6 +41,12 @@ def test_det_multiplicative():
         assert sm.det(sm.mat_mul(a, b)) == sm.det(a) * sm.det(b)
 
 
+def test_nullspace_of_no_rows_is_every_vector():
+    # a matrix with no rows has every vector of its width in its kernel
+    assert sm.nullspace([], ncols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert sm.nullspace([]) == []
+
+
 def test_nullspace_exact():
     a = [[Fraction(1), Fraction(2), Fraction(3)],
          [Fraction(2), Fraction(4), Fraction(6)]]
