@@ -28,7 +28,7 @@ from .hitchin import (
     StructureError, build_either_orientation, kappa_phi, nk_check, omega_powers)
 from .lie import ce_differential, invariant_forms
 from .poly import Poly
-from .scalars import EPS, exact_div, exact_sqrt, lower
+from .scalars import exact_div, exact_sqrt, is_zero, lower
 
 
 class Claim:
@@ -107,7 +107,7 @@ def _linear(f, squares):
     return vec
 
 
-def check_certificate(cert, tol=EPS):
+def check_certificate(cert):
     """The solution rays of a family; a false claim gives ``ok`` False."""
     names = ", ".join(f"{v}^2" if cert.squares else v for v in cert.variables)
     where = f"certificate {cert.family} ({names})"
@@ -163,9 +163,9 @@ def check_certificate(cert, tol=EPS):
         point = [exact_sqrt(x) for x in ray] if cert.squares else ray
         if None in point:
             return fail(f"no exact point on the ray {format_ray(ray)}")
-        if any(f(*point) == 0 for f in nonvanishing):
+        if any(is_zero(f(*point)) for f in nonvanishing):
             continue  # tau0 = 0 or omega^3 = 0: no SU(3)-structure
-        built = _passes(cert, point, tol)
+        built = _passes(cert, point)
         if built is not None:
             solutions.append(ray)
             builds.append(built)
@@ -176,14 +176,14 @@ def check_certificate(cert, tol=EPS):
               f"{found or 'no solution'}", solutions, builds)
 
 
-def _passes(cert, point, tol):
+def _passes(cert, point):
     """(structure, NKReport) of the point when it is nearly Kahler, else None."""
     om = cert.omega(*point)
     try:
-        s, _ = build_either_orientation(om, cert.differential(om) / 3, tol=tol)
+        s, _ = build_either_orientation(om, cert.differential(om) / 3)
     except StructureError:
         return None
-    nk = nk_check(s, cert.differential, tol=tol)
+    nk = nk_check(s, cert.differential)
     return (s, nk) if nk.verdict else None
 
 

@@ -90,9 +90,9 @@ def main(argv=None):
                             "flag": (spaces, "flag_verify"),
                             "cp3": (spaces, "cp3_verify"),
                             "s6": (octonion, "s6_verify")}[args.space]
-            rep = getattr(module, name)(tol=args.tolerance)
+            rep = getattr(module, name)()
         elif args.command == "solve-s3xs3":
-            rep = s3xs3.solve_nk(tol=args.tolerance)
+            rep = s3xs3.solve_nk()
         elif args.command == "check":
             rep = _cmd_check(args)
         else:

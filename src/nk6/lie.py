@@ -26,9 +26,9 @@ from fractions import Fraction
 from . import smallmat
 from .exterior import KForm, index_tuples, sort_index
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, is_zero,
-    kernel_rows, lattice_exact, lattice_sum, lattice_zero, lift, lower,
-    scalar_like, scaled_tol, sqrt_scalar, times)
+    EPS, bilinear, exact_div, is_exact, is_positive, is_zero, kernel_rows,
+    lattice_exact, lattice_max_abs, lattice_sum, lattice_zero, lift, lower,
+    scaled_tol, sqrt_scalar, times)
 
 
 class NotInvariant(ValueError):
@@ -95,7 +95,8 @@ class LieAlgebraData:
 
     def _check_antisymmetry(self, tol):
         c = self.c
-        if not all_zero([v + c[j][i][k] for i, j, k, v in self.nonzero()], tol):
+        defect = [v + c[j][i][k] for i, j, k, v in self.nonzero()]
+        if not lattice_zero(lift(defect), tol):
             raise ValueError("structure constants are not antisymmetric")
 
 
@@ -121,7 +122,7 @@ def span_coordinates(basis):
             if xk != 0:
                 for p, v in u:
                     rest[p] = rest[p] - xk * v
-        if not all_zero(rest):
+        if not lattice_zero(lift(rest)):
             raise ValueError("matrix is outside the span of the basis")
         return x
 
@@ -157,7 +158,7 @@ def check_jacobi(L, tol=EPS):
                     for l, u in br[a][b]:
                         for w, v in br[l][z]:
                             total[w] = total.get(w, 0) + u * v
-                if not all_zero(list(total.values()), tol):
+                if not lattice_zero(lift(list(total.values())), tol):
                     return False
     return True
 
@@ -470,9 +471,9 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     raised = mul(polar, smallmat.mat_lattice(ginv_t), len(pairs))
     kappa = sqrt_scalar(-t)
     if lattice_exact(raised) and not is_exact(kappa):   # decided on K
-        return lattice_zero(raised), _max_vec(lower(raised)) / kappa
-    raised = lower(times(exact_div(1, kappa), raised))
-    return all_zero(raised, tol), _max_vec(raised)
+        return lattice_zero(raised), lattice_max_abs(raised) / kappa
+    raised = times(exact_div(1, kappa), raised)
+    return lattice_zero(raised, tol), lattice_max_abs(raised)
 
 
 def intrinsic_eta(space, g, J, tol=EPS):
@@ -487,7 +488,7 @@ def intrinsic_eta(space, g, J, tol=EPS):
 def _torsion(L, J):
     """The torsion matrices E_i = J [L_i, J] / 2 of eta_{X_i}, from the
     Nomizu matrices L_i (nabla_i J = [L_i, J])."""
-    half = scalar_like(J, Fraction(1, 2))
+    half = Fraction(1, 2)
     return [smallmat.mat_scale(half, smallmat.mat_mul(J, smallmat.commutator(l, J)))
             for l in L]
 
@@ -496,8 +497,9 @@ def eta_total_skew_residual(g, eta):
     """Max deviation of (X,Y,Z) -> g(eta_X Y, Z) from total skew-symmetry."""
     r = range(len(eta))
     t = _lowered(g, eta)
-    return _max_vec([t[i][j][k] + t[j][i][k] for i in r for j in r for k in r],
-                    [t[i][j][k] + t[i][k][j] for i in r for j in r for k in r])
+    return smallmat.mat_max_abs(
+        [[t[i][j][k] + t[j][i][k] for i in r for j in r for k in r],
+         [t[i][j][k] + t[i][k][j] for i in r for j in r for k in r]])
 
 
 def eta_parallel_residual(space, g, J, tol=EPS):
@@ -519,7 +521,7 @@ def eta_parallel_residual(space, g, J, tol=EPS):
         [row for lw in lam for row in smallmat.transpose(lw)], E)
     defects = [smallmat.mat_sub(smallmat.commutator(lw, e), moved[w * n + i])
                for w, lw in enumerate(lam) for i, e in enumerate(E)]
-    return _max_vec(*(row for d in defects for row in d))
+    return smallmat.mat_max_abs([row for d in defects for row in d])
 
 
 def normal_torsion_curvature(space):
@@ -543,14 +545,10 @@ def natural_reductivity_defect(space, g):
 
 def is_naturally_reductive(space, g, tol=EPS):
     """g([X,Y]_m, Z) = -g([X,Z]_m, Y) over all basis triples."""
-    return all_zero(natural_reductivity_defect(space, g), tol)
+    return lattice_zero(lift(natural_reductivity_defect(space, g)), tol)
 
 
 # ---------------------------------------------------------------------------
-def _max_vec(*vecs):
-    return max((abs(float(x)) for v in vecs for x in v), default=0.0)
-
-
 def _pair_brackets(table, J):
     """Per i, the brackets of w_i = X_i + i J X_i with w_j and with conj w_j,
     projected by ``table`` (``space.bm`` or ``space.bh``), as (re, im)
@@ -583,7 +581,7 @@ def check_3symmetric(space, J, tol=EPS):
         # nor an m+ part, re - J im + i (im + J re); [m+, m-] has no m part
         defects += [smallmat.mat_sub(re, smallmat.mat_mul(J, im)),
                     smallmat.mat_add(im, smallmat.mat_mul(J, re)), *mixed]
-    return all_zero(defects, tol)
+    return lattice_zero(lift([x for d in defects for row in d for x in row]), tol)
 
 
 def is_complex_subalgebra(space, J, tol=EPS):
@@ -597,7 +595,7 @@ def is_complex_subalgebra(space, J, tol=EPS):
         # the m- part of [m+, m+], re + J im + i (im - J re), vanishes
         defects += [smallmat.mat_add(re, smallmat.mat_mul(J, im)),
                     smallmat.mat_sub(im, smallmat.mat_mul(J, re))]
-    return all_zero(defects, tol)
+    return lattice_zero(lift([x for d in defects for row in d for x in row]), tol)
 
 
 def acs_from_automorphism(S, tol=EPS):
@@ -612,8 +610,9 @@ def acs_from_automorphism(S, tol=EPS):
         raise ValueError("S^3 differs from the identity")
     if is_zero(smallmat.det(smallmat.mat_sub(S, smallmat.identity(n))), tol):
         raise HasFixedVector("1 is an eigenvalue of S")
-    coef = 2 / sqrt_scalar(scalar_like(S, 3))
-    half = scalar_like(S, Fraction(1, 2))
+    # a QSqrt3 times a float raises TypeError: float data take a float sqrt 3
+    three, half = (3.0, 0.5) if smallmat.is_float_data(S) else (3, Fraction(1, 2))
+    coef = 2 / sqrt_scalar(three)
     J = [[coef * (S[i][j] + (half if i == j else 0)) for j in range(n)]
          for i in range(n)]
     if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
@@ -648,4 +647,4 @@ def ricci(space, g, tol=EPS):
     diff = smallmat.mat_sub(ric, smallmat.mat_scale(lam, g))
     scale = smallmat.mat_max_abs(ric)
     rel = smallmat.mat_max_abs(diff) / scale if scale else 0.0
-    return ric, scal, all_zero(diff, tol * scale), rel
+    return ric, scal, lattice_zero(smallmat.mat_lattice(diff), tol * scale), rel

@@ -26,7 +26,7 @@ from .lie import (
     LieAlgebraData, ReductiveSpace, ce_differential, ricci, su2_sum)
 from .poly import Poly
 from .report import Report, verdict
-from .scalars import EPS, QSqrt3, exact_div, is_zero, lower
+from .scalars import QSqrt3, exact_div, is_zero, lower
 
 
 _SPACE = None
@@ -293,7 +293,7 @@ def sign_pattern_analysis(lam=Fraction(1)):
     return survivors, certificates
 
 
-def solve_nk(tol=EPS):
+def solve_nk():
     """Classify the diagonal nearly Kahler triples: the family (l, l, l), l > 0.
 
     Combines (a) the reduction of (A, B, C) to the diagonal family, (b)
@@ -304,7 +304,7 @@ def solve_nk(tol=EPS):
     the certificate's, from its ray (1, 1, 1), and are kept as
     ``structure`` and ``nk``.
     """
-    cert = check_certificate(uniqueness_certificate(), tol)
+    cert = check_certificate(uniqueness_certificate())
     built = dict(zip(cert.solutions, cert.builds))
     survivors, certificates = sign_pattern_analysis()
     verified = []
@@ -312,9 +312,9 @@ def solve_nk(tol=EPS):
         if lam == 1 and (1, 1, 1) in built:
             s, nk = built[1, 1, 1]  # the certificate's build of its ray
         else:
-            s = build_su3(candidate(DiagonalInvariantForm((lam,) * 3)), tol=tol)
-            nk = nk_check(s, differential, tol=tol)
-        verified.append(nk.verdict and is_zero(nk.mu - mu_of(lam), tol))
+            s = build_su3(candidate(DiagonalInvariantForm((lam,) * 3)))
+            nk = nk_check(s, differential)
+        verified.append(nk.verdict and is_zero(nk.mu - mu_of(lam)))
     patterns = {(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)}
     covers = "; the reduction covers all 15 parameters of (A, B, C)"
     verdicts = [verdict(*v) for v in (
@@ -345,22 +345,22 @@ def solve_nk(tol=EPS):
     return rep
 
 
-def verify(tol=EPS):
+def verify():
     """``nk6 verify s3xs3``: :func:`solve_nk`, then the nearly Kahler, mu,
     Einstein and cone verdicts of its lambda = 1 structure, built once."""
-    solved = solve_nk(tol)
+    solved = solve_nk()
     s, nk = solved.structure, solved.nk
     mu_err = nk.mu - mu_of(1)
     G = smallmat.unflatten(lower(s.G), 6, 6)   # kappa g: the same Ric, scal / kappa
-    _, scal, einstein, rel = ricci(cyclic_space(), G, tol)
+    _, scal, einstein, rel = ricci(cyclic_space(), G)
     # the family summary is solve-s3xs3's headline, not repeated here
     verdicts = solved.verdicts[1:] + [verdict(*v) for v in (
         ("nearly Kahler system at lambda = 1", nk.verdict, "diff-system",
          max(nk.residual_r1, nk.residual_r2)),
-        ("mu matches 1/(2 sqrt 3)", is_zero(mu_err, tol), "diff-system",
+        ("mu matches 1/(2 sqrt 3)", is_zero(mu_err), "diff-system",
          abs(float(mu_err))),
         ("Einstein with positive scalar curvature", einstein and scal > 0,
          "einstein", rel))]
-    verdicts += cone_verdicts(s, differential, tol, nk.fit)[0]
+    verdicts += cone_verdicts(s, differential, fit=nk.fit)[0]
     return Report(verdicts, {
         "mu": nk.mu, "scal": s.kappa * scal, "kappa": s.kappa, "tau0": s.tau0})

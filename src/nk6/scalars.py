@@ -7,16 +7,18 @@ verdict that would need a square root is decided on data homogeneous in
 it (K = kappa J, :mod:`nk6.hitchin`).  Float data are compared against a
 tolerance (default ``EPS``).
 
-The zero policy lives here (:func:`all_zero`): a collection of scalars is
-compared with 0 exactly when every entry is exact, and otherwise by its
-largest ``abs(float(x))`` against a tolerance.
+The zero policy lives here, in one test (:func:`lattice_zero`, with
+:func:`is_zero` its one-scalar case): a rational lattice is zero when its
+integers are; other scalars are compared with 0 exactly when every one is
+exact, and otherwise by their largest ``abs(float(x))`` against a
+tolerance.
 
 So does the integer lattice of the exact kernels: :func:`lift` writes a
 rational list as integers over one denominator, :func:`bilinear` applies a
 compiled table to two lifted lists in one pass in Python integers, and
 :func:`lower` converts back, to an ``int`` wherever a value is whole; it
 builds a ``Fraction`` only for a denominator other than 1, and so does
-:func:`exact_div` on two ints.  Other lists (floats, ``Poly``,
+:func:`exact_div` on rationals.  Other lists (floats, ``Poly``,
 ``QSqrt3``) run the same loop on their values.  Sums, zero tests and
 sizes read a lattice too, so a value stays in integers from one product
 to the next.
@@ -190,37 +192,24 @@ def is_exact(x):
     return isinstance(x, _EXACT) or isinstance(x, QSqrt3)
 
 
-def _entries(values):
-    """Scalars of a vector, a matrix or any nesting of lists and tuples."""
-    for x in values:
-        if isinstance(x, (list, tuple)):
-            yield from _entries(x)
-        else:
-            yield x
-
-
-def all_zero(values, tol=0.0):
-    """The zero policy: is every entry of ``values`` zero?
-
-    ``values`` is a vector, a matrix or any nesting of lists.  When every
-    entry is exact the comparison is exact, a proof; otherwise the largest
-    ``abs(float(x))`` is compared with ``tol``.  NaN is never zero.
-    """
-    vals = list(_entries(values))
-    if all(map(is_exact, vals)):
-        return all(x == 0 for x in vals)
-    return all(abs(float(x)) <= tol for x in vals)
-
-
 def lattice_zero(lattice, tol=0.0):
-    """The zero policy on a lattice of :func:`lift`: a rational one is zero
-    when its integers are, with no lowering; others go to :func:`all_zero`."""
+    """The zero policy: is every scalar of a lattice of :func:`lift` zero?
+
+    A rational lattice is zero when its integers are, with no lowering.
+    Values that are all exact are compared with 0 exactly, a proof;
+    otherwise the largest ``abs(float(x))`` is compared with ``tol``.  NaN
+    is never zero.
+    """
     P, d = lattice
-    return all_zero(P, tol) if d is None else not any(P)
+    if d is not None:
+        return not any(P)
+    if all(map(is_exact, P)):
+        return all(x == 0 for x in P)
+    return all(abs(float(x)) <= tol for x in P)
 
 
 def is_zero(x, tol=0.0):
-    """The zero policy for one scalar: the one-entry case of :func:`all_zero`."""
+    """The zero policy for one scalar: the one-entry case of :func:`lattice_zero`."""
     if is_exact(x):
         return x == 0
     return abs(float(x)) <= tol
@@ -229,17 +218,6 @@ def is_zero(x, tol=0.0):
 def is_positive(x, tol=0.0):
     """x > 0 and not zero under the zero policy."""
     return x > 0 and not is_zero(x, tol)
-
-
-def scalar_like(values, q=1):
-    """The rational ``q`` in the arithmetic of ``values``.
-
-    A Fraction when every entry of ``values`` (nested as in
-    :func:`all_zero`) is exact, a float otherwise.
-    """
-    if all(map(is_exact, _entries(values))):
-        return Fraction(q)
-    return float(q)
 
 
 def simplify(x):
@@ -317,10 +295,11 @@ def sqrt_scalar(x):
 
 def exact_div(x, y):
     """x / y, kept exact on exact operands instead of decaying to float: a
-    whole quotient of ints is an ``int``, any other one a ``Fraction``."""
+    whole rational quotient is an ``int``, any other one a ``Fraction``."""
     if isinstance(x, int) and isinstance(y, int):
         return x // y if x % y == 0 else Fraction(x, y)
-    return x / y
+    q = x / y
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

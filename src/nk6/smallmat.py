@@ -9,17 +9,19 @@ Sylvester's test on the running products of a pass without row swaps, and
 :func:`solve`, :func:`inv`, :func:`solve_in_span` and :func:`nullspace`
 back-substitute over the pivot rows.  Products skip terms with a zero
 factor, so sparse matrices cost only their nonzero entries.  Zero tests
-follow the zero policy of :mod:`nk6.scalars`: scalars that are all exact
-are compared with 0 exactly, otherwise by ``abs(float(x))`` against a
-tolerance.  Dimensions never exceed a few dozen here, so nothing clever is
-needed.
+of a collection are :func:`scalars.lattice_zero` on its lattice, a pivot's
+is :func:`scalars.is_zero`: scalars that are all exact are compared with 0
+exactly, otherwise by ``abs(float(x))`` against a tolerance.  The unit of
+:func:`inv` and :func:`nullspace` is the int 1, which arithmetic turns into
+a float next to float data.  Dimensions never exceed a few dozen here, so
+nothing clever is needed.
 """
 
 from __future__ import annotations
 
 from .scalars import (
-    EPS, all_zero, bilinear, exact_div, is_exact, is_positive, is_zero,
-    kernel_rows, lattice_sum, lattice_zero, lift, lower, scalar_like, times)
+    EPS, bilinear, exact_div, is_exact, is_positive, is_zero, kernel_rows,
+    lattice_sum, lattice_zero, lift, lower, times)
 
 
 class SingularMatrix(ValueError):
@@ -205,7 +207,7 @@ def solve(a, b, tol=EPS):
 
 
 def inv(a):
-    return solve(a, identity(len(a), scalar_like(a)))
+    return solve(a, identity(len(a)))
 
 
 def det(a):
@@ -227,7 +229,7 @@ def solve_in_span(columns, target, tol=EPS):
     n = len(columns)
     m, pivots, _, _ = _eliminate(
         [[col[i] for col in columns] + [t] for i, t in enumerate(target)], n, tol)
-    if not all_zero([row[n] for row in m[len(pivots):]], tol):
+    if not lattice_zero(lift([row[n] for row in m[len(pivots):]]), tol):
         raise SingularMatrix("target not in span")
     solved = dict(zip(pivots, _back_substitute(m, pivots, [n])))
     return [solved[c][0] if c in solved else 0 for c in range(n)]
@@ -241,11 +243,10 @@ def nullspace(a, tol=EPS, ncols=None):
     matrix with no rows needs it, as its kernel is every vector.
     """
     n = ncols if ncols is not None else len(a[0]) if a else 0
-    one = scalar_like(a)
     m, pivots, _, _ = _eliminate(a, n, tol)
     free = [c for c in range(n) if c not in pivots]
     solved = dict(zip(pivots, _back_substitute(m, pivots, free)))
-    return [[one if c == f else -solved[c][k] if c in solved else 0
+    return [[1 if c == f else -solved[c][k] if c in solved else 0
              for c in range(n)] for k, f in enumerate(free)]
 
 

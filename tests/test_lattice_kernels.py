@@ -205,6 +205,13 @@ def test_exact_div_keeps_whole_quotients_int():
     assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
     assert exact_div(-6, 3) == -2 and type(exact_div(-6, 3)) is int
     assert exact_div(1, 3) == Fraction(1, 3) and type(exact_div(1, 3)) is Fraction
+    # Fraction operands: a whole quotient is an int there too
+    for x, y, q in ((Fraction(3, 2), Fraction(1, 2), 3), (1, Fraction(1, 2), 2),
+                    (Fraction(-6), 3, -2), (Fraction(4, 3), 2, Fraction(2, 3)),
+                    (Fraction(1, 2), Fraction(3, 4), Fraction(2, 3))):
+        assert exact_div(x, y) == q and type(exact_div(x, y)) is type(q)
+    assert exact_div(QSqrt3(0, 2), Fraction(1, 2)) == QSqrt3(0, 4)
+    assert type(exact_div(Fraction(1, 2), 0.5)) is float
 
 
 @SETTINGS
@@ -532,13 +539,15 @@ def test_check_cone_lift_count(name, parent, pinned, monkeypatch, capsys):
 
 # -- Fraction constructions per verify -----------------------------------
 @pytest.mark.parametrize("name, parent, budget", [
-    ("s3xs3", 11281, 2750), ("flag", 8414, 1710), ("cp3", 4623, 640),
-    ("s6", 3990, 570)])
+    ("s3xs3", 2617, 2610), ("flag", 1625, 1540), ("cp3", 606, 580),
+    ("s6", 536, 440)])
 def test_verify_fraction_budget(name, parent, budget, capsys):
     # Fraction.__new__ calls of one verify command, at most the count of a
-    # fresh interpreter (2,617 / 1,625 / 606 / 536) plus about 5%; ``parent``
-    # is the count when lift, lower, exact_div and Poly built a Fraction for
-    # whole numbers too.  Warm tables only lower it.
+    # fresh interpreter (2,602 / 1,467 / 554 / 419) plus about 5%, and below
+    # ``parent``, the count when whole Fraction quotients of exact_div, the
+    # flag metric and the nullspace unit were still Fractions (11,281 /
+    # 8,414 / 4,623 / 3,990 when lift, lower, exact_div and Poly built one
+    # for every whole number).  Warm tables only lower it.
     counts, code = _fraction_calls(lambda: main(["verify", name]))
     capsys.readouterr()
     assert code == 0

@@ -196,6 +196,23 @@ def test_s6_rejects_non_unit_point():
         oc.s6_structure_at([1 + Fraction(1, 10 ** 12)] + [Fraction(0)] * 6)
 
 
+def test_s6_agreement_at_the_basis_point_is_decided_exactly(monkeypatch):
+    # one cross-product entry off by 10^-400, whose float is 0.0: an exact
+    # deviation that is not zero fails, whatever its float size
+    cross_matrix = oc.cross_matrix
+
+    def tampered(x):
+        m = cross_matrix(x)
+        m[1][2] += Fraction(1, 10 ** 400)
+        return m
+
+    monkeypatch.setattr(oc, "cross_matrix", tampered)
+    rep = oc.s6_verify()
+    assert [(v.name, v.label) for v in rep.verdicts if v.label] == [
+        ("exact agreement at a basis point", "octonion-J")]
+    assert not rep.ok
+
+
 def test_g2_is_the_stabiliser_of_phi0():
     g2 = oc.stabiliser(oc.g2_three_form())
     assert len(g2) == 14

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nk6.scalars import (
-    QSqrt3, SQRT3, all_zero, exact_div, exact_sqrt, is_zero, parse_rational,
-    scalar_like, sqrt_scalar)
+    QSqrt3, SQRT3, exact_div, exact_sqrt, is_zero, lattice_zero, lift,
+    parse_rational, sqrt_scalar)
 
 
 def test_field_operations():
@@ -68,33 +68,26 @@ def test_exact_div_keeps_ints_exact():
 
 def test_zero_policy_compares_exact_entries_exactly():
     assert not is_zero(Fraction(1, 10**30), tol=1e-10)
-    assert not all_zero([0, Fraction(1, 10**30)], tol=1e-10)
+    assert not lattice_zero(lift([0, Fraction(1, 10**30)]), tol=1e-10)
     assert is_zero(QSqrt3(0, 0))
     assert not is_zero(QSqrt3(0, Fraction(1, 10**30)), tol=1e-10)
-    assert all_zero([[0, Fraction(0)], [QSqrt3(0, 0), 0]])
+    assert lattice_zero(lift([0, Fraction(0), QSqrt3(0, 0), 0]))
 
 
 def test_zero_policy_compares_float_data_by_max_abs():
     assert is_zero(1e-12, tol=1e-10)
     assert not is_zero(1e-12)
-    assert all_zero([0, 1e-12], tol=1e-10)
+    assert lattice_zero(lift([0, 1e-12]), tol=1e-10)
     # one float entry puts the whole collection under the tolerance
-    assert all_zero([Fraction(1, 10**30), 1e-12], tol=1e-10)
-    assert not all_zero([[0.0], [2e-10]], tol=1e-10)
+    assert lattice_zero(lift([Fraction(1, 10**30), 1e-12]), tol=1e-10)
+    assert not lattice_zero(lift([0.0, 2e-10]), tol=1e-10)
 
 
 def test_zero_policy_never_calls_nan_zero():
     nan = float("nan")
     assert not is_zero(nan, tol=1e300)
-    assert not all_zero([0.0, nan], tol=1.0)
-    assert not all_zero([nan, 0.0], tol=1.0)
-
-
-def test_scalar_like_follows_the_data():
-    assert scalar_like([[1, Fraction(1, 2)], [QSqrt3(0, 1), 0]]) == 1
-    assert isinstance(scalar_like([QSqrt3(0, 1)], Fraction(1, 2)), Fraction)
-    half = scalar_like([[1, 0.5]], Fraction(1, 2))
-    assert isinstance(half, float) and half == 0.5
+    assert not lattice_zero(lift([0.0, nan]), tol=1.0)
+    assert not lattice_zero(lift([nan, 0.0]), tol=1.0)
 
 
 # -- parse_rational: the ASCII fast path agrees with Fraction(text) ------------
