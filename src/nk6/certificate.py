@@ -14,7 +14,9 @@ tau0 < 0 and omega nondegenerate only where omega^3 != 0.  Every other
 factor must be linear (in the squares for ``squares`` families).  One
 linear factor per minor is a branch, whose solutions are a nullspace;
 the exact pipeline runs once per ray, in every orthant, up to the sign
-of omega.  Nothing is factored or solved.
+of omega.  One run covers its whole ray: the minors, tau0, omega^3 and
+every condition of the build are homogeneous in x.  Nothing is factored
+or solved.
 """
 
 from __future__ import annotations

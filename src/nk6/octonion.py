@@ -16,7 +16,7 @@ from .cone import (
     cone_rho, cone_verdicts, g2_metric_identity, s6_link_differential,
     u_basis_expansion)
 from .exterior import KForm, index_tuples
-from .hitchin import StructureError, SU3Candidate, build_su3, contract
+from .hitchin import StructureError, build_either_orientation, contract
 from .report import Report, verdict
 from .scalars import EPS, exact_div, is_zero, lattice_zero
 
@@ -94,15 +94,12 @@ def tangent_basis(x):
     return b
 
 
-S6_ORIENTATION = 1
-
-
 def s6_candidate(x):
-    """Pointwise SU(3) candidate on the tangent space of the unit sphere.
+    """Pointwise SU(3) pair on the tangent space of the unit sphere.
 
     omega is the contraction of the cross-product 3-form with the point,
     psi its tangential restriction, both expressed in the oriented
-    orthonormal frame ``tangent_basis(x)``.  Returns (candidate, basis).
+    orthonormal frame ``tangent_basis(x)``.  Returns (omega, psi, basis).
     """
     phi0 = g2_three_form()
     basis = tangent_basis(x)
@@ -113,22 +110,23 @@ def s6_candidate(x):
     psi = KForm.from_terms(6, 3, [
         ((a, b, c), phi0(cols[a], cols[b], cols[c]))
         for a in range(6) for b in range(a + 1, 6) for c in range(b + 1, 6)])
-    vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), S6_ORIENTATION)
-    return SU3Candidate(omega, psi, vol), basis
+    return omega, psi, basis
 
 
 def s6_structure_at(x, tol=EPS):
     """Build the SU(3)-structure at a unit point and compare J with x.(-).
 
-    Returns (structure, basis, deviation) where deviation is the smallest
-    over a global sign of the largest entry, in absolute value, of the
-    difference between the built J and the cross-product operator
-    y -> P(x, y) on the tangent space: exact on exact input.
+    Built once by the omega^3 orientation rule (``build_either_orientation``),
+    which picks the frame's own.  Returns (structure, basis, deviation) where
+    deviation is the smallest over a global sign of the largest entry, in
+    absolute value, of the difference between the built J and the
+    cross-product operator y -> P(x, y) on the tangent space: exact on exact
+    input.
     """
     if not is_zero(sum(v * v for v in x) - 1, tol):
         raise ValueError("point must lie on the unit sphere")
-    cand, basis = s6_candidate(x)
-    s = build_su3(cand, tol=tol)
+    omega, psi, basis = s6_candidate(x)
+    s, _ = build_either_orientation(omega, psi, tol)
     px = cross_matrix(x)
     bt = smallmat.transpose(basis)
     j_oct = smallmat.mat_mul(bt, smallmat.mat_mul(px, basis))

@@ -32,7 +32,8 @@ class SpaceFormatError(ValueError):
 
 def _value(v, where, floats=False):
     """An exact number, or a float for a JSON float; with ``floats`` (the
-    data of ``check --scalar float``) an exact one must have a float value."""
+    data of ``check --scalar float``) an exact one must have a float value,
+    and a nonzero one a nonzero float (no overflow, no underflow to 0.0)."""
     if isinstance(v, str):
         try:
             q = parse_rational(v)
@@ -48,8 +49,10 @@ def _value(v, where, floats=False):
         return float(v)
     if floats:
         try:
-            float(q)
+            in_range = float(q) != 0 or q == 0
         except OverflowError:
+            in_range = False
+        if not in_range:
             raise SpaceFormatError(f"{where}: outside the float range")
     return q
 

@@ -24,7 +24,6 @@ from .lie import (
     ReductiveSpace,
     ce_differential,
     check_3symmetric,
-    invariant_forms,
     is_complex_subalgebra,
     is_invariant_endo,
     isotropy_commutant,
@@ -456,12 +455,13 @@ def cp3_verify():
                    and _has_complex_generator(v_only, 2, (4, 5)))
     acs_count = _count_acs_candidates(model)
 
+    spec = cp3_certificate(model)   # one basis for both rays
     kahler = smallmat.nullspace(smallmat.transpose(
-        [ce_differential(space, w).c for w in invariant_forms(space, 2)]))
+        [ce_differential(space, w).c for w in spec.basis]))
     kahler_unique = len(kahler) == 1 and all(kahler[0])
     t_k, kahler_sign = _fiber_scaling(kahler[0]) if kahler_unique else (None, 0)
 
-    cert = check_certificate(cp3_certificate(model))
+    cert = check_certificate(spec)
     t_nk, nk_sign = _fiber_scaling(cert.solutions[0]) if cert.unique else (None, 0)
 
     ratio = exact_div(t_k, t_nk) if t_k and t_nk else None

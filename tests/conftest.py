@@ -16,6 +16,22 @@ def pipeline_nk_verdict(omega, differential):
     return nk_check(s, differential).verdict
 
 
+def tampered_su2_space():
+    """[X1,X2] = X3, [X2,X3] = 2 X1, [X3,X1] = X2 on the first factor of
+    su(2) (+) su(2): a Lie algebra (Jacobi holds) whose co-frame rotations
+    are not automorphisms, so the S^3 x S^3 reduction and certificate fail."""
+    from fractions import Fraction
+    from nk6.lie import LieAlgebraData, ReductiveSpace
+
+    c = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for base in (0, 3):
+        for (i, j, k), a in (((0, 1, 2), 1), ((1, 2, 0), 2 if base == 0 else 1),
+                             ((2, 0, 1), 1)):
+            c[base + i][base + j][base + k] = Fraction(a)
+            c[base + j][base + i][base + k] = Fraction(-a)
+    return ReductiveSpace(LieAlgebraData(c), [], list(range(6)))
+
+
 def lambda5_to_vector(sigma, vol):
     """The vector v with  interior(v, vol) = sigma,  for a 5-form in dim 6:
     the isomorphism of 5-forms with vectors tensored by top forms, by which

@@ -161,11 +161,24 @@ def test_benchmark_argv_options_have_no_effect(capsys, argv, extra):
     assert a == b
 
 
-def test_verify_s3xs3_builds_three_times(monkeypatch, capsys):
-    # the certificate's ray (1, 1, 1) and the family points 2 and 1/2; the
-    # family point 1 and the lambda = 1 checks reuse the ray's structure
-    from nk6 import hitchin
+@pytest.mark.parametrize("argv,tamper", [
+    *((["verify", m], False) for m in ("s3xs3", "flag", "cp3", "s6")),
+    (["solve-s3xs3"], False),
+    *((["check", os.path.join(FIX, f"{f}.json"), "--cone"], False)
+      for f in ("s3xs3", "flag", "cp3")),
+    (["verify", "s3xs3"], True)],
+    ids=["verify-s3xs3", "verify-flag", "verify-cp3", "verify-s6",
+         "solve-s3xs3", "check-s3xs3", "check-flag", "check-cp3",
+         "verify-s3xs3-tampered"])
+def test_each_command_builds_the_structure_once(monkeypatch, capsys, argv,
+                                                tamper):
+    # every module's name for build_su3 is counted; the tampered su(2)
+    # constants fail the certificate, so solve_nk builds omega(1, 1, 1)
+    from conftest import tampered_su2_space
+    from nk6 import hitchin, s3xs3
 
+    if tamper:
+        monkeypatch.setattr(s3xs3, "_SPACE", tampered_su2_space())
     calls = []
     original = hitchin.build_su3
 
@@ -176,9 +189,9 @@ def test_verify_s3xs3_builds_three_times(monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("nk6") and getattr(module, "build_su3", None) is original:
             monkeypatch.setattr(module, "build_su3", counting)
-    code, _ = run(capsys, "verify", "s3xs3")
-    assert code == 0
-    assert len(calls) == 3
+    code, _ = run(capsys, *argv)
+    assert code == (1 if tamper else 0)
+    assert len(calls) == 1
 
 
 def test_check_uses_supplied_metric(capsys):
@@ -269,25 +282,6 @@ def test_check_with_named_psi_and_float_mode(tmp_path, capsys):
     assert code2 == 0
     rep2 = Report.from_json(out2)
     assert rep2.scalars["mu"] == pytest.approx(1 / (2 * 3 ** 0.5), abs=1e-10)
-
-
-def test_check_cone_builds_the_structure_once(monkeypatch, capsys):
-    import sys
-    from nk6 import hitchin
-
-    calls = []
-    original = hitchin.build_su3
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nk6") and getattr(module, "build_su3", None) is original:
-            monkeypatch.setattr(module, "build_su3", counting)
-    code, _ = run(capsys, "check", os.path.join(FIX, "s3xs3.json"), "--cone")
-    assert code == 0
-    assert len(calls) == 1
 
 
 @pytest.fixture
@@ -1129,3 +1123,31 @@ def test_scalar_float_rejects_structure_constants_beyond_the_float_range(
         assert code == 2 and captured.out == ""
         assert captured.err == ("error: $.structure_constants[0]: "
                                 "outside the float range\n")
+
+
+def _tiny(v):
+    return str(Fraction(v) / 10 ** 400)   # nonzero, 0.0 as a float
+
+
+def _tiny_omega(doc):
+    for term in doc["forms"]["omega"]:
+        term[1] = _tiny(term[1])
+
+
+@pytest.mark.parametrize("document,json_path", [
+    (lambda tmp: _s3xs3_copy(tmp, _tiny_omega), "$.forms.omega[0]"),
+    (lambda tmp: _s3xs3_constants_as(tmp, "tiny", _tiny),
+     "$.structure_constants[0]"),
+    (lambda tmp: _with_metric(tmp, "cp3", _tiny), "$.metric[0][0]"),
+], ids=["omega", "constants", "metric"])
+def test_scalar_float_rejects_numbers_that_underflow(tmp_path, capsys, document,
+                                                     json_path, cold_space_cache):
+    # exact arithmetic takes 10^-400 times the data, still nearly Kahler;
+    # as a float 10^-400 is 0.0, which would zero the data
+    path = document(tmp_path)
+    assert main(["check", path, "--cone"]) == 0
+    capsys.readouterr()
+    code = main(["--scalar", "float", "check", path, "--cone"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {json_path}: outside the float range\n"

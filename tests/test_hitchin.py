@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nk6 import s3xs3, smallmat
 from nk6.exterior import KForm, interior, wedge
@@ -13,6 +14,7 @@ from nk6.hitchin import (
     DegenerateOmega,
     SlotInconsistent,
     SU3Candidate,
+    build_either_orientation,
     build_su3,
     hitchin_K,
     nk_check,
@@ -177,14 +179,20 @@ def test_phi_slot_inconsistency_detected():
         phi_from(other, s.J)
 
 
-def test_nk_check_diagonal_family():
-    for lam, expect_mu in ((Fraction(1), s3xs3.mu_of(1)),
-                           (Fraction(2), s3xs3.mu_of(2))):
-        rep = nk_check(build_su3(s3xs3.candidate(
-            s3xs3.DiagonalInvariantForm((lam,) * 3))), s3xs3.differential)
-        assert rep.verdict
-        assert rep.residual_r1 == 0 and rep.residual_r2 == 0
-        assert rep.mu == expect_mu
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.fractions(min_value=Fraction(1, 60), max_value=60, max_denominator=60))
+@example(Fraction(1))
+@example(Fraction(2))
+def test_nk_check_diagonal_family(lam):
+    # every condition is homogeneous in lambda, so the certificate's one
+    # build of its ray (1, 1, 1) decides the whole ray lambda > 0
+    omega = s3xs3.uniqueness_certificate().omega(lam, lam, lam)
+    s, _ = build_either_orientation(omega, s3xs3.differential(omega) / 3)
+    rep = nk_check(s, s3xs3.differential)
+    assert rep.verdict
+    assert rep.residual_r1 == 0.0 and rep.residual_r2 == 0.0
+    assert rep.mu == s3xs3.mu_of(lam)
+    assert s.tau0 == -lam ** 4 / 27
 
 
 def test_nk_check_boundary_triple_raises_not_stable():

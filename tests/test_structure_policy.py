@@ -4,7 +4,8 @@ Every ``SU3Structure`` in ``src/nk6`` comes out of ``hitchin.build_su3``,
 which proves each identity the structure carries.  A check at another
 scale reads the build and the scaling laws (``cone.cone_check``); it never
 assembles a second structure.  So ``SU3Structure(...)`` is called once, in
-``build_su3``.
+``build_su3``, and ``build_su3`` once, in ``build_either_orientation``: every
+build takes the one orientation rule, -sign(omega^3).
 
 Exact data are decided exactly: the build decides on K = kappa J whatever
 kappa is, so no exact form is turned into floats on the way.  Floats enter
@@ -51,6 +52,10 @@ def test_su3_structures_are_constructed_only_in_build_su3():
     assert _callers("SU3Structure") == [("hitchin.py", "build_su3")]
 
 
+def test_build_su3_is_called_only_by_build_either_orientation():
+    assert _callers("build_su3") == [("hitchin.py", "build_either_orientation")]
+
+
 def test_floats_enter_only_by_the_scalar_option():
     assert _callers("to_float") == [("cli.py", "_named_form")]
 
@@ -75,3 +80,13 @@ def test_guard_sees_to_float_calls():
         "    o3 = omega.to_float()\n"
         "    return KForm.to_float(o3), to_float\n", "to_float") == [
             (4, "build_su3"), (5, "build_su3")]
+
+
+def test_guard_sees_build_su3_calls():
+    assert calls(
+        "s = build_su3(cand)\n"
+        "def s6_structure_at(x):\n"
+        "    return hitchin.build_su3(SU3Candidate(x, vol))\n"
+        "def build_either_orientation(omega, psi):\n"
+        "    return build_su3(SU3Candidate(omega, psi, vol))\n", "build_su3") == [
+            (1, None), (3, "s6_structure_at"), (5, "build_either_orientation")]
