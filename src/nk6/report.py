@@ -6,6 +6,11 @@ run parameters, and a model's facts as attributes.  Failing verdicts carry
 the label of the violated condition (the same labels the structure errors
 use, e.g. ``NotStable``), so a consumer can tell stability failures from
 positivity failures without parsing prose.
+
+:meth:`Report.to_json` writes one line with sorted keys, which CPython's C
+encoder serves (an ``indent`` would select its pure-Python encoder);
+``python -m json.tool`` pretty-prints it.  :meth:`Report.render` is the
+text form.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class Report:
         }
 
     def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.as_dict(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text):

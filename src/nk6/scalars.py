@@ -20,7 +20,8 @@ compiled table to two lifted lists in one pass in Python integers, and
 builds a ``Fraction`` only for a denominator other than 1, and so does
 :func:`exact_div` on rationals.  Other lists (floats, ``Poly``,
 ``QSqrt3``) run the same loop on their values.  Sums, zero tests and
-sizes read a lattice too, so a value stays in integers from one product
+sizes read a lattice too, and :func:`times` scales one by a rational in
+plain lattice arithmetic, so a value stays in integers from one product
 to the next.
 """
 
@@ -394,8 +395,23 @@ def scaled_tol(tol, *lattices):
 
 
 def times(s, lattice):
-    """The lattice of the scalar s times each entry of ``lattice``."""
-    size = len(lattice[0])
+    """The lattice of the scalar s times each entry of ``lattice``.
+
+    On a rational lattice (P, d) a rational s is lattice arithmetic, as in
+    :func:`lattice_sum`: an ``int`` s gives (s P, d) and a ``Fraction`` a/b
+    gives (a P, b d), the lattice the diagonal :func:`bilinear` pass builds
+    (a zero product is the integer 0 either way).  Other scalars and
+    lattices run that pass.
+    """
+    P, d = lattice
+    if d is not None:
+        t = type(s)
+        if t is int:
+            return [s * p for p in P], d
+        if t is Fraction:
+            a = s.numerator
+            return [a * p for p in P], d * s.denominator
+    size = len(P)
     rows = kernel_rows(("times", size), lambda: [[(j, j, 1) for j in range(size)]])
     return bilinear(rows, lift([s]), lattice, size)
 

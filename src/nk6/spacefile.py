@@ -2,8 +2,10 @@
 
 A space document carries a Lie algebra by sparse structure constants, the
 h/m index split, optional named invariant forms on m and an optional
-metric Gram matrix.  Scalars are exact when written as "p/q" strings and
-float when written as JSON numbers.  The schema ships in
+metric Gram matrix.  Scalars are exact when written as "p/q" strings or
+JSON integers and float when written as other JSON numbers; a whole exact
+number is an ``int``, as in the kernels (:mod:`nk6.scalars`), and any
+other exact one a ``Fraction``.  The schema ships in
 ``schemas/space.schema.json``; antisymmetry is completed from the i < j
 entries and the Jacobi identity is validated on load.  Documents of one
 algebra share its validated space (:func:`parse_space`).
@@ -31,18 +33,21 @@ class SpaceFormatError(ValueError):
 
 
 def _value(v, where, floats=False):
-    """An exact number, or a float for a JSON float; with ``floats`` (the
-    data of ``check --scalar float``) an exact one must have a float value,
-    and a nonzero one a nonzero float (no overflow, no underflow to 0.0)."""
+    """An exact number (an ``int`` when whole, else a ``Fraction``), or a
+    float for a JSON float; with ``floats`` (the data of ``check --scalar
+    float``) an exact one must have a float value, and a nonzero one a
+    nonzero float (no overflow, no underflow to 0.0)."""
     if isinstance(v, str):
         try:
             q = parse_rational(v)
         except (ValueError, ZeroDivisionError) as ex:
             raise SpaceFormatError(f"{where}: bad rational {v!r} ({ex})")
+        if q.denominator == 1:
+            q = q.numerator
     elif isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpaceFormatError(f"{where}: expected number or 'p/q' string")
     elif isinstance(v, int):
-        q = Fraction(v)
+        q = v
     elif not math.isfinite(v):
         raise SpaceFormatError(f"{where}: non-finite number {v!r}")
     else:
@@ -198,7 +203,7 @@ def _algebra(dim, triples, h_idx, m_idx):
     """The structure constants c[i][j][k] and the h/m split, validated."""
     if not isinstance(triples, list):
         raise SpaceFormatError("$.structure_constants: expected a list")
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
     for pos, entry in enumerate(triples):
         where = f"$.structure_constants[{pos}]"

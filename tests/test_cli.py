@@ -50,6 +50,17 @@ def test_json_reports_validate_against_schema(capsys):
         jsonschema.validate(json.loads(out), schema)
 
 
+@pytest.mark.parametrize("argv", [
+    ["table"], ["verify", "s6"], ["check", os.path.join(FIX, "flag.json"), "--cone"],
+    ["--scalar", "float", "check", os.path.join(FIX, "cp3.json"), "--cone"]])
+def test_json_report_is_one_line_with_sorted_keys(capsys, argv):
+    # the C encoder's output: no indent, keys sorted at every level
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert out[:-1] == json.dumps(json.loads(out), sort_keys=True)
+
+
 def test_verify_unknown_space_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "torus"])

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from nk6 import s3xs3, spaces
 from nk6.cli import main
+from nk6.exterior import KForm
+from nk6.lie import LieAlgebraData, ReductiveSpace
 from nk6.spacefile import (
     SpaceFormatError,
     dump_space,
@@ -57,6 +59,54 @@ def test_roundtrip_dump_load():
     assert doc.reductive_space().algebra.c == fm.space.algebra.c
 
 
+MODELS = {"s3xs3": s3xs3.cyclic_space(), "flag": spaces.flag_model().space,
+          "cp3": spaces.cp3_model().space}
+exact_values = st.one_of(
+    st.just(0), st.integers(-10 ** 20, 10 ** 20),
+    st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    st.builds(Fraction, st.integers(-9, 9)))   # whole Fractions too
+entries = st.one_of(exact_values, st.floats(-1e3, 1e3, allow_nan=False))
+
+
+def _kind(x):
+    """The type of an entry after a round trip: int where exact and whole."""
+    return int if not isinstance(x, float) and x.denominator == 1 else type(x)
+
+
+def _flat(nested):
+    return [x for item in nested for x in (_flat(item) if isinstance(item, list)
+                                           else [item])]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(sorted(MODELS)),
+       exact_values.filter(lambda t: t != 0), st.data())
+def test_dump_then_parse_gives_back_the_data(name, scale, data):
+    # a model's algebra with its constants times ``scale`` (a Lie algebra
+    # still), a 2-form, a 3-form and a symmetric metric of random entries
+    base = MODELS[name]
+    c = [[[scale * x for x in row] for row in plane] for plane in base.algebra.c]
+    space = ReductiveSpace(LieAlgebraData(c, labels=base.algebra.labels),
+                           base.h_idx, base.m_idx)
+    forms = {f"w{k}": KForm(6, k, data.draw(st.lists(entries, min_size=size,
+                                                      max_size=size)))
+             for k, size in ((2, 15), (3, 20))}
+    rows = data.draw(st.lists(st.lists(entries, min_size=6, max_size=6),
+                              min_size=6, max_size=6))
+    metric = [[rows[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
+    doc = parse_space(json.loads(dump_space(space, forms=forms, metric=metric)))
+    got = doc.reductive_space().algebra.c
+    assert got == c
+    assert [_kind(x) for x in _flat(c)] == [type(x) for x in _flat(got)]
+    for key, form in forms.items():
+        assert doc.forms[key] == form
+        # a zero term is not written, and reads back as the int 0
+        assert [int if x == 0 else _kind(x) for x in form.c] == [
+            type(x) for x in doc.forms[key].c]
+    assert doc.metric == metric
+    assert [_kind(x) for x in _flat(metric)] == [type(x) for x in _flat(doc.metric)]
+
+
 def test_rational_and_float_values():
     doc = parse_space({
         "dimension": 3,
@@ -65,6 +115,65 @@ def test_rational_and_float_values():
     })
     assert doc.constants[0][1][2] == Fraction(-1, 2)
     assert doc.constants[1][2][0] == -0.5
+
+
+def _three_dim():
+    """so(3)-shaped [e0, e1] = a e2, [e1, e2] = b e0, [e0, e2] = c e1 (any a,
+    b, c satisfy Jacobi), with whole exact entries in every place."""
+    return {
+        "dimension": 3,
+        "structure_constants": [[0, 1, 2, 2], [1, 2, 0, "4/2"], [0, 2, 1, "-3"],
+                                [0, 1, 1, "0"]],
+        "forms": {"omega": [[[0, 1], 2], [[0, 2], "4/2"], [[1, 2], "-3"]],
+                  "zero": [[[1], "0"]], "half": [[[0], "1/2"]]},
+        "metric": [[2, "4/2", "-3"], ["4/2", "0", "1/2"], ["-3", "1/2", 0.5]],
+    }
+
+
+def test_whole_exact_entries_are_ints():
+    # JSON 2, "4/2", "-3" and "0" are ints, as in the kernels; "1/2" is a
+    # Fraction and 0.5 a float
+    doc = parse_space(_three_dim())
+    c = doc.constants
+    assert (c[0][1][2], c[1][2][0], c[0][2][1], c[0][1][1]) == (2, 2, -3, 0)
+    assert {type(x) for plane in c for row in plane for x in row} == {int}
+    assert doc.forms["omega"].c == [2, 2, -3] and doc.forms["zero"].c == [0, 0, 0]
+    for name in ("omega", "zero"):
+        assert {type(x) for x in doc.forms[name].c} == {int}
+    assert doc.forms["half"].c[0] == Fraction(1, 2)
+    assert type(doc.forms["half"].c[0]) is Fraction
+    assert [[type(x) for x in row] for row in doc.metric] == [
+        [int, int, int], [int, int, Fraction], [int, Fraction, float]]
+
+
+def _set_constant(data, v):
+    data["structure_constants"][0][3] = v
+
+
+def _set_form(data, v):
+    data["forms"]["omega"][1][1] = v
+
+
+def _set_metric(data, v):
+    data["metric"][0][2] = data["metric"][2][0] = v
+
+
+@pytest.mark.parametrize("huge", [10 ** 400, str(-10 ** 400), f"{2 * 10 ** 400}/2"],
+                         ids=["json-int", "string", "whole-quotient"])
+@pytest.mark.parametrize("edit, path, read", [
+    (_set_constant, "$.structure_constants[0]", lambda doc: doc.constants[0][1][2]),
+    (_set_form, "$.forms.omega[1]", lambda doc: doc.forms["omega"].c[1]),
+    (_set_metric, "$.metric[0][2]", lambda doc: doc.metric[0][2]),
+], ids=["constant", "form", "metric"])
+def test_whole_entries_beyond_the_float_range(huge, edit, path, read):
+    # exact mode keeps the int; float mode rejects it where it stands, as
+    # it rejects a Fraction
+    data = _three_dim()
+    edit(data, huge)
+    assert type(read(parse_space(data))) is int
+    with pytest.raises(SpaceFormatError,
+                       match=re.escape(f"{path}: outside the float range")):
+        parse_space(data, floats=True)
 
 
 def test_bad_jacobi_rejected():
