@@ -26,10 +26,10 @@ import math
 
 from . import smallmat
 from .exterior import KForm, wedge
-from .hitchin import (
-    StructureError, build_either_orientation, kappa_phi, nk_check, omega_powers)
+from .hitchin import kappa_phi, omega_powers, structure_verdicts
 from .lie import ce_differential, invariant_forms
 from .poly import Poly
+from .report import PASS
 from .scalars import exact_div, exact_sqrt, is_zero, lower
 
 
@@ -65,10 +65,12 @@ class Certificate:
 
 
 class CertificateResult:
+    """``ok``: the claims hold.  ``builds``: per ray of ``solutions``, its
+    (structure, NKReport, verdicts, scalars) by :func:`judge`."""
+
     def __init__(self, ok, detail, solutions, builds=()):
-        self.ok, self.detail = ok, detail  # ok: the claims hold
-        self.solutions = solutions  # the rays that pass the pipeline
-        self.builds = builds  # (structure, NKReport) per ray
+        self.ok, self.detail = ok, detail
+        self.solutions, self.builds = solutions, builds
 
     @property
     def unique(self):
@@ -167,8 +169,8 @@ def check_certificate(cert):
             return fail(f"no exact point on the ray {format_ray(ray)}")
         if any(is_zero(f(*point)) for f in nonvanishing):
             continue  # tau0 = 0 or omega^3 = 0: no SU(3)-structure
-        built = _passes(cert, point)
-        if built is not None:
+        built = judge(cert, point)
+        if all(v.status == PASS for v in built[2]):
             solutions.append(ray)
             builds.append(built)
     found = ", ".join(f"solution ray {format_ray(r)}" for r in solutions)
@@ -178,15 +180,12 @@ def check_certificate(cert):
               f"{found or 'no solution'}", solutions, builds)
 
 
-def _passes(cert, point):
-    """(structure, NKReport) of the point when it is nearly Kahler, else None."""
-    om = cert.omega(*point)
-    try:
-        s, _ = build_either_orientation(om, cert.differential(om) / 3)
-    except StructureError:
-        return None
-    nk = nk_check(s, cert.differential)
-    return (s, nk) if nk.verdict else None
+def judge(cert, point):
+    """(structure, NKReport, verdicts, scalars) of :func:`structure_verdicts`
+    on omega(point); structure and NKReport are None when it does not build."""
+    om, d = cert.omega(*point), cert.differential
+    verdicts, scalars, built = structure_verdicts(om, d(om) / 3, d)
+    return (*(built or (None, None))[:2], verdicts, scalars)
 
 
 def format_ray(ray):

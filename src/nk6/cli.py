@@ -24,7 +24,7 @@ from . import (
 from .report import Report
 from .scalars import (
     EPS, exact_div, is_positive, lattice_max_abs, lattice_sum, lattice_zero,
-    lower, sqrt_scalar, times)
+    lower, times)
 
 
 def _inert(parser, *flags):
@@ -143,22 +143,11 @@ def _cmd_check(args):
     if psi is None:
         psi = d(omega) / 3
 
-    try:
-        structure, orient = hitchin.build_either_orientation(omega, psi, tol=tol)
-    except hitchin.StructureError as ex:
-        rep.check("stable pair builds an SU(3)-structure", False,
-                  label=ex.label, detail=str(ex))
+    # the report holds no verdict or scalar yet: these are its first
+    rep.verdicts, rep.scalars, built = hitchin.structure_verdicts(omega, psi, d, tol)
+    if built is None:
         return rep
-    rep.check("stable pair builds an SU(3)-structure", True)
-
-    nk = hitchin.nk_check(structure, d, tol=tol)
-    rep.check("first structure equation (d omega = 3 psi)", nk.first,
-              label="diff-system", residual=nk.residual_r1)
-    rep.check("second structure equation (d phi = -2 mu omega^2)", nk.second,
-              label="diff-system", residual=nk.residual_r2)
-    rep.scalars.update(mu=nk.mu, tau0=structure.tau0,
-                       kappa=sqrt_scalar(-structure.tau0))
-    rep.inputs["orientation"] = orient
+    structure, nk, rep.inputs["orientation"] = built
 
     if doc.metric is not None:
         # the supplied Gram should be the induced metric up to homothety, a

@@ -4,7 +4,8 @@ A 2-form omega and a 3-form psi determine, when psi lies in the open
 GL(6)-orbit with stabilizer SL(3,C) and the compatibility conditions hold,
 an almost complex structure J, a metric g and a second 3-form phi with
 psi + i phi of type (3,0).  The nearly Kahler property is then the first
-order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega.
+order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega, decided for
+``check``, the certificates and ``verify s3xs3`` by :func:`structure_verdicts`.
 
 Every identity is homogeneous in kappa = sqrt(-tau0), so each is decided
 on the K-forms K = kappa J, G = W K = kappa g and Phi = kappa phi, which
@@ -22,6 +23,7 @@ from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
+from .report import verdict
 from .scalars import (
     EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows, lattice_exact,
     lattice_max_abs, lattice_sum, lattice_zero, lower, scaled_tol, simplify,
@@ -375,6 +377,26 @@ def nk_check(s, differential, tol=EPS):
                     mu=simplify(3 * s.per_kappa(c)),
                     first=r1.is_zero(scaled_tol(tol, s.psi.lattice())),
                     second=r2.is_zero(scaled_tol(tol, fit[0].lattice())), fit=fit)
+
+
+def structure_verdicts(omega, psi, differential, tol=EPS):
+    """(verdicts, scalars, built) of one build of (omega, psi): the verdicts
+    that it builds, that d omega = 3 psi and that d phi = -2 mu omega^2, the
+    scalars mu, tau0 and kappa, built = (structure, NKReport, orientation).
+    A failed build gives its one labelled verdict, no scalars, built None."""
+    name = "stable pair builds an SU(3)-structure"
+    try:
+        s, orient = build_either_orientation(omega, psi, tol)
+    except StructureError as ex:
+        return [verdict(name, False, ex.label, detail=str(ex))], {}, None
+    nk = nk_check(s, differential, tol)
+    verdicts = [verdict(name, True),
+                verdict("first structure equation (d omega = 3 psi)", nk.first,
+                        "diff-system", nk.residual_r1),
+                verdict("second structure equation (d phi = -2 mu omega^2)",
+                        nk.second, "diff-system", nk.residual_r2)]
+    scalars = dict(mu=nk.mu, tau0=s.tau0, kappa=sqrt_scalar(-s.tau0))
+    return verdicts, scalars, (s, nk, orient)
 
 
 def volume_fit(dphi, o2):

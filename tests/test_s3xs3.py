@@ -1,14 +1,16 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import tampered_su2_space
-from nk6 import s3xs3, smallmat
+from nk6 import s3xs3, smallmat, spacefile
 from nk6.certificate import check_certificate
 from nk6.cli import main
 from nk6.exterior import KForm, wedge
 from nk6.hitchin import StructureError, build_su3, nk_check
+from nk6.lie import LieAlgebraData, ReductiveSpace
 from nk6.report import Report
 from nk6.scalars import QSqrt3
 from nk6.spaces import build_either_orientation
@@ -272,6 +274,47 @@ def test_solve_nk_full():
     assert rep.certificate.solutions == [(1, 1, 1)]
     assert rep.mu_at_one == s3xs3.mu_of(1)
     assert float(rep.mu_at_one) == pytest.approx(1 / (2 * 3 ** 0.5), abs=1e-14)
+
+
+SHARED = ("stable pair builds", "first structure equation",
+          "second structure equation", "cone form")
+
+
+def test_verify_and_check_share_the_structure_verdicts(capsys):
+    # the fixture is the certificate's algebra with omega(1, 1, 1): both
+    # commands judge it by hitchin.structure_verdicts and cone_verdicts
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "s3xs3.json")
+    doc = spacefile.load_space(path)
+    assert doc.space.algebra.c == s3xs3.cyclic_space().algebra.c
+    assert doc.forms["omega"] == s3xs3.uniqueness_certificate().omega(1, 1, 1)
+    reports = []
+    for argv in (["verify", "s3xs3"], ["check", path, "--cone"]):
+        assert main(["--json", *argv]) == 0
+        reports.append(Report.from_json(capsys.readouterr().out))
+    verify, check = ([(v.name, v.status, v.label, v.residual) for v in rep.verdicts
+                      if v.name.startswith(SHARED)] for rep in reports)
+    assert verify == check
+    assert [name for name, *_ in verify] == [
+        "stable pair builds an SU(3)-structure",
+        "first structure equation (d omega = 3 psi)",
+        "second structure equation (d phi = -2 mu omega^2)",
+        "cone form closed", "cone form coclosed"]
+    assert [residual for *_, residual in verify] == [None] + [0.0] * 4
+    for key in ("mu", "tau0", "kappa"):
+        assert reports[0].scalars[key] == reports[1].scalars[key], key
+
+
+def test_verify_reports_a_failed_build_of_the_solution(monkeypatch, capsys):
+    # on an abelian algebra d omega = 0, so psi = 0 is not stable: the
+    # certificate builds nothing and omega(1, 1, 1) fails to build
+    zero = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    monkeypatch.setattr(s3xs3, "_SPACE",
+                        ReductiveSpace(LieAlgebraData(zero), [], range(6)))
+    assert main(["--json", "verify", "s3xs3"]) == 1
+    last = Report.from_json(capsys.readouterr().out).verdicts[-1]
+    assert (last.name, last.status, last.label) == (
+        "stable pair builds an SU(3)-structure", "fail", "NotStable")
 
 
 def test_residual_zero_iff_nk_verdict():

@@ -5,7 +5,10 @@ which proves each identity the structure carries.  A check at another
 scale reads the build and the scaling laws (``cone.cone_check``); it never
 assembles a second structure.  So ``SU3Structure(...)`` is called once, in
 ``build_su3``, and ``build_su3`` once, in ``build_either_orientation``: every
-build takes the one orientation rule, -sign(omega^3).
+build takes the one orientation rule, -sign(omega^3).  A pair on a Lie
+algebra is built and judged by ``hitchin.structure_verdicts`` alone, the one
+caller of ``nk_check``; the only other build is a point of S^6
+(``octonion.s6_structure_at``), whose link differential is set by hand.
 
 Exact data are decided exactly: the build decides on K = kappa J whatever
 kappa is, so no exact form is turned into floats on the way.  Floats enter
@@ -56,6 +59,15 @@ def test_build_su3_is_called_only_by_build_either_orientation():
     assert _callers("build_su3") == [("hitchin.py", "build_either_orientation")]
 
 
+def test_nk_check_is_called_only_by_structure_verdicts():
+    assert _callers("nk_check") == [("hitchin.py", "structure_verdicts")]
+
+
+def test_build_either_orientation_is_called_by_structure_verdicts_and_s6():
+    assert _callers("build_either_orientation") == [
+        ("hitchin.py", "structure_verdicts"), ("octonion.py", "s6_structure_at")]
+
+
 def test_floats_enter_only_by_the_scalar_option():
     assert _callers("to_float") == [("cli.py", "_named_form")]
 
@@ -90,3 +102,16 @@ def test_guard_sees_build_su3_calls():
         "def build_either_orientation(omega, psi):\n"
         "    return build_su3(SU3Candidate(omega, psi, vol))\n", "build_su3") == [
             (1, None), (3, "s6_structure_at"), (5, "build_either_orientation")]
+
+
+def test_guard_sees_a_second_build_and_judgement():
+    source = (
+        "def _passes(cert, point):\n"
+        "    s, _ = build_either_orientation(om, cert.differential(om) / 3)\n"
+        "    return nk_check(s, cert.differential)\n"
+        "def _cmd_check(args):\n"
+        "    structure, orient = hitchin.build_either_orientation(omega, psi)\n"
+        "    nk = hitchin.nk_check(structure, d, tol=tol)\n")
+    assert calls(source, "nk_check") == [(3, "_passes"), (6, "_cmd_check")]
+    assert calls(source, "build_either_orientation") == [
+        (2, "_passes"), (5, "_cmd_check")]
