@@ -3,7 +3,7 @@
 Subcommands:
     verify {s3xs3,flag,cp3,s6}   run a model-space verification end to end
     solve-s3xs3                  the diagonal-family classification run
-    check FILE                   build + first-order system on user data
+    check FILE                   build, first-order system and G2 cone, user data
     table                        the isotropy/dimension table
 
 Exit codes: 0 all verdicts pass, 1 a mathematical check failed, 2 usage or
@@ -64,7 +64,8 @@ def _parser():
     c.add_argument("--psi", default=None,
                    help="name of the 3-form (default: d omega / 3)")
     c.add_argument("--cone", action="store_true",
-                   help="also run the cone closed/coclosed check")
+                   help="has no effect: check always decides the cone; "
+                        "accepted for compatibility")
 
     sub.add_parser("table", help="isotropy/dimension table")
     return p
@@ -124,7 +125,7 @@ def _cmd_check(args):
     rep = Report(inputs={"file": args.file, "omega": args.omega,
                          "psi": args.psi or "(d omega)/3"})
     tol = args.tolerance
-    doc = spacefile.load_space(args.file, floats=args.scalar == "float")
+    doc = spacefile.load_space(args.file, tol, args.scalar == "float")
     space = doc.reductive_space()
     omega = _named_form(doc, args.omega, 2, args.scalar)
     if space.dim_m != 6:
@@ -163,7 +164,8 @@ def _cmd_check(args):
                   lattice_zero(dev, tol * size)
                   and is_positive(scale, tol * size / lattice_max_abs(b)),
                   label="metric", residual=exact_div(top(dev), top(a) or 1))
-        rep.scalars["metric_scale"] = structure.per_kappa(-structure.tau0 * scale)
+        rep.scalars["metric_scale"] = structure.given(
+            structure.per_kappa(-structure.tau0 * scale), -1)
         try:
             ok, res = lie.nearly_kahler_residual(space, doc.metric, structure.K,
                                              tol=tol)
@@ -177,11 +179,10 @@ def _cmd_check(args):
             rep.check("connection-level and form-level verdicts agree", False,
                       label="nabla-J", detail=str(ex))
 
-    if args.cone:
-        verdicts, crep = cone.cone_verdicts(structure, d, tol, nk.fit)
-        rep.verdicts += verdicts
-        if crep is not None:
-            rep.scalars["cone_omega2_coefficient"] = crep.omega2_coefficient
+    verdicts, crep = cone.cone_verdicts(structure, d, tol, nk.fit)
+    rep.verdicts += verdicts
+    if crep is not None:
+        rep.scalars["cone_omega2_coefficient"] = crep.omega2_coefficient
     return rep
 
 

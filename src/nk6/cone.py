@@ -13,7 +13,8 @@ from . import smallmat
 from .exterior import HodgeStar, KForm, NotUnitNorm, interior, wedge
 from .hitchin import form_dot, volume_fit
 from .report import verdict
-from .scalars import EPS, exact_div, is_exact, is_positive, simplify, sqrt_scalar
+from .scalars import (
+    EPS, exact_div, is_exact, is_positive, scaled_tol, simplify, sqrt_scalar)
 
 
 class ConeForm:
@@ -140,7 +141,9 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     The test runs at the scale k that brings the structure to unit metric
     normalization: the least-squares constant c of d phi = -2 c omega^2,
     the scale a cone can absorb into the radius, or k = 1 when c is not
-    positive at ``tol`` (``rescaled`` False).  (k omega, k psi) has metric
+    positive at ``tol`` (``rescaled`` False; the residuals are then those
+    of the pair built, which for a float ``check`` is the given one over a
+    power of two, :func:`hitchin.structure_verdicts`).  (k omega, k psi) has metric
     k g, *_{k g} = k^(3-p) *_g on p-forms, and the build's G^-1 = g^-1 /
     kappa with omega^3 / 6 gives kappa^(-p) *_g: on cone_rho(k^2 kappa^2
     omega, k kappa^3 psi), at k = c on (c~^2 omega, -c~ tau0 psi) for the
@@ -148,7 +151,11 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     ``fit`` is the (d Phi, omega^omega) of :func:`nk_check`, if known.
     Also reports the fitted coefficient of the r^4 omega^omega term of
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
-    term against -k phi.
+    term against -k phi.  Both verdicts are decided by the zero policy at
+    the size of the forms they are formed from (:func:`scalars.scaled_tol`):
+    d rho = r^2 dr ^ (3 psi - d omega) + r^3 d psi at that of psi, as the
+    first structure equation, and d *rho at that of the r^4 omega^omega
+    term of *rho, the term d phi is compared with.
     """
     dphi, o2 = fit or (link_d(s.Phi), s.omega2)
     cphi, _ = volume_fit(dphi, o2)
@@ -169,9 +176,9 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     star_rho = cone_hodge(cone_rho(s.omega.scale(a), s.psi.scale(b)), star)
     d_star_rho = cone_differential(star_rho, link_d)
 
-    q, o2 = star_rho.term(4, False, 4), s.omega2   # against k^2 o2, k^2 = a / -tau0
-    coeff = 0 if q is None else simplify(
-        exact_div(-tau0 * form_dot(q, o2), a * form_dot(o2, o2)))
+    o2 = s.omega2   # q against k^2 o2, k^2 = a / -tau0
+    q = star_rho.term(4, False, 4) or KForm.zero(6, 4)
+    coeff = simplify(exact_div(-tau0 * form_dot(q, o2), a * form_dot(o2, o2)))
     # k phi = (k kappa) Phi / kappa^2 = b Phi / tau0^2
     phi, phi_term = s.Phi.scale(exact_div(b, tau0 * tau0)), star_rho.term(3, True, 3)
     phi_resid = (phi if phi_term is None else phi_term + phi).max_abs()
@@ -184,8 +191,8 @@ def cone_check(s, link_d, tol=EPS, fit=None):
         normalization=k,
         fit=c,
         rescaled=rescaled,
-        closed=d_rho.is_zero(tol if is_exact(k) else tol / k),
-        coclosed=d_star_rho.is_zero(tol),
+        closed=d_rho.is_zero(scaled_tol(tol, s.psi.lattice())),
+        coclosed=d_star_rho.is_zero(scaled_tol(tol, q.lattice())),
     )
 
 
@@ -201,7 +208,8 @@ def cone_verdicts(s, link_d, tol=EPS, fit=None):
         crep, detail = None, f"no cone star: {ex} at tolerance {tol:g}"
     else:
         detail = "" if crep.rescaled else (
-            f"structure left unscaled: the fitted c = {float(crep.fit):.4g} is "
+            "structure left unscaled: the fitted c = "
+            f"{float(s.given(crep.fit, -1)):.4g} is "
             f"not positive at tolerance {tol:g} times "
             f"max|d phi| / (2 max|omega^2|)")
     return [verdict("cone form closed", bool(crep and crep.closed), "cone-closed",

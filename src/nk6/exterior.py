@@ -288,7 +288,7 @@ class HodgeStar:
     def __init__(self, gram, vol=None, tol=EPS):
         if not smallmat.is_positive_definite(gram):
             raise NotPositiveDefinite("Gram matrix is not positive definite")
-        self._setup(smallmat.inv(gram), vol or metric_volume(gram), 1, tol,
+        self._setup(smallmat.inv(gram, tol), vol or metric_volume(gram), 1, tol,
                     smallmat.mat_max_abs(gram))
 
     @classmethod

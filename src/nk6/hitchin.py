@@ -89,14 +89,22 @@ class SU3Candidate:
 class SU3Structure:
     """Validated K-forms (omega, psi, Phi, K, G, tau0, vol), omega^2, omega^3
     (/ 6: the volume form of g) and G^-1; ``kappa`` exact in Q(sqrt 3), else
-    None on exact data; J, g, phi the K-forms over kappa, formed when read."""
+    None on exact data; J, g, phi the K-forms over kappa, formed when read.
+    The given pair is 2^``exponent`` times the built one (:meth:`given`)."""
 
-    def __init__(self, omega, psi, Phi, K, G, tau0, vol, omega2, omega3, Ginv):
+    def __init__(self, omega, psi, Phi, K, G, tau0, vol, omega2, omega3, Ginv,
+                 exponent):
         self.omega, self.psi, self.Phi = omega, psi, Phi
         self.K, self.G, self.Ginv = K, G, Ginv  # 6 x 6 lattices
         self.tau0, self.vol, self.omega2, self.omega3 = tau0, vol, omega2, omega3
+        self.exponent = exponent
         root = sqrt_scalar(-tau0)
         self.kappa = None if is_exact(tau0) and not is_exact(root) else root
+
+    def given(self, x, degree):
+        """The value on the given pair of a scalar x of the built one,
+        homogeneous of ``degree`` in the pair (:func:`_given`)."""
+        return _given(x, degree, self.exponent)
 
     def per_kappa(self, x):
         """x / kappa, x a scalar or a lattice: exact when kappa is, else floats."""
@@ -179,13 +187,26 @@ def hitchin_K(psi, vol, tol=EPS):
     """(K, tau0): K(X) the vector of interior(X, psi) ^ psi against the
     orientation form ``vol``, K^2 = tau0 Id verified (:func:`_tau0`)."""
     K = _k_lattice(psi, vol)
-    return smallmat.unflatten(lower(K), 6, 6), _tau0(K, tol)
+    return smallmat.unflatten(lower(K), 6, 6), _tau0(K, tol, 0)
 
 
-def _tau0(K, tol):
+def _given(x, degree, e):
+    """x 2^(degree e): for a scalar x of a pair, homogeneous of ``degree``
+    in it, its value on the pair 2^e times as large; exact in floats, and
+    +-inf beyond the float range."""
+    if not e:
+        return x
+    try:
+        return math.ldexp(x, degree * e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _tau0(K, tol, e):
     """tau0 = trace(K^2) / 6 with K^2 = tau0 Id verified; FloatRangeError
-    when a float K's largest entry squares outside the normal floats."""
-    top = 0 if lattice_exact(K) else lattice_max_abs(K)
+    when the largest entry of a float K of the pair 2^e times this one
+    (4^e times this K) squares outside the normal floats."""
+    top = 0 if lattice_exact(K) else _given(lattice_max_abs(K), 2, e)
     if top and not sys.float_info.min <= top * top < math.inf:
         size = f"|K| = {top:.3g}" if math.isfinite(top) else "K is not finite"
         raise FloatRangeError(f"K^2 lies outside the float range ({size})")
@@ -280,7 +301,7 @@ def omega3_sign(omega, o3=None):
     return 1 if is_positive(o3.c[0]) else -1
 
 
-def build_su3(cand, tol=EPS, powers=None):
+def build_su3(cand, tol=EPS, powers=None, exponent=0):
     """Assemble the full SU(3)-structure from a candidate pair, or raise.
 
     Each identity is decided on the K-forms, a float one at ``tol`` times
@@ -289,19 +310,22 @@ def build_su3(cand, tol=EPS, powers=None):
     NotType11 (omega ^ psi != 0), DegenerateOmega (omega^3 = 0),
     NotPositive (the induced symmetric form is not positive definite),
     SlotInconsistent, or StructureError itself (see there).  ``powers``:
-    the :func:`omega_powers` of omega, when known.
+    the :func:`omega_powers` of omega, when known.  The pair given to
+    :func:`structure_verdicts` is 2^``exponent`` times the candidate's:
+    the float range of its K is checked with K^2, before any other test,
+    and messages quote its values.
     """
     omega, psi, vol = cand.omega, cand.psi, cand.vol
     n = 6
     K, Phi = kappa_phi(psi, vol)
-    tau0 = _tau0(K, tol)
+    tau0 = _tau0(K, tol, exponent)
     if not is_positive(-tau0):
-        raise NotStable(f"tau0 {_quote(tau0)} is not negative")
+        raise NotStable(f"tau0 {_quote(_given(tau0, 4, exponent))} is not negative")
 
     w = omega.lattice()
     op = wedge(omega, psi)
     if not op.is_zero(scaled_tol(tol, w, psi.lattice())):
-        raise NotType11(f"omega ^ psi has size {op.max_abs()}")
+        raise NotType11(f"omega ^ psi has size {_given(op.max_abs(), 2, exponent)}")
 
     o2, o3 = powers or omega_powers(omega)
     if o3.is_zero(scaled_tol(tol, w, w, w)):
@@ -331,20 +355,22 @@ def build_su3(cand, tol=EPS, powers=None):
 
     Ginv = times(exact_div(-1, tau0), metric_inverse(K, o2, o3))
     return SU3Structure(omega=omega, psi=psi, Phi=Phi, K=K, G=G, tau0=tau0,
-                        vol=vol, omega2=o2, omega3=o3, Ginv=Ginv)
+                        vol=vol, omega2=o2, omega3=o3, Ginv=Ginv, exponent=exponent)
 
 
-def build_either_orientation(omega, psi, tol=EPS):
+def build_either_orientation(omega, psi, tol=EPS, exponent=0):
     """Build once, against the reference volume -sign(omega^3) e012345.
 
     Flipping the orientation flips J and g, and only this one can give a
     positive metric (see ``omega3_sign``).  Returns (structure,
-    orientation) or raises the structure error.
+    orientation) or raises the structure error; ``exponent`` as for
+    :func:`build_su3`.
     """
     powers = omega_powers(omega)
     orient = -omega3_sign(omega, powers[1])
     vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
-    return build_su3(SU3Candidate(omega, psi, vol), tol=tol, powers=powers), orient
+    cand = SU3Candidate(omega, psi, vol)
+    return build_su3(cand, tol=tol, powers=powers, exponent=exponent), orient
 
 
 def form_dot(a, b):
@@ -383,19 +409,32 @@ def structure_verdicts(omega, psi, differential, tol=EPS):
     """(verdicts, scalars, built) of one build of (omega, psi): the verdicts
     that it builds, that d omega = 3 psi and that d phi = -2 mu omega^2, the
     scalars mu, tau0 and kappa, built = (structure, NKReport, orientation).
-    A failed build gives its one labelled verdict, no scalars, built None."""
+    A failed build gives its one labelled verdict, no scalars, built None.
+
+    A float pair is built over the power of two 2^e that brings its largest
+    entry into [1, 2), so that its products (K^t G K, the minors of G, det
+    G^-1) stay in range; the scaling is exact in floats, every verdict is
+    homogeneous in the pair, and each reported value is restored by
+    :meth:`SU3Structure.given`.  Exact pairs are built as they are."""
     name = "stable pair builds an SU(3)-structure"
+    e = 0
+    if not (lattice_exact(omega.lattice()) and lattice_exact(psi.lattice())):
+        size = max(lattice_max_abs(omega.lattice()), lattice_max_abs(psi.lattice()))
+        # (a subnormal size is raised as far as one float power of two goes)
+        e = max(math.frexp(size)[1] - 1, 1 - sys.float_info.max_exp)
+        omega, psi = omega.scale(2.0 ** -e), psi.scale(2.0 ** -e)
     try:
-        s, orient = build_either_orientation(omega, psi, tol)
+        s, orient = build_either_orientation(omega, psi, tol, e)
     except StructureError as ex:
         return [verdict(name, False, ex.label, detail=str(ex))], {}, None
     nk = nk_check(s, differential, tol)
     verdicts = [verdict(name, True),
                 verdict("first structure equation (d omega = 3 psi)", nk.first,
-                        "diff-system", nk.residual_r1),
+                        "diff-system", s.given(nk.residual_r1, 1)),
                 verdict("second structure equation (d phi = -2 mu omega^2)",
-                        nk.second, "diff-system", nk.residual_r2)]
-    scalars = dict(mu=nk.mu, tau0=s.tau0, kappa=sqrt_scalar(-s.tau0))
+                        nk.second, "diff-system", s.given(nk.residual_r2, 1))]
+    tau0 = s.given(s.tau0, 4)
+    scalars = dict(mu=s.given(nk.mu, -1), tau0=tau0, kappa=sqrt_scalar(-tau0))
     return verdicts, scalars, (s, nk, orient)
 
 

@@ -44,7 +44,9 @@ class LieAlgebraData:
 
     ``brackets[i][j]`` lists the pairs (k, c[i][j][k]) with a nonzero
     constant; the Jacobi and antisymmetry checks and the bracket tables of
-    :class:`ReductiveSpace` run over these alone.
+    :class:`ReductiveSpace` run over these alone.  Float constants are
+    validated at ``tol`` times the size of the constants in antisymmetry and
+    its square in the Jacobi identity (:func:`scalars.scaled_tol`).
     """
 
     def __init__(self, constants, labels=None, check=True, tol=EPS):
@@ -96,7 +98,7 @@ class LieAlgebraData:
     def _check_antisymmetry(self, tol):
         c = self.c
         defect = [v + c[j][i][k] for i, j, k, v in self.nonzero()]
-        if not lattice_zero(lift(defect), tol):
+        if not lattice_zero(lift(defect), scaled_tol(tol, _constants(self))):
             raise ValueError("structure constants are not antisymmetric")
 
 
@@ -110,7 +112,8 @@ def span_coordinates(basis):
     i.e. when it lies outside the span.
     """
     flat = [[x for row in b for x in row] for b in basis]
-    ginv = smallmat.inv(smallmat.mat_mul(flat, smallmat.transpose(flat)))
+    # exact bases: the tolerance of a float elimination is not used
+    ginv = smallmat.inv(smallmat.mat_mul(flat, smallmat.transpose(flat)), EPS)
     # the basis matrices are sparse: keep each one's nonzero entries only
     support = [[(p, v) for p, v in enumerate(u) if v != 0] for u in flat]
 
@@ -147,9 +150,12 @@ def su2_sum(i, coeffs):
 def check_jacobi(L, tol=EPS):
     """True iff [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 on all basis triples.
 
-    [[X_a, X_b], X_z] = sum c_ab^l c_lz^w X_w, over nonzero constants only.
+    [[X_a, X_b], X_z] = sum c_ab^l c_lz^w X_w, over nonzero constants only,
+    a sum of products of two constants: float ones at ``tol`` times the
+    square of their size.
     """
     d, br = L.dim, L.brackets
+    tol = scaled_tol(tol, _constants(L), _constants(L))
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
@@ -161,6 +167,11 @@ def check_jacobi(L, tol=EPS):
                 if not lattice_zero(lift(list(total.values())), tol):
                     return False
     return True
+
+
+def _constants(L):
+    """The nonzero structure constants of L as a lattice, values as they are."""
+    return [v for *_, v in L.nonzero()], None
 
 
 def _compile(entries):
@@ -378,7 +389,7 @@ def nomizu_levi_civita(space, g, tol=EPS):
     """
     n = space.dim_m
     koszul = _koszul(space, smallmat.mat_lattice(g), tol)
-    ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g)))
+    ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g, tol)))
     flat = lower(smallmat.lattice_mul(koszul, ginv_t, n * n, n, n))
     return [smallmat.unflatten(row, n, n) for row in smallmat.unflatten(flat, n, n * n)]
 
@@ -467,7 +478,7 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     polar = bilinear(rows, Jl, koszul, len(pairs) * n)
     if lattice_exact(polar) and lattice_zero(polar):
         return True, 0.0
-    ginv_t = smallmat.transpose(smallmat.inv(g))
+    ginv_t = smallmat.transpose(smallmat.inv(g, tol))
     raised = mul(polar, smallmat.mat_lattice(ginv_t), len(pairs))
     kappa = sqrt_scalar(-t)
     if lattice_exact(raised) and not is_exact(kappa):   # decided on K
@@ -641,7 +652,7 @@ def ricci(space, g, tol=EPS):
     # Ric_jk = sum_i R(X_i, X_j)_ik, with R(X_i, X_j) = -R(X_j, X_i)
     ric = [[sum(R[i, j][i][k] if i < j else -R[j, i][i][k]
                 for i in range(n) if i != j) for k in range(n)] for j in range(n)]
-    ginv = smallmat.inv(g)
+    ginv = smallmat.inv(g, tol)
     scal = smallmat.trace(smallmat.mat_mul(ginv, ric))
     lam = exact_div(scal, n)
     diff = smallmat.mat_sub(ric, smallmat.mat_scale(lam, g))

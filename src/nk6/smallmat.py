@@ -206,8 +206,8 @@ def solve(a, b, tol=EPS):
     return [row[0] for row in sol] if vector_rhs else sol
 
 
-def inv(a):
-    return solve(a, identity(len(a)))
+def inv(a, tol):
+    return solve(a, identity(len(a)), tol)
 
 
 def det(a):

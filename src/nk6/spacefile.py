@@ -102,13 +102,14 @@ SPACE_CACHE_SIZE = 8
 _SPACES = {}   # validated ReductiveSpaces, the most recently used last
 
 
-def parse_space(data, floats=False):
+def parse_space(data, tol, floats=False):
     """Validate a parsed JSON object into a SpaceDocument.
 
     Documents of one algebra share its validated space, keyed by the JSON
-    text of the raw [dimension, basis, structure constants, h, m], which
-    tells 1, 1.0 and "1" apart.  Only algebras that pass validation are
-    stored, and raw data that did can only pass again: they are not read.
+    text of the raw [dimension, basis, structure constants, h, m] and the
+    tolerance ``tol`` float constants are validated at, which tells 1, 1.0
+    and "1" apart.  Only algebras that pass validation are stored, and raw
+    data that did can only pass again: they are not read.
     With ``floats`` (``check --scalar float``) every exact entry of the
     structure constants, a form or the metric must have a float value.
     """
@@ -127,7 +128,7 @@ def parse_space(data, floats=False):
     triples = data.get("structure_constants", [])
     h_idx, m_idx = data.get("h_indices", []), data.get("m_indices")
     try:
-        key = json.dumps([dim, labels, triples, h_idx, m_idx])
+        key = json.dumps([dim, labels, triples, h_idx, m_idx, tol])
     except (TypeError, ValueError):   # not JSON data: rejected below
         key = None
     space = _SPACES.get(key)
@@ -188,7 +189,8 @@ def parse_space(data, floats=False):
 
     if space is None:
         try:
-            space = ReductiveSpace(LieAlgebraData(c, labels=labels), h_idx, m_idx)
+            space = ReductiveSpace(LieAlgebraData(c, labels=labels, tol=tol),
+                                   h_idx, m_idx)
         except ValueError as ex:
             raise SpaceFormatError(f"$: {ex}")
     _SPACES[key] = _SPACES.pop(key, space)
@@ -230,7 +232,7 @@ def _algebra(dim, triples, h_idx, m_idx):
     return c, h_idx, m_idx
 
 
-def load_space(path, floats=False):
+def load_space(path, tol, floats=False):
     """Parse and validate a space document from a file path (:func:`parse_space`)."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -243,7 +245,7 @@ def load_space(path, floats=False):
         raise SpaceFormatError(f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}")
     except (ValueError, RecursionError) as ex:   # an int of too many digits, nesting
         raise SpaceFormatError(f"{path}: {str(ex).split(';')[0]}")
-    return parse_space(data, floats)
+    return parse_space(data, tol, floats)
 
 
 def _scalar_out(v):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nk6.cli import main
 from nk6.report import Report
+from nk6.scalars import EPS
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 FIX = os.path.join(ROOT, "fixtures")
@@ -77,13 +79,33 @@ def test_check_fixture_passes(capsys):
     assert "[FAIL]" not in out
 
 
+CANDIDATES = os.path.join(ROOT, "tests", "golden", "candidates")
+
+
 def test_check_cone_flag(capsys):
-    code, out = run(capsys, "--json", "check", os.path.join(FIX, "s3xs3.json"),
-                    "--cone")
-    assert code == 0
-    rep = Report.from_json(out)
-    names = [v.name for v in rep.verdicts]
-    assert any("cone form closed" in n for n in names)
+    # check always decides the cone: --cone is accepted and changes nothing,
+    # in the text and the --json report, on the fixtures and the golden
+    # candidates, exact and in floats
+    paths = [os.path.join(FIX, f"{name}.json") for name in ("s3xs3", "flag", "cp3")]
+    paths += sorted(os.path.join(CANDIDATES, f) for f in os.listdir(CANDIDATES))
+    assert len(paths) == 23
+    for path in paths:
+        for scalar in ("exact", "float"):
+            for json_flag in ([], ["--json"]):
+                argv = [*json_flag, "--scalar", scalar, "check", path]
+                (code, out), (cone_code, cone_out) = (
+                    run(capsys, *argv), run(capsys, *argv, "--cone"))
+                assert code == cone_code
+                if json_flag:
+                    out, cone_out = json.loads(out), json.loads(cone_out)
+                    del out["timing_s"], cone_out["timing_s"]
+                else:
+                    out, cone_out = (re.sub(r" time=\S+s$", "", text, flags=re.M)
+                                     for text in (out, cone_out))
+                assert out == cone_out, argv
+    rep = Report.from_json(run(capsys, "--json", "check", paths[0])[1])
+    assert [v.name for v in rep.verdicts][-2:] == [
+        "cone form closed", "cone form coclosed"]
     assert rep.scalars["mu"] == pytest.approx(1 / (2 * 3 ** 0.5), abs=1e-12)
 
 
@@ -400,6 +422,81 @@ def test_float_verdicts_hold_at_every_scale(tmp_path, capsys, name, factor):
     assert code == 0, out
 
 
+def _verdicts(capsys, *argv):
+    """(exit code, (name, status, label) of each verdict) of ``nk6 --json argv``."""
+    code, out = run(capsys, "--json", *argv)
+    return code, out and [(v.name, v.status, v.label)
+                          for v in Report.from_json(out).verdicts]
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "flag", "cp3"])
+@pytest.mark.parametrize("k", [-40, -30, -20, -15, 0, 15, 20, 30, 40, 45, 50, 60])
+def test_float_check_agrees_with_exact_far_from_unit_size(tmp_path, capsys, name, k):
+    # omega times 10^k, metric dropped: a float pair is built over a power of
+    # two, exact in floats, so that K^t G K, the minors of G and the cone
+    # star's det G^-1 stay in range; float and exact give the same verdicts,
+    # or the float run exits 2, and from 10^-15 to 10^40 every check passes
+    path = _scaled_document(tmp_path, os.path.join(FIX, f"{name}.json"),
+                            Fraction(10) ** k, drop_metric=name != "s3xs3")
+    exact = _verdicts(capsys, "check", path)
+    floats = _verdicts(capsys, "--scalar", "float", "check", path)
+    assert exact[0] == 0
+    assert floats == exact or floats[0] == 2
+    assert floats[0] == 0 or not -15 <= k <= 40
+
+
+def _scaled_constants(tmp_path, name, factor, value):
+    """The fixture ``name`` with every structure constant times ``factor``,
+    written by ``value``, as a file path."""
+    with open(os.path.join(FIX, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    for entry in doc["structure_constants"]:
+        entry[3] = value(Fraction(entry[3]) * factor)
+    path = tmp_path / f"{name}-{value.__name__}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name,factor,value", [
+    ("s3xs3", Fraction(10 ** 6, 3), str), ("cp3", Fraction(10 ** 9, 7), str),
+    ("flag", Fraction(10 ** 6, 3), float),
+    *((name, Fraction(10) ** k, str) for name in ("s3xs3", "cp3") for k in (100, 150))],
+    ids=["s3xs3", "cp3", "flag-json-float", "s3xs3-1e100", "s3xs3-1e150",
+         "cp3-1e100", "cp3-1e150"])
+@pytest.mark.parametrize("tol", [[], ["--tolerance", "1e-6"]], ids=["default", "1e-6"])
+def test_float_check_of_scaled_structure_constants_agrees_with_exact(
+        tmp_path, capsys, name, factor, value, tol):
+    # the cone verdicts and the Jacobi identity of float constants are
+    # decided at the size of their data: neither the coclosed residual
+    # 65536 (S^3xS^3) nor a Jacobi defect of rounding (the flag's constants
+    # as JSON floats) fails, at the default tolerance or at 1e-6; with the
+    # constants times 10^100 or 10^150 the K of the given pair squares
+    # outside the float range, which exits 2 before the rescaled pair's
+    # Sylvester and omega^3 tests could fail on underflow
+    exact = _verdicts(capsys, *tol, "check",
+                      _scaled_constants(tmp_path, name, factor, str))
+    floats = _verdicts(capsys, *tol, "--scalar", "float", "check",
+                       _scaled_constants(tmp_path, name, factor, value))
+    assert exact[0] == 0
+    assert floats == exact or factor > 10 ** 90 and floats[0] == 2
+
+
+def test_float_algebra_is_validated_at_the_run_tolerance(tmp_path, capsys):
+    # S^3xS^3's constants as JSON floats, with [X1, X2] leaking 10^-9 into
+    # the second factor: the Jacobi identity holds at --tolerance 1e-6, not
+    # at the default, and the algebra validated at 1e-6 is not reused
+    with open(os.path.join(FIX, "s3xs3.json")) as fh:
+        doc = json.load(fh)
+    for entry in doc["structure_constants"]:
+        entry[3] = float(Fraction(entry[3]))
+    doc["structure_constants"].append([0, 1, 3, 1e-9])
+    path = tmp_path / "leak.json"
+    path.write_text(json.dumps(doc))
+    for tol, rejected in (("1e-6", False), ("1e-10", True), ("1e-6", False)):
+        assert (main(["--tolerance", tol, "check", str(path)]) == 2) == rejected
+        assert ("Jacobi" in capsys.readouterr().err) == rejected
+
+
 def test_supplied_metric_g_equals_w_k_is_decided_exactly(tmp_path, capsys):
     # the metric G = W K = kappa g of candidate-06 is rational although g is
     # not: the homothety and the connection-level verdict are exact on it
@@ -408,7 +505,7 @@ def test_supplied_metric_g_equals_w_k_is_decided_exactly(tmp_path, capsys):
     from nk6.scalars import lower
     from nk6.spacefile import load_space
 
-    doc = load_space(CANDIDATE_06)
+    doc = load_space(CANDIDATE_06, EPS)
     omega = doc.forms["omega"]
     s, _ = build_either_orientation(
         omega, ce_differential(doc.reductive_space(), omega) / 3)
@@ -1035,7 +1132,7 @@ def test_exact_document_after_a_float_one_stays_exact(tmp_path, capsys,
     assert reports[2] == reports[0]
     assert all(v["residual"] == 0.0 for v in reports[2]["verdicts"]
                if "residual" in v)
-    spaces = [load_space(path).reductive_space() for path in (floats, exact)]
+    spaces = [load_space(path, EPS).reductive_space() for path in (floats, exact)]
     assert spaces[0] is not spaces[1]
     assert not any(is_exact(v) for *_, v in spaces[0].algebra.nonzero())
     assert all(is_exact(v) for *_, v in spaces[1].algebra.nonzero())

@@ -38,7 +38,7 @@ from nk6.lie import (
     _tensor_invariance_table, ce_differential, is_invariant_endo,
     is_invariant_metric)
 from nk6.report import Report
-from nk6.scalars import QSqrt3, bilinear, lift, lower
+from nk6.scalars import EPS, QSqrt3, bilinear, lift, lower
 from nk6.spacefile import load_space
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -194,7 +194,7 @@ def test_model_metrics_and_structures_are_invariant():
 def fixture_structures():
     out = []
     for name in ("s3xs3", "flag", "cp3"):
-        doc = load_space(os.path.join(FIX, f"{name}.json"))
+        doc = load_space(os.path.join(FIX, f"{name}.json"), EPS)
         omega = doc.forms["omega"]
         psi = ce_differential(doc.reductive_space(), omega) / 3
         out.append(build_either_orientation(omega, psi)[0])
@@ -222,7 +222,7 @@ def k_star(s):
 
 
 def assert_closed_forms(s):
-    assert matrix(s.Ginv) == smallmat.inv(matrix(s.G))
+    assert matrix(s.Ginv) == smallmat.inv(matrix(s.G), EPS)
     k_star(s)   # the exact norm test
     if s.kappa is not None:
         assert s.omega3 / 6 == metric_volume(s.g, omega3_sign(s.omega, s.omega3))
@@ -245,7 +245,7 @@ def test_closed_forms_with_kappa_outside_q_sqrt3():
     # candidate-06: kappa = sqrt(-tau0) is not in Q(sqrt 3), G and G^-1 are
     # rational, and the cone star's norm test is exact
     doc = load_space(os.path.join(ROOT, "tests", "golden", "candidates",
-                                  "candidate-06.json"))
+                                  "candidate-06.json"), EPS)
     omega = doc.forms["omega"]
     s, _ = build_either_orientation(
         omega, ce_differential(doc.reductive_space(), omega) / 3)

@@ -19,7 +19,7 @@ from nk6.exterior import (
     HodgeStar, KForm, complement, hodge_star, index_tuples, metric_volume)
 from nk6.lie import LieAlgebraData, ce_differential, check_jacobi, is_invariant
 from nk6.s3xs3 import cyclic_space
-from nk6.scalars import SQRT3, QSqrt3, is_exact, is_zero
+from nk6.scalars import EPS, SQRT3, QSqrt3, is_exact, is_zero
 from nk6.spacefile import load_space
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -78,7 +78,7 @@ def oracle_ce_differential(space, alpha):
 
 def oracle_hodge_star(a, gram, vol):
     n = a.n
-    gram_inv = smallmat.inv(gram)
+    gram_inv = smallmat.inv(gram, EPS)
     v = vol.c[0]
     out = KForm.zero(n, n - a.k)
     tuples_k, _ = index_tuples(n, a.k)
@@ -115,7 +115,7 @@ def oracle_check_jacobi(L):
 
 
 # -- data ----------------------------------------------------------------
-SPACES = {name: load_space(os.path.join(FIX, f"{name}.json")).reductive_space()
+SPACES = {name: load_space(os.path.join(FIX, f"{name}.json"), EPS).reductive_space()
           for name in ("s3xs3", "flag", "cp3")}
 SPACES["cyclic"] = cyclic_space()
 

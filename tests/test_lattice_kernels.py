@@ -360,7 +360,7 @@ def test_mat_mul_matches_the_per_term_loop(kind, n, m, w, data):
     assert_same([x for row in got for x in row], [x for row in want for x in row], kind)
 
 
-SPACES = {name: load_space(os.path.join(FIX, f"{name}.json")).reductive_space()
+SPACES = {name: load_space(os.path.join(FIX, f"{name}.json"), EPS).reductive_space()
           for name in ("s3xs3", "flag", "cp3")}
 
 
@@ -418,7 +418,7 @@ def test_float_star_reads_the_minors_of_the_rows_i(k, data):
     # star takes <e_I, e_J> from the rows I, bit for bit as the per-term loop,
     # dense forms making every minor count
     g = [[float(x) for x in row] for row in data.draw(metrics("rational"))]
-    ginv = smallmat.inv(g)
+    ginv = smallmat.inv(g, EPS)
     size = len(index_tuples(6, k)[0])
     a = KForm(6, k, data.draw(st.lists(st.floats(0.1, 4), min_size=size,
                                        max_size=size)))
@@ -552,7 +552,7 @@ def test_an_exact_build_never_lifts_j(name, monkeypatch):
     # the build decides on K = kappa J and keeps K's lattice from the
     # product of psi with itself: neither J nor K is ever lifted (K was
     # lifted once, from hitchin_K's list, while the build ran on J)
-    doc = load_space(os.path.join(FIX, f"{name}.json"))
+    doc = load_space(os.path.join(FIX, f"{name}.json"), EPS)
     omega = doc.forms["omega"]
     psi = ce_differential(doc.reductive_space(), omega) / 3
     build_either_orientation(omega, psi)   # tables and omega's lattice

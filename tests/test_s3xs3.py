@@ -12,7 +12,7 @@ from nk6.exterior import KForm, wedge
 from nk6.hitchin import StructureError, build_su3, nk_check
 from nk6.lie import LieAlgebraData, ReductiveSpace
 from nk6.report import Report
-from nk6.scalars import QSqrt3
+from nk6.scalars import EPS, QSqrt3
 from nk6.spaces import build_either_orientation
 
 
@@ -285,7 +285,7 @@ def test_verify_and_check_share_the_structure_verdicts(capsys):
     # commands judge it by hitchin.structure_verdicts and cone_verdicts
     path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
                         "s3xs3.json")
-    doc = spacefile.load_space(path)
+    doc = spacefile.load_space(path, EPS)
     assert doc.space.algebra.c == s3xs3.cyclic_space().algebra.c
     assert doc.forms["omega"] == s3xs3.uniqueness_certificate().omega(1, 1, 1)
     reports = []

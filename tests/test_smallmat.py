@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nk6 import smallmat as sm
-from nk6.scalars import QSqrt3, is_exact
+from nk6.scalars import EPS, QSqrt3, is_exact
 
 
 def rnd_mat(rng, n, bound=5):
@@ -23,7 +23,7 @@ def test_solve_and_inverse_exact():
         b = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         x = sm.solve(a, b)
         assert sm.mat_vec(a, x) == b
-        inv = sm.inv(a)
+        inv = sm.inv(a, EPS)
         assert sm.mat_mul(a, inv) == sm.identity(4, Fraction(1))
 
 
@@ -291,13 +291,13 @@ def test_elimination_matches_naive_references(kind, data):
         # solve and inv: a x = b, a a^-1 = Id
         x = sm.solve(a, b)
         assert all(same(y, t) for y, t in zip(sm.mat_vec(a, x), b))
-        eye = sm.mat_mul(a, sm.inv(a))
+        eye = sm.mat_mul(a, sm.inv(a, EPS))
         assert all(same(eye[i][j], int(i == j)) for i in range(n) for j in range(n))
     elif not floats:
         with pytest.raises(sm.SingularMatrix):
             sm.solve(a, b)
         with pytest.raises(sm.SingularMatrix):
-            sm.inv(a)
+            sm.inv(a, EPS)
     # nullspace: n - rank independent vectors v with a v = 0
     rank = _rank(exact)
     basis = sm.nullspace(a)

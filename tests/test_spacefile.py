@@ -14,6 +14,7 @@ from nk6 import s3xs3, spaces
 from nk6.cli import main
 from nk6.exterior import KForm
 from nk6.lie import LieAlgebraData, ReductiveSpace
+from nk6.scalars import EPS
 from nk6.spacefile import (
     SpaceFormatError,
     dump_space,
@@ -27,7 +28,7 @@ FIXTURES = os.path.join(ROOT, "fixtures")
 
 @pytest.mark.parametrize("name", ["s3xs3", "flag", "cp3"])
 def test_fixtures_load(name):
-    doc = load_space(os.path.join(FIXTURES, f"{name}.json"))
+    doc = load_space(os.path.join(FIXTURES, f"{name}.json"), EPS)
     space = doc.reductive_space()
     assert space.dim_m == 6
     assert "omega" in doc.forms
@@ -39,12 +40,12 @@ def test_fixture_matches_catalog():
                "flag": spaces.flag_model().space,
                "cp3": spaces.cp3_model().space}
     for name, built in catalog.items():
-        doc = load_space(os.path.join(FIXTURES, f"{name}.json"))
+        doc = load_space(os.path.join(FIXTURES, f"{name}.json"), EPS)
         space = doc.reductive_space()
         assert space.algebra.c == built.algebra.c, name
         assert space.algebra.labels == built.algebra.labels, name
         assert (space.h_idx, space.m_idx) == (built.h_idx, built.m_idx), name
-    doc = load_space(os.path.join(FIXTURES, "s3xs3.json"))
+    doc = load_space(os.path.join(FIXTURES, "s3xs3.json"), EPS)
     assert doc.forms["omega"] == s3xs3.omega_diagonal(
         Fraction(1), Fraction(1), Fraction(1))
 
@@ -53,7 +54,7 @@ def test_roundtrip_dump_load():
     fm = spaces.flag_model()
     text = dump_space(fm.space, forms={"omega": fm.omega(1, 2, 3)},
                       metric=fm.metric(1, 2, 3))
-    doc = parse_space(json.loads(text))
+    doc = parse_space(json.loads(text), EPS)
     assert doc.forms["omega"] == fm.omega(1, 2, 3)
     assert doc.metric == fm.metric(1, 2, 3)
     assert doc.reductive_space().algebra.c == fm.space.algebra.c
@@ -94,7 +95,7 @@ def test_dump_then_parse_gives_back_the_data(name, scale, data):
     rows = data.draw(st.lists(st.lists(entries, min_size=6, max_size=6),
                               min_size=6, max_size=6))
     metric = [[rows[min(i, j)][max(i, j)] for j in range(6)] for i in range(6)]
-    doc = parse_space(json.loads(dump_space(space, forms=forms, metric=metric)))
+    doc = parse_space(json.loads(dump_space(space, forms=forms, metric=metric)), EPS)
     got = doc.reductive_space().algebra.c
     assert got == c
     assert [_kind(x) for x in _flat(c)] == [type(x) for x in _flat(got)]
@@ -112,7 +113,7 @@ def test_rational_and_float_values():
         "dimension": 3,
         "structure_constants": [[0, 1, 2, "-1/2"], [1, 2, 0, -0.5],
                                 [0, 2, 1, "1/2"]],
-    })
+    }, EPS)
     assert doc.constants[0][1][2] == Fraction(-1, 2)
     assert doc.constants[1][2][0] == -0.5
 
@@ -133,7 +134,7 @@ def _three_dim():
 def test_whole_exact_entries_are_ints():
     # JSON 2, "4/2", "-3" and "0" are ints, as in the kernels; "1/2" is a
     # Fraction and 0.5 a float
-    doc = parse_space(_three_dim())
+    doc = parse_space(_three_dim(), EPS)
     c = doc.constants
     assert (c[0][1][2], c[1][2][0], c[0][2][1], c[0][1][1]) == (2, 2, -3, 0)
     assert {type(x) for plane in c for row in plane for x in row} == {int}
@@ -170,10 +171,10 @@ def test_whole_entries_beyond_the_float_range(huge, edit, path, read):
     # it rejects a Fraction
     data = _three_dim()
     edit(data, huge)
-    assert type(read(parse_space(data))) is int
+    assert type(read(parse_space(data, EPS))) is int
     with pytest.raises(SpaceFormatError,
                        match=re.escape(f"{path}: outside the float range")):
-        parse_space(data, floats=True)
+        parse_space(data, EPS, floats=True)
 
 
 def test_bad_jacobi_rejected():
@@ -182,45 +183,45 @@ def test_bad_jacobi_rejected():
             "dimension": 3,
             "structure_constants": [[0, 1, 0, "1"], [1, 2, 1, "1"],
                                     [0, 2, 2, "-1"]],
-        })
+        }, EPS)
 
 
 def test_dimension_is_bounded():
-    assert parse_space({"dimension": 14, "structure_constants": []}).dimension == 14
+    assert parse_space({"dimension": 14, "structure_constants": []}, EPS).dimension == 14
     for dim in (0, 15, 120, 6.5, "6", True, None):
         with pytest.raises(SpaceFormatError, match=r"\$\.dimension"):
-            parse_space({"dimension": dim, "structure_constants": []})
+            parse_space({"dimension": dim, "structure_constants": []}, EPS)
 
 
 def test_error_paths():
     with pytest.raises(SpaceFormatError, match=r"\$\.dimension"):
-        parse_space({})
+        parse_space({}, EPS)
     with pytest.raises(SpaceFormatError, match="i < j"):
-        parse_space({"dimension": 2, "structure_constants": [[1, 0, 0, "1"]]})
+        parse_space({"dimension": 2, "structure_constants": [[1, 0, 0, "1"]]}, EPS)
     with pytest.raises(SpaceFormatError, match="duplicate"):
         parse_space({"dimension": 3,
-                     "structure_constants": [[0, 1, 2, "1"], [0, 1, 2, "1"]]})
+                     "structure_constants": [[0, 1, 2, "1"], [0, 1, 2, "1"]]}, EPS)
     with pytest.raises(SpaceFormatError, match="out of range"):
-        parse_space({"dimension": 2, "structure_constants": [[0, 1, 5, "1"]]})
+        parse_space({"dimension": 2, "structure_constants": [[0, 1, 5, "1"]]}, EPS)
     with pytest.raises(SpaceFormatError, match="bad rational"):
-        parse_space({"dimension": 2, "structure_constants": [[0, 1, 0, "x"]]})
+        parse_space({"dimension": 2, "structure_constants": [[0, 1, 0, "x"]]}, EPS)
     with pytest.raises(SpaceFormatError, match="partition"):
         parse_space({"dimension": 2, "structure_constants": [],
-                     "h_indices": [0], "m_indices": [0, 1]})
+                     "h_indices": [0], "m_indices": [0, 1]}, EPS)
     with pytest.raises(SpaceFormatError, match="not an m-index"):
         parse_space({"dimension": 2, "structure_constants": [],
                      "h_indices": [0],
-                     "forms": {"omega": [[[0, 1], "1"]]}})
+                     "forms": {"omega": [[[0, 1], "1"]]}}, EPS)
     with pytest.raises(SpaceFormatError, match="not symmetric"):
         parse_space({"dimension": 2, "structure_constants": [],
-                     "metric": [["1", "1"], ["0", "1"]]})
+                     "metric": [["1", "1"], ["0", "1"]]}, EPS)
 
 
 def test_parse_error_carries_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n  "dimension": 2,\n  "oops"\n}\n')
     with pytest.raises(SpaceFormatError, match=r"bad\.json:\d+:\d+"):
-        load_space(str(bad))
+        load_space(str(bad), EPS)
 
 
 def test_fixtures_validate_against_schema():
@@ -243,27 +244,27 @@ def _rescaled_s3xs3(scale):
 
 
 def test_identical_algebras_share_one_validated_space():
-    first = parse_space(_rescaled_s3xs3(3)).reductive_space()
+    first = parse_space(_rescaled_s3xs3(3), EPS).reductive_space()
     doc = _rescaled_s3xs3(3)
     doc["forms"] = {}
-    assert parse_space(doc).reductive_space() is first
+    assert parse_space(doc, EPS).reductive_space() is first
     # 3 and "3" are different spellings: a miss, never a shared space
     for entry in doc["structure_constants"]:
         entry[3] = int(Fraction(entry[3]))
-    other = parse_space(doc).reductive_space()
+    other = parse_space(doc, EPS).reductive_space()
     assert other is not first and other.algebra.c == first.algebra.c
 
 
 def test_cache_of_validated_spaces_stays_at_capacity():
     from nk6.spacefile import SPACE_CACHE_SIZE, _SPACES
 
-    spaces_seen = [parse_space(_rescaled_s3xs3(k)).reductive_space()
+    spaces_seen = [parse_space(_rescaled_s3xs3(k), EPS).reductive_space()
                    for k in range(1, 21)]
     assert len({id(s) for s in spaces_seen}) == 20
     assert len(_SPACES) == SPACE_CACHE_SIZE
     # the most recent algebra is kept, the oldest was dropped
-    assert parse_space(_rescaled_s3xs3(20)).reductive_space() is spaces_seen[-1]
-    assert parse_space(_rescaled_s3xs3(1)).reductive_space() is not spaces_seen[0]
+    assert parse_space(_rescaled_s3xs3(20), EPS).reductive_space() is spaces_seen[-1]
+    assert parse_space(_rescaled_s3xs3(1), EPS).reductive_space() is not spaces_seen[0]
     assert len(_SPACES) == SPACE_CACHE_SIZE
 
 
@@ -275,7 +276,7 @@ def test_invalid_algebra_is_not_stored():
     before = dict(_SPACES)
     for _ in range(2):
         with pytest.raises(SpaceFormatError, match="Jacobi"):
-            parse_space(doc)
+            parse_space(doc, EPS)
     assert _SPACES == before
 
 
@@ -290,19 +291,19 @@ def test_cached_algebra_parses_no_structure_constant(name, monkeypatch):
     from nk6 import spacefile
 
     doc = _fixture(name)
-    parse_space(doc)   # the algebra is validated and stored
+    parse_space(doc, EPS)   # the algebra is validated and stored
     calls = []
     original = spacefile.parse_rational
     monkeypatch.setattr(spacefile, "parse_rational",
                         lambda text: calls.append(text) or original(text))
-    parse_space(_fixture(name))
+    parse_space(_fixture(name), EPS)
     # the forms' and the metric's strings are read; no structure constant is
     written = [v for entries in doc["forms"].values() for _, v in entries]
     written += [v for row in doc.get("metric") or [] for v in row]
     assert calls == written
     monkeypatch.setattr(spacefile, "_SPACES", {})
     calls.clear()
-    parse_space(_fixture(name))
+    parse_space(_fixture(name), EPS)
     assert len(calls) == len(written) + len(doc["structure_constants"])
 
 
@@ -344,7 +345,7 @@ def test_one_changed_constant_fails_as_on_a_cold_cache(name, change, message,
     errors = []
     for cache in ("warm", "cold"):
         if cache == "warm":
-            parse_space(_fixture(name))
+            parse_space(_fixture(name), EPS)
         else:
             monkeypatch.setattr(spacefile, "_SPACES", {})
         assert main(["check", str(path), "--cone"]) == 2
@@ -413,7 +414,7 @@ def test_a_replaced_value_is_parsed_or_rejected(tmp_path_factory, path, value):
     digits = []
     parsed, stand_in = _with_big_ints(value, digits)
     try:
-        parse_space(_replaced(path, parsed))
+        parse_space(_replaced(path, parsed), EPS)
     except SpaceFormatError:
         pass
     text = json.dumps(_replaced(path, stand_in))
