@@ -1,8 +1,9 @@
 """Invariant nearly Kahler geometry on six-dimensional homogeneous spaces.
 
-The package provides exterior calculus over a fixed basis (exact rational,
-Q(sqrt 3) or float coefficients), Lie algebras by structure constants with
-reductive splittings and their invariant-form differential, the stable-form
+The package provides exterior calculus over a fixed basis (exact rational
+or Q(sqrt 3) coefficients; a float enters as its binary value), Lie
+algebras by structure constants with reductive splittings and their
+invariant-form differential, the stable-form
 construction of SU(3)-structures from a 2-form and a 3-form, the complete
 solve of the invariant nearly Kahler system on S^3 x S^3, and model spaces
 (Ledger-Obata, the flag manifold of C^3, CP^3, the octonionic 6-sphere with

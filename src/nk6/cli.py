@@ -17,14 +17,15 @@ import functools
 import math
 import sys
 import time
+from fractions import Fraction
 
 # modules, not names: a lazily registered module runs on its first use
 from . import (
     cone, hitchin, lie, octonion, s3xs3, smallmat, spacefile, spaces, table)
 from .report import Report
 from .scalars import (
-    EPS, exact_div, is_positive, lattice_max_abs, lattice_sum, lattice_zero,
-    lower, times)
+    EPS, exact_div, is_positive, lattice_size, lattice_sum, lattice_zero, lower,
+    scaled_tol, times)
 
 
 def _inert(parser, *flags):
@@ -42,12 +43,12 @@ def _parser():
         description="Invariant nearly Kahler verification on 6-dimensional "
                     "homogeneous spaces")
     p.add_argument("--tolerance", type=float, default=EPS,
-                   help="zero test for float data, scaled by their magnitude "
-                        "where an identity scales; exact data are decided "
-                        "exactly, whatever this is (default %(default)g)")
+                   help="bound for measured data (a JSON float, or --scalar "
+                        "float) times the size of each identity's data; other "
+                        "data are decided exactly (default %(default)g)")
     p.add_argument("--scalar", choices=["exact", "float"], default="exact",
-                   help="decide exact data exactly, or force floats "
-                        "(check only)")
+                   help="decide the document exactly, or as measured data at "
+                        "--tolerance (check only)")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     _inert(p, "--seed", "--threads")
     sub = p.add_subparsers(dest="command")
@@ -98,7 +99,7 @@ def main(argv=None):
             rep = _cmd_check(args)
         else:
             rep = table.table_check()
-    except (spacefile.SpaceFormatError, hitchin.FloatRangeError) as ex:
+    except spacefile.SpaceFormatError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     # "verify s6", "solve-s3xs3", "check FILE" or "table"
@@ -111,27 +112,26 @@ def main(argv=None):
 
 
 # ---------------------------------------------------------------------------
-def _named_form(doc, name, degree, scalar):
-    """The document's form ``name``, of the given degree, in --scalar arithmetic."""
+def _named_form(doc, name, degree):
+    """The document's form ``name``, of the given degree."""
     if name not in doc.forms:
         raise spacefile.SpaceFormatError(f"$.forms: no {degree}-form named {name!r}")
     form = doc.forms[name]
     if form.k != degree:
         raise spacefile.SpaceFormatError(f"$.forms.{name}: degree must be {degree}")
-    return form.to_float() if scalar == "float" else form
+    return form
 
 
 def _cmd_check(args):
     rep = Report(inputs={"file": args.file, "omega": args.omega,
                          "psi": args.psi or "(d omega)/3"})
-    tol = args.tolerance
-    doc = spacefile.load_space(args.file, tol, args.scalar == "float")
+    doc = spacefile.load_space(args.file, args.tolerance)
+    tol = Fraction(args.tolerance) if args.scalar == "float" else doc.tol
     space = doc.reductive_space()
-    omega = _named_form(doc, args.omega, 2, args.scalar)
+    omega = _named_form(doc, args.omega, 2)
     if space.dim_m != 6:
         raise spacefile.SpaceFormatError("$: m must be 6-dimensional for this check")
-    psi = (None if args.psi is None
-           else _named_form(doc, args.psi, 3, args.scalar))
+    psi = None if args.psi is None else _named_form(doc, args.psi, 3)
 
     # invariance is decided once, on the inputs: phi, omega^2 and the cone
     # forms are built from omega and psi by equivariant operations
@@ -140,7 +140,7 @@ def _cmd_check(args):
             rep.check("forms are h-invariant", False, label="NotInvariant",
                       detail=f"{name} is not h-invariant")
             return rep
-    d = lambda a: lie.ce_differential(space, a, check_invariance=False)
+    d = lie.Differential(space)
     if psi is None:
         psi = d(omega) / 3
 
@@ -157,15 +157,14 @@ def _cmd_check(args):
         a, b = smallmat.mat_lattice(doc.metric), structure.G
         dot = lambda x, y: lower(smallmat.lattice_mul(x, y, 1, len(x[0]), 1))[0]
         scale = exact_div(dot(a, b), dot(b, b))   # of G: kappa times less than of g
-        dev, size = lattice_sum(a, times(scale, b), -1), lattice_max_abs(a)
+        dev, bound = lattice_sum(a, times(scale, b), -1), scaled_tol(tol, a)
         # the relative deviation is a ratio of the exact largest entries
-        top = lambda x: max(map(abs, lower(x)))
         rep.check("supplied metric is the induced one up to homothety",
-                  lattice_zero(dev, tol * size)
-                  and is_positive(scale, tol * size / lattice_max_abs(b)),
-                  label="metric", residual=exact_div(top(dev), top(a) or 1))
-        rep.scalars["metric_scale"] = structure.given(
-            structure.per_kappa(-structure.tau0 * scale), -1)
+                  lattice_zero(dev, bound)
+                  and is_positive(scale, bound and bound / lattice_size(b)),
+                  label="metric",
+                  residual=exact_div(lattice_size(dev), lattice_size(a) or 1))
+        rep.scalars["metric_scale"] = structure.per_kappa(-structure.tau0 * scale)
         try:
             ok, res = lie.nearly_kahler_residual(space, doc.metric, structure.K,
                                              tol=tol)
@@ -179,7 +178,7 @@ def _cmd_check(args):
             rep.check("connection-level and form-level verdicts agree", False,
                       label="nabla-J", detail=str(ex))
 
-    verdicts, crep = cone.cone_verdicts(structure, d, tol, nk.fit)
+    verdicts, crep = cone.cone_verdicts(structure, d, nk.fit)
     rep.verdicts += verdicts
     if crep is not None:
         rep.scalars["cone_omega2_coefficient"] = crep.omega2_coefficient

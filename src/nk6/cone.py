@@ -4,7 +4,8 @@ A cone form is a sum of terms r^a * beta and r^a dr ^ alpha with alpha,
 beta constant-coefficient forms on the link.  The differential needs only
 the link differential; the Hodge star of the cone metric r^2 g + dr^2 has
 a closed form per term, so the parallel-form test (d rho = 0, d *rho = 0
-for rho = r^2 dr ^ omega + r^3 psi) runs exactly in exact scalar mode.
+for rho = r^2 dr ^ omega + r^3 psi) runs exactly, at the tolerance the
+structure was built at (:class:`hitchin.SU3Structure`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from .exterior import HodgeStar, KForm, NotUnitNorm, interior, wedge
 from .hitchin import form_dot, volume_fit
 from .report import verdict
 from .scalars import (
-    EPS, exact_div, is_exact, is_positive, scaled_tol, simplify, sqrt_scalar)
+    exact, exact_div, is_positive, lattice_size, scaled_tol, simplify,
+    sqrt_scalar)
 
 
 class ConeForm:
@@ -72,6 +74,19 @@ def cone_differential(c, link_d):
                 out.add(a - 1, True, f.scale(a))
             out.add(a, False, link_d(f))
     return out
+
+
+def differential_is_zero(c, dc, tol, size):
+    """Is ``dc`` = :func:`cone_differential` of ``c`` zero, each term at tol
+    times the terms of c it comes from, times ``size`` through a link d?"""
+    bound = {}
+    for (a, dr, k), f in c.terms.items():
+        x = f.lattice()
+        if not dr and a > 0:   # the radial term a r^(a-1) dr ^ f
+            key = a - 1, True, k
+            bound[key] = bound.get(key, 0) + a * scaled_tol(tol, x)
+        bound[a, dr, k + 1] = bound.get((a, dr, k + 1), 0) + scaled_tol(tol, size, x)
+    return all(f.is_zero(bound.get(key, 0)) for key, f in dc.terms.items())
 
 
 def cone_hodge(c, link_star):
@@ -135,15 +150,14 @@ class ConeReport:
         return self.closed and self.coclosed
 
 
-def cone_check(s, link_d, tol=EPS, fit=None):
+def cone_check(s, link_d, fit=None):
     """Closed-and-coclosed test for the cone 3-form of an SU(3)-structure.
 
     The test runs at the scale k that brings the structure to unit metric
     normalization: the least-squares constant c of d phi = -2 c omega^2,
     the scale a cone can absorb into the radius, or k = 1 when c is not
-    positive at ``tol`` (``rescaled`` False; the residuals are then those
-    of the pair built, which for a float ``check`` is the given one over a
-    power of two, :func:`hitchin.structure_verdicts`).  (k omega, k psi) has metric
+    positive at the structure's tolerance (``rescaled`` False; the
+    residuals are then those of the pair built).  (k omega, k psi) has metric
     k g, *_{k g} = k^(3-p) *_g on p-forms, and the build's G^-1 = g^-1 /
     kappa with omega^3 / 6 gives kappa^(-p) *_g: on cone_rho(k^2 kappa^2
     omega, k kappa^3 psi), at k = c on (c~^2 omega, -c~ tau0 psi) for the
@@ -151,25 +165,25 @@ def cone_check(s, link_d, tol=EPS, fit=None):
     ``fit`` is the (d Phi, omega^omega) of :func:`nk_check`, if known.
     Also reports the fitted coefficient of the r^4 omega^omega term of
     *rho (1/2 for a parallel cone form) and the residual of its r^3 dr
-    term against -k phi.  Both verdicts are decided by the zero policy at
-    the size of the forms they are formed from (:func:`scalars.scaled_tol`):
-    d rho = r^2 dr ^ (3 psi - d omega) + r^3 d psi at that of psi, as the
-    first structure equation, and d *rho at that of the r^4 omega^omega
-    term of *rho, the term d phi is compared with.
+    term against -k phi.  Both verdicts are decided at the structure's
+    tolerance, each term of d rho and d *rho at the size of the terms it is
+    formed from, times that of d where d is applied
+    (:func:`differential_is_zero`, as in :func:`hitchin.nk_check`).
     """
+    tol, size = s.tol, getattr(link_d, "constants", ([1], 1))
     dphi, o2 = fit or (link_d(s.Phi), s.omega2)
     cphi, _ = volume_fit(dphi, o2)
-    # when d Phi is proportional to omega^2, c~ is half their ratio: a float
-    # c~ is tested at that scale, an exact one exactly (the scale may underflow)
-    rescaled = is_positive(cphi, 0.0 if is_exact(cphi) else
-                           tol * dphi.max_abs() / (2 * o2.max_abs()))
+    # when d Phi is proportional to omega^2, c~ is half their ratio
+    rescaled = is_positive(cphi, tol and scaled_tol(tol, dphi.lattice())
+                           / (2 * lattice_size(o2.lattice())))
     tau0, c = s.tau0, s.per_kappa(cphi)
     k = c if rescaled else 1
-    # (k kappa)^2 and k kappa^3, in floats at k = 1 when kappa is
+    # (k kappa)^2 and k kappa^3, at k = 1 on the binary value of a float kappa
     a, b = ((cphi * cphi, -cphi * tau0) if rescaled
-            else (-tau0, -tau0 * sqrt_scalar(-tau0)))
+            else (-tau0, -tau0 * exact([sqrt_scalar(-tau0)])[0]))
 
-    d_rho = cone_differential(cone_rho(s.omega, s.psi), link_d)   # over k
+    rho = cone_rho(s.omega, s.psi)
+    d_rho = cone_differential(rho, link_d)   # over k
     # the link star in the orientation of omega^3, the one J induces, makes
     # *psi = phi and hence  *rho = -r^3 dr ^ phi + (1/2) r^4 omega^omega
     star = HodgeStar.of_inverse(s.Ginv, s.omega3 / 6, -tau0 * tau0 * tau0, tol)
@@ -191,26 +205,26 @@ def cone_check(s, link_d, tol=EPS, fit=None):
         normalization=k,
         fit=c,
         rescaled=rescaled,
-        closed=d_rho.is_zero(scaled_tol(tol, s.psi.lattice())),
-        coclosed=d_star_rho.is_zero(scaled_tol(tol, q.lattice())),
+        closed=differential_is_zero(rho, d_rho, tol, size),
+        coclosed=differential_is_zero(star_rho, d_star_rho, tol, size),
     )
 
 
-def cone_verdicts(s, link_d, tol=EPS, fit=None):
+def cone_verdicts(s, link_d, fit=None):
     """Run :func:`cone_check`; returns (its two verdicts, the ConeReport).
 
     Both verdicts say so when the structure was left unscaled, and both
     fail, with no report, when the star's unit-norm test fails.
     """
     try:
-        crep = cone_check(s, link_d, tol=tol, fit=fit)
+        crep = cone_check(s, link_d, fit=fit)
     except NotUnitNorm as ex:
-        crep, detail = None, f"no cone star: {ex} at tolerance {tol:g}"
+        crep, detail = None, f"no cone star: {ex} at tolerance {float(s.tol):g}"
     else:
         detail = "" if crep.rescaled else (
             "structure left unscaled: the fitted c = "
-            f"{float(s.given(crep.fit, -1)):.4g} is "
-            f"not positive at tolerance {tol:g} times "
+            f"{float(crep.fit):.4g} is "
+            f"not positive at tolerance {float(s.tol):g} times "
             f"max|d phi| / (2 max|omega^2|)")
     return [verdict("cone form closed", bool(crep and crep.closed), "cone-closed",
                     crep and crep.d_rho_residual, detail),
@@ -238,11 +252,12 @@ class SpanDifferential:
     """Link differential defined on an explicit invariant span.
 
     Pairs (form, derivative) fix the operator; an input is decomposed in
-    the span (exactly in exact mode) and mapped linearly.  Raises when the
-    input is outside the span.
+    the span, exactly, and mapped linearly.  Raises when the input is
+    outside the span at ``tol``, that of the structure the pairs are from.
     """
 
-    def __init__(self, pairs):
+    def __init__(self, pairs, tol):
+        self.tol = tol
         self.by_degree = {}
         for form, deriv in pairs:
             self.by_degree.setdefault(form.k, []).append((form, deriv))
@@ -254,7 +269,7 @@ class SpanDifferential:
         if pairs is None:
             raise ValueError(f"no invariant forms of degree {form.k} in the span")
         columns = [list(f.c) for f, _ in pairs]
-        coords = smallmat.solve_in_span(columns, list(form.c))
+        coords = smallmat.solve_in_span(columns, list(form.c), self.tol)
         out = KForm.zero(form.n, form.k + 1)
         for x, (_, deriv) in zip(coords, pairs):
             out = out + deriv.scale(x)
@@ -277,4 +292,4 @@ def s6_link_differential(candidate_structure):
         (s.phi, s.omega2.scale(-2)),
         (s.omega2, wedge(s.omega, s.psi.scale(6))),
         (s.omega3 / 6, KForm.zero(6, 7)),
-    ])
+    ], s.tol)

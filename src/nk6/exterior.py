@@ -3,8 +3,9 @@
 A k-form stores one coefficient per strictly increasing multi-index, in
 lexicographic order; antisymmetry lives in a single sign routine
 (:func:`sort_index`) shared by wedge, interior product and Hodge star so
-that sign conventions cannot drift apart.  Coefficients may be exact
-(int/Fraction/QSqrt3) or float; operations never mix the two on their own.
+that sign conventions cannot drift apart.  Coefficients are exact
+(int/Fraction/QSqrt3); a form given float coefficients keeps them, and
+every operation reads their exact binary values (:func:`scalars.lift`).
 
 Wedge, interior product and Hodge star are lattice products
 (:func:`scalars.bilinear`); a form keeps its lattice and lowers it on
@@ -20,9 +21,9 @@ import itertools
 
 from . import smallmat
 from .scalars import (
-    EPS, bilinear, exact_div, is_exact, is_positive, is_zero, kernel_rows,
-    lattice_exact, lattice_max_abs, lattice_sum, lattice_zero, lift, lower,
-    sqrt_scalar, times)
+    EPS, bilinear, exact, exact_div, is_positive, is_zero, kernel_rows,
+    lattice_max_abs, lattice_size, lattice_sum, lattice_zero, lift, lower,
+    sqrt_scalar, times, tolerance)
 
 
 class NotPositiveDefinite(ValueError):
@@ -173,9 +174,7 @@ class KForm:
         return self.scale(s)
 
     def __truediv__(self, s):
-        if is_exact(s) and self.lattice()[1] is not None:
-            return self.scale(exact_div(1, s))   # in the lattice
-        return self._like([exact_div(a, s) for a in self.c])
+        return self.scale(exact_div(1, s))
 
     def _check_compatible(self, other):
         if not isinstance(other, KForm):
@@ -185,11 +184,11 @@ class KForm:
                 f"form mismatch: ({self.n},{self.k}) vs ({other.n},{other.k})")
 
     # -- predicates --------------------------------------------------------
-    def is_zero(self, tol=0.0):
-        return lattice_zero(self._lattice or (self._c, None), tol)
+    def is_zero(self, tol=0):
+        return lattice_zero(self._lattice or (exact(self._c), None), tol)
 
     def max_abs(self):
-        return lattice_max_abs(self._lattice or (self._c, None))
+        return lattice_max_abs(self._lattice or (exact(self._c), None))
 
     def __eq__(self, other):
         if not isinstance(other, KForm) or other.n != self.n or other.k != self.k:
@@ -280,44 +279,42 @@ class HodgeStar:
     form has a coefficient.  On the lattice of g^-1, over d, the k-minors
     are integers over d^k.  The metric is checked and inverted once (or g^-1
     given, :meth:`of_inverse`).  The unit-norm check reads rational det g^-1
-    off the n-minor; a float one is compared at ``tol`` times the largest
-    entry of g and g^-1.  ``vol`` defaults to :func:`metric_volume`.  A
-    float volume or form makes the star of that form run in floats.
+    off the n-minor, at the tolerance of the data times the largest entry of
+    g and g^-1.  ``vol`` defaults to :func:`metric_volume` (a float, measured
+    data, when sqrt(det g) is irrational).
     """
 
     def __init__(self, gram, vol=None, tol=EPS):
         if not smallmat.is_positive_definite(gram):
             raise NotPositiveDefinite("Gram matrix is not positive definite")
-        self._setup(smallmat.inv(gram, tol), vol or metric_volume(gram), 1, tol,
-                    smallmat.mat_max_abs(gram))
+        vol = vol or metric_volume(gram)
+        self._setup(smallmat.inv(gram), vol, 1, tolerance(tol, gram, vol.c),
+                    lattice_size(smallmat.mat_lattice(gram)))
 
     @classmethod
     def of_inverse(cls, inverse, vol, scale, tol):
         """The star of g^-1 = ``inverse`` with a volume form of squared norm
-        v^2 det g^-1 = 1 / ``scale``: scale^(-1/2) times the star of g."""
+        v^2 det g^-1 = 1 / ``scale``: scale^(-1/2) times the star of g, at
+        the resolved tolerance ``tol``."""
         star = cls.__new__(cls)
-        star._setup(inverse, vol, scale, tol, 0.0)
+        star._setup(inverse, vol, scale, tol, 0)
         return star
 
     def _setup(self, inverse, vol, scale, tol, size):
         self.gram_inv = inverse
         P, d = lattice = smallmat.mat_lattice(inverse)
-        self.n, self.v = n, v = vol.n, vol.c[0]
+        self.n, self.v = n, v = vol.n, exact(vol.c)[0]
         if vol.k != n or len(P) != n * n:
             raise ValueError("volume form has wrong degree")
         if v == 0:
             raise ValueError("volume form vanishes")
-        self.floats = isinstance(v, float)
         self._rows = [(P[i:i + n], d) for i in range(0, n * n, n)]
         self._minors = {(): lift([1])}
         full = tuple(range(n))
         det_inv = (self.minor(full, full) if d
                    else smallmat.det(smallmat.unflatten(P, n, n)))
-        if self.floats:
-            det_inv = float(det_inv)
-        size = (max(1.0, size, lattice_max_abs(lattice))
-                if self.floats or d is None else 0.0)
-        if not is_zero(v * v * det_inv * scale - 1, tol * size):
+        bound = tol and tol * max(1, size, lattice_size(lattice))
+        if not is_zero(v * v * det_inv * scale - 1, bound):
             raise NotUnitNorm("volume form is not unit-norm for this metric")
 
     def _minors_of(self, rows):
@@ -347,9 +344,6 @@ class HodgeStar:
         else:   # the minors of the rows J for the J where a has a coefficient
             minors = [p for j, t in enumerate(tuples) for p in (
                 self._minors_of(t)[0] if x[0][j] != 0 else [0] * size)], d ** k
-        if self.floats or not (lattice_exact(x) and lattice_exact(minors)):
-            x, minors = (([float(y) for y in lower(z)], None) for z in (x, minors))
-            v = float(v)
         _, pos = index_tuples(n, n - k)
         rows = kernel_rows(("star", n, k), lambda: [
             [(j * size + i, pos[c], s) for i, (c, s) in enumerate(comps)]

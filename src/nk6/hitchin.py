@@ -9,7 +9,8 @@ order system  d omega = 3 psi,  d phi = -2 mu omega ^ omega, decided for
 
 Every identity is homogeneous in kappa = sqrt(-tau0), so each is decided
 on the K-forms K = kappa J, G = W K = kappa g and Phi = kappa phi, which
-are rational in psi: exact data are decided exactly whatever kappa is.
+are rational in psi: data are decided exactly whatever kappa is, at the
+tolerance of the pair (:func:`scalars.tolerance`) times their size.
 Values stay in lattices (:mod:`nk6.scalars`), rational ones decided on
 integers, and are lowered only for the API; a matrix may be a lattice.
 """
@@ -18,24 +19,23 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from fractions import Fraction
 
 from . import smallmat
 from .exterior import KForm, complement, index_tuples, sort_index, wedge, wedge_rows
 from .report import verdict
 from .scalars import (
-    EPS, bilinear, exact_div, is_exact, is_positive, kernel_rows, lattice_exact,
-    lattice_max_abs, lattice_sum, lattice_zero, lower, scaled_tol, simplify,
-    sqrt_scalar, times)
+    EPS, bilinear, exact, exact_div, is_exact, is_positive, kernel_rows,
+    lattice_max_abs, lattice_sum, lattice_zero, lift, lower, scaled_tol,
+    simplify, sqrt_scalar, times, tolerance)
 
 
 class StructureError(ValueError):
     """A named algebraic condition of the construction failed.
 
     Raised itself when an identity the construction guarantees fails, on
-    float data by rounding beyond the tolerance; a subclass's label is its
-    name.
+    measured data by rounding beyond the tolerance; a subclass's label is
+    its name.
     """
 
     label = "structure"
@@ -45,11 +45,6 @@ class StructureError(ValueError):
 
     def __init__(self, message=""):
         super().__init__(message or self.__doc__)
-
-
-class FloatRangeError(ArithmeticError):
-    """Float data whose K = kappa J squares outside the float range: a limit
-    of the arithmetic, not a failed condition."""
 
 
 class NotStable(StructureError):
@@ -89,30 +84,26 @@ class SU3Candidate:
 class SU3Structure:
     """Validated K-forms (omega, psi, Phi, K, G, tau0, vol), omega^2, omega^3
     (/ 6: the volume form of g) and G^-1; ``kappa`` exact in Q(sqrt 3), else
-    None on exact data; J, g, phi the K-forms over kappa, formed when read.
-    The given pair is 2^``exponent`` times the built one (:meth:`given`)."""
+    None; J, g, phi the K-forms over kappa, formed when read; ``tol`` the
+    tolerance of the pair, of every verdict on the structure."""
 
     def __init__(self, omega, psi, Phi, K, G, tau0, vol, omega2, omega3, Ginv,
-                 exponent):
+                 tol):
         self.omega, self.psi, self.Phi = omega, psi, Phi
         self.K, self.G, self.Ginv = K, G, Ginv  # 6 x 6 lattices
         self.tau0, self.vol, self.omega2, self.omega3 = tau0, vol, omega2, omega3
-        self.exponent = exponent
+        self.tol = tol
         root = sqrt_scalar(-tau0)
-        self.kappa = None if is_exact(tau0) and not is_exact(root) else root
-
-    def given(self, x, degree):
-        """The value on the given pair of a scalar x of the built one,
-        homogeneous of ``degree`` in the pair (:func:`_given`)."""
-        return _given(x, degree, self.exponent)
+        self.kappa = root if is_exact(root) else None
 
     def per_kappa(self, x):
-        """x / kappa, x a scalar or a lattice: exact when kappa is, else floats."""
+        """x / kappa, x a scalar or a lattice: exact when kappa is, else the
+        float quotients (a lattice of their binary values)."""
         if not isinstance(x, tuple):   # sign(x) sqrt(x^2 / kappa^2), in range
             r = sqrt_scalar(exact_div(x * x, -self.tau0))
             return -r if x < 0 else r
         if self.kappa is None:
-            return [float(self.per_kappa(v)) for v in lower(x)], None
+            return lift([float(self.per_kappa(v)) for v in lower(x)])
         return times(exact_div(1, self.kappa), x)
 
     @functools.cached_property
@@ -160,11 +151,9 @@ def _k_lattice(psi, vol):
         [(b, i * 6 + j, (-1) ** (slot + i) * sign) for slot, j in enumerate(a)
          for b, o, sign in wedge_rows(6, 2, 3)[pos2[a[:slot] + a[slot + 1:]]]
          for i in [15 - sum(fives[o])]] for a in index_tuples(6, 3)[0]])
-    lattice, v = psi.lattice(), vol.c[0]
+    lattice = psi.lattice()
     flat = bilinear(rows, lattice, lattice, 36)
-    if is_exact(v) and flat[1]:
-        return times(exact_div(1, v), flat)
-    return [exact_div(x, v) for x in lower(flat)], None
+    return times(exact_div(1, exact(vol.c)[0]), flat)
 
 
 def contract(psi, m, slot=0):
@@ -187,29 +176,12 @@ def hitchin_K(psi, vol, tol=EPS):
     """(K, tau0): K(X) the vector of interior(X, psi) ^ psi against the
     orientation form ``vol``, K^2 = tau0 Id verified (:func:`_tau0`)."""
     K = _k_lattice(psi, vol)
-    return smallmat.unflatten(lower(K), 6, 6), _tau0(K, tol, 0)
+    return (smallmat.unflatten(lower(K), 6, 6),
+            _tau0(K, tolerance(tol, psi.c, vol.c)))
 
 
-def _given(x, degree, e):
-    """x 2^(degree e): for a scalar x of a pair, homogeneous of ``degree``
-    in it, its value on the pair 2^e times as large; exact in floats, and
-    +-inf beyond the float range."""
-    if not e:
-        return x
-    try:
-        return math.ldexp(x, degree * e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
-def _tau0(K, tol, e):
-    """tau0 = trace(K^2) / 6 with K^2 = tau0 Id verified; FloatRangeError
-    when the largest entry of a float K of the pair 2^e times this one
-    (4^e times this K) squares outside the normal floats."""
-    top = 0 if lattice_exact(K) else _given(lattice_max_abs(K), 2, e)
-    if top and not sys.float_info.min <= top * top < math.inf:
-        size = f"|K| = {top:.3g}" if math.isfinite(top) else "K is not finite"
-        raise FloatRangeError(f"K^2 lies outside the float range ({size})")
+def _tau0(K, tol):
+    """tau0 = trace(K^2) / 6 with K^2 = tau0 Id verified."""
     P, d = K2 = smallmat.lattice_mul(K, K, 6, 6, 6)
     tau0 = exact_div(sum(lower((P[::7], d))), 6)
     if not smallmat.is_scalar_matrix(K2, tau0, scaled_tol(tol, K2)):
@@ -223,7 +195,7 @@ def _quote(x):
     try:
         return f"= {x}"
     except ValueError:
-        size = lattice_max_abs(([x], None))
+        size = lattice_max_abs(lift([x]))
         return f"~ {size:.6g}" if size < math.inf else "beyond the float range"
 
 
@@ -236,11 +208,11 @@ def phi_from(psi, J, tol=EPS):
     """The partner 3-form phi with  interior(X, psi) = interior(JX, phi).
 
     Computed as phi(X,Y,Z) = -psi(JX,Y,Z); the three slot placements are
-    compared and must agree (exactly in exact mode), which holds precisely
+    compared and must agree (exactly on exact data), which holds precisely
     when psi is of type (3,0)+(0,3) for J.
     """
     phi = contract(psi, J)
-    _check_slots(psi, J, phi, tol)
+    _check_slots(psi, J, phi, tolerance(tol, psi.c, J))
     return phi
 
 
@@ -301,31 +273,28 @@ def omega3_sign(omega, o3=None):
     return 1 if is_positive(o3.c[0]) else -1
 
 
-def build_su3(cand, tol=EPS, powers=None, exponent=0):
+def build_su3(cand, tol=EPS, powers=None):
     """Assemble the full SU(3)-structure from a candidate pair, or raise.
 
-    Each identity is decided on the K-forms, a float one at ``tol`` times
-    the size of its data (:func:`scalars.scaled_tol`).  Errors name the
-    violated condition: NotStable (stability of psi),
-    NotType11 (omega ^ psi != 0), DegenerateOmega (omega^3 = 0),
-    NotPositive (the induced symmetric form is not positive definite),
-    SlotInconsistent, or StructureError itself (see there).  ``powers``:
-    the :func:`omega_powers` of omega, when known.  The pair given to
-    :func:`structure_verdicts` is 2^``exponent`` times the candidate's:
-    the float range of its K is checked with K^2, before any other test,
-    and messages quote its values.
+    Each identity is decided on the K-forms at the tolerance of the pair
+    times the size of its data.  Errors name the violated condition:
+    NotStable (stability of psi), NotType11 (omega ^ psi != 0),
+    DegenerateOmega (omega^3 = 0), NotPositive (the induced symmetric form
+    is not positive definite), SlotInconsistent, or StructureError itself
+    (see there).  ``powers``: the :func:`omega_powers` of omega, when known.
     """
     omega, psi, vol = cand.omega, cand.psi, cand.vol
+    tol = tolerance(tol, omega.c, psi.c, vol.c)
     n = 6
     K, Phi = kappa_phi(psi, vol)
-    tau0 = _tau0(K, tol, exponent)
+    tau0 = _tau0(K, tol)
     if not is_positive(-tau0):
-        raise NotStable(f"tau0 {_quote(_given(tau0, 4, exponent))} is not negative")
+        raise NotStable(f"tau0 {_quote(tau0)} is not negative")
 
     w = omega.lattice()
     op = wedge(omega, psi)
     if not op.is_zero(scaled_tol(tol, w, psi.lattice())):
-        raise NotType11(f"omega ^ psi has size {_given(op.max_abs(), 2, exponent)}")
+        raise NotType11(f"omega ^ psi has size {op.max_abs()}")
 
     o2, o3 = powers or omega_powers(omega)
     if o3.is_zero(scaled_tol(tol, w, w, w)):
@@ -355,22 +324,21 @@ def build_su3(cand, tol=EPS, powers=None, exponent=0):
 
     Ginv = times(exact_div(-1, tau0), metric_inverse(K, o2, o3))
     return SU3Structure(omega=omega, psi=psi, Phi=Phi, K=K, G=G, tau0=tau0,
-                        vol=vol, omega2=o2, omega3=o3, Ginv=Ginv, exponent=exponent)
+                        vol=vol, omega2=o2, omega3=o3, Ginv=Ginv, tol=tol)
 
 
-def build_either_orientation(omega, psi, tol=EPS, exponent=0):
+def build_either_orientation(omega, psi, tol=EPS):
     """Build once, against the reference volume -sign(omega^3) e012345.
 
     Flipping the orientation flips J and g, and only this one can give a
     positive metric (see ``omega3_sign``).  Returns (structure,
-    orientation) or raises the structure error; ``exponent`` as for
-    :func:`build_su3`.
+    orientation) or raises the structure error.
     """
     powers = omega_powers(omega)
     orient = -omega3_sign(omega, powers[1])
     vol = KForm.basis(6, (0, 1, 2, 3, 4, 5), Fraction(orient))
     cand = SU3Candidate(omega, psi, vol)
-    return build_su3(cand, tol=tol, powers=powers, exponent=exponent), orient
+    return build_su3(cand, tol=tol, powers=powers), orient
 
 
 def form_dot(a, b):
@@ -380,14 +348,15 @@ def form_dot(a, b):
     return lower(smallmat.lattice_mul(x, b.lattice(), 1, len(x[0]), 1))[0]
 
 
-def nk_check(s, differential, tol=EPS):
+def nk_check(s, differential):
     """Decide the nearly Kahler system for a built SU(3)-structure.
 
     ``differential`` maps k-forms on the space to (k+1)-forms (for a
     homogeneous space, the invariant-form differential).  mu is fitted by
     least squares over the degree-4 coefficients, so a dphi that is not
     proportional to omega^omega shows up as a residual instead of being
-    divided away.
+    divided away.  Each equation is decided at the structure's tolerance
+    times its data's size, and that of d's ``constants`` (else 1) with d.
 
     The constant is quoted at the scale of d(omega): with both structure
     equations written  d omega = 3 psi  and  d(3 phi) = -2 mu omega^omega,
@@ -398,43 +367,33 @@ def nk_check(s, differential, tol=EPS):
     r1 = differential(s.omega) - s.psi.scale(3)
     fit = differential(s.Phi), s.omega2
     c, r2 = volume_fit(*fit)  # at the scale of Phi
+    size, top = getattr(differential, "constants", ([1], 1)), max(map(abs, r2.c))
     return NKReport(residual_r1=r1.max_abs(),
-                    residual_r2=3 * lattice_max_abs(s.per_kappa(r2.lattice())),
+                    residual_r2=3 * lattice_max_abs(([s.per_kappa(top)], None)),
                     mu=simplify(3 * s.per_kappa(c)),
-                    first=r1.is_zero(scaled_tol(tol, s.psi.lattice())),
-                    second=r2.is_zero(scaled_tol(tol, fit[0].lattice())), fit=fit)
+                    first=r1.is_zero(scaled_tol(s.tol, size, s.omega.lattice())
+                                     + scaled_tol(s.tol, s.psi.lattice())),
+                    second=r2.is_zero(scaled_tol(s.tol, size, s.Phi.lattice())),
+                    fit=fit)
 
 
 def structure_verdicts(omega, psi, differential, tol=EPS):
     """(verdicts, scalars, built) of one build of (omega, psi): the verdicts
     that it builds, that d omega = 3 psi and that d phi = -2 mu omega^2, the
     scalars mu, tau0 and kappa, built = (structure, NKReport, orientation).
-    A failed build gives its one labelled verdict, no scalars, built None.
-
-    A float pair is built over the power of two 2^e that brings its largest
-    entry into [1, 2), so that its products (K^t G K, the minors of G, det
-    G^-1) stay in range; the scaling is exact in floats, every verdict is
-    homogeneous in the pair, and each reported value is restored by
-    :meth:`SU3Structure.given`.  Exact pairs are built as they are."""
+    A failed build gives its one labelled verdict, no scalars, built None."""
     name = "stable pair builds an SU(3)-structure"
-    e = 0
-    if not (lattice_exact(omega.lattice()) and lattice_exact(psi.lattice())):
-        size = max(lattice_max_abs(omega.lattice()), lattice_max_abs(psi.lattice()))
-        # (a subnormal size is raised as far as one float power of two goes)
-        e = max(math.frexp(size)[1] - 1, 1 - sys.float_info.max_exp)
-        omega, psi = omega.scale(2.0 ** -e), psi.scale(2.0 ** -e)
     try:
-        s, orient = build_either_orientation(omega, psi, tol, e)
+        s, orient = build_either_orientation(omega, psi, tol)
     except StructureError as ex:
         return [verdict(name, False, ex.label, detail=str(ex))], {}, None
-    nk = nk_check(s, differential, tol)
+    nk = nk_check(s, differential)
     verdicts = [verdict(name, True),
                 verdict("first structure equation (d omega = 3 psi)", nk.first,
-                        "diff-system", s.given(nk.residual_r1, 1)),
+                        "diff-system", nk.residual_r1),
                 verdict("second structure equation (d phi = -2 mu omega^2)",
-                        nk.second, "diff-system", s.given(nk.residual_r2, 1))]
-    tau0 = s.given(s.tau0, 4)
-    scalars = dict(mu=s.given(nk.mu, -1), tau0=tau0, kappa=sqrt_scalar(-tau0))
+                        nk.second, "diff-system", nk.residual_r2)]
+    scalars = dict(mu=nk.mu, tau0=s.tau0, kappa=sqrt_scalar(-s.tau0))
     return verdicts, scalars, (s, nk, orient)
 
 

@@ -27,8 +27,8 @@ from . import smallmat
 from .exterior import KForm, index_tuples, sort_index
 from .scalars import (
     EPS, bilinear, exact_div, is_exact, is_positive, is_zero, kernel_rows,
-    lattice_exact, lattice_max_abs, lattice_sum, lattice_zero, lift, lower,
-    scaled_tol, sqrt_scalar, times)
+    lattice_max_abs, lattice_sum, lattice_zero, lift, lower, scaled_tol,
+    sqrt_scalar, times, tolerance)
 
 
 class NotInvariant(ValueError):
@@ -44,18 +44,19 @@ class LieAlgebraData:
 
     ``brackets[i][j]`` lists the pairs (k, c[i][j][k]) with a nonzero
     constant; the Jacobi and antisymmetry checks and the bracket tables of
-    :class:`ReductiveSpace` run over these alone.  Float constants are
-    validated at ``tol`` times the size of the constants in antisymmetry and
-    its square in the Jacobi identity (:func:`scalars.scaled_tol`).
+    :class:`ReductiveSpace` run over these alone; ``constants`` is their
+    lattice, validated at its tolerance times its size or its square.
     """
 
     def __init__(self, constants, labels=None, check=True, tol=EPS):
         self.dim = len(constants)
         r = range(self.dim)
-        self.c = [[list(constants[i][j]) for j in r] for i in r]
+        tol = tolerance(tol, *constants)
+        self.c = [smallmat.mat_exact(constants[i]) for i in r]
         self.brackets = [[[(k, v) for k, v in enumerate(self.c[i][j]) if v != 0]
                           for j in r] for i in r]
         self.labels = list(labels) if labels else [f"X{i+1}" for i in range(self.dim)]
+        self.constants = lift([v for *_, v in self.nonzero()])
         if check:
             self._check_antisymmetry(tol)
             if not check_jacobi(self, tol=tol):
@@ -98,7 +99,7 @@ class LieAlgebraData:
     def _check_antisymmetry(self, tol):
         c = self.c
         defect = [v + c[j][i][k] for i, j, k, v in self.nonzero()]
-        if not lattice_zero(lift(defect), scaled_tol(tol, _constants(self))):
+        if not lattice_zero(lift(defect), scaled_tol(tol, self.constants)):
             raise ValueError("structure constants are not antisymmetric")
 
 
@@ -112,8 +113,7 @@ def span_coordinates(basis):
     i.e. when it lies outside the span.
     """
     flat = [[x for row in b for x in row] for b in basis]
-    # exact bases: the tolerance of a float elimination is not used
-    ginv = smallmat.inv(smallmat.mat_mul(flat, smallmat.transpose(flat)), EPS)
+    ginv = smallmat.inv(smallmat.mat_mul(flat, smallmat.transpose(flat)))
     # the basis matrices are sparse: keep each one's nonzero entries only
     support = [[(p, v) for p, v in enumerate(u) if v != 0] for u in flat]
 
@@ -151,11 +151,11 @@ def check_jacobi(L, tol=EPS):
     """True iff [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 on all basis triples.
 
     [[X_a, X_b], X_z] = sum c_ab^l c_lz^w X_w, over nonzero constants only,
-    a sum of products of two constants: float ones at ``tol`` times the
-    square of their size.
+    a sum of products of two constants: at ``tol`` (0 if a float: L is
+    exact) times their size squared.
     """
     d, br = L.dim, L.brackets
-    tol = scaled_tol(tol, _constants(L), _constants(L))
+    tol = scaled_tol(tolerance(tol), L.constants, L.constants)   # L is exact
     for i in range(d):
         for j in range(i + 1, d):
             for k in range(j + 1, d):
@@ -167,11 +167,6 @@ def check_jacobi(L, tol=EPS):
                 if not lattice_zero(lift(list(total.values())), tol):
                     return False
     return True
-
-
-def _constants(L):
-    """The nonzero structure constants of L as a lattice, values as they are."""
-    return [v for *_, v in L.nonzero()], None
 
 
 def _compile(entries):
@@ -335,19 +330,24 @@ def _tensor_invariance_table(space, kind):
 
 # ---------------------------------------------------------------------------
 def is_invariant(space, alpha, tol=EPS):
-    """True iff the form on m is annihilated by every ad(h), h in h."""
+    """True iff the form on m is annihilated by every ad(h), h in h, at its
+    tolerance times the size of the structure constants and of the form."""
     n = space.dim_m
     if alpha.n != n:
         raise ValueError("form dimension does not match dim m")
+    tol = tolerance(tol, alpha.c)
     size = space.dim_h * len(alpha.c)
     table = space.compiled(_invariance_table, alpha.k)
-    return lattice_zero(bilinear(*table, alpha.lattice(), size), tol)
+    x = alpha.lattice()
+    return lattice_zero(bilinear(*table, x, size),
+                        scaled_tol(tol, space.algebra.constants, x))
 
 
 def _is_invariant_tensor(space, kind, t, tol):
     table = space.compiled(_tensor_invariance_table, kind)
-    return lattice_zero(bilinear(*table, smallmat.mat_lattice(t),
-                                 space.dim_h * space.dim_m ** 2), tol)
+    x = smallmat.mat_lattice(t)
+    return lattice_zero(bilinear(*table, x, space.dim_h * space.dim_m ** 2),
+                        scaled_tol(tolerance(tol, t), space.algebra.constants, x))
 
 
 def is_invariant_endo(space, J, tol=EPS):
@@ -377,6 +377,17 @@ def ce_differential(space, alpha, tol=EPS, check_invariance=True):
                                   alpha.lattice(), size))
 
 
+class Differential:
+    """:func:`ce_differential` on forms known to be invariant, with the
+    ``constants`` whose size bounds a verdict that applies it."""
+
+    def __init__(self, space):
+        self.space, self.constants = space, space.algebra.constants
+
+    def __call__(self, alpha):
+        return ce_differential(self.space, alpha, check_invariance=False)
+
+
 # ---------------------------------------------------------------------------
 def nomizu_levi_civita(space, g, tol=EPS):
     """Levi-Civita connection of an invariant metric, as the Nomizu operator.
@@ -388,8 +399,8 @@ def nomizu_levi_civita(space, g, tol=EPS):
     i.e. the Koszul table of :func:`_koszul` raised by g^-1, in one product.
     """
     n = space.dim_m
-    koszul = _koszul(space, smallmat.mat_lattice(g), tol)
-    ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g, tol)))
+    koszul = _koszul(space, smallmat.mat_lattice(g), tolerance(tol, g))
+    ginv_t = smallmat.mat_lattice(smallmat.transpose(smallmat.inv(g)))
     flat = lower(smallmat.lattice_mul(koszul, ginv_t, n * n, n, n))
     return [smallmat.unflatten(row, n, n) for row in smallmat.unflatten(flat, n, n * n)]
 
@@ -446,11 +457,12 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
     the 21 lowered vectors are one lattice product of J with G, (i, j) and
     (j, i) added in its table.  g is proved invertible first by its
     determinant, with no inverse (a singular g fails with ``matrix is
-    singular``), so exact lowered vectors that are all zero give (True,
-    0.0); otherwise they are raised by g^-1, and (ok, residual) is decided
-    on them, exactly or at ``tol`` on floats, with the largest coefficient.
+    singular``).  They are decided at the tolerance of g and J times the
+    size of J, the constants and g: all zero gives (True, 0.0); the
+    residual is the largest coefficient of them raised by g^-1.
     """
     n = space.dim_m
+    tol = tolerance(tol, g, J)
     mul = lambda x, y, rows=n: smallmat.lattice_mul(x, y, rows, n, n)
     Jl, gl = smallmat.mat_lattice(J), smallmat.mat_lattice(g)
     J2 = mul(Jl, Jl)
@@ -476,15 +488,16 @@ def nearly_kahler_residual(space, g, J, tol=EPS):
            for _ in range(1 + (i == j))]
         for s in r for t in r])
     polar = bilinear(rows, Jl, koszul, len(pairs) * n)
-    if lattice_exact(polar) and lattice_zero(polar):
+    if lattice_zero(polar):
         return True, 0.0
-    ginv_t = smallmat.transpose(smallmat.inv(g, tol))
+    ok = lattice_zero(polar, scaled_tol(tol, Jl, space.algebra.constants, gl))
+    ginv_t = smallmat.transpose(smallmat.inv(g))
     raised = mul(polar, smallmat.mat_lattice(ginv_t), len(pairs))
     kappa = sqrt_scalar(-t)
-    if lattice_exact(raised) and not is_exact(kappa):   # decided on K
-        return lattice_zero(raised), lattice_max_abs(raised) / kappa
-    raised = times(exact_div(1, kappa), raised)
-    return lattice_zero(raised, tol), lattice_max_abs(raised)
+    if not is_exact(kappa):   # quoted for J, sqrt(max^2 / kappa^2): in range
+        top = max(map(abs, lower(raised)))
+        return ok, float(sqrt_scalar(exact_div(top * top, -t)))
+    return ok, lattice_max_abs(times(exact_div(1, kappa), raised))
 
 
 def intrinsic_eta(space, g, J, tol=EPS):
@@ -556,7 +569,8 @@ def natural_reductivity_defect(space, g):
 
 def is_naturally_reductive(space, g, tol=EPS):
     """g([X,Y]_m, Z) = -g([X,Z]_m, Y) over all basis triples."""
-    return lattice_zero(lift(natural_reductivity_defect(space, g)), tol)
+    return lattice_zero(lift(natural_reductivity_defect(space, g)),
+                        tolerance(tol, g))
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +598,7 @@ def check_3symmetric(space, J, tol=EPS):
     [m+, m+] c m-,  [m-, m-] c m+ (its conjugate),  [m+, m-] c complexified
     h, entirely in real arithmetic.  Raises unless J^2 = -Id.
     """
+    tol, J = tolerance(tol, J), smallmat.mat_exact(J)
     if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
         raise ValueError("J^2 differs from -Id")
     # [m+, m+] has no h part
@@ -601,6 +616,7 @@ def is_complex_subalgebra(space, J, tol=EPS):
     Closure of the (1,0)-distribution characterizes the integrable invariant
     almost complex structures.
     """
+    tol, J = tolerance(tol, J), smallmat.mat_exact(J)
     defects = []
     for (re, im), _ in _pair_brackets(space.bm, J):
         # the m- part of [m+, m+], re + J im + i (im - J re), vanishes
@@ -613,17 +629,15 @@ def acs_from_automorphism(S, tol=EPS):
     """Almost complex structure of an order-3 symmetry:  J = (2 S + Id)/sqrt 3.
 
     Requires S^3 = Id with 1 not an eigenvalue; the returned J satisfies
-    J^2 = -Id (exactly over Q(sqrt 3) for exact S).
+    J^2 = -Id, exactly over Q(sqrt 3), at the tolerance of S.
     """
-    n = len(S)
+    n, tol, S = len(S), tolerance(tol, S), smallmat.mat_exact(S)
     s3 = smallmat.mat_mul(S, smallmat.mat_mul(S, S))
     if not smallmat.is_scalar_matrix(s3, 1, tol):
         raise ValueError("S^3 differs from the identity")
     if is_zero(smallmat.det(smallmat.mat_sub(S, smallmat.identity(n))), tol):
         raise HasFixedVector("1 is an eigenvalue of S")
-    # a QSqrt3 times a float raises TypeError: float data take a float sqrt 3
-    three, half = (3.0, 0.5) if smallmat.is_float_data(S) else (3, Fraction(1, 2))
-    coef = 2 / sqrt_scalar(three)
+    coef, half = 2 / sqrt_scalar(3), Fraction(1, 2)
     J = [[coef * (S[i][j] + (half if i == j else 0)) for j in range(n)]
          for i in range(n)]
     if not smallmat.is_scalar_matrix(smallmat.mat_mul(J, J), -1, tol):
@@ -636,10 +650,10 @@ def ricci(space, g, tol=EPS):
     """Ricci tensor of an invariant metric plus the Einstein verdict.
 
     Returns (ric, scal, einstein_ok, max_rel_dev): einstein_ok is the check
-    Ric = (scal / dim m) g, exact on exact data and at relative tolerance
-    ``tol`` on floats; max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|,
-    and 0.0 when Ric = 0.
+    Ric = (scal / dim m) g at the tolerance of g times the size of Ric;
+    max_rel_dev is max |Ric - (scal / dim m) g| / max |Ric|, 0.0 if Ric = 0.
     """
+    tol = tolerance(tol, g)
     L = _maps(nomizu_levi_civita(space, g, tol=tol))
     n = space.dim_m
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -652,10 +666,12 @@ def ricci(space, g, tol=EPS):
     # Ric_jk = sum_i R(X_i, X_j)_ik, with R(X_i, X_j) = -R(X_j, X_i)
     ric = [[sum(R[i, j][i][k] if i < j else -R[j, i][i][k]
                 for i in range(n) if i != j) for k in range(n)] for j in range(n)]
-    ginv = smallmat.inv(g, tol)
+    ginv = smallmat.inv(g)
     scal = smallmat.trace(smallmat.mat_mul(ginv, ric))
     lam = exact_div(scal, n)
     diff = smallmat.mat_sub(ric, smallmat.mat_scale(lam, g))
     scale = smallmat.mat_max_abs(ric)
     rel = smallmat.mat_max_abs(diff) / scale if scale else 0.0
-    return ric, scal, lattice_zero(smallmat.mat_lattice(diff), tol * scale), rel
+    ok = lattice_zero(smallmat.mat_lattice(diff),
+                      scaled_tol(tol, smallmat.mat_lattice(ric)))
+    return ric, scal, ok, rel

@@ -18,7 +18,7 @@ from .cone import (
 from .exterior import KForm, index_tuples
 from .hitchin import StructureError, build_either_orientation, contract
 from .report import Report, verdict
-from .scalars import EPS, exact_div, is_zero, lattice_zero
+from .scalars import EPS, exact, exact_div, is_zero, lattice_zero, tolerance
 
 
 def quat_mul(a, b):
@@ -120,9 +120,10 @@ def s6_structure_at(x, tol=EPS):
     which picks the frame's own.  Returns (structure, basis, deviation) where
     deviation is the smallest over a global sign of the largest entry, in
     absolute value, of the difference between the built J and the
-    cross-product operator y -> P(x, y) on the tangent space: exact on exact
-    input.
+    cross-product operator y -> P(x, y) on the tangent space.  A float
+    point is measured data, on its binary values; an exact one is exact.
     """
+    tol, x = tolerance(tol, x), exact(x)
     if not is_zero(sum(v * v for v in x) - 1, tol):
         raise ValueError("point must lie on the unit sphere")
     omega, psi, basis = s6_candidate(x)

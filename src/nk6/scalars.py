@@ -1,34 +1,36 @@
 """Coefficient scalars.
 
 All algebra in this package is generic over its scalars by duck typing.
-Exact computations use ``int``/``Fraction``, and Q(sqrt 3)
+Computations are exact: ``int``/``Fraction``, and Q(sqrt 3)
 (:class:`QSqrt3`) for the cube roots of unity of 3-symmetric spaces; a
 verdict that would need a square root is decided on data homogeneous in
-it (K = kappa J, :mod:`nk6.hitchin`).  Float data are compared against a
-tolerance (default ``EPS``).
+it (K = kappa J, :mod:`nk6.hitchin`).  A float is a dyadic rational: it
+enters as its binary value (:func:`lift`), and floats remain only in
+reports and as square roots outside Q(sqrt 3) (:func:`sqrt_scalar`).
 
-The zero policy lives here, in one test (:func:`lattice_zero`, with
-:func:`is_zero` its one-scalar case): a rational lattice is zero when its
-integers are; other scalars are compared with 0 exactly when every one is
-exact, and otherwise by their largest ``abs(float(x))`` against a
-tolerance.
+The tolerance is a rational bound resolved where data enter
+(:func:`tolerance`): 0, a proof, for exact data, ``Fraction(tol)`` for
+measured data.  The zero policy lives here, in one test
+(:func:`lattice_zero`, with :func:`is_zero` its one-scalar case): a
+lattice (P, d) is zero at a bound t when max |P| <= t d, in integers; an
+identity is bounded at t times the sizes of its data (:func:`scaled_tol`).
 
 So does the integer lattice of the exact kernels: :func:`lift` writes a
 rational list as integers over one denominator, :func:`bilinear` applies a
 compiled table to two lifted lists in one pass in Python integers, and
 :func:`lower` converts back, to an ``int`` wherever a value is whole; it
 builds a ``Fraction`` only for a denominator other than 1, and so does
-:func:`exact_div` on rationals.  Other lists (floats, ``Poly``,
-``QSqrt3``) run the same loop on their values.  Sums, zero tests and
-sizes read a lattice too, and :func:`times` scales one by a rational in
-plain lattice arithmetic, so a value stays in integers from one product
-to the next.
+:func:`exact_div` on rationals.  Other lists (``Poly``, ``QSqrt3``) run
+the same loop on their values.  Sums, zero tests and sizes read a lattice
+too, and :func:`times` scales one by a rational in plain lattice
+arithmetic, so a value stays in integers from one product to the next.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import re
 from fractions import Fraction
@@ -145,8 +147,6 @@ class QSqrt3:
             if not other:  # the zero test of every sparsity skip
                 return not (self.a or self.b)
             return not self.b and self.a == other
-        if isinstance(other, float):
-            return float(self) == other
         return NotImplemented
 
     def __hash__(self):
@@ -169,11 +169,11 @@ class QSqrt3:
         return (1 if a > 0 else -1) if a * a > 3 * b * b else (1 if b > 0 else -1)
 
     def _order(op):
-        """A comparison: by the exact sign of the difference, or in floats."""
+        """A comparison, by the exact sign of the difference."""
         def compare(self, other):
             if isinstance(other, (QSqrt3, *_EXACT)):
                 return op((self - other).sign(), 0)
-            return op(float(self), other)
+            return NotImplemented
         return compare
 
     __lt__, __le__ = _order(operator.lt), _order(operator.le)
@@ -193,30 +193,40 @@ def is_exact(x):
     return isinstance(x, _EXACT) or isinstance(x, QSqrt3)
 
 
-def lattice_zero(lattice, tol=0.0):
-    """The zero policy: is every scalar of a lattice of :func:`lift` zero?
+def tolerance(tol, *collections):
+    """The tolerance of data where they enter: ``Fraction(tol)`` if a scalar
+    of the collections (lists of scalars or of rows, or lattices) is a float
+    (measured data), else 0; an exact tol as is."""
+    if is_exact(tol):
+        return tol
+    values = (y for c in collections for x in c
+              for y in (x if isinstance(x, list) else (x,)))
+    if any(isinstance(y, numbers.Real) and not isinstance(y, numbers.Rational)
+           for y in values):
+        return Fraction(tol)
+    return 0
 
-    A rational lattice is zero when its integers are, with no lowering.
-    Values that are all exact are compared with 0 exactly, a proof;
-    otherwise the largest ``abs(float(x))`` is compared with ``tol``.  NaN
-    is never zero.
-    """
+
+def lattice_zero(lattice, tol=0):
+    """The zero policy at the rational bound ``tol``: a rational lattice (P, d)
+    is zero when max |P| <= tol d, in integers; other values exactly."""
     P, d = lattice
-    if d is not None:
-        return not any(P)
-    if all(map(is_exact, P)):
-        return all(x == 0 for x in P)
-    return all(abs(float(x)) <= tol for x in P)
+    if not tol:
+        return not any(P) if d is not None else all(x == 0 for x in P)
+    tol = Fraction(tol)
+    if d is None:
+        return all(abs(x) <= tol for x in P)
+    return max(map(abs, P), default=0) * tol.denominator <= tol.numerator * d
 
 
-def is_zero(x, tol=0.0):
+def is_zero(x, tol=0):
     """The zero policy for one scalar: the one-entry case of :func:`lattice_zero`."""
-    if is_exact(x):
+    if not tol and is_exact(x):
         return x == 0
-    return abs(float(x)) <= tol
+    return lattice_zero(lift([x]), tol)
 
 
-def is_positive(x, tol=0.0):
+def is_positive(x, tol=0):
     """x > 0 and not zero under the zero policy."""
     return x > 0 and not is_zero(x, tol)
 
@@ -285,7 +295,7 @@ def sqrt_scalar(x):
         if not isinstance(x, QSqrt3) and x > 0:
             e = (x.numerator.bit_length() - x.denominator.bit_length()) // 2
             try:
-                return math.ldexp(math.sqrt(x * Fraction(4) ** -e), e)
+                return math.sqrt(x * Fraction(4) ** -e) * 2.0 ** e
             except OverflowError:
                 return math.inf
     v = float(x)
@@ -318,9 +328,10 @@ def parse_rational(text):
 
 def lift(values):
     """The lattice (P, d) of a list of rationals: x[i] = P[i] / d in integers,
-    d > 0; a list of ints is its own numerators, over d = 1.  A list with any
-    other scalar (float, ``Poly``, ``QSqrt3``) passes through as (values,
-    None) and runs the same loops on its values, exactly when they are exact.
+    d > 0; a list of ints is its own numerators, over d = 1; a float is its
+    binary value (a non-finite one raises ValueError).  A list with any
+    other scalar (``Poly``, ``QSqrt3``) passes through as (values, None) and
+    runs the same loops on its values.
     """
     d, whole = 1, True
     for x in values:
@@ -328,10 +339,28 @@ def lift(values):
         if t is Fraction:
             d, whole = math.lcm(d, x.denominator), False
         elif t is not int:
+            if isinstance(x, float):
+                return lift([_binary(v) if isinstance(v, float) else v
+                             for v in values])
             return values, None
     if whole:
         return list(values), 1
     return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _binary(x):
+    """The binary value of a finite float, a dyadic ``Fraction``."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite scalar {x!r}")
+    return Fraction(x)
+
+
+def exact(values):
+    """A new list of the values, a float as its binary value (:func:`lift`)."""
+    if all(map(is_exact, values)):
+        return list(values)
+    P, d = lattice = lift(values)
+    return list(P) if d is None else lower(lattice)
 
 
 def lower(lattice):
@@ -344,11 +373,6 @@ def lower(lattice):
     if d == 1:
         return list(P)
     return [p // d if p % d == 0 else Fraction(p, d) for p in P]
-
-
-def lattice_exact(lattice):
-    """Are the scalars of a lattice all exact (rational, or Q(sqrt 3) values)?"""
-    return lattice[1] is not None or all(map(is_exact, lattice[0]))
 
 
 _ROWS: dict = {}
@@ -375,23 +399,32 @@ def lattice_sum(x, y, s=1):
 
 
 def lattice_max_abs(lattice):
-    """max abs(float(x)) over the scalars x of a lattice (0.0 if none), bitwise
-    as on the lowered scalars: p / d on ints is correctly rounded; inf when
-    an exact one lies beyond the float range."""
+    """max abs(float(x)) over a lattice (0.0 if none), for a report: of a
+    rational one max |P| / d correctly rounded, inf beyond the float range."""
     P, d = lattice
-    values = map(float, P) if d is None else (p / d for p in P)
     try:
-        return max(map(abs, values), default=0.0)
+        if d is None:
+            return max((abs(float(x)) for x in P), default=0.0)
+        return max(map(abs, P), default=0) / d
     except OverflowError:
         return math.inf
 
 
+def lattice_size(lattice):
+    """A rational bound on |x| over a lattice: max |P| / d of a rational one,
+    |a| + 2 |b| >= |a + b sqrt 3| for a ``QSqrt3``."""
+    P, d = lattice
+    if d is None:
+        P, d = [abs(x.a) + 2 * abs(x.b) if isinstance(x, QSqrt3) else x for x in P], 1
+    return Fraction(max(map(abs, P), default=0), d)
+
+
 def scaled_tol(tol, *lattices):
-    """tol times the product of the sizes of the lattices an identity is
-    formed from, if any is float: a verdict at every scale of the data."""
-    if all(map(lattice_exact, lattices)):
-        return tol
-    return tol * math.prod(map(lattice_max_abs, lattices))
+    """tol times the sizes of the lattices an identity is formed from, a
+    verdict at every scale of the data; 0 at tol 0 (exact data)."""
+    if not tol:
+        return 0
+    return Fraction(tol) * math.prod(map(lattice_size, lattices))
 
 
 def times(s, lattice):
@@ -433,7 +466,7 @@ def bilinear(rows, x, y, size):
 
     Each output sums its terms in increasing (i, j), skipping zero factors
     (no term: the integer 0).  Rational operands run in one integer pass;
-    others run the same loop on their values.
+    others (``Poly``, ``QSqrt3``) run the same loop on their values.
     """
     if x[1] is None or y[1] is None:
         return _accumulate(rows, lower(x), lower(y), [0] * size), None

@@ -2,26 +2,21 @@
 
 Matrices are lists of row lists, vectors plain lists.  One forward
 elimination (:func:`_eliminate`) and one back-substitution serve every
-solver, on exact scalars (pivot on the first nonzero entry, arithmetic
-stays exact) and on floats (partial pivoting): :func:`det` is the swap sign
-times the product of the pivots, :func:`is_positive_definite` is
-Sylvester's test on the running products of a pass without row swaps, and
-:func:`solve`, :func:`inv`, :func:`solve_in_span` and :func:`nullspace`
-back-substitute over the pivot rows.  Products skip terms with a zero
-factor, so sparse matrices cost only their nonzero entries.  Zero tests
-of a collection are :func:`scalars.lattice_zero` on its lattice, a pivot's
-is :func:`scalars.is_zero`: scalars that are all exact are compared with 0
-exactly, otherwise by ``abs(float(x))`` against a tolerance.  The unit of
-:func:`inv` and :func:`nullspace` is the int 1, which arithmetic turns into
-a float next to float data.  Dimensions never exceed a few dozen here, so
-nothing clever is needed.
+solver, in exact arithmetic (a float entry as its binary value): a
+column's pivot is its first nonzero entry, :func:`det` the swap sign times
+the product of the pivots, :func:`is_positive_definite` Sylvester's test
+on the running products of a pass without row swaps, and :func:`solve`,
+:func:`inv`, :func:`solve_in_span` and :func:`nullspace` back-substitute
+over the pivot rows.  Products skip terms with a zero factor, so sparse
+matrices cost only their nonzero entries.  Dimensions never exceed a few
+dozen here, so nothing clever is needed.
 """
 
 from __future__ import annotations
 
 from .scalars import (
-    EPS, bilinear, exact_div, is_exact, is_positive, is_zero, kernel_rows,
-    lattice_sum, lattice_zero, lift, lower, times)
+    EPS, bilinear, exact, exact_div, is_positive, kernel_rows, lattice_sum,
+    lattice_zero, lift, lower, scaled_tol, times, tolerance)
 
 
 class SingularMatrix(ValueError):
@@ -49,15 +44,17 @@ def lattice_mul(x, y, n, m, w):
 
     Each entry sums a[i][k] b[k][j] in increasing k, skipping every term
     with a zero factor: the matrices of the Lie layer are sparse, and a
-    skipped term changes no value (an empty sum is the exact 0) and, on
-    floats, at most the sign of a zero, so float results are bitwise those
-    of the row-by-column products.  Non-finite entries, for which 0 * inf
-    is NaN, are rejected by ``parse_space``.
+    skipped term changes no value (an empty sum is the exact 0).
     """
     rows = kernel_rows(("mat_mul", n, m, w), lambda: [
         [(k * w + j, i * w + j, 1) for j in range(w)]
         for i in range(n) for k in range(m)])
     return bilinear(rows, x, y, n * w)
+
+
+def mat_exact(a):
+    """The rows of ``a`` as exact values (:func:`scalars.exact`)."""
+    return [exact(row) for row in a]
 
 
 def mat_lattice(a):
@@ -115,7 +112,7 @@ def mat_combinations(coeffs, mats):
     return [unflatten(v, rows, cols) for v in flat]
 
 
-def is_scalar_matrix(m, c, tol=0.0):
+def is_scalar_matrix(m, c, tol=0):
     """Is m (a matrix or its lattice) c Id under the zero policy?  The entries
     m[i][j] - (c if i == j else 0) are tested, rational ones in integers."""
     x = mat_lattice(m)
@@ -140,33 +137,23 @@ def mat_max_abs(a):
     return max((abs(float(x)) for row in a for x in row), default=0.0)
 
 
-def is_float_data(a):
-    return not all(is_exact(x) for row in a for x in row)
+def _eliminate(a, ncols, swaps=True):
+    """Forward elimination on the first ``ncols`` columns of the rows ``a``:
+    (rows, pivots, minors, sign).
 
-
-def _eliminate(a, ncols, tol=EPS, swaps=True):
-    """Forward elimination on the first ``ncols`` columns of a copy of the
-    rows ``a``: (rows, pivots, minors, sign).
-
-    Row i < len(pivots) of ``rows`` has its pivot in column ``pivots[i]``;
-    the rows below a pivot are cleared, but only columns right of it are
-    written.  ``minors`` are the running products of the pivots and
-    ``sign`` that of the row swaps.  A column's pivot is its first nonzero
-    entry on exact data, its largest on floats, or none when that is zero
-    at ``tol`` times the largest entry of the ``ncols`` columns (a rank at
-    every scale).  Without ``swaps`` only the next row's entry is a
-    candidate, so the running products are the leading principal minors.
+    Row i < len(pivots) of ``rows`` has its pivot, the first nonzero entry,
+    in column ``pivots[i]``; the rows below a pivot are cleared, but only
+    columns right of it are written.  ``minors`` are the
+    running products of the pivots and ``sign`` that of the row swaps.
+    Without ``swaps`` only the next row's entry is a candidate, so the
+    running products are the leading principal minors.
     """
-    m, float_mode = [list(row) for row in a], is_float_data(a)
-    if float_mode:
-        tol *= max((abs(float(x)) for row in m for x in row[:ncols]), default=0.0)
-    pivots, minors, sign = [], [], 1
+    m, pivots, minors, sign = mat_exact(a), [], [], 1
     for col in range(ncols):
         row = len(pivots)
         rows = range(row, len(m) if swaps else min(row + 1, len(m)))
-        best = (max(rows, key=lambda r: abs(float(m[r][col])), default=None)
-                if float_mode else next((r for r in rows if m[r][col] != 0), None))
-        if best is None or float_mode and is_zero(m[best][col], tol):
+        best = next((r for r in rows if m[r][col] != 0), None)
+        if best is None:
             continue
         top, piv = m[best], m[best][col]
         if best != row:
@@ -175,7 +162,7 @@ def _eliminate(a, ncols, tol=EPS, swaps=True):
         minors.append(minors[-1] * piv if minors else piv)
         for r in range(row + 1, len(m)):
             f = m[r][col]
-            if f != 0 and not (float_mode and is_zero(f, tol)):
+            if f != 0:
                 f = exact_div(f, piv)
                 m[r][col + 1:] = [x - f * y if y != 0 else x
                                   for x, y in zip(m[r][col + 1:], top[col + 1:])]
@@ -195,27 +182,27 @@ def _back_substitute(m, pivots, cols):
     return x
 
 
-def solve(a, b, tol=EPS):
+def solve(a, b):
     """Solve a x = b for square a; b a vector or a matrix of columns."""
     n, vector_rhs = len(a), not isinstance(b[0], list)
     rhs = [[x] for x in b] if vector_rhs else b
-    m, pivots, _, _ = _eliminate([[*r, *s] for r, s in zip(a, rhs)], n, tol)
+    m, pivots, _, _ = _eliminate([[*r, *s] for r, s in zip(a, rhs)], n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is singular")
     sol = _back_substitute(m, pivots, range(n, len(m[0])))
     return [row[0] for row in sol] if vector_rhs else sol
 
 
-def inv(a, tol):
-    return solve(a, identity(len(a)), tol)
+def inv(a):
+    return solve(a, identity(len(a)))
 
 
 def det(a):
-    """The swap sign times the product of the pivots: 0 (0.0 on floats)
-    when a column has none, 1 for the empty matrix."""
-    _, pivots, minors, sign = _eliminate(a, len(a), 0.0)
+    """The swap sign times the product of the pivots: 0 when a column has
+    none, 1 for the empty matrix."""
+    _, pivots, minors, sign = _eliminate(a, len(a))
     if len(pivots) < len(a):
-        return 0.0 if is_float_data(a) else 0
+        return 0
     return sign * minors[-1] if a else 1
 
 
@@ -223,19 +210,20 @@ def solve_in_span(columns, target, tol=EPS):
     """Coordinates of ``target`` in the span of ``columns``.
 
     ``columns`` is a list of vectors (same length as ``target``).  Raises
-    SingularMatrix when the system is inconsistent, i.e. the target is not
-    in the span.  A column that depends on earlier ones gets 0.
+    SingularMatrix when the target is not in the span, at the tolerance of
+    the data times its size.  A column that depends on earlier ones gets 0.
     """
     n = len(columns)
+    tol = scaled_tol(tolerance(tol, target, columns), lift(target))
     m, pivots, _, _ = _eliminate(
-        [[col[i] for col in columns] + [t] for i, t in enumerate(target)], n, tol)
+        [[col[i] for col in columns] + [t] for i, t in enumerate(target)], n)
     if not lattice_zero(lift([row[n] for row in m[len(pivots):]]), tol):
         raise SingularMatrix("target not in span")
     solved = dict(zip(pivots, _back_substitute(m, pivots, [n])))
     return [solved[c][0] if c in solved else 0 for c in range(n)]
 
 
-def nullspace(a, tol=EPS, ncols=None):
+def nullspace(a, ncols=None):
     """Basis of the kernel of a (list of vectors): per free column f, the
     solution with 1 at f and 0 at the other free columns.
 
@@ -243,18 +231,18 @@ def nullspace(a, tol=EPS, ncols=None):
     matrix with no rows needs it, as its kernel is every vector.
     """
     n = ncols if ncols is not None else len(a[0]) if a else 0
-    m, pivots, _, _ = _eliminate(a, n, tol)
+    m, pivots, _, _ = _eliminate(a, n)
     free = [c for c in range(n) if c not in pivots]
     solved = dict(zip(pivots, _back_substitute(m, pivots, free)))
     return [[1 if c == f else -solved[c][k] if c in solved else 0
              for c in range(n)] for k, f in enumerate(free)]
 
 
-def is_positive_definite(a, tol=0.0):
+def is_positive_definite(a):
     """Sylvester's test: every leading principal minor of a is positive.
 
     They are the running products of the pivots of an elimination without
     row swaps; a zero one leaves its column without a pivot.
     """
-    _, pivots, minors, _ = _eliminate(a, len(a), tol, swaps=False)
-    return len(pivots) == len(a) and all(is_positive(d, tol) for d in minors)
+    _, pivots, minors, _ = _eliminate(a, len(a), swaps=False)
+    return len(pivots) == len(a) and all(map(is_positive, minors))

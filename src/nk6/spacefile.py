@@ -2,13 +2,13 @@
 
 A space document carries a Lie algebra by sparse structure constants, the
 h/m index split, optional named invariant forms on m and an optional
-metric Gram matrix.  Scalars are exact when written as "p/q" strings or
-JSON integers and float when written as other JSON numbers; a whole exact
-number is an ``int``, as in the kernels (:mod:`nk6.scalars`), and any
-other exact one a ``Fraction``.  The schema ships in
-``schemas/space.schema.json``; antisymmetry is completed from the i < j
-entries and the Jacobi identity is validated on load.  Documents of one
-algebra share its validated space (:func:`parse_space`).
+metric Gram matrix.  Scalars are "p/q" strings or JSON numbers, all exact:
+a JSON float is its binary value, and a document holding one is measured
+data (``SpaceDocument.tol``).  A whole number is an ``int``, as in the
+kernels (:mod:`nk6.scalars`), and any other one a ``Fraction``.  The
+schema ships in ``schemas/space.schema.json``; antisymmetry is completed
+from the i < j entries and the Jacobi identity is validated on load.
+Documents of one algebra share its validated space (:func:`parse_space`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .exterior import KForm
 from .lie import LieAlgebraData, ReductiveSpace
-from .scalars import parse_rational
+from .scalars import parse_rational, tolerance
 
 
 # g2, the largest algebra of the isotropy table, has dimension 14; the
@@ -32,34 +32,23 @@ class SpaceFormatError(ValueError):
     """Invalid space document; message carries a JSON-path-style location."""
 
 
-def _value(v, where, floats=False):
-    """An exact number (an ``int`` when whole, else a ``Fraction``), or a
-    float for a JSON float; with ``floats`` (the data of ``check --scalar
-    float``) an exact one must have a float value, and a nonzero one a
-    nonzero float (no overflow, no underflow to 0.0)."""
+def _value(v, where):
+    """The exact number of a "p/q" string or a JSON number, a JSON float's
+    binary value: an ``int`` when whole, else a ``Fraction``."""
     if isinstance(v, str):
         try:
             q = parse_rational(v)
         except (ValueError, ZeroDivisionError) as ex:
             raise SpaceFormatError(f"{where}: bad rational {v!r} ({ex})")
-        if q.denominator == 1:
-            q = q.numerator
     elif isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpaceFormatError(f"{where}: expected number or 'p/q' string")
     elif isinstance(v, int):
-        q = v
+        return v
     elif not math.isfinite(v):
         raise SpaceFormatError(f"{where}: non-finite number {v!r}")
     else:
-        return float(v)
-    if floats:
-        try:
-            in_range = float(q) != 0 or q == 0
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            raise SpaceFormatError(f"{where}: outside the float range")
-    return q
+        q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _is_index(i, dim):
@@ -75,9 +64,12 @@ def _index_list(v, dim, where):
 
 
 class SpaceDocument:
+    """A validated document, decided at ``tol`` (:func:`scalars.tolerance`)."""
+
     def __init__(self, dimension, labels, h_indices, m_indices, space,
-                 forms=None, metric=None):
+                 forms, metric, tol):
         self.dimension = dimension
+        self.tol = tol
         self.labels = labels
         self.h_indices = h_indices
         self.m_indices = m_indices
@@ -102,7 +94,7 @@ SPACE_CACHE_SIZE = 8
 _SPACES = {}   # validated ReductiveSpaces, the most recently used last
 
 
-def parse_space(data, tol, floats=False):
+def parse_space(data, tol):
     """Validate a parsed JSON object into a SpaceDocument.
 
     Documents of one algebra share its validated space, keyed by the JSON
@@ -110,8 +102,6 @@ def parse_space(data, tol, floats=False):
     tolerance ``tol`` float constants are validated at, which tells 1, 1.0
     and "1" apart.  Only algebras that pass validation are stored, and raw
     data that did can only pass again: they are not read.
-    With ``floats`` (``check --scalar float``) every exact entry of the
-    structure constants, a form or the metric must have a float value.
     """
     if not isinstance(data, dict):
         raise SpaceFormatError("$: top level must be an object")
@@ -136,9 +126,7 @@ def parse_space(data, tol, floats=False):
         c, h_idx, m_idx = _algebra(dim, triples, h_idx, m_idx)
     else:
         h_idx, m_idx = list(space.h_idx), list(space.m_idx)
-    if floats:   # the algebra may be cached by an exact document
-        for pos, entry in enumerate(triples):
-            _value(entry[3], f"$.structure_constants[{pos}]", floats)
+    numbers = [entry[3] for entry in triples]
     m_pos = {g: p for p, g in enumerate(m_idx)}
     nm = len(m_idx)
 
@@ -170,7 +158,8 @@ def parse_space(data, tol, floats=False):
                 mapped.append(m_pos[g])
             if len(set(mapped)) != len(mapped):
                 raise SpaceFormatError(f"{where}[{pos}]: repeated index")
-            terms.append((tuple(mapped), _value(v, f"{where}[{pos}]", floats)))
+            terms.append((tuple(mapped), _value(v, f"{where}[{pos}]")))
+            numbers.append(v)
         try:
             forms[name] = KForm.from_terms(nm, degree or 0, terms)
         except ValueError as ex:
@@ -182,15 +171,17 @@ def parse_space(data, tol, floats=False):
         if (not isinstance(rows, list) or len(rows) != nm
                 or any(not isinstance(r, list) or len(r) != nm for r in rows)):
             raise SpaceFormatError("$.metric: expected a square m x m matrix")
-        metric = [[_value(v, f"$.metric[{i}][{j}]", floats) for j, v in enumerate(row)]
+        metric = [[_value(v, f"$.metric[{i}][{j}]") for j, v in enumerate(row)]
                   for i, row in enumerate(rows)]
+        numbers += [v for row in rows for v in row]
         if metric != [list(col) for col in zip(*metric)]:
             raise SpaceFormatError("$.metric: not symmetric")
 
     if space is None:
         try:
-            space = ReductiveSpace(LieAlgebraData(c, labels=labels, tol=tol),
-                                   h_idx, m_idx)
+            space = ReductiveSpace(LieAlgebraData(
+                c, labels=labels, tol=tolerance(tol, [e[3] for e in triples])),
+                h_idx, m_idx)
         except ValueError as ex:
             raise SpaceFormatError(f"$: {ex}")
     _SPACES[key] = _SPACES.pop(key, space)
@@ -198,7 +189,7 @@ def parse_space(data, tol, floats=False):
         del _SPACES[next(iter(_SPACES))]
     return SpaceDocument(dimension=dim, labels=list(labels), h_indices=h_idx,
                          m_indices=m_idx, space=space, forms=forms,
-                         metric=metric)
+                         metric=metric, tol=tolerance(tol, numbers))
 
 
 def _algebra(dim, triples, h_idx, m_idx):
@@ -232,7 +223,7 @@ def _algebra(dim, triples, h_idx, m_idx):
     return c, h_idx, m_idx
 
 
-def load_space(path, tol, floats=False):
+def load_space(path, tol):
     """Parse and validate a space document from a file path (:func:`parse_space`)."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -245,7 +236,7 @@ def load_space(path, tol, floats=False):
         raise SpaceFormatError(f"{path}:{ex.lineno}:{ex.colno}: {ex.msg}")
     except (ValueError, RecursionError) as ex:   # an int of too many digits, nesting
         raise SpaceFormatError(f"{path}: {str(ex).split(';')[0]}")
-    return parse_space(data, tol, floats)
+    return parse_space(data, tol)
 
 
 def _scalar_out(v):

@@ -11,23 +11,21 @@
   scaling law of the cone star that ``cone_check`` uses: the star from
   that lattice of G^-1 on (c^2 kappa^2 omega, c kappa^3 psi) against the
   star of c g on (c omega, c psi);
-- a float document whose volume form fails the unit-norm test at tolerance
-  0 gets failing cone verdicts, not a traceback.
+- a structure whose volume form fails the unit-norm test gets failing
+  cone verdicts, not a traceback.
 
-Exact data must agree by ``==``; floats bit for bit on nonzero entries
-where the summation order is kept, within a bound where it is not.
+Every result must agree by ``==``: float data enter as their binary values
+and run the exact kernels.
 """
 
 import os
-import subprocess
-import sys
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from nk6 import octonion, s3xs3, smallmat, spaces
 from nk6.certificate import check_certificate
-from nk6.cone import cone_hodge, cone_rho
+from nk6.cone import cone_hodge, cone_rho, cone_verdicts
 from conftest import lambda5_to_vector
 from nk6.exterior import (
     HodgeStar, KForm, index_tuples, interior, metric_volume, wedge)
@@ -37,8 +35,7 @@ from nk6.hitchin import (
 from nk6.lie import (
     _tensor_invariance_table, ce_differential, is_invariant_endo,
     is_invariant_metric)
-from nk6.report import Report
-from nk6.scalars import EPS, QSqrt3, bilinear, lift, lower
+from nk6.scalars import EPS, QSqrt3, bilinear, is_exact, lift, lower, times
 from nk6.spacefile import load_space
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -69,15 +66,10 @@ def vectors(draw, kind, size):
 
 
 def assert_same(got, want, kind):
-    """``==`` on exact data; on floats, equal bits on nonzero entries."""
-    assert len(got) == len(want)
-    if kind != "float":
-        assert got == want
-        return
-    for x, y in zip(got, want):
-        assert x == y
-        if y != 0:
-            assert isinstance(x, float) and repr(x) == repr(y)
+    """``==``, and exact values of every ``kind``: floats run on their binary
+    values, in the compiled product and in the per-term oracle alike."""
+    assert got == want
+    assert all(is_exact(x) for x in got), kind
 
 
 def flat(m):
@@ -222,7 +214,7 @@ def k_star(s):
 
 
 def assert_closed_forms(s):
-    assert matrix(s.Ginv) == smallmat.inv(matrix(s.G), EPS)
+    assert matrix(s.Ginv) == smallmat.inv(matrix(s.G))
     k_star(s)   # the exact norm test
     if s.kappa is not None:
         assert s.omega3 / 6 == metric_volume(s.g, omega3_sign(s.omega, s.omega3))
@@ -299,19 +291,15 @@ def test_closed_forms_on_built_structures(s, c):
     assert_cone_star_scales(s, c)
 
 
-# -- a float volume form that fails the unit-norm test ----------------------
+# -- a volume form that fails the unit-norm test -----------------------------
 def test_unit_norm_failure_is_a_failing_cone_verdict():
-    # fixtures/s3xs3.json in floats at tolerance 0 builds (every identity
-    # of the build holds to the bit), but v^2 det G^-1 (-tau0)^3 rounds off 1
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(ROOT, "src")))
-    done = subprocess.run(
-        [sys.executable, "-m", "nk6.cli", "--json", "--tolerance", "0",
-         "--scalar", "float", "check", os.path.join(FIX, "s3xs3.json"), "--cone"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 1
-    assert done.stderr == ""
-    cone = {v.name: v for v in Report.from_json(done.stdout).verdicts
-            if v.name.startswith("cone form")}
-    assert [(v.status, v.label) for v in cone.values()] == [
+    # an exact structure decides the star's norm exactly, and a build whose
+    # identities hold exactly has a unit-norm star; a G^-1 off by a factor
+    # 2 fails the test, and both cone verdicts fail with it, not a traceback
+    s = fixture_structures()[0]
+    s.Ginv = times(2, s.Ginv)
+    verdicts, crep = cone_verdicts(s, s3xs3.differential)
+    assert crep is None
+    assert [(v.status, v.label) for v in verdicts] == [
         ("fail", "cone-closed"), ("fail", "cone-coclosed")]
-    assert all("unit-norm" in v.detail for v in cone.values())
+    assert all("unit-norm" in v.detail for v in verdicts)

@@ -19,7 +19,7 @@ from nk6.exterior import (
     HodgeStar, KForm, complement, hodge_star, index_tuples, metric_volume)
 from nk6.lie import LieAlgebraData, ce_differential, check_jacobi, is_invariant
 from nk6.s3xs3 import cyclic_space
-from nk6.scalars import EPS, SQRT3, QSqrt3, is_exact, is_zero
+from nk6.scalars import EPS, SQRT3, QSqrt3, exact, is_exact, tolerance
 from nk6.spacefile import load_space
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -50,7 +50,14 @@ def oracle_ad_images(space, alpha):
 
 
 def oracle_is_invariant(space, alpha, tol=1e-10):
-    return all(is_zero(x, tol) for x in oracle_ad_images(space, alpha))
+    """Every image zero at the tolerance of alpha times the largest structure
+    constant and coefficient of alpha, on alpha's binary values."""
+    values = exact(alpha.c)
+    size = lambda xs: max(map(abs, xs), default=0)
+    bound = (tolerance(tol, alpha.c) * size(values)
+             * size(x for plane in space.algebra.c for row in plane for x in row))
+    images = oracle_ad_images(space, KForm(alpha.n, alpha.k, values))
+    return all(abs(x) <= bound for x in images)
 
 
 def oracle_ce_differential(space, alpha):
@@ -78,7 +85,7 @@ def oracle_ce_differential(space, alpha):
 
 def oracle_hodge_star(a, gram, vol):
     n = a.n
-    gram_inv = smallmat.inv(gram, EPS)
+    gram_inv = smallmat.inv(gram)
     v = vol.c[0]
     out = KForm.zero(n, n - a.k)
     tuples_k, _ = index_tuples(n, a.k)

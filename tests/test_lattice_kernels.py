@@ -5,8 +5,8 @@ summation order:
 
 - exact inputs (rational with mixed denominators, Q(sqrt 3), all-zero
   operands) must give equal values (``==``);
-- float inputs must give the same bits on every nonzero output (a zero
-  whose sum cancels may differ in sign);
+- float inputs enter as their binary values: they must give the oracle's
+  values on those (``==``), and exact ones;
 - ``Poly`` inputs, on the certificate path, must give equal polynomials.
 
 ``times`` on a rational lattice, plain lattice arithmetic, must give the
@@ -19,8 +19,8 @@ whole one is an ``int``, and each ``verify`` keeps a pinned budget of
 ``Fraction`` constructions); Q(sqrt 3) data, which run the generic loop,
 give exact results; ``check --cone`` forms omega^2 and omega^3 once; an
 exact build never lifts J and a check lifts no more than the pinned
-counts; and the float unit-norm test of ``HodgeStar`` follows the
-tolerance policy.
+counts; and the unit-norm test of ``HodgeStar`` on float data follows
+the tolerance policy.
 """
 
 import os
@@ -41,7 +41,7 @@ from nk6.lie import ce_differential, nearly_kahler_residual
 from nk6.poly import Poly
 from nk6.s3xs3 import (
     cyclic_space, differential, omega_diagonal, uniqueness_certificate)
-from nk6.scalars import EPS, QSqrt3, exact_div, lift, lower
+from nk6.scalars import EPS, QSqrt3, exact, exact_div, is_exact, lift, lower
 from nk6.spacefile import load_space
 
 FIX = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -76,16 +76,20 @@ def forms(draw, kind, n, k):
     return KForm(n, k, draw(vectors(kind, len(index_tuples(n, k)[0]))))
 
 
-def assert_same(got, want, kind):
-    """``==`` on exact data; on floats, equal bits on nonzero entries."""
-    assert len(got) == len(want)
-    if kind != "float":
-        assert got == want
-        return
-    for x, y in zip(got, want):
-        assert x == y
-        if y != 0:
-            assert isinstance(x, float) and repr(x) == repr(y)
+def assert_same(got, want):
+    """``==``, and every value exact: float inputs run on their binary
+    values, as the oracle given :func:`binary` data does."""
+    assert got == want
+    assert all(is_exact(x) for x in got)
+
+
+def binary(x):
+    """A form, matrix or vector with its floats as their binary values."""
+    if isinstance(x, KForm):
+        return KForm(x.n, x.k, exact(x.c))
+    if x and isinstance(x[0], list):
+        return smallmat.mat_exact(x)
+    return exact(x)
 
 
 # -- oracles: the per-term loops ------------------------------------------
@@ -273,10 +277,15 @@ def test_times_of_polys_is_the_diagonal_pass():
 
 
 def test_floats_and_polys_pass_through_lift():
+    # a Poly or QSqrt3 list unchanged, a float as its binary value
     x = Poly.variables(1)[0]
-    for values in ([1.5, 0, Fraction(1, 3)], [x, 2, 0], [QSqrt3(1, 2), 0, 1]):
+    for values in ([x, 2, 0], [QSqrt3(1, 2), 0, 1]):
         lattice = lift(values)
         assert lattice == (values, None) and lower(lattice) is values
+    # a float is its binary value; next to a QSqrt3 it passes through so
+    assert lift([1.5, 0, Fraction(1, 3)]) == ([9, 0, 2], 6)
+    assert lift([0.1]) == ([3602879701896397], 2 ** 55)
+    assert lift([0.5, QSqrt3(1)]) == ([Fraction(1, 2), QSqrt3(1)], None)
 
 
 # -- Q(sqrt 3) data in the generic lane stay exact ------------------------
@@ -293,7 +302,6 @@ def test_hodge_star_of_a_q_sqrt3_form_is_exact():
     g = smallmat.mat_mul(smallmat.transpose(u), u)   # det g = 1
     a = KForm(6, 2, [QSqrt3(p, 1) if p % 2 else Fraction(p, 3) for p in range(15)])
     star = HodgeStar(g)
-    assert not star.floats
     got = star(a).c
     assert _exact(got) and any(isinstance(x, QSqrt3) for x in got)
     assert got == oracle_star(star.gram_inv, star.v, a)
@@ -331,7 +339,7 @@ def test_nabla_j_of_q_sqrt3_data_is_decided_on_k():
 def test_wedge_matches_the_per_term_loop(kind, n, data):
     ka, kb = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
     a, b = data.draw(forms(kind, n, ka)), data.draw(forms(kind, n, kb))
-    assert_same(wedge(a, b).c, oracle_wedge(a, b), kind)
+    assert_same(wedge(a, b).c, oracle_wedge(binary(a), binary(b)))
 
 
 @SETTINGS
@@ -339,7 +347,7 @@ def test_wedge_matches_the_per_term_loop(kind, n, data):
 def test_interior_matches_the_per_term_loop(kind, n, data):
     a = data.draw(forms(kind, n, data.draw(st.integers(1, n))))
     v = data.draw(vectors(kind, n))
-    assert_same(interior(v, a).c, oracle_interior(v, a), kind)
+    assert_same(interior(v, a).c, oracle_interior(binary(v), binary(a)))
 
 
 @SETTINGS
@@ -347,7 +355,8 @@ def test_interior_matches_the_per_term_loop(kind, n, data):
 def test_contract_matches_the_per_term_loop(kind, n, slot, data):
     psi = data.draw(forms(kind, n, 3))
     m = [data.draw(vectors(kind, n)) for _ in range(n)]
-    assert_same(contract(psi, m, slot).c, oracle_contract(psi, m, slot), kind)
+    assert_same(contract(psi, m, slot).c,
+                oracle_contract(binary(psi), binary(m), slot))
 
 
 @SETTINGS
@@ -355,9 +364,9 @@ def test_contract_matches_the_per_term_loop(kind, n, slot, data):
 def test_mat_mul_matches_the_per_term_loop(kind, n, m, w, data):
     a = [data.draw(vectors(kind, m)) for _ in range(n)]
     b = [data.draw(vectors(kind, w)) for _ in range(m)]
-    got, want = smallmat.mat_mul(a, b), oracle_mat_mul(a, b)
+    got, want = smallmat.mat_mul(a, b), oracle_mat_mul(binary(a), binary(b))
     assert len(got) == n
-    assert_same([x for row in got for x in row], [x for row in want for x in row], kind)
+    assert_same([x for row in got for x in row], [x for row in want for x in row])
 
 
 SPACES = {name: load_space(os.path.join(FIX, f"{name}.json"), EPS).reductive_space()
@@ -370,20 +379,20 @@ def test_ce_differential_matches_the_formula(kind, name, k, data):
     space = SPACES[name]
     alpha = data.draw(forms(kind, 6, k))
     got = ce_differential(space, alpha, check_invariance=False).c
-    assert_same(got, oracle_differential(space, alpha), kind)
+    assert_same(got, oracle_differential(space, binary(alpha)))
 
 
 @SETTINGS
 @given(st.sampled_from(["flag", "cp3"]), st.sampled_from([2, 3]), st.data())
 def test_ce_differential_sums_floats_in_input_order(name, k, data):
     # degrees 2 and 3 of su(3) and sp(2) have outputs of three and four
-    # terms; on dense forms of inexact floats the order of a sum shows in
-    # its bits
+    # terms; dense forms of inexact floats are summed on their binary
+    # values, exactly, so the order of a sum does not show
     size = len(index_tuples(6, k)[0])
     alpha = KForm(6, k, data.draw(st.lists(st.floats(0.1, 4), min_size=size,
                                            max_size=size)))
     got = ce_differential(SPACES[name], alpha, check_invariance=False).c
-    assert_same(got, oracle_differential(SPACES[name], alpha), "float")
+    assert_same(got, oracle_differential(SPACES[name], binary(alpha)))
 
 
 @st.composite
@@ -406,24 +415,23 @@ def metrics(draw, kind):
 def test_hodge_star_matches_the_per_term_loop(kind, k, data):
     g = data.draw(metrics(kind))
     star = HodgeStar(g)
-    assert star.floats == (kind == "float")
     a = data.draw(forms(kind, 6, k))
-    assert_same(star(a).c, oracle_star(star.gram_inv, star.v, a), kind)
+    assert_same(star(a).c, oracle_star(star.gram_inv, star.v, binary(a)))
 
 
 @SETTINGS
 @given(st.sampled_from([2, 3, 4]), st.data())
 def test_float_star_reads_the_minors_of_the_rows_i(k, data):
-    # a float g^-1 from elimination is symmetric only up to rounding; its
-    # star takes <e_I, e_J> from the rows I, bit for bit as the per-term loop,
-    # dense forms making every minor count
+    # a float g enters as its binary values, so g^-1 is exact, and so are
+    # the minors of its rows I and the star of a dense float form, as the
+    # per-term loop gives them on those values
     g = [[float(x) for x in row] for row in data.draw(metrics("rational"))]
-    ginv = smallmat.inv(g, EPS)
+    ginv = smallmat.inv(g)
     size = len(index_tuples(6, k)[0])
     a = KForm(6, k, data.draw(st.lists(st.floats(0.1, 4), min_size=size,
                                        max_size=size)))
-    star = HodgeStar.of_inverse(ginv, metric_volume(g), 1, EPS)
-    assert_same(star(a).c, oracle_star(ginv, star.v, a), "float")
+    star = HodgeStar.of_inverse(ginv, metric_volume(g), 1, Fraction(EPS))
+    assert_same(star(a).c, oracle_star(ginv, star.v, binary(a)))
 
 
 def test_poly_products_on_the_certificate_path():
@@ -503,7 +511,6 @@ def test_kernels_make_no_fraction_arithmetic():
          for i in range(6)]
     g = smallmat.mat_mul(smallmat.transpose(u), u)   # det g = 1
     star = HodgeStar(g, metric_volume(g))
-    assert not star.floats
     counts, out = _fraction_calls(lambda: star(b).c)
     assert counts["arithmetic"] == 0
     assert 0 < counts["new"] <= _nonzero(out)
@@ -565,7 +572,7 @@ def test_an_exact_build_never_lifts_j(name, monkeypatch):
     assert sum(c == K for c in calls) == 0
 
 
-CONE_LIFTS = {"s3xs3": 3, "flag": 4, "cp3": 4}
+CONE_LIFTS = {"s3xs3": 2, "flag": 4, "cp3": 4}
 
 
 @pytest.mark.parametrize("name, parent, pinned", [

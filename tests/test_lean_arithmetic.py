@@ -18,7 +18,7 @@ from nk6 import smallmat
 from nk6.exterior import (
     HodgeStar, KForm, hodge_star, index_tuples, metric_volume)
 from nk6.hitchin import contract
-from nk6.scalars import SQRT3, QSqrt3
+from nk6.scalars import SQRT3, QSqrt3, exact, is_exact
 
 # derandomized, so that every run draws the same examples
 SETTINGS = settings(max_examples=60, deadline=None, database=None,
@@ -192,21 +192,25 @@ def test_every_hodge_minor_is_the_det_of_its_submatrix(g, data):
             assert star.minor(rows, cols) == want
     full = tuple(range(6))
     assert star.minor(full, full) * smallmat.det(g) == 1
-    # the star of an exact form is exact iff sqrt(det g) is, else all floats
-    assert star.floats == isinstance(metric_volume(g).c[0], float)
+    # the star of an exact form is exact: a float sqrt(det g) enters as its
+    # binary value
+    assert star.v == exact(metric_volume(g).c)[0]
     out = [x for x in star(KForm.basis(6, (0, 2), QSqrt3(1, 1))).c if x != 0]
-    assert out and all(isinstance(x, float) == star.floats for x in out)
+    assert out and all(map(is_exact, out))
 
 
-def test_hodge_star_with_a_float_volume_runs_in_floats():
+def test_hodge_star_with_a_float_volume_is_exact_on_its_binary_value():
     # det g = 2 + sqrt 3 has no square root in Q(sqrt 3)
     g = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
     g[0][0] = QSqrt3(2, 1)
+    v = metric_volume(g).c[0]
+    assert isinstance(v, float)
     out = hodge_star(KForm.basis(6, (0,)), g)
-    # *e0 = g^00 sqrt(det g) e12345 = (2 - sqrt 3) sqrt(2 + sqrt 3) e12345
+    # *e0 = g^00 sqrt(det g) e12345 = (2 - sqrt 3) sqrt(2 + sqrt 3) e12345,
+    # with sqrt(2 + sqrt 3) the binary value of v
+    assert out.c[-1] == QSqrt3(2, -1) * Fraction(v) and not any(out.c[:-1])
     want = (2 - 3 ** 0.5) * (2 + 3 ** 0.5) ** 0.5
-    assert abs(out.c[-1] - want) <= 1e-12 and not any(out.c[:-1])
-    assert isinstance(out.c[-1], float)
+    assert abs(float(out.c[-1]) - want) <= 1e-12
 
 
 # -- the slot contraction -----------------------------------------------------

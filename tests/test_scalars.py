@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nk6.exterior import KForm, wedge
+from nk6.hitchin import build_either_orientation
 from nk6.scalars import (
     QSqrt3, SQRT3, exact_div, exact_sqrt, is_zero, lattice_zero, lift,
-    parse_rational, sqrt_scalar)
+    parse_rational, sqrt_scalar, tolerance)
 
 
 def test_field_operations():
@@ -67,14 +69,23 @@ def test_exact_div_keeps_ints_exact():
 
 
 def test_zero_policy_compares_exact_entries_exactly():
-    assert not is_zero(Fraction(1, 10**30), tol=1e-10)
-    assert not lattice_zero(lift([0, Fraction(1, 10**30)]), tol=1e-10)
+    # exact data resolve the tolerance 0: equality, a proof
+    tiny = [0, Fraction(1, 10**30), QSqrt3(0, Fraction(1, 10**30))]
+    assert tolerance(1e-10, tiny) == 0
+    assert not is_zero(Fraction(1, 10**30), tolerance(1e-10, tiny))
+    assert not lattice_zero(lift([0, Fraction(1, 10**30)]))
     assert is_zero(QSqrt3(0, 0))
-    assert not is_zero(QSqrt3(0, Fraction(1, 10**30)), tol=1e-10)
+    assert not is_zero(QSqrt3(0, Fraction(1, 10**30)))
     assert lattice_zero(lift([0, Fraction(0), QSqrt3(0, 0), 0]))
+    # a resolved bound is applied as given, in integers
+    assert is_zero(Fraction(1, 10**30), Fraction(1, 10**30))
+    assert not is_zero(Fraction(2, 10**30), Fraction(1, 10**30))
+    assert is_zero(QSqrt3(0, Fraction(1, 10**30)), Fraction(1, 10**29))
 
 
 def test_zero_policy_compares_float_data_by_max_abs():
+    # a float is measured data, compared on its binary value
+    assert tolerance(1e-10, [Fraction(1, 3), 1e-12]) == Fraction(1e-10)
     assert is_zero(1e-12, tol=1e-10)
     assert not is_zero(1e-12)
     assert lattice_zero(lift([0, 1e-12]), tol=1e-10)
@@ -83,11 +94,32 @@ def test_zero_policy_compares_float_data_by_max_abs():
     assert not lattice_zero(lift([0.0, 2e-10]), tol=1e-10)
 
 
+def test_tolerance_reads_lists_matrices_and_lattices():
+    assert tolerance(1e-10, [1, Fraction(1, 3)], [[2, QSqrt3(1, 1)]]) == 0
+    assert tolerance(1e-10, [[1, 0], [0, 0.5]]) == Fraction(1e-10)
+    assert tolerance(1e-10, ([3, 4], 7), ([QSqrt3(1)], None)) == 0
+    assert tolerance(Fraction(1, 10), [0.5]) == Fraction(1, 10)   # resolved
+
+
 def test_zero_policy_never_calls_nan_zero():
-    nan = float("nan")
-    assert not is_zero(nan, tol=1e300)
-    assert not lattice_zero(lift([0.0, nan]), tol=1.0)
-    assert not lattice_zero(lift([nan, 0.0]), tol=1.0)
+    # a non-finite float has no binary value: lifting it names it
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=repr(x)):
+            is_zero(x, tol=1e300)
+        with pytest.raises(ValueError, match=repr(x)):
+            lattice_zero(lift([0.0, x]), tol=1.0)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_floats_are_rejected_where_they_enter(x):
+    # a form holds what it is given; lifting it for a kernel raises a
+    # ValueError that names the value, never OverflowError, never a pass
+    form = KForm.from_terms(6, 2, [((0, 1), x), ((2, 3), 1.0), ((4, 5), 1.0)])
+    for use in (KForm.lattice, KForm.is_zero, lambda f: wedge(f, f),
+                lambda f: build_either_orientation(f, KForm(6, 3))):
+        with pytest.raises(ValueError, match=f"non-finite scalar {x!r}"):
+            use(form)
 
 
 # -- parse_rational: the ASCII fast path agrees with Fraction(text) ------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nk6 import smallmat as sm
-from nk6.scalars import EPS, QSqrt3, is_exact
+from nk6.scalars import QSqrt3, exact, is_exact, tolerance
 
 
 def rnd_mat(rng, n, bound=5):
@@ -23,7 +23,7 @@ def test_solve_and_inverse_exact():
         b = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         x = sm.solve(a, b)
         assert sm.mat_vec(a, x) == b
-        inv = sm.inv(a, EPS)
+        inv = sm.inv(a)
         assert sm.mat_mul(a, inv) == sm.identity(4, Fraction(1))
 
 
@@ -105,16 +105,17 @@ def test_sparse_kernels_match_dense_double_sum(name, entry, zero):
         b = _sparse(rng, k, m, entry, zero)
         v = _sparse(rng, 1, k, entry, zero)[0]
         w = _sparse(rng, 1, k, entry, zero)[0]
+        ab, av, vw = sm.mat_mul(a, b), sm.mat_vec(a, v), sm.vec_dot(v, w)
+        # float entries are multiplied on their binary values
+        a, b, v, w = sm.mat_exact(a), sm.mat_exact(b), exact(v), exact(w)
         dense_ab = [[sum((a[i][l] * b[l][j] for l in range(k)), 0)
                      for j in range(m)] for i in range(n)]
         dense_av = [sum((a[i][l] * v[l] for l in range(k)), 0) for i in range(n)]
         dense_vw = sum((v[l] * w[l] for l in range(k)), 0)
-        ab, av, vw = sm.mat_mul(a, b), sm.mat_vec(a, v), sm.vec_dot(v, w)
         assert ab == dense_ab
         assert av == dense_av
         assert vw == dense_vw
-        if name != "float":
-            assert all(is_exact(x) for x in [vw] + av + [y for r in ab for y in r])
+        assert all(is_exact(x) for x in [vw] + av + [y for r in ab for y in r])
 
 
 # -- the row-sparse product against the row-by-column one ------------------
@@ -165,25 +166,25 @@ def _products(draw, kind):
     lambda kind: st.tuples(st.just(kind), _products(kind))))
 def test_row_sparse_mat_mul_matches_the_dense_product(case):
     kind, (a, b) = case
-    got, want = sm.mat_mul(a, b), _row_by_column(a, b)
+    got = sm.mat_mul(a, b)
+    a, b = sm.mat_exact(a), sm.mat_exact(b)   # floats as their binary values
+    want = _row_by_column(a, b)
     assert len(got) == len(a) and all(len(row) == len(b[0]) for row in got)
-    if kind == "float":
-        # the same additions in the same order: bitwise equal, zero signs too
-        assert [[repr(x) for x in row] for row in got] == \
-            [[repr(x) for x in row] for row in want]
-    else:
-        assert got == want
-        assert all(is_exact(x) for row in got for x in row)
+    assert got == want
+    assert all(is_exact(x) for row in got for x in row)
     dense = [[sum((a[i][l] * b[l][j] for l in range(len(b))), 0)
               for j in range(len(b[0]))] for i in range(len(a))]
     assert got == dense
 
 
 def test_scalar_matrix_test_decides_exact_data_exactly():
+    # exact data resolve the tolerance 0, float data a rational bound
     off = [[Fraction(-1), 0], [0, Fraction(-1) + Fraction(1, 10 ** 12)]]
+    floats = [[float(x) for x in row] for row in off]
     assert sm.is_scalar_matrix([[Fraction(-1), 0], [0, Fraction(-1)]], -1)
-    assert not sm.is_scalar_matrix(off, -1, 1e-8)
-    assert sm.is_scalar_matrix([[float(x) for x in row] for row in off], -1, 1e-8)
+    assert not sm.is_scalar_matrix(off, -1, tolerance(1e-8, *off))
+    assert sm.is_scalar_matrix(floats, -1, tolerance(1e-8, *floats))
+    assert sm.is_scalar_matrix(off, -1, 1e-8)   # a bound is applied as given
     assert not sm.is_scalar_matrix([[QSqrt3(2), QSqrt3(0, 1)], [0, QSqrt3(2)]], 2)
     assert sm.is_scalar_matrix([[QSqrt3(0, 1), 0], [0, QSqrt3(0, 1)]], QSqrt3(0, 1))
 
@@ -291,13 +292,13 @@ def test_elimination_matches_naive_references(kind, data):
         # solve and inv: a x = b, a a^-1 = Id
         x = sm.solve(a, b)
         assert all(same(y, t) for y, t in zip(sm.mat_vec(a, x), b))
-        eye = sm.mat_mul(a, sm.inv(a, EPS))
+        eye = sm.mat_mul(a, sm.inv(a))
         assert all(same(eye[i][j], int(i == j)) for i in range(n) for j in range(n))
     elif not floats:
         with pytest.raises(sm.SingularMatrix):
             sm.solve(a, b)
         with pytest.raises(sm.SingularMatrix):
-            sm.inv(a, EPS)
+            sm.inv(a)
     # nullspace: n - rank independent vectors v with a v = 0
     rank = _rank(exact)
     basis = sm.nullspace(a)

@@ -70,8 +70,9 @@ entries = st.one_of(exact_values, st.floats(-1e3, 1e3, allow_nan=False))
 
 
 def _kind(x):
-    """The type of an entry after a round trip: int where exact and whole."""
-    return int if not isinstance(x, float) and x.denominator == 1 else type(x)
+    """The type of an entry after a round trip: int where whole, else
+    Fraction; a float reads back as its binary value."""
+    return int if Fraction(x).denominator == 1 else Fraction
 
 
 def _flat(nested):
@@ -133,7 +134,7 @@ def _three_dim():
 
 def test_whole_exact_entries_are_ints():
     # JSON 2, "4/2", "-3" and "0" are ints, as in the kernels; "1/2" is a
-    # Fraction and 0.5 a float
+    # Fraction, and so is the binary value of the JSON float 0.5
     doc = parse_space(_three_dim(), EPS)
     c = doc.constants
     assert (c[0][1][2], c[1][2][0], c[0][2][1], c[0][1][1]) == (2, 2, -3, 0)
@@ -144,7 +145,8 @@ def test_whole_exact_entries_are_ints():
     assert doc.forms["half"].c[0] == Fraction(1, 2)
     assert type(doc.forms["half"].c[0]) is Fraction
     assert [[type(x) for x in row] for row in doc.metric] == [
-        [int, int, int], [int, int, Fraction], [int, Fraction, float]]
+        [int, int, int], [int, int, Fraction], [int, Fraction, Fraction]]
+    assert doc.metric[2][2] == Fraction(1, 2)
 
 
 def _set_constant(data, v):
@@ -167,14 +169,16 @@ def _set_metric(data, v):
     (_set_metric, "$.metric[0][2]", lambda doc: doc.metric[0][2]),
 ], ids=["constant", "form", "metric"])
 def test_whole_entries_beyond_the_float_range(huge, edit, path, read):
-    # exact mode keeps the int; float mode rejects it where it stands, as
-    # it rejects a Fraction
+    # every document keeps the int at ``path``: an exact one, decided
+    # exactly, and one with a JSON float (the metric's 0.5), which is
+    # measured data, decided on its exact values at a rational bound
     data = _three_dim()
     edit(data, huge)
-    assert type(read(parse_space(data, EPS))) is int
-    with pytest.raises(SpaceFormatError,
-                       match=re.escape(f"{path}: outside the float range")):
-        parse_space(data, EPS, floats=True)
+    doc = parse_space(data, EPS)
+    assert type(read(doc)) is int and doc.tol == Fraction(EPS), path
+    data["metric"][2][2] = "1/2"
+    doc = parse_space(data, EPS)
+    assert type(read(doc)) is int and doc.tol == 0, path
 
 
 def test_bad_jacobi_rejected():

@@ -11,9 +11,9 @@ caller of ``nk_check``; the only other build is a point of S^6
 (``octonion.s6_structure_at``), whose link differential is set by hand.
 
 Exact data are decided exactly: the build decides on K = kappa J whatever
-kappa is, so no exact form is turned into floats on the way.  Floats enter
-only by ``--scalar float``, so ``KForm.to_float()`` is called once, in
-``cli._named_form``.
+kappa is, so no exact form is turned into floats on the way.  Float data
+enter as given and are decided on their binary values; ``--scalar float``
+only sets the tolerance, so ``KForm.to_float()`` has no caller.
 """
 
 import ast
@@ -69,7 +69,8 @@ def test_build_either_orientation_is_called_by_structure_verdicts_and_s6():
 
 
 def test_floats_enter_only_by_the_scalar_option():
-    assert _callers("to_float") == [("cli.py", "_named_form")]
+    # not even there: --scalar float decides the document's own values
+    assert _callers("to_float") == []
 
 
 def test_guard_sees_the_forms_it_forbids():

@@ -1,4 +1,4 @@
-"""Lint-style guard for the one verdict rule.
+"""Lint-style guard for the one verdict rule and the one arithmetic.
 
 Every pass/fail in ``src/nk6`` is decided by the zero policy of
 ``nk6.scalars`` at the threaded tolerance.  So no module outside
@@ -6,6 +6,13 @@ Every pass/fail in ``src/nk6`` is decided by the zero policy of
 tolerance-like literal is ``scalars.EPS``, and no collection is tested
 for zero by hand: ``scalars.lattice_zero`` is the one zero test of a
 collection.
+
+Float data are decided on their binary values by the exact kernels, so
+no float lane comes back: ``src/nk6`` names none of its parts
+(``FORBIDDEN``), and ``isinstance(x, float)`` is asked only where data
+enter, in ``scalars.lift`` and ``spacefile._value``.  (``scalars.tolerance``
+tells measured data apart as inexact reals, ``numbers.Real`` that are not
+``numbers.Rational``.)
 """
 
 import ast
@@ -24,8 +31,36 @@ ALLOWED_LITERALS = Counter({("scalars.py", "1e-10"): 1})
 ALLOWED_ZERO_SCANS = Counter({"s3xs3.py": 1})
 
 
+FORBIDDEN = ("FloatRangeError", "is_float_data", "math.ldexp", "math.frexp",
+             ".exponent")
+FLOAT_TESTS = Counter({("scalars.py", "lift"): 2, ("spacefile.py", "_value"): 1})
+
+
 def _modules():
     return sorted(SRC.glob("*.py"))
+
+
+def float_tests(source):
+    """The enclosing function of each ``isinstance(..., float)`` or
+    ``isinstance(..., (..., float, ...))`` call."""
+    out = []
+
+    def names_float(node):
+        return (isinstance(node, ast.Name) and node.id == "float"
+                or isinstance(node, ast.Tuple) and any(map(names_float, node.elts)))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and names_float(node.args[1])):
+            out.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
 
 
 def _mentions_tol(node):
@@ -90,6 +125,28 @@ def test_collections_are_zero_tested_by_lattice_zero():
     found = Counter(path.name for path in _modules() if path.name != "scalars.py"
                     for _ in zero_scans(path.read_text()))
     assert found == ALLOWED_ZERO_SCANS
+
+
+def test_no_float_lane_is_named():
+    found = {(path.name, word) for path in _modules() for word in FORBIDDEN
+             if word in path.read_text()}
+    assert found == set()
+
+
+def test_floats_are_told_apart_only_where_data_enter():
+    found = Counter((path.name, function) for path in _modules()
+                    for function in float_tests(path.read_text()))
+    assert found == FLOAT_TESTS
+
+
+def test_float_guard_sees_the_forms_it_forbids():
+    assert float_tests(
+        "def lift(v):\n"
+        "    return isinstance(v, float) or isinstance(v, (int, float))\n"
+        "x = isinstance(1, float)\n"
+        "def f(v):\n"
+        "    return isinstance(v, int) or type(v) is float\n") == [
+            "lift", "lift", None]
 
 
 def test_guard_sees_the_forms_it_forbids():
